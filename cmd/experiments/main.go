@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "all", "comma-separated experiments (see -list), or all")
-		runAlias   = fs.String("run", "", "alias for -experiment (kept for compatibility)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker pool size")
 		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of tables")
 		list       = fs.Bool("list", false, "list registered experiments and exit")
@@ -156,14 +155,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	expSet, runSet := false, false
+	expSet := false
 	var adhocOnly []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "experiment":
 			expSet = true
-		case "run":
-			runSet = true
 		case "issue", "threads", "nfetch", "wfetch":
 			adhocOnly = append(adhocOnly, "-"+f.Name)
 		case "predfetch":
@@ -172,10 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	})
-	if expSet && runSet {
-		fmt.Fprintln(stderr, "-experiment and -run are aliases; pass only one")
-		return 2
-	}
 	if *fetchSweep != "" && *predSweep != "" {
 		fmt.Fprintln(stderr, "-fetch and -predictor each run their own ad-hoc comparison; pass only one")
 		return 2
@@ -237,8 +230,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fetchSweep != "" {
-		if expSet || runSet {
-			fmt.Fprintln(stderr, "-fetch runs an ad-hoc comparison and replaces -experiment/-run; pass only one")
+		if expSet {
+			fmt.Fprintln(stderr, "-fetch runs an ad-hoc comparison and replaces -experiment; pass only one")
 			return 2
 		}
 		var names []string
@@ -262,8 +255,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *predSweep != "" {
-		if expSet || runSet {
-			fmt.Fprintln(stderr, "-predictor runs an ad-hoc comparison and replaces -experiment/-run; pass only one")
+		if expSet {
+			fmt.Fprintln(stderr, "-predictor runs an ad-hoc comparison and replaces -experiment; pass only one")
 			return 2
 		}
 		var names []string
@@ -286,12 +279,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return finish()
 	}
 
-	sel := *experiment
-	if runSet {
-		sel = *runAlias
-	}
 	want := map[string]bool{}
-	for _, name := range strings.Split(sel, ",") {
+	for _, name := range strings.Split(*experiment, ",") {
 		if name = strings.TrimSpace(name); name != "" { // tolerate trailing commas
 			want[name] = true
 		}

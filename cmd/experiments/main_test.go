@@ -68,13 +68,6 @@ func TestEndToEndTextRun(t *testing.T) {
 	}
 }
 
-func TestRunAliasStillWorks(t *testing.T) {
-	out, _, code := runCLI(t, append([]string{"-run", "fig7"}, tiny...)...)
-	if code != 0 || !strings.Contains(out, "==== fig7") {
-		t.Fatalf("exit %d output:\n%s", code, out)
-	}
-}
-
 func TestTrailingCommaTolerated(t *testing.T) {
 	out, errOut, code := runCLI(t, append([]string{"-experiment", "fig7,"}, tiny...)...)
 	if code != 0 {
@@ -86,24 +79,12 @@ func TestTrailingCommaTolerated(t *testing.T) {
 }
 
 func TestEmptySelectionFails(t *testing.T) {
-	for _, flagName := range []string{"-experiment", "-run"} {
-		_, errOut, code := runCLI(t, flagName, "")
-		if code != 2 {
-			t.Fatalf("%s '': exit %d, want 2", flagName, code)
-		}
-		if !strings.Contains(errOut, "no experiment selected") {
-			t.Fatalf("%s '': stderr %q", flagName, errOut)
-		}
-	}
-}
-
-func TestExperimentAndRunConflict(t *testing.T) {
-	_, errOut, code := runCLI(t, "-experiment", "fig7", "-run", "fig3")
+	_, errOut, code := runCLI(t, "-experiment", "")
 	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+		t.Fatalf("-experiment '': exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "pass only one") {
-		t.Fatalf("stderr: %q", errOut)
+	if !strings.Contains(errOut, "no experiment selected") {
+		t.Fatalf("-experiment '': stderr %q", errOut)
 	}
 }
 

@@ -188,8 +188,8 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 	// Chaos on the durable tier too: a deterministic slice of disk writes
 	// is corrupted; the checksums must turn each into a miss, never a
 	// wrong value.
-	nodeA.server.disk.SetWriteTransform(corruptEveryFourth)
-	nodeA.server.snapDisk.SetWriteTransform(corruptEveryFourth)
+	nodeA.server.results.SetWriteTransform(corruptEveryFourth)
+	nodeA.server.snaps.SetWriteTransform(corruptEveryFourth)
 
 	// Two workers, one per coordinator, every protocol edge faulted.
 	// Response-mangling faults (truncate, corrupt) stay off /v1/work:

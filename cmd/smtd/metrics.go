@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+
+	"repro/internal/cache"
 )
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
@@ -16,53 +18,16 @@ import (
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 
-	// Cache tiers.
-	ms := s.mem.Stats()
-	counter(&b, "smtd_cache_memory_hits_total", "Memory-tier cache hits.", float64(ms.Hits))
-	counter(&b, "smtd_cache_memory_misses_total", "Memory-tier cache misses.", float64(ms.Misses))
-	counter(&b, "smtd_cache_memory_evictions_total", "Memory-tier LRU evictions.", float64(ms.Evictions))
-	gauge(&b, "smtd_cache_memory_entries", "Results held in the memory tier.", float64(ms.Len))
-	gauge(&b, "smtd_cache_memory_capacity", "Memory-tier capacity (0 = unbounded).", float64(ms.Cap))
-	if s.disk != nil {
-		ds := s.disk.Stats()
-		counter(&b, "smtd_cache_disk_hits_total", "Disk-tier cache hits (memory misses served from disk).", float64(ds.Hits))
-		counter(&b, "smtd_cache_disk_misses_total", "Disk-tier cache misses.", float64(ds.Misses))
-		counter(&b, "smtd_cache_disk_corrupt_total", "Disk entries dropped as corrupt (checksum or decode failure).", float64(ds.Corrupt))
-		gauge(&b, "smtd_cache_disk_entries", "Results held in the durable disk tier.", float64(ds.Entries))
-		gauge(&b, "smtd_cache_disk_warm_entries", "Entries recovered by the boot-time directory scan.", float64(ds.Warm))
-	}
-	if s.fed != nil {
-		ps := s.fed.Stats()
-		counter(&b, "smtd_cache_peer_hits_total", "Local misses served by the key's owning peer.", float64(ps.PeerHits))
-		counter(&b, "smtd_cache_peer_misses_total", "Owner-peer probes that missed too.", float64(ps.PeerMisses))
-		counter(&b, "smtd_cache_peer_fills_total", "Fills the key's owning peer acknowledged.", float64(ps.PeerFills))
-		counter(&b, "smtd_cache_peer_fill_failures_total", "Forwarded fills that never landed (transport failure or open breaker).", float64(ps.PeerFillFailures))
-		counter(&b, "smtd_cache_peer_fill_dropped_total", "Fills shed because the async forward queue was full.", float64(ps.PeerFillDropped))
-		counter(&b, "smtd_cache_peer_breaker_skips_total", "Peer probes answered as instant misses by an open breaker.", float64(ps.PeerSkipped))
-		gauge(&b, "smtd_cache_peer_members", "Coordinators in the federation ring (self included).", float64(len(ps.Members)))
-	}
-
-	// Warmup-checkpoint store and its tiers, plus the trace cache.
+	// The two tier stacks, then the checkpoint store's own traffic and the
+	// trace cache.
+	writeStackMetrics(&b, "smtd_cache", s.results.Stats())
+	writeStackMetrics(&b, "smtd_snapshot", s.snaps.Stats())
 	ss := s.snapshots.Stats()
 	counter(&b, "smtd_snapshot_hits_total", "Warmup checkpoints restored instead of re-simulated.", float64(ss.Hits))
 	counter(&b, "smtd_snapshot_misses_total", "Warmup checkpoint probes that ran cold.", float64(ss.Misses))
 	counter(&b, "smtd_snapshot_puts_total", "Warmup checkpoints stored after cold warmups.", float64(ss.Puts))
 	counter(&b, "smtd_snapshot_bytes_loaded_total", "Snapshot bytes served by checkpoint restores.", float64(ss.BytesLoaded))
 	counter(&b, "smtd_snapshot_bytes_stored_total", "Snapshot bytes written by checkpoint fills.", float64(ss.BytesStored))
-	sms := s.snapMem.Stats()
-	gauge(&b, "smtd_snapshot_memory_entries", "Checkpoints held in the snapshot memory tier.", float64(sms.Len))
-	counter(&b, "smtd_snapshot_memory_evictions_total", "Snapshot memory-tier LRU evictions.", float64(sms.Evictions))
-	if s.snapDisk != nil {
-		ds := s.snapDisk.Stats()
-		counter(&b, "smtd_snapshot_disk_hits_total", "Snapshot disk-tier hits.", float64(ds.Hits))
-		counter(&b, "smtd_snapshot_disk_corrupt_total", "Snapshot disk entries dropped as corrupt (served as cold misses).", float64(ds.Corrupt))
-		gauge(&b, "smtd_snapshot_disk_entries", "Checkpoints held in the durable snapshot tier.", float64(ds.Entries))
-	}
-	if s.snapFed != nil {
-		ps := s.snapFed.Stats()
-		counter(&b, "smtd_snapshot_peer_hits_total", "Local snapshot misses served by the key's owning peer.", float64(ps.PeerHits))
-		counter(&b, "smtd_snapshot_peer_fills_total", "Snapshot fills forwarded to the key's owning peer.", float64(ps.PeerFills))
-	}
 	ts := s.traces.Stats()
 	counter(&b, "smtd_trace_builds_total", "Workload rotations pre-decoded into shared traces.", float64(ts.Builds))
 	counter(&b, "smtd_trace_reuses_total", "Trace lookups served by an existing shared build.", float64(ts.Reuses))
@@ -72,7 +37,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Sweeps.
 	s.mu.Lock()
-	var running, done, failed, jobsDone, sweepHits int
+	var running, done, failed int
 	for _, sw := range s.sweeps {
 		switch sw.state {
 		case "running":
@@ -82,15 +47,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		case "failed":
 			failed++
 		}
-		jobsDone += sw.doneJobs
-		sweepHits += sw.cacheHits
 	}
+	jobsDone, sweepHits := s.jobsDone, s.cacheHits
 	s.mu.Unlock()
 	gauge(&b, "smtd_sweeps_running", "Sweeps currently executing.", float64(running))
 	gauge(&b, "smtd_sweeps_done", "Finished sweeps retained in history.", float64(done))
 	gauge(&b, "smtd_sweeps_failed", "Failed sweeps retained in history.", float64(failed))
-	counter(&b, "smtd_sweep_jobs_done_total", "Jobs completed across retained sweeps.", float64(jobsDone))
-	counter(&b, "smtd_sweep_cache_hits_total", "Jobs served from cache across retained sweeps.", float64(sweepHits))
+	counter(&b, "smtd_sweep_jobs_done_total", "Jobs completed by every sweep since boot.", float64(jobsDone))
+	counter(&b, "smtd_sweep_cache_hits_total", "Jobs served from cache across every sweep since boot.", float64(sweepHits))
 
 	// Scheduler, fleet, and the autoscale signal.
 	st := s.coord.Stats()
@@ -152,6 +116,34 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b.Bytes())
+}
+
+// writeStackMetrics emits one cache.Stack's tiers under prefix
+// (smtd_cache for results, smtd_snapshot for warmup checkpoints): the
+// memory tier always, disk and peer series only when that tier exists.
+func writeStackMetrics(b *bytes.Buffer, prefix string, st cache.StackStats) {
+	m := st.Memory
+	counter(b, prefix+"_memory_hits_total", "Memory-tier hits.", float64(m.Hits))
+	counter(b, prefix+"_memory_misses_total", "Memory-tier misses.", float64(m.Misses))
+	counter(b, prefix+"_memory_evictions_total", "Memory-tier LRU evictions.", float64(m.Evictions))
+	gauge(b, prefix+"_memory_entries", "Entries held in the memory tier.", float64(m.Len))
+	gauge(b, prefix+"_memory_capacity", "Memory-tier capacity (0 = unbounded).", float64(m.Cap))
+	if d := st.Disk; d != nil {
+		counter(b, prefix+"_disk_hits_total", "Disk-tier hits (memory misses served from disk).", float64(d.Hits))
+		counter(b, prefix+"_disk_misses_total", "Disk-tier misses.", float64(d.Misses))
+		counter(b, prefix+"_disk_corrupt_total", "Disk entries dropped as corrupt (checksum or decode failure; served as misses).", float64(d.Corrupt))
+		gauge(b, prefix+"_disk_entries", "Entries held in the durable disk tier.", float64(d.Entries))
+		gauge(b, prefix+"_disk_warm_entries", "Entries recovered by the boot-time directory scan.", float64(d.Warm))
+	}
+	if p := st.Peers; p != nil {
+		counter(b, prefix+"_peer_hits_total", "Local misses served by the key's owning peer.", float64(p.PeerHits))
+		counter(b, prefix+"_peer_misses_total", "Owner-peer probes that missed too.", float64(p.PeerMisses))
+		counter(b, prefix+"_peer_fills_total", "Fills the key's owning peer acknowledged.", float64(p.PeerFills))
+		counter(b, prefix+"_peer_fill_failures_total", "Forwarded fills that never landed (transport failure or open breaker).", float64(p.PeerFillFailures))
+		counter(b, prefix+"_peer_fill_dropped_total", "Fills shed because the async forward queue was full.", float64(p.PeerFillDropped))
+		counter(b, prefix+"_peer_breaker_skips_total", "Peer probes answered as instant misses by an open breaker.", float64(p.PeerSkipped))
+		gauge(b, prefix+"_peer_members", "Coordinators in the federation ring (self included).", float64(len(p.Members)))
+	}
 }
 
 func counter(b *bytes.Buffer, name, help string, v float64) { metric(b, name, help, "counter", v) }

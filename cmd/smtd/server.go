@@ -31,36 +31,20 @@ import (
 // re-simulating them, and determinism guarantees a cache hit returns
 // exactly the bytes a fresh simulation would.
 //
-// The cache is a stack. Bottom-up: a bounded in-memory LRU (always); a
-// durable disk tier under it when -cache-dir is set, so a restarted
-// coordinator warm-starts with every result it ever computed; a
-// federation layer over those when -peers is set, consistent-hashing
-// keys across the coordinator set so N coordinators serve one logical
-// cache; and singleflight dedup on top, which is what sweeps consult.
+// Storage is cache.Stack built twice — simulation results and warmup
+// checkpoints — each a bounded memory LRU (always), a durable disk tier
+// under -cache-dir, and consistent-hash federation across -peers. Sweeps
+// consult the result stack through singleflight dedup and the checkpoint
+// stack through a counting wrapper; distributed workers and federation
+// peers reach both through /v1/cache/{key}, split on the "snap:" prefix.
 type Server struct {
-	workers int                           // local simulation slots (resolved; > 0)
-	mem     *cache.Store[smt.Results]     // memory tier (always present)
-	disk    *cache.Disk[smt.Results]      // durable tier; nil without -cache-dir
-	fed     *cache.Federated[smt.Results] // peer federation; nil without -peers
-	local   cache.Getter[smt.Results]     // this node's tiers only (mem, or mem+disk)
-	top     cache.Getter[smt.Results]     // full stack below singleflight (local, or federated)
-	flight  *cache.Flight[smt.Results]    // top + in-flight dedup, what runners consult
-	sem     chan struct{}                 // local simulation slots, shared by every sweep
-	coord   *dist.Coordinator             // execution backend: remote workers, local fallback
-
-	// Warmup checkpoints ride a parallel byte-typed tier stack with the
-	// same shape as the result stack (memory always; disk under -cache-dir;
-	// federation across -peers), shared by every sweep and served to
-	// distributed workers through the "snap:"-prefixed half of the
-	// /v1/cache keyspace. snapshots is the counting wrapper every runner
-	// consults; traces is the sweep-shared pre-decoded trace cache.
-	snapMem   *cache.Store[[]byte]
-	snapDisk  *cache.Disk[[]byte]
-	snapFed   *cache.Federated[[]byte]
-	snapLocal cache.Getter[[]byte] // this node's snapshot tiers only
-	snapTop   cache.Getter[[]byte] // full snapshot stack (local, or federated)
-	snapshots *snapshot.Store
-	traces    *snapshot.TraceCache
+	workers   int                        // local simulation slots (resolved; > 0)
+	results   *cache.Stack[smt.Results]  // result tiers
+	snaps     *cache.Stack[[]byte]       // warmup-checkpoint tiers
+	flight    *cache.Flight[smt.Results] // results.Top + in-flight dedup, what runners consult
+	snapshots *snapshot.Store            // snaps.Top + traffic counters, what runners consult
+	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
+	coord     *dist.Coordinator          // execution backend: remote workers, local fallback
 
 	// breakers is the per-peer circuit breaker set shared by the result
 	// and snapshot federations — a host that is down is down for both
@@ -76,6 +60,10 @@ type Server struct {
 	nextID     int
 	maxHistory int  // finished sweeps retained; older ones are evicted
 	draining   bool // shutdown in progress: no new sweeps accepted
+	// Lifetime totals behind the smtd_sweep_*_total counters. Kept here,
+	// not summed over s.sweeps, so history eviction cannot lower them.
+	jobsDone  int64
+	cacheHits int64
 }
 
 // sweep is one submitted sweep job and its progress.
@@ -116,10 +104,10 @@ type jobProgress struct {
 // results) the service retains; running sweeps are never evicted.
 const defaultMaxHistory = 64
 
-// snapMemEntries bounds the in-memory snapshot LRU. A serialized warmed
+// snapshotMemEntries bounds the in-memory snapshot LRU. A serialized warmed
 // machine runs hundreds of KB, so unlike results the memory tier must cap
 // low; the disk tier (when configured) holds the long tail.
-const snapMemEntries = 128
+const snapshotMemEntries = 128
 
 // ServerOptions configures a Server beyond the basic knobs.
 type ServerOptions struct {
@@ -171,56 +159,43 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, n)
 	s := &Server{
 		workers:    n,
-		mem:        cache.New[smt.Results](opts.CacheSize),
-		snapMem:    cache.New[[]byte](snapMemEntries),
-		sem:        sem,
 		sweeps:     make(map[string]*sweep),
 		maxHistory: defaultMaxHistory,
 	}
-	s.local = s.mem
-	s.snapLocal = s.snapMem
-	if opts.CacheDir != "" {
-		disk, err := cache.NewDisk[smt.Results](opts.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("durable cache: %w", err)
-		}
-		s.disk = disk
-		s.local = cache.NewTiered(s.mem, disk)
-		// Snapshots get their own directory under the cache dir: same
-		// durability story (atomic content-addressed files, rescanned on
-		// boot, corrupt reads served as misses), different value type.
-		snapDisk, err := cache.NewDisk[[]byte](filepath.Join(opts.CacheDir, "snapshots"))
-		if err != nil {
-			return nil, fmt.Errorf("durable snapshot cache: %w", err)
-		}
-		s.snapDisk = snapDisk
-		s.snapLocal = cache.NewTiered(s.snapMem, snapDisk)
-	}
-	s.top = s.local
-	s.snapTop = s.snapLocal
+	var fedCfg cache.FederatedConfig
 	if len(opts.Peers) > 0 {
 		s.breakers = resilience.NewBreakerSet(opts.PeerBreaker)
 		s.retryCtr = &resilience.Counters{}
-		fedCfg := cache.FederatedConfig{
+		fedCfg = cache.FederatedConfig{
 			Client:     opts.PeerClient,
 			Breakers:   s.breakers,
 			FillPolicy: resilience.Policy{MaxAttempts: 2, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Counters: s.retryCtr},
 		}
-		s.fed = cache.NewFederatedWith[smt.Results](s.local, opts.Self, opts.Peers, fedCfg)
-		s.top = s.fed
-		s.snapFed = cache.NewFederatedWith[[]byte](s.snapLocal, opts.Self, opts.Peers, fedCfg)
-		s.snapTop = s.snapFed
+	}
+	var err error
+	if s.results, err = cache.NewStack[smt.Results](opts.CacheSize, opts.CacheDir, opts.Self, opts.Peers, fedCfg); err != nil {
+		return nil, fmt.Errorf("durable cache: %w", err)
+	}
+	// Snapshots get their own directory under the cache dir: same
+	// durability story (atomic content-addressed files, rescanned on
+	// boot, corrupt reads served as misses), different value type.
+	snapDir := ""
+	if opts.CacheDir != "" {
+		snapDir = filepath.Join(opts.CacheDir, "snapshots")
+	}
+	if s.snaps, err = cache.NewStack[[]byte](snapshotMemEntries, snapDir, opts.Self, opts.Peers, fedCfg); err != nil {
+		s.results.Close()
+		return nil, fmt.Errorf("durable snapshot cache: %w", err)
 	}
 	// In-flight dedup on top of the stack: concurrent identical sweeps
 	// compute each overlapping job once, the rest wait and take the hit.
-	s.flight = cache.NewFlight[smt.Results](s.top)
+	s.flight = cache.NewFlight(s.results.Top())
 	// No singleflight for snapshots: a duplicated warmup fill is idempotent
 	// and rare (runners probe before warming), while a dedup barrier would
 	// serialize unrelated sweeps behind one warmup.
-	s.snapshots = snapshot.NewStore(s.snapTop)
+	s.snapshots = snapshot.NewStore(s.snaps.Top())
 	s.traces = snapshot.NewTraceCache(0)
 	// The coordinator is every sweep's execution backend. With no
 	// workers registered it runs jobs in-process under the same
@@ -230,7 +205,7 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 	// sweep keeps dispatching — to them too — but at the dispatch
 	// width fixed when it was submitted).
 	s.coord = dist.NewCoordinator(dist.Options{
-		LocalSlots:  sem,
+		LocalSlots:  make(chan struct{}, n), // local simulation slots, shared by every sweep
 		ServesCache: true,
 		// The local fallback runs the same warm kernel the sweep runners
 		// use, so jobs that land in-process still restore checkpoints and
@@ -256,12 +231,8 @@ func (s *Server) breakerStats() []resilience.BreakerSnapshot {
 // federation fill forwarders.
 func (s *Server) Close() {
 	s.coord.Close()
-	if s.fed != nil {
-		s.fed.Close()
-	}
-	if s.snapFed != nil {
-		s.snapFed.Close()
-	}
+	s.results.Close()
+	s.snaps.Close()
 }
 
 // flushPeerFills drains both federations' async fill queues, bounded by
@@ -270,12 +241,8 @@ func (s *Server) Close() {
 // member is a 100% hit, which the cross-process federation smoke test
 // (and any client that round-robins coordinators) relies on.
 func (s *Server) flushPeerFills(ctx context.Context) {
-	if s.fed != nil {
-		s.fed.Flush(ctx)
-	}
-	if s.snapFed != nil {
-		s.snapFed.Flush(ctx)
-	}
+	s.results.Flush(ctx)
+	s.snaps.Flush(ctx)
 }
 
 // Drain blocks until every sweep running when it was called has finished
@@ -402,73 +369,60 @@ const (
 	maxSnapPutBody = 64 << 20
 )
 
-// handleCacheGet peeks one content-addressed result. Workers call it
+// handleCacheGet peeks one content-addressed entry. Workers call it
 // before simulating so a job any node already ran is never run twice.
-// Requests already carrying the federation hop marker are answered from
-// this node's local tiers only — never re-forwarded to another peer — so
-// federated lookups are single-hop by construction (see cache.PeerHeader).
+// The keyspace is split by prefix: "snap:" keys are warmup checkpoints
+// (opaque bytes in the snapshot stack), everything else is a result.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	peer := r.Header.Get(cache.PeerHeader) != ""
-	// The keyspace is split by prefix: "snap:" keys are warmup checkpoints
-	// (opaque bytes in the snapshot tiers), everything else is a result.
-	if strings.HasPrefix(key, snapshot.KeyPrefix) {
-		tier := s.snapTop
-		if peer {
-			tier = s.snapLocal
-		}
-		data, ok := tier.Get(key)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no cached snapshot for %q", key)
-			return
-		}
-		writeJSON(w, http.StatusOK, data)
-		return
+	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
+		peek(w, r, s.snaps, key, "snapshot")
+	} else {
+		peek(w, r, s.results, key, "result")
 	}
-	tier := s.top
-	if peer {
-		tier = s.local
-	}
-	res, ok := tier.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %q", key)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
-// handleCachePut fills one content-addressed result. Determinism makes
+// handleCachePut fills one content-addressed entry. Determinism makes
 // fills idempotent: every honest writer of a key computes identical
 // bytes. Like the rest of the API (sweep submission, cancellation,
 // worker registration — a registered worker's result posts are equally
 // unverified), this endpoint trusts its network: smtd is designed to run
-// inside a trusted cluster, not on the open internet. Peer-marked fills
-// land in the local tiers only (single-hop, as in handleCacheGet).
+// inside a trusted cluster, not on the open internet.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	peer := r.Header.Get(cache.PeerHeader) != ""
-	if strings.HasPrefix(key, snapshot.KeyPrefix) {
-		var data []byte
-		if !decodeBody(w, r, &data, maxSnapPutBody, "snapshot") {
-			return
-		}
-		if peer {
-			s.snapLocal.Put(key, data)
-		} else {
-			s.snapTop.Put(key, data)
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	var res smt.Results
-	if !decodeBody(w, r, &res, maxCachePutBody, "result") {
-		return
-	}
-	if peer {
-		s.local.Put(key, res)
+	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
+		fill(w, r, s.snaps, key, "snapshot", maxSnapPutBody)
 	} else {
-		s.top.Put(key, res)
+		fill(w, r, s.results, key, "result", maxCachePutBody)
 	}
+}
+
+// tierFor picks how deep into st a cache request may reach. Requests
+// already carrying the federation hop marker are served by this node's
+// local tiers only — never re-forwarded to another peer — so federated
+// lookups and fills are single-hop by construction (see cache.PeerHeader).
+func tierFor[V any](st *cache.Stack[V], r *http.Request) cache.Getter[V] {
+	if r.Header.Get(cache.PeerHeader) != "" {
+		return st.Local()
+	}
+	return st.Top()
+}
+
+// peek answers GET /v1/cache/{key} from st: 404 on a miss.
+func peek[V any](w http.ResponseWriter, r *http.Request, st *cache.Stack[V], key, what string) {
+	v, ok := tierFor(st, r).Get(key)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no cached %s for %q", what, key)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// fill answers PUT /v1/cache/{key} into st: 204 once stored.
+func fill[V any](w http.ResponseWriter, r *http.Request, st *cache.Stack[V], key, what string, limit int64) {
+	var v V
+	if !decodeBody(w, r, &v, limit, what) {
+		return
+	}
+	tierFor(st, r).Put(key, v)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -756,8 +710,10 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, totalJobs int, interva
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			sw.doneJobs++
+			s.jobsDone++
 			if fromCache {
 				sw.cacheHits++
+				s.cacheHits++
 			}
 			delete(sw.running, jobKey(j))
 			sw.finished[jobKey(j)] = true
@@ -843,16 +799,18 @@ func (s *Server) pruneHistoryLocked() {
 
 // status snapshots a sweep's progress.
 func (s *Server) status(sw *sweep) sweepStatus {
+	mem := s.results.Stats().Memory
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statusLocked(sw)
+	return s.statusLocked(sw, mem)
 }
 
 // jobKey identifies one (point, run) cell of a sweep's grid.
 func jobKey(j exp.Job) string { return fmt.Sprintf("p%d.r%d", j.Point, j.Run) }
 
-// statusLocked is status for callers already holding s.mu.
-func (s *Server) statusLocked(sw *sweep) sweepStatus {
+// statusLocked is status for callers already holding s.mu; mem is the
+// result stack's memory-tier snapshot every status carries.
+func (s *Server) statusLocked(sw *sweep, mem cache.Stats) sweepStatus {
 	st := sweepStatus{
 		ID:             sw.id,
 		Experiment:     sw.experiment,
@@ -863,7 +821,7 @@ func (s *Server) statusLocked(sw *sweep) sweepStatus {
 		DoneJobs:       sw.doneJobs,
 		CacheHits:      sw.cacheHits,
 		Error:          sw.errMsg,
-		Cache:          s.mem.Stats(),
+		Cache:          mem,
 	}
 	if len(sw.running) > 0 {
 		st.Running = make([]jobProgress, 0, len(sw.running))
@@ -892,10 +850,11 @@ func (s *Server) lookup(id string) (*sweep, bool) {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+	mem := s.results.Stats().Memory
 	s.mu.Lock()
 	out := make([]sweepStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.sweeps[id]))
+		out = append(out, s.statusLocked(s.sweeps[id], mem))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -943,9 +902,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(sw))
 }
 
-// cacheStatus is the GET /v1/cache payload: the memory tier's counters
-// at the top level (the shape the endpoint always had), plus per-tier
-// blocks for the durable and federation layers when configured.
+// cacheStatus is the GET /v1/cache payload: the result stack with its
+// memory tier's counters at the top level (the shape the endpoint always
+// had), plus the checkpoint stack under "snapshots".
 type cacheStatus struct {
 	cache.Stats
 	Disk      *cache.DiskStats    `json:"disk,omitempty"`
@@ -957,37 +916,22 @@ type cacheStatus struct {
 // store's traffic, each configured tier beneath it, and the trace cache.
 type snapshotTierStatus struct {
 	snapshot.Stats
-	Memory cache.Stats         `json:"memory"`
-	Disk   *cache.DiskStats    `json:"disk,omitempty"`
-	Peers  *cache.PeerStats    `json:"peers,omitempty"`
+	cache.StackStats
 	Traces snapshot.TraceStats `json:"traces"`
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	st := cacheStatus{Stats: s.mem.Stats()}
-	if s.disk != nil {
-		ds := s.disk.Stats()
-		st.Disk = &ds
-	}
-	if s.fed != nil {
-		ps := s.fed.Stats()
-		st.Peers = &ps
-	}
-	snap := &snapshotTierStatus{
-		Stats:  s.snapshots.Stats(),
-		Memory: s.snapMem.Stats(),
-		Traces: s.traces.Stats(),
-	}
-	if s.snapDisk != nil {
-		ds := s.snapDisk.Stats()
-		snap.Disk = &ds
-	}
-	if s.snapFed != nil {
-		ps := s.snapFed.Stats()
-		snap.Peers = &ps
-	}
-	st.Snapshots = snap
-	writeJSON(w, http.StatusOK, st)
+	rs := s.results.Stats()
+	writeJSON(w, http.StatusOK, cacheStatus{
+		Stats: rs.Memory,
+		Disk:  rs.Disk,
+		Peers: rs.Peers,
+		Snapshots: &snapshotTierStatus{
+			Stats:      s.snapshots.Stats(),
+			StackStats: s.snaps.Stats(),
+			Traces:     s.traces.Stats(),
+		},
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

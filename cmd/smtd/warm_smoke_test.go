@@ -154,14 +154,14 @@ func TestWarmSweepDistSmoke(t *testing.T) {
 	}
 
 	postWarmSweep(t, base, warmGrid(1000))
-	snapMemStats := func() cache.Stats {
+	snapshotMemStats := func() cache.Stats {
 		var st cacheStatus
 		if code := doJSON(t, "GET", base+"/v1/cache", nil, &st); code != 200 || st.Snapshots == nil {
 			t.Fatalf("GET /v1/cache: status %d, snapshots block %v", code, st.Snapshots)
 		}
 		return st.Snapshots.Memory
 	}
-	if st := snapMemStats(); st.Len != 2 {
+	if st := snapshotMemStats(); st.Len != 2 {
 		t.Fatalf("after cold dist sweep: coordinator snapshot tier holds %d checkpoints, want 2 (worker fills via /v1/cache)", st.Len)
 	}
 
@@ -169,7 +169,7 @@ func TestWarmSweepDistSmoke(t *testing.T) {
 	if second.CacheHits != 0 {
 		t.Fatalf("warm dist sweep was served from the result cache (%d hits)", second.CacheHits)
 	}
-	if st := snapMemStats(); st.Hits < 2 {
+	if st := snapshotMemStats(); st.Hits < 2 {
 		t.Fatalf("coordinator snapshot tier hits = %d, want >= 2 (worker restores via /v1/cache)", st.Hits)
 	}
 	// All four jobs really executed on the worker — restores included.

@@ -90,9 +90,6 @@ func NewDisk[V any](dir string) (*Disk[V], error) {
 	return d, nil
 }
 
-// Dir returns the store's root directory.
-func (d *Disk[V]) Dir() string { return d.dir }
-
 // Get reads the value stored under key, verifying integrity; any
 // corruption — truncation, bit flips, a foreign file under the right
 // name — reports a miss.

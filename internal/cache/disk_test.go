@@ -195,8 +195,7 @@ func TestTieredPromotesAndSurvivesRestart(t *testing.T) {
 			t.Fatalf("key %s: %+v ok=%v", k, v, ok)
 		}
 	}
-	st := tiered.Stats()
-	if st.Disk.Hits == 0 {
+	if st := disk.Stats(); st.Hits == 0 {
 		t.Fatalf("no disk-tier fallthrough recorded: %+v", st)
 	}
 
@@ -206,22 +205,22 @@ func TestTieredPromotesAndSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered2 := NewTiered(New[result](8), disk2)
+	mem2 := New[result](8)
+	tiered2 := NewTiered(mem2, disk2)
 	for i, k := range []string{"k1", "k2", "k3"} {
 		if v, ok := tiered2.Get(k); !ok || v.Cycles != int64(i) {
 			t.Fatalf("post-restart key %s: %+v ok=%v", k, v, ok)
 		}
 	}
-	diskHits := tiered2.Stats().Disk.Hits
+	diskHits := disk2.Stats().Hits
 	for _, k := range []string{"k1", "k2", "k3"} {
 		tiered2.Get(k)
 	}
-	st2 := tiered2.Stats()
-	if st2.Disk.Hits != diskHits {
-		t.Fatalf("repeat Gets fell through to disk: %d -> %d", diskHits, st2.Disk.Hits)
+	if got := disk2.Stats().Hits; got != diskHits {
+		t.Fatalf("repeat Gets fell through to disk: %d -> %d", diskHits, got)
 	}
-	if st2.Memory.Hits < 3 {
-		t.Fatalf("promotions did not serve repeats from memory: %+v", st2.Memory)
+	if st := mem2.Stats(); st.Hits < 3 {
+		t.Fatalf("promotions did not serve repeats from memory: %+v", st)
 	}
 }
 

@@ -122,13 +122,6 @@ type ringPoint struct {
 // and lookup stay trivial.
 const vnodes = 64
 
-// NewFederated builds the federation layer over local for this node
-// (self) and the full member list with default configuration; see
-// NewFederatedWith.
-func NewFederated[V any](local Getter[V], self string, members []string, client *http.Client) *Federated[V] {
-	return NewFederatedWith[V](local, self, members, FederatedConfig{Client: client})
-}
-
 // NewFederatedWith builds the federation layer over local for this node
 // (self) and the full member list. Member URLs are normalized (trailing
 // slashes dropped) and deduped; self is added if absent. The instance
@@ -204,9 +197,6 @@ func (f *Federated[V]) Owner(key string) string {
 	}
 	return f.ring[i].member
 }
-
-// Members returns the sorted member list (self included).
-func (f *Federated[V]) Members() []string { return f.members }
 
 // Get serves key from the local tiers, falling back to exactly one peer
 // probe — the key's owner — on a local miss. A peer hit is promoted into

@@ -66,7 +66,7 @@ func TestFederatedFillsCountedOnlyWhenAcknowledged(t *testing.T) {
 		w.WriteHeader(http.StatusNotFound)
 	}))
 	defer srv.Close()
-	g := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL}, nil)
+	g := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL}, FederatedConfig{})
 	defer g.Close()
 	g.Put(keyOwnedBy(g, srv.URL, "livefill-"), result{IPC: 2})
 	if err := g.Flush(ctx); err != nil {

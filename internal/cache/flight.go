@@ -5,13 +5,6 @@ import (
 	"sync"
 )
 
-// Getter is the store surface Flight wraps: the Get/Put pair the
-// experiment runner's JobCache contract uses.
-type Getter[V any] interface {
-	Get(key string) (V, bool)
-	Put(key string, v V)
-}
-
 // Flight adds in-flight deduplication (singleflight) to a store: when one
 // caller misses on a key, subsequent Gets for the same key block until
 // that caller Puts, then return the stored value as a hit — so N

@@ -76,14 +76,6 @@ func (r *Remote[V]) WithHeader(key, value string) *Remote[V] {
 	return r
 }
 
-// WithPolicy returns the client with its retry policy replaced — the
-// schedule Get/GetCtx/Put/PutCtx ride transient failures on. Probe and
-// Fill are always single attempts regardless.
-func (r *Remote[V]) WithPolicy(p resilience.Policy) *Remote[V] {
-	r.policy = p
-	return r
-}
-
 func (r *Remote[V]) keyURL(key string) string {
 	return r.base + "/v1/cache/" + url.PathEscape(key)
 }

@@ -1,11 +1,5 @@
 package cache
 
-// TieredStats snapshots both tiers of a Tiered store.
-type TieredStats struct {
-	Memory Stats     `json:"memory"`
-	Disk   DiskStats `json:"disk"`
-}
-
 // Tiered layers a bounded in-memory LRU over a durable disk store: Gets
 // hit memory first and fall through to disk (promoting the value back
 // into memory), Puts write through to both. The LRU bounds RSS while the
@@ -40,9 +34,4 @@ func (t *Tiered[V]) Get(key string) (V, bool) {
 func (t *Tiered[V]) Put(key string, v V) {
 	t.back.Put(key, v)
 	t.front.Put(key, v)
-}
-
-// Stats snapshots both tiers.
-func (t *Tiered[V]) Stats() TieredStats {
-	return TieredStats{Memory: t.front.Stats(), Disk: t.back.Stats()}
 }

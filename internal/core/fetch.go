@@ -204,7 +204,7 @@ func (p *Processor) newDyn(th *threadState, pc int64) *dyn {
 		}
 		return d
 	}
-	rec := th.walker.Next()
+	rec := th.feed.Next()
 	if rec.PC != pc {
 		panic(fmt.Sprintf("core: thread %d fetch at %#x but oracle expects %#x (seq %d)",
 			th.id, pc, rec.PC, d.seq))

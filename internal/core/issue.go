@@ -49,7 +49,7 @@ func (p *Processor) issueStage() {
 	}
 
 	var fu fuState
-	if _, ok := p.issueSel.(policy.OrderNeutral); ok {
+	if p.issueNeutral {
 		p.issueOldestFirst(&fu)
 	} else {
 		p.issueReordered(specSeq, &fu)
@@ -149,16 +149,16 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 				p.srcAtRisk(p.srcFile(c.d.si.Src2), c.d.src2Phys)
 		}
 	}
-	switch sel := p.issueSel.(type) {
-	case policy.IssuePartitioner:
+	if p.issuePart != nil {
 		// The paper's non-default policies: one stable boolean partition of
 		// the age-sorted list, O(n).
-		p.partBuf = partitionBySelector(cands, sel, p.partBuf[:0])
-	default:
+		p.partBuf = partitionBySelector(cands, p.issuePart, p.partBuf[:0])
+	} else {
 		// Custom selectors order through their full comparison. A stable
 		// insertion sort keeps equal candidates in age order — the same
 		// permutation sort.SliceStable produced — without its per-call
 		// closure and reflection-swapper allocations.
+		sel := p.issueSel
 		for i := 1; i < len(cands); i++ {
 			c := cands[i]
 			j := i

@@ -13,9 +13,14 @@ import (
 
 // threadState is one hardware context.
 type threadState struct {
-	id     int
-	walker workload.InstrSource
-	prog   *workload.Program
+	id   int
+	prog *workload.Program
+	// feed is the thread's correct-path instruction stream: a cursor over
+	// a pre-decoded trace that continues on a private walker once the
+	// trace runs out. A machine built without a trace gets an empty one,
+	// so replay and live walking are one path that differs only in how
+	// long the pre-decoded prefix is.
+	feed *workload.Cursor
 
 	fetchPC           int64
 	wrongPath         bool  // fetch is currently down a wrong path
@@ -61,6 +66,11 @@ type Processor struct {
 	issueSel   policy.IssueSelector
 	fbNeeds    policy.FeedbackNeeds // fields fetchSel reads from ThreadFeedback
 	issueNeeds policy.IssueNeeds    // fields issueSel reads from IssueInfo
+	// issueSel's optional fast paths, resolved once: pure age order skips
+	// reordering altogether, a partitioner replaces the sort with one O(n)
+	// stable partition (nil for selectors that offer only Less).
+	issueNeutral bool
+	issuePart    policy.IssuePartitioner
 
 	// pred is the branch predictor resolved from cfg.Branch.Predictor's
 	// registered name at construction. oracle short-circuits it entirely:
@@ -168,6 +178,8 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 		fbBuf:       make([]policy.ThreadFeedback, cfg.Threads),
 		orderBuf:    make([]int, 0, cfg.Threads),
 	}
+	_, p.issueNeutral = issueSel.(policy.OrderNeutral)
+	p.issuePart, _ = issueSel.(policy.IssuePartitioner)
 	p.oracle = cfg.PerfectBranchPred || cfg.Branch.Oracle()
 	p.events.init(cfg.eventHorizon())
 	p.stats.CommittedByThread = make([]int64, cfg.Threads)
@@ -177,7 +189,7 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 		prog := programs[t]
 		p.threads = append(p.threads, &threadState{
 			id:      t,
-			walker:  workload.NewWalker(prog),
+			feed:    workload.BuildTrace(prog, 0).NewCursor(),
 			prog:    prog,
 			fetchPC: prog.Entry,
 		})

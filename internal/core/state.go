@@ -248,7 +248,7 @@ func (p *Processor) SaveState() (*SavedState, error) {
 	var err error
 	for _, th := range p.threads {
 		ts := ThreadSaved{
-			Walker:            th.walker.State(),
+			Walker:            th.feed.State(),
 			FetchPC:           th.fetchPC,
 			WrongPath:         th.wrongPath,
 			FetchBlockedUntil: th.fetchBlockedUntil,
@@ -435,7 +435,7 @@ func (p *Processor) RestoreState(s *SavedState) error {
 	var err error
 	for t, ts := range s.Threads {
 		th := p.threads[t]
-		if err = th.walker.SetState(ts.Walker); err != nil {
+		if err = th.feed.SetState(ts.Walker); err != nil {
 			return err
 		}
 		th.fetchPC = ts.FetchPC
@@ -532,27 +532,27 @@ func (p *Processor) RestoreState(s *SavedState) error {
 	return nil
 }
 
-// SetInstrSources replaces each thread's architectural instruction feed
-// (live walker or trace-replay cursor). It is valid only on a freshly
-// built processor, and each source must be positioned over the identical
-// program the processor was built with.
-func (p *Processor) SetInstrSources(srcs []workload.InstrSource) error {
+// SetCursors replaces each thread's instruction feed with a cursor over
+// a (typically shared, pre-decoded) trace. It is valid only on a freshly
+// built processor, and each cursor must replay the identical program
+// instance the processor was built with.
+func (p *Processor) SetCursors(cursors []*workload.Cursor) error {
 	if p.cycle != 0 || p.stats.Cycles != 0 {
-		return fmt.Errorf("core: instruction sources can only be installed before stepping")
+		return fmt.Errorf("core: cursors can only be installed before stepping")
 	}
-	if len(srcs) != len(p.threads) {
-		return fmt.Errorf("core: %d sources for %d threads", len(srcs), len(p.threads))
+	if len(cursors) != len(p.threads) {
+		return fmt.Errorf("core: %d cursors for %d threads", len(cursors), len(p.threads))
 	}
-	for t, src := range srcs {
-		if src == nil {
-			return fmt.Errorf("core: nil instruction source for thread %d", t)
+	for t, c := range cursors {
+		if c == nil {
+			return fmt.Errorf("core: nil cursor for thread %d", t)
 		}
-		if src.Program() != p.threads[t].prog {
-			return fmt.Errorf("core: thread %d source walks a different program instance", t)
+		if c.Program() != p.threads[t].prog {
+			return fmt.Errorf("core: thread %d cursor replays a different program instance", t)
 		}
 	}
-	for t, src := range srcs {
-		p.threads[t].walker = src
+	for t, c := range cursors {
+		p.threads[t].feed = c
 	}
 	return nil
 }

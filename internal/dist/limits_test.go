@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,7 +138,9 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 
 	// A cache endpoint that never answers: requests park until their own
 	// context ends.
+	var parked atomic.Int64
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		parked.Add(1)
 		<-r.Context().Done()
 	}))
 	t.Cleanup(hung.Close)
@@ -174,7 +177,9 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 	// endpoint (Exec hasn't run yet). Cancel the worker: the peek must
 	// abort on the context, the job must simulate and deliver, and every
 	// remaining job must do the same without waiting out the 5m timeout.
-	waitFor(t, "first job leased", func() bool { return coord.Stats().Assigned >= 1 })
+	// (Waiting on the lease alone is not enough: cancelling while the poll
+	// response carrying it is still in flight drops the job undelivered.)
+	waitFor(t, "first job parked in its cache peek", func() bool { return parked.Load() >= 1 })
 	cancel()
 
 	select {

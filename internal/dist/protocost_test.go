@@ -10,6 +10,24 @@ import (
 	"repro/smt"
 )
 
+// benchGrid is a wider grid than testGrid so the per-job protocol cost
+// averages over enough jobs to mean something while staying CI-cheap.
+func benchGrid() exp.Experiment {
+	var specs []exp.PointSpec
+	for _, alg := range []string{"RR", "BRCOUNT", "MISSCOUNT", "ICOUNT", "IQPOSN"} {
+		for _, num1 := range []int{1, 2} {
+			cfg := exp.MustFetchScheme(2, alg, num1, 8)
+			specs = append(specs, exp.PointSpec{Series: alg, Label: cfg.FetchName(), Threads: 2, Config: cfg})
+		}
+	}
+	return exp.Experiment{
+		Name:   "distbench",
+		Title:  "distributed protocol-cost grid",
+		Shape:  exp.Shape{Series: 5, Points: len(specs)},
+		Points: func() []exp.PointSpec { return specs },
+	}
+}
+
 // TestProtocolCost times the bench grid through the cluster with a no-op
 // executor: wall clock here is pure protocol — leasing, result delivery,
 // scheduling, JSON. It pins the per-job protocol budget that batched

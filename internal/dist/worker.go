@@ -27,16 +27,6 @@ import (
 // it, as does any local store.
 type ResultCache = cache.Getter[smt.Results]
 
-// ctxResultCache is the context-aware upgrade a ResultCache may offer
-// (cache.Remote does). The worker prefers it so a drain isn't held
-// hostage by cache traffic: a SIGTERM'd worker's peeks and fills abort
-// with the run context instead of riding out the HTTP client timeout,
-// and the job simply simulates — drain semantics unchanged, just faster.
-type ctxResultCache interface {
-	GetCtx(ctx context.Context, key string) (smt.Results, bool, error)
-	PutCtx(ctx context.Context, key string, v smt.Results)
-}
-
 // WorkerOptions configures a Worker.
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
@@ -629,16 +619,9 @@ func (w *Worker) execute(ctx context.Context, asg Assignment) {
 		// such job onto one entry.
 		c = nil
 	}
-	cc, _ := c.(ctxResultCache)
 	if c != nil {
-		var res smt.Results
-		var ok bool
-		if cc != nil {
-			res, ok, _ = cc.GetCtx(ctx, p.Key) // ctx end reads as a miss
-		} else {
-			res, ok = c.Get(p.Key)
-		}
-		if ok {
+		// ctx end reads as a miss.
+		if res, ok, _ := cache.GetCtx(ctx, c, p.Key); ok {
 			w.results <- TaskResult{TaskID: asg.TaskID, Key: p.Key, FromCache: true, Results: res}
 			return
 		}
@@ -652,11 +635,7 @@ func (w *Worker) execute(ctx context.Context, asg Assignment) {
 		// Fill even though the result post also lands in the coordinator's
 		// cache: if our lease expired mid-run the post is discarded, but
 		// the fill still saves the re-simulation's successor a full run.
-		if cc != nil {
-			cc.PutCtx(ctx, p.Key, res)
-		} else {
-			c.Put(p.Key, res)
-		}
+		cache.PutCtx(ctx, c, p.Key, res)
 	}
 	w.results <- TaskResult{TaskID: asg.TaskID, Key: p.Key, Results: res}
 }

@@ -91,14 +91,8 @@ func Sec7Names() []string {
 // experiment grid; every other series is one bottleneck study.
 const sec7BaselineSeries = "baseline ICOUNT.2.8"
 
-// Sec7 runs the Section 7 bottleneck studies against the ICOUNT.2.8
-// baseline. Baselines are measured once per thread count as part of the
-// same grid, so the whole study parallelizes as one job set.
-func Sec7(o Opts) []Sec7Result {
-	return Sec7Results(mustRun("sec7", o))
-}
-
 // Sec7Results extracts the bottleneck deltas from an engine result.
+// Baselines are measured once per thread count as part of the same grid.
 func Sec7Results(r *ExperimentResult) []Sec7Result {
 	baseline := map[int]float64{}
 	for _, p := range r.Lookup(sec7BaselineSeries) {

@@ -1,6 +1,6 @@
 // Package exp defines the paper's experiments: one preset per table and
 // figure of the evaluation, each returning structured results that
-// cmd/experiments formats and bench_test.go wraps as benchmarks.
+// cmd/experiments formats.
 //
 // Methodology (paper Section 3): every data point averages several runs
 // with rotated benchmark-to-thread assignments, each run warming the
@@ -48,25 +48,6 @@ type Point struct {
 	Threads int         `json:"threads"`
 	IPC     float64     `json:"ipc"`
 	Results smt.Results `json:"results"` // counters from the final rotation run
-}
-
-// Measure runs cfg under the standard methodology and returns the averaged
-// IPC and the aggregate results of the last run (for low-level metrics).
-func Measure(cfg smt.Config, o Opts) Point {
-	o = o.Normalized()
-	var ipcSum float64
-	var last smt.Results
-	for run := 0; run < o.Runs; run++ {
-		res := runOne(cfg, run, JobSeed(o.Seed, run), o, 0, nil, WarmEnv{})
-		ipcSum += res.IPC
-		last = res
-	}
-	return Point{
-		Label:   cfg.FetchName(),
-		Threads: cfg.Threads,
-		IPC:     ipcSum / float64(o.Runs),
-		Results: last,
-	}
 }
 
 // FetchSchemeConfig builds the paper's alg.num1.num2 fetch configurations.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"repro/smt"
@@ -29,8 +30,37 @@ func TestFetchSchemeConfig(t *testing.T) {
 	}
 }
 
+// measure runs one configuration through the engine as a single-point
+// experiment — the standard methodology (rotations averaged, counters from
+// the last one) for a machine that is not in the registry.
+func measure(t *testing.T, cfg smt.Config, o Opts) Point {
+	t.Helper()
+	e := Experiment{
+		Name:  "one-point",
+		Shape: Shape{Series: 1, Points: 1},
+		Points: func() []PointSpec {
+			return []PointSpec{{Series: "s", Label: cfg.FetchName(), Threads: cfg.Threads, Config: cfg}}
+		},
+	}
+	res, err := Runner{Workers: 1}.RunExperiment(context.Background(), e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Series[0].Points[0]
+}
+
+// mustRunSerial runs a registry experiment on one worker.
+func mustRunSerial(t *testing.T, name string, o Opts) *ExperimentResult {
+	t.Helper()
+	res, err := Run(name, o, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMeasureProducesPoint(t *testing.T) {
-	p := Measure(MustFetchScheme(2, "RR", 1, 8), quickOpts())
+	p := measure(t, MustFetchScheme(2, "RR", 1, 8), quickOpts())
 	if p.IPC <= 0 {
 		t.Fatalf("IPC %v", p.IPC)
 	}
@@ -41,8 +71,8 @@ func TestMeasureProducesPoint(t *testing.T) {
 
 func TestMeasureDeterministic(t *testing.T) {
 	o := quickOpts()
-	a := Measure(MustFetchScheme(2, "ICOUNT", 2, 8), o)
-	b := Measure(MustFetchScheme(2, "ICOUNT", 2, 8), o)
+	a := measure(t, MustFetchScheme(2, "ICOUNT", 2, 8), o)
+	b := measure(t, MustFetchScheme(2, "ICOUNT", 2, 8), o)
 	if a.IPC != b.IPC {
 		t.Fatalf("nondeterministic measurement: %v vs %v", a.IPC, b.IPC)
 	}
@@ -61,7 +91,7 @@ func TestSeriesOfShape(t *testing.T) {
 }
 
 func TestFig4CoversSchemes(t *testing.T) {
-	out := Fig4(Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
+	out := mustRunSerial(t, "fig4", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}).SeriesMap()
 	for _, name := range []string{"RR.1.8", "RR.2.4", "RR.4.2", "RR.2.8"} {
 		pts, ok := out[name]
 		if !ok {
@@ -74,7 +104,7 @@ func TestFig4CoversSchemes(t *testing.T) {
 }
 
 func TestTable5RowsComplete(t *testing.T) {
-	rows := Table5(Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
+	rows := Table5Rows(mustRunSerial(t, "table5", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}))
 	if len(rows) != 4 {
 		t.Fatalf("want 4 issue policies, got %d", len(rows))
 	}
@@ -113,7 +143,7 @@ func TestSec7DeltaMath(t *testing.T) {
 }
 
 func TestFig7PointsValid(t *testing.T) {
-	pts := Fig7(Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
+	pts := mustRunSerial(t, "fig7", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}).Lookup("200 regs")
 	if len(pts) != 5 {
 		t.Fatalf("want 5 contexts, got %d", len(pts))
 	}

@@ -181,13 +181,8 @@ func issuePolicies() []struct {
 	}
 }
 
-// Fig3 reproduces Figure 3: instruction throughput of the base RR.1.8
-// hardware versus thread count, plus the unmodified superscalar point.
-func Fig3(o Opts) (base []Point, superscalar Point) {
-	return Fig3Result(mustRun("fig3", o))
-}
-
-// Fig3Result extracts Figure 3's legacy shape from an engine result.
+// Fig3Result extracts Figure 3 — base RR.1.8 throughput versus thread
+// count, plus the unmodified superscalar point — from an engine result.
 func Fig3Result(r *ExperimentResult) (base []Point, superscalar Point) {
 	base = r.Lookup("RR.1.8")
 	if ss := r.Lookup("superscalar"); len(ss) > 0 {
@@ -203,12 +198,7 @@ type Table3Row struct {
 	Res     smt.Results
 }
 
-// Table3 reproduces Table 3: low-level metrics at 1, 4, and 8 threads.
-func Table3(o Opts) []Table3Row {
-	return Table3Rows(mustRun("table3", o))
-}
-
-// Table3Rows extracts Table 3's legacy shape from an engine result.
+// Table3Rows extracts Table 3's columns from an engine result.
 func Table3Rows(r *ExperimentResult) []Table3Row {
 	pts := r.Lookup("RR.1.8")
 	rows := make([]Table3Row, 0, len(pts))
@@ -218,28 +208,15 @@ func Table3Rows(r *ExperimentResult) []Table3Row {
 	return rows
 }
 
-// Fig4 reproduces Figure 4: fetch partitioning schemes RR.1.8, RR.2.4,
-// RR.4.2, RR.2.8 across thread counts.
-func Fig4(o Opts) map[string][]Point { return mustRun("fig4", o).SeriesMap() }
-
 // Fig5Algs lists the fetch-choice policies of Figure 5.
 var Fig5Algs = []string{"RR", "BRCOUNT", "MISSCOUNT", "ICOUNT", "IQPOSN"}
-
-// Fig5 reproduces Figure 5: fetch-choice heuristics under the 1.8 and 2.8
-// partitioning schemes.
-func Fig5(o Opts) map[string][]Point { return mustRun("fig5", o).SeriesMap() }
 
 func fmtScheme(n1, n2 int) string {
 	return "." + string(rune('0'+n1)) + "." + string(rune('0'+n2))
 }
 
-// Table4 reproduces Table 4: low-level metrics for RR.2.8 and ICOUNT.2.8 at
-// 8 threads, next to the 1-thread baseline.
-func Table4(o Opts) (one, rr, icount smt.Results) {
-	return Table4Results(mustRun("table4", o))
-}
-
-// Table4Results extracts Table 4's legacy shape from an engine result.
+// Table4Results extracts Table 4 — RR.2.8 and ICOUNT.2.8 at 8 threads next
+// to the 1-thread baseline — from an engine result.
 func Table4Results(r *ExperimentResult) (one, rr, icount smt.Results) {
 	pick := func(series string) smt.Results {
 		if pts := r.Lookup(series); len(pts) > 0 {
@@ -250,10 +227,6 @@ func Table4Results(r *ExperimentResult) (one, rr, icount smt.Results) {
 	return pick("1 thread"), pick("RR.2.8"), pick("ICOUNT.2.8")
 }
 
-// Fig6 reproduces Figure 6: the BIGQ and ITAG variants on top of
-// ICOUNT.1.8 and ICOUNT.2.8.
-func Fig6(o Opts) map[string][]Point { return mustRun("fig6", o).SeriesMap() }
-
 // Table5Row is one issue policy's results across thread counts.
 type Table5Row struct {
 	Policy     string
@@ -262,12 +235,7 @@ type Table5Row struct {
 	Optimistic float64 // squashed optimistic issue fraction at 8 threads
 }
 
-// Table5 reproduces Table 5: issue policies under ICOUNT.2.8.
-func Table5(o Opts) []Table5Row {
-	return Table5Rows(mustRun("table5", o))
-}
-
-// Table5Rows extracts Table 5's legacy shape from an engine result.
+// Table5Rows extracts Table 5's rows from an engine result.
 func Table5Rows(r *ExperimentResult) []Table5Row {
 	rows := make([]Table5Row, 0, len(r.Series))
 	for _, s := range r.Series {
@@ -282,10 +250,4 @@ func Table5Rows(r *ExperimentResult) []Table5Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// Fig7 reproduces Figure 7: throughput with a fixed 200-register budget per
-// file as hardware contexts vary from 1 to 5.
-func Fig7(o Opts) []Point {
-	return mustRun("fig7", o).Lookup("200 regs")
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/snapshot"
 	"repro/smt"
 )
@@ -27,8 +28,8 @@ type Job struct {
 // experiment name or point index — so every configuration in a grid runs
 // the exact same workload streams per rotation (the paper's paired
 // methodology: IPC deltas between points isolate the machine change, not
-// the workload draw) and so engine numbers match Measure for the same
-// config. Schedule independence alone is what parallel determinism needs.
+// the workload draw). Schedule independence alone is what parallel
+// determinism needs.
 func JobSeed(base uint64, run int) uint64 {
 	return base + uint64(run)
 }
@@ -66,30 +67,11 @@ func rotationSeeds(o Opts) []uint64 {
 }
 
 // JobCache is the pluggable per-job result store the runner consults
-// before simulating. Implementations must be safe for concurrent use; the
-// content-addressed LRU store in internal/cache satisfies this interface
-// as cache.Store[smt.Results].
-type JobCache interface {
-	Get(key string) (smt.Results, bool)
-	Put(key string, r smt.Results)
-}
-
-// keyForgetter is the optional JobCache extension for caches whose Get
-// creates a leader obligation (cache.Flight): a runner that cannot Put a
-// key it leads — its dispatch failed or was cancelled — must Forget it so
-// waiters blocked on the in-flight computation wake up and re-lead.
-type keyForgetter interface {
-	Forget(key string)
-}
-
-// ctxJobCache is the optional JobCache extension for caches whose Get
-// can block behind another runner's in-flight computation (cache.Flight):
-// the wait honors ctx, so a cancelled sweep abandons it immediately
-// instead of sitting out a possibly remote, possibly requeued job. An
-// error return takes no cache leadership.
-type ctxJobCache interface {
-	GetCtx(ctx context.Context, key string) (smt.Results, bool, error)
-}
+// before simulating: the tree's one Get/Put contract at smt.Results.
+// When the cache behind it can wait on another runner's in-flight
+// computation (cache.Flight), the runner's lookups honor ctx and a job it
+// cannot finish releases its leadership — see cache.GetCtx, cache.Forget.
+type JobCache = cache.Getter[smt.Results]
 
 // Dispatcher executes one cache-missed job somewhere — possibly another
 // process or machine — and returns its results. The contract is strict
@@ -106,13 +88,9 @@ type Dispatcher interface {
 
 // SnapshotStore is the pluggable warmup-checkpoint store the runner (and
 // the distributed worker) probes before warming a machine and fills after
-// a cold warmup. Implementations must be safe for concurrent use; the
-// []byte-typed internal/cache tiers satisfy it, as does the counting
-// wrapper internal/snapshot.Store.
-type SnapshotStore interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, data []byte)
-}
+// a cold warmup: the same contract at []byte. The internal/cache tiers
+// satisfy it, as does the counting wrapper internal/snapshot.Store.
+type SnapshotStore = cache.Getter[[]byte]
 
 // WarmEnv carries the optional sweep-acceleration layers into the
 // measurement kernel. The zero value disables both; either field works
@@ -129,41 +107,30 @@ type WarmEnv struct {
 	Traces *snapshot.TraceCache
 }
 
-func (env WarmEnv) enabled() bool { return env.Snapshots != nil || env.Traces != nil }
-
-// Simulate executes one job's measurement kernel in-process: build the
-// machine, warm it, measure, optionally streaming interval snapshots. It
-// is the exact function every execution path funnels through — serial
-// Measure, the parallel runner, and distributed workers — which is what
-// makes results content-addressable and byte-identical across all of
-// them. Only cfg, rotation, seed, and the o.Warmup/o.Measure budgets
-// affect the returned results.
+// Simulate executes one job's measurement kernel in-process with no
+// acceleration layers: SimulateEnv under the zero WarmEnv.
 func Simulate(cfg smt.Config, rotation int, seed uint64, o Opts, interval int64, onSnap func(smt.Snapshot)) smt.Results {
-	return runOne(cfg, rotation, seed, o, interval, onSnap, WarmEnv{})
+	return SimulateEnv(cfg, rotation, seed, o, interval, onSnap, WarmEnv{})
 }
 
-// SimulateEnv is Simulate through a warm-acceleration environment: the
-// same kernel, with warmup checkpointing and/or trace replay layered in.
-// Results are byte-identical to Simulate's for every env.
-func SimulateEnv(cfg smt.Config, rotation int, seed uint64, o Opts, interval int64, onSnap func(smt.Snapshot), env WarmEnv) smt.Results {
-	return runOne(cfg, rotation, seed, o, interval, onSnap, env)
-}
-
-// runOne is the shared measurement kernel: build the machine, warm it, and
-// measure — as one streaming run session. Every path into the simulator
-// (serial Measure, parallel runner) funnels through here so budgets and
-// methodology cannot drift apart. interval > 0 forwards per-interval
-// snapshots to onSnap while the simulation advances; the streamed final
-// results are byte-identical to a blocking run, so streaming is invisible
-// to callers that only consume the return value.
+// SimulateEnv is the measurement kernel: build the machine, warm it, and
+// measure — as one streaming run session. It is the exact function every
+// execution path funnels through — the parallel runner, the coordinator's
+// local fallback, and distributed workers — which is what makes results
+// content-addressable and byte-identical across all of them. Only cfg,
+// rotation, seed, and the o.Warmup/o.Measure budgets affect the returned
+// results. interval > 0 forwards per-interval snapshots to onSnap while
+// the simulation advances; the streamed final results are byte-identical
+// to a blocking run, so streaming is invisible to callers that only
+// consume the return value.
 //
 // With env.Traces the machine replays the rotation's pre-decoded trace;
 // with env.Snapshots the warmup phase is checkpointed: restore on a hit
 // (zero warmup cycles simulated), warm-and-save on a miss. Splitting
 // warmup and measurement into two sessions steps the identical cycle
 // sequence as the combined session — the warmup loop and statistics reset
-// happen at the same machine states — so every path commits the same bits.
-func runOne(cfg smt.Config, rotate int, seed uint64, o Opts, interval int64, onSnap func(smt.Snapshot), env WarmEnv) smt.Results {
+// happen at the same machine states — so every env commits the same bits.
+func SimulateEnv(cfg smt.Config, rotate int, seed uint64, o Opts, interval int64, onSnap func(smt.Snapshot), env WarmEnv) smt.Results {
 	spec := smt.WorkloadMix(cfg.Threads, rotate, seed)
 	warmup := o.Warmup
 	if warmup < 0 {
@@ -407,12 +374,12 @@ feed:
 // hit — or a wait on another runner's in-flight computation — never
 // occupies a slot that a distinct job could use. On any failure path —
 // semaphore wait cancelled, dispatch error — the job's cache leadership is
-// released (see keyForgetter) before the error is returned.
+// released (see cache.Forget) before the error is returned.
 func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Results, error) {
 	var key string
 	if r.Cache != nil {
 		key = j.keyFor(o, seed)
-		res, ok, err := r.cacheGet(ctx, key)
+		res, ok, err := cache.GetCtx(ctx, r.Cache, key)
 		if err != nil {
 			return smt.Results{}, err // wait abandoned; no leadership taken
 		}
@@ -437,7 +404,7 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Res
 		var err error
 		res, err = r.Dispatch.Dispatch(ctx, j, o, interval, onSnap)
 		if err != nil {
-			r.forget(key)
+			cache.Forget(r.Cache, key)
 			return smt.Results{}, err
 		}
 	} else {
@@ -450,7 +417,7 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Res
 			case r.Sem <- struct{}{}:
 				defer func() { <-r.Sem }()
 			case <-ctx.Done():
-				r.forget(key)
+				cache.Forget(r.Cache, key)
 				return smt.Results{}, ctx.Err()
 			}
 		}
@@ -463,28 +430,6 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Res
 		r.OnJobDone(j, res, false)
 	}
 	return res, nil
-}
-
-// cacheGet looks a key up, using the cache's cancellable wait when it
-// has one.
-func (r Runner) cacheGet(ctx context.Context, key string) (smt.Results, bool, error) {
-	if c, ok := r.Cache.(ctxJobCache); ok {
-		return c.GetCtx(ctx, key)
-	}
-	res, ok := r.Cache.Get(key)
-	return res, ok, nil
-}
-
-// forget releases the runner's leadership of a cache key it will never
-// Put. A no-op for plain stores; required for leader-obligated caches
-// (cache.Flight) whose waiters would otherwise block forever.
-func (r Runner) forget(key string) {
-	if key == "" || r.Cache == nil {
-		return
-	}
-	if f, ok := r.Cache.(keyForgetter); ok {
-		f.Forget(key)
-	}
 }
 
 // aggregate folds per-job results into per-point averages and groups points
@@ -516,7 +461,7 @@ func aggregate(e Experiment, o Opts, jobs []Job, results []smt.Results) (*Experi
 			return nil, fmt.Errorf("exp: job %d of %s has no point", i, e.Name)
 		}
 		cur.IPC += results[i].IPC
-		cur.Results = results[i] // keep the last rotation, as Measure does
+		cur.Results = results[i] // counters come from the last rotation
 		if j.Run == o.Runs-1 {
 			cur.IPC /= float64(o.Runs)
 		}
@@ -524,27 +469,12 @@ func aggregate(e Experiment, o Opts, jobs []Job, results []smt.Results) (*Experi
 	return out, nil
 }
 
-// Run executes the named registry experiment. It is the engine's main entry
-// point: cmd/experiments, the benchmarks, and the legacy figure helpers all
-// come through here.
+// Run executes the named registry experiment on a plain Runner: no cache,
+// no dispatch, no acceleration layers.
 func Run(name string, o Opts, workers int) (*ExperimentResult, error) {
 	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", name, Names())
 	}
 	return Runner{Workers: workers}.RunExperiment(context.Background(), e, o)
-}
-
-// mustRun runs a registry experiment whose grid is known statically valid;
-// the legacy figure helpers use it to keep their panic-free signatures.
-// Serial on purpose: the pre-engine helpers ran serially, and the
-// long-standing benchmarks wrapping them (bench_test.go) must keep timing
-// simulator work, not a host-dependent worker pool — output bytes are
-// identical either way.
-func mustRun(name string, o Opts) *ExperimentResult {
-	res, err := Run(name, o, 1)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

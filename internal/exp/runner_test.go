@@ -85,10 +85,10 @@ func TestPairedWorkloadsAcrossExperiments(t *testing.T) {
 	if a.IPC != b.IPC || a.Results.Cycles != b.Results.Cycles {
 		t.Fatalf("same config diverged across experiments: %+v vs %+v", a, b)
 	}
-	// And the engine must agree with standalone Measure for that config.
-	m := Measure(MustFetchScheme(1, "RR", 1, 8), o)
-	if m.IPC != a.IPC {
-		t.Fatalf("Measure %v != engine %v for identical config", m.IPC, a.IPC)
+	// And with the same machine run on its own, outside any registry grid.
+	m := measure(t, MustFetchScheme(1, "RR", 1, 8), o)
+	if m.IPC != a.IPC || m.Results.Cycles != a.Results.Cycles {
+		t.Fatalf("standalone %+v != in-grid %+v for identical config", m, a)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestRunnerAveragesRotations(t *testing.T) {
 	var want float64
 	for run := 0; run < o.Runs; run++ {
 		grid, _ := e.Grid()
-		r := runOne(grid[0].Config, run, JobSeed(o.Seed, run), o.Normalized(), 0, nil, WarmEnv{})
+		r := Simulate(grid[0].Config, run, JobSeed(o.Seed, run), o.Normalized(), 0, nil)
 		want += r.IPC
 	}
 	want /= float64(o.Runs)

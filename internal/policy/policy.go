@@ -151,20 +151,6 @@ type ThreadFeedback struct {
 	LowConf int
 }
 
-// FetchOrder fills out with all thread ids in priority order (best first)
-// under the named policy. It is the pre-registry entry point, kept for
-// callers holding a name rather than a resolved selector; the core resolves
-// once at construction and calls the selector directly. An unregistered
-// name panics — silently measuring round-robin under a mislabeled policy
-// is worse than failing; resolve with ParseFetchAlg first to get an error.
-func FetchOrder(alg FetchAlg, rrBase int, fb []ThreadFeedback, out []int) []int {
-	sel, err := alg.Selector()
-	if err != nil {
-		panic(err)
-	}
-	return sel.Order(rrBase, fb, out)
-}
-
 // IssueAlg names a registered issue-priority policy (Section 6). The zero
 // value resolves to OLDEST_FIRST.
 type IssueAlg string
@@ -246,15 +232,4 @@ type IssueInfo struct {
 	Optimistic  bool  // depends on a load whose hit status is still unknown
 	Speculative bool  // behind an unresolved branch of the same thread
 	Branch      bool  // is a control-flow instruction
-}
-
-// Less reports whether a should issue before b under the named policy.
-// Pre-registry entry point; an unregistered name panics (see FetchOrder) —
-// resolve with ParseIssueAlg first to get an error.
-func Less(alg IssueAlg, a, b IssueInfo) bool {
-	sel, err := alg.Selector()
-	if err != nil {
-		panic(err)
-	}
-	return sel.Less(a, b)
 }

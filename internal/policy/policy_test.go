@@ -157,14 +157,34 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 }
 
+// fetchSel and issueSel resolve a built-in the way core.New does: once, by
+// name, against the registry.
+func fetchSel(t *testing.T, alg FetchAlg) FetchSelector {
+	t.Helper()
+	sel, err := alg.Selector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+func issueSel(t *testing.T, alg IssueAlg) IssueSelector {
+	t.Helper()
+	sel, err := alg.Selector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 func TestRRRotates(t *testing.T) {
 	fb := make([]ThreadFeedback, 4)
 	out := make([]int, 0, 4)
-	got0 := FetchOrder(RR, 0, fb, out)
+	got0 := fetchSel(t, RR).Order(0, fb, out)
 	if !equal(got0, []int{0, 1, 2, 3}) {
 		t.Fatalf("rrBase 0: %v", got0)
 	}
-	got2 := FetchOrder(RR, 2, fb, make([]int, 0, 4))
+	got2 := fetchSel(t, RR).Order(2, fb, make([]int, 0, 4))
 	if !equal(got2, []int{2, 3, 0, 1}) {
 		t.Fatalf("rrBase 2: %v", got2)
 	}
@@ -174,13 +194,13 @@ func TestICountPrefersEmptiestThread(t *testing.T) {
 	fb := []ThreadFeedback{
 		{ICount: 20}, {ICount: 3}, {ICount: 11}, {ICount: 3},
 	}
-	got := FetchOrder(ICount, 0, fb, make([]int, 0, 4))
+	got := fetchSel(t, ICount).Order(0, fb, make([]int, 0, 4))
 	// Threads 1 and 3 tie at 3; round-robin from base 0 keeps 1 before 3.
 	if !equal(got, []int{1, 3, 2, 0}) {
 		t.Fatalf("ICOUNT order = %v", got)
 	}
 	// With rrBase 3, the tie resolves 3 before 1.
-	got = FetchOrder(ICount, 3, fb, make([]int, 0, 4))
+	got = fetchSel(t, ICount).Order(3, fb, make([]int, 0, 4))
 	if !equal(got, []int{3, 1, 2, 0}) {
 		t.Fatalf("ICOUNT order rrBase=3: %v", got)
 	}
@@ -192,10 +212,10 @@ func TestBRCountAndMissCount(t *testing.T) {
 		{BrCount: 0, MissCount: 7},
 		{BrCount: 2, MissCount: 2},
 	}
-	if got := FetchOrder(BRCount, 0, fb, nil); !equal(got, []int{1, 2, 0}) {
+	if got := fetchSel(t, BRCount).Order(0, fb, nil); !equal(got, []int{1, 2, 0}) {
 		t.Fatalf("BRCOUNT = %v", got)
 	}
-	if got := FetchOrder(MissCount, 0, fb, nil); !equal(got, []int{0, 2, 1}) {
+	if got := fetchSel(t, MissCount).Order(0, fb, nil); !equal(got, []int{0, 2, 1}) {
 		t.Fatalf("MISSCOUNT = %v", got)
 	}
 }
@@ -206,7 +226,7 @@ func TestIQPosnPrefersFarFromHead(t *testing.T) {
 		{IQPosn: 900}, // nothing in queue: best
 		{IQPosn: 12},
 	}
-	if got := FetchOrder(IQPosn, 0, fb, nil); !equal(got, []int{1, 2, 0}) {
+	if got := fetchSel(t, IQPosn).Order(0, fb, nil); !equal(got, []int{1, 2, 0}) {
 		t.Fatalf("IQPOSN = %v", got)
 	}
 }
@@ -220,11 +240,11 @@ func TestICountBRCountTieBreak(t *testing.T) {
 		{ICount: 3, BrCount: 1},
 		{ICount: 1, BrCount: 5},
 	}
-	if got := FetchOrder(ICountBRCount, 0, fb, nil); !equal(got, []int{2, 1, 0}) {
+	if got := fetchSel(t, ICountBRCount).Order(0, fb, nil); !equal(got, []int{2, 1, 0}) {
 		t.Fatalf("ICOUNT+BRCOUNT = %v", got)
 	}
 	// Plain ICOUNT leaves the 0/1 tie in rotation order.
-	if got := FetchOrder(ICount, 0, fb, nil); !equal(got, []int{2, 0, 1}) {
+	if got := fetchSel(t, ICount).Order(0, fb, nil); !equal(got, []int{2, 0, 1}) {
 		t.Fatalf("ICOUNT = %v", got)
 	}
 }
@@ -235,7 +255,7 @@ func TestICountWeightedMiss(t *testing.T) {
 		{ICount: 0, MissCount: 3}, // score 6
 		{ICount: 1, MissCount: 1}, // score 3
 	}
-	if got := FetchOrder(ICountWeightedMiss, 0, fb, nil); !equal(got, []int{2, 0, 1}) {
+	if got := fetchSel(t, ICountWeightedMiss).Order(0, fb, nil); !equal(got, []int{2, 0, 1}) {
 		t.Fatalf("ICOUNT+2MISSCOUNT = %v", got)
 	}
 }
@@ -296,7 +316,7 @@ func TestFetchOrderSortedProperty(t *testing.T) {
 		for i, c := range counts {
 			fb[i].ICount = int(c)
 		}
-		got := FetchOrder(ICount, int(base)%len(fb), fb, nil)
+		got := fetchSel(t, ICount).Order(int(base)%len(fb), fb, nil)
 		return sort.SliceIsSorted(got, func(i, j int) bool {
 			return fb[got[i]].ICount < fb[got[j]].ICount
 		}) || isStableSorted(got, fb)
@@ -318,7 +338,7 @@ func isStableSorted(order []int, fb []ThreadFeedback) bool {
 func TestIssueLessOldestFirst(t *testing.T) {
 	a := IssueInfo{Age: 5}
 	b := IssueInfo{Age: 9}
-	if !Less(OldestFirst, a, b) || Less(OldestFirst, b, a) {
+	if !issueSel(t, OldestFirst).Less(a, b) || issueSel(t, OldestFirst).Less(b, a) {
 		t.Fatal("OLDEST_FIRST not by age")
 	}
 }
@@ -326,11 +346,11 @@ func TestIssueLessOldestFirst(t *testing.T) {
 func TestIssueLessOptLast(t *testing.T) {
 	opt := IssueInfo{Age: 1, Optimistic: true}
 	reg := IssueInfo{Age: 100}
-	if !Less(OptLast, reg, opt) {
+	if !issueSel(t, OptLast).Less(reg, opt) {
 		t.Fatal("OPT_LAST must defer optimistic instructions")
 	}
 	// Among equals, oldest wins.
-	if !Less(OptLast, IssueInfo{Age: 1, Optimistic: true}, IssueInfo{Age: 2, Optimistic: true}) {
+	if !issueSel(t, OptLast).Less(IssueInfo{Age: 1, Optimistic: true}, IssueInfo{Age: 2, Optimistic: true}) {
 		t.Fatal("OPT_LAST tie-break not oldest-first")
 	}
 }
@@ -338,7 +358,7 @@ func TestIssueLessOptLast(t *testing.T) {
 func TestIssueLessSpecLast(t *testing.T) {
 	spec := IssueInfo{Age: 1, Speculative: true}
 	nonspec := IssueInfo{Age: 100}
-	if !Less(SpecLast, nonspec, spec) {
+	if !issueSel(t, SpecLast).Less(nonspec, spec) {
 		t.Fatal("SPEC_LAST must defer speculative instructions")
 	}
 }
@@ -346,7 +366,7 @@ func TestIssueLessSpecLast(t *testing.T) {
 func TestIssueLessBranchFirst(t *testing.T) {
 	br := IssueInfo{Age: 100, Branch: true}
 	alu := IssueInfo{Age: 1}
-	if !Less(BranchFirst, br, alu) {
+	if !issueSel(t, BranchFirst).Less(br, alu) {
 		t.Fatal("BRANCH_FIRST must promote branches")
 	}
 }

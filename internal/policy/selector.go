@@ -17,24 +17,6 @@ type FetchSelector interface {
 	Order(rrBase int, fb []ThreadFeedback, out []int) []int
 }
 
-// QueuePositionReader is an optional FetchSelector refinement declaring
-// whether the selector consults ThreadFeedback.IQPosn. Filling IQPosn means
-// scanning both instruction queues every cycle, so the core computes it
-// only for selectors that want it; selectors not implementing the interface
-// are assumed to want it (the safe default for custom policies).
-type QueuePositionReader interface {
-	ReadsQueuePositions() bool
-}
-
-// ReadsQueuePositions reports whether the core must fill
-// ThreadFeedback.IQPosn for s.
-func ReadsQueuePositions(s FetchSelector) bool {
-	if r, ok := s.(QueuePositionReader); ok {
-		return r.ReadsQueuePositions()
-	}
-	return true
-}
-
 // FeedbackNeeds declares which ThreadFeedback fields a fetch selector
 // actually reads, so the core maintains and publishes only those each
 // cycle. IQPosn is the expensive one (a both-queue scan per cycle); the
@@ -50,8 +32,8 @@ type FeedbackNeeds struct {
 
 // FeedbackNeedsReader is an optional FetchSelector refinement declaring
 // the selector's exact feedback requirements. Selectors not implementing
-// it are assumed to read every counter (the safe default for custom
-// policies), with IQPosn still governed by QueuePositionReader.
+// it are assumed to read every field (the safe default for custom
+// policies).
 type FeedbackNeedsReader interface {
 	FeedbackNeeds() FeedbackNeeds
 }
@@ -61,7 +43,7 @@ func FeedbackNeedsOf(s FetchSelector) FeedbackNeeds {
 	if r, ok := s.(FeedbackNeedsReader); ok {
 		return r.FeedbackNeeds()
 	}
-	return FeedbackNeeds{ICount: true, BrCount: true, MissCount: true, IQPosn: ReadsQueuePositions(s), LowConf: true}
+	return FeedbackNeeds{ICount: true, BrCount: true, MissCount: true, IQPosn: true, LowConf: true}
 }
 
 // fetchFunc is the standard FetchSelector shape: rotation order, then a
@@ -73,7 +55,6 @@ type fetchFunc struct {
 }
 
 func (s *fetchFunc) Name() string                 { return s.name }
-func (s *fetchFunc) ReadsQueuePositions() bool    { return s.needs.IQPosn }
 func (s *fetchFunc) FeedbackNeeds() FeedbackNeeds { return s.needs }
 
 func (s *fetchFunc) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
@@ -105,8 +86,8 @@ func (s *fetchFunc) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
 // (best first), with ties breaking round-robin — the shape of every policy
 // in the paper. A nil less keeps pure rotation order. readsQueuePositions
 // declares whether less consults ThreadFeedback.IQPosn (see
-// QueuePositionReader); pass false unless it does, to spare the per-cycle
-// queue scan. Selectors built here are assumed to read every counter; the
+// FeedbackNeeds); pass false unless it does, to spare the per-cycle queue
+// scan. Selectors built here are assumed to read every counter; the
 // built-ins declare tighter FeedbackNeeds at registration.
 func NewFetchSelector(name string, less func(a, b ThreadFeedback) bool, readsQueuePositions bool) FetchSelector {
 	return &fetchFunc{name: name, less: less,
@@ -125,24 +106,6 @@ type IssueSelector interface {
 	Less(a, b IssueInfo) bool
 }
 
-// OptimismReader is an optional IssueSelector refinement declaring whether
-// the selector consults IssueInfo.Optimistic. The flag costs two
-// register-file probes per candidate per cycle, so the core computes it
-// only for selectors that want it; selectors not implementing the
-// interface are assumed to want it (the safe default for custom policies).
-type OptimismReader interface {
-	ReadsOptimism() bool
-}
-
-// ReadsOptimism reports whether the core must fill IssueInfo.Optimistic
-// for s.
-func ReadsOptimism(s IssueSelector) bool {
-	if r, ok := s.(OptimismReader); ok {
-		return r.ReadsOptimism()
-	}
-	return true
-}
-
 // IssueNeeds declares which IssueInfo fields an issue selector actually
 // reads (Age is always maintained — it is the candidate order itself).
 // Optimistic costs two register-file probes per candidate per cycle;
@@ -156,8 +119,7 @@ type IssueNeeds struct {
 
 // IssueNeedsReader is an optional IssueSelector refinement declaring the
 // selector's exact IssueInfo requirements. Selectors not implementing it
-// are assumed to read everything (the safe default for custom policies),
-// with Optimistic still governed by OptimismReader.
+// are assumed to read everything (the safe default for custom policies).
 type IssueNeedsReader interface {
 	IssueNeeds() IssueNeeds
 }
@@ -167,7 +129,7 @@ func IssueNeedsOf(s IssueSelector) IssueNeeds {
 	if r, ok := s.(IssueNeedsReader); ok {
 		return r.IssueNeeds()
 	}
-	return IssueNeeds{Optimistic: ReadsOptimism(s), Speculative: true, Branch: true}
+	return IssueNeeds{Optimistic: true, Speculative: true, Branch: true}
 }
 
 // IssuePartitioner is an optional IssueSelector fast path for policies
@@ -192,7 +154,6 @@ type oldestFirst struct{}
 
 func (oldestFirst) Name() string             { return string(OldestFirst) }
 func (oldestFirst) Less(a, b IssueInfo) bool { return a.Age < b.Age }
-func (oldestFirst) ReadsOptimism() bool      { return false }
 func (oldestFirst) OrderNeutralIssue()       {}
 func (oldestFirst) First(IssueInfo) bool     { return true }
 func (oldestFirst) IssueNeeds() IssueNeeds   { return IssueNeeds{} }
@@ -206,7 +167,6 @@ type flagIssue struct {
 }
 
 func (s *flagIssue) Name() string           { return s.name }
-func (s *flagIssue) ReadsOptimism() bool    { return s.needs.Optimistic }
 func (s *flagIssue) First(i IssueInfo) bool { return s.first(i) }
 func (s *flagIssue) IssueNeeds() IssueNeeds { return s.needs }
 
@@ -225,13 +185,16 @@ type issueFunc struct {
 }
 
 func (s *issueFunc) Name() string             { return s.name }
-func (s *issueFunc) ReadsOptimism() bool      { return s.opt }
 func (s *issueFunc) Less(a, b IssueInfo) bool { return s.less(a, b) }
+func (s *issueFunc) IssueNeeds() IssueNeeds {
+	return IssueNeeds{Optimistic: s.opt, Speculative: true, Branch: true}
+}
 
 // NewIssueSelector builds an issue selector from a comparison. less must be
 // a strict weak ordering and should break ties oldest-first (compare Age
 // last). readsOptimism declares whether less consults
-// IssueInfo.Optimistic (see OptimismReader).
+// IssueInfo.Optimistic (see IssueNeeds); the other flags are always
+// filled for selectors built here.
 func NewIssueSelector(name string, less func(a, b IssueInfo) bool, readsOptimism bool) IssueSelector {
 	return &issueFunc{name: name, less: less, opt: readsOptimism}
 }

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/smt"
 )
 
@@ -41,12 +42,9 @@ func Key(fingerprint string, rotation int, seed uint64, warmup int64) string {
 	return fmt.Sprintf("%sv%d:%s:r%d:s%d:w%d", KeyPrefix, smt.SnapshotVersion, fingerprint, rotation, seed, warmup)
 }
 
-// Backing is the tier stack a Store counts on top of: the internal/cache
-// stores ([]byte-typed Store, Tiered, Federated, Remote) all satisfy it.
-type Backing interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, data []byte)
-}
+// Backing is the tier stack a Store counts on top of: the tree's one
+// Get/Put contract at []byte, which every internal/cache store satisfies.
+type Backing = cache.Getter[[]byte]
 
 // Stats snapshots a Store's effectiveness counters.
 type Stats struct {

@@ -2,8 +2,8 @@ package workload
 
 import "fmt"
 
-// WalkerState is the complete serializable position of a Walker (or any
-// InstrSource) in its program's architectural execution. All of the
+// WalkerState is the complete serializable position of a Walker (or a
+// Cursor) in its program's architectural execution. All of the
 // Walker's randomness is stateless (rng.Hash over the program seed), so
 // these mutable cursors are the entire state: restoring them onto a fresh
 // Walker over the same Program reproduces the identical record stream,
@@ -55,24 +55,3 @@ func (w *Walker) SetState(s WalkerState) error {
 	copy(w.memState, s.MemState)
 	return nil
 }
-
-// InstrSource is the correct-path instruction feed the core consumes: a
-// live Walker, or a Cursor replaying a pre-decoded Trace of the same
-// program. Both produce identical record streams by construction; the
-// State/SetState pair lets warmup snapshots capture and restore the feed
-// position regardless of which implementation backs it.
-type InstrSource interface {
-	// Next produces the next architectural instruction record and advances.
-	Next() DynRecord
-	// Program returns the program being walked.
-	Program() *Program
-	// State returns the source's current position.
-	State() WalkerState
-	// SetState repositions the source.
-	SetState(WalkerState) error
-}
-
-var (
-	_ InstrSource = (*Walker)(nil)
-	_ InstrSource = (*Cursor)(nil)
-)

@@ -39,11 +39,13 @@ func (t *Trace) Bytes() int64 { return int64(len(t.recs)) * 40 }
 // NewCursor returns a fresh replay position at the start of the trace.
 func (t *Trace) NewCursor() *Cursor { return &Cursor{t: t} }
 
-// Cursor replays a Trace as an InstrSource. Within the pre-decoded prefix
-// Next is an indexed read — no hashing, no mutation beyond the index, and
-// no allocation — so any number of cursors share one Trace concurrently.
-// A run that outlives the prefix spills to a private tail walker seeded
-// from the trace's end state and continues bit-identically.
+// Cursor is the instruction feed the core consumes: it replays a Trace and
+// then keeps walking. Within the pre-decoded prefix Next is an indexed
+// read — no hashing, no mutation beyond the index, and no allocation — so
+// any number of cursors share one Trace concurrently. A run that outlives
+// the prefix spills to a private tail walker seeded from the trace's end
+// state and continues bit-identically; over an empty trace that happens at
+// record 0, which is how a machine built without a trace walks live.
 type Cursor struct {
 	t    *Trace
 	idx  int64   // next record to replay; valid while tail == nil

@@ -153,11 +153,11 @@ func NewReplay(cfg Config, ts *TraceSet) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	srcs := make([]workload.InstrSource, len(ts.traces))
+	cursors := make([]*workload.Cursor, len(ts.traces))
 	for i, t := range ts.traces {
-		srcs[i] = t.NewCursor()
+		cursors[i] = t.NewCursor()
 	}
-	if err := proc.SetInstrSources(srcs); err != nil {
+	if err := proc.SetCursors(cursors); err != nil {
 		return nil, err
 	}
 	return &Simulator{proc: proc, cfg: cfg, spec: ts.Spec()}, nil
