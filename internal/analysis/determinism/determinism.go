@@ -30,7 +30,8 @@ import (
 
 // ResultAffecting lists the module-relative package paths whose code can
 // reach simulation results or fingerprints. smt is included: it derives
-// the exported Results set.
+// the exported Results set; internal/state because restored machine state
+// reaches results.
 var ResultAffecting = []string{
 	"internal/core",
 	"internal/exp",
@@ -42,6 +43,7 @@ var ResultAffecting = []string{
 	"internal/workload",
 	"internal/fingerprint",
 	"internal/snapshot",
+	"internal/state",
 	"smt",
 }
 

@@ -2,9 +2,9 @@ package branch
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/registry"
 )
 
 // Predictor is the branch prediction extension point: everything the fetch
@@ -80,57 +80,18 @@ type RASCheckpoint struct {
 // path.
 type Builder func(cfg Config) (Predictor, error)
 
-// The registry maps predictor names to builders. Registration order is
-// preserved for listings (built-ins first, then caller registrations);
-// lookups are concurrency-safe so services can register predictors while
-// simulations resolve others.
-var (
-	regMu    sync.RWMutex
-	reg      = map[string]Builder{}
-	regOrder []string
-)
-
-// validateName enforces the predictor-name grammar: a letter followed by
-// letters, digits, or _ + . - (the built-in names plus variant
-// punctuation), at most 64 bytes. Names are case-sensitive; the convention
-// is lowercase, matching the SCOoOTER menu.
-func validateName(name string) error {
-	if name == "" {
-		return fmt.Errorf("branch: empty predictor name")
-	}
-	if len(name) > 64 {
-		return fmt.Errorf("branch: name %q exceeds 64 bytes", name)
-	}
-	for i, r := range name {
-		letter := r >= 'A' && r <= 'Z' || r >= 'a' && r <= 'z'
-		if i == 0 && !letter {
-			return fmt.Errorf("branch: name %q must start with a letter", name)
-		}
-		if !letter && !(r >= '0' && r <= '9') && r != '_' && r != '+' && r != '.' && r != '-' {
-			return fmt.Errorf("branch: name %q contains invalid character %q", name, r)
-		}
-	}
-	return nil
-}
+// reg maps predictor names to builders, listed built-ins first, then
+// caller registrations. The empty name resolves to the default predictor,
+// matching Config's zero value.
+var reg = registry.Named[Builder]{Pkg: "branch", Kind: "predictor", Default: DefaultPredictor}
 
 // Register adds a predictor builder under name. Names are permanent within
-// a process: re-registering one fails, so a cached result keyed by a name
-// can never silently mean two different machines.
+// a process: re-registering one fails.
 func Register(name string, b Builder) error {
 	if b == nil {
 		return fmt.Errorf("branch: nil predictor builder")
 	}
-	if err := validateName(name); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := reg[name]; dup {
-		return fmt.Errorf("branch: predictor %q already registered", name)
-	}
-	reg[name] = b
-	regOrder = append(regOrder, name)
-	return nil
+	return reg.Register(name, b)
 }
 
 // MustRegister is Register for init-time registrations.
@@ -140,25 +101,13 @@ func MustRegister(name string, b Builder) {
 	}
 }
 
-// Lookup returns the builder registered under name. The empty name
-// resolves to the default predictor, matching Config's zero value.
-func Lookup(name string) (Builder, bool) {
-	if name == "" {
-		name = DefaultPredictor
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := reg[name]
-	return b, ok
-}
+// Lookup returns the builder registered under name (the default predictor
+// when empty).
+func Lookup(name string) (Builder, bool) { return reg.Lookup(name) }
 
 // Names returns every registered predictor name in registration order
 // (built-ins first).
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), regOrder...)
-}
+func Names() []string { return reg.Names() }
 
 // New builds the predictor cfg names (the default when unnamed).
 func New(cfg Config) (Predictor, error) {

@@ -1,192 +1,50 @@
 package branch
 
-import "fmt"
+import "repro/internal/state"
 
-// Direction-engine kinds a snapshot can carry. Custom (registry-supplied)
-// engines are opaque — SaveState reports them unsupported and the caller
-// falls back to a cold run.
-const (
-	dirKindGshare  = "gshare"
-	dirKindSmiths  = "smiths"
-	dirKindStatic  = "static"
-	dirKindGskewed = "gskewed"
-	dirKindNone    = "none"
-)
-
-// DirState serializes one direction engine's counter tables.
-type DirState struct {
-	Kind  string     `json:"kind"`
-	PHT   []uint8    `json:"pht,omitempty"`   // gshare / smiths
-	Banks [3][]uint8 `json:"banks,omitempty"` // gskewed
-}
-
-// RASState serializes one thread's return stack.
-type RASState struct {
-	Data []int64 `json:"data"`
-	Top  int     `json:"top"`
-	Size int     `json:"size"`
-}
-
-// UnitState is the complete serialized prediction frame: BTB contents in
-// parallel arrays (index = set*assoc + way), per-thread history registers
-// and return stacks, and the direction engine's tables. The return mode is
-// not saved — it is fixed by the predictor's registered name, which the
-// snapshot's configuration fingerprint already pins.
-type UnitState struct {
-	BTBTags    []uint64   `json:"btb_tags"`
-	BTBTargets []int64    `json:"btb_targets"`
-	BTBThreads []uint8    `json:"btb_threads"`
-	BTBLRU     []uint32   `json:"btb_lru"`
-	BTBValid   []bool     `json:"btb_valid"`
-	History    []uint32   `json:"history"`
-	RAS        []RASState `json:"ras"`
-	LruTick    uint32     `json:"lru_tick"`
-	Dir        DirState   `json:"dir"`
-}
-
-// SaveState captures a predictor's complete state. ok is false when the
-// predictor is not a standard frame around a built-in direction engine
-// (i.e. a fully custom Predictor implementation or a NewComposed custom
-// engine) — callers treat that as "snapshot unsupported" and run cold.
-func SaveState(p Predictor) (*UnitState, bool) {
+// State walks a predictor's complete state: BTB contents, per-thread
+// history registers and return stacks (whose cursors must stay inside the
+// stack), and the direction engine's counter tables. The return mode and
+// engine kind are not walked — both are fixed by the predictor's registered
+// name, which the checkpoint's configuration fingerprint already pins.
+//
+// ok is false, and nothing is walked, when the predictor is not the
+// standard frame around a built-in direction engine (a fully custom
+// Predictor or a NewComposed custom engine): its tables are opaque, so
+// callers treat it as "checkpointing unsupported" and run cold.
+func State(p Predictor, c *state.Codec) (ok bool) {
 	u, isUnit := p.(*unit)
 	if !isUnit {
-		return nil, false
+		return false
 	}
-	dir, ok := saveDir(u.dir)
-	if !ok {
-		return nil, false
-	}
-	s := &UnitState{
-		BTBTags:    make([]uint64, len(u.btb)),
-		BTBTargets: make([]int64, len(u.btb)),
-		BTBThreads: make([]uint8, len(u.btb)),
-		BTBLRU:     make([]uint32, len(u.btb)),
-		BTBValid:   make([]bool, len(u.btb)),
-		History:    make([]uint32, len(u.history)),
-		RAS:        make([]RASState, len(u.ras)),
-		LruTick:    u.lruTick,
-		Dir:        dir,
-	}
-	for i := range u.btb {
-		e := &u.btb[i]
-		s.BTBTags[i] = e.tag
-		s.BTBTargets[i] = e.target
-		s.BTBThreads[i] = e.thread
-		s.BTBLRU[i] = e.lru
-		s.BTBValid[i] = e.valid
-	}
-	copy(s.History, u.history)
-	for t := range u.ras {
-		st := &u.ras[t]
-		rs := RASState{Data: make([]int64, len(st.data)), Top: st.top, Size: st.size}
-		copy(rs.Data, st.data)
-		s.RAS[t] = rs
-	}
-	return s, true
-}
-
-func saveDir(d dirEngine) (DirState, bool) {
-	switch e := d.(type) {
+	var tables [][]uint8
+	switch e := u.dir.(type) {
 	case *gshareDir:
-		return DirState{Kind: dirKindGshare, PHT: append([]uint8(nil), e.pht...)}, true
+		tables = [][]uint8{e.pht}
 	case *smithsDir:
-		return DirState{Kind: dirKindSmiths, PHT: append([]uint8(nil), e.pht...)}, true
-	case staticDir:
-		return DirState{Kind: dirKindStatic}, true
+		tables = [][]uint8{e.pht}
 	case *gskewedDir:
-		var banks [3][]uint8
-		for b := range e.banks {
-			banks[b] = append([]uint8(nil), e.banks[b]...)
-		}
-		return DirState{Kind: dirKindGskewed, Banks: banks}, true
-	case noneDir:
-		return DirState{Kind: dirKindNone}, true
-	default: // customDir and anything else: opaque
-		return DirState{}, false
-	}
-}
-
-// RestoreState installs a previously captured state onto a predictor built
-// from the same configuration and registered name. Mismatched geometry or
-// engine kind is rejected.
-func RestoreState(p Predictor, s *UnitState) error {
-	u, isUnit := p.(*unit)
-	if !isUnit {
-		return fmt.Errorf("branch: predictor does not support state restore")
-	}
-	if len(s.BTBTags) != len(u.btb) || len(s.BTBTargets) != len(u.btb) ||
-		len(s.BTBThreads) != len(u.btb) || len(s.BTBLRU) != len(u.btb) || len(s.BTBValid) != len(u.btb) {
-		return fmt.Errorf("branch: state BTB sized %d, unit has %d entries", len(s.BTBTags), len(u.btb))
-	}
-	if len(s.History) != len(u.history) || len(s.RAS) != len(u.ras) {
-		return fmt.Errorf("branch: state threads %d/%d, unit has %d", len(s.History), len(s.RAS), len(u.history))
-	}
-	for t := range s.RAS {
-		if len(s.RAS[t].Data) != len(u.ras[t].data) {
-			return fmt.Errorf("branch: state RAS %d sized %d, unit has %d", t, len(s.RAS[t].Data), len(u.ras[t].data))
-		}
-		if s.RAS[t].Top < 0 || s.RAS[t].Top >= len(u.ras[t].data) ||
-			s.RAS[t].Size < 0 || s.RAS[t].Size > len(u.ras[t].data) {
-			return fmt.Errorf("branch: state RAS %d cursors out of range", t)
-		}
-	}
-	if err := restoreDir(u.dir, s.Dir); err != nil {
-		return err
-	}
-	for i := range u.btb {
-		u.btb[i] = btbEntry{
-			valid:  s.BTBValid[i],
-			thread: s.BTBThreads[i],
-			tag:    s.BTBTags[i],
-			target: s.BTBTargets[i],
-			lru:    s.BTBLRU[i],
-		}
-	}
-	copy(u.history, s.History)
-	for t := range u.ras {
-		copy(u.ras[t].data, s.RAS[t].Data)
-		u.ras[t].top = s.RAS[t].Top
-		u.ras[t].size = s.RAS[t].Size
-	}
-	u.lruTick = s.LruTick
-	return nil
-}
-
-func restoreDir(d dirEngine, s DirState) error {
-	switch e := d.(type) {
-	case *gshareDir:
-		if s.Kind != dirKindGshare || len(s.PHT) != len(e.pht) {
-			return fmt.Errorf("branch: state dir %q/%d does not match gshare/%d", s.Kind, len(s.PHT), len(e.pht))
-		}
-		copy(e.pht, s.PHT)
-	case *smithsDir:
-		if s.Kind != dirKindSmiths || len(s.PHT) != len(e.pht) {
-			return fmt.Errorf("branch: state dir %q/%d does not match smiths/%d", s.Kind, len(s.PHT), len(e.pht))
-		}
-		copy(e.pht, s.PHT)
-	case staticDir:
-		if s.Kind != dirKindStatic {
-			return fmt.Errorf("branch: state dir %q does not match static", s.Kind)
-		}
-	case *gskewedDir:
-		if s.Kind != dirKindGskewed {
-			return fmt.Errorf("branch: state dir %q does not match gskewed", s.Kind)
-		}
-		for b := range e.banks {
-			if len(s.Banks[b]) != len(e.banks[b]) {
-				return fmt.Errorf("branch: state gskewed bank %d sized %d, unit has %d", b, len(s.Banks[b]), len(e.banks[b]))
-			}
-		}
-		for b := range e.banks {
-			copy(e.banks[b], s.Banks[b])
-		}
-	case noneDir:
-		if s.Kind != dirKindNone {
-			return fmt.Errorf("branch: state dir %q does not match none", s.Kind)
-		}
+		tables = e.banks[:]
+	case staticDir, noneDir:
 	default:
-		return fmt.Errorf("branch: direction engine does not support state restore")
+		return false
 	}
-	return nil
+	state.Fixed(c, u.btb, "BTB", func(c *state.Codec, e *btbEntry) {
+		c.Bool(&e.valid)
+		state.Int(c, &e.thread)
+		state.Int(c, &e.tag)
+		state.Int(c, &e.target)
+		state.Int(c, &e.lru)
+	})
+	state.Int(c, &u.lruTick)
+	state.Fixed(c, u.history, "history registers", state.Int[uint32])
+	state.Fixed(c, u.ras, "return stacks", func(c *state.Codec, s *retStack) {
+		state.Fixed(c, s.data, "return stack", state.Int[int64])
+		state.Index(c, &s.top, len(s.data))
+		state.Index(c, &s.size, len(s.data)+1)
+	})
+	for _, t := range tables {
+		state.Fixed(c, t, "direction counters", state.Int[uint8])
+	}
+	return true
 }

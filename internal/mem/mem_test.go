@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/state"
 )
 
 func TestDefaultConfigMatchesTable2(t *testing.T) {
@@ -324,5 +326,68 @@ func TestOutstandingDataMisses(t *testing.T) {
 	}
 	if n := h.OutstandingDataMisses(r.Done + 1); n != 0 {
 		t.Fatalf("finished miss still outstanding: %d", n)
+	}
+}
+
+// The hierarchy walk restores exactly what it saved, and refuses another
+// geometry, an MSHR table over capacity, a TLB MRU index outside the TLB,
+// and a timing cursor past the reader's horizon (it would become an event
+// time in the core).
+func TestStateWalk(t *testing.T) {
+	save := func(h *Hierarchy) []byte {
+		c := state.NewWriter(1)
+		h.State(c)
+		data, err := c.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	restore := func(cfg Config, data []byte) (*Hierarchy, error) {
+		h, c := MustNew(cfg), state.NewReader(data, 1)
+		c.SetMaxCycle(100_000)
+		h.State(c)
+		return h, c.Close()
+	}
+	warm := func() *Hierarchy {
+		h := MustNew(DefaultConfig())
+		for i := int64(0); i < 400; i++ {
+			h.AccessData(i, 0x10000+i*264, i%3 == 0)
+			h.AccessInstr(i, 0x400000+i*32)
+		}
+		return h
+	}
+
+	data := save(warm())
+	h, err := restore(DefaultConfig(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(save(h)) != string(data) {
+		t.Fatal("save -> restore -> save changed the bytes")
+	}
+	want, got := warm(), h
+	for i := int64(400); i < 600; i++ {
+		if a, b := want.AccessData(i, 0x10000+i*72, false), got.AccessData(i, 0x10000+i*72, false); a != b {
+			t.Fatalf("cycle %d: restored hierarchy answered %+v, original %+v", i, b, a)
+		}
+	}
+
+	other := DefaultConfig()
+	other.Caches[L2].SizeBytes *= 2
+	if _, err := restore(other, data); err == nil {
+		t.Error("state restored onto a different geometry")
+	}
+	for name, corrupt := range map[string]func(h *Hierarchy){
+		"MSHRs over capacity":            func(h *Hierarchy) { h.caches[L1D].mshr = make([]mshrEntry, h.cfg.Caches[L1D].MSHRs+1) },
+		"TLB MRU out of range":           func(h *Hierarchy) { h.dtlb.last = len(h.dtlb.pages) },
+		"bus busy until the far future":  func(h *Hierarchy) { h.caches[L2].busNext = 1 << 40 },
+		"fill landing in the far future": func(h *Hierarchy) { h.caches[L3].mshr = []mshrEntry{{line: 1, done: 1 << 40}} },
+	} {
+		bad := warm()
+		corrupt(bad)
+		if _, err := restore(DefaultConfig(), save(bad)); err == nil {
+			t.Errorf("%s: restore accepted it", name)
+		}
 	}
 }

@@ -1,178 +1,56 @@
 package mem
 
-import "fmt"
+import "repro/internal/state"
 
-// CacheState is the serialized form of one cache level: tag-array contents
-// in parallel arrays (index = set*assoc + way) plus every timing cursor the
-// bandwidth model carries. Restoring it onto a cache with the same geometry
-// reproduces identical hit/miss and conflict behavior from the saved cycle
-// onward.
-type CacheState struct {
-	Tags        []uint64        `json:"tags"`
-	LRU         []uint32        `json:"lru"`
-	Flags       []uint8         `json:"flags"` // bit 0 valid, bit 1 dirty
-	LruTick     uint32          `json:"lru_tick"`
-	BankLast    []int64         `json:"bank_last"`
-	NextAccess  int64           `json:"next_access"`
-	Fills       []IntervalState `json:"fills,omitempty"`
-	LastFillEnd int64           `json:"last_fill_end"`
-	MSHR        []MSHRState     `json:"mshr,omitempty"`
-	BusNext     int64           `json:"bus_next"`
-	Stats       Stats           `json:"stats"`
-}
-
-// IntervalState serializes one fill-occupancy window.
-type IntervalState struct {
-	Start int64  `json:"start"`
-	End   int64  `json:"end"`
-	Banks uint32 `json:"banks"`
-}
-
-// MSHRState serializes one in-flight line fill.
-type MSHRState struct {
-	Line uint64 `json:"line"`
-	Done int64  `json:"done"`
-}
-
-// TLBState is the serialized form of one TLB.
-type TLBState struct {
-	Pages   []uint64 `json:"pages"`
-	LRU     []uint32 `json:"lru"`
-	Valid   []bool   `json:"valid"`
-	LruTick uint32   `json:"lru_tick"`
-	Last    int      `json:"last"`
-	Stats   Stats    `json:"stats"`
-}
-
-// HierarchyState is the complete serialized memory system.
-type HierarchyState struct {
-	Caches [NumLevels]CacheState `json:"caches"`
-	ITLB   TLBState              `json:"itlb"`
-	DTLB   TLBState              `json:"dtlb"`
-}
-
-func (c *cache) saveState() CacheState {
-	s := CacheState{
-		Tags:        make([]uint64, len(c.lines)),
-		LRU:         make([]uint32, len(c.lines)),
-		Flags:       make([]uint8, len(c.lines)),
-		LruTick:     c.lruTick,
-		BankLast:    make([]int64, len(c.bankLast)),
-		NextAccess:  c.nextAccess,
-		LastFillEnd: c.lastFillEnd,
-		BusNext:     c.busNext,
-		Stats:       c.stats,
-	}
-	for i := range c.lines {
-		l := &c.lines[i]
-		s.Tags[i] = l.tag
-		s.LRU[i] = l.lru
-		if l.valid {
-			s.Flags[i] |= 1
+// state walks one cache level: the tag array plus every timing cursor the
+// bandwidth model carries, so a restored cache reproduces identical hit/miss
+// and conflict behavior from the saved cycle onward. Timestamps walk as
+// Cycle: they become completion times the core schedules events at.
+func (k *cache) state(c *state.Codec) {
+	state.Fixed(c, k.lines, k.name+" lines", func(c *state.Codec, l *line) {
+		// Lines are never invalidated once filled, so an invalid line —
+		// most of a warmed L3 — is all zeroes, as in the fresh cache a
+		// restore starts from: its one flag is its whole state.
+		if c.Bool(&l.valid); l.valid {
+			c.Bool(&l.dirty)
+			state.Int(c, &l.tag)
+			state.Int(c, &l.lru)
 		}
-		if l.dirty {
-			s.Flags[i] |= 2
-		}
-	}
-	copy(s.BankLast, c.bankLast)
-	for _, iv := range c.fills {
-		s.Fills = append(s.Fills, IntervalState{iv.start, iv.end, iv.banks})
-	}
-	for _, e := range c.mshr {
-		s.MSHR = append(s.MSHR, MSHRState{e.line, e.done})
-	}
-	return s
+	})
+	state.Int(c, &k.lruTick)
+	state.Fixed(c, k.bankLast, k.name+" banks", (*state.Codec).Cycle)
+	state.Slice(c, &k.fills, state.Unbounded, k.name+" fills", func(c *state.Codec, iv *interval) {
+		c.Cycle(&iv.start)
+		c.Cycle(&iv.end)
+		state.Int(c, &iv.banks)
+	})
+	state.Slice(c, &k.mshr, k.cfg.MSHRs, k.name+" MSHRs", func(c *state.Codec, e *mshrEntry) {
+		state.Int(c, &e.line)
+		c.Cycle(&e.done)
+	})
+	c.Cycle(&k.nextAccess)
+	c.Cycle(&k.lastFillEnd)
+	c.Cycle(&k.busNext)
+	c.Counters(&k.stats)
 }
 
-func (c *cache) restoreState(s CacheState) error {
-	if len(s.Tags) != len(c.lines) || len(s.LRU) != len(c.lines) || len(s.Flags) != len(c.lines) {
-		return fmt.Errorf("mem: %s state has %d lines, cache has %d", c.name, len(s.Tags), len(c.lines))
-	}
-	if len(s.BankLast) != len(c.bankLast) {
-		return fmt.Errorf("mem: %s state has %d banks, cache has %d", c.name, len(s.BankLast), len(c.bankLast))
-	}
-	if len(s.MSHR) > c.cfg.MSHRs {
-		return fmt.Errorf("mem: %s state has %d MSHRs, cache supports %d", c.name, len(s.MSHR), c.cfg.MSHRs)
-	}
-	for i := range c.lines {
-		c.lines[i] = line{
-			valid: s.Flags[i]&1 != 0,
-			dirty: s.Flags[i]&2 != 0,
-			tag:   s.Tags[i],
-			lru:   s.LRU[i],
-		}
-	}
-	c.lruTick = s.LruTick
-	copy(c.bankLast, s.BankLast)
-	c.nextAccess = s.NextAccess
-	c.fills = c.fills[:0]
-	for _, iv := range s.Fills {
-		c.fills = append(c.fills, interval{iv.Start, iv.End, iv.Banks})
-	}
-	c.lastFillEnd = s.LastFillEnd
-	c.mshr = c.mshr[:0]
-	for _, e := range s.MSHR {
-		c.mshr = append(c.mshr, mshrEntry{e.Line, e.Done})
-	}
-	c.busNext = s.BusNext
-	c.stats = s.Stats
-	return nil
+// state walks one TLB.
+func (t *TLB) state(c *state.Codec) {
+	state.Fixed(c, t.pages, "TLB pages", state.Int[uint64])
+	state.Fixed(c, t.lru, "TLB LRU stamps", state.Int[uint32])
+	state.Fixed(c, t.valid, "TLB valid bits", (*state.Codec).Bool)
+	state.Int(c, &t.lruTick)
+	state.Index(c, &t.last, len(t.pages))
+	c.Counters(&t.stats)
 }
 
-func (t *TLB) saveState() TLBState {
-	s := TLBState{
-		Pages:   make([]uint64, len(t.pages)),
-		LRU:     make([]uint32, len(t.lru)),
-		Valid:   make([]bool, len(t.valid)),
-		LruTick: t.lruTick,
-		Last:    t.last,
-		Stats:   t.stats,
+// State walks the complete memory system. Reading requires a hierarchy of
+// the saved geometry; a failed read leaves it partially overwritten, so
+// callers discard it and run cold.
+func (h *Hierarchy) State(c *state.Codec) {
+	for _, k := range h.caches {
+		k.state(c)
 	}
-	copy(s.Pages, t.pages)
-	copy(s.LRU, t.lru)
-	copy(s.Valid, t.valid)
-	return s
-}
-
-func (t *TLB) restoreState(s TLBState) error {
-	if len(s.Pages) != len(t.pages) || len(s.LRU) != len(t.lru) || len(s.Valid) != len(t.valid) {
-		return fmt.Errorf("mem: TLB state has %d entries, TLB has %d", len(s.Pages), len(t.pages))
-	}
-	if s.Last < 0 || s.Last >= len(t.pages) {
-		return fmt.Errorf("mem: TLB state MRU index %d out of range", s.Last)
-	}
-	copy(t.pages, s.Pages)
-	copy(t.lru, s.LRU)
-	copy(t.valid, s.Valid)
-	t.lruTick = s.LruTick
-	t.last = s.Last
-	t.stats = s.Stats
-	return nil
-}
-
-// SaveState captures the complete hierarchy state.
-func (h *Hierarchy) SaveState() HierarchyState {
-	var s HierarchyState
-	for l := Level(0); l < NumLevels; l++ {
-		s.Caches[l] = h.caches[l].saveState()
-	}
-	s.ITLB = h.itlb.saveState()
-	s.DTLB = h.dtlb.saveState()
-	return s
-}
-
-// RestoreState installs a previously captured state onto a hierarchy with
-// the same configuration. Geometry mismatches are rejected, leaving the
-// hierarchy partially restored — callers treat any error as a cold run on
-// a freshly built hierarchy.
-func (h *Hierarchy) RestoreState(s HierarchyState) error {
-	for l := Level(0); l < NumLevels; l++ {
-		if err := h.caches[l].restoreState(s.Caches[l]); err != nil {
-			return err
-		}
-	}
-	if err := h.itlb.restoreState(s.ITLB); err != nil {
-		return err
-	}
-	return h.dtlb.restoreState(s.DTLB)
+	h.itlb.state(c)
+	h.dtlb.state(c)
 }

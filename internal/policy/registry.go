@@ -2,64 +2,25 @@ package policy
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/registry"
 )
 
-// The registries map policy names to selectors. Registration order is
-// preserved for listings (built-ins first, in the paper's order, then
-// composites, then caller registrations); lookups are concurrency-safe so
-// services can register policies while simulations resolve others.
+// The registries map policy names to selectors, listed built-ins first (in
+// the paper's order), then composites, then caller registrations. The
+// empty name resolves to each algorithm type's zero value.
 var (
-	regMu      sync.RWMutex
-	fetchReg   = map[string]FetchSelector{}
-	fetchOrder []string
-	issueReg   = map[string]IssueSelector{}
-	issueOrder []string
+	fetchReg = registry.Named[FetchSelector]{Pkg: "policy", Kind: "fetch policy", Default: string(RR)}
+	issueReg = registry.Named[IssueSelector]{Pkg: "policy", Kind: "issue policy", Default: string(OldestFirst)}
 )
-
-// validateName enforces the shared policy-name grammar: a letter followed
-// by letters, digits, or _ + . - (the paper's names plus composite
-// punctuation), at most 64 bytes. Names are case-sensitive; the
-// convention is UPPERCASE, matching the paper.
-func validateName(name string) error {
-	if name == "" {
-		return fmt.Errorf("policy: empty policy name")
-	}
-	if len(name) > 64 {
-		return fmt.Errorf("policy: name %q exceeds 64 bytes", name)
-	}
-	for i, r := range name {
-		letter := r >= 'A' && r <= 'Z' || r >= 'a' && r <= 'z'
-		if i == 0 && !letter {
-			return fmt.Errorf("policy: name %q must start with a letter", name)
-		}
-		if !letter && !(r >= '0' && r <= '9') && r != '_' && r != '+' && r != '.' && r != '-' {
-			return fmt.Errorf("policy: name %q contains invalid character %q", name, r)
-		}
-	}
-	return nil
-}
 
 // RegisterFetch adds a fetch selector to the registry under s.Name().
-// Names are permanent within a process: re-registering one fails, so a
-// cached result keyed by a name can never silently mean two different
-// machines.
+// Names are permanent within a process: re-registering one fails.
 func RegisterFetch(s FetchSelector) error {
 	if s == nil {
 		return fmt.Errorf("policy: nil fetch selector")
 	}
-	name := s.Name()
-	if err := validateName(name); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := fetchReg[name]; dup {
-		return fmt.Errorf("policy: fetch policy %q already registered", name)
-	}
-	fetchReg[name] = s
-	fetchOrder = append(fetchOrder, name)
-	return nil
+	return fetchReg.Register(s.Name(), s)
 }
 
 // MustRegisterFetch is RegisterFetch for init-time registrations.
@@ -69,25 +30,13 @@ func MustRegisterFetch(s FetchSelector) {
 	}
 }
 
-// LookupFetch returns the selector registered under name. The empty name
-// resolves to round-robin, matching FetchAlg's zero value.
-func LookupFetch(name string) (FetchSelector, bool) {
-	if name == "" {
-		name = string(RR)
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := fetchReg[name]
-	return s, ok
-}
+// LookupFetch returns the selector registered under name; the empty name
+// resolves to round-robin.
+func LookupFetch(name string) (FetchSelector, bool) { return fetchReg.Lookup(name) }
 
 // FetchNames returns every registered fetch policy name in registration
 // order (built-ins first).
-func FetchNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), fetchOrder...)
-}
+func FetchNames() []string { return fetchReg.Names() }
 
 // RegisterIssue adds an issue selector to the registry under s.Name();
 // same permanence rules as RegisterFetch.
@@ -95,18 +44,7 @@ func RegisterIssue(s IssueSelector) error {
 	if s == nil {
 		return fmt.Errorf("policy: nil issue selector")
 	}
-	name := s.Name()
-	if err := validateName(name); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := issueReg[name]; dup {
-		return fmt.Errorf("policy: issue policy %q already registered", name)
-	}
-	issueReg[name] = s
-	issueOrder = append(issueOrder, name)
-	return nil
+	return issueReg.Register(s.Name(), s)
 }
 
 // MustRegisterIssue is RegisterIssue for init-time registrations.
@@ -116,22 +54,10 @@ func MustRegisterIssue(s IssueSelector) {
 	}
 }
 
-// LookupIssue returns the selector registered under name. The empty name
-// resolves to OLDEST_FIRST, matching IssueAlg's zero value.
-func LookupIssue(name string) (IssueSelector, bool) {
-	if name == "" {
-		name = string(OldestFirst)
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := issueReg[name]
-	return s, ok
-}
+// LookupIssue returns the selector registered under name; the empty name
+// resolves to OLDEST_FIRST.
+func LookupIssue(name string) (IssueSelector, bool) { return issueReg.Lookup(name) }
 
 // IssueNames returns every registered issue policy name in registration
 // order (built-ins first).
-func IssueNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), issueOrder...)
-}
+func IssueNames() []string { return issueReg.Names() }

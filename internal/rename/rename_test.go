@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/state"
 )
 
 func TestConfigPhysPerFile(t *testing.T) {
@@ -224,5 +225,58 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The register-file walk restores exactly what it saved and refuses
+// register numbers that name no register — in the map table, where the
+// core would index ready times with them, and on the free list, where the
+// next Allocate would hand one out.
+func TestStateWalk(t *testing.T) {
+	cfg := Config{Threads: 2, ExcessRegs: 20}
+	save := func(r *Renamer) []byte {
+		c := state.NewWriter(1)
+		r.State(c)
+		data, err := c.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	restore := func(data []byte) (*Renamer, error) {
+		r, c := MustNew(cfg), state.NewReader(data, 1)
+		r.State(c)
+		return r, c.Close()
+	}
+
+	warm := MustNew(cfg)
+	dest, _, _ := warm.Int.Allocate(1, 5)
+	warm.Int.SetReady(dest, 42)
+	warm.FP.Allocate(0, 9)
+	data := save(warm)
+	got, err := restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Int.Lookup(1, 5) != dest || got.Int.ReadyAt(dest) != 42 || got.FP.FreeCount() != warm.FP.FreeCount() {
+		t.Fatal("restored files differ from the saved ones")
+	}
+	if string(save(got)) != string(data) {
+		t.Fatal("save -> restore -> save changed the bytes")
+	}
+
+	for name, corrupt := range map[string]func(f *File){
+		"map entry past the file":  func(f *File) { f.mapTable[7] = PhysReg(f.total) },
+		"unmapped logical":         func(f *File) { f.mapTable[7] = None },
+		"free entry past the file": func(f *File) { f.free[0] = 1_000_000 },
+		"negative free entry":      func(f *File) { f.free[0] = None },
+		"register free twice":      func(f *File) { f.free[0] = f.free[1] },
+		"free list over capacity":  func(f *File) { f.free = append(f.free, make([]PhysReg, f.total)...) },
+	} {
+		bad := MustNew(cfg)
+		corrupt(bad.FP)
+		if _, err := restore(save(bad)); err == nil {
+			t.Errorf("%s: restore accepted it", name)
+		}
 	}
 }

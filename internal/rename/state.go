@@ -1,59 +1,26 @@
 package rename
 
-import "fmt"
+import "repro/internal/state"
 
-// FileState is the serialized form of one physical register file: the full
-// map table, the free list in its exact LIFO order (allocation order is
-// result-affecting — physical register numbers feed ready-time tracking),
-// and per-register ready cycles.
-type FileState struct {
-	MapTable []PhysReg `json:"map_table"`
-	Free     []PhysReg `json:"free"`
-	ReadyAt  []int64   `json:"ready_at"`
-}
-
-// State is the serialized form of a Renamer (both register files).
-type State struct {
-	Int FileState `json:"int"`
-	FP  FileState `json:"fp"`
-}
-
-func (f *File) saveState() FileState {
-	s := FileState{
-		MapTable: make([]PhysReg, len(f.mapTable)),
-		Free:     make([]PhysReg, len(f.free)),
-		ReadyAt:  make([]int64, len(f.readyAt)),
+// state walks one physical register file: the full map table, the free
+// list in its exact LIFO order (allocation order is result-affecting —
+// physical register numbers feed ready-time tracking) and per-register
+// ready cycles. Every register number read must name a register, and the
+// file as a whole must pass CheckConsistency.
+func (f *File) state(c *state.Codec) {
+	reg := func(c *state.Codec, r *PhysReg) { state.Index(c, r, f.total) }
+	state.Fixed(c, f.mapTable, "map table", reg)
+	state.Slice(c, &f.free, f.total, "free list", reg)
+	state.Fixed(c, f.readyAt, "register ready times", state.Int[int64])
+	if !c.Writing() && c.Err() == nil {
+		if err := f.CheckConsistency(); err != nil {
+			c.Failf("%v", err)
+		}
 	}
-	copy(s.MapTable, f.mapTable)
-	copy(s.Free, f.free)
-	copy(s.ReadyAt, f.readyAt)
-	return s
 }
 
-func (f *File) restoreState(s FileState) error {
-	if len(s.MapTable) != len(f.mapTable) || len(s.ReadyAt) != len(f.readyAt) {
-		return fmt.Errorf("rename: state sized %d/%d, file sized %d/%d",
-			len(s.MapTable), len(s.ReadyAt), len(f.mapTable), len(f.readyAt))
-	}
-	if len(s.Free) > f.total {
-		return fmt.Errorf("rename: state free list %d exceeds file size %d", len(s.Free), f.total)
-	}
-	copy(f.mapTable, s.MapTable)
-	f.free = append(f.free[:0], s.Free...)
-	copy(f.readyAt, s.ReadyAt)
-	return nil
-}
-
-// SaveState captures both register files.
-func (r *Renamer) SaveState() State {
-	return State{Int: r.Int.saveState(), FP: r.FP.saveState()}
-}
-
-// RestoreState installs a previously captured state onto a renamer with
-// the same configuration.
-func (r *Renamer) RestoreState(s State) error {
-	if err := r.Int.restoreState(s.Int); err != nil {
-		return err
-	}
-	return r.FP.restoreState(s.FP)
+// State walks both register files.
+func (r *Renamer) State(c *state.Codec) {
+	r.Int.state(c)
+	r.FP.state(c)
 }

@@ -1,6 +1,10 @@
 package workload
 
-import "fmt"
+import (
+	"slices"
+
+	"repro/internal/state"
+)
 
 // Trace is an immutable pre-decoded prefix of one program's architectural
 // execution: the first n DynRecords a fresh Walker would produce, plus the
@@ -11,7 +15,7 @@ import "fmt"
 type Trace struct {
 	prog *Program
 	recs []DynRecord
-	end  WalkerState // walker position after recs (for tail spill)
+	end  *Walker // the walker just past recs; frozen, cloned for tail spill
 }
 
 // BuildTrace decodes the first n architectural instructions of p.
@@ -24,7 +28,7 @@ func BuildTrace(p *Program, n int64) *Trace {
 	for i := range recs {
 		recs[i] = w.Next()
 	}
-	return &Trace{prog: p, recs: recs, end: w.State()}
+	return &Trace{prog: p, recs: recs, end: w}
 }
 
 // Program returns the traced program.
@@ -71,54 +75,54 @@ func (c *Cursor) Next() DynRecord {
 //
 //smt:coldpath trace prefix exhausted at most once per run
 func (c *Cursor) spill() {
-	w := NewWalker(c.t.prog)
-	if err := w.SetState(c.t.end); err != nil {
-		// The end state came from a walker over the same program; a
-		// mismatch means the Trace itself is corrupt.
-		panic("workload: trace end state does not match its own program: " + err.Error())
-	}
-	c.tail = w
+	w := *c.t.end
+	w.callStack = slices.Clone(w.callStack)
+	w.loopRem = slices.Clone(w.loopRem)
+	w.entrySeq = slices.Clone(w.entrySeq)
+	w.memState = slices.Clone(w.memState)
+	c.tail = &w
 }
 
 // Program returns the program being replayed.
 func (c *Cursor) Program() *Program { return c.t.prog }
 
-// State returns the cursor's current position as a WalkerState, so a
-// snapshot taken from a replayed run restores onto a live walker (or
-// another cursor) identically. Mid-prefix the cursor holds no walker
-// state, so it is reconstructed by replaying a fresh walker to the
-// cursor's index — a cold path paid once per snapshot save.
-//
-//smt:coldpath snapshot save only; never on the cycle loop
-func (c *Cursor) State() WalkerState {
-	if c.tail != nil {
-		return c.tail.State()
+// PC returns the PC of the next architectural instruction.
+func (c *Cursor) PC() int64 {
+	switch {
+	case c.tail != nil:
+		return c.tail.pc
+	case c.idx < int64(len(c.t.recs)):
+		return c.t.recs[c.idx].PC
 	}
-	w := NewWalker(c.t.prog)
-	for i := int64(0); i < c.idx; i++ {
-		w.Next()
-	}
-	return w.State()
+	return c.t.end.pc
 }
 
-// SetState repositions the cursor. Positions within the pre-decoded
-// prefix resume indexed replay; positions past it resume on a private
-// tail walker. The state's PC must agree with the trace at that position,
-// which catches mismatched (program, seed) pairings.
-func (c *Cursor) SetState(s WalkerState) error {
-	if s.Seq <= uint64(len(c.t.recs)) {
-		if s.Seq < uint64(len(c.t.recs)) && c.t.recs[s.Seq].PC != s.PC {
-			return fmt.Errorf("workload: state pc %#x disagrees with trace record %d pc %#x",
-				s.PC, s.Seq, c.t.recs[s.Seq].PC)
+// State walks the cursor's position as a Walker's, so a checkpoint of a
+// replayed run restores onto a live walker (or another cursor) identically.
+// Mid-prefix the cursor holds no walker state, so writing reconstructs it by
+// replaying a fresh walker to the cursor's index — a cold path paid once
+// per save. Reading resumes indexed replay for positions within the
+// pre-decoded prefix — the PC must agree with the trace there, which
+// catches mismatched (program, seed) pairings — and a private tail walker
+// past it.
+//
+//smt:coldpath checkpoint save/restore only; never on the cycle loop
+func (c *Cursor) State(sc *state.Codec) {
+	w := c.tail
+	if w == nil || !sc.Writing() {
+		w = NewWalker(c.t.prog)
+		for i := int64(0); sc.Writing() && i < c.idx; i++ {
+			w.Next()
 		}
-		c.idx = int64(s.Seq)
-		c.tail = nil
-		return nil
 	}
-	w := NewWalker(c.t.prog)
-	if err := w.SetState(s); err != nil {
-		return err
+	if w.State(sc); sc.Writing() || sc.Err() != nil {
+		return
 	}
-	c.tail = w
-	return nil
+	if w.seq > uint64(len(c.t.recs)) {
+		c.tail = w
+		return
+	}
+	if c.idx, c.tail = int64(w.seq), nil; c.PC() != w.pc {
+		sc.Failf("workload: state pc %#x disagrees with trace record %d pc %#x", w.pc, w.seq, c.PC())
+	}
 }

@@ -1,29 +1,34 @@
 package smt
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/state"
 	"repro/internal/workload"
 )
 
-// SnapshotVersion is the serialization version embedded in every snapshot;
-// a restore rejects any other version, so a format change can never
-// silently install mismatched state.
-const SnapshotVersion = 1
+// SnapshotVersion is the serialization version embedded in every snapshot
+// (and in its cache key); a restore rejects any other version, so a format
+// change can never silently install mismatched state. Version 2 is the flat
+// binary stream of internal/state.
+const SnapshotVersion = 2
 
-// snapshotEnvelope is the on-wire snapshot: enough identity to refuse a
-// restore onto the wrong machine (the full-config fingerprint — warmed
-// state depends on every configuration field — plus the exact workload
-// set and seed) around the serialized core state.
-type snapshotEnvelope struct {
-	Version     int              `json:"version"`
-	Fingerprint string           `json:"fingerprint"`
-	Workloads   []string         `json:"workloads"`
-	Seed        uint64           `json:"seed"`
-	Core        *core.SavedState `json:"core"`
+// identity walks the snapshot's envelope: enough identity to refuse a
+// restore onto the wrong machine — the full-config fingerprint (warmed
+// state depends on every configuration field) plus the exact workload set
+// and seed. Reading, anything but this simulator's own identity fails.
+func (s *Simulator) identity(c *state.Codec) {
+	own := s.cfg.Fingerprint()
+	fp, names, seed := own, slices.Clone(s.spec.Names), s.spec.Seed
+	c.String(&fp)
+	state.Slice(c, &names, state.Unbounded, "workload list", (*state.Codec).String)
+	state.Int(c, &seed)
+	if fp != own || !slices.Equal(names, s.spec.Names) || seed != s.spec.Seed {
+		c.Failf("smt: snapshot of config %s, workloads %v seed %d does not match simulator %s, %v seed %d",
+			fp, names, seed, own, s.spec.Names, s.spec.Seed)
+	}
 }
 
 // SaveSnapshot serializes the simulator's complete machine state —
@@ -37,46 +42,34 @@ func (s *Simulator) SaveSnapshot() ([]byte, error) {
 	if s.running.Load() {
 		return nil, fmt.Errorf("smt: cannot snapshot while a session is active")
 	}
-	st, err := s.proc.SaveState()
-	if err != nil {
+	c := state.NewWriter(SnapshotVersion)
+	s.identity(c)
+	if err := s.proc.SaveState(c); err != nil {
 		return nil, err
 	}
-	return json.Marshal(snapshotEnvelope{
-		Version:     SnapshotVersion,
-		Fingerprint: s.cfg.Fingerprint(),
-		Workloads:   s.spec.Names,
-		Seed:        s.spec.Seed,
-		Core:        st,
-	})
+	return c.Bytes()
 }
 
 // RestoreSnapshot installs a snapshot onto a freshly built simulator. The
 // simulator must carry the identical configuration and workload spec the
 // snapshot was saved from and must not have stepped; any mismatch — or a
-// corrupt or truncated snapshot — is an error, after which the simulator
-// is in an undefined state and must be discarded (rebuild and run cold).
+// corrupt, truncated or internally inconsistent snapshot — is an error,
+// after which the simulator is in an undefined state and must be discarded
+// (rebuild and run cold).
 func (s *Simulator) RestoreSnapshot(data []byte) error {
 	if s.running.Load() {
 		return fmt.Errorf("smt: cannot restore while a session is active")
 	}
-	var env snapshotEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("smt: corrupt snapshot: %w", err)
+	c := state.NewReader(data, SnapshotVersion)
+	s.identity(c) // a failure here sticks: the core walk below is then a no-op
+	err := s.proc.RestoreState(c)
+	if err == nil {
+		err = c.Close()
 	}
-	if env.Version != SnapshotVersion {
-		return fmt.Errorf("smt: snapshot version %d, want %d", env.Version, SnapshotVersion)
+	if err != nil {
+		return fmt.Errorf("smt: snapshot rejected: %w", err)
 	}
-	if fp := s.cfg.Fingerprint(); env.Fingerprint != fp {
-		return fmt.Errorf("smt: snapshot fingerprint %s does not match configuration %s", env.Fingerprint, fp)
-	}
-	if !slices.Equal(env.Workloads, s.spec.Names) || env.Seed != s.spec.Seed {
-		return fmt.Errorf("smt: snapshot workloads %v seed %d do not match simulator %v seed %d",
-			env.Workloads, env.Seed, s.spec.Names, s.spec.Seed)
-	}
-	if env.Core == nil {
-		return fmt.Errorf("smt: snapshot carries no core state")
-	}
-	return s.proc.RestoreState(env.Core)
+	return nil
 }
 
 // TraceSet is one workload spec pre-decoded into immutable per-thread

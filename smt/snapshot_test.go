@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -18,6 +19,23 @@ func snapshotConfig(pred string, alg FetchAlg) Config {
 	cfg.FetchPolicy = alg
 	cfg.FetchThreads = 2
 	return cfg
+}
+
+// mustRestore restores data onto sim and checks the walk is symmetric: what
+// the restored machine saves is byte-for-byte what it was given, so no field
+// is written without being read back or the other way round.
+func mustRestore(t *testing.T, sim *Simulator, data []byte) {
+	t.Helper()
+	if err := sim.RestoreSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	again, err := sim.SaveSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("Save -> Restore -> Save changed the snapshot (%d -> %d bytes)", len(data), len(again))
+	}
 }
 
 // The core acceptance property: save at the warmup boundary, restore onto a
@@ -47,9 +65,7 @@ func TestSnapshotRoundTripMatchesColdRun(t *testing.T) {
 				}
 
 				restored := MustNew(cfg, spec)
-				if err := restored.RestoreSnapshot(data); err != nil {
-					t.Fatal(err)
-				}
+				mustRestore(t, restored, data)
 				if got := restored.Run(meas); !reflect.DeepEqual(got, want) {
 					t.Fatalf("restored run differs from cold run:\n got %+v\nwant %+v", got, want)
 				}
@@ -74,9 +90,7 @@ func TestSnapshotMidRunRoundTrip(t *testing.T) {
 	want := a.Run(12_000)
 
 	b := MustNew(cfg, spec)
-	if err := b.RestoreSnapshot(data); err != nil {
-		t.Fatal(err)
-	}
+	mustRestore(t, b, data)
 	if got := b.Run(12_000); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored continuation differs:\n got %+v\nwant %+v", got, want)
 	}
@@ -144,9 +158,7 @@ func TestReplaySnapshotComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreSnapshot(data); err != nil {
-		t.Fatal(err)
-	}
+	mustRestore(t, restored, data)
 	if got := restored.Run(meas); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed restore differs from cold walker run:\n got %+v\nwant %+v", got, want)
 	}
@@ -155,9 +167,7 @@ func TestReplaySnapshotComposes(t *testing.T) {
 	// walker machine (and vice versa) because the serialized state is
 	// identical by construction.
 	walker := MustNew(cfg, spec)
-	if err := walker.RestoreSnapshot(data); err != nil {
-		t.Fatal(err)
-	}
+	mustRestore(t, walker, data)
 	if got := walker.Run(meas); !reflect.DeepEqual(got, want) {
 		t.Fatalf("walker restore of replayed snapshot differs:\n got %+v\nwant %+v", got, want)
 	}
@@ -183,7 +193,10 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 		data []byte
 	}{
 		{"truncated", cfg, spec, data[:len(data)/2]},
+		{"one byte short", cfg, spec, data[:len(data)-1]},
+		{"trailing byte", cfg, spec, append(bytes.Clone(data), 0)},
 		{"garbage", cfg, spec, []byte("not a snapshot")},
+		{"v1 JSON envelope", cfg, spec, []byte(`{"version":1,"fingerprint":"` + cfg.Fingerprint() + `","workloads":[],"seed":7,"core":{}}`)},
 		{"empty", cfg, spec, nil},
 		{"wrong config", func() Config {
 			c := snapshotConfig(PredSmiths, FetchICount)
