@@ -29,10 +29,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(&b, "smtd_snapshot_bytes_loaded_total", "Snapshot bytes served by checkpoint restores.", float64(ss.BytesLoaded))
 	counter(&b, "smtd_snapshot_bytes_stored_total", "Snapshot bytes written by checkpoint fills.", float64(ss.BytesStored))
 	ts := s.traces.Stats()
-	counter(&b, "smtd_trace_builds_total", "Workload rotations pre-decoded into shared traces.", float64(ts.Builds))
-	counter(&b, "smtd_trace_reuses_total", "Trace lookups served by an existing shared build.", float64(ts.Reuses))
-	counter(&b, "smtd_trace_evictions_total", "Trace sets evicted by the byte budget.", float64(ts.Evictions))
-	gauge(&b, "smtd_trace_entries", "Trace sets currently cached.", float64(ts.Entries))
+	counter(&b, "smtd_trace_builds_total", "Context traces pre-decoded: one per (benchmark, seed, hardware context), again when a longer one is asked for.", float64(ts.Builds))
+	counter(&b, "smtd_trace_reuses_total", "Per-context trace lookups served by an existing shared trace.", float64(ts.Reuses))
+	counter(&b, "smtd_trace_evictions_total", "Context traces evicted by the byte budget.", float64(ts.Evictions))
+	gauge(&b, "smtd_trace_entries", "Context traces currently cached.", float64(ts.Entries))
 	gauge(&b, "smtd_trace_bytes", "Bytes of pre-decoded trace records currently cached.", float64(ts.Bytes))
 
 	// Sweeps.

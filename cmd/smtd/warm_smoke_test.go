@@ -15,8 +15,8 @@ import (
 	"repro/internal/snapshot"
 )
 
-// warmGrid is the smoke sweep: two fetch policies, one rotation. measure is
-// a knob because the snapshot key excludes it — two sweeps differing only
+// warmGrid is the smoke sweep: two fetch policies at two machine widths,
+// one rotation. measure is a knob because the snapshot key excludes it — two sweeps differing only
 // in measure share warmup checkpoints while missing the result cache, which
 // is exactly the restore path the smoke test must exercise.
 func warmGrid(measure int64) string {
@@ -24,7 +24,7 @@ func warmGrid(measure int64) string {
 		"name": "warm-smoke",
 		"grid": [
 			{"series": "RR.1.8", "threads": 2},
-			{"series": "ICOUNT.2.8", "threads": 2, "config": {"FetchPolicy": "ICOUNT", "FetchThreads": 2}}
+			{"series": "ICOUNT.2.8", "threads": 4, "config": {"FetchPolicy": "ICOUNT", "FetchThreads": 2}}
 		],
 		"opts": {"runs": 1, "warmup": 2000, "measure": ` + strconv.FormatInt(measure, 10) + `, "seed": 1},
 		"wait": true
@@ -71,6 +71,9 @@ func warmSweepResult(t *testing.T, base string, st sweepStatus) string {
 // warmup checkpoint. The second sweep must restore (counter-asserted: zero
 // new snapshot misses, every job a snapshot hit) and produce bytes
 // identical to the same sweep on a cold server that simulates its warmups.
+// The grid's two widths must also share their context traces: /v1/cache
+// reports fewer trace builds than the widths sum to, and none for the
+// second sweep.
 func TestWarmSweepSmoke(t *testing.T) {
 	s := NewServer(2, 0)
 	t.Cleanup(s.Close)
@@ -81,16 +84,23 @@ func TestWarmSweepSmoke(t *testing.T) {
 	if first.CacheHits != 0 {
 		t.Fatalf("cold sweep reported %d cache hits", first.CacheHits)
 	}
+	var traces snapshot.TraceStats
 	snap := func() snapshot.Stats {
 		var st cacheStatus
 		if code := doJSON(t, "GET", ts.URL+"/v1/cache", nil, &st); code != 200 || st.Snapshots == nil {
 			t.Fatalf("GET /v1/cache: status %d, snapshots block %v", code, st.Snapshots)
 		}
+		traces = st.Snapshots.Traces
 		return st.Snapshots.Stats
 	}
 	afterCold := snap()
 	if afterCold.Puts != 2 || afterCold.Misses != 2 || afterCold.Hits != 0 {
 		t.Fatalf("after cold sweep: snapshot stats %+v, want 2 misses filled", afterCold)
+	}
+	// The 2-thread machine runs the first two contexts of the 4-thread
+	// one: four context traces serve both widths, not 2 + 4.
+	if traces.Builds != 4 || traces.Reuses != 2 {
+		t.Fatalf("after cold sweep: trace stats %+v, want 4 context builds shared across the widths 2 and 4", traces)
 	}
 
 	second := postWarmSweep(t, ts.URL, warmGrid(2000))
@@ -102,6 +112,11 @@ func TestWarmSweepSmoke(t *testing.T) {
 	// the second sweep hit, and no new checkpoint was computed or stored.
 	if afterWarm.Hits != 2 || afterWarm.Misses != afterCold.Misses || afterWarm.Puts != afterCold.Puts {
 		t.Fatalf("after warm sweep: snapshot stats %+v, want 2 restores and no new cold warmups", afterWarm)
+	}
+	// A different measure budget inside the length granule replays the
+	// traces the first sweep built.
+	if traces.Builds != 4 || traces.Reuses != 8 {
+		t.Fatalf("after warm sweep: trace stats %+v, want the 4 context traces reused, none rebuilt", traces)
 	}
 
 	// Byte-identity: a cold server running the second sweep from scratch

@@ -206,7 +206,7 @@ func (c Config) FetchName() string {
 
 // execOffset returns the issue-to-execute distance in cycles: two register
 // read stages for the SMT pipeline, one for the superscalar.
-func (c Config) execOffset() int64 {
+func (c *Config) execOffset() int64 {
 	if c.SMTPipeline {
 		return 3
 	}
@@ -216,7 +216,7 @@ func (c Config) execOffset() int64 {
 // commitDelay returns the distance from the end of execution to commit
 // eligibility (RegWrite + Commit for the SMT pipeline; Commit alone for the
 // superscalar).
-func (c Config) commitDelay() int64 {
+func (c *Config) commitDelay() int64 {
 	if c.SMTPipeline {
 		return 2
 	}
@@ -225,7 +225,7 @@ func (c Config) commitDelay() int64 {
 
 // misfetchPenalty returns the fetch bubble after a decode-detected target
 // misfetch: 2 cycles, 3 with the ITAG extra pipe stage.
-func (c Config) misfetchPenalty() int64 {
+func (c *Config) misfetchPenalty() int64 {
 	if c.ITAG {
 		return 3
 	}
@@ -233,7 +233,7 @@ func (c Config) misfetchPenalty() int64 {
 }
 
 // redirectBubble returns extra redirect delay from the ITAG front stage.
-func (c Config) redirectBubble() int64 {
+func (c *Config) redirectBubble() int64 {
 	if c.ITAG {
 		return 1
 	}
@@ -246,7 +246,7 @@ func (c Config) redirectBubble() int64 {
 // fill, and port charge), padded generously for bus and MSHR queueing
 // pile-ups the static walk cannot see. The event ring is sized from it at
 // construction; an overrun grows the ring instead of losing events.
-func (c Config) eventHorizon() int64 {
+func (c *Config) eventHorizon() int64 {
 	h := int64(c.Mem.ITLB.MissPenalty)
 	if d := int64(c.Mem.DTLB.MissPenalty); d > h {
 		h = d

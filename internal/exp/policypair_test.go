@@ -58,7 +58,15 @@ func TestPolicyPairFingerprints(t *testing.T) {
 		got[r.pair] = r.hash
 	}
 
-	path := filepath.Join("testdata", "policy_pairs.golden.json")
+	checkHashFile(t, "policy_pairs.golden.json", got)
+}
+
+// checkHashFile compares a name -> Results-fingerprint map with the frozen
+// one in testdata/file, in both directions; under -update it rewrites the
+// file instead.
+func checkHashFile(t *testing.T, file string, got map[string]string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *update {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -77,18 +85,18 @@ func TestPolicyPairFingerprints(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for pair, h := range got {
-		if want[pair] == "" {
-			t.Errorf("pair %s missing from %s (new policy? rerun with -update)", pair, path)
+	for name, h := range got {
+		if want[name] == "" {
+			t.Errorf("%s missing from %s (new entry? rerun with -update)", name, path)
 			continue
 		}
-		if h != want[pair] {
-			t.Errorf("pair %s: Results fingerprint drifted: got %s want %s", pair, h, want[pair])
+		if h != want[name] {
+			t.Errorf("%s: Results fingerprint drifted: got %s want %s", name, h, want[name])
 		}
 	}
-	for pair := range want {
-		if _, ok := got[pair]; !ok {
-			t.Errorf("pair %s in %s no longer registered", pair, path)
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s in %s is no longer produced", name, path)
 		}
 	}
 }
@@ -156,7 +164,7 @@ func TestPolicyPairFingerprintsWarm(t *testing.T) {
 	if st.Misses != int64(pairs) || st.Puts != int64(pairs) || st.Hits != int64(pairs) {
 		t.Errorf("store stats = %+v, want %d cold fills then %d restores", st, pairs, pairs)
 	}
-	if ts := env.Traces.Stats(); ts.Builds != 1 {
-		t.Errorf("trace cache stats = %+v, want one shared rotation build", ts)
+	if ts := env.Traces.Stats(); ts.Builds != 4 {
+		t.Errorf("trace cache stats = %+v, want one shared build per context of the 4-thread rotation", ts)
 	}
 }

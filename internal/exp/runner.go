@@ -102,8 +102,9 @@ type WarmEnv struct {
 	// the machine past its entire warmup, a miss warms cold and fills the
 	// store for every later run sharing the key.
 	Snapshots SnapshotStore
-	// Traces pre-decodes each rotation's workloads once and replays the
-	// shared trace in every configuration's fetch path.
+	// Traces pre-decodes each hardware context's program once and replays
+	// the shared trace in the fetch path of every configuration and
+	// machine width that runs it.
 	Traces *snapshot.TraceCache
 }
 
@@ -124,7 +125,7 @@ func Simulate(cfg smt.Config, rotation int, seed uint64, o Opts, interval int64,
 // to a blocking run, so streaming is invisible to callers that only
 // consume the return value.
 //
-// With env.Traces the machine replays the rotation's pre-decoded trace;
+// With env.Traces the machine replays its contexts' pre-decoded traces;
 // with env.Snapshots the warmup phase is checkpointed: restore on a hit
 // (zero warmup cycles simulated), warm-and-save on a miss. Splitting
 // warmup and measurement into two sessions steps the identical cycle
@@ -139,10 +140,11 @@ func SimulateEnv(cfg smt.Config, rotate int, seed uint64, o Opts, interval int64
 
 	build := func() *smt.Simulator {
 		if env.Traces != nil {
-			// Size the pre-decoded prefix at each thread's expected share
-			// plus slack. Undersizing is safe — a replayed run that outlives
-			// its trace spills onto a live walker bit-identically — so this
-			// is a performance knob, not a correctness bound.
+			// Ask for each thread's expected share plus slack; the cache
+			// rounds up and serves any trace at least this long.
+			// Undersizing is safe — a replayed run that outlives its trace
+			// spills onto a live walker bit-identically — so this is a
+			// performance knob, not a correctness bound.
 			records := warmup + o.Measure
 			records += records>>3 + 1024
 			if ts, err := env.Traces.Get(spec, records); err == nil {
@@ -252,8 +254,8 @@ type Runner struct {
 	// CLI all plug the same interface. See WarmEnv.
 	Snapshots SnapshotStore
 
-	// Traces, when non-nil, pre-decodes each rotation's workloads once per
-	// sweep and replays the shared trace in every simulated job's fetch
+	// Traces, when non-nil, pre-decodes each hardware context's program
+	// once and replays the shared trace in every simulated job's fetch
 	// path. See WarmEnv.
 	Traces *snapshot.TraceCache
 }

@@ -62,13 +62,13 @@ func TestSimulateEnvMatchesSimulate(t *testing.T) {
 	if st := store.Stats(); st.Hits != 1 || st.Puts != 1 {
 		t.Fatalf("warm pass store stats = %+v, want the restore to hit without re-warming", st)
 	}
-	if ts := env.Traces.Stats(); ts.Builds != 1 || ts.Reuses < 1 {
-		t.Fatalf("trace cache stats = %+v, want one build shared by both passes", ts)
+	if ts := env.Traces.Stats(); ts.Builds != int64(cfg.Threads) || ts.Reuses < int64(cfg.Threads) {
+		t.Fatalf("trace cache stats = %+v, want one build per context shared by both passes", ts)
 	}
 }
 
-// A different configuration sharing the rotation must share the trace build
-// but not the snapshot key.
+// A different configuration sharing the rotation must share the context
+// traces but not the snapshot key.
 func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	o := warmTestOpts()
 	store := snapshot.NewStore(newMapSnapshots())
@@ -88,8 +88,8 @@ func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	if st := store.Stats(); st.Hits != 0 || st.Misses != 2 || st.Puts != 2 {
 		t.Fatalf("store stats = %+v, want distinct configs to miss separately", st)
 	}
-	if ts := env.Traces.Stats(); ts.Builds != 1 {
-		t.Fatalf("trace cache built %d sets, want 1 shared across configs", ts.Builds)
+	if ts := env.Traces.Stats(); ts.Builds != int64(a.Threads) {
+		t.Fatalf("trace cache built %d context traces, want %d shared across configs", ts.Builds, a.Threads)
 	}
 }
 

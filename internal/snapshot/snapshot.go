@@ -9,10 +9,10 @@
 //     federation peers) extends the reuse to distributed workers and
 //     restarted coordinators.
 //
-//   - Trace replay: each workload rotation pre-decoded once per sweep into
-//     an immutable smt.TraceSet shared read-only by every configuration
-//     and goroutine (see TraceCache), replacing the per-run walker in the
-//     fetch hot path.
+//   - Trace replay: each hardware context's program pre-decoded once into
+//     an immutable trace shared read-only by every configuration, machine
+//     width and goroutine that runs it (see TraceCache), replacing the
+//     per-run walker in the fetch hot path.
 //
 // Both layers are byte-identical by construction: a restored or replayed
 // run commits exactly the cycles a cold run would, so acceleration never
@@ -22,7 +22,6 @@ package snapshot
 import (
 	"container/list"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -102,45 +101,67 @@ func (s *Store) Stats() Stats {
 	}
 }
 
+// traceGranule is the unit trace lengths round up to, in records. With
+// every length a multiple of it, sweeps whose budgets differ a little ask
+// for the same trace, and one that asks for more lands on a length the
+// next few budgets up share.
+const traceGranule = 64 << 10
+
 // defaultTraceBytes bounds a TraceCache built with no explicit budget.
-// Traces are per-(rotation, seed) and shared by the whole sweep, so a
-// handful of rotations fit; gigantic budgets would just trade RSS for
-// rebuilds the cursor spill already makes cheap.
-const defaultTraceBytes = 256 << 20
+// Traces are per-(benchmark, seed, context) and shared by every width and
+// configuration of a sweep; at 12 bytes a record 64 MiB holds 85 granules
+// — five seeds of the eight-context rotation at the two granules a
+// 90k-instruction budget rounds to — so a handful of rotations fit;
+// gigantic budgets would just trade RSS for rebuilds the cursor spill
+// already makes cheap.
+const defaultTraceBytes = 64 << 20
 
 // TraceStats snapshots a TraceCache's counters.
 type TraceStats struct {
-	Builds    int64 `json:"builds"` // trace sets decoded from scratch
-	Reuses    int64 `json:"reuses"` // lookups served by an existing set
+	Builds    int64 `json:"builds"` // context traces decoded from scratch
+	Reuses    int64 `json:"reuses"` // context lookups served by an existing trace
 	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
+	Entries   int   `json:"entries"` // context traces currently cached
 	Bytes     int64 `json:"bytes"`
 }
 
-// TraceCache builds each workload rotation's smt.TraceSet once and shares
-// it across every configuration and goroutine of a sweep, bounded by a
-// byte budget with least-recently-used eviction. Concurrent lookups of the
-// same rotation block on one build instead of decoding in parallel.
+// TraceCache builds each hardware context's trace once and assembles every
+// job's smt.TraceSet from the shared context traces, bounded by a byte
+// budget with least-recently-used eviction. An entry is keyed by
+// (benchmark, seed, context) — what the context's program is a function of
+// — so the T-thread and the 8-thread machine of one rotation replay the
+// same first T traces. Lengths round up to traceGranule and a cached trace
+// at least as long as the request serves it; a longer request builds a new
+// trace that supersedes the shorter entry. Concurrent lookups of the same
+// context block on one build instead of decoding in parallel.
 type TraceCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[contextKey]*list.Element
 
 	builds    int64
 	reuses    int64
 	evictions int64
 }
 
-// traceEntry is one cache slot. ts/err are published by once; done and
-// bytes are guarded by the cache mutex so eviction never touches a set
+// contextKey names one hardware context's program.
+type contextKey struct {
+	name string
+	seed uint64
+	ctx  int
+}
+
+// traceEntry is one cache slot. trace/err are published by once; done and
+// bytes are guarded by the cache mutex so eviction never touches a trace
 // still being built.
 type traceEntry struct {
-	key  string
-	once sync.Once
-	ts   *smt.TraceSet
-	err  error
+	key     contextKey
+	records int64 // granule-rounded length the entry is built at
+	once    sync.Once
+	trace   *smt.ContextTrace
+	err     error
 
 	done  bool
 	bytes int64
@@ -155,32 +176,48 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 	return &TraceCache{
 		maxBytes: maxBytes,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[contextKey]*list.Element),
 	}
 }
 
-func traceKey(spec smt.WorkloadSpec, perThread int64) string {
-	return strings.Join(spec.Names, ",") + fmt.Sprintf("|s%d|n%d", spec.Seed, perThread)
+// Get returns the trace set for spec with at least perThread records per
+// context, building the context traces no earlier lookup left behind.
+// Identical concurrent lookups share one build per context.
+func (c *TraceCache) Get(spec smt.WorkloadSpec, perThread int64) (*smt.TraceSet, error) {
+	records := (max(perThread, 0) + traceGranule - 1) / traceGranule * traceGranule
+	traces := make([]*smt.ContextTrace, len(spec.Names))
+	for i, name := range spec.Names {
+		ct, err := c.contextTrace(contextKey{name: name, seed: spec.Seed, ctx: i}, records)
+		if err != nil {
+			return nil, err
+		}
+		traces[i] = ct
+	}
+	return smt.NewTraceSet(spec, traces)
 }
 
-// Get returns the trace set for spec, building it on first use. Identical
-// concurrent lookups share one build.
-func (c *TraceCache) Get(spec smt.WorkloadSpec, perThread int64) (*smt.TraceSet, error) {
-	key := traceKey(spec, perThread)
+// contextTrace returns key's trace with at least records records.
+func (c *TraceCache) contextTrace(key contextKey, records int64) (*smt.ContextTrace, error) {
 	c.mu.Lock()
 	el, ok := c.items[key]
-	if ok {
+	if ok && el.Value.(*traceEntry).records >= records {
 		c.ll.MoveToFront(el)
 		c.reuses++
 	} else {
-		el = c.ll.PushFront(&traceEntry{key: key})
+		if ok {
+			// Too short: the longer trace takes the slot. Lookups already
+			// holding the short one keep replaying it; the cache stops
+			// counting it now, whether built or still building.
+			c.removeLocked(el.Value.(*traceEntry))
+		}
+		el = c.ll.PushFront(&traceEntry{key: key, records: records})
 		c.items[key] = el
 	}
 	ent := el.Value.(*traceEntry)
 	c.mu.Unlock()
 
 	ent.once.Do(func() {
-		ent.ts, ent.err = smt.BuildTraceSet(spec, perThread)
+		ent.trace, ent.err = smt.BuildContextTrace(key.name, key.seed, key.ctx, ent.records)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.builds++
@@ -191,11 +228,14 @@ func (c *TraceCache) Get(spec smt.WorkloadSpec, perThread int64) (*smt.TraceSet,
 			c.removeLocked(ent)
 			return
 		}
-		ent.bytes = ent.ts.Bytes()
+		if !c.holdsLocked(ent) {
+			return // superseded while building: never counted, nothing to evict for
+		}
+		ent.bytes = ent.trace.Bytes()
 		c.bytes += ent.bytes
 		c.evictLocked(ent)
 	})
-	return ent.ts, ent.err
+	return ent.trace, ent.err
 }
 
 // evictLocked drops least-recently-used built entries until the budget
@@ -212,10 +252,16 @@ func (c *TraceCache) evictLocked(keep *traceEntry) {
 	}
 }
 
+// holdsLocked reports whether ent is still the entry under its key.
+func (c *TraceCache) holdsLocked(ent *traceEntry) bool {
+	el, ok := c.items[ent.key]
+	return ok && el.Value.(*traceEntry) == ent
+}
+
 // removeLocked detaches one entry from the index and byte accounting.
 func (c *TraceCache) removeLocked(ent *traceEntry) {
-	if el, ok := c.items[ent.key]; ok && el.Value.(*traceEntry) == ent {
-		c.ll.Remove(el)
+	if c.holdsLocked(ent) {
+		c.ll.Remove(c.items[ent.key])
 		delete(c.items, ent.key)
 		c.bytes -= ent.bytes
 	}

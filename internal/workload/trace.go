@@ -8,15 +8,30 @@ import (
 
 // Trace is an immutable pre-decoded prefix of one program's architectural
 // execution: the first n DynRecords a fresh Walker would produce, plus the
-// walker state at the end of that prefix. A Trace is built once per
-// (program, seed, asid) and shared read-only across every configuration
-// and goroutine in a sweep — replaying records from a flat slice replaces
+// walker state at the end of that prefix. A program is a pure function of
+// (profile, seed, asid), so a Trace belongs to one hardware context's
+// program and is shared read-only across every configuration, machine width
+// and goroutine that runs it — replaying records from a flat slice replaces
 // the per-run walker's control/address resolution in the fetch hot path.
 type Trace struct {
 	prog *Program
-	recs []DynRecord
+	recs []traceRec
 	end  *Walker // the walker just past recs; frozen, cloned for tail spill
 }
+
+// traceRec is one stored record: what the walker resolved and a replay
+// cannot re-derive from the static code. The correct path never leaves the
+// code image (every procedure ends in a return), so a record's PC is
+// Program.PCOf of its own static index and its NextPC the PC of the record
+// after it — the cursor rebuilds both instead of storing 16 more bytes.
+// Three uint32s keep the record at 12 bytes with no alignment padding.
+type traceRec struct {
+	idxTaken       uint32 // static index << 1 | taken
+	addrLo, addrHi uint32 // effective address for loads/stores, else 0
+}
+
+// traceRecBytes is the in-memory size of one traceRec.
+const traceRecBytes = 12
 
 // BuildTrace decodes the first n architectural instructions of p.
 func BuildTrace(p *Program, n int64) *Trace {
@@ -24,9 +39,14 @@ func BuildTrace(p *Program, n int64) *Trace {
 		n = 0
 	}
 	w := NewWalker(p)
-	recs := make([]DynRecord, n)
+	recs := make([]traceRec, n)
 	for i := range recs {
-		recs[i] = w.Next()
+		r := w.Next()
+		idxTaken := uint32(r.Idx) << 1
+		if r.Taken {
+			idxTaken |= 1
+		}
+		recs[i] = traceRec{idxTaken: idxTaken, addrLo: uint32(r.Addr), addrHi: uint32(r.Addr >> 32)}
 	}
 	return &Trace{prog: p, recs: recs, end: w}
 }
@@ -38,7 +58,7 @@ func (t *Trace) Program() *Program { return t.prog }
 func (t *Trace) Len() int { return len(t.recs) }
 
 // Bytes returns the approximate memory footprint of the trace records.
-func (t *Trace) Bytes() int64 { return int64(len(t.recs)) * 40 }
+func (t *Trace) Bytes() int64 { return int64(len(t.recs)) * traceRecBytes }
 
 // NewCursor returns a fresh replay position at the start of the trace.
 func (t *Trace) NewCursor() *Cursor { return &Cursor{t: t} }
@@ -59,10 +79,17 @@ type Cursor struct {
 // Next produces the next architectural instruction record and advances.
 func (c *Cursor) Next() DynRecord {
 	if c.tail == nil {
-		if c.idx < int64(len(c.t.recs)) {
-			rec := c.t.recs[c.idx]
+		if recs := c.t.recs; c.idx < int64(len(recs)) {
+			r := recs[c.idx]
 			c.idx++
-			return rec
+			idx := int(r.idxTaken >> 1)
+			return DynRecord{
+				Idx:    int32(idx),
+				PC:     c.t.prog.PCOf(idx),
+				NextPC: c.PC(),
+				Addr:   int64(r.addrHi)<<32 | int64(r.addrLo),
+				Taken:  r.idxTaken&1 != 0,
+			}
 		}
 		c.spill()
 	}
@@ -74,13 +101,16 @@ func (c *Cursor) Next() DynRecord {
 // taken at most once per cursor.
 //
 //smt:coldpath trace prefix exhausted at most once per run
-func (c *Cursor) spill() {
-	w := *c.t.end
-	w.callStack = slices.Clone(w.callStack)
-	w.loopRem = slices.Clone(w.loopRem)
-	w.entrySeq = slices.Clone(w.entrySeq)
-	w.memState = slices.Clone(w.memState)
-	c.tail = &w
+func (c *Cursor) spill() { c.tail = c.t.end.clone() }
+
+// clone returns an independent copy of w at the same position.
+func (w *Walker) clone() *Walker {
+	cp := *w
+	cp.callStack = slices.Clone(w.callStack)
+	cp.loopRem = slices.Clone(w.loopRem)
+	cp.entrySeq = slices.Clone(w.entrySeq)
+	cp.memState = slices.Clone(w.memState)
+	return &cp
 }
 
 // Program returns the program being replayed.
@@ -92,7 +122,7 @@ func (c *Cursor) PC() int64 {
 	case c.tail != nil:
 		return c.tail.pc
 	case c.idx < int64(len(c.t.recs)):
-		return c.t.recs[c.idx].PC
+		return c.t.prog.PCOf(int(c.t.recs[c.idx].idxTaken >> 1))
 	}
 	return c.t.end.pc
 }

@@ -72,16 +72,70 @@ func (s *Simulator) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// TraceSet is one workload spec pre-decoded into immutable per-thread
-// instruction traces. Built once per (workload set, seed) and shared
-// read-only across every configuration and goroutine of a sweep: NewReplay
-// binds any number of simulators to one TraceSet, each replaying the
-// decoded records from a flat shared slice instead of re-walking the
-// synthetic program's control flow per run.
+// ContextTrace is one hardware context's program pre-decoded into an
+// immutable instruction trace. A context's program is a pure function of
+// (benchmark, seed, context index) — the same at every machine width and
+// under every configuration — so one ContextTrace serves every job whose
+// workload spec puts that benchmark in that context.
+type ContextTrace struct {
+	name  string
+	seed  uint64
+	ctx   int
+	trace *workload.Trace
+}
+
+// BuildContextTrace decodes the first records architectural instructions
+// of the program benchmark name runs in hardware context ctx under seed.
+func BuildContextTrace(name string, seed uint64, ctx int, records int64) (*ContextTrace, error) {
+	prof, err := workload.ProfileByName(name)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := workload.New(prof, seed, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &ContextTrace{name: name, seed: seed, ctx: ctx, trace: workload.BuildTrace(prog, records)}, nil
+}
+
+// Records returns the pre-decoded record count.
+func (ct *ContextTrace) Records() int64 { return int64(ct.trace.Len()) }
+
+// Bytes returns the approximate memory footprint of the trace records.
+func (ct *ContextTrace) Bytes() int64 { return ct.trace.Bytes() }
+
+// TraceSet is one workload spec's per-context traces, shared read-only
+// across every configuration and goroutine of a sweep: NewReplay binds any
+// number of simulators to one TraceSet, each replaying the decoded records
+// from flat shared slices instead of re-walking the synthetic program's
+// control flow per run. The traces may differ in length; a replayed run
+// that outlives one spills onto a live walker bit-identically.
 type TraceSet struct {
 	spec   WorkloadSpec
-	progs  []*workload.Program
-	traces []*workload.Trace
+	traces []*ContextTrace
+}
+
+// NewTraceSet assembles spec's trace set from one ContextTrace per
+// hardware context, in context order. A trace built for another benchmark,
+// seed or context is rejected: replaying it would simulate the wrong
+// program without any other symptom.
+func NewTraceSet(spec WorkloadSpec, traces []*ContextTrace) (*TraceSet, error) {
+	if len(spec.Names) == 0 {
+		return nil, fmt.Errorf("smt: trace set needs at least one workload")
+	}
+	if len(traces) != len(spec.Names) {
+		return nil, fmt.Errorf("smt: %d context traces for %d workloads", len(traces), len(spec.Names))
+	}
+	for i, ct := range traces {
+		if ct.name != spec.Names[i] || ct.seed != spec.Seed || ct.ctx != i {
+			return nil, fmt.Errorf("smt: context %d runs %s seed %d, got the trace of %s seed %d context %d",
+				i, spec.Names[i], spec.Seed, ct.name, ct.seed, ct.ctx)
+		}
+	}
+	return &TraceSet{
+		spec:   WorkloadSpec{Names: slices.Clone(spec.Names), Seed: spec.Seed},
+		traces: slices.Clone(traces),
+	}, nil
 }
 
 // BuildTraceSet decodes the first perThread architectural instructions of
@@ -89,27 +143,15 @@ type TraceSet struct {
 // outlives its trace spills onto a live walker bit-identically — so
 // perThread is a performance knob, not a correctness bound.
 func BuildTraceSet(spec WorkloadSpec, perThread int64) (*TraceSet, error) {
-	if len(spec.Names) == 0 {
-		return nil, fmt.Errorf("smt: trace set needs at least one workload")
-	}
-	ts := &TraceSet{
-		spec:   WorkloadSpec{Names: slices.Clone(spec.Names), Seed: spec.Seed},
-		progs:  make([]*workload.Program, len(spec.Names)),
-		traces: make([]*workload.Trace, len(spec.Names)),
-	}
+	traces := make([]*ContextTrace, len(spec.Names))
 	for i, name := range spec.Names {
-		prof, err := workload.ProfileByName(name)
+		ct, err := BuildContextTrace(name, spec.Seed, i, perThread)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := workload.New(prof, spec.Seed, i)
-		if err != nil {
-			return nil, err
-		}
-		ts.progs[i] = prog
-		ts.traces[i] = workload.BuildTrace(prog, perThread)
+		traces[i] = ct
 	}
-	return ts, nil
+	return NewTraceSet(spec, traces)
 }
 
 // Spec returns the workload spec the traces decode.
@@ -117,19 +159,21 @@ func (ts *TraceSet) Spec() WorkloadSpec {
 	return WorkloadSpec{Names: slices.Clone(ts.spec.Names), Seed: ts.spec.Seed}
 }
 
-// Records returns the per-thread pre-decoded record count.
+// Records returns the pre-decoded record count every context has: the
+// minimum over the set's traces.
 func (ts *TraceSet) Records() int64 {
-	if len(ts.traces) == 0 {
-		return 0
+	n := ts.traces[0].Records()
+	for _, ct := range ts.traces[1:] {
+		n = min(n, ct.Records())
 	}
-	return int64(ts.traces[0].Len())
+	return n
 }
 
 // Bytes returns the approximate memory footprint of all trace records.
 func (ts *TraceSet) Bytes() int64 {
 	var n int64
-	for _, t := range ts.traces {
-		n += t.Bytes()
+	for _, ct := range ts.traces {
+		n += ct.Bytes()
 	}
 	return n
 }
@@ -142,13 +186,15 @@ func NewReplay(cfg Config, ts *TraceSet) (*Simulator, error) {
 	if err := validateSpec(cfg, ts.spec); err != nil {
 		return nil, err
 	}
-	proc, err := core.New(cfg, ts.progs)
+	progs := make([]*workload.Program, len(ts.traces))
+	cursors := make([]*workload.Cursor, len(ts.traces))
+	for i, ct := range ts.traces {
+		progs[i] = ct.trace.Program()
+		cursors[i] = ct.trace.NewCursor()
+	}
+	proc, err := core.New(cfg, progs)
 	if err != nil {
 		return nil, err
-	}
-	cursors := make([]*workload.Cursor, len(ts.traces))
-	for i, t := range ts.traces {
-		cursors[i] = t.NewCursor()
 	}
 	if err := proc.SetCursors(cursors); err != nil {
 		return nil, err

@@ -173,6 +173,87 @@ func TestReplaySnapshotComposes(t *testing.T) {
 	}
 }
 
+// A trace set is assembled from per-context traces that need not be equally
+// long (a cache serves any trace at least as long as asked for): contexts
+// spill to their walkers at different points and the run, its checkpoint
+// and a restore of it onto a machine with other lengths still match the
+// walker. A trace of another benchmark, seed or context is refused.
+func TestTraceSetFromContextTraces(t *testing.T) {
+	const warm, meas = 2_000, 16_000
+	cfg := snapshotConfig(PredGshare, FetchICount)
+	spec := WorkloadMix(4, 1, 23)
+
+	cold := MustNew(cfg, spec)
+	cold.Warmup(warm)
+	want := cold.Run(meas)
+
+	assemble := func(lengths [4]int64) *TraceSet {
+		t.Helper()
+		traces := make([]*ContextTrace, len(spec.Names))
+		for i, name := range spec.Names {
+			ct, err := BuildContextTrace(name, spec.Seed, i, lengths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces[i] = ct
+		}
+		ts, err := NewTraceSet(spec, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	mixed := assemble([4]int64{0, 700, 3_000, 50_000})
+	if mixed.Records() != 0 || mixed.Bytes() != (700+3_000+50_000)*12 {
+		t.Fatalf("Records() = %d, Bytes() = %d; want the minimum length 0 and the sum of all four", mixed.Records(), mixed.Bytes())
+	}
+	replay, err := NewReplay(cfg, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.Warmup(warm)
+	data, err := replay.SaveSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replay.Run(meas); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mixed-length replay differs from walker run:\n got %+v\nwant %+v", got, want)
+	}
+	restored, err := NewReplay(cfg, assemble([4]int64{50_000, 3_000, 700, 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRestore(t, restored, data)
+	if got := restored.Run(meas); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restore onto other trace lengths differs from walker run:\n got %+v\nwant %+v", got, want)
+	}
+
+	good, err := BuildContextTrace(spec.Names[0], spec.Seed, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := WorkloadSpec{Names: spec.Names[:1], Seed: spec.Seed}
+	if _, err := NewTraceSet(one, []*ContextTrace{good}); err != nil {
+		t.Fatalf("matching trace refused: %v", err)
+	}
+	for name, build := range map[string]func() (*ContextTrace, error){
+		"benchmark": func() (*ContextTrace, error) { return BuildContextTrace(spec.Names[1], spec.Seed, 0, 100) },
+		"seed":      func() (*ContextTrace, error) { return BuildContextTrace(spec.Names[0], spec.Seed+1, 0, 100) },
+		"context":   func() (*ContextTrace, error) { return BuildContextTrace(spec.Names[0], spec.Seed, 1, 100) },
+	} {
+		ct, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewTraceSet(one, []*ContextTrace{ct}); err == nil {
+			t.Errorf("NewTraceSet accepted a trace of another %s", name)
+		}
+	}
+	if _, err := NewTraceSet(spec, []*ContextTrace{good}); err == nil {
+		t.Error("NewTraceSet accepted 1 trace for 4 contexts")
+	}
+}
+
 // Restores must refuse anything that is not this machine's snapshot —
 // corruption, truncation, version skew, or identity mismatch — and fail
 // loudly rather than install wrong state.
