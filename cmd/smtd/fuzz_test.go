@@ -1,0 +1,112 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/dist"
+	"repro/internal/exp"
+	"repro/smt"
+)
+
+// newStubServer is a service whose jobs finish at once with zero results:
+// everything a sweep request touches — body decode, grid materialization,
+// expansion, keys, bookkeeping, result encoding — runs for real, and no
+// cycle is simulated, so a fuzzed budget of 10^18 instructions costs
+// nothing.
+func newStubServer() *Server {
+	s := NewServer(2, 0)
+	s.coord.Close()
+	s.coord = dist.NewCoordinator(dist.Options{
+		LocalSlots: make(chan struct{}, 2),
+		Exec:       func(dist.JobPayload, func(smt.Snapshot)) smt.Results { return smt.Results{} },
+	})
+	return s
+}
+
+// FuzzInlineGrid: arbitrary bytes as a POST /v1/sweep body never panic and
+// are answered 200, 202, 400 or 413. Each body is posted twice to a fresh
+// server — against a cold decoded-config table, then against the table the
+// first post warmed — and the two answers must agree: same status, same
+// error text, same sweep shape, same result bytes.
+func FuzzInlineGrid(f *testing.F) {
+	grid := paperGrid(f)
+	full, err := json.Marshal(sweepRequest{Name: "g", Grid: []gridPoint{grid[0], grid[len(grid)-1]},
+		Opts: &exp.Opts{Runs: 2, Warmup: 10, Measure: 20, Seed: 3}, Wait: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	for _, seed := range []string{
+		`{"grid":[{"series":"RR","threads":2},{"series":"IC","threads":2,"config":{"FetchPolicy":"ICOUNT","FetchThreads":2}}],"opts":{"runs":1,"measure":100},"wait":true}`,
+		`{"grid":[{"threads":4,"config":{"FetchPolicy":3,"Rename":{"ExcessRegs":90}}},{"threads":8,"config":{"FetchPolicy":3,"Rename":{"ExcessRegs":90}}}],"interval_cycles":50}`,
+		`{"grid":[{"threads":2,"config":{"Threads":4}}]}`,
+		`{"grid":[{"threads":2,"config":{"NoSuchField":1}}]}`,
+		`{"grid":[{"threads":2,"config":{"IQSize":0}}]}`,
+		`{"grid":[{"threads":2,"config":null}],"opts":null}`,
+		`{"grid":[{"threads":0}]}`,
+		`{"experiment":"table4","opts":{"runs":1,"warmup":0,"measure":1}}`,
+		`{"experiment":"fig7","opts":{"runs":9000000000000000000}}`,
+		`{"experiment":"fig7","grid":[{"threads":1}]}`,
+		`{"name":"x","grid":[],"wait":true}`,
+		`{"unknown":1}`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := newStubServer()
+		defer s.Close()
+		h := s.Handler()
+		do := func(method, path string, body []byte) (int, []byte) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			return rec.Code, rec.Body.Bytes()
+		}
+		coldCode, coldReply := do("POST", "/v1/sweep", body)
+		warmCode, warmReply := do("POST", "/v1/sweep", body)
+		switch coldCode {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d: %s", coldCode, coldReply)
+		}
+		if warmCode != coldCode {
+			t.Fatalf("cold table answered %d, warm table %d:\n%s\n%s", coldCode, warmCode, coldReply, warmReply)
+		}
+		if coldCode >= 400 {
+			if !bytes.Equal(coldReply, warmReply) {
+				t.Fatalf("cold and warm tables reject differently:\n%s\n%s", coldReply, warmReply)
+			}
+			return
+		}
+
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if left := s.Drain(ctx); left != 0 {
+			t.Fatalf("%d accepted sweeps still running after a minute", left)
+		}
+		var cold, warm sweepStatus
+		if err := json.Unmarshal(coldReply, &cold); err != nil {
+			t.Fatalf("cold reply: %v: %s", err, coldReply)
+		}
+		if err := json.Unmarshal(warmReply, &warm); err != nil {
+			t.Fatalf("warm reply: %v: %s", err, warmReply)
+		}
+		if cold.Experiment != warm.Experiment || cold.TotalJobs != warm.TotalJobs ||
+			cold.Opts != warm.Opts || cold.IntervalCycles != warm.IntervalCycles {
+			t.Fatalf("cold and warm tables accepted different sweeps:\n%s\n%s", coldReply, warmReply)
+		}
+		coldCode, coldResult := do("GET", "/v1/jobs/"+cold.ID+"/result", nil)
+		warmCode, warmResult := do("GET", "/v1/jobs/"+warm.ID+"/result", nil)
+		if coldCode != http.StatusOK || warmCode != http.StatusOK || !bytes.Equal(coldResult, warmResult) {
+			t.Fatalf("results differ (status %d / %d):\n%s\n%s", coldCode, warmCode, coldResult, warmResult)
+		}
+	})
+}

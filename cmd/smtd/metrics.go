@@ -35,6 +35,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(&b, "smtd_trace_entries", "Context traces currently cached.", float64(ts.Entries))
 	gauge(&b, "smtd_trace_bytes", "Bytes of pre-decoded trace records currently cached.", float64(ts.Bytes))
 
+	ct := s.configs.Stats()
+	counter(&b, "smtd_config_table_hits_total", "Inline-grid configs served from the decoded-config table.", float64(ct.Hits))
+	counter(&b, "smtd_config_table_misses_total", "Inline-grid configs decoded and validated from their JSON.", float64(ct.Misses))
+	gauge(&b, "smtd_config_table_entries", "Validated configs held in the decoded-config table.", float64(ct.Len))
+
 	// Sweeps.
 	s.mu.Lock()
 	var running, done, failed int

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -45,6 +46,7 @@ type Server struct {
 	snapshots *snapshot.Store            // snaps.Top + traffic counters, what runners consult
 	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
 	coord     *dist.Coordinator          // execution backend: remote workers, local fallback
+	configs   *cache.Store[smt.Config]   // decoded inline-grid configs, see gridConfig
 
 	// breakers is the per-peer circuit breaker set shared by the result
 	// and snapshot federations — a host that is down is down for both
@@ -76,8 +78,8 @@ type sweep struct {
 	totalJobs  int
 	doneJobs   int
 	cacheHits  int
-	running    map[string]*jobProgress // in-flight jobs' latest snapshots
-	finished   map[string]bool         // jobs already completed; late snapshots must not resurrect them
+	running    map[jobKey]*jobProgress // in-flight jobs' latest snapshots
+	finished   map[jobKey]bool         // jobs already completed; late snapshots must not resurrect them
 	resultJSON []byte                  // ExperimentResult.EncodeJSON bytes, once done
 	errMsg     string
 	cancel     context.CancelFunc
@@ -108,6 +110,21 @@ const defaultMaxHistory = 64
 // machine runs hundreds of KB, so unlike results the memory tier must cap
 // low; the disk tier (when configured) holds the long tail.
 const snapshotMemEntries = 128
+
+// The decoded-config table is bounded in entries and in bytes per entry: a
+// grid point whose config JSON is longer than configTableMaxBytes is decoded
+// every time instead (a full smt.Config marshals to about 1.3 KB), so the
+// table tops out near 6 MB however large the request bodies get. Eviction
+// is least-recently-used, one entry per insert past the cap.
+const (
+	configTableEntries  = 1024
+	configTableMaxBytes = 4 << 10
+)
+
+// maxSweepJobs bounds one sweep's expansion (points x rotations). The
+// paper's largest figure is a few hundred jobs; a request past this is a
+// typo or abuse, and expanding it would exhaust memory before any job ran.
+const maxSweepJobs = 1 << 16
 
 // ServerOptions configures a Server beyond the basic knobs.
 type ServerOptions struct {
@@ -163,6 +180,7 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 		workers:    n,
 		sweeps:     make(map[string]*sweep),
 		maxHistory: defaultMaxHistory,
+		configs:    cache.New[smt.Config](configTableEntries),
 	}
 	var fedCfg cache.FederatedConfig
 	if len(opts.Peers) > 0 {
@@ -538,7 +556,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		req.Opts = &o
 	}
 
-	e, err := req.experimentDef()
+	e, err := req.experimentDef(s.configs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -548,6 +566,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if o.Runs > maxSweepJobs/max(1, e.Shape.Points) {
+		writeError(w, http.StatusBadRequest, "sweep of %d points x %d runs exceeds the %d-job limit", e.Shape.Points, o.Runs, maxSweepJobs)
+		return
+	}
+	// The one expansion of the grid: it validates the shape, sizes the
+	// sweep, and is the job list the runner executes.
 	jobs, err := exp.Jobs(e, o)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -559,7 +583,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sw := s.startSweep(e, o, len(jobs), req.IntervalCycles)
+	sw := s.startSweep(e, o, jobs, req.IntervalCycles)
 	if sw == nil {
 		writeError(w, http.StatusServiceUnavailable, "smtd is draining for shutdown and not accepting new sweeps")
 		return
@@ -576,7 +600,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // experimentDef resolves the request to an experiment: a registry lookup,
 // or an ad-hoc experiment wrapping the inline grid.
-func (r sweepRequest) experimentDef() (exp.Experiment, error) {
+func (r sweepRequest) experimentDef(configs *cache.Store[smt.Config]) (exp.Experiment, error) {
 	switch {
 	case r.Experiment != "" && len(r.Grid) > 0:
 		return exp.Experiment{}, fmt.Errorf("pass either experiment or grid, not both")
@@ -587,7 +611,7 @@ func (r sweepRequest) experimentDef() (exp.Experiment, error) {
 		}
 		return e, nil
 	case len(r.Grid) > 0:
-		return inlineExperiment(r.Name, r.Grid)
+		return inlineExperiment(r.Name, r.Grid, configs)
 	default:
 		return exp.Experiment{}, fmt.Errorf("empty sweep: pass an experiment name or an inline grid")
 	}
@@ -596,7 +620,7 @@ func (r sweepRequest) experimentDef() (exp.Experiment, error) {
 // inlineExperiment materializes an ad-hoc grid: each point's config starts
 // from smt.DefaultConfig(threads) and overlays the client's partial config
 // JSON, then must validate like any machine the simulator accepts.
-func inlineExperiment(name string, grid []gridPoint) (exp.Experiment, error) {
+func inlineExperiment(name string, grid []gridPoint, configs *cache.Store[smt.Config]) (exp.Experiment, error) {
 	if name == "" {
 		name = "inline"
 	}
@@ -606,22 +630,8 @@ func inlineExperiment(name string, grid []gridPoint) (exp.Experiment, error) {
 		if g.Threads < 1 {
 			return exp.Experiment{}, fmt.Errorf("grid[%d]: threads %d, want >= 1", i, g.Threads)
 		}
-		cfg := smt.DefaultConfig(g.Threads)
-		if len(g.Config) > 0 {
-			dec := json.NewDecoder(bytes.NewReader(g.Config))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&cfg); err != nil {
-				return exp.Experiment{}, fmt.Errorf("grid[%d]: invalid config: %v", i, err)
-			}
-		}
-		// The top-level threads field sized the default config (and its
-		// nested per-thread subsystems); a contradictory Threads inside the
-		// overlay would silently run a different machine, so reject it.
-		if cfg.Threads != g.Threads {
-			return exp.Experiment{}, fmt.Errorf("grid[%d]: config.Threads %d conflicts with threads %d",
-				i, cfg.Threads, g.Threads)
-		}
-		if err := cfg.Validate(); err != nil {
+		cfg, err := gridConfig(configs, g.Threads, g.Config)
+		if err != nil {
 			return exp.Experiment{}, fmt.Errorf("grid[%d]: %v", i, err)
 		}
 		sName := g.Series
@@ -641,6 +651,53 @@ func inlineExperiment(name string, grid []gridPoint) (exp.Experiment, error) {
 		Shape:  exp.Shape{Series: len(series), Points: len(pts)},
 		Points: func() []exp.PointSpec { return pts },
 	}, nil
+}
+
+// gridConfig resolves one grid point's machine: smt.DefaultConfig(threads)
+// overlaid with the client's partial config JSON, validated. The same few
+// dozen configurations are asked about again and again, so the result is
+// memoized in table under (threads, the exact config bytes): decoding is a
+// pure function of the two, and the policy and predictor registries
+// Validate consults only grow. Only a config that passed every check is
+// stored — a rejected one is decoded, and rejected, again on resubmission —
+// so a hit returns exactly what the decode would. A nil table, an absent
+// config and one past configTableMaxBytes skip the table.
+func gridConfig(table *cache.Store[smt.Config], threads int, raw json.RawMessage) (smt.Config, error) {
+	key := "" // empty: this point bypasses the table
+	if table != nil && len(raw) > 0 && len(raw) <= configTableMaxBytes {
+		key = configTableKey(threads, raw)
+		if cfg, ok := table.Get(key); ok {
+			return cfg, nil
+		}
+	}
+	cfg := smt.DefaultConfig(threads)
+	if len(raw) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil {
+			return smt.Config{}, fmt.Errorf("invalid config: %v", err)
+		}
+	}
+	// The top-level threads field sized the default config (and its nested
+	// per-thread subsystems); a contradictory Threads inside the overlay
+	// would silently run a different machine, so reject it.
+	if cfg.Threads != threads {
+		return smt.Config{}, fmt.Errorf("config.Threads %d conflicts with threads %d", cfg.Threads, threads)
+	}
+	if err := cfg.Validate(); err != nil {
+		return smt.Config{}, err
+	}
+	if key != "" {
+		table.Put(key, cfg)
+	}
+	return cfg, nil
+}
+
+// configTableKey is the table's address for one grid point. threads is
+// part of it because the same overlay bytes decode onto a different
+// default machine at every thread count.
+func configTableKey(threads int, raw []byte) string {
+	return strconv.Itoa(threads) + ":" + string(raw)
 }
 
 // validateOpts mirrors the experiments CLI's up-front flag validation.
@@ -663,7 +720,7 @@ func validateOpts(o exp.Opts) error {
 // handler's fast-path check: the decision is re-made under the same lock
 // Drain uses, closing the window where a sweep could slip in, be in no
 // drain wait list, and be killed mid-run at process exit.
-func (s *Server) startSweep(e exp.Experiment, o exp.Opts, totalJobs int, interval int64) *sweep {
+func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interval int64) *sweep {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	if s.draining {
@@ -678,9 +735,9 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, totalJobs int, interva
 		opts:       o.Normalized(),
 		interval:   interval,
 		state:      "running",
-		totalJobs:  totalJobs,
-		running:    map[string]*jobProgress{},
-		finished:   map[string]bool{},
+		totalJobs:  len(jobs),
+		running:    map[jobKey]*jobProgress{},
+		finished:   map[jobKey]bool{},
 		cancel:     cancel,
 		done:       make(chan struct{}),
 	}
@@ -715,24 +772,26 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, totalJobs int, interva
 				sw.cacheHits++
 				s.cacheHits++
 			}
-			delete(sw.running, jobKey(j))
-			sw.finished[jobKey(j)] = true
+			k := keyOf(j)
+			delete(sw.running, k)
+			sw.finished[k] = true
 		},
 	}
 	if interval > 0 {
 		runner.OnSnapshot = func(j exp.Job, snap smt.Snapshot) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			if sw.finished[jobKey(j)] {
+			k := keyOf(j)
+			if sw.finished[k] {
 				// A snapshot posted by a remote worker can land after the
 				// job's result was delivered; re-creating the running entry
 				// would show a phantom in-flight job on a finished sweep.
 				return
 			}
-			jp, ok := sw.running[jobKey(j)]
+			jp, ok := sw.running[k]
 			if !ok {
 				jp = &jobProgress{Point: j.Point, Run: j.Run, Series: j.Spec.Series, Label: j.Spec.Label}
-				sw.running[jobKey(j)] = jp
+				sw.running[k] = jp
 			}
 			jp.Snapshots = snap.Index + 1
 			jp.Cycles = snap.Cycles
@@ -744,7 +803,7 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, totalJobs int, interva
 	go func() {
 		defer close(sw.done)
 		defer cancel()
-		res, err := runner.RunExperiment(ctx, e, o)
+		res, err := runner.RunJobs(ctx, e, o, jobs)
 		if err == nil {
 			// Barrier the async federation fills before reporting done, so
 			// a resubmission through any member sees this sweep's shard.
@@ -806,7 +865,9 @@ func (s *Server) status(sw *sweep) sweepStatus {
 }
 
 // jobKey identifies one (point, run) cell of a sweep's grid.
-func jobKey(j exp.Job) string { return fmt.Sprintf("p%d.r%d", j.Point, j.Run) }
+type jobKey struct{ point, run int }
+
+func keyOf(j exp.Job) jobKey { return jobKey{j.Point, j.Run} }
 
 // statusLocked is status for callers already holding s.mu; mem is the
 // result stack's memory-tier snapshot every status carries.

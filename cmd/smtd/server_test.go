@@ -223,6 +223,7 @@ func TestSweepValidation(t *testing.T) {
 		{"threads conflict", sweepRequest{Grid: []gridPoint{{Threads: 4, Config: json.RawMessage(`{"Threads": 8}`)}}}, 400, "conflicts with threads"},
 		{"invalid machine", sweepRequest{Grid: []gridPoint{{Threads: 2, Config: json.RawMessage(`{"FetchThreads": 5}`)}}}, 400, "FetchThreads"},
 		{"bad opts", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: -1, Measure: 100}}, 400, "opts.runs"},
+		{"too many jobs", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: 1 << 40, Measure: 100}}, 400, "job limit"},
 		{"malformed body", "not json at all", 400, "invalid request body"},
 	}
 	for _, c := range cases {

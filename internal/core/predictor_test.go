@@ -187,3 +187,17 @@ func TestLowConfFeedbackDrivesCustomPolicy(t *testing.T) {
 		t.Fatalf("LOWCONF policy committed only %d in %d cycles", s.Committed, s.Cycles)
 	}
 }
+
+var fingerprintSink string
+
+// BenchmarkFingerprint is the layer number behind every content address:
+// one Config.Fingerprint of the 8-thread baseline, as each grid point of a
+// sweep pays once (run with -benchmem).
+func BenchmarkFingerprint(b *testing.B) {
+	cfg := DefaultConfig(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = cfg.Fingerprint()
+	}
+}

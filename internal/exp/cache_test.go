@@ -47,6 +47,28 @@ func TestJobKeyContentAddress(t *testing.T) {
 	}
 }
 
+// TestJobsCarryTheirFingerprint: Jobs fingerprints each grid point once and
+// its rotations carry the value; the key a carried fingerprint yields must
+// be the key the same job yields when it fingerprints on demand.
+func TestJobsCarryTheirFingerprint(t *testing.T) {
+	e, _ := Lookup("fig7")
+	o := tinyOpts()
+	o.Runs = 3
+	jobs, err := Jobs(e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if j.fp == "" {
+			t.Fatalf("job p%d.r%d carries no fingerprint", j.Point, j.Run)
+		}
+		byHand := Job{Experiment: j.Experiment, Point: j.Point, Run: j.Run, Spec: j.Spec}
+		if j.Key(o) != byHand.Key(o) {
+			t.Fatalf("p%d.r%d: carried fingerprint keys %s, on-demand %s", j.Point, j.Run, j.Key(o), byHand.Key(o))
+		}
+	}
+}
+
 // TestCachedSweepByteIdentical is the cache layer's determinism contract:
 // an uncached run, a cold-cache run, and a warm-cache run of the same
 // experiment must emit byte-identical JSON, and the warm run must serve

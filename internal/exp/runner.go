@@ -21,6 +21,12 @@ type Job struct {
 	Point      int
 	Run        int
 	Spec       PointSpec
+
+	// fp is Spec.Config.Fingerprint(), computed once per grid point by Jobs
+	// and shared by the point's rotations; empty on a Job built by hand,
+	// which fingerprints on demand. Jobs are values: Spec.Config must not
+	// change once fp is set.
+	fp string
 }
 
 // JobSeed derives the deterministic workload seed for a job. It depends
@@ -50,8 +56,11 @@ func (j Job) Key(o Opts) string {
 // result keys, snapshot keys, and trace builds all consume one canonical
 // seed instead of re-deriving it per grid point.
 func (j Job) keyFor(o Opts, seed uint64) string {
-	return fmt.Sprintf("%s:r%d:s%d:w%d:m%d",
-		j.Spec.Config.Fingerprint(), j.Run, seed, o.Warmup, o.Measure)
+	fp := j.fp
+	if fp == "" {
+		fp = j.Spec.Config.Fingerprint()
+	}
+	return fmt.Sprintf("%s:r%d:s%d:w%d:m%d", fp, j.Run, seed, o.Warmup, o.Measure)
 }
 
 // rotationSeeds derives every rotation's workload seed once, at sweep
@@ -274,6 +283,8 @@ func (r Runner) workers() int {
 
 // Jobs expands an experiment grid into its (point, rotation) job list in
 // deterministic order: all rotations of point 0, then point 1, and so on.
+// Each point's config is fingerprinted here, once, for every key its jobs
+// derive.
 func Jobs(e Experiment, o Opts) ([]Job, error) {
 	o = o.Normalized()
 	grid, err := e.Grid()
@@ -282,8 +293,9 @@ func Jobs(e Experiment, o Opts) ([]Job, error) {
 	}
 	jobs := make([]Job, 0, len(grid)*o.Runs)
 	for i, spec := range grid {
+		fp := spec.Config.Fingerprint()
 		for run := 0; run < o.Runs; run++ {
-			jobs = append(jobs, Job{Experiment: e.Name, Point: i, Run: run, Spec: spec})
+			jobs = append(jobs, Job{Experiment: e.Name, Point: i, Run: run, Spec: spec, fp: fp})
 		}
 	}
 	return jobs, nil
@@ -301,11 +313,18 @@ func Jobs(e Experiment, o Opts) ([]Job, error) {
 // that fails — only possible through a Dispatch error — cancels the rest
 // of the run and surfaces the first such error.
 func (r Runner) RunExperiment(ctx context.Context, e Experiment, o Opts) (*ExperimentResult, error) {
-	o = o.Normalized()
 	jobs, err := Jobs(e, o)
 	if err != nil {
 		return nil, err
 	}
+	return r.RunJobs(ctx, e, o, jobs)
+}
+
+// RunJobs is RunExperiment for a caller that already holds the expansion:
+// jobs must be what Jobs(e, o) returned. smtd expands a sweep once to
+// validate and size it, then runs that same list.
+func (r Runner) RunJobs(ctx context.Context, e Experiment, o Opts, jobs []Job) (*ExperimentResult, error) {
+	o = o.Normalized()
 	results := make([]smt.Results, len(jobs))
 	// One canonical seed derivation per rotation, hoisted to sweep setup:
 	// result keys, snapshot keys, and trace builds all consume seeds[run]

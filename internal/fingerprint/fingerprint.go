@@ -16,7 +16,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // Of returns a stable hex digest of the canonical encoding of vs. It is
@@ -24,23 +24,24 @@ import (
 // values) and across struct-field reordering (fields are encoded sorted
 // by name).
 func Of(vs ...any) string {
-	var b strings.Builder
+	buf := scratch.Get().(*[]byte)
+	b := (*buf)[:0]
 	for i, v := range vs {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		canonicalValue(reflect.ValueOf(v), &b)
+		b = appendCanonical(b, reflect.ValueOf(v), nil)
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
+	*buf = b
+	scratch.Put(buf)
 	return hex.EncodeToString(sum[:16])
 }
 
 // Canonical returns the canonical encoding itself; tests and debugging
 // tools use it to see exactly what a fingerprint covers.
 func Canonical(v any) string {
-	var b strings.Builder
-	canonicalValue(reflect.ValueOf(v), &b)
-	return b.String()
+	return string(appendCanonical(nil, reflect.ValueOf(v), nil))
 }
 
 // Canonicaler lets a type override its canonical rendering. The override
@@ -52,47 +53,94 @@ type Canonicaler interface {
 	CanonicalFingerprint() string
 }
 
+var canonicalerType = reflect.TypeOf((*Canonicaler)(nil)).Elem()
+
+// plan is what the canonical walk needs to know about a type, resolved
+// once per reflect.Type: whether values render through Canonicaler, and —
+// for structs — the exported fields in the order they encode. A type's
+// field set is fixed at compile time, so it is collected and sorted here
+// once rather than on every fingerprint of every value of the type.
+type plan struct {
+	canon  bool
+	fields []planField // sorted by name
+}
+
+type planField struct {
+	name  string
+	index int   // Type.Field index
+	plan  *plan // the field type's plan
+}
+
+var plans sync.Map // reflect.Type -> *plan
+
+func planOf(t reflect.Type) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
+	}
+	p := &plan{canon: t.Implements(canonicalerType)}
+	if t.Kind() == reflect.Struct {
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				// A struct cannot contain itself by value, so this recursion
+				// ends; a pointer's or slice's plan does not resolve its
+				// element type.
+				p.fields = append(p.fields, planField{name: f.Name, index: i, plan: planOf(f.Type)})
+			}
+		}
+		//smt:sorted field names are unique within a struct, so the order is total
+		sort.Slice(p.fields, func(i, j int) bool { return p.fields[i].name < p.fields[j].name })
+	}
+	// Racing resolvers build equal plans; whichever lands first is kept.
+	actual, _ := plans.LoadOrStore(t, p)
+	return actual.(*plan)
+}
+
 // Struct renders a struct value in the standard canonical form —
 // {name:value;...}, exported fields sorted by name — omitting any field
 // named in omitZero that holds its zero value. It exists for Canonicaler
 // implementations on growing config structs: rendering a new field only
 // when it is set keeps every fingerprint computed before the field existed
 // valid (the default encodes exactly as it always did), while non-default
-// values still content-address. Fields render through canonicalValue, so
-// nested Canonicalers apply; the receiver's own Canonicaler is not
+// values still content-address. Fields render through the canonical walk,
+// so nested Canonicalers apply; the receiver's own Canonicaler is not
 // re-invoked (no recursion).
 func Struct(v any, omitZero ...string) string {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Struct {
 		panic(fmt.Sprintf("fingerprint: Struct requires a struct value, got %s", rv.Kind()))
 	}
-	t := rv.Type()
-	names := make([]string, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).IsExported() {
-			names = append(names, t.Field(i).Name)
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
+	buf := scratch.Get().(*[]byte)
+	b := appendStruct((*buf)[:0], rv, planOf(rv.Type()), omitZero)
+	out := string(b)
+	*buf = b
+	scratch.Put(buf)
+	return out
+}
+
+// scratch recycles encoding buffers: a rendering is copied out (hashed, or
+// converted to a string) before its buffer goes back, and a nested
+// Canonicaler's Struct call draws its own.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendStruct writes {name:value;...} for the plan's fields, skipping
+// any named in omitZero that holds its zero value.
+func appendStruct(b []byte, v reflect.Value, p *plan, omitZero []string) []byte {
+	b = append(b, '{')
 	first := true
-	for _, name := range names {
-		f, _ := t.FieldByName(name)
-		fv := rv.FieldByIndex(f.Index)
-		if omitted(name, fv, omitZero) {
+	for _, f := range p.fields {
+		fv := v.Field(f.index)
+		if omitted(f.name, fv, omitZero) {
 			continue
 		}
 		if !first {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
 		first = false
-		b.WriteString(name)
-		b.WriteByte(':')
-		canonicalValue(fv, &b)
+		b = append(b, f.name...)
+		b = append(b, ':')
+		b = appendCanonical(b, fv, f.plan)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
 // omitted reports whether a field named in omitZero holds its zero value.
@@ -105,97 +153,76 @@ func omitted(name string, fv reflect.Value, omitZero []string) bool {
 	return false
 }
 
-// canonicalValue writes a deterministic, name-keyed rendering of v.
+// appendCanonical appends a deterministic, name-keyed rendering of v.
 // Structs encode as {name:value;...} with names sorted, so declaration
 // order never matters; maps sort their keys; slices and arrays keep
 // element order (it is semantically significant). Unexported fields are
 // skipped — a content address must only cover what callers can set.
-// Types implementing Canonicaler render through it instead.
-func canonicalValue(v reflect.Value, b *strings.Builder) {
+// Types implementing Canonicaler render through it instead. p is the plan
+// of v's type when the caller already holds it, else nil.
+func appendCanonical(b []byte, v reflect.Value, p *plan) []byte {
 	if !v.IsValid() {
-		b.WriteString("nil")
-		return
+		return append(b, "nil"...)
 	}
 	if (v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface) && v.IsNil() {
-		b.WriteString("nil")
-		return
+		return append(b, "nil"...)
 	}
-	if v.CanInterface() {
-		if c, ok := v.Interface().(Canonicaler); ok {
-			b.WriteString(c.CanonicalFingerprint())
-			return
-		}
+	if p == nil {
+		p = planOf(v.Type())
+	}
+	if p.canon && v.CanInterface() {
+		return append(b, v.Interface().(Canonicaler).CanonicalFingerprint()...)
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
+		return strconv.AppendBool(b, v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
+		return strconv.AppendInt(b, v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
+		return strconv.AppendUint(b, v.Uint(), 10)
 	case reflect.Float32, reflect.Float64:
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
+		return strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
 	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
+		return strconv.AppendQuote(b, v.String())
 	case reflect.Pointer, reflect.Interface:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return
-		}
-		canonicalValue(v.Elem(), b)
+		// A value whose dynamic type is a Canonicaler is caught one level
+		// down, by that type's own plan.
+		return appendCanonical(b, v.Elem(), nil)
 	case reflect.Slice, reflect.Array:
-		b.WriteByte('[')
+		b = append(b, '[')
+		ep := planOf(v.Type().Elem())
 		for i := 0; i < v.Len(); i++ {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			canonicalValue(v.Index(i), b)
+			b = appendCanonical(b, v.Index(i), ep)
 		}
-		b.WriteByte(']')
+		return append(b, ']')
 	case reflect.Map:
 		keys := make([]string, 0, v.Len())
 		byKey := make(map[string]reflect.Value, v.Len())
-		for _, k := range v.MapKeys() {
-			var kb strings.Builder
-			canonicalValue(k, &kb)
-			keys = append(keys, kb.String())
-			byKey[kb.String()] = v.MapIndex(k)
+		for it := v.MapRange(); it.Next(); {
+			k := string(appendCanonical(nil, it.Key(), nil))
+			keys = append(keys, k)
+			byKey[k] = it.Value()
 		}
 		sort.Strings(keys)
-		b.WriteString("map{")
+		b = append(b, "map{"...)
 		for i, k := range keys {
 			if i > 0 {
-				b.WriteByte(';')
+				b = append(b, ';')
 			}
-			b.WriteString(k)
-			b.WriteByte(':')
-			canonicalValue(byKey[k], b)
+			b = append(b, k...)
+			b = append(b, ':')
+			b = appendCanonical(b, byKey[k], nil)
 		}
-		b.WriteByte('}')
+		return append(b, '}')
 	case reflect.Struct:
-		t := v.Type()
-		names := make([]string, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).IsExported() {
-				names = append(names, t.Field(i).Name)
-			}
-		}
-		sort.Strings(names)
-		b.WriteByte('{')
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			b.WriteString(name)
-			b.WriteByte(':')
-			f, _ := t.FieldByName(name)
-			canonicalValue(v.FieldByIndex(f.Index), b)
-		}
-		b.WriteByte('}')
+		return appendStruct(b, v, p, nil)
 	default:
 		// Chan, Func, UnsafePointer: no meaningful content address. Render
 		// the kind so the fingerprint is still deterministic, but configs
 		// should never contain these.
-		fmt.Fprintf(b, "<%s>", v.Kind())
+		return fmt.Appendf(b, "<%s>", v.Kind())
 	}
 }
