@@ -33,10 +33,18 @@ const (
 // dyn is one dynamic (in-flight) instruction. Instances are pooled.
 type dyn struct {
 	thread int32
-	seq    int64 // per-thread fetch order
-	pc     int64
-	si     *isa.Static
-	prog   *workload.Program
+	// wake names the source register ready last failed on: 0 for none,
+	// phys+1 in the integer file, -(phys+1) in the FP file. While that
+	// register still reads later than the current cycle the instruction
+	// cannot issue, so the issue walk skips evaluating it (asleep). It is a
+	// derived hint, always re-checked against the live register, and the zero
+	// value is "awake": pooled and restored instructions need no set-up and
+	// it is not checkpointed. It sits in the padding after thread.
+	wake int32
+	seq  int64 // per-thread fetch order
+	pc   int64
+	si   *isa.Static
+	prog *workload.Program
 
 	state     dynState
 	wrongPath bool

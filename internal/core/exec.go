@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/iq"
 	"repro/internal/rename"
 )
 
@@ -115,6 +116,13 @@ func (p *Processor) memExec(d *dyn) bool {
 // return to their IQ slots — which they still hold, being optimistic — and
 // reissue once the corrected ready time passes. Returns true if any were
 // squashed.
+//
+// That same fact bounds the search: an instruction can have read an
+// unverified load's result, or the result of another instruction that did,
+// only by issuing optimistically, which put it on optHeld, and it is not
+// released while its producer can still be squashed. So the walk covers
+// optHeld, not every issued instruction; stale and duplicate entries there
+// fail the state test or flip on first visit.
 func (p *Processor) squashDependents(root *dyn) bool {
 	work := append(p.squashBuf[:0], root)
 	any := false
@@ -125,8 +133,11 @@ func (p *Processor) squashDependents(root *dyn) bool {
 			continue
 		}
 		f := p.ren.FileFor(w.si.Dest)
-		for _, x := range p.issuedPreExec {
-			if x.state != stIssued || x == w {
+		if p.audit != nil {
+			p.auditSquashSearch(w, f == p.ren.FP)
+		}
+		for _, x := range p.optHeld {
+			if x.state != stIssued || x.execStart < p.cycle || x == w {
 				continue
 			}
 			if !consumes(x, f == p.ren.FP, w.destPhys, p) {
@@ -151,6 +162,19 @@ func (p *Processor) squashDependents(root *dyn) bool {
 	}
 	p.squashBuf = work // empty here; retains the grown backing array
 	return any
+}
+
+// auditSquashSearch runs behind the test-only audit hook: whatever
+// squashDependents must pull back for w, found here among all in-flight
+// instructions, has to be on optHeld, the list it actually searches.
+func (p *Processor) auditSquashSearch(w *dyn, fp bool) {
+	for _, th := range p.threads {
+		for _, x := range th.liveROB() {
+			if x.state == stIssued && x.execStart >= p.cycle && x != w && !x.optHeldListed && consumes(x, fp, w.destPhys, p) {
+				p.audit(x, "consumed a squashed result, but is not on optHeld")
+			}
+		}
+	}
 }
 
 // consumes reports whether x reads physical register reg of the given file.
@@ -380,11 +404,25 @@ func (p *Processor) restoreCheckpoints(d *dyn, th *threadState) {
 	}
 }
 
-// cleanupQueues drops squashed and released entries from both queues.
+// cleanupQueues drops squashed and released entries from both queues. It
+// runs in processEvents, ahead of the issue stage that resets and refills
+// the two index buffers, so it borrows them.
 func (p *Processor) cleanupQueues() {
-	drop := func(d *dyn) bool { return d.state == stSquashed || !d.inIQ }
-	p.intQ.RemoveIf(drop)
-	p.fpQ.RemoveIf(drop)
+	p.idxBuf = dropDead(p.intQ, p.idxBuf[:0])
+	p.fpIdxBuf = dropDead(p.fpQ, p.fpIdxBuf[:0])
+}
+
+// dropDead removes q's squashed and released entries, collecting their
+// positions in idx (returned for reuse). Finding them is a read-only pass,
+// so a queue that holds none — the FP queue on most calls — is not written.
+func dropDead(q *iq.Queue[*dyn], idx []int) []int {
+	for i, d := range q.All() {
+		if d.state == stSquashed || !d.inIQ {
+			idx = append(idx, i)
+		}
+	}
+	q.RemoveIndices(idx)
+	return idx
 }
 
 // maybeRelease returns a dead instruction to the pool once no events still

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/policy"
+	"repro/internal/rename"
 )
 
 // candidate is one potentially-issuable queue entry, materialized only for
@@ -9,10 +10,11 @@ import (
 // is kept small (one pointer, one packed position, the selector-visible
 // info) so collection is a handful of stores per entry.
 type candidate struct {
-	d    *dyn
-	pos  int32 // age position within its queue
-	fp   bool  // from the FP queue
-	info policy.IssueInfo
+	d      *dyn
+	pos    int32 // age position within its queue
+	fp     bool  // from the FP queue
+	asleep bool  // audit only: would have been dropped before the walk
+	info   policy.IssueInfo
 }
 
 // fuState tracks one cycle's functional-unit and issue-bandwidth
@@ -37,7 +39,6 @@ type fuState struct {
 //
 //smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) issueStage() {
-	p.pruneIssuedPreExec()
 	p.idxBuf = p.idxBuf[:0]
 	p.fpIdxBuf = p.fpIdxBuf[:0]
 
@@ -137,7 +138,14 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 			d, pos, fp, age = fpW[fi], fi, true, fpAge
 			fi, fpAge = nextIssuable(fpW, fi+1, p.cycle)
 		}
-		c := candidate{d: d, pos: int32(pos), fp: fp}
+		// An entry that cannot wake during this walk never issues in it, so
+		// it need not be snapshotted, partitioned or visited: dropping it
+		// leaves every other candidate's relative order as it was.
+		sleeps := p.sleepsThroughWalk(d)
+		if sleeps && p.audit == nil {
+			continue
+		}
+		c := candidate{d: d, pos: int32(pos), fp: fp, asleep: sleeps}
 		c.info.Age = age
 		if needs.Branch {
 			c.info.Branch = d.isControl()
@@ -182,6 +190,10 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 
 	for i := range cands {
 		c := &cands[i]
+		if c.asleep {
+			p.auditAsleep(c.d)
+			continue
+		}
 		if full := p.tryIssue(c.d, int(c.pos), c.fp, fu); full {
 			return
 		}
@@ -192,10 +204,19 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 // functional-unit and bandwidth budget. It reports whether the cycle's
 // issue bandwidth is exhausted (the caller stops walking candidates).
 func (p *Processor) tryIssue(d *dyn, pos int, fromFP bool, fu *fuState) (full bool) {
-	if !p.cfg.InfiniteFUs {
-		if fu.total >= p.cfg.IssueWidth {
-			return true
+	if !p.cfg.InfiniteFUs && fu.total >= p.cfg.IssueWidth {
+		return true
+	}
+	// Asleep is tested first of what is left — everything below answers
+	// false for an entry ready would refuse — and costs the least: it does
+	// not touch the static instruction.
+	if p.asleep(d) {
+		if p.audit != nil {
+			p.auditAsleep(d)
 		}
+		return false
+	}
+	if !p.cfg.InfiniteFUs {
 		switch {
 		case d.si.Class.IsFP():
 			if fu.fpUsed >= p.cfg.FPUnits {
@@ -285,6 +306,10 @@ func (p *Processor) ready(d *dyn) (ok, optimistic bool) {
 			continue
 		}
 		if f.ReadyAt(phys) > p.cycle {
+			d.wake = int32(phys) + 1
+			if f == p.ren.FP {
+				d.wake = -d.wake
+			}
 			return false, false
 		}
 		if p.srcAtRisk(f, phys) {
@@ -321,6 +346,61 @@ func (p *Processor) ready(d *dyn) (ok, optimistic bool) {
 	return true, optimistic
 }
 
+// blocker decodes d.wake into the register it names (nil file for none).
+func (p *Processor) blocker(d *dyn) (*rename.File, rename.PhysReg) {
+	switch w := d.wake; {
+	case w > 0:
+		return p.ren.Int, rename.PhysReg(w - 1)
+	case w < 0:
+		return p.ren.FP, rename.PhysReg(-w - 1)
+	}
+	return nil, rename.None
+}
+
+// asleep reports whether the source ready last failed on still reads later
+// than now — in which case ready would fail on it again. The register is
+// re-read live, so a zero-latency producer issued earlier in the same walk
+// wakes its consumer this cycle, and no assumption about how ready times
+// move is needed for tryIssue's use of it.
+func (p *Processor) asleep(d *dyn) bool {
+	f, phys := p.blocker(d)
+	return f != nil && f.ReadyAt(phys) > p.cycle
+}
+
+// sleepsThroughWalk is asleep decided before the issue walk for all of it:
+// the blocker must also be unable to become ready while the walk runs.
+// During a walk ready times change only in issueOne, NotReady to issue
+// cycle + latency, so a finite future time stands (corrections happen in
+// processEvents), and an unscheduled register stays blocked unless its
+// producer is a zero-latency class (a compare delivers in its own issue
+// cycle; a load's optimistic schedule is the next cycle).
+func (p *Processor) sleepsThroughWalk(d *dyn) bool {
+	f, phys := p.blocker(d)
+	if f == nil {
+		return false
+	}
+	at := f.ReadyAt(phys)
+	if at <= p.cycle {
+		return false
+	}
+	if at != rename.NotReady {
+		return true
+	}
+	prod := p.producerFor(f, phys)
+	return prod != nil && prod.si.Class.Latency() > 0
+}
+
+// auditAsleep runs behind the test-only audit hook: d is being skipped as
+// asleep, so ready must refuse it.
+func (p *Processor) auditAsleep(d *dyn) {
+	wake := d.wake
+	ok, _ := p.ready(d)
+	d.wake = wake
+	if ok {
+		p.audit(d, "skipped as asleep, but ready to issue")
+	}
+}
+
 // issueOne performs the issue bookkeeping for d.
 func (p *Processor) issueOne(d *dyn, optimistic bool) {
 	d.state = stIssued
@@ -355,24 +435,6 @@ func (p *Processor) issueOne(d *dyn, optimistic bool) {
 			p.events.schedule(execEnd, evResolve, d, d.thread)
 		}
 	}
-	if d.execStart > p.cycle {
-		p.issuedPreExec = append(p.issuedPreExec, d)
-	}
-}
-
-// pruneIssuedPreExec drops entries whose execution has begun or that have
-// been squashed.
-func (p *Processor) pruneIssuedPreExec() {
-	keep := p.issuedPreExec[:0]
-	for _, d := range p.issuedPreExec {
-		if d.state == stIssued && d.execStart > p.cycle {
-			keep = append(keep, d)
-		}
-	}
-	for i := len(keep); i < len(p.issuedPreExec); i++ {
-		p.issuedPreExec[i] = nil
-	}
-	p.issuedPreExec = keep
 }
 
 func maxI64(a, b int64) int64 {

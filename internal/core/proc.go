@@ -95,10 +95,6 @@ type Processor struct {
 	intProducer []*dyn
 	fpProducer  []*dyn
 
-	// issuedPreExec holds issued instructions whose execution has not begun,
-	// the squash window for optimistic issue.
-	issuedPreExec []*dyn
-
 	events ring
 	pool   pool
 	stats  Stats
@@ -123,6 +119,14 @@ type Processor struct {
 	fpIdxBuf   []int
 	specSeqBuf []int64
 	squashBuf  []*dyn
+
+	// audit is a test-only hook (set from _test.go, nil otherwise). When
+	// non-nil, the two places that skip work on derived grounds also do it
+	// the long way, and the hook hears of any instruction they got wrong:
+	// an entry the issue stage skips as asleep is put to ready regardless,
+	// and squashDependents also searches every in-flight instruction for a
+	// consumer that optHeld does not list.
+	audit func(d *dyn, wrong string)
 
 	// CommitHook, when non-nil, observes every committed instruction in
 	// per-thread program order (used by tests and tracing tools).

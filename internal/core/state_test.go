@@ -207,7 +207,7 @@ func corrupt(p *Processor, r *xorshift) {
 		&d.memVerified, &d.resolved, &d.optHeldListed, &d.rec.Taken, &th.wrongPath}
 	nudges := []*int64{&d.seq, &d.pc, &d.correctPC, &d.fetchCycle, &d.earliestIssue, &d.issueCycle, &d.execStart,
 		&d.doneCycle, &d.addr, &d.rec.NextPC, &th.fetchPC, &th.fetchBlockedUntil, &th.nextSeq}
-	lists := []*[]*dyn{&th.rob, &th.stores, &th.ctlFlight, &p.decodeLatch, &p.renameLatch, &p.issuedPreExec, &p.optHeld}
+	lists := []*[]*dyn{&th.rob, &th.stores, &th.ctlFlight, &p.decodeLatch, &p.renameLatch, &p.optHeld}
 	switch k := r.below(len(flags) + len(nudges) + len(lists) + 14); {
 	case k < len(flags):
 		*flags[k] = !*flags[k]

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -65,4 +66,48 @@ func TestCoreMatrixFingerprints(t *testing.T) {
 	}
 
 	checkHashFile(t, "core_matrix.golden.json", got)
+}
+
+// BenchmarkStep is the cycle loop's A/B harness: one sub-benchmark per
+// core_matrix machine, built, warmed and checkpointed once outside the
+// timer; each iteration restores the checkpoint (untimed) and runs a fixed
+// instruction budget, so every iteration is the same simulated work and
+// ns/cycle compares across binaries. Judge a lever with
+//
+//	go test ./internal/exp -run '^$' -bench Step -count 10
+//
+// on the parent and the change, alternating (`go test -c` once each).
+func BenchmarkStep(b *testing.B) {
+	const warmup, budget = 100_000, 50_000 // instructions a thread
+	machines := coreMatrixMachines()
+	names := make([]string, 0, len(machines))
+	for name := range machines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cfg := machines[name]
+		b.Run(name, func(b *testing.B) {
+			spec := smt.WorkloadMix(cfg.Threads, 0, coreMatrixOpts().Seed)
+			threads := int64(cfg.Threads)
+			sim := smt.MustNew(cfg, spec)
+			sim.Warmup(warmup * threads)
+			warm, err := sim.SaveSnapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var cycles int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sim = smt.MustNew(cfg, spec)
+				if err := sim.RestoreSnapshot(warm); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				cycles += sim.Run(budget * threads).Cycles
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		})
+	}
 }

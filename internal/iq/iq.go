@@ -81,18 +81,23 @@ func (q *Queue[T]) All() []T { return q.items }
 
 // RemoveIndices removes the entries at the given positions, which must be
 // sorted ascending and in range. Remaining entries keep their age order.
+// Entries older than the first removed position are not touched.
 func (q *Queue[T]) RemoveIndices(sorted []int) {
 	if len(sorted) == 0 {
 		return
 	}
-	out := q.items[:0]
+	first := sorted[0]
+	if first < 0 || first >= len(q.items) {
+		panic(fmt.Sprintf("iq: RemoveIndices position %d out of range [0,%d)", first, len(q.items)))
+	}
+	out := q.items[:first]
 	k := 0
-	for i, v := range q.items {
+	for i := first; i < len(q.items); i++ {
 		if k < len(sorted) && sorted[k] == i {
 			k++
 			continue
 		}
-		out = append(out, v)
+		out = append(out, q.items[i])
 	}
 	if k != len(sorted) {
 		panic(fmt.Sprintf("iq: RemoveIndices got unsorted or out-of-range indices (consumed %d of %d)", k, len(sorted)))

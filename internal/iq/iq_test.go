@@ -90,6 +90,77 @@ func TestRemoveIndicesPanicsOnBadInput(t *testing.T) {
 	q.RemoveIndices([]int{5})
 }
 
+// RemoveIndices copies from the first removed position on, so the table
+// puts the first hole at every interesting place. Entries are pointers so
+// that the abandoned tail can be checked for leaks: whatever lies past the
+// new length in the backing array must be nil.
+func TestRemoveIndicesTable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove []int
+		want   []int
+	}{
+		{"nothing", nil, []int{0, 1, 2, 3, 4, 5}},
+		{"first hole at 0", []int{0, 3}, []int{1, 2, 4, 5}},
+		{"first hole in the middle", []int{2, 3, 5}, []int{0, 1, 4}},
+		{"last entry only", []int{5}, []int{0, 1, 2, 3, 4}},
+		{"oldest entry only", []int{0}, []int{1, 2, 3, 4, 5}},
+		{"all entries", []int{0, 1, 2, 3, 4, 5}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New[*int](8, 8)
+			vals := make([]*int, 6)
+			for i := range vals {
+				v := i
+				vals[i] = &v
+				q.Push(vals[i])
+			}
+			q.RemoveIndices(tc.remove)
+			if q.Len() != len(tc.want) {
+				t.Fatalf("len = %d, want %d", q.Len(), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if q.At(i) != vals[w] {
+					t.Fatalf("at %d = entry %d, want entry %d", i, *q.At(i), w)
+				}
+			}
+			for i, v := range q.items[q.Len():cap(q.items)] {
+				if v != nil {
+					t.Fatalf("backing slot %d past the new length still holds entry %d", q.Len()+i, *v)
+				}
+			}
+			if !q.Push(vals[0]) || q.At(q.Len()-1) != vals[0] {
+				t.Fatal("queue unusable after removal")
+			}
+		})
+	}
+}
+
+func TestRemoveIndicesPanicsOnBadInputTable(t *testing.T) {
+	for name, bad := range map[string][]int{
+		"unsorted":             {3, 1},
+		"duplicate":            {1, 1},
+		"first out of range":   {4},
+		"later out of range":   {1, 4},
+		"negative":             {-1},
+		"beyond len, in cap":   {5}, // capacity is 8: a bare reslice would not notice
+		"unsorted after first": {0, 3, 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			q := New[int](8, 8)
+			for i := 0; i < 4; i++ {
+				q.Push(i)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("RemoveIndices(%v) on 4 entries did not panic", bad)
+				}
+			}()
+			q.RemoveIndices(bad)
+		})
+	}
+}
+
 func TestRemoveIfFlushesThread(t *testing.T) {
 	type entry struct{ thread, seq int }
 	q := New[entry](16, 16)

@@ -39,7 +39,21 @@ type TLB struct {
 	last      int  // entry of the most recent hit or install (MRU filter)
 	pageShift uint // PageBytes is a validated power of two
 	stats     Stats
+	// hint maps a page hash to the entry last seen holding such a page. It
+	// is derived state — verified against valid/pages before use, never
+	// checkpointed; a restored TLB scans once per page and refills it.
+	hint [tlbHintSlots]uint16
 }
+
+// tlbHintSlots sizes the hint array (512 bytes a TLB): several times the
+// pages eight contexts keep live between them, so slots rarely alias.
+const tlbHintSlots = 256
+
+// hintSlot hashes a page number onto the hint array (Fibonacci hashing:
+// the contexts' address-space tags sit in the high bits, their page
+// numbers differ in the low ones, and the multiply mixes both into the
+// top byte).
+func hintSlot(page uint64) uint64 { return page * 0x9E3779B97F4A7C15 >> 56 }
 
 // NewTLB builds a TLB; the zero config panics (use DefaultConfig).
 func NewTLB(cfg TLBConfig) *TLB {
@@ -61,8 +75,10 @@ func NewTLB(cfg TLBConfig) *TLB {
 //
 // Consecutive accesses overwhelmingly hit the same page (every I-fetch of
 // a straight-line run, every stride walk), so the most recent entry is
-// probed first — a pure fast path: stats and LRU updates are exactly what
-// the full scan would have produced for that entry.
+// probed first; several contexts alternating pages defeat that filter, so
+// the hint array is probed next. Both are pure fast paths: a page lives in
+// at most one entry, so stats and LRU updates are exactly what the full
+// scan would have produced.
 func (t *TLB) Lookup(addr int64) bool {
 	page := uint64(addr) >> t.pageShift
 	t.stats.Accesses++
@@ -71,12 +87,19 @@ func (t *TLB) Lookup(addr int64) bool {
 		t.lru[l] = t.lruTick
 		return true
 	}
+	hint := &t.hint[hintSlot(page)]
+	if i := int(*hint); i < len(t.pages) && t.valid[i] && t.pages[i] == page {
+		t.lru[i] = t.lruTick
+		t.last = i
+		return true
+	}
 	// Hit scan: a bare tag-match walk. Victim selection is deferred to the
 	// (rare) miss path so hits never pay for LRU bookkeeping.
 	for i := range t.pages {
 		if t.valid[i] && t.pages[i] == page {
 			t.lru[i] = t.lruTick
 			t.last = i
+			*hint = uint16(i)
 			return true
 		}
 	}
@@ -93,6 +116,7 @@ func (t *TLB) Lookup(addr int64) bool {
 	t.valid[victim] = true
 	t.lru[victim] = t.lruTick
 	t.last = victim
+	*hint = uint16(victim)
 	return false
 }
 

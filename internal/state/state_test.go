@@ -115,11 +115,18 @@ func TestMalformedStreams(t *testing.T) {
 	}
 	for name, data := range cases {
 		m := blank()
-		allocs := testing.AllocsPerRun(1, func() {
-			if err := decode(data, m); err == nil {
-				t.Errorf("%s: decoded cleanly", name)
-			}
-		})
+		// The bound is on what rejecting costs, O(1) whatever the stream —
+		// so take the least of a few runs: under -race sync.Pool drops
+		// entries at random, and a run in which fmt has to reallocate its
+		// pooled buffers counts the detector, not the decoder.
+		allocs := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			allocs = min(allocs, testing.AllocsPerRun(1, func() {
+				if err := decode(data, m); err == nil {
+					t.Errorf("%s: decoded cleanly", name)
+				}
+			}))
+		}
 		if allocs > 8 {
 			t.Errorf("%s: %v allocations to reject %d bytes", name, allocs, len(data))
 		}
