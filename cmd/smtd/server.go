@@ -752,17 +752,15 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interv
 	// sweep's backpressure bound — and it is fixed for the sweep's
 	// lifetime: workers joining later receive this sweep's jobs, but
 	// cannot widen its in-flight window (resubmit, or submit the next
-	// sweep, to use them fully). The coordinator — not Runner.Sem —
-	// enforces the local simulation limit, because jobs may execute
-	// remotely.
+	// sweep, to use them fully). The coordinator enforces the local
+	// simulation limit (its LocalSlots) and carries the warm environment
+	// (its Exec), because jobs may execute remotely.
 	pool := s.workers + s.coord.Capacity()
 	runner := exp.Runner{
-		Workers:   pool,
-		Cache:     s.flight,
-		Dispatch:  s.coord,
-		Snapshots: s.snapshots,
-		Traces:    s.traces,
-		Interval:  interval,
+		Workers:  pool,
+		Cache:    s.flight,
+		Dispatch: s.coord,
+		Interval: interval,
 		OnJobDone: func(j exp.Job, r smt.Results, fromCache bool) {
 			s.mu.Lock()
 			defer s.mu.Unlock()

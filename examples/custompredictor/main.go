@@ -91,11 +91,11 @@ func bump(c uint8, taken bool) uint8 {
 }
 
 func main() {
-	// 1. Register the hybrid. NewComposedPredictor wraps the engine in the
-	// standard frame (thread-tagged BTB, per-thread history and return
-	// stacks), so only the direction scheme is custom.
-	err := smt.RegisterPredictor("hybrid", func(cfg smt.BranchConfig) (smt.BranchPredictor, error) {
-		return smt.NewComposedPredictor(cfg, newHybridEngine(cfg))
+	// 1. Register the hybrid. The engine goes in the standard frame
+	// (thread-tagged BTB, per-thread history and return stacks), so only
+	// the direction scheme is custom.
+	err := smt.RegisterPredictor("hybrid", func(cfg smt.BranchConfig) (smt.DirEngine, error) {
+		return newHybridEngine(cfg), nil
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -98,22 +98,6 @@ type Program struct {
 
 	// Packages in dependency order (imports before importers).
 	Packages []*Package
-
-	byRel map[string]*Package
-}
-
-// ByRelPath returns the package with the given module-relative path, or nil.
-func (p *Program) ByRelPath(rel string) *Package {
-	return p.byRel[rel]
-}
-
-// Finish builds the program's lookup indexes; loaders call it once after
-// populating Packages.
-func Finish(p *Program) {
-	p.byRel = make(map[string]*Package, len(p.Packages))
-	for _, pkg := range p.Packages {
-		p.byRel[pkg.RelPath] = pkg
-	}
 }
 
 // Run executes the analyzers over every package of the program and returns

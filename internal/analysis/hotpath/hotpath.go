@@ -5,7 +5,8 @@
 // Functions annotated `//smt:hotpath` are steady-state roots (Step and the
 // pipeline stages). The analyzer computes the transitive static callee set
 // — resolving interface method calls by class-hierarchy analysis over the
-// module, so registered policy selectors are included — and flags
+// module, so every direction engine behind the predictor's engine slot is
+// included — and flags
 // known-allocating constructs anywhere in that set: capturing closures,
 // map/slice literals, make/new, fmt.* calls, string concatenation,
 // interface boxing, appends to function-local nil slices, and defer/go

@@ -159,7 +159,6 @@ func Packages(dir string, patterns ...string) (*analysis.Program, error) {
 	if len(prog.Packages) == 0 {
 		return nil, fmt.Errorf("load: no module packages matched %s in %s", strings.Join(patterns, " "), dir)
 	}
-	analysis.Finish(prog)
 	return prog, nil
 }
 
@@ -243,7 +242,6 @@ func VetPackage(cfgPath string) (*analysis.Program, *VetConfig, error) {
 		Types:   tpkg,
 		Info:    info,
 	}}
-	analysis.Finish(prog)
 	return prog, cfg, nil
 }
 

@@ -27,9 +27,9 @@
 //   - "perfect": the oracle — the core bypasses prediction entirely.
 //
 // Each direction engine also registers ".rasonly" (return stack without
-// BTB fallback) and ".noret" (no return prediction) variants. Custom
-// predictors register via Register, either implementing Predictor outright
-// or composing a DirEngine into the standard frame with NewComposed.
+// BTB fallback) and ".noret" (no return prediction) variants. A custom
+// predictor is a DirEngine: Register puts it in the standard frame under a
+// name.
 //
 // Every predictor reports a per-prediction confidence estimate; the core's
 // variable-fetch-rate mode (core.Config.VarFetchRate) throttles a thread's
@@ -68,7 +68,7 @@ type Config struct {
 	Threads    int  // hardware contexts (sizes the per-thread state)
 	Perfect    bool // oracle prediction: every branch and jump predicted correctly
 
-	// Predictor names a registered predictor builder; empty selects the
+	// Predictor names a registered predictor; empty selects the
 	// default (gshare), keeping the configuration's fingerprint — and
 	// every cached result keyed by it — identical to the pre-registry
 	// encoding (see CanonicalFingerprint).
@@ -118,7 +118,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("branch: history length %d exceeds log2(PHT entries) = %d",
 			c.HistoryLen, log2(c.PHTEntries))
 	}
-	if _, ok := Lookup(c.Predictor); !ok {
+	if !Registered(c.Predictor) {
 		return fmt.Errorf("branch: unknown predictor %q (registered: %v)", c.Predictor, Names())
 	}
 	return nil

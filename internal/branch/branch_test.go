@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,23 +10,19 @@ import (
 	"repro/internal/isa"
 )
 
-func newTest(t *testing.T, threads int) *unit {
+func newTest(t *testing.T, threads int) *Unit {
 	t.Helper()
-	p, err := New(DefaultConfig(threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p.(*unit)
+	return mustUnit(t, DefaultConfig(threads))
 }
 
-// mustUnit builds a named predictor and unwraps the shared frame.
-func mustUnit(t *testing.T, cfg Config) *unit {
+// mustUnit builds the predictor cfg names.
+func mustUnit(t *testing.T, cfg Config) *Unit {
 	t.Helper()
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.(*unit)
+	return p
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -87,23 +84,24 @@ func TestRegistry(t *testing.T) {
 		Gshare, Smiths, Static, Gskewed, None, Perfect,
 		"gshare.rasonly", "gshare.noret", "none.noret",
 	} {
-		if _, ok := Lookup(name); !ok {
+		if !Registered(name) {
 			t.Errorf("built-in %q not registered", name)
 		}
 	}
 	// The empty name resolves to the default.
-	if _, ok := Lookup(""); !ok {
+	if !Registered("") {
 		t.Fatal("empty name did not resolve to the default predictor")
 	}
 	// Names are permanent: re-registering a built-in fails.
-	if err := Register(Gshare, func(cfg Config) (Predictor, error) { return nil, nil }); err == nil {
+	noEngine := func(cfg Config) (DirEngine, error) { return nil, nil }
+	if err := Register(Gshare, noEngine); err == nil {
 		t.Fatal("re-registering gshare succeeded")
 	}
 	// Name grammar.
 	if err := Register("", nil); err == nil {
 		t.Fatal("empty registration accepted")
 	}
-	if err := Register("9lives", func(cfg Config) (Predictor, error) { return nil, nil }); err == nil {
+	if err := Register("9lives", noEngine); err == nil {
 		t.Fatal("name starting with a digit accepted")
 	}
 	names := Names()
@@ -143,14 +141,14 @@ func TestPHTTrains(t *testing.T) {
 		t.Fatal("PHT should initialize weakly not-taken")
 	}
 	for i := 0; i < 4; i++ {
-		h := p.History(0)
+		h := p.history[0]
 		p.Update(0, pc, isa.ClassBranch, true, 0x2000, h)
 	}
 	if taken, _ := p.Direction(0, pc); !taken {
 		t.Fatal("PHT failed to learn an always-taken branch")
 	}
 	for i := 0; i < 8; i++ {
-		h := p.History(0)
+		h := p.history[0]
 		p.Update(0, pc, isa.ClassBranch, false, 0x2000, h)
 	}
 	if taken, _ := p.Direction(0, pc); taken {
@@ -167,7 +165,7 @@ func TestConfidenceTracksSaturation(t *testing.T) {
 		t.Fatal("weakly not-taken counter reported confident")
 	}
 	for i := 0; i < 4; i++ {
-		p.Update(0, pc, isa.ClassBranch, true, 0x2000, p.History(0))
+		p.Update(0, pc, isa.ClassBranch, true, 0x2000, p.history[0])
 	}
 	if taken, conf := p.Direction(0, pc); !taken || !conf {
 		t.Fatalf("saturated counter: taken=%v conf=%v, want true/true", taken, conf)
@@ -196,7 +194,7 @@ func TestSmithsIgnoresHistory(t *testing.T) {
 	p := mustUnit(t, cfg)
 	pc := int64(0x4000)
 	for i := 0; i < 4; i++ {
-		p.Update(0, pc, isa.ClassBranch, true, 0x100, p.History(0))
+		p.Update(0, pc, isa.ClassBranch, true, 0x100, p.history[0])
 	}
 	p.SpeculateHistory(0, true)
 	p.SpeculateHistory(0, false)
@@ -242,7 +240,7 @@ func TestGskewedMajorityTrains(t *testing.T) {
 		t.Fatalf("fresh gskewed: taken=%v conf=%v, want false (unanimous not-taken)", taken, conf)
 	}
 	for i := 0; i < 4; i++ {
-		p.Update(0, pc, isa.ClassBranch, true, 0x100, p.History(0))
+		p.Update(0, pc, isa.ClassBranch, true, 0x100, p.history[0])
 	}
 	if taken, conf := p.Direction(0, pc); !taken || !conf {
 		t.Fatalf("trained gskewed: taken=%v conf=%v, want true/true", taken, conf)
@@ -257,7 +255,7 @@ func TestNonePredictsNotTaken(t *testing.T) {
 	p := mustUnit(t, cfg)
 	pc := int64(0x100)
 	for i := 0; i < 8; i++ {
-		p.Update(0, pc, isa.ClassBranch, true, 0x2000, p.History(0))
+		p.Update(0, pc, isa.ClassBranch, true, 0x2000, p.history[0])
 	}
 	if taken, conf := p.Direction(0, pc); taken || conf {
 		t.Fatalf("none engine: taken=%v conf=%v, want false/false", taken, conf)
@@ -268,7 +266,7 @@ func TestNonePredictsNotTaken(t *testing.T) {
 // BTB fallback.
 func TestReturnVariants(t *testing.T) {
 	retPC := int64(0x9000)
-	mk := func(name string) *unit {
+	mk := func(name string) *Unit {
 		cfg := DefaultConfig(1)
 		cfg.Predictor = name
 		return mustUnit(t, cfg)
@@ -307,7 +305,7 @@ func TestReturnVariants(t *testing.T) {
 	if _, ok, _, _ := noRet.Return(0, 0x100); ok {
 		t.Fatal("noret: return predicted")
 	}
-	if noRet.RASDepth(0) != 0 {
+	if noRet.ras[0].size != 0 {
 		t.Fatal("noret: RAS grew")
 	}
 }
@@ -318,22 +316,22 @@ func TestHistoryCheckpointRestore(t *testing.T) {
 	cp2 := p.SpeculateHistory(1, false)
 	p.SpeculateHistory(1, true)
 	p.RestoreHistory(1, cp2)
-	if got := p.History(1); got != cp2 {
+	if got := p.history[1]; got != cp2 {
 		t.Fatalf("restore to cp2: history %b want %b", got, cp2)
 	}
 	p.RestoreHistory(1, cp1)
-	if got := p.History(1); got != 0 {
+	if got := p.history[1]; got != 0 {
 		t.Fatalf("restore to cp1: history %b want 0", got)
 	}
 	// Thread 0's history must be untouched.
-	if p.History(0) != 0 {
+	if p.history[0] != 0 {
 		t.Fatal("cross-thread history contamination")
 	}
 }
 
 func TestBTBHitAfterInstall(t *testing.T) {
 	p := newTest(t, 4)
-	p.Update(2, 0x1000, isa.ClassJump, true, 0xBEEF0, p.History(2))
+	p.Update(2, 0x1000, isa.ClassJump, true, 0xBEEF0, p.history[2])
 	if tgt, ok := p.Target(2, 0x1000); !ok || tgt != 0xBEEF0 {
 		t.Fatalf("BTB lookup = %#x, %v", tgt, ok)
 	}
@@ -346,7 +344,7 @@ func TestBTBHitAfterInstall(t *testing.T) {
 // returned for another (phantom-branch avoidance, Section 2).
 func TestBTBThreadTagging(t *testing.T) {
 	p := newTest(t, 8)
-	p.Update(3, 0x1000, isa.ClassJump, true, 0xAAAA0, p.History(3))
+	p.Update(3, 0x1000, isa.ClassJump, true, 0xAAAA0, p.history[3])
 	if _, ok := p.Target(4, 0x1000); ok {
 		t.Fatal("thread 4 hit thread 3's BTB entry")
 	}
@@ -359,7 +357,7 @@ func TestBTBThreadTagging(t *testing.T) {
 // least recently used entry, not the most recent.
 func TestBTBLRUEviction(t *testing.T) {
 	cfg := DefaultConfig(1)
-	p := MustNew(cfg).(*unit)
+	p := mustUnit(t, cfg)
 	sets := cfg.BTBEntries / cfg.BTBAssoc
 	// PCs mapping to the same set: stride = sets * 4 bytes.
 	pcAt := func(i int) int64 { return int64(0x8000 + i*sets*4) }
@@ -419,13 +417,13 @@ func TestRASPerThread(t *testing.T) {
 // RASEntries returns (a 12-deep circular stack, per the paper).
 func TestRASOverflowWrap(t *testing.T) {
 	cfg := DefaultConfig(1)
-	p := MustNew(cfg).(*unit)
+	p := mustUnit(t, cfg)
 	n := cfg.RASEntries + 3
 	for i := 0; i < n; i++ {
 		p.PushReturn(0, int64(i*8))
 	}
-	if p.RASDepth(0) != cfg.RASEntries {
-		t.Fatalf("depth = %d, want %d", p.RASDepth(0), cfg.RASEntries)
+	if p.ras[0].size != cfg.RASEntries {
+		t.Fatalf("depth = %d, want %d", p.ras[0].size, cfg.RASEntries)
 	}
 	for i := n - 1; i >= n-cfg.RASEntries; i-- {
 		tgt, ok, _ := p.popReturn(0)
@@ -467,7 +465,7 @@ func TestRASUnderflowCheckpoint(t *testing.T) {
 	if ok {
 		t.Fatal("pop from empty stack succeeded")
 	}
-	if p.RASDepth(0) != 0 {
+	if p.ras[0].size != 0 {
 		t.Fatal("underflow changed depth")
 	}
 	p.RestoreRAS(0, cp)
@@ -483,7 +481,7 @@ func TestRASUnderflowCheckpoint(t *testing.T) {
 // never happened, per thread.
 func TestRASWraparoundUnderSpeculation(t *testing.T) {
 	cfg := DefaultConfig(2)
-	p := MustNew(cfg).(*unit)
+	p := mustUnit(t, cfg)
 	// Fill thread 0 beyond capacity so top has wrapped to a small index.
 	n := cfg.RASEntries + cfg.RASEntries/2
 	for i := 0; i < n; i++ {
@@ -506,8 +504,8 @@ func TestRASWraparoundUnderSpeculation(t *testing.T) {
 	p.RestoreRAS(0, cp2)
 	p.RestoreRAS(0, cp1)
 
-	if p.RASDepth(0) != cfg.RASEntries {
-		t.Fatalf("depth after undo = %d, want %d", p.RASDepth(0), cfg.RASEntries)
+	if p.ras[0].size != cfg.RASEntries {
+		t.Fatalf("depth after undo = %d, want %d", p.ras[0].size, cfg.RASEntries)
 	}
 	// The stack must replay the most recent RASEntries pushes exactly.
 	for i := n - 1; i >= n-cfg.RASEntries; i-- {
@@ -525,7 +523,7 @@ func TestRASWraparoundUnderSpeculation(t *testing.T) {
 // subsequent pops unchanged, from any reachable stack state.
 func TestRASPushUndoProperty(t *testing.T) {
 	f := func(ops []bool, addr int64) bool {
-		p := MustNew(DefaultConfig(1)).(*unit)
+		p := mustUnit(t, DefaultConfig(1))
 		for i, push := range ops {
 			if push {
 				p.PushReturn(0, int64(i+1)*8)
@@ -533,10 +531,10 @@ func TestRASPushUndoProperty(t *testing.T) {
 				p.popReturn(0)
 			}
 		}
-		before := p.RASDepth(0)
+		before := p.ras[0].size
 		cp, _ := p.PushReturn(0, addr)
 		p.RestoreRAS(0, cp)
-		return p.RASDepth(0) == before
+		return p.ras[0].size == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -574,7 +572,7 @@ func TestPredictabilityOfPatterns(t *testing.T) {
 func TestSharedPHTInterference(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.HistoryLen = 0
-	acc := func(p *unit, interfere bool) float64 {
+	acc := func(p *Unit, interfere bool) float64 {
 		correct, total := 0, 0
 		for i := 0; i < 4000; i++ {
 			pc := int64(0x100 + (i%64)*4)
@@ -594,8 +592,8 @@ func TestSharedPHTInterference(t *testing.T) {
 		}
 		return float64(correct) / float64(total)
 	}
-	soloAcc := acc(MustNew(cfg).(*unit), false)
-	sharedAcc := acc(MustNew(cfg).(*unit), true)
+	soloAcc := acc(mustUnit(t, cfg), false)
+	sharedAcc := acc(mustUnit(t, cfg), true)
 	if soloAcc < 0.9 {
 		t.Fatalf("solo accuracy %.3f unexpectedly low", soloAcc)
 	}
@@ -604,23 +602,25 @@ func TestSharedPHTInterference(t *testing.T) {
 	}
 }
 
-// TestComposedPredictor: a DirEngine wrapped by NewComposed gets the full
-// frame — BTB, RAS, history — and its Predict/Update see matching history
-// values.
+// TestComposedPredictor: a DirEngine registered by name builds through New
+// and gets the full frame — BTB, RAS, history — and its Predict/Update see
+// matching history values; a builder that fails or yields no engine is an
+// error at construction, not a nil slot on the cycle path.
 func TestComposedPredictor(t *testing.T) {
 	eng := &recordingEngine{}
-	cfg := DefaultConfig(1)
-	p, err := NewComposed(cfg, eng)
-	if err != nil {
+	if err := Register("test_recording", func(Config) (DirEngine, error) { return eng, nil }); err != nil {
 		t.Fatal(err)
 	}
+	cfg := DefaultConfig(1)
+	cfg.Predictor = "test_recording"
+	p := mustUnit(t, cfg)
 	p.SpeculateHistory(0, true)
 	pc := int64(0x300)
 	if taken, conf := p.Direction(0, pc); taken || conf {
 		t.Fatalf("engine answer not passed through: %v %v", taken, conf)
 	}
-	if eng.lastPredictHist != p.History(0) {
-		t.Fatalf("Predict saw history %b, live register is %b", eng.lastPredictHist, p.History(0))
+	if eng.lastPredictHist != p.history[0] {
+		t.Fatalf("Predict saw history %b, live register is %b", eng.lastPredictHist, p.history[0])
 	}
 	p.Update(0, pc, isa.ClassBranch, true, 0x400, 0x7F)
 	if eng.lastUpdateHist != 0x7F {
@@ -631,8 +631,24 @@ func TestComposedPredictor(t *testing.T) {
 	if tgt, ok := p.Target(0, 0x500); !ok || tgt != 0x900 {
 		t.Fatalf("composed BTB lookup = %#x, %v", tgt, ok)
 	}
-	if _, err := NewComposed(cfg, nil); err == nil {
-		t.Fatal("nil engine accepted")
+	if _, ok, _, _ := p.Return(0, 0x500); !ok {
+		t.Fatal("custom engine's frame has no BTB fallback for returns (want the default return mode)")
+	}
+
+	refused := errors.New("PHT too small for this engine")
+	for name, b := range map[string]Builder{
+		"test_nil_engine":     func(Config) (DirEngine, error) { return nil, nil },
+		"test_failing_engine": func(Config) (DirEngine, error) { return nil, refused },
+	} {
+		if err := Register(name, b); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Predictor = name
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New built a predictor around no engine", name)
+		} else if name == "test_failing_engine" && !errors.Is(err, refused) {
+			t.Errorf("%s: New returned %v, want the builder's error", name, err)
+		}
 	}
 }
 

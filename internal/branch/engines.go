@@ -1,14 +1,14 @@
 package branch
 
-import "fmt"
-
-// dirEngine is the internal direction-prediction slot of a unit: the
+// dirEngine is the internal direction-prediction slot of a Unit: the
 // conditional taken/not-taken guess plus a confidence estimate, and the
 // commit-time training step. Engines read the frame's per-thread history
-// through u and keep their own counter tables.
+// through u and keep their own counter tables, which tables hands to the
+// checkpoint walk; ok is false for an engine whose state is opaque.
 type dirEngine interface {
-	predict(u *unit, thread int, pc int64) (taken, confident bool)
-	update(u *unit, thread int, pc int64, taken bool, history uint32)
+	predict(u *Unit, thread int, pc int64) (taken, confident bool)
+	update(u *Unit, thread int, pc int64, taken bool, history uint32)
+	tables() (t [][]uint8, ok bool)
 }
 
 // bump moves a 2-bit saturating counter toward the outcome.
@@ -44,15 +44,17 @@ func (e *gshareDir) index(pc int64, history uint32) int {
 	return int(((uint64(pc) >> 2) ^ uint64(history)) & e.mask)
 }
 
-func (e *gshareDir) predict(u *unit, thread int, pc int64) (bool, bool) {
+func (e *gshareDir) predict(u *Unit, thread int, pc int64) (bool, bool) {
 	c := e.pht[e.index(pc, u.history[thread])]
 	return c >= 2, c == 0 || c == 3
 }
 
-func (e *gshareDir) update(u *unit, thread int, pc int64, taken bool, history uint32) {
+func (e *gshareDir) update(u *Unit, thread int, pc int64, taken bool, history uint32) {
 	idx := e.index(pc, history)
 	e.pht[idx] = bump(e.pht[idx], taken)
 }
+
+func (e *gshareDir) tables() ([][]uint8, bool) { return [][]uint8{e.pht}, true }
 
 // smithsDir is Smith's bimodal predictor: the same 2-bit counters indexed
 // by PC alone, no history. Confidence is counter saturation.
@@ -69,15 +71,17 @@ func newSmithsDir(cfg Config) dirEngine {
 	return e
 }
 
-func (e *smithsDir) predict(u *unit, thread int, pc int64) (bool, bool) {
+func (e *smithsDir) predict(u *Unit, thread int, pc int64) (bool, bool) {
 	c := e.pht[(uint64(pc)>>2)&e.mask]
 	return c >= 2, c == 0 || c == 3
 }
 
-func (e *smithsDir) update(u *unit, thread int, pc int64, taken bool, history uint32) {
+func (e *smithsDir) update(u *Unit, thread int, pc int64, taken bool, history uint32) {
 	idx := (uint64(pc) >> 2) & e.mask
 	e.pht[idx] = bump(e.pht[idx], taken)
 }
+
+func (e *smithsDir) tables() ([][]uint8, bool) { return [][]uint8{e.pht}, true }
 
 // staticDir is backward-taken/forward-not-taken: a branch whose learned
 // target lies at a lower PC (a loop back edge) predicts taken. The target
@@ -85,14 +89,15 @@ func (e *smithsDir) update(u *unit, thread int, pc int64, taken bool, history ui
 // — predicts not-taken. Static prediction carries no confidence estimate.
 type staticDir struct{}
 
-func (staticDir) predict(u *unit, thread int, pc int64) (bool, bool) {
+func (staticDir) predict(u *Unit, thread int, pc int64) (bool, bool) {
 	if target, ok := u.peekTarget(thread, pc); ok {
 		return target < pc, false
 	}
 	return false, false
 }
 
-func (staticDir) update(u *unit, thread int, pc int64, taken bool, history uint32) {}
+func (staticDir) update(u *Unit, thread int, pc int64, taken bool, history uint32) {}
+func (staticDir) tables() ([][]uint8, bool)                                        { return nil, true }
 
 // gskewedDir is the enhanced skewed predictor (Michaud, Seznec & Uhlig):
 // three 2-bit banks addressed by distinct skewing functions of (PC,
@@ -126,7 +131,7 @@ func (e *gskewedDir) indices(pc int64, history uint32) (i0, i1, i2 int) {
 	return i0, i1, i2
 }
 
-func (e *gskewedDir) predict(u *unit, thread int, pc int64) (bool, bool) {
+func (e *gskewedDir) predict(u *Unit, thread int, pc int64) (bool, bool) {
 	i0, i1, i2 := e.indices(pc, u.history[thread])
 	v0 := e.banks[0][i0] >= 2
 	v1 := e.banks[1][i1] >= 2
@@ -144,27 +149,30 @@ func (e *gskewedDir) predict(u *unit, thread int, pc int64) (bool, bool) {
 	return votes >= 2, v0 == v1 && v1 == v2
 }
 
-func (e *gskewedDir) update(u *unit, thread int, pc int64, taken bool, history uint32) {
+func (e *gskewedDir) update(u *Unit, thread int, pc int64, taken bool, history uint32) {
 	i0, i1, i2 := e.indices(pc, history)
 	e.banks[0][i0] = bump(e.banks[0][i0], taken)
 	e.banks[1][i1] = bump(e.banks[1][i1], taken)
 	e.banks[2][i2] = bump(e.banks[2][i2], taken)
 }
 
+func (e *gskewedDir) tables() ([][]uint8, bool) { return e.banks[:], true }
+
 // noneDir predicts every conditional branch not-taken, with no training
 // and no confidence.
 type noneDir struct{}
 
-func (noneDir) predict(u *unit, thread int, pc int64) (bool, bool)               { return false, false }
-func (noneDir) update(u *unit, thread int, pc int64, taken bool, history uint32) {}
+func (noneDir) predict(u *Unit, thread int, pc int64) (bool, bool)               { return false, false }
+func (noneDir) update(u *Unit, thread int, pc int64, taken bool, history uint32) {}
+func (noneDir) tables() ([][]uint8, bool)                                        { return nil, true }
 
-// DirEngine is the public direction-engine slot for composed custom
-// predictors: the conditional direction guess plus its confidence, and the
-// commit-time training step. history is the thread's global history — the
-// live register at predict time, the pre-branch checkpoint at update time,
-// so training sees the same value the prediction saw. Implementations must
-// be deterministic and allocation-free: they run on the simulator's
-// zero-allocation cycle loop.
+// DirEngine is the public direction-engine slot — what a custom predictor
+// is (see Register): the conditional direction guess plus its confidence,
+// and the commit-time training step. history is the thread's global
+// history — the live register at predict time, the pre-branch checkpoint at
+// update time, so training sees the same value the prediction saw.
+// Implementations must be deterministic and allocation-free: they run on
+// the simulator's zero-allocation cycle loop.
 type DirEngine interface {
 	Predict(history uint32, pc int64) (taken, confident bool)
 	Update(history uint32, pc int64, taken bool)
@@ -175,40 +183,25 @@ type customDir struct {
 	e DirEngine
 }
 
-func (c customDir) predict(u *unit, thread int, pc int64) (bool, bool) {
+func (c customDir) predict(u *Unit, thread int, pc int64) (bool, bool) {
 	return c.e.Predict(u.history[thread], pc)
 }
 
-func (c customDir) update(u *unit, thread int, pc int64, taken bool, history uint32) {
+func (c customDir) update(u *Unit, thread int, pc int64, taken bool, history uint32) {
 	c.e.Update(history, pc, taken)
 }
 
-// NewComposed builds a predictor from cfg's standard frame (thread-tagged
-// BTB, per-thread history registers and return stacks, RAS with BTB
-// fallback for returns — the built-ins' default variant) around a custom
-// direction engine. Registering a Builder that calls NewComposed gives a
-// custom engine the same treatment everywhere a built-in gets:
-//
-//	branch.Register("hybrid", func(cfg branch.Config) (branch.Predictor, error) {
-//	    return branch.NewComposed(cfg, newHybridEngine(cfg))
-//	})
-func NewComposed(cfg Config, dir DirEngine) (Predictor, error) {
-	if dir == nil {
-		return nil, errNilEngine
-	}
-	return newUnit(cfg, customDir{e: dir}, retFull), nil
-}
-
-var errNilEngine = fmt.Errorf("branch: nil direction engine")
-
-// builderFor wraps an engine constructor and return mode as a Builder.
-func builderFor(mk func(cfg Config) dirEngine, ret retMode) Builder {
-	return func(cfg Config) (Predictor, error) {
-		return newUnit(cfg, mk(cfg), ret), nil
-	}
-}
+// tables: a custom engine's counters are its own, so it cannot be
+// checkpointed.
+func (c customDir) tables() ([][]uint8, bool) { return nil, false }
 
 func init() {
+	builtin := func(name string, mk func(cfg Config) dirEngine, ret retMode) {
+		engine := func(cfg Config) (dirEngine, error) { return mk(cfg), nil }
+		if err := reg.Register(name, scheme{engine: engine, ret: ret}); err != nil {
+			panic(err)
+		}
+	}
 	engines := []struct {
 		name string
 		mk   func(cfg Config) dirEngine
@@ -220,13 +213,13 @@ func init() {
 		{None, func(Config) dirEngine { return noneDir{} }},
 	}
 	for _, e := range engines {
-		e := e
-		MustRegister(e.name, builderFor(e.mk, retFull))
-		MustRegister(e.name+".rasonly", builderFor(e.mk, retRASOnly))
-		MustRegister(e.name+".noret", builderFor(e.mk, retNone))
+		builtin(e.name, e.mk, retFull)
+		builtin(e.name+".rasonly", e.mk, retRASOnly)
+		builtin(e.name+".noret", e.mk, retNone)
 	}
 	// The oracle: the core bypasses prediction entirely (Config.Oracle).
-	// The frame built here exists only so the Predictor field is never nil;
-	// under the oracle no wrong path ever starts and no method is called.
-	MustRegister(Perfect, builderFor(newGshareDir, retFull))
+	// The frame built here exists only so the core's predictor is never
+	// nil; under the oracle no wrong path ever starts and no method is
+	// called.
+	builtin(Perfect, newGshareDir, retFull)
 }

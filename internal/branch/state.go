@@ -2,31 +2,18 @@ package branch
 
 import "repro/internal/state"
 
-// State walks a predictor's complete state: BTB contents, per-thread
+// State walks the predictor's complete state: BTB contents, per-thread
 // history registers and return stacks (whose cursors must stay inside the
 // stack), and the direction engine's counter tables. The return mode and
 // engine kind are not walked — both are fixed by the predictor's registered
 // name, which the checkpoint's configuration fingerprint already pins.
 //
-// ok is false, and nothing is walked, when the predictor is not the
-// standard frame around a built-in direction engine (a fully custom
-// Predictor or a NewComposed custom engine): its tables are opaque, so
-// callers treat it as "checkpointing unsupported" and run cold.
-func State(p Predictor, c *state.Codec) (ok bool) {
-	u, isUnit := p.(*unit)
-	if !isUnit {
-		return false
-	}
-	var tables [][]uint8
-	switch e := u.dir.(type) {
-	case *gshareDir:
-		tables = [][]uint8{e.pht}
-	case *smithsDir:
-		tables = [][]uint8{e.pht}
-	case *gskewedDir:
-		tables = e.banks[:]
-	case staticDir, noneDir:
-	default:
+// ok is false, and nothing is walked, when the engine slot holds a custom
+// DirEngine: its tables are opaque, so callers treat the predictor as
+// "checkpointing unsupported" and run cold.
+func (u *Unit) State(c *state.Codec) (ok bool) {
+	tables, ok := u.dir.tables()
+	if !ok {
 		return false
 	}
 	state.Fixed(c, u.btb, "BTB", func(c *state.Codec, e *btbEntry) {

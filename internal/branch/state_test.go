@@ -14,11 +14,11 @@ func (coinFlip) Update(history uint32, pc int64, taken bool)   {}
 
 // Every built-in engine's tables survive the walk bit for bit; a unit of
 // another geometry, a return-stack cursor outside its stack, and a custom
-// engine (whose tables are opaque) are all refused.
+// engine registered by name (whose tables are opaque) are all refused.
 func TestStateWalk(t *testing.T) {
-	save := func(p Predictor) []byte {
+	save := func(p *Unit) []byte {
 		c := state.NewWriter(1)
-		if !State(p, c) {
+		if !p.State(c) {
 			t.Fatal("built-in predictor reported unsupported")
 		}
 		data, err := c.Bytes()
@@ -27,12 +27,12 @@ func TestStateWalk(t *testing.T) {
 		}
 		return data
 	}
-	restore := func(p Predictor, data []byte) error {
+	restore := func(p *Unit, data []byte) error {
 		c := state.NewReader(data, 1)
-		State(p, c)
+		p.State(c)
 		return c.Close()
 	}
-	train := func(u *unit) {
+	train := func(u *Unit) {
 		for i := int64(0); i < 200; i++ {
 			pc := 0x4000 + 4*(i%37)
 			taken, _ := u.Direction(int(i%2), pc)
@@ -67,11 +67,16 @@ func TestStateWalk(t *testing.T) {
 		}
 	}
 
-	custom, err := NewComposed(DefaultConfig(2), coinFlip{})
-	if err != nil {
+	if err := Register("test_coinflip", func(Config) (DirEngine, error) { return coinFlip{}, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if c := state.NewWriter(1); State(custom, c) {
+	cfg := DefaultConfig(2)
+	cfg.Predictor = "test_coinflip"
+	custom := mustUnit(t, cfg)
+	if taken, _ := custom.Direction(1, 0x4004); !taken {
+		t.Error("custom engine not consulted through the frame")
+	}
+	if c := state.NewWriter(1); custom.State(c) {
 		t.Error("custom direction engine claimed checkpoint support")
 	} else if data, _ := c.Bytes(); len(data) > 8 {
 		t.Errorf("unsupported predictor still wrote %d bytes", len(data))

@@ -32,11 +32,22 @@ type retStack struct {
 	size int // live entries, capped at len(data)
 }
 
-// unit is the standard prediction frame every built-in (and every
-// NewComposed custom predictor) shares: the thread-tagged BTB, per-thread
-// history registers and return stacks, with the conditional-direction
-// policy delegated to a dirEngine and return prediction to a retMode.
-type unit struct {
+// RASCheckpoint captures enough return-stack state to undo one push or pop.
+type RASCheckpoint struct {
+	Top   int
+	Size  int
+	Saved int64
+}
+
+// Unit is a branch predictor: the standard prediction frame every
+// registered name shares — the thread-tagged BTB, per-thread history
+// registers and return stacks — with the conditional-direction policy
+// delegated to a dirEngine and return prediction to a retMode.
+//
+// Every method is deterministic and allocation-free: the fetch stage calls
+// Direction/Target/Return every cycle on the simulator's zero-allocation
+// hot path. thread is always in [0, Config.Threads).
+type Unit struct {
 	cfg     Config
 	sets    int
 	setMask uint64
@@ -49,9 +60,9 @@ type unit struct {
 }
 
 // newUnit builds the shared frame around a direction engine.
-func newUnit(cfg Config, dir dirEngine, ret retMode) *unit {
+func newUnit(cfg Config, dir dirEngine, ret retMode) *Unit {
 	sets := cfg.BTBEntries / cfg.BTBAssoc
-	u := &unit{
+	u := &Unit{
 		cfg:     cfg,
 		sets:    sets,
 		setMask: uint64(sets - 1),
@@ -67,20 +78,20 @@ func newUnit(cfg Config, dir dirEngine, ret retMode) *unit {
 	return u
 }
 
-// Config returns the predictor's configuration.
-func (u *unit) Config() Config { return u.cfg }
-
-// Direction predicts taken/not-taken for a conditional branch at pc.
+// Direction predicts taken/not-taken for a conditional branch at pc, along
+// with a confidence estimate. A low-confidence prediction feeds the
+// variable-fetch-rate throttle; engines without a meaningful estimator
+// report confident=false.
 //
 //smt:hotpath fetch-stage predict: called per control instruction per cycle
-func (u *unit) Direction(thread int, pc int64) (taken, confident bool) {
+func (u *Unit) Direction(thread int, pc int64) (taken, confident bool) {
 	return u.dir.predict(u, thread, pc)
 }
 
 // Target looks up the BTB for (thread, pc); ok is false on a miss.
 //
 //smt:hotpath fetch-stage target lookup: called per control instruction per cycle
-func (u *unit) Target(thread int, pc int64) (target int64, ok bool) {
+func (u *Unit) Target(thread int, pc int64) (target int64, ok bool) {
 	set, tag := u.btbSetTag(pc)
 	base := set * u.cfg.BTBAssoc
 	for w := 0; w < u.cfg.BTBAssoc; w++ {
@@ -97,7 +108,7 @@ func (u *unit) Target(thread int, pc int64) (target int64, ok bool) {
 // peekTarget is Target without the LRU touch: a probe for direction
 // engines (static's backward/forward test) that must not perturb the BTB
 // replacement state the real lookup will see.
-func (u *unit) peekTarget(thread int, pc int64) (target int64, ok bool) {
+func (u *Unit) peekTarget(thread int, pc int64) (target int64, ok bool) {
 	set, tag := u.btbSetTag(pc)
 	base := set * u.cfg.BTBAssoc
 	for w := 0; w < u.cfg.BTBAssoc; w++ {
@@ -109,7 +120,7 @@ func (u *unit) peekTarget(thread int, pc int64) (target int64, ok bool) {
 	return 0, false
 }
 
-func (u *unit) btbSetTag(pc int64) (set int, tag uint64) {
+func (u *Unit) btbSetTag(pc int64) (set int, tag uint64) {
 	line := uint64(pc) >> 2
 	return int(line & u.setMask), line >> uint(log2(u.sets))
 }
@@ -119,7 +130,7 @@ func (u *unit) btbSetTag(pc int64) (set int, tag uint64) {
 // value so the caller can checkpoint it for squash recovery.
 //
 //smt:hotpath fetch-stage history speculation: called per conditional branch
-func (u *unit) SpeculateHistory(thread int, taken bool) (checkpoint uint32) {
+func (u *Unit) SpeculateHistory(thread int, taken bool) (checkpoint uint32) {
 	checkpoint = u.history[thread]
 	h := checkpoint << 1
 	if taken {
@@ -134,12 +145,9 @@ func (u *unit) SpeculateHistory(thread int, taken bool) (checkpoint uint32) {
 
 // RestoreHistory rolls the thread's global history back to a checkpoint
 // taken by SpeculateHistory (used when squashing wrong-path instructions).
-func (u *unit) RestoreHistory(thread int, checkpoint uint32) {
+func (u *Unit) RestoreHistory(thread int, checkpoint uint32) {
 	u.history[thread] = checkpoint
 }
-
-// History returns the thread's current global history register value.
-func (u *unit) History(thread int) uint32 { return u.history[thread] }
 
 // Update trains the predictor at branch commit: the direction engine moves
 // toward the actual direction and, for taken control transfers, the BTB
@@ -147,7 +155,7 @@ func (u *unit) History(thread int) uint32 { return u.history[thread] }
 // training uses the same index the prediction used.
 //
 //smt:hotpath commit-stage training: called per committed control instruction
-func (u *unit) Update(thread int, pc int64, class isa.Class, taken bool, target int64, history uint32) {
+func (u *Unit) Update(thread int, pc int64, class isa.Class, taken bool, target int64, history uint32) {
 	if class.IsCondBranch() {
 		u.dir.update(u, thread, pc, taken, history)
 	}
@@ -157,7 +165,7 @@ func (u *unit) Update(thread int, pc int64, class isa.Class, taken bool, target 
 }
 
 // installBTB inserts or refreshes a BTB entry, evicting the LRU way.
-func (u *unit) installBTB(thread int, pc, target int64) {
+func (u *Unit) installBTB(thread int, pc, target int64) {
 	set, tag := u.btbSetTag(pc)
 	base := set * u.cfg.BTBAssoc
 	victim := base
@@ -183,7 +191,7 @@ func (u *unit) installBTB(thread int, pc, target int64) {
 // undoes the push on a squash.
 //
 //smt:hotpath fetch-stage call handling: called per fetched call
-func (u *unit) PushReturn(thread int, returnPC int64) (RASCheckpoint, bool) {
+func (u *Unit) PushReturn(thread int, returnPC int64) (RASCheckpoint, bool) {
 	if u.ret == retNone {
 		return RASCheckpoint{}, false
 	}
@@ -203,7 +211,7 @@ func (u *unit) PushReturn(thread int, returnPC int64) (RASCheckpoint, bool) {
 // through until exec resolves the target).
 //
 //smt:hotpath fetch-stage return handling: called per fetched return
-func (u *unit) Return(thread int, pc int64) (target int64, ok bool, cp RASCheckpoint, hasCP bool) {
+func (u *Unit) Return(thread int, pc int64) (target int64, ok bool, cp RASCheckpoint, hasCP bool) {
 	if u.ret != retNone {
 		if t, popped, popCP := u.popReturn(thread); popped {
 			return t, true, popCP, true
@@ -219,7 +227,7 @@ func (u *unit) Return(thread int, pc int64) (target int64, ok bool, cp RASCheckp
 
 // popReturn pops the thread's return stack; popped is false (and nothing
 // changes) when the stack is empty.
-func (u *unit) popReturn(thread int) (target int64, popped bool, cp RASCheckpoint) {
+func (u *Unit) popReturn(thread int) (target int64, popped bool, cp RASCheckpoint) {
 	s := &u.ras[thread]
 	cp = RASCheckpoint{Top: s.top, Size: s.size}
 	if s.size == 0 {
@@ -234,7 +242,7 @@ func (u *unit) popReturn(thread int) (target int64, popped bool, cp RASCheckpoin
 // RestoreRAS undoes a single push or pop using its checkpoint. Checkpoints
 // must be restored in reverse order of creation (the squash walk is
 // youngest-first, which satisfies this).
-func (u *unit) RestoreRAS(thread int, cp RASCheckpoint) {
+func (u *Unit) RestoreRAS(thread int, cp RASCheckpoint) {
 	s := &u.ras[thread]
 	// Undo a push: the checkpointed top slot had Saved in it.
 	// Undo a pop: the popped slot gets its value back. Both reduce to
@@ -248,6 +256,3 @@ func (u *unit) RestoreRAS(thread int, cp RASCheckpoint) {
 		s.top, s.size = cp.Top, cp.Size
 	}
 }
-
-// RASDepth returns the number of live entries in the thread's return stack.
-func (u *unit) RASDepth(thread int) int { return u.ras[thread].size }

@@ -62,7 +62,7 @@ type Config struct {
 
 	// Fetch unit: the paper's alg.num1.num2 notation maps to
 	// (FetchPolicy, FetchThreads, FetchPerThread). FetchPolicy names a
-	// registered fetch selector (built-in or caller-registered via
+	// registered fetch policy (built-in or caller-registered via
 	// policy.RegisterFetch / smt.RegisterFetchPolicy); Validate rejects
 	// names with no registration.
 	FetchPolicy    policy.FetchAlg
@@ -75,7 +75,7 @@ type Config struct {
 	IQSize int  // searchable entries per queue (32)
 	BigQ   bool // double-size buffered queues, searchable window IQSize (§5.3)
 
-	// Issue. IssuePolicy names a registered issue selector.
+	// Issue. IssuePolicy names a registered issue policy.
 	IssuePolicy policy.IssueAlg
 	IssueWidth  int  // max instructions issued per cycle (9)
 	IntUnits    int  // integer functional units (6)
@@ -171,10 +171,10 @@ func (c Config) Validate() error {
 	case c.DisambigBits < 1 || c.DisambigBits > 48:
 		return fmt.Errorf("core: DisambigBits = %d", c.DisambigBits)
 	}
-	if _, err := c.FetchPolicy.Selector(); err != nil {
+	if _, err := c.FetchPolicy.Resolve(); err != nil {
 		return err
 	}
-	if _, err := c.IssuePolicy.Selector(); err != nil {
+	if _, err := c.IssuePolicy.Resolve(); err != nil {
 		return err
 	}
 	if c.Rename.Threads != c.Threads || c.Branch.Threads != c.Threads {

@@ -22,7 +22,7 @@ func (p *Processor) fetchStage() {
 	}
 
 	fb := p.buildFeedback()
-	order := p.fetchSel.Order(p.rrBase, fb, p.orderBuf)
+	order := p.fetchPol.Order(p.rrBase, fb, p.orderBuf)
 	p.orderBuf = order
 	p.rrBase++
 

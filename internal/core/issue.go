@@ -7,7 +7,7 @@ import (
 
 // candidate is one potentially-issuable queue entry, materialized only for
 // issue policies that reorder the age-sorted candidate stream. The struct
-// is kept small (one pointer, one packed position, the selector-visible
+// is kept small (one pointer, one packed position, the policy-visible
 // info) so collection is a handful of stores per entry.
 type candidate struct {
 	d      *dyn
@@ -34,8 +34,8 @@ type fuState struct {
 // age-sorted by a two-pointer walk without a comparison sort. OLDEST_FIRST
 // consumes that stream directly — no candidate list exists at all; the
 // paper's non-default policies materialize it once and apply a stable O(n)
-// boolean partition; only custom selectors pay for a (closure-free,
-// stable) insertion sort.
+// boolean partition; only policies stating a full comparison pay for a
+// (closure-free, stable) insertion sort.
 //
 //smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) issueStage() {
@@ -43,20 +43,20 @@ func (p *Processor) issueStage() {
 	p.fpIdxBuf = p.fpIdxBuf[:0]
 
 	// Oldest in-IQ unresolved control instruction per thread, for the
-	// SPEC_LAST flag — computed only when the selector reads it.
+	// SPEC_LAST flag — computed only when the policy reads it.
 	var specSeq []int64
-	if p.issueNeeds.Speculative {
+	if p.issuePol.Needs.Speculative {
 		specSeq = p.oldestQueuedCtl()
 	}
 
 	var fu fuState
-	if p.issueNeutral {
+	if p.issuePol.First == nil && p.issuePol.Less == nil {
 		p.issueOldestFirst(&fu)
 	} else {
 		p.issueReordered(specSeq, &fu)
 	}
 
-	// Issue visits candidates in selector order, so per-queue removal
+	// Issue visits candidates in policy order, so per-queue removal
 	// positions may be out of order; they are nearly sorted (age order
 	// within each queue), which insertion sort handles in ~n compares.
 	insertionSortInts(p.idxBuf)
@@ -118,9 +118,9 @@ func (p *Processor) issueOldestFirst(fu *fuState) {
 }
 
 // issueReordered materializes the age-ordered candidate list, reorders it
-// under the selector, and issues down it.
+// under the issue policy, and issues down it.
 func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
-	needs := p.issueNeeds
+	needs := p.issuePol.Needs
 	cands := p.candBuf[:0]
 	intW := p.intQ.Window()
 	fpW := p.fpQ.Window()
@@ -158,7 +158,7 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 	p.candBuf = cands
 
 	if needs.Optimistic {
-		// The selector orders on the optimism estimate at selection time
+		// The policy orders on the optimism estimate at selection time
 		// (OPT_LAST among the built-ins); it must be snapshotted before any
 		// issue this cycle changes producer states.
 		for i := range cands {
@@ -167,20 +167,20 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 				p.srcAtRisk(p.srcFile(c.d.si.Src2), c.d.src2Phys)
 		}
 	}
-	if p.issuePart != nil {
+	if first := p.issuePol.First; first != nil {
 		// The paper's non-default policies: one stable boolean partition of
 		// the age-sorted list, O(n).
-		p.partBuf = partitionBySelector(cands, p.issuePart, p.partBuf[:0])
+		p.partBuf = partitionByFirst(cands, first, p.partBuf[:0])
 	} else {
-		// Custom selectors order through their full comparison. A stable
-		// insertion sort keeps equal candidates in age order — the same
-		// permutation sort.SliceStable produced — without its per-call
-		// closure and reflection-swapper allocations.
-		sel := p.issueSel
+		// A policy stating a full comparison. A stable insertion sort keeps
+		// equal candidates in age order — the same permutation
+		// sort.SliceStable produced — without its per-call closure and
+		// reflection-swapper allocations.
+		less := p.issuePol.Less
 		for i := 1; i < len(cands); i++ {
 			c := cands[i]
 			j := i
-			for j > 0 && sel.Less(c.info, cands[j-1].info) {
+			for j > 0 && less(c.info, cands[j-1].info) {
 				cands[j] = cands[j-1]
 				j--
 			}
@@ -458,20 +458,20 @@ func insertionSortInts(s []int) {
 	}
 }
 
-// partitionBySelector stably reorders an age-sorted candidate list in place
-// for selectors whose order is a single boolean partition with oldest-first
+// partitionByFirst stably reorders an age-sorted candidate list in place
+// for policies whose order is a single boolean partition with oldest-first
 // tie-breaking (Section 6's non-default policies). It returns the scratch
 // buffer (grown as needed) for the caller to reuse; the scratch must not
 // alias cands.
-func partitionBySelector(cands []candidate, sel policy.IssuePartitioner, buf []candidate) []candidate {
+func partitionByFirst(cands []candidate, first func(policy.IssueInfo) bool, buf []candidate) []candidate {
 	out := buf
 	for i := range cands {
-		if sel.First(cands[i].info) {
+		if first(cands[i].info) {
 			out = append(out, cands[i])
 		}
 	}
 	for i := range cands {
-		if !sel.First(cands[i].info) {
+		if !first(cands[i].info) {
 			out = append(out, cands[i])
 		}
 	}

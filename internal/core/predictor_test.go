@@ -172,10 +172,9 @@ func TestConfidenceCountersSane(t *testing.T) {
 func TestLowConfFeedbackDrivesCustomPolicy(t *testing.T) {
 	const name = "LOWCONF_TEST"
 	if _, ok := policy.LookupFetch(name); !ok {
-		sel := policy.NewFetchSelector(name, func(a, b policy.ThreadFeedback) bool {
-			return a.LowConf < b.LowConf
-		}, false)
-		if err := policy.RegisterFetch(sel); err != nil {
+		pol := policy.Fetch{Name: name, Needs: policy.FeedbackNeeds{LowConf: true},
+			Less: func(a, b policy.ThreadFeedback) bool { return a.LowConf < b.LowConf }}
+		if err := policy.RegisterFetch(pol); err != nil {
 			t.Fatal(err)
 		}
 	}

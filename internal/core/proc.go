@@ -58,25 +58,17 @@ type Processor struct {
 	cfg   Config
 	cycle int64
 
-	// Policy selectors, resolved from their registered names once at
-	// construction; the per-cycle stages call them directly. Each
-	// selector's declared requirements are precomputed here so the cycle
-	// loop maintains only the feedback fields some policy actually reads.
-	fetchSel   policy.FetchSelector
-	issueSel   policy.IssueSelector
-	fbNeeds    policy.FeedbackNeeds // fields fetchSel reads from ThreadFeedback
-	issueNeeds policy.IssueNeeds    // fields issueSel reads from IssueInfo
-	// issueSel's optional fast paths, resolved once: pure age order skips
-	// reordering altogether, a partitioner replaces the sort with one O(n)
-	// stable partition (nil for selectors that offer only Less).
-	issueNeutral bool
-	issuePart    policy.IssuePartitioner
+	// The fetch and issue policies, resolved from their registered names
+	// once at construction; the per-cycle stages read them directly. Each
+	// policy's Needs say which feedback the cycle loop has to maintain.
+	fetchPol policy.Fetch
+	issuePol policy.Issue
 
-	// pred is the branch predictor resolved from cfg.Branch.Predictor's
+	// pred is the branch predictor built from cfg.Branch.Predictor's
 	// registered name at construction. oracle short-circuits it entirely:
 	// perfect prediction (PerfectBranchPred or the "perfect" predictor)
 	// never consults or trains the unit.
-	pred   branch.Predictor
+	pred   *branch.Unit
 	oracle bool
 
 	mem *mem.Hierarchy
@@ -154,11 +146,11 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	fetchSel, err := cfg.FetchPolicy.Selector()
+	fetchPol, err := cfg.FetchPolicy.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	issueSel, err := cfg.IssuePolicy.Selector()
+	issuePol, err := cfg.IssuePolicy.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +160,8 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 	}
 	p := &Processor{
 		cfg:         cfg,
-		fetchSel:    fetchSel,
-		issueSel:    issueSel,
-		fbNeeds:     policy.FeedbackNeedsOf(fetchSel),
-		issueNeeds:  policy.IssueNeedsOf(issueSel),
+		fetchPol:    fetchPol,
+		issuePol:    issuePol,
 		pred:        pred,
 		mem:         hier,
 		ren:         ren,
@@ -182,8 +172,6 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 		fbBuf:       make([]policy.ThreadFeedback, cfg.Threads),
 		orderBuf:    make([]int, 0, cfg.Threads),
 	}
-	_, p.issueNeutral = issueSel.(policy.OrderNeutral)
-	p.issuePart, _ = issueSel.(policy.IssuePartitioner)
 	p.oracle = cfg.PerfectBranchPred || cfg.Branch.Oracle()
 	p.events.init(cfg.eventHorizon())
 	p.stats.CommittedByThread = make([]int64, cfg.Threads)
@@ -300,12 +288,12 @@ func (p *Processor) setProducer(f *rename.File, reg rename.PhysReg, d *dyn) {
 }
 
 // buildFeedback refreshes the per-thread fetch-policy counters, publishing
-// only the fields the configured selector declared it reads (RR reads
+// only the fields the configured policy declared it reads (RR reads
 // nothing and skips the loop entirely; ICOUNT pays for one counter; only
 // IQPOSN pays for the both-queue position scan).
 func (p *Processor) buildFeedback() []policy.ThreadFeedback {
 	const noQueuePosn = 1 << 20
-	needs := p.fbNeeds
+	needs := p.fetchPol.Needs
 	if needs == (policy.FeedbackNeeds{}) {
 		return p.fbBuf
 	}

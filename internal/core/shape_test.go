@@ -214,9 +214,13 @@ func TestBigQBuffersWithoutSearchGrowth(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.BigQ = true
 	p := MustNew(cfg, buildPrograms(t, 2, 1))
-	if p.intQ.Cap() != 64 || p.intQ.SearchWindow() != 32 {
-		t.Fatalf("BIGQ queue shape: cap %d window %d", p.intQ.Cap(), p.intQ.SearchWindow())
+	for i := 0; i < 40; i++ {
+		p.intQ.Push(&dyn{})
 	}
+	if window := len(p.intQ.Window()); p.intQ.Cap() != 64 || window != 32 {
+		t.Fatalf("BIGQ queue shape: cap %d window %d", p.intQ.Cap(), window)
+	}
+	p = MustNew(cfg, buildPrograms(t, 2, 1))
 	p.Run(20_000, 400_000)
 	if p.Stats().Committed < 20_000 {
 		t.Fatal("BIGQ machine stalled")

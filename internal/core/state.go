@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/branch"
 	"repro/internal/iq"
 	"repro/internal/rename"
 	"repro/internal/state"
@@ -109,7 +108,7 @@ func (p *Processor) RestoreState(c *state.Codec) error {
 // walk walks the whole machine.
 func (p *Processor) walk(w *stateWalk) {
 	c, cfg := w.Codec, &p.cfg
-	if !branch.State(p.pred, c) {
+	if !p.pred.State(c) {
 		c.Failf("core: predictor %q does not support checkpointing", cfg.Branch.Predictor)
 		return
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/branch"
@@ -166,13 +167,28 @@ func TestRestoreStateRejects(t *testing.T) {
 	}
 }
 
-// A custom predictor's tables are opaque: SaveState must say so rather
-// than write a stream that silently lacks them.
+// alternating is a custom direction engine: taken on every other word.
+type alternating struct{}
+
+func (alternating) Predict(history uint32, pc int64) (bool, bool) { return pc&4 != 0, false }
+func (alternating) Update(history uint32, pc int64, taken bool)   {}
+
+// A custom predictor's tables are opaque: a machine built on one runs, and
+// SaveState says it cannot checkpoint it rather than write a stream that
+// silently lacks the engine's state.
 func TestSaveStateRefusesOpaquePredictor(t *testing.T) {
-	p := stateTestMachine(t)
-	p.pred = struct{ branch.Predictor }{}
-	if err := p.SaveState(state.NewWriter(stateTestVersion)); err == nil {
-		t.Fatal("SaveState claimed to checkpoint a custom predictor")
+	const name = "test_core_alternating"
+	if err := branch.Register(name, func(branch.Config) (branch.DirEngine, error) { return alternating{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(4)
+	cfg.Branch.Predictor = name
+	p := MustNew(cfg, buildPrograms(t, 4, 7))
+	if s := p.Run(3_000, 0); s.Committed == 0 {
+		t.Fatal("machine with a custom direction engine committed nothing")
+	}
+	if err := p.SaveState(state.NewWriter(stateTestVersion)); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("SaveState on a custom predictor = %v, want a refusal naming it", err)
 	}
 }
 

@@ -77,16 +77,6 @@ func sec7Cases() []sec7Case {
 	}
 }
 
-// Sec7Names lists the bottleneck experiments in order.
-func Sec7Names() []string {
-	cases := sec7Cases()
-	names := make([]string, len(cases))
-	for i, c := range cases {
-		names[i] = c.name
-	}
-	return names
-}
-
 // sec7BaselineSeries names the ICOUNT.2.8 baseline series inside the sec7
 // experiment grid; every other series is one bottleneck study.
 const sec7BaselineSeries = "baseline ICOUNT.2.8"

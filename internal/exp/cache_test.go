@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/smt"
@@ -173,50 +172,6 @@ func TestOnJobDoneReportsEveryJob(t *testing.T) {
 	}
 	if done != len(jobs) || hits != len(jobs) {
 		t.Fatalf("warm run: %d callbacks (%d hits), want %d (%d)", done, hits, len(jobs), len(jobs))
-	}
-}
-
-// TestSharedSemaphoreBoundsConcurrency: two runners sharing one Sem slot
-// (the smtd service's multi-sweep shape) must never execute two jobs at
-// once, whatever their own worker counts — OnJobDone runs inside the
-// slot, so overlapping callbacks would prove oversubscription.
-func TestSharedSemaphoreBoundsConcurrency(t *testing.T) {
-	e, _ := Lookup("fig7")
-	o := tinyOpts()
-	sem := make(chan struct{}, 1)
-	var mu sync.Mutex
-	inFlight, maxInFlight := 0, 0
-	mk := func() Runner {
-		return Runner{
-			Workers: 4,
-			Sem:     sem,
-			OnJobDone: func(Job, smt.Results, bool) {
-				mu.Lock()
-				inFlight++
-				if inFlight > maxInFlight {
-					maxInFlight = inFlight
-				}
-				mu.Unlock()
-				time.Sleep(time.Millisecond)
-				mu.Lock()
-				inFlight--
-				mu.Unlock()
-			},
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := mk().RunExperiment(context.Background(), e, o); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if maxInFlight != 1 {
-		t.Fatalf("shared 1-slot semaphore allowed %d concurrent jobs", maxInFlight)
 	}
 }
 

@@ -90,50 +90,9 @@ func TestDispatchErrorFailsSweepAndReleasesFlight(t *testing.T) {
 	}
 }
 
-// TestRunnerCancelPromptWithSharedSem is the goroutine-leak regression
-// test: a sweep cancelled while its jobs queue on the shared semaphore
-// must return promptly (not wait for slots held by other tenants) and
-// must not leave worker goroutines parked on the semaphore send.
-func TestRunnerCancelPromptWithSharedSem(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	sem := make(chan struct{}, 1)
-	sem <- struct{}{} // another tenant owns the only slot for the whole test
-
-	e, _ := Lookup("fig7")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := Runner{Workers: 4, Sem: sem}.RunExperiment(ctx, e, tinyOpts())
-		done <- err
-	}()
-	// Let the pool park on the semaphore, then cancel.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunExperiment never returned: workers are stuck in the semaphore queue")
-	}
-
-	// Every goroutine the run spawned must be gone — without the
-	// select-on-ctx acquire they would still be parked on `sem <-`.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutine leak after cancelled run: %d before, %d after", before, n)
-	}
-}
-
 // TestRunnerCancelDuringSimulationDrains: cancellation mid-simulation
-// (no semaphore involved) also returns and leaves no goroutines behind;
-// in-flight jobs finish their budgets first by design.
+// also returns and leaves no goroutines behind; in-flight jobs finish
+// their budgets first by design.
 func TestRunnerCancelDuringSimulationDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -118,12 +118,11 @@ func TestTable5RowsComplete(t *testing.T) {
 }
 
 func TestSec7NamesCoverPaperStudies(t *testing.T) {
-	names := Sec7Names()
 	want := []string{"infinite FUs", "64-entry searchable IQ", "perfect branch prediction",
 		"infinite memory bandwidth", "excess registers 70"}
 	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
+	for _, c := range sec7Cases() {
+		have[c.name] = true
 	}
 	for _, w := range want {
 		if !have[w] {

@@ -38,7 +38,7 @@ func PredictorComparison(predictors []string, fetchAlg, issue string, maxThreads
 	}
 	seen := map[string]bool{}
 	for _, name := range predictors {
-		if _, ok := smt.LookupPredictor(name); !ok {
+		if !smt.HasPredictor(name) {
 			return Experiment{}, fmt.Errorf("exp: unknown branch predictor %q (registered: %v)", name, smt.Predictors())
 		}
 		if seen[name] {

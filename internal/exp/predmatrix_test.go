@@ -15,9 +15,7 @@ import (
 func TestCustomPredictorSweepsAndCaches(t *testing.T) {
 	// Registration is global and permanent; the name is unique to this test.
 	err := smt.RegisterPredictor("test_expsweep_alwaystaken",
-		func(cfg smt.BranchConfig) (smt.BranchPredictor, error) {
-			return smt.NewComposedPredictor(cfg, alwaysTaken{})
-		})
+		func(cfg smt.BranchConfig) (smt.DirEngine, error) { return alwaysTaken{}, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,19 +241,13 @@ type Runner struct {
 	// simulating in-process. The cache protocol is unchanged (lookup before
 	// dispatch, fill after), so overlapping sweeps dedupe identically, and
 	// because dispatchers are determinism-bound (see Dispatcher) the
-	// aggregated result bytes are identical to a local run. Sem is not
-	// consulted on the dispatch path: bounding execution is the
-	// dispatcher's job (a remote fleet has its own capacity).
+	// aggregated result bytes are identical to a local run. Bounding
+	// execution across sweeps is the dispatcher's job (smtd's coordinator
+	// meters its local slots; a remote fleet has its own capacity); without
+	// one, Workers is the only bound. Snapshots and Traces are not
+	// consulted on the dispatch path either: the dispatcher's executor
+	// carries its own WarmEnv.
 	Dispatch Dispatcher
-
-	// Sem, when non-nil, is a counting semaphore bounding concurrent
-	// simulations across every Runner sharing it. A multi-tenant caller
-	// (the smtd service runs one Runner per sweep) sizes it once so N
-	// concurrent sweeps cannot oversubscribe the machine N-fold. A slot is
-	// acquired only after a cache miss — cache hits, and waiters blocked on
-	// another runner's in-flight computation of the same key, consume no
-	// slot.
-	Sem chan struct{}
 
 	// Snapshots, when non-nil, checkpoints warmed machine state across the
 	// sweep (and, through a shared tier stack, across sweeps, restarts,
@@ -390,12 +384,10 @@ feed:
 }
 
 // runJob executes one job, consulting and feeding the cache, and reports
-// completion through OnJobDone. The shared semaphore slot (when set)
-// covers only the simulation itself: the cache lookup happens first, so a
-// hit — or a wait on another runner's in-flight computation — never
-// occupies a slot that a distinct job could use. On any failure path —
-// semaphore wait cancelled, dispatch error — the job's cache leadership is
-// released (see cache.Forget) before the error is returned.
+// completion through OnJobDone. The cache lookup happens first, so a hit —
+// or a wait on another runner's in-flight computation — never reaches the
+// dispatcher. On a dispatch error the job's cache leadership is released
+// (see cache.Forget) before the error is returned.
 func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Results, error) {
 	var key string
 	if r.Cache != nil {
@@ -429,19 +421,6 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Res
 			return smt.Results{}, err
 		}
 	} else {
-		if r.Sem != nil {
-			// A cancelled run must not sit in the semaphore queue behind
-			// other runners' long simulations — that both delays
-			// RunExperiment's return and then burns a slot on a result
-			// nobody wants.
-			select {
-			case r.Sem <- struct{}{}:
-				defer func() { <-r.Sem }()
-			case <-ctx.Done():
-				cache.Forget(r.Cache, key)
-				return smt.Results{}, ctx.Err()
-			}
-		}
 		res = SimulateEnv(j.Spec.Config, j.Run, seed, o, interval, onSnap, r.warmEnv())
 	}
 	if r.Cache != nil {

@@ -43,12 +43,6 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 // Cap returns the total capacity.
 func (q *Queue[T]) Cap() int { return q.capacity }
 
-// SearchWindow returns the size of the searchable region.
-func (q *Queue[T]) SearchWindow() int { return q.window }
-
-// Free returns the number of unoccupied slots.
-func (q *Queue[T]) Free() int { return q.capacity - len(q.items) }
-
 // Full reports whether the queue cannot accept another entry.
 func (q *Queue[T]) Full() bool { return len(q.items) >= q.capacity }
 
@@ -104,45 +98,6 @@ func (q *Queue[T]) RemoveIndices(sorted []int) {
 	}
 	clearTail(q.items, len(out))
 	q.items = out
-}
-
-// RemoveIf removes all entries matching pred, returning how many were
-// removed. Age order of survivors is preserved. This implements per-thread
-// instruction queue flush.
-func (q *Queue[T]) RemoveIf(pred func(T) bool) int {
-	out := q.items[:0]
-	for _, v := range q.items {
-		if !pred(v) {
-			out = append(out, v)
-		}
-	}
-	removed := len(q.items) - len(out)
-	clearTail(q.items, len(out))
-	q.items = out
-	return removed
-}
-
-// OldestIndexWhere returns the age position of the oldest entry matching
-// pred, or -1 if none matches. IQPOSN uses this: threads whose oldest
-// instructions sit near the head of a queue are the most prone to clog.
-func (q *Queue[T]) OldestIndexWhere(pred func(T) bool) int {
-	for i, v := range q.items {
-		if pred(v) {
-			return i
-		}
-	}
-	return -1
-}
-
-// CountIf returns the number of entries matching pred.
-func (q *Queue[T]) CountIf(pred func(T) bool) int {
-	n := 0
-	for _, v := range q.items {
-		if pred(v) {
-			n++
-		}
-	}
-	return n
 }
 
 // clearTail zeroes the abandoned tail so pointer entries do not leak.

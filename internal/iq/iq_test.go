@@ -15,8 +15,8 @@ func TestPushOrderAndCapacity(t *testing.T) {
 	if q.Push(99) {
 		t.Fatal("push beyond capacity succeeded")
 	}
-	if q.Len() != 4 || !q.Full() || q.Free() != 0 {
-		t.Fatalf("len=%d full=%v free=%d", q.Len(), q.Full(), q.Free())
+	if q.Len() != 4 || !q.Full() {
+		t.Fatalf("len=%d full=%v", q.Len(), q.Full())
 	}
 	for i := 0; i < 4; i++ {
 		if q.At(i) != i {
@@ -161,54 +161,6 @@ func TestRemoveIndicesPanicsOnBadInputTable(t *testing.T) {
 	}
 }
 
-func TestRemoveIfFlushesThread(t *testing.T) {
-	type entry struct{ thread, seq int }
-	q := New[entry](16, 16)
-	for i := 0; i < 12; i++ {
-		q.Push(entry{thread: i % 3, seq: i})
-	}
-	removed := q.RemoveIf(func(e entry) bool { return e.thread == 1 })
-	if removed != 4 {
-		t.Fatalf("removed %d, want 4", removed)
-	}
-	last := -1
-	for i := 0; i < q.Len(); i++ {
-		e := q.At(i)
-		if e.thread == 1 {
-			t.Fatal("flushed thread still present")
-		}
-		if e.seq < last {
-			t.Fatal("age order broken by flush")
-		}
-		last = e.seq
-	}
-}
-
-func TestOldestIndexWhere(t *testing.T) {
-	type entry struct{ thread int }
-	q := New[entry](8, 8)
-	q.Push(entry{0})
-	q.Push(entry{2})
-	q.Push(entry{1})
-	q.Push(entry{2})
-	if got := q.OldestIndexWhere(func(e entry) bool { return e.thread == 2 }); got != 1 {
-		t.Fatalf("oldest thread-2 at %d, want 1", got)
-	}
-	if got := q.OldestIndexWhere(func(e entry) bool { return e.thread == 9 }); got != -1 {
-		t.Fatalf("missing thread = %d, want -1", got)
-	}
-}
-
-func TestCountIf(t *testing.T) {
-	q := New[int](8, 8)
-	for i := 0; i < 6; i++ {
-		q.Push(i)
-	}
-	if got := q.CountIf(func(v int) bool { return v%2 == 0 }); got != 3 {
-		t.Fatalf("count = %d", got)
-	}
-}
-
 func TestNewPanicsOnBadShape(t *testing.T) {
 	for _, c := range []struct{ capacity, window int }{{0, 0}, {4, 0}, {4, 5}, {-1, -1}} {
 		func() {
@@ -219,8 +171,8 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	}
 }
 
-// Property: any sequence of pushes and predicate-removals preserves relative
-// order of survivors and never exceeds capacity.
+// Property: any sequence of pushes and removals preserves relative order of
+// survivors and never exceeds capacity.
 func TestOrderPreservationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := New[int](16, 8)
@@ -234,13 +186,16 @@ func TestOrderPreservationProperty(t *testing.T) {
 				next++
 			} else {
 				mod := int(op/3)%4 + 2
-				q.RemoveIf(func(v int) bool { return v%mod == 0 })
+				var drop []int
 				keep := model[:0]
-				for _, v := range model {
-					if v%mod != 0 {
+				for i, v := range model {
+					if v%mod == 0 {
+						drop = append(drop, i)
+					} else {
 						keep = append(keep, v)
 					}
 				}
+				q.RemoveIndices(drop)
 				model = keep
 			}
 			if q.Len() > q.Cap() {

@@ -128,10 +128,6 @@ func (c Class) IsControl() bool {
 // IsCondBranch reports whether the instruction is a conditional branch.
 func (c Class) IsCondBranch() bool { return c == ClassBranch }
 
-// IsIndirect reports whether the instruction's target is computed at
-// execution time (indirect jumps and returns).
-func (c Class) IsIndirect() bool { return c == ClassJumpInd || c == ClassReturn }
-
 // Reg identifies a logical register within a thread. Integer registers are
 // 0..31 and floating-point registers 32..63; RegNone marks an absent operand.
 type Reg int16

@@ -53,9 +53,6 @@ func TestClassPredicates(t *testing.T) {
 	if !ClassBranch.IsCondBranch() || ClassJump.IsCondBranch() {
 		t.Error("IsCondBranch wrong")
 	}
-	if !ClassJumpInd.IsIndirect() || !ClassReturn.IsIndirect() || ClassJump.IsIndirect() {
-		t.Error("IsIndirect wrong")
-	}
 }
 
 func TestClassStringsDistinct(t *testing.T) {

@@ -447,12 +447,6 @@ func (h *Hierarchy) ResetStats() {
 	h.dtlb.stats = Stats{}
 }
 
-// ITLBStats and DTLBStats return TLB counters.
-func (h *Hierarchy) ITLBStats() Stats { return h.itlb.stats }
-
-// DTLBStats returns data-TLB counters.
-func (h *Hierarchy) DTLBStats() Stats { return h.dtlb.stats }
-
 // DataResult describes the outcome of one data-cache access.
 type DataResult struct {
 	Done         int64 // cycle at which the data is available to dependents
@@ -500,10 +494,6 @@ func (h *Hierarchy) AccessData(now int64, addr int64, write bool) DataResult {
 	res.Done = h.fill(L1D, t, addr, write) + 1
 	return res
 }
-
-// ProbeData reports whether addr currently hits in the L1 data cache,
-// without side effects. The core uses it for oracle-free hit speculation.
-func (h *Hierarchy) ProbeData(addr int64) bool { return h.caches[L1D].probe(addr) }
 
 // InstrResult describes the outcome of one instruction-cache access.
 type InstrResult struct {
@@ -654,13 +644,4 @@ func (h *Hierarchy) nextLevel(l Level) Level {
 		return L2
 	}
 	return L3
-}
-
-// OutstandingDataMisses returns the number of in-flight L1D fills, the
-// feedback the MISSCOUNT fetch policy uses (per-thread attribution is done
-// by the core).
-func (h *Hierarchy) OutstandingDataMisses(now int64) int {
-	c := h.caches[L1D]
-	c.expireMSHRs(now)
-	return len(c.mshr)
 }

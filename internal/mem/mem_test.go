@@ -315,16 +315,22 @@ func TestLineStickinessProperty(t *testing.T) {
 	}
 }
 
+// An L1D miss holds an MSHR from the access until its fill is done.
 func TestOutstandingDataMisses(t *testing.T) {
 	h := MustNew(DefaultConfig())
-	if n := h.OutstandingDataMisses(0); n != 0 {
+	outstanding := func(now int64) int {
+		c := h.caches[L1D]
+		c.expireMSHRs(now)
+		return len(c.mshr)
+	}
+	if n := outstanding(0); n != 0 {
 		t.Fatalf("idle outstanding misses = %d", n)
 	}
 	r := h.AccessData(0, 0x123000, false)
-	if n := h.OutstandingDataMisses(1); n == 0 {
+	if n := outstanding(1); n == 0 {
 		t.Fatal("in-flight miss not visible")
 	}
-	if n := h.OutstandingDataMisses(r.Done + 1); n != 0 {
+	if n := outstanding(r.Done + 1); n != 0 {
 		t.Fatalf("finished miss still outstanding: %d", n)
 	}
 }

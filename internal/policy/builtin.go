@@ -7,45 +7,44 @@ package policy
 func init() {
 	// Section 5.2 fetch policies. Each comparison reproduces the historical
 	// key ordering: smaller counter first, ties round-robin (the stable
-	// sort over the rotation order). Built-ins are constructed directly so
-	// each can declare the exact feedback fields it reads — the core skips
-	// maintaining the rest.
-	MustRegisterFetch(&fetchFunc{name: string(RR)})
-	MustRegisterFetch(&fetchFunc{name: string(BRCount),
-		needs: FeedbackNeeds{BrCount: true},
-		less:  func(a, b ThreadFeedback) bool { return a.BrCount < b.BrCount }})
-	MustRegisterFetch(&fetchFunc{name: string(MissCount),
-		needs: FeedbackNeeds{MissCount: true},
-		less:  func(a, b ThreadFeedback) bool { return a.MissCount < b.MissCount }})
-	MustRegisterFetch(&fetchFunc{name: string(ICount),
-		needs: FeedbackNeeds{ICount: true},
-		less:  func(a, b ThreadFeedback) bool { return a.ICount < b.ICount }})
-	MustRegisterFetch(&fetchFunc{name: string(IQPosn),
-		needs: FeedbackNeeds{IQPosn: true},
-		less:  func(a, b ThreadFeedback) bool { return a.IQPosn > b.IQPosn }}) // farthest from the head first
+	// sort over the rotation order). Each declares the exact feedback
+	// fields it reads — the core skips maintaining the rest.
+	MustRegisterFetch(Fetch{Name: string(RR)})
+	MustRegisterFetch(Fetch{Name: string(BRCount),
+		Needs: FeedbackNeeds{BrCount: true},
+		Less:  func(a, b ThreadFeedback) bool { return a.BrCount < b.BrCount }})
+	MustRegisterFetch(Fetch{Name: string(MissCount),
+		Needs: FeedbackNeeds{MissCount: true},
+		Less:  func(a, b ThreadFeedback) bool { return a.MissCount < b.MissCount }})
+	MustRegisterFetch(Fetch{Name: string(ICount),
+		Needs: FeedbackNeeds{ICount: true},
+		Less:  func(a, b ThreadFeedback) bool { return a.ICount < b.ICount }})
+	MustRegisterFetch(Fetch{Name: string(IQPosn),
+		Needs: FeedbackNeeds{IQPosn: true},
+		Less:  func(a, b ThreadFeedback) bool { return a.IQPosn > b.IQPosn }}) // farthest from the head first
 
 	// Composite fetch policies beyond the paper.
-	MustRegisterFetch(&fetchFunc{name: string(ICountBRCount),
-		needs: FeedbackNeeds{ICount: true, BrCount: true},
-		less: func(a, b ThreadFeedback) bool {
+	MustRegisterFetch(Fetch{Name: string(ICountBRCount),
+		Needs: FeedbackNeeds{ICount: true, BrCount: true},
+		Less: func(a, b ThreadFeedback) bool {
 			if a.ICount != b.ICount {
 				return a.ICount < b.ICount
 			}
 			return a.BrCount < b.BrCount
 		}})
-	MustRegisterFetch(&fetchFunc{name: string(ICountWeightedMiss),
-		needs: FeedbackNeeds{ICount: true, MissCount: true},
-		less: func(a, b ThreadFeedback) bool {
+	MustRegisterFetch(Fetch{Name: string(ICountWeightedMiss),
+		Needs: FeedbackNeeds{ICount: true, MissCount: true},
+		Less: func(a, b ThreadFeedback) bool {
 			return a.ICount+2*a.MissCount < b.ICount+2*b.MissCount
 		}})
 
 	// Section 6 issue policies, each declaring the one IssueInfo flag its
 	// partition reads.
-	MustRegisterIssue(oldestFirst{})
-	MustRegisterIssue(&flagIssue{name: string(OptLast), needs: IssueNeeds{Optimistic: true},
-		first: func(i IssueInfo) bool { return !i.Optimistic }})
-	MustRegisterIssue(&flagIssue{name: string(SpecLast), needs: IssueNeeds{Speculative: true},
-		first: func(i IssueInfo) bool { return !i.Speculative }})
-	MustRegisterIssue(&flagIssue{name: string(BranchFirst), needs: IssueNeeds{Branch: true},
-		first: func(i IssueInfo) bool { return i.Branch }})
+	MustRegisterIssue(Issue{Name: string(OldestFirst)})
+	MustRegisterIssue(Issue{Name: string(OptLast), Needs: IssueNeeds{Optimistic: true},
+		First: func(i IssueInfo) bool { return !i.Optimistic }})
+	MustRegisterIssue(Issue{Name: string(SpecLast), Needs: IssueNeeds{Speculative: true},
+		First: func(i IssueInfo) bool { return !i.Speculative }})
+	MustRegisterIssue(Issue{Name: string(BranchFirst), Needs: IssueNeeds{Branch: true},
+		First: func(i IssueInfo) bool { return i.Branch }})
 }

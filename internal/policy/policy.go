@@ -25,14 +25,18 @@
 // ICOUNT+2MISSCOUNT (instruction count weighted by outstanding misses) —
 // and callers can register their own with RegisterFetch / RegisterIssue
 // (or smt.RegisterFetchPolicy / smt.RegisterIssuePolicy from outside the
-// module's internals). A policy is addressed everywhere — configs, JSON,
-// CLI flags, the result cache — by its registered name.
+// module's internals). A policy is data — a Fetch or an Issue value: a
+// name, a comparison or a flag, and the feedback it reads — and is
+// addressed everywhere — configs, JSON, CLI flags, the result cache — by
+// its registered name.
 package policy
 
 import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"repro/internal/registry"
 )
 
 // FetchAlg names a registered fetch thread-choice policy. The zero value
@@ -73,13 +77,8 @@ func (a FetchAlg) String() string {
 	return string(a)
 }
 
-// Selector resolves the name against the fetch registry.
-func (a FetchAlg) Selector() (FetchSelector, error) {
-	if s, ok := LookupFetch(a.String()); ok {
-		return s, nil
-	}
-	return nil, fmt.Errorf("policy: unknown fetch policy %q (have %v)", a.String(), FetchNames())
-}
+// Resolve looks the name up in the fetch registry.
+func (a FetchAlg) Resolve() (Fetch, error) { return resolve(&fetchReg, a.String()) }
 
 // MarshalJSON encodes the policy as its name.
 func (a FetchAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()) }
@@ -88,21 +87,9 @@ func (a FetchAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()
 // (pre-registry clients sent {"FetchPolicy": 3} for ICOUNT). Name existence
 // is checked at Config.Validate, not here, so configs can be decoded before
 // their policies are registered.
-func (a *FetchAlg) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		*a = FetchAlg(s)
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(b, &n); err == nil {
-		if n < 0 || n >= len(fetchLegacy) {
-			return fmt.Errorf("policy: legacy fetch policy index %d out of range [0,%d]", n, len(fetchLegacy)-1)
-		}
-		*a = fetchLegacy[n]
-		return nil
-	}
-	return fmt.Errorf("policy: fetch policy must be a name or legacy index, got %s", b)
+func (a *FetchAlg) UnmarshalJSON(b []byte) (err error) {
+	*a, err = unmarshalAlg(b, fetchReg.Kind, fetchLegacy[:])
+	return err
 }
 
 // CanonicalFingerprint renders the policy for content addressing
@@ -110,26 +97,10 @@ func (a *FetchAlg) UnmarshalJSON(b []byte) error {
 // uint8 encoding so every pre-registry fingerprint — and therefore every
 // cached result key — survives the redesign; other policies are addressed
 // by quoted name, which cannot collide with a bare digit.
-func (a FetchAlg) CanonicalFingerprint() string {
-	for i, n := range fetchLegacy {
-		if n == a {
-			return strconv.Itoa(i)
-		}
-	}
-	if a == "" {
-		return "0" // zero value is RR
-	}
-	return strconv.Quote(string(a))
-}
+func (a FetchAlg) CanonicalFingerprint() string { return canonicalAlg(a, fetchLegacy[:]) }
 
 // ParseFetchAlg resolves a registered policy name (as printed by String).
-func ParseFetchAlg(s string) (FetchAlg, error) {
-	a := FetchAlg(s)
-	if _, err := a.Selector(); err != nil {
-		return "", err
-	}
-	return a, nil
-}
+func ParseFetchAlg(s string) (FetchAlg, error) { return parseAlg[FetchAlg](&fetchReg, s) }
 
 // ThreadFeedback carries the per-thread counters that fetch policies
 // consult. The core maintains them; the paper notes this feedback is what
@@ -174,57 +145,24 @@ func (a IssueAlg) String() string {
 	return string(a)
 }
 
-// Selector resolves the name against the issue registry.
-func (a IssueAlg) Selector() (IssueSelector, error) {
-	if s, ok := LookupIssue(a.String()); ok {
-		return s, nil
-	}
-	return nil, fmt.Errorf("policy: unknown issue policy %q (have %v)", a.String(), IssueNames())
-}
+// Resolve looks the name up in the issue registry.
+func (a IssueAlg) Resolve() (Issue, error) { return resolve(&issueReg, a.String()) }
 
 // MarshalJSON encodes the policy as its name.
 func (a IssueAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()) }
 
 // UnmarshalJSON accepts a policy name or the historical numeric enum value.
-func (a *IssueAlg) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		*a = IssueAlg(s)
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(b, &n); err == nil {
-		if n < 0 || n >= len(issueLegacy) {
-			return fmt.Errorf("policy: legacy issue policy index %d out of range [0,%d]", n, len(issueLegacy)-1)
-		}
-		*a = issueLegacy[n]
-		return nil
-	}
-	return fmt.Errorf("policy: issue policy must be a name or legacy index, got %s", b)
+func (a *IssueAlg) UnmarshalJSON(b []byte) (err error) {
+	*a, err = unmarshalAlg(b, issueReg.Kind, issueLegacy[:])
+	return err
 }
 
 // CanonicalFingerprint renders the policy for content addressing; built-ins
 // keep their historical uint8 encoding (see FetchAlg.CanonicalFingerprint).
-func (a IssueAlg) CanonicalFingerprint() string {
-	for i, n := range issueLegacy {
-		if n == a {
-			return strconv.Itoa(i)
-		}
-	}
-	if a == "" {
-		return "0" // zero value is OLDEST_FIRST
-	}
-	return strconv.Quote(string(a))
-}
+func (a IssueAlg) CanonicalFingerprint() string { return canonicalAlg(a, issueLegacy[:]) }
 
 // ParseIssueAlg resolves a registered policy name (as printed by String).
-func ParseIssueAlg(s string) (IssueAlg, error) {
-	a := IssueAlg(s)
-	if _, err := a.Selector(); err != nil {
-		return "", err
-	}
-	return a, nil
-}
+func ParseIssueAlg(s string) (IssueAlg, error) { return parseAlg[IssueAlg](&issueReg, s) }
 
 // IssueInfo describes one ready instruction for issue ordering.
 type IssueInfo struct {
@@ -232,4 +170,50 @@ type IssueInfo struct {
 	Optimistic  bool  // depends on a load whose hit status is still unknown
 	Speculative bool  // behind an unresolved branch of the same thread
 	Branch      bool  // is a control-flow instruction
+}
+
+// resolve, parseAlg, unmarshalAlg and canonicalAlg are the one codec behind both
+// algorithm types; legacy maps a historical uint8 enum value (its index) to
+// a name, and its first entry is what the zero value means.
+
+func resolve[P any](reg *registry.Named[P], name string) (P, error) {
+	p, ok := reg.Lookup(name)
+	if !ok {
+		return p, fmt.Errorf("policy: unknown %s %q (have %v)", reg.Kind, name, reg.Names())
+	}
+	return p, nil
+}
+
+func parseAlg[A ~string, P any](reg *registry.Named[P], s string) (A, error) {
+	if _, err := resolve(reg, s); err != nil {
+		return "", err
+	}
+	return A(s), nil
+}
+
+func unmarshalAlg[A ~string](b []byte, kind string, legacy []A) (A, error) {
+	var s string
+	if err := json.Unmarshal(b, &s); err == nil {
+		return A(s), nil
+	}
+	var n int
+	if err := json.Unmarshal(b, &n); err == nil {
+		if n < 0 || n >= len(legacy) {
+			return "", fmt.Errorf("policy: legacy %s index %d out of range [0,%d]", kind, n, len(legacy)-1)
+		}
+		return legacy[n], nil
+	}
+	return "", fmt.Errorf("policy: %s must be a name or legacy index, got %s", kind, b)
+}
+
+func canonicalAlg[A ~string](a A, legacy []A) string {
+	if a == "" {
+		return "0"
+	}
+	for i, n := range legacy {
+		if n == a {
+			return strconv.Itoa(i)
+		}
+	}
+	return strconv.Quote(string(a))
 }

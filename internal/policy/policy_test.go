@@ -3,6 +3,7 @@ package policy
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func TestIssueNamesRoundTrip(t *testing.T) {
 }
 
 // Property (registry-wide): every registered fetch policy name round-trips
-// through ParseFetchAlg/String, and its selector produces a valid
+// through ParseFetchAlg/String, and its Order produces a valid
 // permutation of all threads for randomized feedback.
 func TestEveryRegisteredFetchPolicy(t *testing.T) {
 	names := FetchNames()
@@ -46,7 +47,7 @@ func TestEveryRegisteredFetchPolicy(t *testing.T) {
 			t.Errorf("parse/String round trip broken for %q: %v, %v", name, alg, err)
 		}
 		sel, ok := LookupFetch(name)
-		if !ok || sel.Name() != name {
+		if !ok || sel.Name != name {
 			t.Fatalf("lookup %q failed or name mismatch", name)
 		}
 		f := func(base uint8, counts []uint16) bool {
@@ -83,8 +84,8 @@ func TestEveryRegisteredFetchPolicy(t *testing.T) {
 }
 
 // Property (registry-wide): every registered issue policy name round-trips,
-// and its Less is a strict weak ordering usable by a stable sort — sorting
-// random candidate lists always yields a permutation.
+// states at most one of First and Less, and the order it stands for
+// (issueLess) is irreflexive and asymmetric — usable by a stable sort.
 func TestEveryRegisteredIssuePolicy(t *testing.T) {
 	names := IssueNames()
 	if len(names) < 4 {
@@ -96,16 +97,20 @@ func TestEveryRegisteredIssuePolicy(t *testing.T) {
 			t.Errorf("parse/String round trip broken for %q: %v, %v", name, alg, err)
 		}
 		sel, ok := LookupIssue(name)
-		if !ok || sel.Name() != name {
+		if !ok || sel.Name != name {
 			t.Fatalf("lookup %q failed or name mismatch", name)
 		}
+		if sel.First != nil && sel.Less != nil {
+			t.Errorf("%s states both First and Less", name)
+		}
+		less := issueLess(sel)
 		f := func(aFlags, bFlags uint8, aAge, bAge uint16) bool {
 			a := IssueInfo{Age: int64(aAge), Optimistic: aFlags&1 != 0, Speculative: aFlags&2 != 0, Branch: aFlags&4 != 0}
 			b := IssueInfo{Age: int64(bAge), Optimistic: bFlags&1 != 0, Speculative: bFlags&2 != 0, Branch: bFlags&4 != 0}
-			if sel.Less(a, a) {
+			if less(a, a) {
 				return false // irreflexive
 			}
-			return !(sel.Less(a, b) && sel.Less(b, a)) // asymmetric
+			return !(less(a, b) && less(b, a)) // asymmetric
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s asymmetry: %v", name, err)
@@ -113,68 +118,226 @@ func TestEveryRegisteredIssuePolicy(t *testing.T) {
 	}
 }
 
-// Registered partitioners must agree with their own Less — the core's fast
-// path and the generic sort path must order identically.
+// builtinIssueOrder states each built-in issue policy's order as a plain
+// comparison, independently of the First flags builtin.go registers.
+var builtinIssueOrder = map[IssueAlg]func(a, b IssueInfo) bool{
+	OldestFirst: func(a, b IssueInfo) bool { return a.Age < b.Age },
+	OptLast: func(a, b IssueInfo) bool {
+		if a.Optimistic != b.Optimistic {
+			return b.Optimistic
+		}
+		return a.Age < b.Age
+	},
+	SpecLast: func(a, b IssueInfo) bool {
+		if a.Speculative != b.Speculative {
+			return b.Speculative
+		}
+		return a.Age < b.Age
+	},
+	BranchFirst: func(a, b IssueInfo) bool {
+		if a.Branch != b.Branch {
+			return a.Branch
+		}
+		return a.Age < b.Age
+	},
+}
+
+// For every registered issue policy, on random age-sorted candidate lists:
+// the reordering the core applies — nothing, the stable partition by
+// First, or the stable sort by Less — equals a stable sort by the
+// comparison the policy stands for; the built-ins' comparison is the
+// independent one above, so a First with its sense inverted fails here.
 func TestPartitionersConsistentWithLess(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, name := range IssueNames() {
 		sel, _ := LookupIssue(name)
-		part, ok := sel.(IssuePartitioner)
-		if !ok {
-			continue
+		want := builtinIssueOrder[IssueAlg(name)]
+		if want == nil {
+			want = issueLess(sel)
 		}
 		for trial := 0; trial < 200; trial++ {
-			a := IssueInfo{Age: int64(rng.Intn(50)), Optimistic: rng.Intn(2) == 0,
-				Speculative: rng.Intn(2) == 0, Branch: rng.Intn(2) == 0}
-			b := IssueInfo{Age: int64(rng.Intn(50)), Optimistic: rng.Intn(2) == 0,
-				Speculative: rng.Intn(2) == 0, Branch: rng.Intn(2) == 0}
-			if a.Age == b.Age {
-				continue
+			cands := make([]IssueInfo, 1+rng.Intn(40))
+			for i := range cands {
+				cands[i] = IssueInfo{Age: int64(2 * i), Optimistic: rng.Intn(2) == 0,
+					Speculative: rng.Intn(2) == 0, Branch: rng.Intn(2) == 0}
 			}
-			want := (part.First(a) && !part.First(b)) ||
-				(part.First(a) == part.First(b) && a.Age < b.Age)
-			if got := sel.Less(a, b); got != want {
-				t.Fatalf("%s: Less(%+v,%+v)=%v, partition implies %v", name, a, b, got, want)
+			sorted := append([]IssueInfo(nil), cands...)
+			sort.SliceStable(sorted, func(i, j int) bool { return want(sorted[i], sorted[j]) })
+			got := cands
+			if sel.First != nil {
+				got = nil
+				for _, pass := range []bool{true, false} {
+					for _, c := range cands {
+						if sel.First(c) == pass {
+							got = append(got, c)
+						}
+					}
+				}
+			} else if sel.Less != nil {
+				got = append([]IssueInfo(nil), cands...)
+				sort.SliceStable(got, func(i, j int) bool { return sel.Less(got[i], got[j]) })
+			}
+			if !reflect.DeepEqual(got, sorted) {
+				t.Fatalf("%s: reordered %+v, stable sort by its comparison gives %+v", name, got, sorted)
 			}
 		}
 	}
 }
 
 func TestRegistryRejectsBadRegistrations(t *testing.T) {
-	if err := RegisterFetch(NewFetchSelector("ICOUNT", nil, false)); err == nil {
+	byAge := func(a, b IssueInfo) bool { return a.Age < b.Age }
+	if err := RegisterFetch(Fetch{Name: "ICOUNT"}); err == nil {
 		t.Error("duplicate fetch name accepted")
 	}
-	if err := RegisterIssue(NewIssueSelector("OPT_LAST", func(a, b IssueInfo) bool { return a.Age < b.Age }, false)); err == nil {
+	if err := RegisterIssue(Issue{Name: "OPT_LAST", Less: byAge}); err == nil {
 		t.Error("duplicate issue name accepted")
 	}
 	for _, bad := range []string{"", "3POLICY", "HAS SPACE", "BAD*CHAR", string(make([]byte, 80))} {
-		if err := RegisterFetch(NewFetchSelector(bad, nil, false)); err == nil {
-			t.Errorf("bad name %q accepted", bad)
+		if err := RegisterFetch(Fetch{Name: bad}); err == nil {
+			t.Errorf("bad fetch name %q accepted", bad)
+		}
+		if err := RegisterIssue(Issue{Name: bad}); err == nil {
+			t.Errorf("bad issue name %q accepted", bad)
 		}
 	}
-	if err := RegisterFetch(nil); err == nil {
-		t.Error("nil selector accepted")
+	both := Issue{Name: "TEST_BOTH_FIRST_AND_LESS", First: func(IssueInfo) bool { return true }, Less: byAge}
+	if err := RegisterIssue(both); err == nil {
+		t.Error("issue policy stating both First and Less accepted")
+	}
+	if _, ok := LookupIssue(both.Name); ok {
+		t.Error("a refused registration still took its name")
 	}
 }
 
-// fetchSel and issueSel resolve a built-in the way core.New does: once, by
-// name, against the registry.
-func fetchSel(t *testing.T, alg FetchAlg) FetchSelector {
-	t.Helper()
-	sel, err := alg.Selector()
-	if err != nil {
-		t.Fatal(err)
+// A value obtained from Lookup is a copy: mutating it does not change what
+// the name — a content address — resolves to.
+func TestLookupReturnsACopy(t *testing.T) {
+	fb := []ThreadFeedback{{ICount: 9}, {ICount: 1}, {ICount: 5}}
+	f, _ := LookupFetch("ICOUNT")
+	f.Less, f.Needs, f.Name = nil, FeedbackNeeds{}, "RR"
+	again, _ := LookupFetch("ICOUNT")
+	if again.Name != "ICOUNT" || again.Needs != (FeedbackNeeds{ICount: true}) ||
+		!equal(again.Order(0, fb, nil), []int{1, 2, 0}) {
+		t.Errorf("mutating a looked-up fetch policy changed the registry: %+v", again)
 	}
-	return sel
+	i, _ := LookupIssue("OPT_LAST")
+	i.First, i.Needs = nil, IssueNeeds{}
+	if again, _ := LookupIssue("OPT_LAST"); again.First == nil || again.Needs != (IssueNeeds{Optimistic: true}) {
+		t.Errorf("mutating a looked-up issue policy changed the registry: %+v", again)
+	}
 }
 
-func issueSel(t *testing.T, alg IssueAlg) IssueSelector {
+// frozenOrders is every built-in fetch policy's Order on orderFeedback at
+// rrBase 0, 3 and 6. A name is a content address: an order that moves here
+// changes what every cached result under that name means.
+var frozenOrders = map[string][3][]int{
+	"RR":                {{0, 1, 2, 3, 4, 5, 6, 7}, {3, 4, 5, 6, 7, 0, 1, 2}, {6, 7, 0, 1, 2, 3, 4, 5}},
+	"BRCOUNT":           {{2, 4, 1, 5, 7, 0, 6, 3}, {4, 2, 5, 1, 7, 6, 0, 3}, {2, 4, 1, 5, 7, 6, 0, 3}},
+	"MISSCOUNT":         {{0, 3, 4, 2, 6, 1, 7, 5}, {3, 4, 0, 6, 2, 7, 1, 5}, {0, 3, 4, 6, 2, 7, 1, 5}},
+	"ICOUNT":            {{4, 1, 3, 6, 7, 0, 5, 2}, {4, 3, 1, 6, 7, 5, 0, 2}, {4, 1, 3, 6, 7, 0, 5, 2}},
+	"IQPOSN":            {{4, 1, 3, 7, 0, 5, 6, 2}, {4, 1, 3, 7, 5, 0, 6, 2}, {4, 1, 7, 3, 0, 5, 6, 2}},
+	"ICOUNT+BRCOUNT":    {{4, 1, 3, 6, 7, 5, 0, 2}, {4, 1, 3, 6, 7, 5, 0, 2}, {4, 1, 3, 6, 7, 5, 0, 2}},
+	"ICOUNT+2MISSCOUNT": {{4, 3, 1, 6, 0, 7, 5, 2}, {4, 3, 6, 1, 0, 7, 5, 2}, {4, 3, 6, 1, 0, 7, 5, 2}},
+}
+
+var orderFeedback = []ThreadFeedback{
+	{ICount: 12, BrCount: 3, MissCount: 0, IQPosn: 4, LowConf: 1},
+	{ICount: 5, BrCount: 1, MissCount: 2, IQPosn: 17, LowConf: 0},
+	{ICount: 20, BrCount: 0, MissCount: 1, IQPosn: 0, LowConf: 2},
+	{ICount: 5, BrCount: 4, MissCount: 0, IQPosn: 9, LowConf: 0},
+	{ICount: 0, BrCount: 0, MissCount: 0, IQPosn: 1 << 20, LowConf: 0},
+	{ICount: 12, BrCount: 1, MissCount: 3, IQPosn: 4, LowConf: 3},
+	{ICount: 7, BrCount: 3, MissCount: 1, IQPosn: 2, LowConf: 1},
+	{ICount: 9, BrCount: 2, MissCount: 2, IQPosn: 9, LowConf: 0},
+}
+
+// One table over every registered fetch policy: the order it produces on a
+// fixed 8-thread feedback vector is frozen, and it reads no feedback field
+// outside its declared Needs — the core leaves those unfilled, so a policy
+// that under-declares would order on zeros in the machine.
+func TestFetchPoliciesFrozenAndWithinNeeds(t *testing.T) {
+	perturb := []struct {
+		field    string
+		declared func(FeedbackNeeds) bool
+		set      func(*ThreadFeedback, int)
+	}{
+		{"ICount", func(n FeedbackNeeds) bool { return n.ICount }, func(f *ThreadFeedback, v int) { f.ICount = v }},
+		{"BrCount", func(n FeedbackNeeds) bool { return n.BrCount }, func(f *ThreadFeedback, v int) { f.BrCount = v }},
+		{"MissCount", func(n FeedbackNeeds) bool { return n.MissCount }, func(f *ThreadFeedback, v int) { f.MissCount = v }},
+		{"IQPosn", func(n FeedbackNeeds) bool { return n.IQPosn }, func(f *ThreadFeedback, v int) { f.IQPosn = v }},
+		{"LowConf", func(n FeedbackNeeds) bool { return n.LowConf }, func(f *ThreadFeedback, v int) { f.LowConf = v }},
+	}
+	for _, name := range FetchNames() {
+		sel, _ := LookupFetch(name)
+		want, frozen := frozenOrders[name]
+		for k, rrBase := range []int{0, 3, 6} {
+			got := sel.Order(rrBase, orderFeedback, nil)
+			if frozen && !equal(got, want[k]) {
+				t.Errorf("%s rrBase %d: order %v, frozen %v", name, rrBase, got, want[k])
+			}
+			for _, p := range perturb {
+				if p.declared(sel.Needs) {
+					continue
+				}
+				fb := append([]ThreadFeedback(nil), orderFeedback...)
+				for i := range fb {
+					p.set(&fb[i], (i*5+3)%8)
+				}
+				if after := sel.Order(rrBase, fb, nil); !equal(after, got) {
+					t.Errorf("%s rrBase %d: order moved %v -> %v with undeclared field %s", name, rrBase, got, after, p.field)
+				}
+			}
+		}
+	}
+	for name := range frozenOrders {
+		if _, ok := LookupFetch(name); !ok {
+			t.Errorf("frozen order for %q, which is not registered", name)
+		}
+	}
+	for _, alg := range []FetchAlg{RR, BRCount, MissCount, ICount, IQPosn, ICountBRCount, ICountWeightedMiss} {
+		if _, ok := frozenOrders[string(alg)]; !ok {
+			t.Errorf("built-in %s has no frozen order", alg)
+		}
+	}
+}
+
+// fetchSel resolves a built-in the way core.New does: once, by name,
+// against the registry.
+func fetchSel(t *testing.T, alg FetchAlg) *Fetch {
 	t.Helper()
-	sel, err := alg.Selector()
+	sel, err := alg.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sel
+	return &sel
+}
+
+// issueLess is the comparison an issue policy stands for, whichever way it
+// states it: First-accepted before First-rejected and oldest-first within,
+// Less itself, or pure age order.
+func issueLess(p Issue) func(a, b IssueInfo) bool {
+	switch {
+	case p.First != nil:
+		return func(a, b IssueInfo) bool {
+			if fa, fb := p.First(a), p.First(b); fa != fb {
+				return fa
+			}
+			return a.Age < b.Age
+		}
+	case p.Less != nil:
+		return p.Less
+	}
+	return func(a, b IssueInfo) bool { return a.Age < b.Age }
+}
+
+// issueSel resolves a built-in issue policy to the comparison it stands for.
+func issueSel(t *testing.T, alg IssueAlg) func(a, b IssueInfo) bool {
+	t.Helper()
+	sel, err := alg.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return issueLess(sel)
 }
 
 func TestRRRotates(t *testing.T) {
@@ -338,7 +501,7 @@ func isStableSorted(order []int, fb []ThreadFeedback) bool {
 func TestIssueLessOldestFirst(t *testing.T) {
 	a := IssueInfo{Age: 5}
 	b := IssueInfo{Age: 9}
-	if !issueSel(t, OldestFirst).Less(a, b) || issueSel(t, OldestFirst).Less(b, a) {
+	if !issueSel(t, OldestFirst)(a, b) || issueSel(t, OldestFirst)(b, a) {
 		t.Fatal("OLDEST_FIRST not by age")
 	}
 }
@@ -346,11 +509,11 @@ func TestIssueLessOldestFirst(t *testing.T) {
 func TestIssueLessOptLast(t *testing.T) {
 	opt := IssueInfo{Age: 1, Optimistic: true}
 	reg := IssueInfo{Age: 100}
-	if !issueSel(t, OptLast).Less(reg, opt) {
+	if !issueSel(t, OptLast)(reg, opt) {
 		t.Fatal("OPT_LAST must defer optimistic instructions")
 	}
 	// Among equals, oldest wins.
-	if !issueSel(t, OptLast).Less(IssueInfo{Age: 1, Optimistic: true}, IssueInfo{Age: 2, Optimistic: true}) {
+	if !issueSel(t, OptLast)(IssueInfo{Age: 1, Optimistic: true}, IssueInfo{Age: 2, Optimistic: true}) {
 		t.Fatal("OPT_LAST tie-break not oldest-first")
 	}
 }
@@ -358,7 +521,7 @@ func TestIssueLessOptLast(t *testing.T) {
 func TestIssueLessSpecLast(t *testing.T) {
 	spec := IssueInfo{Age: 1, Speculative: true}
 	nonspec := IssueInfo{Age: 100}
-	if !issueSel(t, SpecLast).Less(nonspec, spec) {
+	if !issueSel(t, SpecLast)(nonspec, spec) {
 		t.Fatal("SPEC_LAST must defer speculative instructions")
 	}
 }
@@ -366,7 +529,7 @@ func TestIssueLessSpecLast(t *testing.T) {
 func TestIssueLessBranchFirst(t *testing.T) {
 	br := IssueInfo{Age: 100, Branch: true}
 	alu := IssueInfo{Age: 1}
-	if !issueSel(t, BranchFirst).Less(br, alu) {
+	if !issueSel(t, BranchFirst)(br, alu) {
 		t.Fatal("BRANCH_FIRST must promote branches")
 	}
 }
@@ -384,8 +547,7 @@ func equal(a, b []int) bool {
 }
 
 // BenchmarkFetchOrder times one fetch-policy dispatch — the per-cycle cost
-// the CI bench smoke step watches for regressions now that selection goes
-// through an interface.
+// of ordering eight contexts through the policy's Less field.
 func BenchmarkFetchOrder(b *testing.B) {
 	sel, _ := LookupFetch(string(ICount))
 	fb := make([]ThreadFeedback, 8)
@@ -399,15 +561,14 @@ func BenchmarkFetchOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkIssueLess times one issue-policy comparison through the
-// selector interface.
-func BenchmarkIssueLess(b *testing.B) {
+// BenchmarkIssueFirst times one issue-policy flag test through the
+// policy's First field.
+func BenchmarkIssueFirst(b *testing.B) {
 	sel, _ := LookupIssue(string(SpecLast))
 	a := IssueInfo{Age: 4, Speculative: true}
-	c := IssueInfo{Age: 9}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if sel.Less(a, c) {
+		if sel.First(a) {
 			b.Fatal("unexpected order")
 		}
 	}

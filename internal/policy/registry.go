@@ -6,57 +6,55 @@ import (
 	"repro/internal/registry"
 )
 
-// The registries map policy names to selectors, listed built-ins first (in
-// the paper's order), then composites, then caller registrations. The
-// empty name resolves to each algorithm type's zero value.
+// The registries map policy names to policy values, listed built-ins first
+// (in the paper's order), then composites, then caller registrations. The
+// empty name resolves to each algorithm type's zero value. They hold and
+// return values, not pointers: what a name means — the name is a content
+// address — cannot change after registration.
 var (
-	fetchReg = registry.Named[FetchSelector]{Pkg: "policy", Kind: "fetch policy", Default: string(RR)}
-	issueReg = registry.Named[IssueSelector]{Pkg: "policy", Kind: "issue policy", Default: string(OldestFirst)}
+	fetchReg = registry.Named[Fetch]{Pkg: "policy", Kind: "fetch policy", Default: string(RR)}
+	issueReg = registry.Named[Issue]{Pkg: "policy", Kind: "issue policy", Default: string(OldestFirst)}
 )
 
-// RegisterFetch adds a fetch selector to the registry under s.Name().
-// Names are permanent within a process: re-registering one fails.
-func RegisterFetch(s FetchSelector) error {
-	if s == nil {
-		return fmt.Errorf("policy: nil fetch selector")
-	}
-	return fetchReg.Register(s.Name(), s)
-}
+// RegisterFetch adds a fetch policy to the registry under f.Name. Names
+// are permanent within a process: re-registering one fails.
+func RegisterFetch(f Fetch) error { return fetchReg.Register(f.Name, f) }
 
 // MustRegisterFetch is RegisterFetch for init-time registrations.
-func MustRegisterFetch(s FetchSelector) {
-	if err := RegisterFetch(s); err != nil {
+func MustRegisterFetch(f Fetch) {
+	if err := RegisterFetch(f); err != nil {
 		panic(err)
 	}
 }
 
-// LookupFetch returns the selector registered under name; the empty name
+// LookupFetch returns the policy registered under name; the empty name
 // resolves to round-robin.
-func LookupFetch(name string) (FetchSelector, bool) { return fetchReg.Lookup(name) }
+func LookupFetch(name string) (Fetch, bool) { return fetchReg.Lookup(name) }
 
 // FetchNames returns every registered fetch policy name in registration
 // order (built-ins first).
 func FetchNames() []string { return fetchReg.Names() }
 
-// RegisterIssue adds an issue selector to the registry under s.Name();
-// same permanence rules as RegisterFetch.
-func RegisterIssue(s IssueSelector) error {
-	if s == nil {
-		return fmt.Errorf("policy: nil issue selector")
+// RegisterIssue adds an issue policy to the registry under i.Name; same
+// permanence rules as RegisterFetch. A policy stating both First and Less
+// is refused: the two could disagree, and the core would follow only one.
+func RegisterIssue(i Issue) error {
+	if i.First != nil && i.Less != nil {
+		return fmt.Errorf("policy: issue policy %q sets both First and Less", i.Name)
 	}
-	return issueReg.Register(s.Name(), s)
+	return issueReg.Register(i.Name, i)
 }
 
 // MustRegisterIssue is RegisterIssue for init-time registrations.
-func MustRegisterIssue(s IssueSelector) {
-	if err := RegisterIssue(s); err != nil {
+func MustRegisterIssue(i Issue) {
+	if err := RegisterIssue(i); err != nil {
 		panic(err)
 	}
 }
 
-// LookupIssue returns the selector registered under name; the empty name
+// LookupIssue returns the policy registered under name; the empty name
 // resolves to OLDEST_FIRST.
-func LookupIssue(name string) (IssueSelector, bool) { return issueReg.Lookup(name) }
+func LookupIssue(name string) (Issue, bool) { return issueReg.Lookup(name) }
 
 // IssueNames returns every registered issue policy name in registration
 // order (built-ins first).

@@ -120,22 +120,6 @@ func (p *Program) PCOf(idx int) int64 { return p.Base + int64(idx)*isa.InstrByte
 // At returns the static instruction at pc (with wraparound, see IndexOf).
 func (p *Program) At(pc int64) *isa.Static { return &p.Code[p.IndexOf(pc)] }
 
-// JumpTargets returns the possible targets of the indirect jump with the
-// given BranchID, or nil if the branch is not an indirect jump.
-func (p *Program) JumpTargets(branchID int32) []int64 { return p.jumpTables[branchID] }
-
-// CodeBytes returns the code footprint in bytes.
-func (p *Program) CodeBytes() int64 { return int64(len(p.Code)) * isa.InstrBytes }
-
-// DataBytes returns the total data footprint in bytes (regions + stack).
-func (p *Program) DataBytes() int64 {
-	total := p.Stack.Size
-	for _, r := range p.Regions {
-		total += r.Size
-	}
-	return total
-}
-
 // generator holds the state of one program-generation run.
 //
 // Three independent random streams keep concerns separate: structure

@@ -54,12 +54,6 @@ func (w *Walker) Program() *Program { return w.prog }
 // PC returns the PC of the next architectural instruction.
 func (w *Walker) PC() int64 { return w.pc }
 
-// Seq returns the number of architectural instructions produced so far.
-func (w *Walker) Seq() uint64 { return w.seq }
-
-// Depth returns the current architectural call depth.
-func (w *Walker) Depth() int { return len(w.callStack) }
-
 // Next produces the next architectural instruction record and advances.
 func (w *Walker) Next() DynRecord {
 	p := w.prog

@@ -80,7 +80,7 @@ func TestDistinctASIDsDisjoint(t *testing.T) {
 func TestControlTargetsInImage(t *testing.T) {
 	for _, p := range Profiles() {
 		prog := MustNew(p, 42, 0)
-		lo, hi := prog.Base, prog.Base+prog.CodeBytes()
+		lo, hi := prog.Base, prog.PCOf(len(prog.Code))
 		for i := range prog.Code {
 			s := &prog.Code[i]
 			if !s.Class.IsControl() {
@@ -95,7 +95,7 @@ func TestControlTargetsInImage(t *testing.T) {
 				}
 			}
 			if s.Class == isa.ClassJumpInd {
-				tbl := prog.JumpTargets(s.BranchID)
+				tbl := prog.jumpTables[s.BranchID]
 				if len(tbl) == 0 {
 					t.Fatalf("%s: indirect jump %d has empty table", p.Name, i)
 				}
@@ -127,7 +127,7 @@ func TestIndexPCRoundTrip(t *testing.T) {
 		}
 	}
 	// Out-of-image PCs wrap rather than fault.
-	if got := prog.IndexOf(prog.Base + prog.CodeBytes()); got != 0 {
+	if got := prog.IndexOf(prog.PCOf(len(prog.Code))); got != 0 {
 		t.Fatalf("wraparound high = %d", got)
 	}
 	if got := prog.IndexOf(prog.Base - isa.InstrBytes); got != len(prog.Code)-1 {
@@ -193,8 +193,8 @@ func TestWalkerPathConsistency(t *testing.T) {
 					t.Fatalf("%s@%d: sequential NextPC wrong", p.Name, i)
 				}
 			}
-			if w.Depth() > maxCallDepth+8 {
-				t.Fatalf("%s@%d: call depth %d exploded", p.Name, i, w.Depth())
+			if depth := len(w.callStack); depth > maxCallDepth+8 {
+				t.Fatalf("%s@%d: call depth %d exploded", p.Name, i, depth)
 			}
 			pc = rec.NextPC
 		}

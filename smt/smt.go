@@ -16,11 +16,14 @@
 //	fmt.Println(res.IPC)
 //
 // Fetch and issue policies are named, registered strategies — the
-// "exploiting choice" of the title is an extension point. Config carries
-// policy names; RegisterFetchPolicy and RegisterIssuePolicy add new
-// strategies (see FetchPolicyFunc for the common comparison-based shape),
-// which then work everywhere a built-in does: configs, the experiment
-// engine, CLI flags, smtd sweeps, and the content-addressed result cache.
+// "exploiting choice" of the title is an extension point. A policy is
+// data: a name, a comparison (or, for issue, a flag), and the feedback it
+// reads. Config carries policy names; RegisterFetchPolicy and
+// RegisterIssuePolicy add new ones (see FetchPolicyFunc), which then work
+// everywhere a built-in does: configs, the experiment engine, CLI flags,
+// smtd sweeps, and the content-addressed result cache. Branch predictors
+// are registered the same way: a predictor is a direction engine
+// (DirEngine) in the standard BTB/history/return-stack frame.
 //
 // For interval-level observability, Start opens a streaming run session
 // that emits delta + cumulative Snapshots while the simulation advances;
@@ -43,7 +46,6 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -97,10 +99,17 @@ const (
 // Policy extension points, re-exported from the internal policy layer so
 // custom strategies can be written against the public API alone.
 type (
-	// FetchSelector orders hardware contexts for fetch each cycle.
-	FetchSelector = policy.FetchSelector
-	// IssueSelector orders ready instructions for issue each cycle.
-	IssueSelector = policy.IssueSelector
+	// FetchPolicy orders hardware contexts for fetch each cycle: a name, a
+	// comparison (nil is round-robin) and the feedback fields it reads.
+	FetchPolicy = policy.Fetch
+	// IssuePolicy orders ready instructions for issue each cycle: a name,
+	// at most one of a first-group flag and a comparison (neither is
+	// oldest-first), and the instruction facts it reads.
+	IssuePolicy = policy.Issue
+	// FeedbackNeeds and IssueNeeds declare the fields a policy reads; the
+	// core maintains only those.
+	FeedbackNeeds = policy.FeedbackNeeds
+	IssueNeeds    = policy.IssueNeeds
 	// ThreadFeedback carries the per-thread counters fetch policies consult.
 	ThreadFeedback = policy.ThreadFeedback
 	// IssueInfo describes one ready instruction for issue ordering.
@@ -112,11 +121,12 @@ type (
 // therefore in experiment grids, CLI flags, smtd inline-grid configs, and
 // cache keys (results are content-addressed by policy name). Names are
 // permanent within a process; registering a taken name fails.
-func RegisterFetchPolicy(s FetchSelector) error { return policy.RegisterFetch(s) }
+func RegisterFetchPolicy(p FetchPolicy) error { return policy.RegisterFetch(p) }
 
 // RegisterIssuePolicy adds a custom issue policy to the global registry;
-// same rules as RegisterFetchPolicy.
-func RegisterIssuePolicy(s IssueSelector) error { return policy.RegisterIssue(s) }
+// same rules as RegisterFetchPolicy, and a policy setting both First and
+// Less is refused.
+func RegisterIssuePolicy(p IssuePolicy) error { return policy.RegisterIssue(p) }
 
 // FetchPolicies returns every registered fetch policy name in registration
 // order (the paper's five built-ins first, then the composites, then
@@ -128,28 +138,34 @@ func FetchPolicies() []string { return policy.FetchNames() }
 func IssuePolicies() []string { return policy.IssueNames() }
 
 // LookupFetchPolicy resolves a registered fetch policy name.
-func LookupFetchPolicy(name string) (FetchSelector, bool) { return policy.LookupFetch(name) }
+func LookupFetchPolicy(name string) (FetchPolicy, bool) { return policy.LookupFetch(name) }
 
 // LookupIssuePolicy resolves a registered issue policy name.
-func LookupIssuePolicy(name string) (IssueSelector, bool) { return policy.LookupIssue(name) }
+func LookupIssuePolicy(name string) (IssuePolicy, bool) { return policy.LookupIssue(name) }
 
-// FetchPolicyFunc builds a fetch selector from a feedback comparison (best
+// FetchPolicyFunc builds a fetch policy from a feedback comparison (best
 // thread first, ties round-robin) — the shape of every policy in the
-// paper. readsQueuePositions declares whether less consults
-// ThreadFeedback.IQPosn, which costs a per-cycle queue scan to fill.
-func FetchPolicyFunc(name string, less func(a, b ThreadFeedback) bool, readsQueuePositions bool) FetchSelector {
-	return policy.NewFetchSelector(name, less, readsQueuePositions)
+// paper. It declares that less may read every counter;
+// readsQueuePositions says whether it also consults
+// ThreadFeedback.IQPosn, which costs a per-cycle queue scan to fill. A
+// FetchPolicy literal can declare tighter FeedbackNeeds.
+func FetchPolicyFunc(name string, less func(a, b ThreadFeedback) bool, readsQueuePositions bool) FetchPolicy {
+	return FetchPolicy{Name: name, Less: less,
+		Needs: FeedbackNeeds{ICount: true, BrCount: true, MissCount: true, IQPosn: readsQueuePositions, LowConf: true}}
 }
 
-// IssuePolicyFunc builds an issue selector from a comparison; less must be
+// IssuePolicyFunc builds an issue policy from a comparison; less must be
 // a strict weak ordering and should break ties oldest-first (compare Age
-// last). readsOptimism declares whether less consults IssueInfo.Optimistic.
-func IssuePolicyFunc(name string, less func(a, b IssueInfo) bool, readsOptimism bool) IssueSelector {
-	return policy.NewIssueSelector(name, less, readsOptimism)
+// last). readsOptimism declares whether less consults IssueInfo.Optimistic
+// (two register-file probes per candidate); the other flags are always
+// filled for policies built here.
+func IssuePolicyFunc(name string, less func(a, b IssueInfo) bool, readsOptimism bool) IssuePolicy {
+	return IssuePolicy{Name: name, Less: less,
+		Needs: IssueNeeds{Optimistic: readsOptimism, Speculative: true, Branch: true}}
 }
 
 // Branch-predictor extension points, re-exported from the internal branch
-// layer. Like policies, predictors are named, registered strategies:
+// layer. Like policies, predictors are named and registered:
 // Config.Branch.Predictor carries the name, and a registered name works
 // everywhere — experiment grids, CLI flags, smtd inline-grid configs, and
 // the content-addressed result cache.
@@ -157,21 +173,13 @@ type (
 	// BranchConfig parameterizes the branch-prediction hardware
 	// (Config.Branch); its Predictor field names the registered scheme.
 	BranchConfig = branch.Config
-	// BranchPredictor is the full predictor interface a registered builder
-	// returns: direction + confidence, BTB targets, speculative history and
-	// return-stack checkpointing, and commit-time training.
-	BranchPredictor = branch.Predictor
-	// PredictorBuilder constructs a BranchPredictor for a validated config.
-	PredictorBuilder = branch.Builder
-	// DirEngine is the reduced surface most custom predictors want: just
-	// the conditional direction guess (with confidence) and its training
-	// step. NewComposedPredictor wraps one in the standard BTB/RAS frame.
+	// DirEngine is what a custom predictor is: the conditional direction
+	// guess (with confidence) and its training step. The standard frame —
+	// thread-tagged BTB, per-thread history registers and return stacks —
+	// is built around it.
 	DirEngine = branch.DirEngine
-	// RASCheckpoint snapshots return-stack state for squash-restore.
-	RASCheckpoint = branch.RASCheckpoint
-	// InstrClass is the instruction classification predictors see at
-	// training time (ClassBranch, ClassCall, ...).
-	InstrClass = isa.Class
+	// PredictorBuilder constructs a DirEngine for a validated config.
+	PredictorBuilder = branch.Builder
 )
 
 // Built-in branch predictor names (Config.Branch.Predictor). Each also
@@ -192,21 +200,19 @@ const (
 	PredPerfect = branch.Perfect
 )
 
-// Instruction classes predictors may receive in Update.
-const (
-	ClassBranch  = isa.ClassBranch
-	ClassJump    = isa.ClassJump
-	ClassJumpInd = isa.ClassJumpInd
-	ClassCall    = isa.ClassCall
-	ClassReturn  = isa.ClassReturn
-)
-
-// RegisterPredictor adds a custom branch predictor to the global registry.
+// RegisterPredictor adds a custom branch predictor to the global registry:
+// the direction engine b builds, in the standard frame.
+//
+//	smt.RegisterPredictor("hybrid", func(cfg smt.BranchConfig) (smt.DirEngine, error) {
+//	    return newHybridEngine(cfg), nil
+//	})
+//
 // Once registered, the name is valid in Config.Branch.Predictor. Names are
-// permanent within a process; registering a taken name fails. Predictor
-// implementations must be deterministic and allocation-free in their
-// predict/update paths — they run on the simulator's zero-allocation cycle
-// loop.
+// permanent within a process; registering a taken name fails. Engines must
+// be deterministic and allocation-free in Predict and Update — they run on
+// the simulator's zero-allocation cycle loop. A machine with a custom
+// engine cannot be checkpointed (its tables are opaque), so sweeps run its
+// warmup every time.
 func RegisterPredictor(name string, b PredictorBuilder) error { return branch.Register(name, b) }
 
 // Predictors returns every registered predictor name in registration order
@@ -214,20 +220,8 @@ func RegisterPredictor(name string, b PredictorBuilder) error { return branch.Re
 // registrations).
 func Predictors() []string { return branch.Names() }
 
-// LookupPredictor resolves a registered predictor name.
-func LookupPredictor(name string) (PredictorBuilder, bool) { return branch.Lookup(name) }
-
-// NewComposedPredictor builds a predictor from cfg's standard frame
-// (thread-tagged BTB, per-thread history registers and return stacks)
-// around a custom direction engine — the common case for registering a new
-// scheme:
-//
-//	smt.RegisterPredictor("hybrid", func(cfg smt.BranchConfig) (smt.BranchPredictor, error) {
-//	    return smt.NewComposedPredictor(cfg, newHybridEngine(cfg))
-//	})
-func NewComposedPredictor(cfg BranchConfig, dir DirEngine) (BranchPredictor, error) {
-	return branch.NewComposed(cfg, dir)
-}
+// HasPredictor reports whether name is a registered predictor.
+func HasPredictor(name string) bool { return branch.Registered(name) }
 
 // DefaultConfig returns the paper's baseline SMT machine with the given
 // number of hardware contexts (RR.1.8 fetch, OLDEST_FIRST issue, Table 1/2
