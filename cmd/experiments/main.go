@@ -181,6 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	o := exp.Opts{Runs: *runs, Warmup: *warmup, Measure: *measure, Seed: *seed}
+	var warm exp.WarmEnv
 	runner := exp.Runner{Workers: *parallel}
 	if *cacheSize > 0 {
 		// One content-addressed store across every selected experiment:
@@ -197,11 +198,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "experiments:", err)
 			return 1
 		}
-		runner.Snapshots = snapshot.NewStore(disk)
+		warm.Snapshots = snapshot.NewStore(disk)
 	}
 	if *replay {
-		runner.Traces = snapshot.NewTraceCache(0)
+		warm.Traces = snapshot.NewTraceCache(0)
 	}
+	runner.Dispatch = warm
 
 	// emit routes every result — registry or ad-hoc — through one output
 	// contract: collected for the single JSON document, or printed as the
@@ -229,43 +231,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *fetchSweep != "" {
+	if *fetchSweep != "" || *predSweep != "" {
+		flagName, list := "-fetch", *fetchSweep
+		if *predSweep != "" {
+			flagName, list = "-predictor", *predSweep
+		}
 		if expSet {
-			fmt.Fprintln(stderr, "-fetch runs an ad-hoc comparison and replaces -experiment; pass only one")
+			fmt.Fprintf(stderr, "%s runs an ad-hoc comparison and replaces -experiment; pass only one\n", flagName)
 			return 2
 		}
 		var names []string
-		for _, n := range strings.Split(*fetchSweep, ",") {
+		for _, n := range strings.Split(list, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				names = append(names, n)
 			}
 		}
-		e, err := exp.PolicyComparison(names, *issueAlg, *threads, *nFetch, *wFetch)
-		if err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return 2
+		var e exp.Experiment
+		var err error
+		if *predSweep != "" {
+			e, err = exp.PredictorComparison(names, *predFetch, *issueAlg, *threads, *nFetch, *wFetch)
+		} else {
+			e, err = exp.PolicyComparison(names, *issueAlg, *threads, *nFetch, *wFetch)
 		}
-		res, err := runner.RunExperiment(context.Background(), e, o)
-		if err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return 1
-		}
-		emit(res, printSeries)
-		return finish()
-	}
-
-	if *predSweep != "" {
-		if expSet {
-			fmt.Fprintln(stderr, "-predictor runs an ad-hoc comparison and replaces -experiment; pass only one")
-			return 2
-		}
-		var names []string
-		for _, n := range strings.Split(*predSweep, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		e, err := exp.PredictorComparison(names, *predFetch, *issueAlg, *threads, *nFetch, *wFetch)
 		if err != nil {
 			fmt.Fprintln(stderr, "experiments:", err)
 			return 2

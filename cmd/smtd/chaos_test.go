@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faults"
 	"repro/internal/snapshot"
@@ -215,14 +216,13 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 		workerBases = append(workerBases, base)
 		workerFaults = append(workerFaults, ft)
 		w := dist.NewWorker(dist.WorkerOptions{
-			Coordinator:              join,
-			Name:                     fmt.Sprintf("chaos%d", i),
-			Slots:                    2,
-			Backoff:                  20 * time.Millisecond,
-			DrainGrace:               2 * time.Second,
-			Client:                   &http.Client{Transport: ft, Timeout: 15 * time.Second},
-			SnapshotsFromCoordinator: true,
-			Traces:                   snapshot.NewTraceCache(0),
+			Coordinator: join,
+			Name:        fmt.Sprintf("chaos%d", i),
+			Slots:       2,
+			Backoff:     20 * time.Millisecond,
+			DrainGrace:  2 * time.Second,
+			Client:      &http.Client{Transport: ft, Timeout: 15 * time.Second},
+			Warm:        exp.WarmEnv{Traces: snapshot.NewTraceCache(0)},
 		})
 		wdone.Add(1)
 		go func() {

@@ -29,6 +29,23 @@ func newStubServer() *Server {
 	return s
 }
 
+// wideFetchPoint is the grid point that used to kill the service: 16
+// contexts all fetched every cycle over an I-cache with the given bank
+// count, so one cycle can pick more threads than the default eight banks
+// ever allow. 32 banks is a valid machine; more must be refused.
+func wideFetchPoint(tb testing.TB, banks int) gridPoint {
+	tb.Helper()
+	m := smt.DefaultConfig(16).Mem
+	m.Caches[0].Banks = banks
+	m.Caches[0].BankGranule = 4
+	memJSON, err := json.Marshal(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gridPoint{Threads: 16, Config: json.RawMessage(
+		`{"FetchThreads":16,"FetchPerThread":1,"FetchTotal":16,"Mem":` + string(memJSON) + `}`)}
+}
+
 // FuzzInlineGrid: arbitrary bytes as a POST /v1/sweep body never panic and
 // are answered 200, 202, 400 or 413. Each body is posted twice to a fresh
 // server — against a cold decoded-config table, then against the table the
@@ -42,6 +59,11 @@ func FuzzInlineGrid(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(full)
+	wide, err := json.Marshal(sweepRequest{Grid: []gridPoint{wideFetchPoint(f, 32)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wide)
 	for _, seed := range []string{
 		`{"grid":[{"series":"RR","threads":2},{"series":"IC","threads":2,"config":{"FetchPolicy":"ICOUNT","FetchThreads":2}}],"opts":{"runs":1,"measure":100},"wait":true}`,
 		`{"grid":[{"threads":4,"config":{"FetchPolicy":3,"Rename":{"ExcessRegs":90}}},{"threads":8,"config":{"FetchPolicy":3,"Rename":{"ExcessRegs":90}}}],"interval_cycles":50}`,
@@ -50,6 +72,7 @@ func FuzzInlineGrid(f *testing.F) {
 		`{"grid":[{"threads":2,"config":{"IQSize":0}}]}`,
 		`{"grid":[{"threads":2,"config":null}],"opts":null}`,
 		`{"grid":[{"threads":0}]}`,
+		`{"grid":[{"threads":1000000}]}`,
 		`{"experiment":"table4","opts":{"runs":1,"warmup":0,"measure":1}}`,
 		`{"experiment":"fig7","opts":{"runs":9000000000000000000}}`,
 		`{"experiment":"fig7","grid":[{"threads":1}]}`,

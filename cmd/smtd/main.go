@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/snapshot"
 )
 
@@ -225,12 +226,12 @@ func runWorker(join, name string, slots int, pprofAddr string, stdout, stderr io
 		Coordinator: join,
 		Name:        name,
 		Slots:       slots,
-		// Warm acceleration mirrors the coordinator's: checkpoints shared
-		// through the coordinator's cache endpoint (one node's cold warmup
-		// is every node's restore), traces pre-decoded once per rotation
-		// locally. Both are byte-invisible in results.
-		SnapshotsFromCoordinator: true,
-		Traces:                   snapshot.NewTraceCache(0),
+		// Warm acceleration mirrors the coordinator's: traces pre-decoded
+		// once per context locally, and — Warm.Snapshots left nil —
+		// checkpoints shared through the coordinator's cache endpoint (one
+		// node's cold warmup is every node's restore). Both are
+		// byte-invisible in results.
+		Warm: exp.WarmEnv{Traces: snapshot.NewTraceCache(0)},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)
 		},

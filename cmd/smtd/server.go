@@ -216,9 +216,9 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 	s.snapshots = snapshot.NewStore(s.snaps.Top())
 	s.traces = snapshot.NewTraceCache(0)
 	// The coordinator is every sweep's execution backend. With no
-	// workers registered it runs jobs in-process under the same
-	// semaphore the pre-distribution service used, so a standalone
-	// smtd behaves exactly as before; workers joining at runtime
+	// workers registered it runs every job in-process under LocalSlots,
+	// so a standalone smtd simulates at most -workers jobs at once
+	// across all sweeps; workers joining at runtime
 	// absorb the jobs of sweeps submitted from then on (a running
 	// sweep keeps dispatching — to them too — but at the dispatch
 	// width fixed when it was submitted).
@@ -228,7 +228,7 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 		// The local fallback runs the same warm kernel the sweep runners
 		// use, so jobs that land in-process still restore checkpoints and
 		// replay traces.
-		Exec: dist.SimulateJobWarm(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
+		Exec: dist.SimulateJob(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
 		// /v1/workers surfaces the federation breakers: one status call
 		// answers "which peers is this coordinator treating as down".
 		BreakerStats: s.breakerStats,

@@ -207,6 +207,21 @@ func TestInlineGridSweep(t *testing.T) {
 	}
 }
 
+// TestInlineGridWideFetch posts the request that used to panic the cycle
+// loop (more fetch picks in a cycle than the fetch stage had room for) and
+// take the whole service down with it: it is a valid machine and must run.
+func TestInlineGridWideFetch(t *testing.T) {
+	ts := newTestService(t)
+	req := sweepRequest{Grid: []gridPoint{wideFetchPoint(t, 32)}, Opts: tinyOpts(), Wait: true}
+	var st sweepStatus
+	if code := doJSON(t, "POST", ts.URL+"/v1/sweep", req, &st); code != 200 {
+		t.Fatalf("status %d: %+v", code, st)
+	}
+	if st.State != "done" || st.DoneJobs != 1 {
+		t.Fatalf("wide-fetch sweep: %+v", st)
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	ts := newTestService(t)
 	cases := []struct {
@@ -222,6 +237,8 @@ func TestSweepValidation(t *testing.T) {
 		{"bad config json", sweepRequest{Grid: []gridPoint{{Threads: 1, Config: json.RawMessage(`{"NoSuchField": 1}`)}}}, 400, "invalid config"},
 		{"threads conflict", sweepRequest{Grid: []gridPoint{{Threads: 4, Config: json.RawMessage(`{"Threads": 8}`)}}}, 400, "conflicts with threads"},
 		{"invalid machine", sweepRequest{Grid: []gridPoint{{Threads: 2, Config: json.RawMessage(`{"FetchThreads": 5}`)}}}, 400, "FetchThreads"},
+		{"too many contexts", sweepRequest{Grid: []gridPoint{{Threads: 1000000}}}, 400, "Threads = 1000000"},
+		{"too many banks", sweepRequest{Grid: []gridPoint{wideFetchPoint(t, 64)}}, 400, "L1I banks 64"},
 		{"bad opts", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: -1, Measure: 100}}, 400, "opts.runs"},
 		{"too many jobs", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: 1 << 40, Measure: 100}}, 400, "job limit"},
 		{"malformed body", "not json at all", 400, "invalid request body"},

@@ -122,11 +122,11 @@ type ringPoint struct {
 // and lookup stay trivial.
 const vnodes = 64
 
-// NewFederatedWith builds the federation layer over local for this node
+// NewFederated builds the federation layer over local for this node
 // (self) and the full member list. Member URLs are normalized (trailing
 // slashes dropped) and deduped; self is added if absent. The instance
 // owns a background fill forwarder — Close it when done.
-func NewFederatedWith[V any](local Getter[V], self string, members []string, cfg FederatedConfig) *Federated[V] {
+func NewFederated[V any](local Getter[V], self string, members []string, cfg FederatedConfig) *Federated[V] {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
 	}

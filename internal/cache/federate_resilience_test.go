@@ -28,7 +28,7 @@ func keyOwnedBy(f *Federated[result], member, prefix string) string {
 // owner acknowledged and failures land in peer_fill_failures.
 func TestFederatedFillsCountedOnlyWhenAcknowledged(t *testing.T) {
 	dead := "http://127.0.0.1:1"
-	f := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{dead},
+	f := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{dead},
 		FederatedConfig{
 			Client:     &http.Client{Timeout: 250 * time.Millisecond},
 			FillPolicy: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond},
@@ -66,7 +66,7 @@ func TestFederatedFillsCountedOnlyWhenAcknowledged(t *testing.T) {
 		w.WriteHeader(http.StatusNotFound)
 	}))
 	defer srv.Close()
-	g := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL}, FederatedConfig{})
+	g := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL}, FederatedConfig{})
 	defer g.Close()
 	g.Put(keyOwnedBy(g, srv.URL, "livefill-"), result{IPC: 2})
 	if err := g.Flush(ctx); err != nil {
@@ -81,7 +81,7 @@ func TestFederatedFillsCountedOnlyWhenAcknowledged(t *testing.T) {
 		w.WriteHeader(http.StatusInsufficientStorage)
 	}))
 	defer rej.Close()
-	h := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{rej.URL},
+	h := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{rej.URL},
 		FederatedConfig{FillPolicy: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond}})
 	defer h.Close()
 	h.Put(keyOwnedBy(h, rej.URL, "rejfill-"), result{IPC: 3})
@@ -104,7 +104,7 @@ func TestFederatedFillQueueShedsWhenFull(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	f := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL},
+	f := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL},
 		FederatedConfig{
 			Client:     &http.Client{Timeout: 30 * time.Second},
 			FillQueue:  2,
@@ -134,7 +134,7 @@ func TestFederatedFillQueueShedsWhenFull(t *testing.T) {
 func TestFederatedBreakerMakesDownOwnerInstant(t *testing.T) {
 	dead := "http://127.0.0.1:1"
 	breakers := resilience.NewBreakerSet(resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour})
-	f := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{dead},
+	f := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{dead},
 		FederatedConfig{
 			Client:   &http.Client{Timeout: 2 * time.Second},
 			Breakers: breakers,
@@ -194,7 +194,7 @@ func TestFederatedBreakerRecovers(t *testing.T) {
 	var clkMu atomic.Int64
 	now := func() time.Time { return clk.Add(time.Duration(clkMu.Load())) }
 	breakers := resilience.NewBreakerSet(resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute, Now: now})
-	f := NewFederatedWith[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL},
+	f := NewFederated[result](New[result](0), "http://127.0.0.1:9", []string{srv.URL},
 		FederatedConfig{Breakers: breakers})
 	defer f.Close()
 

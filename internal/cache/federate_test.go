@@ -68,7 +68,7 @@ func newFedCluster(t *testing.T, n int) []*fedNode {
 		urls[i] = srv.URL
 	}
 	for _, node := range nodes {
-		node.fed = NewFederatedWith[result](node.local, node.url, urls, FederatedConfig{})
+		node.fed = NewFederated[result](node.local, node.url, urls, FederatedConfig{})
 		t.Cleanup(node.fed.Close)
 	}
 	return nodes
@@ -188,7 +188,7 @@ func TestFederatedPromotion(t *testing.T) {
 // an error — the prober re-simulates, nothing breaks.
 func TestFederatedDegradesWhenPeerDown(t *testing.T) {
 	local := New[result](0)
-	f := NewFederatedWith[result](local, "http://127.0.0.1:9", []string{"http://127.0.0.1:9", "http://127.0.0.1:1"}, FederatedConfig{})
+	f := NewFederated[result](local, "http://127.0.0.1:9", []string{"http://127.0.0.1:9", "http://127.0.0.1:1"}, FederatedConfig{})
 	defer f.Close()
 	// Some key owned by the dead peer.
 	var key string

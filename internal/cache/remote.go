@@ -176,9 +176,8 @@ func (r *Remote[V]) PutCtx(ctx context.Context, key string, v V) {
 
 // Fill makes exactly one fill attempt and reports whether the server
 // accepted it — the success signal Federated's fill counters and
-// breakers need (the old fire-and-forget Put counted fills that never
-// landed). Any non-2xx answer is an error: a fill the server rejected
-// did not fill anything.
+// breakers need: only a fill that landed counts. Any non-2xx answer is an
+// error: a fill the server rejected did not fill anything.
 func (r *Remote[V]) Fill(ctx context.Context, key string, v V) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -41,7 +41,7 @@ func NewStack[V any](entries int, dir, self string, peers []string, fed Federate
 		s.local = NewTiered(s.mem, disk)
 	}
 	if len(peers) > 0 {
-		s.fed = NewFederatedWith(s.local, self, peers, fed)
+		s.fed = NewFederated(s.local, self, peers, fed)
 	}
 	return s, nil
 }

@@ -150,11 +150,17 @@ func Superscalar() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// MaxThreads is the most hardware contexts a machine may have: the
+// fetch-order age key (dyn.computeAge) gives the thread six bits, and a
+// seventh would carry into the fetch cycle above it.
+const MaxThreads = 64
+
+// Validate reports configuration errors, including a machine the
+// simulator's fixed-width structures cannot hold.
 func (c Config) Validate() error {
 	switch {
-	case c.Threads < 1:
-		return fmt.Errorf("core: Threads = %d, want >= 1", c.Threads)
+	case c.Threads < 1 || c.Threads > MaxThreads:
+		return fmt.Errorf("core: Threads = %d, want 1..%d", c.Threads, MaxThreads)
 	case c.FetchThreads < 1 || c.FetchThreads > c.Threads:
 		return fmt.Errorf("core: FetchThreads = %d with %d threads", c.FetchThreads, c.Threads)
 	case c.FetchPerThread < 1 || c.FetchTotal < 1:

@@ -194,8 +194,8 @@ func consumes(x *dyn, fp bool, reg rename.PhysReg, p *Processor) bool {
 //
 // It walks the optHeld membership list instead of both queues: every
 // instruction satisfying (issued && optimistic && inIQ) went through
-// issueOne with optimistic set, so the list covers exactly the old queue
-// scan's matches. The released set is the unique fixed point of a monotone
+// issueOne with optimistic set, so the list covers exactly what a scan of
+// both queues would match. The released set is the unique fixed point of a monotone
 // condition over the (acyclic) producer graph, so visiting in list order
 // rather than age order changes nothing.
 func (p *Processor) releaseDependents() bool {

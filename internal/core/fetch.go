@@ -26,11 +26,7 @@ func (p *Processor) fetchStage() {
 	p.orderBuf = order
 	p.rrBase++
 
-	type pick struct {
-		th   *threadState
-		bank int
-	}
-	var picks [8]pick
+	picks := p.pickBuf // len FetchThreads: the loop stops at that many picks
 	nPicks := 0
 	usedBanks := uint32(0)
 	fillBusy := false
@@ -60,7 +56,7 @@ func (p *Processor) fetchStage() {
 				continue
 			}
 		}
-		picks[nPicks] = pick{th, bank}
+		picks[nPicks] = th
 		nPicks++
 		usedBanks |= 1 << uint(bank)
 	}
@@ -80,7 +76,7 @@ func (p *Processor) fetchStage() {
 	fetchedAny := false
 	missed, conflicted := false, false
 	for i := 0; i < nPicks && budget > 0; i++ {
-		th := picks[i].th
+		th := picks[i]
 		r := p.mem.AccessInstr(p.cycle, th.fetchPC)
 		if r.BankConflict {
 			conflicted = true
@@ -319,11 +315,4 @@ func (p *Processor) predictNext(th *threadState, d *dyn) (next int64, stop bool)
 	// at misfetch bubbles. Not-taken predictions continue sequentially.
 	stop = misfetch || d.predNextPC != fall
 	return next, stop
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -429,19 +429,12 @@ func (p *Processor) issueOne(d *dyn, optimistic bool) {
 		if d.destPhys >= 0 {
 			p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, p.cycle+lat)
 		}
-		execEnd := d.execStart + maxI64(lat, 1) - 1
+		execEnd := d.execStart + max(lat, 1) - 1
 		d.doneCycle = execEnd + p.cfg.commitDelay()
 		if d.isControl() {
 			p.events.schedule(execEnd, evResolve, d, d.thread)
 		}
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // insertionSortInts sorts a small, nearly-sorted index list in place

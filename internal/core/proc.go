@@ -105,6 +105,7 @@ type Processor struct {
 	// allocates.
 	fbBuf      []policy.ThreadFeedback
 	orderBuf   []int
+	pickBuf    []*threadState // this cycle's fetch picks; len FetchThreads
 	candBuf    []candidate
 	partBuf    []candidate
 	idxBuf     []int
@@ -171,6 +172,7 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 		fpProducer:  make([]*dyn, cfg.Rename.PhysPerFile()),
 		fbBuf:       make([]policy.ThreadFeedback, cfg.Threads),
 		orderBuf:    make([]int, 0, cfg.Threads),
+		pickBuf:     make([]*threadState, cfg.FetchThreads),
 	}
 	p.oracle = cfg.PerfectBranchPred || cfg.Branch.Oracle()
 	p.events.init(cfg.eventHorizon())

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -57,6 +59,27 @@ func TestConfigValidationRejects(t *testing.T) {
 	}
 	if err := DefaultConfig(8).Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+	if err := DefaultConfig(MaxThreads).Validate(); err != nil {
+		t.Errorf("%d contexts rejected: %v", MaxThreads, err)
+	}
+	if err := DefaultConfig(MaxThreads + 1).Validate(); err == nil || !strings.Contains(err.Error(), "Threads") {
+		t.Errorf("%d contexts: got %v, want an error naming Threads", MaxThreads+1, err)
+	}
+}
+
+// TestFetchPicksBeyondEight builds and steps the widest-fetching machine
+// an inline grid has asked smtd for: 16 contexts, all fetched every cycle,
+// over a 32-bank I-cache — so a cycle can hold more than the eight picks
+// the default I-cache's eight banks allow.
+func TestFetchPicksBeyondEight(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.FetchThreads, cfg.FetchPerThread, cfg.FetchTotal = 16, 1, 16
+	cfg.Mem.Caches[mem.L1I].Banks = 32
+	cfg.Mem.Caches[mem.L1I].BankGranule = 4
+	p := MustNew(cfg, buildPrograms(t, 16, 1))
+	if s := p.Run(20_000, 400_000); s.Committed < 20_000 {
+		t.Fatalf("committed %d of 20000 in %d cycles", s.Committed, s.Cycles)
 	}
 }
 

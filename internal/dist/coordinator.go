@@ -27,16 +27,15 @@ const (
 )
 
 // Options configures a Coordinator. The zero value works: sensible
-// timings, in-process execution fallback via SimulateJob, no logging.
+// timings, in-process execution fallback on the plain kernel, no logging.
 type Options struct {
 	// Exec is the local execution fallback, used when no workers are
 	// registered or a job exhausts its remote attempts. Defaults to
-	// SimulateJob — the same kernel workers run.
+	// SimulateJob(exp.WarmEnv{}) — the same kernel workers run.
 	Exec Exec
-	// LocalSlots, when non-nil, bounds concurrent local-fallback
-	// executions (the smtd service passes its global simulation
-	// semaphore, so fallback obeys the same -workers limit sweeps did
-	// before distribution existed).
+	// LocalSlots, when non-nil, bounds concurrent local executions across
+	// every sweep dispatching through this coordinator (the smtd service
+	// sizes it from -workers).
 	LocalSlots chan struct{}
 	// LeaseTTL is how long a worker may go silent — no heartbeat, poll,
 	// snapshot, or result — before it is declared dead and its leased
@@ -72,7 +71,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Exec == nil {
-		o.Exec = SimulateJob
+		o.Exec = SimulateJob(exp.WarmEnv{})
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 15 * time.Second
@@ -135,7 +134,8 @@ type workerState struct {
 	completed int64
 }
 
-// task is one dispatched job waiting for a result.
+// task is one dispatched job waiting for a result. Every Dispatch makes
+// one; only a task queued for the fleet gets an id and enters c.tasks.
 type task struct {
 	id      string
 	payload JobPayload
@@ -209,51 +209,44 @@ func (c *Coordinator) Dispatch(ctx context.Context, j exp.Job, o exp.Opts, inter
 		p.Key = j.Key(o)
 	}
 
+	t := &task{
+		payload: p,
+		onSnap:  onSnap,
+		ctx:     ctx,
+		result:  make(chan smt.Results, 1),
+	}
 	c.mu.Lock()
 	c.dispatched++
 	capacity := c.capacityLocked()
-	if capacity == 0 {
-		c.mu.Unlock()
-		res, err := c.runLocal(ctx, p, onSnap)
-		if err == nil {
-			c.mu.Lock()
-			c.localDone++
-			c.mu.Unlock()
+	// Local spill: when the fleet already has a full backlog (live pending
+	// >= capacity), a local slot that is free right now takes the job, so
+	// the coordinator's own slots ADD to cluster capacity rather than
+	// idling behind it. Only metered local execution spills; with no
+	// LocalSlots bound there is no way to know how much local work is safe,
+	// so everything stays remote.
+	spill := capacity > 0 && c.opts.LocalSlots != nil && c.pendingLocked() >= capacity
+	c.mu.Unlock()
+	if capacity == 0 || spill {
+		ran, err := c.runLocal(t, spill)
+		if err != nil {
+			return smt.Results{}, err
 		}
-		return res, err
-	}
-	// Local spill: when the fleet already has a full backlog (live
-	// pending >= capacity) and a bounded local slot is free right now,
-	// run here instead of queueing — so the coordinator's own slots ADD
-	// to cluster capacity rather than idling behind it. Only metered
-	// local execution spills; with no LocalSlots bound there is no way
-	// to know how much local work is safe, so everything stays remote.
-	if c.opts.LocalSlots != nil && c.pendingLocked() >= capacity {
-		select {
-		case c.opts.LocalSlots <- struct{}{}:
-			c.mu.Unlock()
-			res := c.opts.Exec(p, onSnap)
-			<-c.opts.LocalSlots
-			c.mu.Lock()
-			c.localDone++
-			c.mu.Unlock()
-			return res, nil
-		default:
-			// No local slot free; queue for the fleet.
+		if ran {
+			return <-t.result, nil
 		}
+		// No local slot free; queue for the fleet.
 	}
+	c.mu.Lock()
 	c.nextTask++
-	t := &task{
-		id:       fmt.Sprintf("t%d", c.nextTask),
-		payload:  p,
-		onSnap:   onSnap,
-		ctx:      ctx,
-		enqueued: time.Now(),
-		result:   make(chan smt.Results, 1),
-	}
+	t.id = fmt.Sprintf("t%d", c.nextTask)
+	t.enqueued = time.Now()
 	c.tasks[t.id] = t
 	c.pending = append(c.pending, t)
 	c.wakeLocked()
+	if len(c.workers) == 0 {
+		// The fleet left while this job tried for a local slot.
+		c.drainPendingToLocalLocked()
+	}
 	c.mu.Unlock()
 
 	select {
@@ -420,32 +413,36 @@ func (c *Coordinator) drop(t *task) bool {
 	return false
 }
 
-// runLocal executes a payload in-process, honoring the local slot bound
-// and the dispatch context while waiting for one.
-func (c *Coordinator) runLocal(ctx context.Context, p JobPayload, onSnap func(smt.Snapshot)) (smt.Results, error) {
-	if c.opts.LocalSlots != nil {
-		select {
-		case c.opts.LocalSlots <- struct{}{}:
-			defer func() { <-c.opts.LocalSlots }()
-		case <-ctx.Done():
-			return smt.Results{}, ctx.Err()
+// runLocal is the coordinator's one local route: the no-fleet path, the
+// backlog spill and the requeue fallback all execute a task here, under
+// one LocalSlots token when local execution is metered, and deliver the
+// result into the task. try asks for a token that is free right now and
+// reports ran == false without one; otherwise the wait for a token ends
+// only with the dispatching sweep's context. A requeued task whose context
+// ends needs nothing more: the dispatching goroutine observes its own
+// context.
+func (c *Coordinator) runLocal(t *task, try bool) (ran bool, err error) {
+	if slots := c.opts.LocalSlots; slots != nil {
+		if try {
+			select {
+			case slots <- struct{}{}:
+			default:
+				return false, nil
+			}
+		} else {
+			select {
+			case slots <- struct{}{}:
+			case <-t.ctx.Done():
+				return false, t.ctx.Err()
+			}
 		}
+		defer func() { <-slots }()
 	}
-	if err := ctx.Err(); err != nil {
-		return smt.Results{}, err
+	if err := t.ctx.Err(); err != nil {
+		return false, err
 	}
-	return c.opts.Exec(p, onSnap), nil
-}
-
-// runLocalTask is the requeue fallback: execute a task locally and
-// deliver it. Cancellation needs no handling here — the dispatching
-// goroutine observes its own context.
-func (c *Coordinator) runLocalTask(t *task) {
-	res, err := c.runLocal(t.ctx, t.payload, t.onSnap)
-	if err != nil {
-		return
-	}
-	c.deliver(t, res, "", false)
+	c.deliver(t, c.opts.Exec(t.payload, t.onSnap), "", false)
+	return true, nil
 }
 
 // drainPendingToLocalLocked sends every queued, unassigned task to local
@@ -461,7 +458,7 @@ func (c *Coordinator) drainPendingToLocalLocked() {
 		}
 		t.local = true
 		c.opts.Logf("dist: job %s (%s) falling back to local execution; no workers remain", t.id, t.payload.Key)
-		go c.runLocalTask(t)
+		go c.runLocal(t, false)
 	}
 }
 
@@ -482,7 +479,7 @@ func (c *Coordinator) requeueLocked(t *task) {
 		t.local = true
 		c.opts.Logf("dist: job %s (%s) falling back to local execution after %d remote attempt(s)",
 			t.id, t.payload.Key, t.attempts)
-		go c.runLocalTask(t)
+		go c.runLocal(t, false)
 		return
 	}
 	t.enqueued = time.Now()
@@ -701,7 +698,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	tasks := make([]*task, len(req.Results))
 	for i, tr := range req.Results {
-		tasks[i] = c.tasks[tr.TaskID]
+		// Task ids are guessable; nobody can hold the result of a job that
+		// was never leased out.
+		if t := c.tasks[tr.TaskID]; t != nil && t.attempts > 0 {
+			tasks[i] = t
+		}
 	}
 	c.mu.Unlock()
 	// A task that was requeued into local fallback can still receive its
@@ -721,7 +722,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 // sweep's observer and renews the job's lease — a worker deep in a long
 // simulation proves liveness by the snapshots themselves. Only the
 // current assignee's snapshots are forwarded, so a presumed-dead worker
-// that is still simulating cannot interleave with its replacement.
+// that is still simulating cannot interleave with its replacement, and a
+// queued job (assigned to nobody) takes none.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req SnapshotRequest
 	if !decodeInto(w, r, &req, maxSnapshotBody) {
@@ -733,7 +735,7 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		ws.lastSeen = now
 	}
 	var onSnap func(smt.Snapshot)
-	if t := c.tasks[req.TaskID]; t != nil && !t.done && !t.cancelled && t.assignedTo == req.WorkerID {
+	if t := c.tasks[req.TaskID]; t != nil && !t.done && !t.cancelled && t.assignedTo != "" && t.assignedTo == req.WorkerID {
 		t.deadline = now.Add(c.opts.LeaseTTL)
 		onSnap = t.onSnap
 	}

@@ -219,7 +219,7 @@ func TestWorkerFailover(t *testing.T) {
 		Client:      &http.Client{Transport: kt, Timeout: 10 * time.Second},
 		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			<-release
-			return SimulateJob(p, onSnap)
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
 		},
 	})
 	stopVictim := startWorker(t, victim)
@@ -322,7 +322,7 @@ func TestLastWorkerLeavesPendingJobsComplete(t *testing.T) {
 		Backoff:     50 * time.Millisecond,
 		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			time.Sleep(100 * time.Millisecond)
-			return SimulateJob(p, onSnap)
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
 		},
 	})
 	stop := startWorker(t, w)
@@ -380,7 +380,7 @@ func TestLocalSpillAddsCapacity(t *testing.T) {
 		Backoff:     50 * time.Millisecond,
 		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			time.Sleep(50 * time.Millisecond)
-			return SimulateJob(p, onSnap)
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
 		},
 	})
 	defer startWorker(t, w)()
@@ -517,7 +517,7 @@ func TestWorkerDrainFlushesLeaseAhead(t *testing.T) {
 	exec := func(p JobPayload, _ func(smt.Snapshot)) smt.Results {
 		firstRunning <- struct{}{}
 		<-release
-		return SimulateJob(p, nil)
+		return SimulateJob(exp.WarmEnv{})(p, nil)
 	}
 	// A phantom worker (registered over HTTP, never polls) keeps capacity
 	// non-zero so dispatched jobs queue at the coordinator instead of

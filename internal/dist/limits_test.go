@@ -78,7 +78,7 @@ func TestLeaseLatencyAndAutoscaleSignal(t *testing.T) {
 		Backoff:     20 * time.Millisecond,
 		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			<-release
-			return SimulateJob(p, onSnap)
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
 		},
 	})
 	defer startWorker(t, w)()
@@ -156,7 +156,7 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 		Cache: cache.NewRemote[smt.Results](hung.URL, &http.Client{Timeout: 5 * time.Minute}),
 		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			executed <- struct{}{}
-			return SimulateJob(p, onSnap)
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
 		},
 	})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,7 +9,7 @@
 // produces canonical result JSON byte-identical to the same sweep run in
 // one process. Three properties carry that guarantee end to end:
 //
-//  1. Workers run the exact same measurement kernel (exp.Simulate) the
+//  1. Workers run the exact same measurement kernel (exp.SimulateEnv) the
 //     local runner runs, on a payload that carries everything the kernel
 //     reads: config, rotation, seed, budgets.
 //  2. smt.Config and smt.Results survive their JSON round-trip exactly
@@ -83,19 +83,12 @@ type JobPayload struct {
 type Exec func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results
 
 // SimulateJob is the canonical Exec: the experiment engine's own
-// measurement kernel applied to the payload. The coordinator's local
-// fallback and every worker default to it, which is what makes
-// distributed results byte-identical to local ones.
-func SimulateJob(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
-	return exp.Simulate(p.Config, p.Run, p.Seed, exp.Opts{Runs: 1, Warmup: p.Warmup, Measure: p.Measure, Seed: p.Seed}, p.Interval, onSnap)
-}
-
-// SimulateJobWarm is SimulateJob through a warm-acceleration environment:
-// the same kernel with warmup checkpointing and/or trace replay layered in.
-// Workers configured with a snapshot store or trace cache run through it;
-// the determinism contract is unchanged because the warm kernel is
-// byte-identical to the cold one for every environment.
-func SimulateJobWarm(env exp.WarmEnv) Exec {
+// measurement kernel applied to the payload, under env's warmup
+// checkpoints and trace replay when it carries any. The coordinator's
+// local fallback and every worker default to it, which is what makes
+// distributed results byte-identical to local ones — the kernel commits
+// the same bits under every env.
+func SimulateJob(env exp.WarmEnv) Exec {
 	return func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 		return exp.SimulateEnv(p.Config, p.Run, p.Seed, exp.Opts{Runs: 1, Warmup: p.Warmup, Measure: p.Measure, Seed: p.Seed}, p.Interval, onSnap, env)
 	}

@@ -43,29 +43,19 @@ type WorkerOptions struct {
 	// Prefetched leases are covered by heartbeats like running ones, and
 	// worker death requeues them exactly the same way.
 	Prefetch int
-	// Exec runs one job payload; default SimulateJob (routed through the
-	// warm layers below when any are configured).
+	// Exec runs one job payload; default SimulateJob under Warm.
 	Exec Exec
 	// Cache, when non-nil, is peeked before simulating and filled after.
 	// When nil and the coordinator advertises a cache, a
 	// cache.Remote[smt.Results] against the coordinator is used
 	// automatically — the shared-cache path needs no configuration.
 	Cache ResultCache
-	// Snapshots, when non-nil, checkpoints warmup state for the default
-	// executor: jobs whose (config, rotation, seed, warmup) checkpoint is
-	// stored restore it instead of re-simulating the warmup, and cold
-	// warmups fill the store. Ignored when Exec is set.
-	Snapshots exp.SnapshotStore
-	// SnapshotsFromCoordinator, when Snapshots is nil and the coordinator
-	// advertises a cache, shares warmup checkpoints through the
-	// coordinator's /v1/cache endpoint (the same channel result peeks use):
-	// one worker's cold warmup becomes every worker's restore. Ignored when
-	// Exec is set.
-	SnapshotsFromCoordinator bool
-	// Traces, when non-nil, replays pre-decoded instruction traces in the
-	// default executor's fetch path, one build per rotation shared across
-	// this worker's slots. Ignored when Exec is set.
-	Traces *snapshot.TraceCache
+	// Warm is the default executor's acceleration environment: warmup
+	// checkpoints and per-context trace replay. When Warm.Snapshots is nil
+	// and the coordinator advertises a cache, checkpoints are shared
+	// through the coordinator's /v1/cache endpoint (the same channel result
+	// peeks use): one worker's cold warmup becomes every worker's restore.
+	Warm exp.WarmEnv
 	// Client is the HTTP client used for every coordinator call,
 	// including long polls — so a custom client's Timeout must exceed the
 	// coordinator's PollWait. When nil, ordinary calls get a 30s-timeout
@@ -73,15 +63,10 @@ type WorkerOptions struct {
 	// per-request at PollWait plus a margin.
 	Client *http.Client
 	// Backoff is the base retry pause after a failed coordinator call;
-	// default 500ms. It seeds the worker's default retry policy (capped
-	// exponential with deterministic jitter); set Retry to override the
-	// whole schedule.
+	// default 500ms. It seeds the worker's retry policy: 3 attempts,
+	// Backoff base doubling to 10x Backoff, jitter seeded from the worker
+	// name so a fleet's retries do not synchronize.
 	Backoff time.Duration
-	// Retry overrides the worker's outbound-call retry policy. The zero
-	// value derives one from Backoff: 3 attempts, Backoff base doubling
-	// to 10x Backoff, jitter seeded from the worker name so a fleet's
-	// retries do not synchronize.
-	Retry resilience.Policy
 	// DrainGrace bounds how long a draining worker keeps retrying result
 	// delivery against an unresponsive coordinator before abandoning the
 	// posts and deregistering; default 15s. Without the bound, a dead
@@ -127,14 +112,14 @@ type Worker struct {
 	// Run before any executor starts.
 	results chan TaskResult
 
-	mu        sync.Mutex
-	id        string
-	leaseTTL  time.Duration
-	pollWait  time.Duration
-	cache     ResultCache
-	snapshots exp.SnapshotStore
-	done      int64 // jobs whose results were delivered (simulated or cache-served)
-	fatal     error // permanent rejection observed mid-run (build mismatch)
+	mu       sync.Mutex
+	id       string
+	leaseTTL time.Duration
+	pollWait time.Duration
+	cache    ResultCache
+	warm     exp.WarmEnv // opts.Warm, its Snapshots filled in at registration when unset
+	done     int64       // jobs whose results were delivered (simulated or cache-served)
+	fatal    error       // permanent rejection observed mid-run (build mismatch)
 }
 
 func (w *Worker) setFatal(err error) {
@@ -164,16 +149,13 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.DrainGrace <= 0 {
 		opts.DrainGrace = 15 * time.Second
 	}
-	retry := opts.Retry
-	if retry == (resilience.Policy{}) {
-		h := fnv.New64a()
-		h.Write([]byte(opts.Name))
-		retry = resilience.Policy{
-			MaxAttempts: 3,
-			BaseDelay:   opts.Backoff,
-			MaxDelay:    10 * opts.Backoff,
-			Seed:        h.Sum64(),
-		}
+	h := fnv.New64a()
+	h.Write([]byte(opts.Name))
+	retry := resilience.Policy{
+		MaxAttempts: 3,
+		BaseDelay:   opts.Backoff,
+		MaxDelay:    10 * opts.Backoff,
+		Seed:        h.Sum64(),
 	}
 	if opts.Build == "" {
 		opts.Build = BuildID()
@@ -199,25 +181,21 @@ func NewWorker(opts WorkerOptions) *Worker {
 		pctx:       pctx,
 		pcancel:    pcancel,
 		cache:      opts.Cache,
-		snapshots:  opts.Snapshots,
+		warm:       opts.Warm,
 	}
 }
 
 // exec resolves the executor for one job: an explicit Exec verbatim, else
-// the canonical kernel through whatever warm layers are configured right
-// now — the snapshot store may have been auto-built at (re-)registration,
-// so the binding is per-job, not per-worker.
+// the canonical kernel under the current warm environment — the snapshot
+// store may have been auto-built at (re-)registration, so the binding is
+// per-job, not per-worker.
 func (w *Worker) exec() Exec {
 	if w.opts.Exec != nil {
 		return w.opts.Exec
 	}
 	w.mu.Lock()
-	snaps := w.snapshots
-	w.mu.Unlock()
-	if snaps == nil && w.opts.Traces == nil {
-		return SimulateJob
-	}
-	return SimulateJobWarm(exp.WarmEnv{Snapshots: snaps, Traces: w.opts.Traces})
+	defer w.mu.Unlock()
+	return SimulateJob(w.warm)
 }
 
 // ID returns the coordinator-assigned worker id ("" before registration).
@@ -373,11 +351,11 @@ func (w *Worker) registerOnce(ctx context.Context) error {
 	if w.cache == nil && reg.CacheEnabled {
 		w.cache = cache.NewRemote[smt.Results](w.base, w.client)
 	}
-	if w.snapshots == nil && w.opts.SnapshotsFromCoordinator && reg.CacheEnabled {
+	if w.warm.Snapshots == nil && reg.CacheEnabled {
 		// Warmup checkpoints ride the same content-addressed endpoint as
 		// result peeks; snapshot.Key's "snap:" prefix routes them to the
 		// coordinator's byte-typed snapshot tiers.
-		w.snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client))
+		w.warm.Snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client))
 	}
 	w.mu.Unlock()
 	w.logf("dist: registered with %s as %s (%d slots)", w.base, reg.WorkerID, w.opts.Slots)
@@ -443,10 +421,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 
 // dispatchLoop is the worker's scheduler: one long-poll loop that asks
 // for as many jobs as it has free slots and fans the returned batch out
-// to executor goroutines. Compared to the old one-poll-loop-per-slot
-// design, a batch of small jobs costs one HTTP round trip instead of one
-// per job, and the next batch is being fetched while the previous one
-// still runs — the protocol hop overlaps simulation instead of
+// to executor goroutines. A batch of small jobs costs one HTTP round trip,
+// not one per job, and the next batch is being fetched while the previous
+// one still runs — the protocol hop overlaps simulation instead of
 // serializing with it.
 func (w *Worker) dispatchLoop(ctx context.Context, wg *sync.WaitGroup) {
 	slots := make(chan struct{}, w.opts.Slots)
@@ -672,8 +649,7 @@ func (w *Worker) reporterLoop() {
 //
 // Posts ride the worker's post context, not the run context — drain
 // still delivers — but a drain stuck past DrainGrace cuts it, so a dead
-// coordinator cannot stall a SIGTERM'd worker behind client timeouts
-// (the old bare time.Sleep loop here did exactly that).
+// coordinator cannot stall a SIGTERM'd worker behind client timeouts.
 //
 // When every attempt fails at the transport, the worker deregisters
 // itself: its own heartbeats would otherwise keep renewing the

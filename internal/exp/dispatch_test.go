@@ -3,9 +3,11 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,6 +43,52 @@ func TestDispatcherByteIdentical(t *testing.T) {
 	}
 	if a, b := encodeResult(t, local), encodeResult(t, viaDispatch); a != b {
 		t.Fatalf("dispatcher changed result bytes\nlocal:\n%s\ndispatched:\n%s", a, b)
+	}
+}
+
+// TestNilDispatchIsZeroWarmEnv: a Runner with no Dispatch, one with
+// Dispatch: WarmEnv{}, and Simulate called directly are the same execution
+// — identical bytes per job and per sweep.
+func TestNilDispatchIsZeroWarmEnv(t *testing.T) {
+	e, _ := Lookup("fig7")
+	o := tinyOpts()
+	perJob := func(r Runner) (string, map[[2]int]string) {
+		var mu sync.Mutex
+		jobs := map[[2]int]string{}
+		r.OnJobDone = func(j Job, res smt.Results, _ bool) {
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			jobs[[2]int{j.Point, j.Run}] = string(b)
+			mu.Unlock()
+		}
+		res, err := r.RunExperiment(context.Background(), e, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeResult(t, res), jobs
+	}
+	nilSweep, nilJobs := perJob(Runner{Workers: 2})
+	envSweep, envJobs := perJob(Runner{Workers: 2, Dispatch: WarmEnv{}})
+	if nilSweep != envSweep {
+		t.Fatalf("Dispatch: WarmEnv{} changed the sweep's bytes\nnil:\n%s\nWarmEnv{}:\n%s", nilSweep, envSweep)
+	}
+	jobs, err := Jobs(e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = o.Normalized()
+	for _, j := range jobs {
+		b, err := json.Marshal(Simulate(j.Spec.Config, j.Run, JobSeed(o.Seed, j.Run), o, 0, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := [2]int{j.Point, j.Run}
+		if nilJobs[k] != string(b) || envJobs[k] != string(b) {
+			t.Fatalf("point %d rotation %d: runner results differ from Simulate\nSimulate:  %s\nnil:       %s\nWarmEnv{}: %s", j.Point, j.Run, b, nilJobs[k], envJobs[k])
+		}
 	}
 }
 

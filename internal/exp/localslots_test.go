@@ -38,7 +38,7 @@ func TestSharedSemaphoreBoundsConcurrency(t *testing.T) {
 				maxInFlight = inFlight
 			}
 			mu.Unlock()
-			res := dist.SimulateJob(p, onSnap)
+			res := dist.SimulateJob(exp.WarmEnv{})(p, onSnap)
 			mu.Lock()
 			inFlight--
 			mu.Unlock()

@@ -6,74 +6,6 @@ import (
 	"repro/smt"
 )
 
-// PredictorComparison builds an ad-hoc experiment sweeping registered
-// branch predictors against each other under one fetch policy (with its
-// num1.num2 partitioning) and one issue policy, across the paper's
-// standard thread counts up to maxThreads. It is how custom (caller-
-// registered) predictors enter the engine without a registry preset —
-// the predictor analogue of PolicyComparison, with the same paired
-// methodology and content-addressed caching (predictor names flow into
-// the config fingerprint).
-func PredictorComparison(predictors []string, fetchAlg, issue string, maxThreads, num1, num2 int) (Experiment, error) {
-	if len(predictors) == 0 {
-		return Experiment{}, fmt.Errorf("exp: predictor comparison needs at least one predictor")
-	}
-	if maxThreads < 1 {
-		return Experiment{}, fmt.Errorf("exp: predictor comparison maxThreads = %d, want >= 1", maxThreads)
-	}
-	if num1 < 1 || num2 < 1 {
-		return Experiment{}, fmt.Errorf("exp: predictor comparison fetch partitioning %d.%d, both must be >= 1", num1, num2)
-	}
-	if fetchAlg == "" {
-		fetchAlg = string(smt.FetchRR)
-	}
-	if _, ok := smt.LookupFetchPolicy(fetchAlg); !ok {
-		return Experiment{}, fmt.Errorf("exp: unknown fetch policy %q (registered: %v)", fetchAlg, smt.FetchPolicies())
-	}
-	if issue == "" {
-		issue = string(smt.IssueOldestFirst)
-	}
-	if _, ok := smt.LookupIssuePolicy(issue); !ok {
-		return Experiment{}, fmt.Errorf("exp: unknown issue policy %q (registered: %v)", issue, smt.IssuePolicies())
-	}
-	seen := map[string]bool{}
-	for _, name := range predictors {
-		if !smt.HasPredictor(name) {
-			return Experiment{}, fmt.Errorf("exp: unknown branch predictor %q (registered: %v)", name, smt.Predictors())
-		}
-		if seen[name] {
-			return Experiment{}, fmt.Errorf("exp: branch predictor %q listed twice", name)
-		}
-		seen[name] = true
-	}
-	threads := make([]int, 0, len(ThreadCounts)+1)
-	for _, t := range ThreadCounts {
-		if t < maxThreads {
-			threads = append(threads, t)
-		}
-	}
-	threads = append(threads, maxThreads)
-	preds := append([]string(nil), predictors...)
-	return Experiment{
-		Name:  "adhoc-pred",
-		Title: fmt.Sprintf("ad-hoc branch predictor comparison (%d predictors, %s.%d.%d, issue %s)", len(preds), fetchAlg, num1, num2, issue),
-		Shape: Shape{Series: len(preds), Points: len(preds) * len(threads)},
-		Points: func() []PointSpec {
-			pts := make([]PointSpec, 0, len(preds)*len(threads))
-			for _, name := range preds {
-				name := name
-				pts = append(pts, seriesOf(name, threads, func(t int) smt.Config {
-					cfg := MustFetchScheme(t, fetchAlg, num1, num2)
-					cfg.IssuePolicy = smt.IssueAlg(issue)
-					cfg.Branch.Predictor = name
-					return cfg
-				})...)
-			}
-			return pts
-		},
-	}, nil
-}
-
 // predMatrixThreads keeps the registry preset small enough for CI smoke
 // sweeps while still crossing the single-thread and saturated regimes.
 var predMatrixThreads = []int{2, 8}

@@ -50,7 +50,7 @@ func (r *ExperimentResult) Lookup(series string) []Point {
 }
 
 // SeriesMap indexes the result's series by name, the shape the figure
-// printers historically consumed.
+// printers consume.
 func (r *ExperimentResult) SeriesMap() map[string][]Point {
 	out := make(map[string][]Point, len(r.Series))
 	for _, s := range r.Series {

@@ -48,31 +48,11 @@ func JobSeed(base uint64, run int) uint64 {
 // cache entry.
 func (j Job) Key(o Opts) string {
 	o = o.Normalized()
-	return j.keyFor(o, JobSeed(o.Seed, j.Run))
-}
-
-// keyFor is Key with the rotation seed already derived — the sweep-level
-// path, where RunExperiment hoists the per-rotation derivation to setup so
-// result keys, snapshot keys, and trace builds all consume one canonical
-// seed instead of re-deriving it per grid point.
-func (j Job) keyFor(o Opts, seed uint64) string {
 	fp := j.fp
 	if fp == "" {
 		fp = j.Spec.Config.Fingerprint()
 	}
-	return fmt.Sprintf("%s:r%d:s%d:w%d:m%d", fp, j.Run, seed, o.Warmup, o.Measure)
-}
-
-// rotationSeeds derives every rotation's workload seed once, at sweep
-// setup. Each job then receives seeds[j.Run] instead of deriving its own,
-// so the three consumers of a rotation seed — the result cache key, the
-// snapshot key, and the trace build — cannot drift apart.
-func rotationSeeds(o Opts) []uint64 {
-	seeds := make([]uint64, o.Runs)
-	for run := range seeds {
-		seeds[run] = JobSeed(o.Seed, run)
-	}
-	return seeds
+	return fmt.Sprintf("%s:r%d:s%d:w%d:m%d", fp, j.Run, JobSeed(o.Seed, j.Run), o.Warmup, o.Measure)
 }
 
 // JobCache is the pluggable per-job result store the runner consults
@@ -102,9 +82,11 @@ type Dispatcher interface {
 type SnapshotStore = cache.Getter[[]byte]
 
 // WarmEnv carries the optional sweep-acceleration layers into the
-// measurement kernel. The zero value disables both; either field works
-// alone. Neither layer changes result bytes — restored and replayed runs
-// are byte-identical to cold runs by construction.
+// measurement kernel, and is the in-process Dispatcher: a Runner, the
+// coordinator's local route and a distributed worker all run the kernel
+// under one. The zero value disables both layers; either field works
+// alone. Neither layer changes result bytes — restored and
+// replayed runs are byte-identical to cold runs by construction.
 type WarmEnv struct {
 	// Snapshots checkpoints warmed machine state under
 	// snapshot.Key(fingerprint, rotation, seed, warmup): a hit restores
@@ -115,6 +97,14 @@ type WarmEnv struct {
 	// the shared trace in the fetch path of every configuration and
 	// machine width that runs it.
 	Traces *snapshot.TraceCache
+}
+
+// Dispatch implements Dispatcher: the job's measurement kernel in this
+// process under env. It cannot fail and does not watch ctx — a started
+// simulation runs its budget out.
+func (env WarmEnv) Dispatch(_ context.Context, j Job, o Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error) {
+	o = o.Normalized()
+	return SimulateEnv(j.Spec.Config, j.Run, JobSeed(o.Seed, j.Run), o, interval, onSnap, env), nil
 }
 
 // Simulate executes one job's measurement kernel in-process with no
@@ -144,7 +134,7 @@ func SimulateEnv(cfg smt.Config, rotate int, seed uint64, o Opts, interval int64
 	spec := smt.WorkloadMix(cfg.Threads, rotate, seed)
 	warmup := o.Warmup
 	if warmup < 0 {
-		warmup = 0 // historical behavior: a negative warmup skips warmup
+		warmup = 0 // a negative warmup skips warmup
 	}
 
 	build := func() *smt.Simulator {
@@ -236,36 +226,18 @@ type Runner struct {
 	// called from worker goroutines; implementations must synchronize.
 	OnSnapshot func(j Job, s smt.Snapshot)
 
-	// Dispatch, when non-nil, hands every cache-missed job to an external
-	// executor — the distributed coordinator in internal/dist — instead of
-	// simulating in-process. The cache protocol is unchanged (lookup before
+	// Dispatch executes every cache-missed job. Nil means the zero WarmEnv:
+	// the plain kernel in this process. A WarmEnv with checkpoints and
+	// traces attached accelerates the same kernel (the CLI); the distributed
+	// coordinator in internal/dist sends the job to a worker fleet (smtd).
+	// The cache protocol is the same for all of them (lookup before
 	// dispatch, fill after), so overlapping sweeps dedupe identically, and
 	// because dispatchers are determinism-bound (see Dispatcher) the
-	// aggregated result bytes are identical to a local run. Bounding
-	// execution across sweeps is the dispatcher's job (smtd's coordinator
-	// meters its local slots; a remote fleet has its own capacity); without
-	// one, Workers is the only bound. Snapshots and Traces are not
-	// consulted on the dispatch path either: the dispatcher's executor
-	// carries its own WarmEnv.
+	// aggregated result bytes do not depend on which one ran the job.
+	// Bounding execution across sweeps is the dispatcher's job (smtd's
+	// coordinator meters its local slots; a remote fleet has its own
+	// capacity); under a WarmEnv, Workers is the only bound.
 	Dispatch Dispatcher
-
-	// Snapshots, when non-nil, checkpoints warmed machine state across the
-	// sweep (and, through a shared tier stack, across sweeps, restarts,
-	// and federation peers): cache-missed jobs restore a stored warmup
-	// instead of simulating it, and cold warmups fill the store. Mirrors
-	// the Cache/Dispatch seams — smtd, the distributed worker, and the
-	// CLI all plug the same interface. See WarmEnv.
-	Snapshots SnapshotStore
-
-	// Traces, when non-nil, pre-decodes each hardware context's program
-	// once and replays the shared trace in every simulated job's fetch
-	// path. See WarmEnv.
-	Traces *snapshot.TraceCache
-}
-
-// warmEnv bundles the runner's acceleration seams for the kernel.
-func (r Runner) warmEnv() WarmEnv {
-	return WarmEnv{Snapshots: r.Snapshots, Traces: r.Traces}
 }
 
 func (r Runner) workers() int {
@@ -320,10 +292,6 @@ func (r Runner) RunExperiment(ctx context.Context, e Experiment, o Opts) (*Exper
 func (r Runner) RunJobs(ctx context.Context, e Experiment, o Opts, jobs []Job) (*ExperimentResult, error) {
 	o = o.Normalized()
 	results := make([]smt.Results, len(jobs))
-	// One canonical seed derivation per rotation, hoisted to sweep setup:
-	// result keys, snapshot keys, and trace builds all consume seeds[run]
-	// instead of re-deriving it independently at every grid point.
-	seeds := rotationSeeds(o)
 
 	// runCtx lets the first failing job stop its siblings without waiting
 	// for them to run their full budgets.
@@ -354,7 +322,7 @@ func (r Runner) RunJobs(ctx context.Context, e Experiment, o Opts, jobs []Job) (
 				if runCtx.Err() != nil {
 					continue // drain without working; the feeder is stopping
 				}
-				res, err := r.runJob(runCtx, jobs[i], o, seeds[jobs[i].Run])
+				res, err := r.runJob(runCtx, jobs[i], o)
 				if err != nil {
 					fail(err)
 					continue
@@ -388,10 +356,10 @@ feed:
 // or a wait on another runner's in-flight computation — never reaches the
 // dispatcher. On a dispatch error the job's cache leadership is released
 // (see cache.Forget) before the error is returned.
-func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Results, error) {
+func (r Runner) runJob(ctx context.Context, j Job, o Opts) (smt.Results, error) {
 	var key string
 	if r.Cache != nil {
-		key = j.keyFor(o, seed)
+		key = j.Key(o)
 		res, ok, err := cache.GetCtx(ctx, r.Cache, key)
 		if err != nil {
 			return smt.Results{}, err // wait abandoned; no leadership taken
@@ -412,16 +380,14 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts, seed uint64) (smt.Res
 		onSnap = func(s smt.Snapshot) { r.OnSnapshot(j, s) }
 	}
 
-	var res smt.Results
-	if r.Dispatch != nil {
-		var err error
-		res, err = r.Dispatch.Dispatch(ctx, j, o, interval, onSnap)
-		if err != nil {
-			cache.Forget(r.Cache, key)
-			return smt.Results{}, err
-		}
-	} else {
-		res = SimulateEnv(j.Spec.Config, j.Run, seed, o, interval, onSnap, r.warmEnv())
+	d := r.Dispatch
+	if d == nil {
+		d = WarmEnv{}
+	}
+	res, err := d.Dispatch(ctx, j, o, interval, onSnap)
+	if err != nil {
+		cache.Forget(r.Cache, key)
+		return smt.Results{}, err
 	}
 	if r.Cache != nil {
 		r.Cache.Put(key, res)

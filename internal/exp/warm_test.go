@@ -93,9 +93,9 @@ func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	}
 }
 
-// A full parallel sweep through Runner.Snapshots/Runner.Traces must emit the
-// exact bytes of an unaccelerated sweep — run twice, so the second pass
-// exercises the all-restored path.
+// A full parallel sweep through Dispatch: WarmEnv{Snapshots, Traces} must
+// emit the exact bytes of an unaccelerated sweep — run twice, so the second
+// pass exercises the all-restored path.
 func TestRunnerWarmSweepByteIdentical(t *testing.T) {
 	e, ok := Lookup("fig4")
 	if !ok {
@@ -113,7 +113,7 @@ func TestRunnerWarmSweepByteIdentical(t *testing.T) {
 	}
 
 	store := snapshot.NewStore(newMapSnapshots())
-	warm := Runner{Workers: 4, Snapshots: store, Traces: snapshot.NewTraceCache(0)}
+	warm := Runner{Workers: 4, Dispatch: WarmEnv{Snapshots: store, Traces: snapshot.NewTraceCache(0)}}
 	for pass := 0; pass < 2; pass++ {
 		res, err := warm.RunExperiment(context.Background(), e, o)
 		if err != nil {

@@ -63,6 +63,10 @@ func (c CacheConfig) Validate(name string) error {
 		return fmt.Errorf("mem: %s set count not a power of two", name)
 	case c.Banks < 1 || c.Banks&(c.Banks-1) != 0:
 		return fmt.Errorf("mem: %s banks %d not a power of two", name, c.Banks)
+	case c.Banks > 32:
+		// Bank sets are 32-bit masks here and in the fetch stage; a bank
+		// past the 32nd would shift out of them and never conflict.
+		return fmt.Errorf("mem: %s banks %d, want <= 32", name, c.Banks)
 	case c.BankGranule <= 0 || c.BankGranule&(c.BankGranule-1) != 0:
 		return fmt.Errorf("mem: %s bank granule %d invalid", name, c.BankGranule)
 	case c.AccessEvery < 1:

@@ -56,6 +56,14 @@ func TestConfigValidation(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("non-power-of-two banks accepted")
 	}
+	c.Caches[L1D].Banks = 32
+	if err := c.Validate(); err != nil {
+		t.Errorf("32 banks rejected: %v", err)
+	}
+	c.Caches[L1D].Banks = 64
+	if err := c.Validate(); err == nil {
+		t.Error("64 banks accepted: bank sets are 32-bit masks")
+	}
 	c = DefaultConfig()
 	c.ITLB.Entries = 0
 	if err := c.Validate(); err == nil {

@@ -478,7 +478,7 @@ func (g *generator) emitMem(cls isa.Class, pat isa.MemPattern) {
 	case isa.MemStack:
 		s.Region = -1
 	case isa.MemStride:
-		s.Region = int32(g.memSrc.Intn(min2(2, g.p.NumRegions)))
+		s.Region = int32(g.memSrc.Intn(min(2, g.p.NumRegions)))
 	case isa.MemPointer:
 		s.Region = int32(2 % g.p.NumRegions)
 	default: // MemRandom
@@ -674,18 +674,4 @@ func drawTrip(seed uint64, bid int32, entry uint32, mean float64) int32 {
 		trip = maxTrip
 	}
 	return trip
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

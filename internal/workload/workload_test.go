@@ -329,10 +329,3 @@ func TestNewRejectsBadInputs(t *testing.T) {
 		t.Fatal("expected asid error")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

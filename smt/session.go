@@ -198,7 +198,7 @@ func (se *Session) run(ctx context.Context, sim *Simulator, spec RunSpec) {
 // point). It is a warmup-only session; it panics if a session is active.
 func (s *Simulator) Warmup(instructions int64) {
 	if instructions <= 0 {
-		// Historical behavior: a zero-instruction warmup still resets.
+		// A zero-instruction warmup still resets the counters.
 		s.proc.ResetStats()
 		return
 	}
