@@ -31,7 +31,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"repro/internal/cache"
@@ -207,15 +206,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// emit routes every result — registry or ad-hoc — through one output
 	// contract: collected for the single JSON document, or printed as the
-	// paper lays it out.
+	// experiment lays it out.
 	var jsonResults []*exp.ExperimentResult
-	emit := func(res *exp.ExperimentResult, printer func(io.Writer, *exp.ExperimentResult)) {
+	emit := func(e exp.Experiment, res *exp.ExperimentResult) {
 		if *jsonOut {
 			jsonResults = append(jsonResults, res)
 			return
 		}
 		fmt.Fprintf(stdout, "==== %s — %s ====\n", res.Experiment, res.Title)
-		printer(stdout, res)
+		e.Print(stdout, res)
 		fmt.Fprintln(stdout)
 	}
 	finish := func() int {
@@ -262,7 +261,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "experiments:", err)
 			return 1
 		}
-		emit(res, printSeries)
+		emit(e, res)
 		return finish()
 	}
 
@@ -296,148 +295,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "experiments:", err)
 			return 1
 		}
-		emit(res, printers[e.Name])
+		emit(e, res)
 	}
 	return finish()
-}
-
-// printers formats each experiment's engine result the way the paper lays
-// it out; every registry entry must have one (enforced by a test).
-var printers = map[string]func(io.Writer, *exp.ExperimentResult){
-	"fig3":   printFig3,
-	"table3": printTable3,
-	"fig4":   printSeries,
-	"fig5":   printSeries,
-	"table4": printTable4,
-	"fig6":   printSeries,
-	"table5": printTable5,
-	"sec7":   printSec7,
-	"fig7":   printFig7,
-
-	"predmatrix": printSeries,
-	"predvfr":    printSeries,
-}
-
-func printFig3(w io.Writer, res *exp.ExperimentResult) {
-	base, ss := exp.Fig3Result(res)
-	fmt.Fprintf(w, "%-12s %s\n", "threads", "IPC")
-	for _, p := range base {
-		fmt.Fprintf(w, "%-12d %.2f\n", p.Threads, p.IPC)
-	}
-	fmt.Fprintf(w, "%-12s %.2f\n", "superscalar", ss.IPC)
-}
-
-func printTable3(w io.Writer, res *exp.ExperimentResult) {
-	rows := exp.Table3Rows(res)
-	fmt.Fprintf(w, "%-40s", "metric")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%10s", fmt.Sprintf("T=%d", r.Threads))
-	}
-	fmt.Fprintln(w)
-	metric := func(name string, f func(i int) string) {
-		fmt.Fprintf(w, "%-40s", name)
-		for i := range rows {
-			fmt.Fprintf(w, "%10s", f(i))
-		}
-		fmt.Fprintln(w)
-	}
-	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-	metric("throughput (IPC)", func(i int) string { return fmt.Sprintf("%.2f", rows[i].Res.IPC) })
-	metric("out-of-registers (% of cycles)", func(i int) string { return pct(rows[i].Res.OutOfRegisters) })
-	metric("I cache miss rate", func(i int) string { return pct(rows[i].Res.Caches[0].MissRate) })
-	metric("-misses per thousand instructions", func(i int) string { return fmt.Sprintf("%.0f", rows[i].Res.Caches[0].PerK) })
-	metric("D cache miss rate", func(i int) string { return pct(rows[i].Res.Caches[1].MissRate) })
-	metric("-misses per thousand instructions", func(i int) string { return fmt.Sprintf("%.0f", rows[i].Res.Caches[1].PerK) })
-	metric("L2 cache miss rate", func(i int) string { return pct(rows[i].Res.Caches[2].MissRate) })
-	metric("-misses per thousand instructions", func(i int) string { return fmt.Sprintf("%.0f", rows[i].Res.Caches[2].PerK) })
-	metric("L3 cache miss rate", func(i int) string { return pct(rows[i].Res.Caches[3].MissRate) })
-	metric("-misses per thousand instructions", func(i int) string { return fmt.Sprintf("%.0f", rows[i].Res.Caches[3].PerK) })
-	metric("branch misprediction rate", func(i int) string { return pct(rows[i].Res.BranchMispredict) })
-	metric("jump misprediction rate", func(i int) string { return pct(rows[i].Res.JumpMispredict) })
-	metric("integer IQ-full (% of cycles)", func(i int) string { return pct(rows[i].Res.IntIQFull) })
-	metric("fp IQ-full (% of cycles)", func(i int) string { return pct(rows[i].Res.FPIQFull) })
-	metric("avg (combined) queue population", func(i int) string { return fmt.Sprintf("%.0f", rows[i].Res.AvgQueuePop) })
-	metric("wrong-path instructions fetched", func(i int) string { return pct(rows[i].Res.WrongPathFetched) })
-	metric("wrong-path instructions issued", func(i int) string { return pct(rows[i].Res.WrongPathIssued) })
-	// Fetch availability: where every cycle of fetch bandwidth went, by
-	// cause (the rows partition the run's cycles exactly).
-	if len(rows) == 0 {
-		return
-	}
-	avail := make([][]exp.FetchAvailability, len(rows))
-	for i := range rows {
-		avail[i] = exp.FetchAvailabilityRows(rows[i].Res)
-	}
-	for ri, row := range avail[0] {
-		ri := ri
-		metric(row.Cause, func(i int) string { return pct(avail[i][ri].Frac) })
-	}
-}
-
-func printSeries(w io.Writer, res *exp.ExperimentResult) {
-	series := res.SeriesMap()
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	first := series[names[0]]
-	fmt.Fprintf(w, "%-20s", "scheme\\threads")
-	for _, p := range first {
-		fmt.Fprintf(w, "%8d", p.Threads)
-	}
-	fmt.Fprintln(w)
-	for _, name := range names {
-		fmt.Fprintf(w, "%-20s", name)
-		for _, p := range series[name] {
-			fmt.Fprintf(w, "%8.2f", p.IPC)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-func printTable4(w io.Writer, res *exp.ExperimentResult) {
-	one, rr, ic := exp.Table4Results(res)
-	fmt.Fprintf(w, "%-36s %12s %12s %12s\n", "metric", "1 thread", "RR.2.8", "ICOUNT.2.8")
-	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-	fmt.Fprintf(w, "%-36s %12.2f %12.2f %12.2f\n", "throughput (IPC)", one.IPC, rr.IPC, ic.IPC)
-	fmt.Fprintf(w, "%-36s %12s %12s %12s\n", "integer IQ-full (% of cycles)", pct(one.IntIQFull), pct(rr.IntIQFull), pct(ic.IntIQFull))
-	fmt.Fprintf(w, "%-36s %12s %12s %12s\n", "fp IQ-full (% of cycles)", pct(one.FPIQFull), pct(rr.FPIQFull), pct(ic.FPIQFull))
-	fmt.Fprintf(w, "%-36s %12.0f %12.0f %12.0f\n", "avg queue population", one.AvgQueuePop, rr.AvgQueuePop, ic.AvgQueuePop)
-	fmt.Fprintf(w, "%-36s %12s %12s %12s\n", "out-of-registers (% of cycles)", pct(one.OutOfRegisters), pct(rr.OutOfRegisters), pct(ic.OutOfRegisters))
-}
-
-func printTable5(w io.Writer, res *exp.ExperimentResult) {
-	rows := exp.Table5Rows(res)
-	fmt.Fprintf(w, "%-14s", "policy")
-	for _, t := range exp.ThreadCounts {
-		fmt.Fprintf(w, "%8d", t)
-	}
-	fmt.Fprintf(w, "%14s%14s\n", "wrong-path", "optimistic")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s", r.Policy)
-		for _, t := range exp.ThreadCounts {
-			fmt.Fprintf(w, "%8.2f", r.IPC[t])
-		}
-		fmt.Fprintf(w, "%13.1f%%%13.1f%%\n", r.WrongPath*100, r.Optimistic*100)
-	}
-}
-
-func printSec7(w io.Writer, res *exp.ExperimentResult) {
-	results := exp.Sec7Results(res)
-	fmt.Fprintf(w, "%-40s %8s %10s %10s %8s\n", "experiment", "threads", "baseline", "modified", "delta")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-40s %8d %10.2f %10.2f %+7.1f%%\n", r.Name, r.Threads, r.Baseline, r.Modified, r.Delta()*100)
-	}
-}
-
-func printFig7(w io.Writer, res *exp.ExperimentResult) {
-	var pts []exp.Point
-	if len(res.Series) > 0 {
-		pts = res.Series[0].Points
-	}
-	fmt.Fprintf(w, "%-12s %s\n", "contexts", "IPC (200 physical registers)")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-12d %.2f\n", p.Threads, p.IPC)
-	}
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -279,10 +281,25 @@ func TestTable3ShowsFetchAvailability(t *testing.T) {
 	}
 }
 
-func TestEveryExperimentHasAPrinter(t *testing.T) {
-	for _, e := range exp.Experiments() {
-		if printers[e.Name] == nil {
-			t.Errorf("registry entry %s has no printer", e.Name)
+// TestTextLayoutFrozen is the referee for the printed tables: the three
+// files under testdata are the stdout of the binary built before the
+// layouts moved next to their grids, and every byte must still match.
+func TestTextLayoutFrozen(t *testing.T) {
+	for file, args := range map[string][]string{
+		"all.txt":             {"-experiment", "all"},
+		"adhoc_fetch.txt":     {"-fetch", "RR,ICOUNT", "-threads", "4"},
+		"adhoc_predictor.txt": {"-predictor", "gshare,gskewed", "-threads", "4"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, errOut, code := runCLI(t, append(args, tiny...)...)
+		if code != 0 || errOut != "" {
+			t.Fatalf("%s: exit %d, stderr %q", file, code, errOut)
+		}
+		if out != string(want) {
+			t.Errorf("%s: stdout differs from the frozen layout\n--- got ---\n%s--- want ---\n%s", file, out, want)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 // Command smtlint runs the repository's invariant analyzers: determinism
-// (byte-identical results), hotpath (zero-allocation steady state),
-// counterpartition (Stats/Results accounting), and servicehygiene (bounded
-// bodies, cancellable clients). See internal/analysis and the README's
-// "Invariants and static analysis" section.
-//
-// Standalone (the usual way, and what CI runs):
+// (byte-identical results), hotpath (zero-allocation steady state), and
+// servicehygiene (bounded bodies, cancellable clients). See
+// internal/analysis and the README's "Invariants and static analysis"
+// section.
 //
 //	smtlint [-escapes] [packages]     # default ./...
 //
@@ -12,26 +10,17 @@
 // -gcflags=-m`) over the module and reports heap escapes inside hot-path
 // functions.
 //
-// As a vet tool (per-package analyzers only; the whole-program hotpath and
-// counterpartition checks need every package loaded at once and are
-// skipped):
-//
-//	go vet -vettool=$(command -v smtlint) ./...
-//
 // Exit codes: 0 clean, 1 findings, 2 operational error.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/counterpartition"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/load"
@@ -42,7 +31,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	hotpath.Analyzer,
-	counterpartition.Analyzer,
 	servicehygiene.Analyzer,
 }
 
@@ -51,22 +39,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// Vet-tool protocol, part 1: `go vet` first interrogates the tool's
-	// version to build its action ID.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V=") {
-		return printVersion()
-	}
-	// Vet-tool protocol, part 2: `go vet` asks which analyzer flags the
-	// tool accepts, as JSON. None are exposed per-package.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	// Vet-tool protocol, part 3: one vet.cfg per package.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVet(args[0])
-	}
-
 	fs := flag.NewFlagSet("smtlint", flag.ContinueOnError)
 	escapes := fs.Bool("escapes", false, "also run compiler escape analysis over hot-path functions")
 	if err := fs.Parse(args); err != nil {
@@ -117,66 +89,4 @@ func report(prog *analysis.Program, diags []analysis.Diagnostic) int {
 	}
 	fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)\n", len(diags))
 	return 1
-}
-
-// runVet executes the per-package analyzers under the unitchecker
-// protocol: parse the vet.cfg, check the one package it describes against
-// export data, write the (empty) facts file go vet expects, and fail the
-// build on findings.
-func runVet(cfgPath string) int {
-	prog, cfg, err := load.VetPackage(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var diags []analysis.Diagnostic
-	if prog != nil { // nil with SucceedOnTypecheckFailure
-		var perPkg []*analysis.Analyzer
-		for _, a := range analyzers {
-			if !a.WholeProgram {
-				perPkg = append(perPkg, a)
-			}
-		}
-		diags, err = analysis.Run(prog, perPkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if cfg.VetxOutput != "" {
-		// No cross-package facts flow through this tool; the file's
-		// existence is still part of the protocol.
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if prog == nil {
-		return 0
-	}
-	return report(prog, diags)
-}
-
-// printVersion answers -V=full with a content hash of the executable, the
-// stamp `go vet` folds into its cache key (the same scheme x/tools'
-// unitchecker uses).
-func printVersion() int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", filepath.Base(exe), h.Sum(nil))
-	return 0
 }

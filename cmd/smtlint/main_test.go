@@ -25,10 +25,3 @@ func TestCleanTree(t *testing.T) {
 		t.Errorf("smtlint ./... = exit %d on the repository tree, want 0 (findings above)", code)
 	}
 }
-
-// TestVersionStamp checks the vet-tool handshake path.
-func TestVersionStamp(t *testing.T) {
-	if code := run([]string{"-V=full"}); code != 0 {
-		t.Errorf("-V=full = exit %d, want 0", code)
-	}
-}

@@ -6,9 +6,14 @@
 //	smtsim -threads 8 -fetch ICOUNT -nfetch 2 -wfetch 8
 //	smtsim -threads 1 -superscalar
 //	smtsim -threads 8 -fetch RR -issue OPT_LAST -bigq -itag
+//
+// Exit status: 0 after printing the statistics, 2 for a bad flag, 1 for a
+// machine or workload the simulator rejects and for a run that stalls —
+// stallWindow cycles without a single commit.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,8 +24,35 @@ import (
 	"repro/smt"
 )
 
+// stallWindow is how many cycles may pass without a commit before a run
+// counts as stalled. The longest legitimate gap is a TLB miss plus a memory
+// round trip, a few hundred cycles.
+const stallWindow = 100_000
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// runPhase commits at least `instructions` more instructions, like
+// Simulator.Run, but as a streaming session it abandons once a whole
+// stallWindow goes by with nothing committed.
+func runPhase(sim *smt.Simulator, phase string, instructions int64) (smt.Results, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	se, err := sim.Start(ctx, smt.RunSpec{Instructions: instructions, IntervalCycles: stallWindow})
+	if err != nil {
+		return smt.Results{}, err
+	}
+	for snap := range se.Snapshots() {
+		if !snap.Done && snap.Delta.Committed == 0 {
+			cancel()
+			se.Finish()
+			at := snap.Cumulative
+			return at, fmt.Errorf("stalled in %s: nothing committed in the %d cycles before cycle %d (committed %d of %d, per thread %v)",
+				phase, stallWindow, at.Cycles, at.Committed, instructions, at.CommittedByThread)
+		}
+	}
+	return se.Finish()
 }
 
 // run is main with its dependencies injected, so tests can drive the CLI.
@@ -49,6 +81,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+
+	// Validate the budgets and the rotation up front, as cmd/experiments
+	// does; a negative one is a typo, not a machine to simulate.
+	for _, check := range []struct {
+		bad bool
+		msg string
+	}{
+		{*warmup < 0, fmt.Sprintf("-warmup %d is negative; use 0 to skip warmup", *warmup)},
+		{*measure < 0, fmt.Sprintf("-measure %d is negative (instructions measured per thread)", *measure)},
+		{*rotate < 0, fmt.Sprintf("-rotate %d is negative; rotations count up from 0", *rotate)},
+	} {
+		if check.bad {
+			fmt.Fprintln(stderr, check.msg)
+			return 2
+		}
 	}
 
 	fatal := func(err error) int {
@@ -89,8 +137,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "machine: %s  threads=%d  issue=%s  workload=%v\n",
 		cfg.FetchName(), cfg.Threads, cfg.IssuePolicy, spec.Names)
-	sim.Warmup(*warmup * int64(cfg.Threads))
-	res := sim.Run(*measure * int64(cfg.Threads))
+	// Warmup is a measured phase whose counters are then dropped: the same
+	// cycles Simulator.Warmup steps, under the stall guard.
+	if _, err := runPhase(sim, "warmup", *warmup*int64(cfg.Threads)); err != nil {
+		return fatal(err)
+	}
+	sim.Warmup(0)
+	res, err := runPhase(sim, "measurement", *measure*int64(cfg.Threads))
+	if err != nil {
+		return fatal(err)
+	}
 
 	fmt.Fprintf(stdout, "\ncycles:             %d\n", res.Cycles)
 	fmt.Fprintf(stdout, "committed:          %d\n", res.Committed)

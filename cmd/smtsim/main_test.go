@@ -71,3 +71,36 @@ func TestBadBenchNameFails(t *testing.T) {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, errOut)
 	}
 }
+
+// TestNegativeBudgetsAndRotationRejected: each used to reach the simulator
+// and die there with a stack trace (or, for -warmup, be taken as zero).
+func TestNegativeBudgetsAndRotationRejected(t *testing.T) {
+	for _, c := range []struct{ flag, want string }{
+		{"-measure", "-measure -1 is negative"},
+		{"-warmup", "-warmup -1 is negative"},
+		{"-rotate", "-rotate -1 is negative"},
+	} {
+		out, errOut, code := runCLI(t, c.flag, "-1")
+		if code != 2 || !strings.Contains(errOut, c.want) || strings.Count(errOut, "\n") != 1 || out != "" {
+			t.Errorf("%s -1: exit %d, stdout %q, stderr %q", c.flag, code, out, errOut)
+		}
+	}
+}
+
+// TestStalledRunFailsInsteadOfHanging runs ROADMAP item 1's reproducer: two
+// contexts evict each other's I-cache line for ever and nothing commits after
+// cycle 17k. Unguarded, this never returns.
+func TestStalledRunFailsInsteadOfHanging(t *testing.T) {
+	out, errOut, code := runCLI(t, "-threads", "2", "-fetch", "RR", "-seed", "9219", "-warmup", "30000", "-measure", "60000")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, errOut)
+	}
+	for _, want := range []string{"smtsim: stalled in warmup", "before cycle ", "committed 28731 of 60000", "per thread ["} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("stderr %q does not say %q", errOut, want)
+		}
+	}
+	if strings.Contains(out, "throughput") {
+		t.Errorf("a stalled run printed statistics:\n%s", out)
+	}
+}

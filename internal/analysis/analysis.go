@@ -10,9 +10,8 @@
 // Unlike the x/tools driver, a Pass here sees the whole loaded program
 // (Pass.Prog), not just one package. The repository's invariants are
 // cross-package by nature — the hot-path callee set spans core, iq, mem,
-// rename, branch, policy and workload; the counter-partition contract
-// spans core and smt — and a whole-program view is the simplest sound way
-// to check them without a facts store.
+// rename, branch, policy and workload — and a whole-program view is the
+// simplest sound way to check them without a facts store.
 package analysis
 
 import (
@@ -37,11 +36,6 @@ type Analyzer struct {
 	// each finding exactly once (the driver runs the analyzer once per
 	// loaded package).
 	Run func(pass *Pass) error
-
-	// WholeProgram marks analyzers whose invariant only makes sense with
-	// every module package loaded (hotpath, counterpartition). The
-	// driver's vet.cfg single-package mode skips these.
-	WholeProgram bool
 }
 
 // A Pass provides one analyzer run over one package of a loaded program.

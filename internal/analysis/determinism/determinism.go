@@ -23,6 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -57,12 +58,7 @@ var Analyzer = &analysis.Analyzer{
 
 // InScope reports whether a module-relative package path is result-affecting.
 func InScope(rel string) bool {
-	for _, p := range ResultAffecting {
-		if rel == p || strings.HasSuffix(rel, "/"+p) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ResultAffecting, rel)
 }
 
 func run(pass *analysis.Pass) error {

@@ -41,8 +41,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "flag allocating constructs in the transitive callee set of " +
 		"//smt:hotpath roots",
-	Run:          run,
-	WholeProgram: true,
+	Run: run,
 }
 
 // funcInfo is one module function the traversal can visit.

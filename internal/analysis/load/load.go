@@ -162,89 +162,6 @@ func Packages(dir string, patterns ...string) (*analysis.Program, error) {
 	return prog, nil
 }
 
-// VetConfig is the JSON unit-checking configuration `go vet -vettool`
-// passes to its tool, one file per package (the unitchecker protocol).
-type VetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// VetPackage loads the single package described by a vet.cfg file into a
-// one-package Program. Imports resolve through the config's export-data
-// maps, exactly as cmd/vet's own unitchecker does.
-func VetPackage(cfgPath string) (*analysis.Program, *VetConfig, error) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("load: %v", err)
-	}
-	cfg := new(VetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, nil, fmt.Errorf("load: parsing %s: %v", cfgPath, err)
-	}
-
-	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(cfg.GoFiles))
-	for _, path := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, nil, fmt.Errorf("load: %v", err)
-		}
-		files = append(files, f)
-	}
-
-	exports := map[string]string{}
-	importMap := cfg.ImportMap
-	for path, file := range cfg.PackageFile {
-		exports[path] = file
-	}
-	imp := &progImporter{
-		checked:   map[string]*types.Package{},
-		importMap: importMap,
-		gc:        importer.ForCompiler(fset, "gc", exportLookup(exports)),
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return nil, cfg, nil
-		}
-		return nil, nil, fmt.Errorf("load: type-checking %s: %v", cfg.ImportPath, err)
-	}
-
-	// Without module metadata the best module-relative path is a suffix
-	// heuristic: vet mode only feeds path-scoped analyzers, which match on
-	// RelPath suffixes anyway.
-	prog := &analysis.Program{Fset: fset, Dir: cfg.Dir}
-	prog.Packages = []*analysis.Package{{
-		PkgPath: cfg.ImportPath,
-		RelPath: cfg.ImportPath,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}}
-	return prog, cfg, nil
-}
-
 // exportLookup adapts a path→file map to the gc importer's lookup shape.
 func exportLookup(exports map[string]string) func(string) (io.ReadCloser, error) {
 	return func(path string) (io.ReadCloser, error) {
@@ -259,17 +176,11 @@ func exportLookup(exports map[string]string) func(string) (io.ReadCloser, error)
 // progImporter resolves imports for source type-checking: module packages
 // come from the already-checked set, everything else from export data.
 type progImporter struct {
-	checked   map[string]*types.Package
-	importMap map[string]string // source import path → package path (vet mode)
-	gc        types.Importer
+	checked map[string]*types.Package
+	gc      types.Importer
 }
 
 func (pi *progImporter) Import(path string) (*types.Package, error) {
-	if pi.importMap != nil {
-		if mapped, ok := pi.importMap[path]; ok {
-			path = mapped
-		}
-	}
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}

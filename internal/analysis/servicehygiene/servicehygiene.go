@@ -24,7 +24,7 @@ package servicehygiene
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -50,12 +50,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func inScope(scope []string, rel string) bool {
-	for _, p := range scope {
-		if rel == p || strings.HasSuffix(rel, "/"+p) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(scope, rel)
 }
 
 func run(pass *analysis.Pass) error {

@@ -6,11 +6,11 @@ import (
 )
 
 // A CounterPartition declares an exact accounting identity over Stats
-// counters: Whole == sum(Parts), cycle for cycle. The declarations here
-// are cross-checked twice — statically by cmd/smtlint's counterpartition
-// analyzer (every name must be a real Stats field) and at runtime by the
-// core tests via PartitionViolations — so an identity can neither drift
-// when a counter is renamed nor silently stop holding.
+// counters: Whole == sum(Parts), cycle for cycle. The core tests check the
+// declarations through PartitionViolations — every name must be a real
+// Stats field, and every identity must hold on a busy machine — so an
+// identity can neither drift when a counter is renamed nor silently stop
+// holding.
 type CounterPartition struct {
 	Whole string
 	Parts []string
@@ -35,9 +35,9 @@ var CounterPartitions = []CounterPartition{
 // DiagnosticOnlyCounters lists the Stats counters that deliberately do not
 // surface in the exported smt.Results set: they exist for debugging and
 // invariant checks, and adding them to Results would change its frozen
-// JSON schema (and with it every golden fingerprint). The counterpartition
-// analyzer requires every counter to be either reachable from smt.Results
-// or declared here, so the list can hold neither stale nor missing names.
+// JSON schema (and with it every golden fingerprint). smt's
+// TestCounterContract requires every counter to either move smt.Results or
+// be declared here, so the list can hold neither stale nor missing names.
 var DiagnosticOnlyCounters = []string{
 	"ICacheMissStalls",     // subsumed by FetchLostIMiss in the availability partition
 	"LoadRetries",          // bank-conflict retry churn; visible via OptimisticSquash rates
@@ -52,7 +52,8 @@ var DiagnosticOnlyCounters = []string{
 // PartitionViolations evaluates every declared partition against the
 // snapshot and returns one message per broken identity (nil when all
 // hold). Unknown field names panic: the table is part of the source
-// contract and smtlint rejects typos before they can reach a run.
+// contract and TestPartitionTableResolves rejects typos before they can
+// reach a run.
 func (s Stats) PartitionViolations() []string {
 	v := reflect.ValueOf(s)
 	var out []string

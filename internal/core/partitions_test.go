@@ -3,9 +3,7 @@ package core
 import "testing"
 
 // TestDeclaredPartitionsHold runs a busy multithreaded machine and checks
-// every identity in CounterPartitions against the final snapshot — the
-// runtime half of the contract the counterpartition analyzer checks
-// statically.
+// every identity in CounterPartitions against the final snapshot.
 func TestDeclaredPartitionsHold(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.FetchThreads = 2

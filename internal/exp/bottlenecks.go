@@ -1,45 +1,11 @@
 package exp
 
-import "repro/smt"
+import (
+	"fmt"
+	"io"
 
-// FetchAvailability is one row of the Table-3-style fetch-bandwidth
-// bottleneck breakdown: the fraction of all cycles one fetch outcome
-// accounts for. The five rows partition the run's cycles exactly (the
-// core's fetch-accounting invariant), so a reader can see where every
-// cycle of fetch bandwidth went.
-type FetchAvailability struct {
-	Cause string
-	Frac  float64
-}
-
-// FetchAvailabilityRows extracts the per-cause fetch breakdown from one
-// configuration's results, in fixed display order.
-func FetchAvailabilityRows(r smt.Results) []FetchAvailability {
-	return []FetchAvailability{
-		{"fetch delivered instructions", r.FetchCyclesFrac},
-		{"lost: IQ back-pressure", r.FetchLostBackPressure},
-		{"lost: no fetchable thread", r.FetchLostNoThread},
-		{"lost: I-cache miss", r.FetchLostIMiss},
-		{"lost: cache-fill bank conflict", r.FetchLostBankConflict},
-	}
-}
-
-// Sec7Result is one bottleneck experiment: the modified machine's IPC next
-// to the ICOUNT.2.8 baseline at the same thread count.
-type Sec7Result struct {
-	Name     string
-	Threads  int
-	Baseline float64
-	Modified float64
-}
-
-// Delta returns the relative change from the baseline.
-func (r Sec7Result) Delta() float64 {
-	if r.Baseline == 0 {
-		return 0
-	}
-	return r.Modified/r.Baseline - 1
-}
+	"repro/smt"
+)
 
 // sec7Case is one experiment of Section 7.
 type sec7Case struct {
@@ -81,26 +47,25 @@ func sec7Cases() []sec7Case {
 // experiment grid; every other series is one bottleneck study.
 const sec7BaselineSeries = "baseline ICOUNT.2.8"
 
-// Sec7Results extracts the bottleneck deltas from an engine result.
-// Baselines are measured once per thread count as part of the same grid.
-func Sec7Results(r *ExperimentResult) []Sec7Result {
+// printSec7 is one row per bottleneck study and thread count: the modified
+// machine's IPC next to the ICOUNT.2.8 baseline measured in the same grid,
+// and the relative change (zero where there is no baseline to compare with).
+func printSec7(w io.Writer, r *ExperimentResult) {
 	baseline := map[int]float64{}
 	for _, p := range r.Lookup(sec7BaselineSeries) {
 		baseline[p.Threads] = p.IPC
 	}
-	var out []Sec7Result
+	fmt.Fprintf(w, "%-40s %8s %10s %10s %8s\n", "experiment", "threads", "baseline", "modified", "delta")
 	for _, s := range r.Series {
 		if s.Name == sec7BaselineSeries {
 			continue
 		}
 		for _, p := range s.Points {
-			out = append(out, Sec7Result{
-				Name:     s.Name,
-				Threads:  p.Threads,
-				Baseline: baseline[p.Threads],
-				Modified: p.IPC,
-			})
+			base, delta := baseline[p.Threads], 0.0
+			if base != 0 {
+				delta = p.IPC/base - 1
+			}
+			fmt.Fprintf(w, "%-40s %8d %10.2f %10.2f %+7.1f%%\n", s.Name, p.Threads, base, p.IPC, delta*100)
 		}
 	}
-	return out
 }

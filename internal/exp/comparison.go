@@ -107,6 +107,7 @@ func comparison(ax axis, names []string, fetchAlg, issue string, maxThreads, num
 		Name:  ax.exp,
 		Title: ax.title(len(names), fmt.Sprintf("%s.%d.%d", fetchAlg, num1, num2), issue),
 		Shape: Shape{Series: len(names), Points: len(names) * len(threads)},
+		Print: printSeries,
 		Points: func() []PointSpec {
 			pts := make([]PointSpec, 0, len(names)*len(threads))
 			for _, name := range names {

@@ -1,6 +1,6 @@
-// Package exp defines the paper's experiments: one preset per table and
-// figure of the evaluation, each returning structured results that
-// cmd/experiments formats.
+// Package exp defines the paper's experiments: one registered value per
+// table and figure of the evaluation — its grid, the shape the grid must
+// have, and the text layout of its structured result.
 //
 // Methodology (paper Section 3): every data point averages several runs
 // with rotated benchmark-to-thread assignments, each run warming the

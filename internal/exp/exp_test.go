@@ -2,6 +2,10 @@ package exp
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/smt"
@@ -91,28 +95,58 @@ func TestSeriesOfShape(t *testing.T) {
 }
 
 func TestFig4CoversSchemes(t *testing.T) {
-	out := mustRunSerial(t, "fig4", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}).SeriesMap()
+	res := mustRunSerial(t, "fig4", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
 	for _, name := range []string{"RR.1.8", "RR.2.4", "RR.4.2", "RR.2.8"} {
-		pts, ok := out[name]
-		if !ok {
-			t.Fatalf("missing scheme %s", name)
-		}
-		if len(pts) != len(ThreadCounts) {
-			t.Fatalf("%s has %d points", name, len(pts))
+		if pts := res.Lookup(name); len(pts) != len(ThreadCounts) {
+			t.Fatalf("%s has %d points, want %d", name, len(pts), len(ThreadCounts))
 		}
 	}
 }
 
-func TestTable5RowsComplete(t *testing.T) {
-	rows := Table5Rows(mustRunSerial(t, "table5", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}))
-	if len(rows) != 4 {
-		t.Fatalf("want 4 issue policies, got %d", len(rows))
+// printed lays res out with the named registry experiment's Print and
+// returns the table's lines.
+func printed(t *testing.T, name string, res *ExperimentResult) []string {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no experiment %s", name)
 	}
-	for _, r := range rows {
-		for _, tc := range ThreadCounts {
-			if r.IPC[tc] <= 0 {
-				t.Fatalf("%s missing T=%d", r.Policy, tc)
+	var b strings.Builder
+	e.Print(&b, res)
+	return strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+}
+
+// TestTable5Complete: the printed table has one row per issue policy, a
+// positive IPC under every thread count of its header, and the 8-thread
+// point's two issue-waste fractions at the end.
+func TestTable5Complete(t *testing.T) {
+	res := mustRunSerial(t, "table5", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
+	lines := printed(t, "table5", res)
+	if len(lines) != 1+4 {
+		t.Fatalf("want a header and 4 issue policies, got:\n%s", strings.Join(lines, "\n"))
+	}
+	head := strings.Fields(lines[0])
+	if len(head) != 1+len(ThreadCounts)+2 {
+		t.Fatalf("header %q", lines[0])
+	}
+	for i, line := range lines[1:] {
+		cells := strings.Fields(line)
+		s := res.Series[i]
+		if len(cells) != len(head) || cells[0] != s.Name {
+			t.Fatalf("row %q under header %q, series %s", line, lines[0], s.Name)
+		}
+		for j, tc := range ThreadCounts {
+			if head[1+j] != strconv.Itoa(tc) || s.Points[j].Threads != tc {
+				t.Fatalf("column %d is %s / T=%d, want %d", j, head[1+j], s.Points[j].Threads, tc)
 			}
+			if ipc, err := strconv.ParseFloat(cells[1+j], 64); err != nil || ipc <= 0 {
+				t.Fatalf("%s missing T=%d: %q", s.Name, tc, cells[1+j])
+			}
+		}
+		at8 := s.Points[len(s.Points)-1].Results
+		want := []string{fmt.Sprintf("%.1f%%", at8.WrongPathIssued*100), fmt.Sprintf("%.1f%%", at8.OptimisticSquash*100)}
+		if got := cells[len(cells)-2:]; got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("%s issue waste %v, want %v", s.Name, got, want)
 		}
 	}
 }
@@ -131,13 +165,27 @@ func TestSec7NamesCoverPaperStudies(t *testing.T) {
 	}
 }
 
+// TestSec7DeltaMath: a study's row carries the baseline measured at the same
+// thread count and the relative change from it; a thread count without a
+// baseline reads as no change rather than dividing by zero.
 func TestSec7DeltaMath(t *testing.T) {
-	r := Sec7Result{Baseline: 2.0, Modified: 2.2}
-	if d := r.Delta(); d < 0.099 || d > 0.101 {
-		t.Fatalf("delta %v", d)
+	lines := printed(t, "sec7", &ExperimentResult{Series: []SeriesResult{
+		{Name: sec7BaselineSeries, Points: []Point{{Threads: 8, IPC: 2.0}}},
+		{Name: "faster", Points: []Point{{Threads: 8, IPC: 2.2}}},
+		{Name: "slower", Points: []Point{{Threads: 8, IPC: 1.5}, {Threads: 4, IPC: 1.0}}},
+	}})
+	want := [][]string{
+		{"faster", "8", "2.00", "2.20", "+10.0%"},
+		{"slower", "8", "2.00", "1.50", "-25.0%"},
+		{"slower", "4", "0.00", "1.00", "+0.0%"},
 	}
-	if (Sec7Result{}).Delta() != 0 {
-		t.Fatal("zero baseline should yield zero delta")
+	if len(lines) != 1+len(want) {
+		t.Fatalf("printed:\n%s", strings.Join(lines, "\n"))
+	}
+	for i, w := range want {
+		if got := strings.Fields(lines[1+i]); !reflect.DeepEqual(got, w) {
+			t.Errorf("row %d is %v, want %v", i, got, w)
+		}
 	}
 }
 

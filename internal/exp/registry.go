@@ -2,7 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"io"
 
+	"repro/internal/registry"
 	"repro/smt"
 )
 
@@ -25,12 +27,18 @@ type Shape struct {
 }
 
 // Experiment is one named entry of the registry: a paper table or figure,
-// its config generator, and the expected shape of its grid.
+// its config generator, the expected shape of its grid, and how its result
+// is laid out as text. Everything known about an experiment is a field here,
+// set in its one Register literal.
 type Experiment struct {
 	Name   string
 	Title  string
 	Points func() []PointSpec
 	Shape  Shape
+	// Print lays a result of this experiment out the way the paper does.
+	// Register and the ad-hoc comparisons fill a nil Print with the
+	// series × threads table.
+	Print func(io.Writer, *ExperimentResult)
 }
 
 // Grid materializes the experiment's point list and checks it against the
@@ -48,42 +56,41 @@ func (e Experiment) Grid() ([]PointSpec, error) {
 	return pts, nil
 }
 
-// registry holds the experiments in registration order; order is part of the
+// experiments is the registry, in registration order; order is part of the
 // engine's deterministic output contract.
-var (
-	registryOrder []string
-	registryByKey = map[string]Experiment{}
-)
+var experiments = registry.Named[Experiment]{Pkg: "exp", Kind: "experiment"}
 
 // Register adds an experiment to the registry. It panics on duplicate or
 // empty names; registration happens from package init only.
 func Register(e Experiment) {
-	if e.Name == "" || e.Points == nil {
-		panic("exp: Register needs a name and a Points generator")
+	if e.Points == nil {
+		panic("exp: Register needs a Points generator")
 	}
-	if _, dup := registryByKey[e.Name]; dup {
-		panic("exp: duplicate experiment " + e.Name)
+	if e.Print == nil {
+		e.Print = printSeries
 	}
-	registryByKey[e.Name] = e
-	registryOrder = append(registryOrder, e.Name)
+	if err := experiments.Register(e.Name, e); err != nil {
+		panic(err)
+	}
 }
 
 // Lookup returns the named experiment.
 func Lookup(name string) (Experiment, bool) {
-	e, ok := registryByKey[name]
-	return e, ok
+	return experiments.Lookup(name)
 }
 
 // Experiments returns all registered experiments in registration order.
 func Experiments() []Experiment {
-	out := make([]Experiment, 0, len(registryOrder))
-	for _, name := range registryOrder {
-		out = append(out, registryByKey[name])
+	names := experiments.Names()
+	out := make([]Experiment, 0, len(names))
+	for _, name := range names {
+		e, _ := experiments.Lookup(name)
+		out = append(out, e)
 	}
 	return out
 }
 
 // Names returns the registered experiment names in registration order.
 func Names() []string {
-	return append([]string(nil), registryOrder...)
+	return experiments.Names()
 }

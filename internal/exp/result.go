@@ -48,13 +48,3 @@ func (r *ExperimentResult) Lookup(series string) []Point {
 	}
 	return nil
 }
-
-// SeriesMap indexes the result's series by name, the shape the figure
-// printers consume.
-func (r *ExperimentResult) SeriesMap() map[string][]Point {
-	out := make(map[string][]Point, len(r.Series))
-	for _, s := range r.Series {
-		out[s.Name] = s.Points
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -47,6 +48,40 @@ func TestLookupUnknown(t *testing.T) {
 	}
 	if _, err := Run("nope", tinyOpts(), 1); err == nil {
 		t.Fatal("Run of unknown experiment succeeded")
+	}
+}
+
+// TestRegisterRefusesBadEntries: a duplicate or empty name, or an entry
+// with no grid, panics and leaves the registry as it was; whatever does
+// register, or comes from a comparison builder, has a layout.
+func TestRegisterRefusesBadEntries(t *testing.T) {
+	before := Names()
+	grid := func() []PointSpec { return nil }
+	for what, e := range map[string]Experiment{
+		"duplicate name": {Name: "fig3", Points: grid},
+		"empty name":     {Points: grid},
+		"no grid":        {Name: "gridless"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Register did not panic", what)
+				}
+			}()
+			Register(e)
+		}()
+	}
+	if after := Names(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("registry changed: %v -> %v", before, after)
+	}
+	adhoc, err := PolicyComparison([]string{"RR"}, "", 2, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range append(Experiments(), adhoc) {
+		if e.Print == nil {
+			t.Errorf("%s has no layout", e.Name)
+		}
 	}
 }
 

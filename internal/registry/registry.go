@@ -1,4 +1,5 @@
-// Package registry is the name registry behind the policy and predictor menus.
+// Package registry is the name registry behind the policy, predictor and
+// experiment menus.
 package registry
 
 import (

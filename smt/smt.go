@@ -252,12 +252,17 @@ type WorkloadSpec struct {
 // WorkloadMix builds a spec of `threads` distinct benchmarks starting at
 // `rotate` in the canonical order — the paper composes each data point from
 // runs with different benchmark combinations; varying rotate reproduces
-// that.
+// that. Any rotate is in range: the order is a ring, so -1 starts at the
+// last benchmark.
 func WorkloadMix(threads, rotate int, seed uint64) WorkloadSpec {
 	names := Benchmarks()
 	spec := WorkloadSpec{Seed: seed}
+	first := rotate % len(names)
+	if first < 0 {
+		first += len(names)
+	}
 	for i := 0; i < threads; i++ {
-		spec.Names = append(spec.Names, names[(rotate+i)%len(names)])
+		spec.Names = append(spec.Names, names[(first+i)%len(names)])
 	}
 	return spec
 }
