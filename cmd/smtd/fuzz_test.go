@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/smt"
@@ -20,12 +21,15 @@ import (
 // cycle is simulated, so a fuzzed budget of 10^18 instructions costs
 // nothing.
 func newStubServer() *Server {
+	return newExecServer(func(dist.JobPayload, func(smt.Snapshot)) smt.Results { return smt.Results{} })
+}
+
+// newExecServer is a service that runs every cache-missed job through run
+// instead of the simulator.
+func newExecServer(run dist.Exec) *Server {
 	s := NewServer(2, 0)
 	s.coord.Close()
-	s.coord = dist.NewCoordinator(dist.Options{
-		LocalSlots: make(chan struct{}, 2),
-		Exec:       func(dist.JobPayload, func(smt.Snapshot)) smt.Results { return smt.Results{} },
-	})
+	s.coord = dist.NewCoordinator(dist.Options{LocalSlots: make(chan struct{}, 2), Exec: run})
 	return s
 }
 
@@ -48,9 +52,11 @@ func wideFetchPoint(tb testing.TB, banks int) gridPoint {
 
 // FuzzInlineGrid: arbitrary bytes as a POST /v1/sweep body never panic and
 // are answered 200, 202, 400 or 413. Each body is posted twice to a fresh
-// server — against a cold decoded-config table, then against the table the
-// first post warmed — and the two answers must agree: same status, same
-// error text, same sweep shape, same result bytes.
+// server — against a cold sweep-plan memo, then against the memo the first
+// post warmed — and the two answers must agree: same status, same error
+// text, same sweep shape, same result bytes. An accepted body within the
+// memo's bounds must be a miss, then a hit; any other touches the memo at
+// most to miss.
 func FuzzInlineGrid(f *testing.F) {
 	grid := paperGrid(f)
 	full, err := json.Marshal(sweepRequest{Name: "g", Grid: []gridPoint{grid[0], grid[len(grid)-1]},
@@ -101,11 +107,15 @@ func FuzzInlineGrid(f *testing.F) {
 			t.Fatalf("status %d: %s", coldCode, coldReply)
 		}
 		if warmCode != coldCode {
-			t.Fatalf("cold table answered %d, warm table %d:\n%s\n%s", coldCode, warmCode, coldReply, warmReply)
+			t.Fatalf("cold memo answered %d, warm memo %d:\n%s\n%s", coldCode, warmCode, coldReply, warmReply)
 		}
+		memo := s.plans.Stats()
 		if coldCode >= 400 {
 			if !bytes.Equal(coldReply, warmReply) {
-				t.Fatalf("cold and warm tables reject differently:\n%s\n%s", coldReply, warmReply)
+				t.Fatalf("cold and warm memos reject differently:\n%s\n%s", coldReply, warmReply)
+			}
+			if memo.Len != 0 || memo.Hits != 0 {
+				t.Fatalf("a rejected body was stored or served from the memo: %+v", memo)
 			}
 			return
 		}
@@ -124,7 +134,10 @@ func FuzzInlineGrid(f *testing.F) {
 		}
 		if cold.Experiment != warm.Experiment || cold.TotalJobs != warm.TotalJobs ||
 			cold.Opts != warm.Opts || cold.IntervalCycles != warm.IntervalCycles {
-			t.Fatalf("cold and warm tables accepted different sweeps:\n%s\n%s", coldReply, warmReply)
+			t.Fatalf("cold and warm memos accepted different sweeps:\n%s\n%s", coldReply, warmReply)
+		}
+		if want := (cache.Stats{Hits: 1, Misses: 1, Len: 1, Cap: planEntries}); len(body) <= planMaxBody && cold.TotalJobs <= planMaxJobs && memo != want {
+			t.Fatalf("an accepted body within the memo's bounds left it at %+v, want %+v", memo, want)
 		}
 		coldCode, coldResult := do("GET", "/v1/jobs/"+cold.ID+"/result", nil)
 		warmCode, warmResult := do("GET", "/v1/jobs/"+warm.ID+"/result", nil)

@@ -45,14 +45,18 @@ func paperGrid(tb testing.TB) []gridPoint {
 // hit phase: the 41-point grid primed once at tiny budgets, then one
 // wait:true resubmission plus its result fetch per iteration. No simulator
 // code runs in the loop, so ns/op is what a cache-hit sweep costs the
-// service (and this client) end to end.
+// service (and this client) end to end. same_body resubmits the primed
+// bytes, which is what svc_warm does; fresh_name sends the same grid under
+// a new name each time — a body the service has not seen, so it is decoded,
+// validated, expanded and encoded again, and only the 41 jobs hit.
 func BenchmarkHitSweep(b *testing.B) {
 	s := NewServer(2, 0)
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, err := json.Marshal(sweepRequest{
-		Name: "bench-grid",
+	const primedName = "bench-grid"
+	primedBody, err := json.Marshal(sweepRequest{
+		Name: primedName,
 		Grid: paperGrid(b),
 		Opts: &exp.Opts{Runs: 1, Warmup: 200, Measure: 400, Seed: 1},
 		Wait: true,
@@ -60,7 +64,7 @@ func BenchmarkHitSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sweep := func() (sweepStatus, []byte) {
+	sweep := func(body []byte) (sweepStatus, []byte) {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
@@ -82,14 +86,31 @@ func BenchmarkHitSweep(b *testing.B) {
 		}
 		return st, result
 	}
-	_, primed := sweep()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, result := sweep()
-		if st.CacheHits != st.TotalJobs || !bytes.Equal(result, primed) {
-			b.Fatalf("iteration %d: %d/%d cache hits, result equal to primed: %v",
-				i, st.CacheHits, st.TotalJobs, bytes.Equal(result, primed))
+	_, primed := sweep(primedBody)
+	sent := 0 // never reset, so a fresh name stays fresh across the harness's reruns
+	for _, fresh := range []bool{false, true} {
+		name := "same_body"
+		if fresh {
+			name = "fresh_name"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body, sentName := primedBody, []byte(primedName)
+				if fresh {
+					sent++
+					sentName = fmt.Appendf(nil, "%s-%d", primedName, sent)
+					body = bytes.Replace(primedBody, []byte(primedName), sentName, 1)
+				}
+				st, result := sweep(body)
+				// The result carries the sweep's name in its experiment and
+				// title; nothing else may differ.
+				result = bytes.Replace(result, sentName, []byte(primedName), 2)
+				if st.CacheHits != st.TotalJobs || !bytes.Equal(result, primed) {
+					b.Fatalf("iteration %d: %d/%d cache hits, result equal to primed: %v",
+						i, st.CacheHits, st.TotalJobs, bytes.Equal(result, primed))
+				}
+			}
+		})
 	}
 }

@@ -35,10 +35,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(&b, "smtd_trace_entries", "Context traces currently cached.", float64(ts.Entries))
 	gauge(&b, "smtd_trace_bytes", "Bytes of pre-decoded trace records currently cached.", float64(ts.Bytes))
 
-	ct := s.configs.Stats()
-	counter(&b, "smtd_config_table_hits_total", "Inline-grid configs served from the decoded-config table.", float64(ct.Hits))
-	counter(&b, "smtd_config_table_misses_total", "Inline-grid configs decoded and validated from their JSON.", float64(ct.Misses))
-	gauge(&b, "smtd_config_table_entries", "Validated configs held in the decoded-config table.", float64(ct.Len))
+	ps := s.plans.Stats()
+	counter(&b, "smtd_sweep_plan_hits_total", "Sweep requests whose body was planned before: decode, validation and expansion skipped.", float64(ps.Hits))
+	counter(&b, "smtd_sweep_plan_misses_total", "Sweep requests decoded, validated and expanded from their body.", float64(ps.Misses))
+	gauge(&b, "smtd_sweep_plan_entries", "Request plans held in the sweep-plan memo.", float64(ps.Len))
 
 	// Sweeps.
 	s.mu.Lock()

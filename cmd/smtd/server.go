@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -46,7 +48,7 @@ type Server struct {
 	snapshots *snapshot.Store            // snaps.Top + traffic counters, what runners consult
 	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
 	coord     *dist.Coordinator          // execution backend: remote workers, local fallback
-	configs   *cache.Store[smt.Config]   // decoded inline-grid configs, see gridConfig
+	plans     *cache.Store[*sweepPlan]   // request body digest -> everything derived from it, see sweepPlan
 
 	// breakers is the per-peer circuit breaker set shared by the result
 	// and snapshot federations — a host that is down is down for both
@@ -111,14 +113,18 @@ const defaultMaxHistory = 64
 // low; the disk tier (when configured) holds the long tail.
 const snapshotMemEntries = 128
 
-// The decoded-config table is bounded in entries and in bytes per entry: a
-// grid point whose config JSON is longer than configTableMaxBytes is decoded
-// every time instead (a full smt.Config marshals to about 1.3 KB), so the
-// table tops out near 6 MB however large the request bodies get. Eviction
-// is least-recently-used, one entry per insert past the cap.
+// The sweep-plan memo is bounded in entries and in what one entry may hold:
+// a body longer than planMaxBody is not looked up (hashing it is work spent
+// before any validation), and a plan of more than planMaxJobs jobs is not
+// stored, because the expansion — one smt.Config per job — and the encoded
+// result — about 1.5 KB per point — are what an entry retains, not the body.
+// The paper grid (41 jobs, a 60 KB body) keeps about 100 KB; the worst
+// admissible entry about 2 MB. Eviction is least-recently-used, one entry
+// per insert past the cap.
 const (
-	configTableEntries  = 1024
-	configTableMaxBytes = 4 << 10
+	planEntries = 64
+	planMaxBody = 256 << 10
+	planMaxJobs = 1024
 )
 
 // maxSweepJobs bounds one sweep's expansion (points x rotations). The
@@ -180,7 +186,7 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 		workers:    n,
 		sweeps:     make(map[string]*sweep),
 		maxHistory: defaultMaxHistory,
-		configs:    cache.New[smt.Config](configTableEntries),
+		plans:      cache.New[*sweepPlan](planEntries),
 	}
 	var fedCfg cache.FederatedConfig
 	if len(opts.Peers) > 0 {
@@ -526,6 +532,24 @@ type sweepStatus struct {
 	Cache          cache.Stats   `json:"cache"`
 }
 
+// sweepPlan is everything handleSweep derives from one request body: the
+// validated experiment, the opts, the expanded jobs with their
+// fingerprints, and the two request switches. It is a pure function of the
+// body's bytes and of registries that only grow, so Server.plans memoizes
+// it under the body's digest. And because a plan fixes every job key and
+// the simulator is deterministic, every sweep of one plan encodes to the
+// same bytes: the first to finish leaves them in result and later sweeps
+// adopt them instead of encoding again. Everything but result is read-only
+// once built; sweeps of one plan share jobs.
+type sweepPlan struct {
+	exp      exp.Experiment
+	opts     exp.Opts // validated, so already what Normalized returns
+	jobs     []exp.Job
+	wait     bool
+	interval int64
+	result   []byte // a finished sweep's EncodeJSON bytes, nil before; guarded by Server.mu
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -534,21 +558,100 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "smtd is draining for shutdown and not accepting new sweeps")
 		return
 	}
+	body, readErr := readSweepBody(w, r)
+	p, code, err := s.planFor(body, readErr)
+	if err != nil {
+		writeError(w, code, "%v", err)
+		return
+	}
+	sw := s.startSweep(p)
+	if sw == nil {
+		writeError(w, http.StatusServiceUnavailable, "smtd is draining for shutdown and not accepting new sweeps")
+		return
+	}
+	if !p.wait {
+		writeJSON(w, http.StatusAccepted, s.status(sw))
+		return
+	}
+	select {
+	case <-sw.done:
+		writeJSON(w, http.StatusOK, s.status(sw))
+	case <-r.Context().Done():
+		// The client is gone. The sweep runs on and stays listed; only
+		// this handler, which has no one left to answer, returns.
+	}
+}
+
+// readSweepBody reads the request body under the sweep size cap, into a
+// buffer sized from Content-Length when the client declared one. On a read
+// error — the cap, a dropped connection — it returns the bytes that arrived
+// before the error along with it.
+func readSweepBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := bytes.MinRead
+	if n := r.ContentLength; n > 0 {
+		size += int(min(n, planMaxBody))
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSweepBody))
+	return buf.Bytes(), err
+}
+
+// planFor resolves a request body to its plan: the memoized one when these
+// exact bytes were planned before, else a fresh decode. Only a plan that
+// passed every check is stored — a rejected body is decoded, and rejected,
+// again on resubmission — so a hit is exactly what the decode would
+// return. A body that was not read whole or is past planMaxBody skips the
+// memo. After a read error the decoder is given the bytes that arrived and
+// then that error, the stream as the connection delivered it: a value
+// complete before the size cap still decodes, one the cap cuts off is a
+// 413. On failure the status code and the text to answer with are returned.
+func (s *Server) planFor(body []byte, readErr error) (*sweepPlan, int, error) {
+	if readErr != nil {
+		return decodePlan(io.MultiReader(bytes.NewReader(body), errReader{readErr}))
+	}
+	if len(body) > planMaxBody {
+		return decodePlan(bytes.NewReader(body))
+	}
+	key := planKey(body)
+	if p, ok := s.plans.Get(key); ok {
+		return p, 0, nil
+	}
+	p, code, err := decodePlan(bytes.NewReader(body))
+	if err == nil && len(p.jobs) <= planMaxJobs {
+		s.plans.Put(key, p)
+	}
+	return p, code, err
+}
+
+// planKey is the memo's address for a body: a collision-resistant digest,
+// so equal keys mean equal bytes and the body itself need not be kept.
+func planKey(body []byte) string {
+	sum := sha256.Sum256(body)
+	return string(sum[:])
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodePlan derives a plan from a request body: the first JSON value is
+// decoded (bytes after it are ignored), the experiment resolved, the opts
+// and the sweep's size checked, the grid expanded.
+func decodePlan(body io.Reader) (*sweepPlan, int, error) {
 	// Partial opts overlay exp.DefaultOpts, the same way partial grid
 	// configs overlay smt.DefaultConfig: decoding into pre-filled defaults
 	// keeps absent fields at their default values.
 	o := exp.DefaultOpts()
 	req := sweepRequest{Opts: &o}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "sweep body exceeds %d bytes", mbe.Limit)
-			return
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("sweep body exceeds %d bytes", mbe.Limit)
 		}
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("invalid request body: %v", err)
 	}
 	if req.Opts == nil {
 		// A literal "opts": null overwrites the pre-filled pointer; treat
@@ -556,51 +659,32 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		req.Opts = &o
 	}
 
-	e, err := req.experimentDef(s.configs)
+	e, err := req.experimentDef()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, http.StatusBadRequest, err
 	}
 	o = *req.Opts
 	if err := validateOpts(o); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, http.StatusBadRequest, err
 	}
 	if o.Runs > maxSweepJobs/max(1, e.Shape.Points) {
-		writeError(w, http.StatusBadRequest, "sweep of %d points x %d runs exceeds the %d-job limit", e.Shape.Points, o.Runs, maxSweepJobs)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("sweep of %d points x %d runs exceeds the %d-job limit", e.Shape.Points, o.Runs, maxSweepJobs)
 	}
 	// The one expansion of the grid: it validates the shape, sizes the
 	// sweep, and is the job list the runner executes.
 	jobs, err := exp.Jobs(e, o)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, http.StatusBadRequest, err
 	}
-
 	if req.IntervalCycles < 0 {
-		writeError(w, http.StatusBadRequest, "interval_cycles %d is negative; use 0 to disable interval streaming", req.IntervalCycles)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("interval_cycles %d is negative; use 0 to disable interval streaming", req.IntervalCycles)
 	}
-
-	sw := s.startSweep(e, o, jobs, req.IntervalCycles)
-	if sw == nil {
-		writeError(w, http.StatusServiceUnavailable, "smtd is draining for shutdown and not accepting new sweeps")
-		return
-	}
-	if req.Wait {
-		<-sw.done
-	}
-	code := http.StatusAccepted
-	if req.Wait {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, s.status(sw))
+	return &sweepPlan{exp: e, opts: o, jobs: jobs, wait: req.Wait, interval: req.IntervalCycles}, 0, nil
 }
 
 // experimentDef resolves the request to an experiment: a registry lookup,
 // or an ad-hoc experiment wrapping the inline grid.
-func (r sweepRequest) experimentDef(configs *cache.Store[smt.Config]) (exp.Experiment, error) {
+func (r sweepRequest) experimentDef() (exp.Experiment, error) {
 	switch {
 	case r.Experiment != "" && len(r.Grid) > 0:
 		return exp.Experiment{}, fmt.Errorf("pass either experiment or grid, not both")
@@ -611,7 +695,7 @@ func (r sweepRequest) experimentDef(configs *cache.Store[smt.Config]) (exp.Exper
 		}
 		return e, nil
 	case len(r.Grid) > 0:
-		return inlineExperiment(r.Name, r.Grid, configs)
+		return inlineExperiment(r.Name, r.Grid)
 	default:
 		return exp.Experiment{}, fmt.Errorf("empty sweep: pass an experiment name or an inline grid")
 	}
@@ -620,7 +704,7 @@ func (r sweepRequest) experimentDef(configs *cache.Store[smt.Config]) (exp.Exper
 // inlineExperiment materializes an ad-hoc grid: each point's config starts
 // from smt.DefaultConfig(threads) and overlays the client's partial config
 // JSON, then must validate like any machine the simulator accepts.
-func inlineExperiment(name string, grid []gridPoint, configs *cache.Store[smt.Config]) (exp.Experiment, error) {
+func inlineExperiment(name string, grid []gridPoint) (exp.Experiment, error) {
 	if name == "" {
 		name = "inline"
 	}
@@ -630,7 +714,7 @@ func inlineExperiment(name string, grid []gridPoint, configs *cache.Store[smt.Co
 		if g.Threads < 1 {
 			return exp.Experiment{}, fmt.Errorf("grid[%d]: threads %d, want >= 1", i, g.Threads)
 		}
-		cfg, err := gridConfig(configs, g.Threads, g.Config)
+		cfg, err := gridConfig(g.Threads, g.Config)
 		if err != nil {
 			return exp.Experiment{}, fmt.Errorf("grid[%d]: %v", i, err)
 		}
@@ -654,22 +738,8 @@ func inlineExperiment(name string, grid []gridPoint, configs *cache.Store[smt.Co
 }
 
 // gridConfig resolves one grid point's machine: smt.DefaultConfig(threads)
-// overlaid with the client's partial config JSON, validated. The same few
-// dozen configurations are asked about again and again, so the result is
-// memoized in table under (threads, the exact config bytes): decoding is a
-// pure function of the two, and the policy and predictor registries
-// Validate consults only grow. Only a config that passed every check is
-// stored — a rejected one is decoded, and rejected, again on resubmission —
-// so a hit returns exactly what the decode would. A nil table, an absent
-// config and one past configTableMaxBytes skip the table.
-func gridConfig(table *cache.Store[smt.Config], threads int, raw json.RawMessage) (smt.Config, error) {
-	key := "" // empty: this point bypasses the table
-	if table != nil && len(raw) > 0 && len(raw) <= configTableMaxBytes {
-		key = configTableKey(threads, raw)
-		if cfg, ok := table.Get(key); ok {
-			return cfg, nil
-		}
-	}
+// overlaid with the client's partial config JSON, validated.
+func gridConfig(threads int, raw json.RawMessage) (smt.Config, error) {
 	cfg := smt.DefaultConfig(threads)
 	if len(raw) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(raw))
@@ -687,17 +757,7 @@ func gridConfig(table *cache.Store[smt.Config], threads int, raw json.RawMessage
 	if err := cfg.Validate(); err != nil {
 		return smt.Config{}, err
 	}
-	if key != "" {
-		table.Put(key, cfg)
-	}
 	return cfg, nil
-}
-
-// configTableKey is the table's address for one grid point. threads is
-// part of it because the same overlay bytes decode onto a different
-// default machine at every thread count.
-func configTableKey(threads int, raw []byte) string {
-	return strconv.Itoa(threads) + ":" + string(raw)
 }
 
 // validateOpts mirrors the experiments CLI's up-front flag validation.
@@ -720,7 +780,7 @@ func validateOpts(o exp.Opts) error {
 // handler's fast-path check: the decision is re-made under the same lock
 // Drain uses, closing the window where a sweep could slip in, be in no
 // drain wait list, and be killed mid-run at process exit.
-func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interval int64) *sweep {
+func (s *Server) startSweep(p *sweepPlan) *sweep {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	if s.draining {
@@ -731,11 +791,11 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interv
 	s.nextID++
 	sw := &sweep{
 		id:         fmt.Sprintf("sweep-%d", s.nextID),
-		experiment: e.Name,
-		opts:       o.Normalized(),
-		interval:   interval,
+		experiment: p.exp.Name,
+		opts:       p.opts,
+		interval:   p.interval,
 		state:      "running",
-		totalJobs:  len(jobs),
+		totalJobs:  len(p.jobs),
 		running:    map[jobKey]*jobProgress{},
 		finished:   map[jobKey]bool{},
 		cancel:     cancel,
@@ -760,7 +820,7 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interv
 		Workers:  pool,
 		Cache:    s.flight,
 		Dispatch: s.coord,
-		Interval: interval,
+		Interval: p.interval,
 		OnJobDone: func(j exp.Job, r smt.Results, fromCache bool) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -775,7 +835,7 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interv
 			sw.finished[k] = true
 		},
 	}
-	if interval > 0 {
+	if p.interval > 0 {
 		runner.OnSnapshot = func(j exp.Job, snap smt.Snapshot) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -801,7 +861,7 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interv
 	go func() {
 		defer close(sw.done)
 		defer cancel()
-		res, err := runner.RunJobs(ctx, e, o, jobs)
+		res, err := runner.RunJobs(ctx, p.exp, p.opts, p.jobs)
 		if err == nil {
 			// Barrier the async federation fills before reporting done, so
 			// a resubmission through any member sees this sweep's shard.
@@ -817,13 +877,16 @@ func (s *Server) startSweep(e exp.Experiment, o exp.Opts, jobs []exp.Job, interv
 			sw.errMsg = err.Error()
 			return
 		}
-		var buf bytes.Buffer
-		if err := res.EncodeJSON(&buf); err != nil {
-			sw.state = "failed"
-			sw.errMsg = err.Error()
-			return
+		if p.result == nil {
+			var buf bytes.Buffer
+			if err := res.EncodeJSON(&buf); err != nil {
+				sw.state = "failed"
+				sw.errMsg = err.Error()
+				return
+			}
+			p.result = buf.Bytes()
 		}
-		sw.resultJSON = buf.Bytes()
+		sw.resultJSON = p.result
 		sw.state = "done"
 	}()
 	return sw
@@ -946,6 +1009,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/exp"
+	"repro/smt"
 )
 
 // tinyOpts keeps service tests fast; matches the engine's test budgets.
@@ -106,6 +109,10 @@ func TestSweepMatchesEngineBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), wantBuf.Bytes()) {
 		t.Fatalf("service result differs from engine bytes:\n%s\nvs\n%s", got.String(), wantBuf.String())
+	}
+	// The result is a finished []byte, so it goes out sized, not chunked.
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(wantBuf.Len()) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %q, Transfer-Encoding %v; want %d and none", cl, resp.TransferEncoding, wantBuf.Len())
 	}
 }
 
@@ -313,6 +320,60 @@ func TestCancelSweep(t *testing.T) {
 	}
 	if out.State != "failed" || !strings.Contains(out.Error, context.Canceled.Error()) {
 		t.Fatalf("cancelled sweep state: %+v", out)
+	}
+}
+
+// TestWaitingHandlerReturnsWhenClientLeaves: a wait:true handler parks
+// until its sweep ends, but not past its client. Cancelling the request
+// while the sweep's one job is stalled must return the handler at once;
+// the sweep stays listed and running, finishes when the job does, and its
+// result is served.
+func TestWaitingHandlerReturnsWhenClientLeaves(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	s := newExecServer(func(dist.JobPayload, func(smt.Snapshot)) smt.Results {
+		close(started)
+		<-release
+		return smt.Results{}
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest("POST", "/v1/sweep",
+		strings.NewReader(`{"grid":[{"threads":2}],"opts":{"runs":1,"warmup":0,"measure":10},"wait":true}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	returned := make(chan struct{})
+	go func() {
+		s.Handler().ServeHTTP(rec, req)
+		close(returned)
+	}()
+	<-started
+	select {
+	case <-returned:
+		t.Fatalf("handler returned while its sweep was running: %d %s", rec.Code, rec.Body)
+	default:
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still parked 10s after its client left")
+	}
+
+	var st sweepStatus
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/sweep-1", nil, &st); code != 200 || st.State != "running" {
+		t.Fatalf("abandoned sweep: status %d, %+v", code, st)
+	}
+	close(release)
+	sw, _ := s.lookup("sweep-1")
+	<-sw.done
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/sweep-1", nil, &st); code != 200 || st.State != "done" || st.DoneJobs != 1 {
+		t.Fatalf("abandoned sweep after its job finished: status %d, %+v", code, st)
+	}
+	var res exp.ExperimentResult
+	if code := doJSON(t, "GET", ts.URL+st.ResultURL, nil, &res); code != 200 || res.Experiment != "inline" {
+		t.Fatalf("abandoned sweep's result: status %d, %+v", code, res)
 	}
 }
 

@@ -287,8 +287,9 @@ func (r Runner) RunExperiment(ctx context.Context, e Experiment, o Opts) (*Exper
 }
 
 // RunJobs is RunExperiment for a caller that already holds the expansion:
-// jobs must be what Jobs(e, o) returned. smtd expands a sweep once to
-// validate and size it, then runs that same list.
+// jobs must be what Jobs(e, o) returned. smtd expands a request body once
+// to validate and size it, and runs that same list for every sweep of the
+// body: RunJobs only reads jobs, so concurrent runs may share one slice.
 func (r Runner) RunJobs(ctx context.Context, e Experiment, o Opts, jobs []Job) (*ExperimentResult, error) {
 	o = o.Normalized()
 	results := make([]smt.Results, len(jobs))
