@@ -89,6 +89,9 @@ func FuzzInlineGrid(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, m := range oversizedMachines {
+		f.Add([]byte(m.body))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := newStubServer()

@@ -266,6 +266,31 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// oversizedMachines are sweeps that ended the process when Validate put no
+// upper bound on a field that sizes an allocation: an 8 GiB instruction
+// queue, and an event ring sized from a 2^50-cycle memory latency. They
+// are FuzzInlineGrid seeds too, though its stub executor builds no machine.
+var oversizedMachines = []struct{ body, field string }{
+	{`{"grid":[{"threads":2,"config":{"IQSize":1073741824}}],"opts":{"runs":1,"warmup":0,"measure":1000},"wait":true}`, "IQSize"},
+	{`{"grid":[{"threads":2,"config":{"Mem":{"MemLatency":1125899906842624}}}],"opts":{"runs":1,"warmup":0,"measure":1000},"wait":true}`, "MemLatency"},
+}
+
+func TestOversizedMachineIsA400(t *testing.T) {
+	ts := newTestService(t)
+	for _, m := range oversizedMachines {
+		var apiErr struct {
+			Error string `json:"error"`
+		}
+		code := doJSON(t, "POST", ts.URL+"/v1/sweep", json.RawMessage(m.body), &apiErr)
+		if code != 400 || !strings.Contains(apiErr.Error, m.field) {
+			t.Errorf("%s: status %d, error %q; want a 400 naming %s", m.body, code, apiErr.Error, m.field)
+		}
+	}
+	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, nil); code != 200 {
+		t.Fatalf("healthz after the oversized sweeps: status %d", code)
+	}
+}
+
 func TestJobEndpoints(t *testing.T) {
 	ts := newTestService(t)
 	var apiErr struct {

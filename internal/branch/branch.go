@@ -88,10 +88,21 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
+// Upper bounds on the tables, whose sizes are allocations: a configuration
+// can arrive from the network. This is finiteness, not policy.
+const (
+	maxEntries = 1 << 20 // BTB and direction tables (the paper: 256 and 2048)
+	maxRAS     = 1 << 10 // return-stack entries per thread (the paper: 12)
+)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Threads < 1 {
 		return fmt.Errorf("branch: Threads = %d, want >= 1", c.Threads)
+	}
+	if c.BTBEntries > maxEntries || c.PHTEntries > maxEntries || c.RASEntries > maxRAS {
+		return fmt.Errorf("branch: BTBEntries %d / PHTEntries %d / RASEntries %d, want <= %d / %d / %d",
+			c.BTBEntries, c.PHTEntries, c.RASEntries, maxEntries, maxEntries, maxRAS)
 	}
 	if c.BTBEntries < c.BTBAssoc || c.BTBAssoc < 1 {
 		return fmt.Errorf("branch: BTB %d entries / %d-way invalid", c.BTBEntries, c.BTBAssoc)

@@ -82,15 +82,11 @@ func newUnit(cfg Config, dir dirEngine, ret retMode) *Unit {
 // with a confidence estimate. A low-confidence prediction feeds the
 // variable-fetch-rate throttle; engines without a meaningful estimator
 // report confident=false.
-//
-//smt:hotpath fetch-stage predict: called per control instruction per cycle
 func (u *Unit) Direction(thread int, pc int64) (taken, confident bool) {
 	return u.dir.predict(u, thread, pc)
 }
 
 // Target looks up the BTB for (thread, pc); ok is false on a miss.
-//
-//smt:hotpath fetch-stage target lookup: called per control instruction per cycle
 func (u *Unit) Target(thread int, pc int64) (target int64, ok bool) {
 	set, tag := u.btbSetTag(pc)
 	base := set * u.cfg.BTBAssoc
@@ -128,8 +124,6 @@ func (u *Unit) btbSetTag(pc int64) (set int, tag uint64) {
 // SpeculateHistory shifts the predicted outcome of a conditional branch into
 // the thread's global history register at fetch time, returning the previous
 // value so the caller can checkpoint it for squash recovery.
-//
-//smt:hotpath fetch-stage history speculation: called per conditional branch
 func (u *Unit) SpeculateHistory(thread int, taken bool) (checkpoint uint32) {
 	checkpoint = u.history[thread]
 	h := checkpoint << 1
@@ -153,8 +147,6 @@ func (u *Unit) RestoreHistory(thread int, checkpoint uint32) {
 // toward the actual direction and, for taken control transfers, the BTB
 // learns the target. history is the pre-branch history checkpoint, so
 // training uses the same index the prediction used.
-//
-//smt:hotpath commit-stage training: called per committed control instruction
 func (u *Unit) Update(thread int, pc int64, class isa.Class, taken bool, target int64, history uint32) {
 	if class.IsCondBranch() {
 		u.dir.update(u, thread, pc, taken, history)
@@ -189,8 +181,6 @@ func (u *Unit) installBTB(thread int, pc, target int64) {
 // PushReturn records a call's return address on the thread's return stack
 // (at fetch time). ok is false under retNone; otherwise the checkpoint
 // undoes the push on a squash.
-//
-//smt:hotpath fetch-stage call handling: called per fetched call
 func (u *Unit) PushReturn(thread int, returnPC int64) (RASCheckpoint, bool) {
 	if u.ret == retNone {
 		return RASCheckpoint{}, false
@@ -209,8 +199,6 @@ func (u *Unit) PushReturn(thread int, returnPC int64) (RASCheckpoint, bool) {
 // checkpointed pop), falling back to the BTB under retFull when the stack
 // is empty. ok is false when no prediction is available (the core falls
 // through until exec resolves the target).
-//
-//smt:hotpath fetch-stage return handling: called per fetched return
 func (u *Unit) Return(thread int, pc int64) (target int64, ok bool, cp RASCheckpoint, hasCP bool) {
 	if u.ret != retNone {
 		if t, popped, popCP := u.popReturn(thread); popped {

@@ -12,8 +12,6 @@ import (
 // Commit frees the physical register displaced by each instruction's
 // destination and trains the branch predictor — only correct-path
 // instructions ever reach here.
-//
-//smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) commitStage() {
 	budget := p.cfg.CommitWidth
 	n := p.cfg.Threads

@@ -155,6 +155,15 @@ func Superscalar() Config {
 // seventh would carry into the fetch cycle above it.
 const MaxThreads = 64
 
+// Upper bounds on what New allocates from a Config. A Config can arrive
+// from the network (smtd's inline grids), so every field that sizes an
+// allocation must be finite; these are generous multiples of the paper's
+// machine, not policy. The nested configs bound their own fields.
+const (
+	maxIQSize       = 1 << 12 // the paper's queues search 32 entries, 64 in Section 7
+	maxEventHorizon = 1 << 15 // the default machine's event ring spans 1472 cycles
+)
+
 // Validate reports configuration errors, including a machine the
 // simulator's fixed-width structures cannot hold.
 func (c Config) Validate() error {
@@ -165,8 +174,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: FetchThreads = %d with %d threads", c.FetchThreads, c.Threads)
 	case c.FetchPerThread < 1 || c.FetchTotal < 1:
 		return fmt.Errorf("core: fetch widths must be positive")
-	case c.IQSize < 1:
-		return fmt.Errorf("core: IQSize = %d", c.IQSize)
+	case c.IQSize < 1 || c.IQSize > maxIQSize:
+		return fmt.Errorf("core: IQSize = %d, want 1..%d", c.IQSize, maxIQSize)
 	case c.IssueWidth < 1 && !c.InfiniteFUs:
 		return fmt.Errorf("core: IssueWidth = %d", c.IssueWidth)
 	case c.IntUnits < 1 || c.FPUnits < 0 || c.LdStUnits < 1 || c.LdStUnits > c.IntUnits:
@@ -176,6 +185,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: CommitWidth = %d", c.CommitWidth)
 	case c.DisambigBits < 1 || c.DisambigBits > 48:
 		return fmt.Errorf("core: DisambigBits = %d", c.DisambigBits)
+	case c.SpecMode > SpecNoWrongPath:
+		return fmt.Errorf("core: SpecMode = %d, want 0..%d", c.SpecMode, SpecNoWrongPath)
 	}
 	if _, err := c.FetchPolicy.Resolve(); err != nil {
 		return err
@@ -192,7 +203,14 @@ func (c Config) Validate() error {
 	if err := c.Branch.Validate(); err != nil {
 		return err
 	}
-	return c.Mem.Validate()
+	if err := c.Mem.Validate(); err != nil {
+		return err
+	}
+	// Mem bounds each latency; the event ring is sized from their sum.
+	if h := c.eventHorizon(); h > maxEventHorizon {
+		return fmt.Errorf("core: Mem latencies put an event %d cycles ahead, want <= %d", h, maxEventHorizon)
+	}
+	return nil
 }
 
 // Fingerprint returns the configuration's content address: a stable hash

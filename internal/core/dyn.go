@@ -135,7 +135,7 @@ func (p *pool) get() *dyn {
 		*d = dyn{}
 		return d
 	}
-	//smt:alloc pool refill, amortized to zero in steady state: recycled via put
+	// Pool refill, amortized to zero in steady state: recycled via put.
 	return &dyn{}
 }
 

@@ -8,8 +8,6 @@ import (
 // processEvents handles everything scheduled for the current cycle: memory
 // executions (D-cache access, optimistic-issue verification), control
 // resolution, mispredict squashes, and miss-completion bookkeeping.
-//
-//smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) processEvents() {
 	evs := p.events.drain(p.cycle)
 	needsCleanup := false

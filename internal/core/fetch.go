@@ -10,8 +10,6 @@ import (
 // configured policy and partitioning scheme (alg.num1.num2), I-cache access
 // with bank-conflict logic, per-instruction branch prediction, wrong-path
 // following, and the ITAG early-tag-lookup option.
-//
-//smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) fetchStage() {
 	// The fetch unit delivers into the decode latch; if decode has not
 	// drained (IQ-full back-pressure), every fetch opportunity is lost —
@@ -120,8 +118,6 @@ func (p *Processor) fetchStage() {
 // has outstanding — a thread speculating down k weakly-predicted paths
 // fetches FetchPerThread>>k instructions (floor 1, so a context is never
 // starved outright and can still resolve its way back to full rate).
-//
-//smt:hotpath steady-state: called once per fetch pick
 func (p *Processor) fetchLimit(th *threadState) int {
 	limit := p.cfg.FetchPerThread
 	if !p.cfg.VarFetchRate {
@@ -178,7 +174,6 @@ func (p *Processor) fetchThread(th *threadState, limit int) int {
 // newDyn creates the dynamic instance for the instruction at pc, consuming
 // an oracle record when the thread is on its correct path.
 func (p *Processor) newDyn(th *threadState, pc int64) *dyn {
-	//smt:alloc inlined pool refill (see pool.get); recycled via put
 	d := p.pool.get()
 	d.thread = int32(th.id)
 	d.seq = th.nextSeq

@@ -8,8 +8,6 @@ import (
 // decodeStage moves a fetched group into the rename latch. It models a
 // single-group decode stage: the move happens only when the rename latch
 // has fully drained, and only for instructions fetched on an earlier cycle.
-//
-//smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) decodeStage() {
 	if len(p.renameLatch) > 0 || len(p.decodeLatch) == 0 {
 		return
@@ -30,8 +28,6 @@ func (p *Processor) decodeStage() {
 // stops at the first stall — a full queue or an empty free list — leaving
 // the remainder for the next cycle; the stall back-pressures decode and
 // fetch.
-//
-//smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) renameStage() {
 	intFull, fpFull, outOfRegs := false, false, false
 	consumed := 0

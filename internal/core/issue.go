@@ -36,8 +36,6 @@ type fuState struct {
 // paper's non-default policies materialize it once and apply a stable O(n)
 // boolean partition; only policies stating a full comparison pay for a
 // (closure-free, stable) insertion sort.
-//
-//smt:hotpath steady-state stage: runs every cycle
 func (p *Processor) issueStage() {
 	p.idxBuf = p.idxBuf[:0]
 	p.fpIdxBuf = p.fpIdxBuf[:0]
@@ -270,7 +268,7 @@ func (p *Processor) tryIssue(d *dyn, pos int, fromFP bool, fu *fuState) (full bo
 // none).
 func (p *Processor) oldestQueuedCtl() []int64 {
 	if cap(p.specSeqBuf) < p.cfg.Threads {
-		//smt:alloc growth guard: fires once, then the buffer is reused every cycle
+		// Growth guard: fires once, then the buffer is reused every cycle.
 		p.specSeqBuf = make([]int64, p.cfg.Threads)
 	}
 	s := p.specSeqBuf[:p.cfg.Threads]

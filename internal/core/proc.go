@@ -238,8 +238,6 @@ func (p *Processor) ResetStats() {
 }
 
 // Step advances the machine one cycle.
-//
-//smt:hotpath steady-state root: one call per simulated cycle
 func (p *Processor) Step() {
 	p.cycle++
 	p.processEvents()
@@ -407,9 +405,7 @@ func (r *ring) schedule(cycle int64, kind evKind, d *dyn, thread int32) {
 // grow doubles the ring. Every live event sits in a bucket whose index
 // identifies exactly one cycle in (base, base+size), so buckets relocate
 // by slice header — no per-event copying, and the old backing arrays
-// carry over.
-//
-//smt:coldpath amortized capacity doubling: O(log horizon) growths per run
+// carry over. Doubling amortizes: O(log horizon) growths per run.
 func (r *ring) grow() {
 	old := r.buckets
 	oldSize := r.mask + 1

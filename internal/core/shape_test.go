@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -49,6 +52,12 @@ func TestConfigValidationRejects(t *testing.T) {
 		func(c *Config) { c.CommitWidth = 0 },
 		func(c *Config) { c.DisambigBits = 0 },
 		func(c *Config) { c.Rename.Threads = 2 }, // mismatched
+		func(c *Config) { c.SpecMode = SpecNoWrongPath + 1 },
+		func(c *Config) { c.Mem.Caches[mem.L1D].TransferTime = -1 },
+		func(c *Config) { c.Mem.Caches[mem.L2].FillTime = -1 },
+		func(c *Config) { c.Mem.Caches[mem.L3].LatencyToNext = -1 },
+		func(c *Config) { c.Mem.MemBusTime = -1 },
+		func(c *Config) { c.Mem.MemLatency = maxEventHorizon / 4 }, // each latency in range, their sum not
 	}
 	for i, mod := range cases {
 		cfg := DefaultConfig(8)
@@ -302,4 +311,58 @@ func TestFig7RegisterBudgetValidity(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("200 regs with 7 threads should be rejected")
 	}
+}
+
+// TestIntegerFieldsBoundedOrHarmless sets every integer field of Config,
+// nested configs included, to a large negative value and to positive ones
+// inside and far beyond any bound, in turn: Validate rejects the machine,
+// or New builds (or refuses) it and it steps without panicking, inside a
+// fixed memory budget. A config arrives from the network (smtd's inline
+// grids), so a field that sizes an allocation or the event ring must be
+// finite. The walk is reflective: a field added later is covered without
+// editing this test.
+func TestIntegerFieldsBoundedOrHarmless(t *testing.T) {
+	const budget = 64 << 20 // bytes one machine may allocate
+	progs := buildPrograms(t, 2, 1)
+	cfg := DefaultConfig(2)
+	try := func(field reflect.Value, path string) {
+		defer field.SetInt(field.Int())
+		for _, x := range []int64{-1 << 30, 1 << 12, 1 << 16, 1 << 20, 1 << 30, 1 << 50} {
+			if field.SetInt(x); cfg.Validate() != nil {
+				continue
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s = %d: Validate accepts it and the machine panics: %v", path, x, r)
+					}
+				}()
+				if p, err := New(cfg, progs); err == nil {
+					p.Run(1<<40, 2_000)
+				}
+			}()
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("%s = %d: Validate accepts it and the machine allocates %d MiB, budget %d", path, x, got>>20, budget>>20)
+			}
+		}
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch {
+		case v.CanInt():
+			try(v, path)
+		case v.Kind() == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case v.Kind() == reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "Config")
 }

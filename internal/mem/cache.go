@@ -12,7 +12,10 @@
 // in-flight fill.
 package mem
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Level identifies a cache in the hierarchy.
 type Level int
@@ -50,6 +53,25 @@ type CacheConfig struct {
 	MSHRs         int // outstanding misses supported
 }
 
+// Upper bounds on the fields that size an allocation here or, as
+// latencies, the core's event ring. A configuration can arrive from the
+// network, so each must be finite; they are generous multiples of Table 2,
+// not policy.
+const (
+	maxLines  = 1 << 20 // lines in one cache (Table 2's L3 has 32768)
+	maxMSHRs  = 1 << 10 // Table 2: 8..16
+	maxTLB    = 1 << 12 // entries in one TLB (Table 2: 48 and 64)
+	maxCycles = 1 << 16 // any single latency or occupancy (Table 2: <= 160)
+)
+
+// cycles reports a latency or occupancy outside lo..maxCycles.
+func cycles(field string, v, lo int) error {
+	if v < lo || v > maxCycles {
+		return fmt.Errorf("mem: %s %d, want %d..%d", field, v, lo, maxCycles)
+	}
+	return nil
+}
+
 // Validate reports configuration errors.
 func (c CacheConfig) Validate(name string) error {
 	switch {
@@ -57,6 +79,8 @@ func (c CacheConfig) Validate(name string) error {
 		return fmt.Errorf("mem: %s size %d not a positive power of two", name, c.SizeBytes)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("mem: %s line %d not a positive power of two", name, c.LineBytes)
+	case c.SizeBytes/c.LineBytes > maxLines:
+		return fmt.Errorf("mem: %s SizeBytes %d is %d lines, want <= %d", name, c.SizeBytes, c.SizeBytes/c.LineBytes, maxLines)
 	case c.Assoc < 1 || c.SizeBytes/c.LineBytes < c.Assoc:
 		return fmt.Errorf("mem: %s assoc %d invalid", name, c.Assoc)
 	case (c.SizeBytes/c.LineBytes/c.Assoc)&(c.SizeBytes/c.LineBytes/c.Assoc-1) != 0:
@@ -69,12 +93,11 @@ func (c CacheConfig) Validate(name string) error {
 		return fmt.Errorf("mem: %s banks %d, want <= 32", name, c.Banks)
 	case c.BankGranule <= 0 || c.BankGranule&(c.BankGranule-1) != 0:
 		return fmt.Errorf("mem: %s bank granule %d invalid", name, c.BankGranule)
-	case c.AccessEvery < 1:
-		return fmt.Errorf("mem: %s AccessEvery %d invalid", name, c.AccessEvery)
-	case c.MSHRs < 1:
-		return fmt.Errorf("mem: %s MSHRs %d invalid", name, c.MSHRs)
+	case c.MSHRs < 1 || c.MSHRs > maxMSHRs:
+		return fmt.Errorf("mem: %s MSHRs %d, want 1..%d", name, c.MSHRs, maxMSHRs)
 	}
-	return nil
+	return errors.Join(cycles(name+" AccessEvery", c.AccessEvery, 1), cycles(name+" TransferTime", c.TransferTime, 0),
+		cycles(name+" FillTime", c.FillTime, 0), cycles(name+" LatencyToNext", c.LatencyToNext, 0))
 }
 
 // Stats counts accesses and misses for one cache. Misses counts line fills
@@ -395,8 +418,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.MemLatency < 1 {
-		return fmt.Errorf("mem: MemLatency %d invalid", c.MemLatency)
+	if err := errors.Join(cycles("MemLatency", c.MemLatency, 1), cycles("MemBusTime", c.MemBusTime, 0)); err != nil {
+		return err
 	}
 	if err := c.ITLB.Validate("ITLB"); err != nil {
 		return err

@@ -16,14 +16,12 @@ type TLBConfig struct {
 // Validate reports configuration errors.
 func (c TLBConfig) Validate(name string) error {
 	switch {
-	case c.Entries < 1:
-		return fmt.Errorf("mem: %s entries %d invalid", name, c.Entries)
+	case c.Entries < 1 || c.Entries > maxTLB:
+		return fmt.Errorf("mem: %s entries %d, want 1..%d", name, c.Entries, maxTLB)
 	case c.PageBytes <= 0 || c.PageBytes&(c.PageBytes-1) != 0:
 		return fmt.Errorf("mem: %s page size %d not a power of two", name, c.PageBytes)
-	case c.MissPenalty < 0:
-		return fmt.Errorf("mem: %s miss penalty %d invalid", name, c.MissPenalty)
 	}
-	return nil
+	return cycles(name+" MissPenalty", c.MissPenalty, 0)
 }
 
 // TLB is a fully associative, LRU translation buffer. Simulated addresses

@@ -50,15 +50,26 @@ func (c Config) PhysPerFile() int {
 	return c.Threads*isa.LogicalRegs + c.ExcessRegs
 }
 
+// maxPhysPerFile bounds a register file, whose size is an allocation: a
+// configuration can arrive from the network. The paper's largest machine
+// has 356 registers a file and sec7's "unlimited" row asks for 100 000
+// excess ones; this is finiteness, not policy.
+const maxPhysPerFile = 1 << 17
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Threads < 1 {
 		return fmt.Errorf("rename: Threads = %d, want >= 1", c.Threads)
 	}
 	need := c.Threads * isa.LogicalRegs
-	if total := c.PhysPerFile(); total < need+1 {
+	total := c.PhysPerFile()
+	if total < need+1 {
 		return fmt.Errorf("rename: %d physical registers cannot hold %d threads (need > %d)",
 			total, c.Threads, need)
+	}
+	if total > maxPhysPerFile {
+		return fmt.Errorf("rename: ExcessRegs %d / TotalRegs %d make %d physical registers a file, want <= %d",
+			c.ExcessRegs, c.TotalRegs, total, maxPhysPerFile)
 	}
 	return nil
 }

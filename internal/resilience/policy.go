@@ -172,7 +172,7 @@ func (e *permanentError) Unwrap() error { return e.err }
 // Sleep waits d unless ctx ends first; it reports whether the full
 // duration elapsed. This is the only sanctioned way to wait in retry
 // loops under internal/dist and internal/cache — bare time.Sleep ignores
-// shutdown and is banned there by smtlint's servicehygiene analyzer.
+// shutdown and is banned there by internal/srcrules' TestSourceRules.
 func Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil

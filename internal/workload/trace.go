@@ -99,8 +99,6 @@ func (c *Cursor) Next() DynRecord {
 // spill builds the private tail walker for runs that outlive the prefix.
 // Traces are sized with slack over the run budget, so this is a cold path
 // taken at most once per cursor.
-//
-//smt:coldpath trace prefix exhausted at most once per run
 func (c *Cursor) spill() { c.tail = c.t.end.clone() }
 
 // clone returns an independent copy of w at the same position.
@@ -134,9 +132,7 @@ func (c *Cursor) PC() int64 {
 // per save. Reading resumes indexed replay for positions within the
 // pre-decoded prefix — the PC must agree with the trace there, which
 // catches mismatched (program, seed) pairings — and a private tail walker
-// past it.
-//
-//smt:coldpath checkpoint save/restore only; never on the cycle loop
+// past it. Checkpoint save and restore only: never on the cycle loop.
 func (c *Cursor) State(sc *state.Codec) {
 	w := c.tail
 	if w == nil || !sc.Writing() {
