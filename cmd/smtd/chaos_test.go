@@ -293,7 +293,7 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 
 	// No goroutine leaks: everything the cluster spawned — forwarders,
-	// heartbeats, reporters, janitors, parked polls — must be gone.
+	// heartbeats, executors, janitors, parked polls — must be gone.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

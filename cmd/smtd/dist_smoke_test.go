@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/snapshot"
 )
 
 // TestDistributedSmoke is CI's distributed smoke job: boot a coordinator
@@ -125,6 +127,99 @@ func TestDistributedSmoke(t *testing.T) {
 	}
 }
 
+// routeCounter is a worker's transport that counts its requests by route.
+// Cache requests count by the kind of key they carry: warmup checkpoints
+// ("snap:" keys) apart from results.
+type routeCounter struct {
+	base *http.Transport
+	mu   sync.Mutex
+	n    map[string]int
+}
+
+func (c *routeCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	route := r.Method + " " + r.URL.Path
+	if key, ok := strings.CutPrefix(r.URL.Path, "/v1/cache/"); ok {
+		route = r.Method + " /v1/cache/{result}"
+		if strings.HasPrefix(key, snapshot.KeyPrefix) {
+			route = r.Method + " /v1/cache/{snap}"
+		}
+	}
+	c.mu.Lock()
+	c.n[route]++
+	c.mu.Unlock()
+	return c.base.RoundTrip(r)
+}
+
+func (c *routeCounter) count(route string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int64(c.n[route])
+}
+
+// TestWorkerTrafficContract pins what a worker sends a coordinator on a
+// cold sweep: one result post per remotely completed job, one checkpoint
+// peek per remote job, and no result-cache traffic at all — the
+// coordinator looks every result key up before it dispatches and stores
+// every posted result, so a worker-side peek or fill only repeats it.
+func TestWorkerTrafficContract(t *testing.T) {
+	s := NewServer(1, 0)
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	rc := &routeCounter{base: &http.Transport{}, n: map[string]int{}}
+	t.Cleanup(rc.base.CloseIdleConnections)
+	w := dist.NewWorker(dist.WorkerOptions{
+		Coordinator: ts.URL,
+		Name:        "counted",
+		Slots:       2,
+		Backoff:     20 * time.Millisecond,
+		Client:      &http.Client{Transport: rc, Timeout: 30 * time.Second},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(ctx) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for distStatus(t, ts.URL).Capacity < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	st := postSweepBody(t, ts.URL, `{
+		"name": "traffic",
+		"grid": [
+			{"series": "RR.1.8", "threads": 2},
+			{"series": "ICOUNT.2.8", "threads": 2, "config": {"FetchPolicy": "ICOUNT", "FetchThreads": 2}},
+			{"series": "BRCOUNT.1.8", "threads": 2, "config": {"FetchPolicy": "BRCOUNT"}},
+			{"series": "ICOUNT.1.8", "threads": 2, "config": {"FetchPolicy": "ICOUNT"}}
+		],
+		"opts": {"runs": 2, "warmup": 400, "measure": 800, "seed": 5},
+		"wait": true
+	}`)
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	ds := distStatus(t, ts.URL)
+	if st.CacheHits != 0 || ds.RemoteDone < 1 || ds.RemoteDone+ds.LocalDone != int64(st.TotalJobs) {
+		t.Fatalf("want a cold sweep with remote jobs: %d hits, %d remote + %d local of %d",
+			st.CacheHits, ds.RemoteDone, ds.LocalDone, st.TotalJobs)
+	}
+	for _, route := range []string{"GET /v1/cache/{result}", "PUT /v1/cache/{result}"} {
+		if n := rc.count(route); n != 0 {
+			t.Errorf("%s: %d worker requests, want 0", route, n)
+		}
+	}
+	if n := rc.count("POST /v1/work/result"); n != ds.RemoteDone {
+		t.Errorf("POST /v1/work/result: %d, want one per remote job (%d)", n, ds.RemoteDone)
+	}
+	if n := rc.count("GET /v1/cache/{snap}"); n != ds.RemoteDone {
+		t.Errorf("GET /v1/cache/{snap}: %d, want one per remote job (%d)", n, ds.RemoteDone)
+	}
+}
+
 // TestVersionEndpoint: /v1/version reports build identity from
 // runtime/debug.ReadBuildInfo.
 func TestVersionEndpoint(t *testing.T) {
@@ -141,8 +236,9 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
-// TestCachePeekFillEndpoints: the worker-facing cache surface serves
-// misses as 404 and round-trips fills.
+// TestCachePeekFillEndpoints: the content-addressed cache surface —
+// checkpoints for workers, results and checkpoints for federation peers —
+// serves misses as 404 and round-trips fills.
 func TestCachePeekFillEndpoints(t *testing.T) {
 	ts := newTestService(t)
 	if code := doJSON(t, "GET", ts.URL+"/v1/cache/nope", nil, nil); code != 404 {

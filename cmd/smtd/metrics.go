@@ -70,7 +70,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(&b, "smtd_dist_remote_done_total", "Jobs completed by workers.", float64(st.RemoteDone))
 	counter(&b, "smtd_dist_local_done_total", "Jobs completed by coordinator-local fallback.", float64(st.LocalDone))
 	counter(&b, "smtd_dist_requeues_total", "Lease expiries and worker-death requeues.", float64(st.Requeues))
-	counter(&b, "smtd_dist_remote_cache_hits_total", "Worker results served from the shared cache.", float64(st.RemoteCacheHits))
 	counter(&b, "smtd_dist_leases_total", "Job leases ever granted to workers.", float64(st.Leases))
 	counter(&b, "smtd_dist_lease_wait_seconds_total", "Total time granted leases spent queued; divide by smtd_dist_leases_total for the mean.", st.LeaseWaitSecondsTotal)
 	gauge(&b, "smtd_autoscale_free_slots", "Fleet slots not currently leased.", float64(st.Autoscale.FreeSlots))

@@ -323,8 +323,8 @@ func (s *Server) Handler() http.Handler {
 	// Prometheus-style exposition of every tier and the scheduler; see
 	// metrics.go.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Shared-cache peek/fill for distributed workers: keys are the
-	// engine's job content addresses, values canonical smt.Results JSON.
+	// Content-addressed peek/fill: workers share warmup checkpoints
+	// ("snap:" keys) through it, federation peers results and checkpoints.
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	// Worker registry, long-poll work queue, snapshot/result ingestion.
@@ -393,10 +393,11 @@ const (
 	maxSnapPutBody = 64 << 20
 )
 
-// handleCacheGet peeks one content-addressed entry. Workers call it
-// before simulating so a job any node already ran is never run twice.
-// The keyspace is split by prefix: "snap:" keys are warmup checkpoints
-// (opaque bytes in the snapshot stack), everything else is a result.
+// handleCacheGet peeks one content-addressed entry: a worker's checkpoint
+// probe before it warms a machine, or a federation peer's probe of a key
+// this node owns. The keyspace is split by prefix: "snap:" keys are warmup
+// checkpoints (opaque bytes in the snapshot stack), everything else is a
+// result.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
 		peek(w, r, s.snaps, key, "snapshot")

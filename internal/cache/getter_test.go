@@ -81,7 +81,7 @@ func TestGetCtxForgetUpgrade(t *testing.T) {
 				stillWaiting(t, second, "plain Get behind a leader")
 				Forget(tc.g, "k") // cannot reach the Flight: a no-op
 				stillWaiting(t, second, "Forget through a Get/Put-only wrapper")
-				PutCtx(context.Background(), tc.g, "k", 7)
+				tc.g.Put("k", 7)
 				if r := await(t, second); !r.ok || r.v != 7 || r.err != nil {
 					t.Fatalf("waiter after the leader's Put: %+v, want a hit on 7", r)
 				}
@@ -97,7 +97,7 @@ func TestGetCtxForgetUpgrade(t *testing.T) {
 			if r := await(t, lookup(context.Background(), tc.g)); r.ok || r.err != nil {
 				t.Fatalf("after Forget: %+v, want a fresh miss", r)
 			}
-			PutCtx(context.Background(), tc.g, "k", 7)
+			tc.g.Put("k", 7)
 			if r := await(t, lookup(cancelled, tc.g)); !r.ok || r.v != 7 || r.err != nil {
 				t.Fatalf("stored key: %+v", r)
 			}

@@ -15,8 +15,8 @@ import (
 )
 
 // Remote is an HTTP client for another process's content-addressed store —
-// the worker's view of its coordinator's cache in a distributed sweep, and
-// a coordinator's view of a federated peer's cache. GET
+// a worker's view of its coordinator's checkpoint store in a distributed
+// sweep, and a coordinator's view of a federated peer's cache. GET
 // {base}/v1/cache/{key} peeks, PUT {base}/v1/cache/{key} fills; both carry
 // the value as JSON. It satisfies Getter[V], so anything that takes a
 // local store (the experiment runner's JobCache, a Flight wrapper) takes a
@@ -26,14 +26,14 @@ import (
 // miss, a failed fill is dropped. Determinism makes that safe — a missed
 // peek only costs a re-simulation that produces identical bytes.
 //
-// Two layers of API reflect the two callers. Get/Put (and their Ctx
-// forms) are the degrading convenience surface: transient transport
-// failures are retried on the client's resilience policy, then reported
-// as a miss. Probe/Fill are the single-attempt surface the federation
-// layer drives its circuit breakers with — they distinguish "the peer
-// answered: miss" (nil error) from "transport-level failure" (non-nil),
-// which is exactly the signal a breaker needs and the convenience
-// surface hides.
+// Two layers of API reflect the two callers. Get/Put are the degrading
+// convenience surface, bounded by the client's context (see WithContext):
+// transient transport failures are retried on the client's resilience
+// policy, then reported as a miss. Probe/Fill are the single-attempt
+// surface the federation layer drives its circuit breakers with — they
+// distinguish "the peer answered: miss" (nil error) from "transport-level
+// failure" (non-nil), which is exactly the signal a breaker needs and the
+// convenience surface hides.
 //
 // Values round-trip through encoding/json, which is exact for the metric
 // types in use (Go emits the shortest float representation that decodes
@@ -42,7 +42,8 @@ import (
 type Remote[V any] struct {
 	base   string
 	client *http.Client
-	header http.Header // extra headers on every request (e.g. peer marking)
+	header http.Header     // extra headers on every request (e.g. peer marking)
+	ctx    context.Context // bounds Get and Put; see WithContext
 	policy resilience.Policy
 }
 
@@ -56,6 +57,7 @@ func NewRemote[V any](base string, client *http.Client) *Remote[V] {
 	return &Remote[V]{
 		base:   strings.TrimRight(base, "/"),
 		client: client,
+		ctx:    context.Background(),
 		// One retry by default: enough to ride out a dropped connection
 		// without turning a genuinely down server into a long stall —
 		// remote failures are only ever worth a fraction of the
@@ -76,45 +78,32 @@ func (r *Remote[V]) WithHeader(key, value string) *Remote[V] {
 	return r
 }
 
+// WithContext returns the client with every Get and Put bound by ctx:
+// once ctx ends, a peek in flight aborts to a miss and a fill is dropped
+// before it reaches the wire. A worker binds its checkpoint store to its
+// run context this way, so a drain never waits out the client timeout on
+// cache traffic.
+func (r *Remote[V]) WithContext(ctx context.Context) *Remote[V] {
+	r.ctx = ctx
+	return r
+}
+
 func (r *Remote[V]) keyURL(key string) string {
 	return r.base + "/v1/cache/" + url.PathEscape(key)
 }
 
-// Get peeks the remote store. Any failure — transport, status, decode —
-// reports a miss.
+// Get peeks the remote store. Transient transport failures are retried
+// on the client's policy; any failure — transport, status, decode, the
+// client's context ending — reports a miss.
 func (r *Remote[V]) Get(key string) (V, bool) {
-	v, ok, _ := r.GetCtx(context.Background(), key)
-	return v, ok
-}
-
-// GetCtx is Get bounded by ctx, mirroring Flight.GetCtx's shape: a
-// caller that is shutting down abandons the peek immediately instead of
-// riding out the client's full timeout. Transient transport failures are
-// retried on the client's policy, then reported as a miss. The error is
-// non-nil only for ctx's own end — every remote failure is still just a
-// miss.
-func (r *Remote[V]) GetCtx(ctx context.Context, key string) (V, bool, error) {
 	var v V
 	var hit bool
-	err := r.policy.Do(ctx, func(actx context.Context) error {
-		got, ok, err := r.Probe(actx, key)
-		if err != nil {
-			if ctx.Err() != nil {
-				return resilience.Permanent(ctx.Err())
-			}
-			return err
-		}
+	r.policy.Do(r.ctx, func(ctx context.Context) error {
+		got, ok, err := r.Probe(ctx, key)
 		v, hit = got, ok
-		return nil
+		return err
 	})
-	if err != nil {
-		var zero V
-		if ctx.Err() != nil {
-			return zero, false, ctx.Err()
-		}
-		return zero, false, nil
-	}
-	return v, hit, nil
+	return v, hit
 }
 
 // Probe makes exactly one peek attempt and reports how it ended: (v,
@@ -152,26 +141,11 @@ func (r *Remote[V]) Probe(ctx context.Context, key string) (V, bool, error) {
 	}
 }
 
-// Put fills the remote store; failures are dropped.
-func (r *Remote[V]) Put(key string, v V) {
-	r.PutCtx(context.Background(), key, v)
-}
-
-// PutCtx is Put bounded by ctx: a draining process drops the fill
-// instantly rather than blocking shutdown on cache traffic. Transient
-// failures retry on the client's policy, then drop. Fills are an
+// Put fills the remote store. Transient failures retry on the client's
+// policy, then drop, as does a fill under an ended context. Fills are an
 // optimization — losing one costs a future re-simulation, nothing else.
-func (r *Remote[V]) PutCtx(ctx context.Context, key string, v V) {
-	if ctx.Err() != nil {
-		return
-	}
-	r.policy.Do(ctx, func(actx context.Context) error {
-		err := r.Fill(actx, key, v)
-		if err != nil && ctx.Err() != nil {
-			return resilience.Permanent(ctx.Err())
-		}
-		return err
-	})
+func (r *Remote[V]) Put(key string, v V) {
+	r.policy.Do(r.ctx, func(ctx context.Context) error { return r.Fill(ctx, key, v) })
 }
 
 // Fill makes exactly one fill attempt and reports whether the server

@@ -151,10 +151,11 @@ func TestFlightGetCtxCancelledWaiter(t *testing.T) {
 	}
 }
 
-// TestRemoteGetCtxCancelled: a draining caller's peek aborts on its
-// context immediately instead of riding out the client timeout, and a
-// cancelled fill is dropped without touching the wire.
-func TestRemoteGetCtxCancelled(t *testing.T) {
+// TestRemoteWithContextCancelled: a client bound to a context that ends
+// mid-peek aborts the peek to a miss at once instead of riding out the
+// client timeout, and drops a later fill without touching the wire; an
+// unbound client still fills.
+func TestRemoteWithContextCancelled(t *testing.T) {
 	block := make(chan struct{})
 	var puts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -167,35 +168,33 @@ func TestRemoteGetCtxCancelled(t *testing.T) {
 	}))
 	t.Cleanup(func() { close(block); srv.Close() })
 
-	remote := NewRemote[result](srv.URL, &http.Client{Timeout: 30 * time.Second})
+	client := &http.Client{Timeout: 30 * time.Second}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
+	remote := NewRemote[result](srv.URL, client).WithContext(ctx)
+	done := make(chan bool, 1)
 	go func() {
-		_, ok, err := remote.GetCtx(ctx, "k")
-		if ok {
-			t.Error("hanging server produced a hit")
-		}
-		done <- err
+		_, ok := remote.Get("k")
+		done <- ok
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request park in the handler
 	cancel()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("GetCtx returned %v, want context.Canceled", err)
+	case ok := <-done:
+		if ok {
+			t.Fatal("hanging server produced a hit")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("GetCtx ignored its cancelled context (rode the client timeout)")
+		t.Fatal("Get ignored its cancelled context (rode the client timeout)")
 	}
 
-	// A fill under a dead context is dropped before any network traffic.
-	remote.PutCtx(ctx, "k", result{IPC: 1})
+	// A fill under the dead context is dropped before any network traffic.
+	remote.Put("k", result{IPC: 1})
 	if puts.Load() != 0 {
-		t.Fatalf("cancelled PutCtx reached the server %d times", puts.Load())
+		t.Fatalf("cancelled Put reached the server %d times", puts.Load())
 	}
-	// A live context still fills.
-	remote.PutCtx(context.Background(), "k", result{IPC: 1})
+	// A client without a bound context still fills.
+	NewRemote[result](srv.URL, client).Put("k", result{IPC: 1})
 	if puts.Load() != 1 {
-		t.Fatalf("live PutCtx landed %d times, want 1", puts.Load())
+		t.Fatalf("live Put landed %d times, want 1", puts.Load())
 	}
 }

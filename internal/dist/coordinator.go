@@ -51,8 +51,8 @@ type Options struct {
 	// a job that kills every worker it lands on. Default 3.
 	MaxAttempts int
 	// ServesCache is advertised to registering workers: the coordinator's
-	// HTTP surface also exposes GET/PUT /v1/cache/{key}, so workers
-	// should peek it before simulating.
+	// HTTP surface also exposes GET/PUT /v1/cache/{key}, so workers share
+	// warmup checkpoints through it.
 	ServesCache bool
 	// Build is the coordinator's binary identity; defaults to BuildID().
 	// Registration rejects workers whose (known) build differs — a
@@ -116,13 +116,12 @@ type Coordinator struct {
 	nextWorker int64
 	nextTask   int64
 
-	dispatched      int64
-	remoteDone      int64
-	localDone       int64
-	requeues        int64
-	remoteCacheHits int64
-	leases          int64         // assignments ever granted to workers
-	leaseWait       time.Duration // total pending-queue wait across granted leases
+	dispatched int64
+	remoteDone int64
+	localDone  int64
+	requeues   int64
+	leases     int64         // assignments ever granted to workers
+	leaseWait  time.Duration // total pending-queue wait across granted leases
 }
 
 type workerState struct {
@@ -201,14 +200,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, j exp.Job, o exp.Opts, inter
 		Measure:  o.Measure,
 		Interval: interval,
 	}
-	if c.opts.ServesCache {
-		// The content address exists for the shared-cache protocol (worker
-		// peek/fill); without a served cache nobody reads it, and the
-		// reflection-canonical fingerprint is too expensive to compute per
-		// job for log decoration alone.
-		p.Key = j.Key(o)
-	}
-
 	t := &task{
 		payload: p,
 		onSnap:  onSnap,
@@ -303,7 +294,6 @@ func (c *Coordinator) Stats() Status {
 		RemoteDone:            c.remoteDone,
 		LocalDone:             c.localDone,
 		Requeues:              c.requeues,
-		RemoteCacheHits:       c.remoteCacheHits,
 		Leases:                c.leases,
 		LeaseWaitSecondsTotal: c.leaseWait.Seconds(),
 	}
@@ -370,7 +360,7 @@ func (c *Coordinator) popPendingLocked() *task {
 
 // deliver completes a task exactly once. workerID is "" for local
 // execution. It reports whether this call won the delivery.
-func (c *Coordinator) deliver(t *task, res smt.Results, workerID string, fromCache bool) bool {
+func (c *Coordinator) deliver(t *task, res smt.Results, workerID string) bool {
 	c.mu.Lock()
 	if t.done || t.cancelled {
 		c.mu.Unlock()
@@ -386,9 +376,6 @@ func (c *Coordinator) deliver(t *task, res smt.Results, workerID string, fromCac
 			w.completed++
 		}
 		c.remoteDone++
-		if fromCache {
-			c.remoteCacheHits++
-		}
 	} else {
 		c.localDone++
 	}
@@ -441,7 +428,7 @@ func (c *Coordinator) runLocal(t *task, try bool) (ran bool, err error) {
 	if err := t.ctx.Err(); err != nil {
 		return false, err
 	}
-	c.deliver(t, c.opts.Exec(t.payload, t.onSnap), "", false)
+	c.deliver(t, c.opts.Exec(t.payload, t.onSnap), "")
 	return true, nil
 }
 
@@ -457,7 +444,7 @@ func (c *Coordinator) drainPendingToLocalLocked() {
 			return
 		}
 		t.local = true
-		c.opts.Logf("dist: job %s (%s) falling back to local execution; no workers remain", t.id, t.payload.Key)
+		c.opts.Logf("dist: job %s falling back to local execution; no workers remain", t.id)
 		go c.runLocal(t, false)
 	}
 }
@@ -477,8 +464,7 @@ func (c *Coordinator) requeueLocked(t *task) {
 	c.requeues++
 	if t.attempts >= c.opts.MaxAttempts || c.capacityLocked() == 0 {
 		t.local = true
-		c.opts.Logf("dist: job %s (%s) falling back to local execution after %d remote attempt(s)",
-			t.id, t.payload.Key, t.attempts)
+		c.opts.Logf("dist: job %s falling back to local execution after %d remote attempt(s)", t.id, t.attempts)
 		go c.runLocal(t, false)
 		return
 	}
@@ -711,7 +697,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	// the lock, making the race benign.
 	accepted := 0
 	for i, tr := range req.Results {
-		if tasks[i] != nil && c.deliver(tasks[i], tr.Results, req.WorkerID, tr.FromCache) {
+		if tasks[i] != nil && c.deliver(tasks[i], tr.Results, req.WorkerID) {
 			accepted++
 		}
 	}

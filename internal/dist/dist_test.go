@@ -503,33 +503,36 @@ func TestDispatchCancellation(t *testing.T) {
 	stop()
 }
 
-// TestWorkerDrainFlushesLeaseAhead pins the shutdown path for lease-ahead
-// jobs: a worker cancelled while holding queued (not yet running)
-// assignments must finish and deliver every one of them and then return
-// from Run — the drain goroutines must not try to return slot tokens they
-// never took, which would block forever on the full slot channel and
-// wedge Run's WaitGroup (the worker would hang instead of deregistering).
-func TestWorkerDrainFlushesLeaseAhead(t *testing.T) {
+// TestWorkerBacklogStaysVisible: a worker leases only what it can start.
+// With four jobs queued, a default one-slot worker takes one; the other
+// three stay in the coordinator's queue, where the autoscale signal counts
+// them. Cancelled mid-job, the worker still delivers the job it leased and
+// returns from Run, and the queued jobs fall back to local execution.
+func TestWorkerBacklogStaysVisible(t *testing.T) {
 	coord, url := newTestCoordinator(t, Options{})
 
 	release := make(chan struct{})
-	firstRunning := make(chan struct{}, 16)
+	running := make(chan struct{}, 16)
 	exec := func(p JobPayload, _ func(smt.Snapshot)) smt.Results {
-		firstRunning <- struct{}{}
+		running <- struct{}{}
 		<-release
 		return SimulateJob(exp.WarmEnv{})(p, nil)
 	}
 	// A phantom worker (registered over HTTP, never polls) keeps capacity
 	// non-zero so dispatched jobs queue at the coordinator instead of
 	// falling back to local execution — the real worker's first poll then
-	// deterministically finds the whole backlog and leases it in one
-	// batch: one job running, the rest in its lease-ahead queue.
+	// deterministically finds the whole backlog.
 	resp, err := http.Post(url+"/v1/workers", "application/json",
 		bytes.NewReader([]byte(`{"name":"phantom","slots":1}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var phantom RegisterResponse
+	err = json.NewDecoder(resp.Body).Decode(&phantom)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	e := testGrid()
 	o := exp.Opts{Runs: 1, Warmup: 100, Measure: 400, Seed: 1}
@@ -540,32 +543,36 @@ func TestWorkerDrainFlushesLeaseAhead(t *testing.T) {
 	}()
 	waitFor(t, "jobs to queue behind the phantom", func() bool { return coord.Stats().Pending == 4 })
 
-	w := NewWorker(WorkerOptions{
-		Coordinator: url, Name: "drainer",
-		Slots: 1, Prefetch: 4,
-		Exec: exec, Backoff: 20 * time.Millisecond,
-	})
+	w := NewWorker(WorkerOptions{Coordinator: url, Name: "drainer", Slots: 1, Exec: exec, Backoff: 20 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runDone := make(chan error, 1)
 	go func() { runDone <- w.Run(ctx) }()
+	<-running
 
-	// All four jobs leased to the one-slot worker: one running, three in
-	// its lease-ahead queue.
-	waitFor(t, "all jobs leased to the worker", func() bool { return coord.Stats().Assigned == 4 })
-	<-firstRunning
+	// The phantom leaves, so the fleet is the one busy slot.
+	req, _ := http.NewRequest(http.MethodDelete, url+"/v1/workers/"+phantom.WorkerID, nil)
+	if resp, err := http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	st := coord.Stats()
+	if st.Assigned != 1 || st.Pending != 3 || st.Autoscale.WantedSlots != 3 {
+		t.Fatalf("one busy slot, three queued jobs: got assigned=%d pending=%d autoscale=%+v",
+			st.Assigned, st.Pending, st.Autoscale)
+	}
 
-	// Shut the worker down mid-job, then let executions finish.
+	// Shut the worker down mid-job, then let the job finish.
 	cancel()
 	close(release)
-
 	select {
 	case err := <-runDone:
 		if err != nil {
 			t.Fatalf("worker Run returned error: %v", err)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("worker Run did not return after cancel: lease-ahead drain wedged")
+		t.Fatal("worker Run did not return after cancel")
 	}
 	select {
 	case err := <-sweepDone:
@@ -573,9 +580,13 @@ func TestWorkerDrainFlushesLeaseAhead(t *testing.T) {
 			t.Fatalf("sweep failed: %v", err)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("sweep never completed: drained results were not delivered")
+		t.Fatal("sweep never completed")
 	}
-	if done := w.JobsDone(); done != 4 {
-		t.Fatalf("worker delivered %d jobs, want 4", done)
+	// Every leased job is delivered on drain.
+	if done := w.JobsDone(); done != 1 {
+		t.Fatalf("worker delivered %d jobs, want its one leased job", done)
+	}
+	if st := coord.Stats(); st.RemoteDone != 1 || st.LocalDone != 3 {
+		t.Fatalf("remote %d / local %d, want 1 / 3", st.RemoteDone, st.LocalDone)
 	}
 }

@@ -14,11 +14,11 @@ import (
 )
 
 // TestWorkerDrainBoundedByDeadCoordinator: regression for the bare
-// time.Sleep retry loop postResults used to run. A worker holding a
+// time.Sleep retry loop result posts used to run. A worker holding a
 // finished result whose coordinator stops answering must still complete
 // a SIGTERM drain within DrainGrace plus slack — the old loop parked the
-// reporter on client-timeout x retries with nothing able to interrupt
-// it, wedging shutdown for minutes.
+// post on client-timeout x retries with nothing able to interrupt it,
+// wedging shutdown for minutes.
 func TestWorkerDrainBoundedByDeadCoordinator(t *testing.T) {
 	var polled atomic.Bool
 	var resultOnce sync.Once
@@ -34,7 +34,7 @@ func TestWorkerDrainBoundedByDeadCoordinator(t *testing.T) {
 		case "/v1/work/next":
 			if polled.CompareAndSwap(false, true) {
 				json.NewEncoder(rw).Encode(Batch{Assignments: []Assignment{
-					{TaskID: "t1", Job: JobPayload{Key: "k1"}},
+					{TaskID: "t1"},
 				}})
 				return
 			}
@@ -59,7 +59,7 @@ func TestWorkerDrainBoundedByDeadCoordinator(t *testing.T) {
 
 	w := NewWorker(WorkerOptions{
 		Coordinator: srv.URL,
-		Name:        "stuck-reporter",
+		Name:        "stuck-poster",
 		Slots:       1,
 		Backoff:     20 * time.Millisecond,
 		DrainGrace:  300 * time.Millisecond,
@@ -80,7 +80,7 @@ func TestWorkerDrainBoundedByDeadCoordinator(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker never posted its result")
 	}
-	cancel() // SIGTERM: the drain starts with the reporter already wedged
+	cancel() // SIGTERM: the drain starts with the result post already wedged
 	start := time.Now()
 	select {
 	case err := <-runDone:

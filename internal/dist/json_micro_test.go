@@ -22,7 +22,7 @@ func BenchmarkPayloadJSON(b *testing.B) {
 
 func BenchmarkResultsJSON(b *testing.B) {
 	res := exp.Simulate(exp.ICount28(2), 0, 1, exp.Opts{Runs: 1, Warmup: 200, Measure: 1500}, 0, nil)
-	tr := TaskResult{TaskID: "t1", Key: "k", Results: res}
+	tr := TaskResult{TaskID: "t1", Results: res}
 	raw, _ := json.Marshal(tr)
 	b.Logf("result bytes: %d", len(raw))
 	b.ResetTimer()

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/exp"
+	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -68,13 +68,12 @@ func TestLeaseLatencyAndAutoscaleSignal(t *testing.T) {
 			close(release)
 		}
 	})
-	// One slot, no lease-ahead: the worker holds exactly one job and the
-	// rest of the sweep queues at the coordinator.
+	// One slot: the worker holds exactly one job and the rest of the sweep
+	// queues at the coordinator.
 	w := NewWorker(WorkerOptions{
 		Coordinator: url,
 		Name:        "satslot",
 		Slots:       1,
-		Prefetch:    -1,
 		Backoff:     20 * time.Millisecond,
 		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			<-release
@@ -128,36 +127,47 @@ func TestLeaseLatencyAndAutoscaleSignal(t *testing.T) {
 }
 
 // TestWorkerDrainNotWedgedByCacheTraffic: a worker draining after SIGTERM
-// must not sit behind cache peeks or fills against a slow/hung
-// coordinator cache. The cache here hangs forever on a live request and
-// only the run context can abort it — pre-fix, the drain rode out the
-// full HTTP client timeout per job; post-fix the peek aborts with the
-// context, the job simulates, and the drain finishes promptly.
+// must not sit behind checkpoint traffic against a hung coordinator cache.
+// The cache here parks every "snap:" request until the request's own
+// context ends, and the worker's client timeout is five minutes. The
+// worker's checkpoint store is bound to its run context, so once the drain
+// starts the parked peek aborts to a miss, the job simulates cold, its
+// checkpoint fill is dropped, and its result is still delivered. Bound to
+// nothing, the peek rode the client timeout twice over.
 func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
-	coord, url := newTestCoordinator(t, Options{ServesCache: true})
-
-	// A cache endpoint that never answers: requests park until their own
-	// context ends.
+	coord := NewCoordinator(Options{
+		ServesCache: true,
+		LeaseTTL:    2 * time.Second,
+		PollWait:    200 * time.Millisecond,
+		SweepEvery:  50 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	t.Cleanup(coord.Close)
 	var parked atomic.Int64
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	stop := make(chan struct{})
+	mux := http.NewServeMux()
+	coord.Handle(mux)
+	mux.HandleFunc("/v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.PathValue("key"), snapshot.KeyPrefix) {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
 		parked.Add(1)
-		<-r.Context().Done()
-	}))
-	t.Cleanup(hung.Close)
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(stop) }) // LIFO: releases parked handlers before srv.Close waits on them
 
-	executed := make(chan struct{}, 16)
 	w := NewWorker(WorkerOptions{
-		Coordinator: url,
+		Coordinator: srv.URL,
 		Name:        "drainer",
 		Slots:       1,
 		Backoff:     20 * time.Millisecond,
-		// A client timeout far beyond the test bound: only context-aware
-		// cache traffic can keep the drain fast.
-		Cache: cache.NewRemote[smt.Results](hung.URL, &http.Client{Timeout: 5 * time.Minute}),
-		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
-			executed <- struct{}{}
-			return SimulateJob(exp.WarmEnv{})(p, onSnap)
-		},
+		Client:      &http.Client{Timeout: 5 * time.Minute},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -167,41 +177,47 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 
 	e := testGrid()
 	o := exp.Opts{Runs: 1, Warmup: 100, Measure: 400, Seed: 1}
-	sweepDone := make(chan error, 1)
+	local, err := exp.Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *exp.ExperimentResult
+		err error
+	}
+	sweepDone := make(chan outcome, 1)
 	go func() {
-		_, err := (exp.Runner{Workers: 2, Dispatch: coord}).RunExperiment(context.Background(), e, o)
-		sweepDone <- err
+		res, err := (exp.Runner{Workers: 2, Dispatch: coord}).RunExperiment(context.Background(), e, o)
+		sweepDone <- outcome{res, err}
 	}()
 
-	// The first job is parked inside its cache peek against the hung
-	// endpoint (Exec hasn't run yet). Cancel the worker: the peek must
-	// abort on the context, the job must simulate and deliver, and every
-	// remaining job must do the same without waiting out the 5m timeout.
-	// (Waiting on the lease alone is not enough: cancelling while the poll
-	// response carrying it is still in flight drops the job undelivered.)
-	waitFor(t, "first job parked in its cache peek", func() bool { return parked.Load() >= 1 })
+	// The worker's one job is parked inside its checkpoint peek. Cancel the
+	// worker: the peek must abort, and the job must simulate and deliver.
+	waitFor(t, "the job's checkpoint peek to park", func() bool { return parked.Load() >= 1 })
 	cancel()
-
 	select {
 	case err := <-runDone:
 		if err != nil {
 			t.Fatalf("worker Run returned error: %v", err)
 		}
 	case <-time.After(20 * time.Second):
-		t.Fatal("drain wedged behind hung cache traffic")
+		t.Fatal("drain wedged behind hung checkpoint traffic")
 	}
-	// The in-flight job really simulated (cache aborted to a miss).
-	select {
-	case <-executed:
-	default:
-		t.Fatal("job never reached Exec; the cache peek must degrade to a miss")
+	if done := w.JobsDone(); done != 1 {
+		t.Fatalf("worker delivered %d jobs, want its one leased job", done)
 	}
-	// And the sweep still completes: the drained job was delivered, the
-	// rest fell back to coordinator-local execution after deregistration.
+	if n := parked.Load(); n != 1 {
+		t.Fatalf("%d checkpoint requests reached the cache, want the one peek (a drained fill is dropped)", n)
+	}
+	// The rest of the sweep fell back to coordinator-local execution after
+	// the worker left, and the bytes did not move.
 	select {
-	case err := <-sweepDone:
-		if err != nil {
-			t.Fatal(err)
+	case out := <-sweepDone:
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		if lb, rb := encode(t, local), encode(t, out.res); lb != rb {
+			t.Fatalf("drained sweep changed the bytes\nlocal:\n%s\ngot:\n%s", lb, rb)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep never completed after worker drain")

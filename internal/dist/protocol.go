@@ -17,20 +17,21 @@
 //  3. Aggregation stays on the coordinator and walks jobs in index order,
 //     exactly as a local run does, whatever order results arrive in.
 //
-// The protocol is pull-based and batched: workers register
-// (POST /v1/workers), long-poll for work (POST /v1/work/next, leasing up
-// to their free slots plus a lease-ahead window per response), post
-// interval snapshots (POST /v1/work/snapshot) and batched results
-// (POST /v1/work/result), and heartbeat
-// (POST /v1/workers/{id}/heartbeat). Batching keeps HTTP round trips off
-// the critical path on small jobs — a burst pays one hop per direction,
-// not one per job. Every assignment carries a lease; a worker that stops
-// heartbeating — crashed, partitioned, killed — has its in-flight jobs
-// requeued to surviving workers, falling back to local execution on the
-// coordinator when none remain. Identical jobs never execute twice
-// across the cluster: sweeps dedupe through the coordinator's
-// singleflight cache before dispatch, and workers peek the coordinator's
-// content-addressed store (GET /v1/cache/{key}) before simulating.
+// The protocol is pull-based: workers register (POST /v1/workers),
+// long-poll for as many jobs as they have free slots (POST
+// /v1/work/next), post interval snapshots (POST /v1/work/snapshot) and
+// each finished job's result (POST /v1/work/result), and heartbeat
+// (POST /v1/workers/{id}/heartbeat). A poll that finds several slots free
+// leases several jobs in one round trip, and a worker never holds a job it
+// cannot start, so the backlog stays visible in the coordinator's queue.
+// Every assignment carries a lease; a worker that stops heartbeating —
+// crashed, partitioned, killed — has its in-flight jobs requeued to
+// surviving workers, falling back to local execution on the coordinator
+// when none remain. Identical jobs never execute twice across the
+// cluster: sweeps dedupe through the coordinator's singleflight cache
+// before dispatch. Warmup checkpoints travel through the coordinator's
+// content-addressed store (GET/PUT /v1/cache/{key}, "snap:" keys), so one
+// worker's cold warmup is every worker's restore.
 package dist
 
 import (
@@ -66,10 +67,8 @@ func BuildID() string {
 
 // JobPayload is the wire form of one simulation job: everything a worker
 // needs to reproduce exactly what the coordinator's local runner would
-// compute. Key is the job's content address, already derived by the
-// coordinator — workers treat it as opaque.
+// compute.
 type JobPayload struct {
-	Key      string     `json:"key"`
 	Config   smt.Config `json:"config"`
 	Run      int        `json:"run"`      // benchmark rotation index
 	Seed     uint64     `json:"seed"`     // derived workload seed (exp.JobSeed applied)
@@ -133,20 +132,15 @@ type Batch struct {
 	Assignments []Assignment `json:"assignments"`
 }
 
-// TaskResult is one finished job inside a ResultsRequest. FromCache marks
-// results the worker served from the coordinator's cache (a remote peek
-// hit) rather than simulating.
+// TaskResult is one finished job inside a ResultsRequest.
 type TaskResult struct {
-	TaskID    string      `json:"task_id"`
-	Key       string      `json:"key"`
-	FromCache bool        `json:"from_cache,omitempty"`
-	Results   smt.Results `json:"results"`
+	TaskID  string      `json:"task_id"`
+	Results smt.Results `json:"results"`
 }
 
-// ResultsRequest reports one or more finished jobs. Like job leases,
-// result delivery is batched: the worker's reporter drains everything
-// finished since its last post into one request, so a burst of small jobs
-// pays one HTTP round trip, not one per job.
+// ResultsRequest reports one or more finished jobs. The worker posts each
+// job's result as the job finishes; the coordinator accepts any number in
+// one request.
 type ResultsRequest struct {
 	WorkerID string       `json:"worker_id"`
 	Results  []TaskResult `json:"results"`
@@ -183,15 +177,14 @@ type WorkerInfo struct {
 // worker list with scheduler counters so one call answers "is the cluster
 // healthy and is work flowing".
 type Status struct {
-	Workers         []WorkerInfo `json:"workers"`
-	Capacity        int          `json:"capacity"`          // sum of live worker slots
-	Pending         int          `json:"pending"`           // queued, unassigned jobs
-	Assigned        int          `json:"assigned"`          // leased to a worker right now
-	Dispatched      int64        `json:"dispatched"`        // jobs ever handed to the scheduler
-	RemoteDone      int64        `json:"remote_done"`       // completed by a worker
-	LocalDone       int64        `json:"local_done"`        // completed by coordinator fallback
-	Requeues        int64        `json:"requeues"`          // lease expiries / worker deaths
-	RemoteCacheHits int64        `json:"remote_cache_hits"` // worker results served from coordinator cache
+	Workers    []WorkerInfo `json:"workers"`
+	Capacity   int          `json:"capacity"`    // sum of live worker slots
+	Pending    int          `json:"pending"`     // queued, unassigned jobs
+	Assigned   int          `json:"assigned"`    // leased to a worker right now
+	Dispatched int64        `json:"dispatched"`  // jobs ever handed to the scheduler
+	RemoteDone int64        `json:"remote_done"` // completed by a worker
+	LocalDone  int64        `json:"local_done"`  // completed by coordinator fallback
+	Requeues   int64        `json:"requeues"`    // lease expiries / worker deaths
 
 	// Lease latency: total time granted leases spent in the pending queue.
 	// mean wait = LeaseWaitSecondsTotal / Leases; a rising mean with idle

@@ -37,7 +37,7 @@ func FuzzProtocolBodies(f *testing.F) {
 	f.Add(uint8(1), marshal(PollRequest{WorkerID: "w1", Max: 3}))
 	f.Add(uint8(1), marshal(PollRequest{WorkerID: "w9"}))
 	for _, task := range []string{"t1", "t2", "t3"} {
-		f.Add(uint8(2), marshal(ResultsRequest{WorkerID: "w1", Results: []TaskResult{{TaskID: task, Key: "k", Results: smt.Results{Committed: 7}}}}))
+		f.Add(uint8(2), marshal(ResultsRequest{WorkerID: "w1", Results: []TaskResult{{TaskID: task, Results: smt.Results{Committed: 7}}}}))
 		f.Add(uint8(3), marshal(SnapshotRequest{WorkerID: "w1", TaskID: task, Snapshot: smt.Snapshot{Index: 1, Cycles: 50}}))
 	}
 	f.Add(uint8(2), marshal(ResultsRequest{WorkerID: "w1", Results: []TaskResult{{TaskID: "t1"}, {TaskID: "t2"}, {TaskID: "t1"}}}))

@@ -30,10 +30,9 @@ func benchGrid() exp.Experiment {
 
 // TestProtocolCost times the bench grid through the cluster with a no-op
 // executor: wall clock here is pure protocol — leasing, result delivery,
-// scheduling, JSON. It pins the per-job protocol budget that batched
-// leases and batched result posts bought; one HTTP round trip per lease
-// plus one per result would blow through the bound by an order of
-// magnitude on this 20-job burst.
+// scheduling, JSON. It pins the per-job protocol budget: a worker leases
+// as many jobs as it has free slots in one round trip and posts one result
+// per job.
 func TestProtocolCost(t *testing.T) {
 	e := benchGrid()
 	o := exp.Opts{Runs: 2, Warmup: 200, Measure: 1500, Seed: 1}
@@ -42,7 +41,7 @@ func TestProtocolCost(t *testing.T) {
 	coord, url := newTestCoordinator(t, Options{})
 	for i := 0; i < 2; i++ {
 		w := NewWorker(WorkerOptions{Coordinator: url, Name: fmt.Sprintf("n%d", i),
-			Slots: 2, Prefetch: 6, Exec: noop, Backoff: 50 * time.Millisecond})
+			Slots: 2, Exec: noop, Backoff: 50 * time.Millisecond})
 		defer startWorker(t, w)()
 	}
 	waitFor(t, "register", func() bool { return coord.Capacity() == 4 })
@@ -60,7 +59,7 @@ func TestProtocolCost(t *testing.T) {
 	perJob := best / time.Duration(jobs)
 	t.Logf("%d no-op jobs through the cluster: %v (%v/job)", jobs, best, perJob)
 	// Generous ceiling for slow shared CI hosts; the measured cost is
-	// ~0.15ms/job. A return to hop-per-job delivery sits near 2ms/job.
+	// ~0.1ms/job.
 	// Race instrumentation slows the whole path ~8x, so the bound scales
 	// rather than asserting absolute wall time there.
 	budget := time.Millisecond

@@ -22,11 +22,6 @@ import (
 	"repro/smt"
 )
 
-// ResultCache is the worker's view of a shared content-addressed result
-// store; cache.Remote[smt.Results] pointed at the coordinator satisfies
-// it, as does any local store.
-type ResultCache = cache.Getter[smt.Results]
-
 // WorkerOptions configures a Worker.
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
@@ -34,27 +29,18 @@ type WorkerOptions struct {
 	// Name labels the worker in the coordinator's registry; default
 	// "worker".
 	Name string
-	// Slots is how many simulations run concurrently; <=0 means
-	// runtime.GOMAXPROCS(0).
+	// Slots is how many simulations run concurrently, and how many jobs
+	// the worker leases at most; <=0 means runtime.GOMAXPROCS(0).
 	Slots int
-	// Prefetch is how many extra jobs beyond free slots a poll may lease
-	// ahead into the worker's local queue, hiding the poll round trip
-	// behind running simulations. <0 disables; 0 defaults to Slots.
-	// Prefetched leases are covered by heartbeats like running ones, and
-	// worker death requeues them exactly the same way.
-	Prefetch int
 	// Exec runs one job payload; default SimulateJob under Warm.
 	Exec Exec
-	// Cache, when non-nil, is peeked before simulating and filled after.
-	// When nil and the coordinator advertises a cache, a
-	// cache.Remote[smt.Results] against the coordinator is used
-	// automatically — the shared-cache path needs no configuration.
-	Cache ResultCache
 	// Warm is the default executor's acceleration environment: warmup
 	// checkpoints and per-context trace replay. When Warm.Snapshots is nil
 	// and the coordinator advertises a cache, checkpoints are shared
-	// through the coordinator's /v1/cache endpoint (the same channel result
-	// peeks use): one worker's cold warmup becomes every worker's restore.
+	// through the coordinator's /v1/cache endpoint under the run context:
+	// one worker's cold warmup becomes every worker's restore, and a
+	// draining worker's checkpoint traffic aborts instead of waiting out
+	// the client timeout.
 	Warm exp.WarmEnv
 	// Client is the HTTP client used for every coordinator call,
 	// including long polls — so a custom client's Timeout must exceed the
@@ -80,11 +66,11 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Worker pulls jobs from a coordinator, simulates them with the engine's
-// canonical kernel, and streams snapshots and results back. Cancelling
-// the context passed to Run drains the worker: in-flight simulations run
-// to completion and post their results, then the worker deregisters —
-// a SIGTERM'd node never strands a lease until expiry.
+// Worker leases only jobs it can start at once, simulates each with the
+// engine's canonical kernel, and posts each result as it finishes.
+// Cancelling the context passed to Run drains the worker: in-flight
+// simulations run to completion and post their results, then the worker
+// deregisters — a SIGTERM'd node never strands a lease until expiry.
 type Worker struct {
 	opts       WorkerOptions
 	base       string
@@ -100,6 +86,10 @@ type Worker struct {
 	pctx    context.Context
 	pcancel context.CancelFunc
 
+	// run is Run's context. The checkpoint store built at registration is
+	// bound to it, so once a drain starts its peeks miss and its fills drop.
+	run context.Context
+
 	// regMu serializes (re-)registration so a coordinator that forgot us
 	// triggers exactly one rejoin, not one per loop that sees the 404 —
 	// a storm would register N ghost identities advertising N slots each.
@@ -107,18 +97,12 @@ type Worker struct {
 
 	draining atomic.Bool // run ctx cancelled: no new identities, no new jobs
 
-	// results feeds finished jobs to the reporter goroutine, which drains
-	// bursts into single batched posts (see ResultsRequest). Created by
-	// Run before any executor starts.
-	results chan TaskResult
-
 	mu       sync.Mutex
 	id       string
 	leaseTTL time.Duration
 	pollWait time.Duration
-	cache    ResultCache
 	warm     exp.WarmEnv // opts.Warm, its Snapshots filled in at registration when unset
-	done     int64       // jobs whose results were delivered (simulated or cache-served)
+	done     int64       // jobs whose results the coordinator accepted
 	fatal    error       // permanent rejection observed mid-run (build mismatch)
 }
 
@@ -137,11 +121,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 	if opts.Slots <= 0 {
 		opts.Slots = runtime.GOMAXPROCS(0)
-	}
-	if opts.Prefetch == 0 {
-		opts.Prefetch = opts.Slots
-	} else if opts.Prefetch < 0 {
-		opts.Prefetch = 0
 	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = 500 * time.Millisecond
@@ -180,7 +159,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 		retry:      retry,
 		pctx:       pctx,
 		pcancel:    pcancel,
-		cache:      opts.Cache,
 		warm:       opts.Warm,
 	}
 }
@@ -217,6 +195,7 @@ func (w *Worker) JobsDone() int64 {
 // before Run deregisters and returns. The returned error is non-nil only
 // when registration never succeeded.
 func (w *Worker) Run(ctx context.Context) error {
+	w.run = ctx
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -230,12 +209,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		defer close(hbDone)
 		w.heartbeatLoop(hbCtx)
 	}()
-	w.results = make(chan TaskResult, w.opts.Slots*2)
-	repDone := make(chan struct{})
-	go func() {
-		defer close(repDone)
-		w.reporterLoop()
-	}()
+	delivered := make(chan struct{})
 	go func() {
 		<-ctx.Done()
 		w.draining.Store(true)
@@ -249,22 +223,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		select {
 		case <-t.C:
 			w.pcancel()
-		case <-repDone:
+		case <-delivered:
 		}
 	}()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.dispatchLoop(ctx, &wg)
-	}()
-	wg.Wait()
-	// Every executor has pushed its result; close the feed so the reporter
-	// flushes the tail and exits — results are always delivered before the
-	// worker deregisters (drain semantics), and heartbeats keep renewing
-	// our leases until they are.
-	close(w.results)
-	<-repDone
+	var executors sync.WaitGroup
+	w.dispatchLoop(ctx, &executors)
+	// Each executor posts its own result, so once they are all back every
+	// leased job has been delivered (drain semantics); heartbeats kept
+	// renewing our leases until it was.
+	executors.Wait()
+	close(delivered)
 	hbCancel()
 	<-hbDone
 	// Detached from the run context on purpose — it is already canceled
@@ -348,14 +316,11 @@ func (w *Worker) registerOnce(ctx context.Context) error {
 	w.id = reg.WorkerID
 	w.leaseTTL = time.Duration(reg.LeaseTTLMS) * time.Millisecond
 	w.pollWait = time.Duration(reg.PollWaitMS) * time.Millisecond
-	if w.cache == nil && reg.CacheEnabled {
-		w.cache = cache.NewRemote[smt.Results](w.base, w.client)
-	}
 	if w.warm.Snapshots == nil && reg.CacheEnabled {
-		// Warmup checkpoints ride the same content-addressed endpoint as
-		// result peeks; snapshot.Key's "snap:" prefix routes them to the
-		// coordinator's byte-typed snapshot tiers.
-		w.warm.Snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client))
+		// Warmup checkpoints ride the coordinator's content-addressed
+		// endpoint; snapshot.Key's "snap:" prefix routes them to its
+		// byte-typed snapshot tiers.
+		w.warm.Snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client).WithContext(w.run))
 	}
 	w.mu.Unlock()
 	w.logf("dist: registered with %s as %s (%d slots)", w.base, reg.WorkerID, w.opts.Slots)
@@ -420,57 +385,25 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 }
 
 // dispatchLoop is the worker's scheduler: one long-poll loop that asks
-// for as many jobs as it has free slots and fans the returned batch out
-// to executor goroutines. A batch of small jobs costs one HTTP round trip,
-// not one per job, and the next batch is being fetched while the previous
-// one still runs — the protocol hop overlaps simulation instead of
-// serializing with it.
-func (w *Worker) dispatchLoop(ctx context.Context, wg *sync.WaitGroup) {
+// for as many jobs as it has free slots and starts each leased job on its
+// own executor. A poll that finds several slots free leases several jobs
+// in one round trip, and a worker never holds a job it cannot start: the
+// rest of the backlog stays in the coordinator's queue, where the
+// autoscale signal counts it and an idle local slot can take it.
+func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 	slots := make(chan struct{}, w.opts.Slots)
 	for i := 0; i < w.opts.Slots; i++ {
 		slots <- struct{}{}
 	}
-	// queue holds leased-ahead assignments (see WorkerOptions.Prefetch):
-	// when a slot frees, the next job starts from here with no network
-	// round trip in between.
-	var queue []Assignment
 	// pollFails ramps the backoff between failed polls (capped
 	// exponential with jitter, reset on any answer) so a down
 	// coordinator is probed gently while a transient blip costs little.
 	var pollFails int
-	launch := func(asg Assignment) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.execute(ctx, asg)
-			slots <- struct{}{}
-		}()
-	}
-	// drainQueue finishes leased-ahead jobs at shutdown. The goroutines
-	// deliberately do NOT return slot tokens: nothing consumes slots once
-	// this loop exits, and a drain-launched executor never took a token —
-	// returning one would block forever on the full channel and wedge
-	// Run's wg.Wait (the worker would hang instead of deregistering).
-	drainQueue := func() {
-		for _, asg := range queue {
-			asg := asg
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w.execute(ctx, asg)
-			}()
-		}
-		queue = nil
-	}
 	for {
 		// Wait for at least one free slot, then sweep up the rest without
 		// blocking.
 		select {
 		case <-ctx.Done():
-			// Leased-ahead jobs are still ours to finish: shutdown drains
-			// the local queue before returning (drain semantics), exactly
-			// as running simulations are finished, not abandoned.
-			drainQueue()
 			return
 		case <-slots:
 		}
@@ -484,45 +417,30 @@ func (w *Worker) dispatchLoop(ctx context.Context, wg *sync.WaitGroup) {
 				break grab
 			}
 		}
-		// Serve from the lease-ahead queue first.
-		for free > 0 && len(queue) > 0 {
-			launch(queue[0])
-			queue = queue[:copy(queue, queue[1:])]
-			free--
-		}
-		if free == 0 {
-			continue
-		}
 		id := w.ID()
-		batch, code, err := w.poll(ctx, id, free+w.opts.Prefetch)
+		batch, code, err := w.poll(ctx, id, free)
 		if err == nil && code != 0 {
 			pollFails = 0 // any coordinator answer resets the backoff ramp
 		}
-		started := 0
-		if err == nil && code == http.StatusOK {
-			// Execute even when shutdown raced the poll: the coordinator
-			// leased these jobs to us the moment it answered, so dropping
-			// them here would strand the leases until expiry — an accepted
-			// job is always executed and delivered (drain semantics).
-			for _, asg := range batch.Assignments {
-				if started < free {
-					started++
-					launch(asg)
-				} else {
-					queue = append(queue, asg)
-				}
-			}
+		// Execute even when shutdown raced the poll: the coordinator leased
+		// these jobs (at most free of them) to us the moment it answered,
+		// so dropping them here would strand the leases until expiry — an
+		// accepted job is always executed and delivered (drain semantics).
+		for _, asg := range batch.Assignments {
+			executors.Add(1)
+			go func() {
+				defer executors.Done()
+				w.execute(ctx, asg)
+				slots <- struct{}{}
+			}()
 		}
-		for i := started; i < free; i++ {
+		for i := len(batch.Assignments); i < free; i++ {
 			slots <- struct{}{}
 		}
 		switch {
 		case err == nil && code == http.StatusOK:
-			// Batch dispatched above; poll again immediately.
+			// Batch started above; poll again once a slot frees.
 		case ctx.Err() != nil:
-			// Flush lease-ahead debris before exiting (none unless the
-			// cancel raced the poll above).
-			drainQueue()
 			return
 		case err != nil:
 			pollFails++
@@ -577,70 +495,20 @@ func (w *Worker) poll(ctx context.Context, id string, max int) (Batch, int, erro
 	return batch, http.StatusOK, nil
 }
 
-// execute runs one assignment: peek the shared cache, simulate on a
-// miss, stream snapshots when asked, fill the cache, hand the result to
-// the reporter. The simulation itself deliberately ignores the run
-// context — a job accepted before shutdown is finished and delivered
-// (drain semantics) — but cache traffic rides it: a drain's peek or fill
-// against a slow coordinator aborts immediately (a miss, then a local
-// simulation) instead of wedging the shutdown behind the HTTP client
-// timeout.
+// execute runs one leased job and posts its result. The simulation
+// deliberately ignores the run context — a job accepted before shutdown
+// is finished and delivered (drain semantics) — while its interval
+// snapshots and checkpoint traffic ride it, so a draining worker neither
+// streams telemetry nor waits on a slow cache.
 func (w *Worker) execute(ctx context.Context, asg Assignment) {
-	p := asg.Job
-	w.mu.Lock()
-	c := w.cache
-	w.mu.Unlock()
-	if p.Key == "" {
-		// No content address on the payload (the coordinator serves no
-		// cache): peeking or filling under an empty key would alias every
-		// such job onto one entry.
-		c = nil
-	}
-	if c != nil {
-		// ctx end reads as a miss.
-		if res, ok, _ := cache.GetCtx(ctx, c, p.Key); ok {
-			w.results <- TaskResult{TaskID: asg.TaskID, Key: p.Key, FromCache: true, Results: res}
-			return
-		}
-	}
 	var onSnap func(smt.Snapshot)
-	if p.Interval > 0 {
+	if asg.Job.Interval > 0 {
 		onSnap = func(s smt.Snapshot) { w.postSnapshot(ctx, asg, s) }
 	}
-	res := w.exec()(p, onSnap)
-	if c != nil {
-		// Fill even though the result post also lands in the coordinator's
-		// cache: if our lease expired mid-run the post is discarded, but
-		// the fill still saves the re-simulation's successor a full run.
-		cache.PutCtx(ctx, c, p.Key, res)
-	}
-	w.results <- TaskResult{TaskID: asg.TaskID, Key: p.Key, Results: res}
+	w.postResult(TaskResult{TaskID: asg.TaskID, Results: w.exec()(asg.Job, onSnap)})
 }
 
-// reporterLoop delivers finished jobs: it blocks for the next result,
-// sweeps up everything else already finished, and posts the batch in one
-// request. It exits once the results channel is closed and drained, so
-// shutdown flushes every pending result before the worker deregisters.
-func (w *Worker) reporterLoop() {
-	for tr := range w.results {
-		batch := []TaskResult{tr}
-	sweep:
-		for {
-			select {
-			case more, ok := <-w.results:
-				if !ok {
-					break sweep
-				}
-				batch = append(batch, more)
-			default:
-				break sweep
-			}
-		}
-		w.postResults(batch)
-	}
-}
-
-// postResults delivers one batch on the retry policy. Transport errors,
+// postResult delivers one result on the retry policy. Transport errors,
 // 5xx answers, and garbled acks retry with backoff; any other definitive
 // coordinator response ends the attempt (a discarded result means the
 // job was requeued or cancelled, and re-posting cannot change that).
@@ -653,13 +521,13 @@ func (w *Worker) reporterLoop() {
 //
 // When every attempt fails at the transport, the worker deregisters
 // itself: its own heartbeats would otherwise keep renewing the
-// undelivered jobs' leases forever, wedging the sweep — leaving the
+// undelivered job's lease forever, wedging the sweep — leaving the
 // registry requeues every lease we hold, and the next poll's 404
 // re-registers us under a fresh identity. If the network is down
 // entirely, the deregister fails too, but then heartbeats are failing
 // as well and the leases expire on their own.
-func (w *Worker) postResults(batch []TaskResult) {
-	body := ResultsRequest{WorkerID: w.ID(), Results: batch}
+func (w *Worker) postResult(tr TaskResult) {
+	body := ResultsRequest{WorkerID: w.ID(), Results: []TaskResult{tr}}
 	err := w.retry.Do(w.pctx, func(ctx context.Context) error {
 		resp, err := w.postJSON(ctx, "/v1/work/result", body)
 		if err != nil {
@@ -687,7 +555,7 @@ func (w *Worker) postResults(batch []TaskResult) {
 		return nil
 	})
 	if err != nil {
-		w.logf("dist: result post for %d task(s) never landed; leaving the registry so their leases requeue", len(batch))
+		w.logf("dist: result post for task %s never landed; leaving the registry so its lease requeues", tr.TaskID)
 		w.deregister(w.pctx)
 	}
 }
@@ -714,8 +582,8 @@ func (w *Worker) postSnapshot(ctx context.Context, asg Assignment, s smt.Snapsho
 }
 
 // postJSON issues a POST with a JSON body. Long polls pass the worker
-// context so shutdown interrupts them; posts of finished work pass
-// context.Background() so drain still delivers.
+// context so shutdown interrupts them; posts of finished work pass the
+// post context so drain still delivers.
 func (w *Worker) postJSON(ctx context.Context, path string, v any) (*http.Response, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
