@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 1, "workload seed")
 		cacheSize  = fs.Int("cache", 1024, "max job results reused across experiments (0 disables)")
 		snapDir    = fs.String("snapshot-dir", "", "durable warmup-checkpoint directory: grid points sharing (workloads, rotation, seed, warmup) restore warmed machine state instead of re-simulating warmup, across runs of this command")
-		replay     = fs.Bool("replay", true, "pre-decode each workload rotation once and replay the shared trace in every configuration's fetch path")
 
 		// Ad-hoc policy comparison: any registered fetch policies —
 		// built-ins, composites, or custom registrations — head to head,
@@ -180,7 +179,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	o := exp.Opts{Runs: *runs, Warmup: *warmup, Measure: *measure, Seed: *seed}
-	var warm exp.WarmEnv
+	// Every context's program is pre-decoded once and replayed by every
+	// configuration that runs it, as in smtd.
+	warm := exp.WarmEnv{Traces: snapshot.NewTraceCache(0)}
 	runner := exp.Runner{Workers: *parallel}
 	if *cacheSize > 0 {
 		// One content-addressed store across every selected experiment:
@@ -198,9 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		warm.Snapshots = snapshot.NewStore(disk)
-	}
-	if *replay {
-		warm.Traces = snapshot.NewTraceCache(0)
 	}
 	runner.Dispatch = warm
 

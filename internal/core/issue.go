@@ -81,7 +81,7 @@ const ageInf = int64(1) << 62
 // Merging every entry and testing eligibility at each one's turn looks
 // equivalent and is not: it passes the goldens and all 28 policy-pair
 // hashes and moves icount28x8_none_vfr by 510 cycles in 954 940.
-// exp's TestCoreMatrixFingerprints is the test that sees it.
+// exp's TestPathMatrix/core_matrix is the test that sees it.
 func nextIssuable(w []*dyn, i int, cycle int64) (int, int64) {
 	for ; i < len(w); i++ {
 		d := w[i]

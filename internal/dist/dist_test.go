@@ -110,75 +110,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestDistributedByteIdentical is the subsystem's acceptance test: a
-// sweep executed through a coordinator and two worker nodes produces
-// canonical result JSON byte-identical to the same sweep run in-process,
-// and every job really did execute remotely.
-func TestDistributedByteIdentical(t *testing.T) {
-	e, o := testGrid(), testOpts()
-	local, err := exp.Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord, url := newTestCoordinator(t, Options{})
-	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerOptions{
-			Coordinator: url,
-			Name:        fmt.Sprintf("node%d", i),
-			Slots:       2,
-			Backoff:     50 * time.Millisecond,
-		})
-		defer startWorker(t, w)()
-	}
-	waitFor(t, "both workers to register", func() bool { return coord.Capacity() == 4 })
-
-	remote, err := exp.Runner{Workers: 4, Dispatch: coord}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lb, rb := encode(t, local), encode(t, remote); lb != rb {
-		t.Fatalf("distributed sweep changed the bytes\nlocal:\n%s\ndistributed:\n%s", lb, rb)
-	}
-
-	st := coord.Stats()
-	jobs := int64(len(e.Points()) * o.Runs)
-	if st.RemoteDone != jobs || st.LocalDone != 0 {
-		t.Fatalf("want all %d jobs remote, got remote=%d local=%d", jobs, st.RemoteDone, st.LocalDone)
-	}
-	var completed int64
-	for _, w := range st.Workers {
-		completed += w.Completed
-	}
-	if completed != jobs {
-		t.Fatalf("worker completion counts sum to %d, want %d", completed, jobs)
-	}
-}
-
-// TestDispatchLocalFallback: with no workers registered, dispatch runs
-// jobs in-process and the bytes still match a plain local run — the
-// backward-compatibility half of the contract.
-func TestDispatchLocalFallback(t *testing.T) {
-	e, o := testGrid(), testOpts()
-	local, err := exp.Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, _ := newTestCoordinator(t, Options{LocalSlots: make(chan struct{}, 2)})
-	viaCoord, err := exp.Runner{Workers: 2, Dispatch: coord}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lb, cb := encode(t, local), encode(t, viaCoord); lb != cb {
-		t.Fatalf("local fallback changed the bytes\nlocal:\n%s\nfallback:\n%s", lb, cb)
-	}
-	st := coord.Stats()
-	jobs := int64(len(e.Points()) * o.Runs)
-	if st.LocalDone != jobs || st.RemoteDone != 0 {
-		t.Fatalf("want all %d jobs local, got local=%d remote=%d", jobs, st.LocalDone, st.RemoteDone)
-	}
-}
-
 // TestWorkerFailover kills a worker that is holding leased jobs hostage
 // mid-sweep and requires the sweep to complete with byte-identical
 // results, every job delivered exactly once — the "worker crash → lease

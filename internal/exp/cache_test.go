@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -65,47 +64,6 @@ func TestJobsCarryTheirFingerprint(t *testing.T) {
 		if j.Key(o) != byHand.Key(o) {
 			t.Fatalf("p%d.r%d: carried fingerprint keys %s, on-demand %s", j.Point, j.Run, j.Key(o), byHand.Key(o))
 		}
-	}
-}
-
-// TestCachedSweepByteIdentical is the cache layer's determinism contract:
-// an uncached run, a cold-cache run, and a warm-cache run of the same
-// experiment must emit byte-identical JSON, and the warm run must serve
-// every job from cache.
-func TestCachedSweepByteIdentical(t *testing.T) {
-	e, _ := Lookup("fig7")
-	o := tinyOpts()
-	uncached, err := Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store := cache.New[smt.Results](0)
-	runner := Runner{Workers: 2, Cache: store}
-	cold, err := runner.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := runner.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := encode(t, uncached)
-	if got := encode(t, cold); !bytes.Equal(got, want) {
-		t.Errorf("cold-cache run differs from uncached:\n%s\nvs\n%s", got, want)
-	}
-	if got := encode(t, warm); !bytes.Equal(got, want) {
-		t.Errorf("warm-cache run differs from uncached:\n%s\nvs\n%s", got, want)
-	}
-
-	jobs, _ := Jobs(e, o)
-	st := store.Stats()
-	if st.Hits != int64(len(jobs)) {
-		t.Errorf("warm run hit %d of %d jobs", st.Hits, len(jobs))
-	}
-	if st.Misses != int64(len(jobs)) {
-		t.Errorf("cold run missed %d times, want %d", st.Misses, len(jobs))
 	}
 }
 

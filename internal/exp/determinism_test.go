@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"testing"
 )
@@ -17,31 +16,6 @@ func encode(t *testing.T, res *ExperimentResult) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestDeterminismParallelMatchesSerial is the engine's core contract: the
-// same experiment run with 1 worker and with N workers emits byte-identical
-// JSON, because every job's seed derives from its identity and aggregation
-// order is fixed by the grid, not the schedule.
-func TestDeterminismParallelMatchesSerial(t *testing.T) {
-	o := tinyOpts()
-	for _, name := range []string{"fig7", "table4"} {
-		e, _ := Lookup(name)
-		serial, err := Runner{Workers: 1}.RunExperiment(context.Background(), e, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 7} {
-			parallel, err := Runner{Workers: workers}.RunExperiment(context.Background(), e, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := encode(t, parallel), encode(t, serial); !bytes.Equal(got, want) {
-				t.Errorf("%s: %d-worker output differs from serial\nserial:  %s\nworkers: %s",
-					name, workers, want, got)
-			}
-		}
-	}
 }
 
 // TestDeterminismSameSeedTwice runs one experiment twice with identical

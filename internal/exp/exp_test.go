@@ -53,10 +53,10 @@ func measure(t *testing.T, cfg smt.Config, o Opts) Point {
 	return res.Series[0].Points[0]
 }
 
-// mustRunSerial runs a registry experiment on one worker.
-func mustRunSerial(t *testing.T, name string, o Opts) *ExperimentResult {
+// mustRun runs a registry experiment on the default worker pool.
+func mustRun(t *testing.T, name string, o Opts) *ExperimentResult {
 	t.Helper()
-	res, err := Run(name, o, 1)
+	res, err := Run(name, o, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSeriesOfShape(t *testing.T) {
 }
 
 func TestFig4CoversSchemes(t *testing.T) {
-	res := mustRunSerial(t, "fig4", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
+	res := mustRun(t, "fig4", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
 	for _, name := range []string{"RR.1.8", "RR.2.4", "RR.4.2", "RR.2.8"} {
 		if pts := res.Lookup(name); len(pts) != len(ThreadCounts) {
 			t.Fatalf("%s has %d points, want %d", name, len(pts), len(ThreadCounts))
@@ -120,7 +120,7 @@ func printed(t *testing.T, name string, res *ExperimentResult) []string {
 // positive IPC under every thread count of its header, and the 8-thread
 // point's two issue-waste fractions at the end.
 func TestTable5Complete(t *testing.T) {
-	res := mustRunSerial(t, "table5", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
+	res := mustRun(t, "table5", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1})
 	lines := printed(t, "table5", res)
 	if len(lines) != 1+4 {
 		t.Fatalf("want a header and 4 issue policies, got:\n%s", strings.Join(lines, "\n"))
@@ -190,7 +190,7 @@ func TestSec7DeltaMath(t *testing.T) {
 }
 
 func TestFig7PointsValid(t *testing.T) {
-	pts := mustRunSerial(t, "fig7", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}).Lookup("200 regs")
+	pts := mustRun(t, "fig7", Opts{Runs: 1, Warmup: 2_000, Measure: 4_000, Seed: 1}).Lookup("200 regs")
 	if len(pts) != 5 {
 		t.Fatalf("want 5 contexts, got %d", len(pts))
 	}

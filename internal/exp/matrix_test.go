@@ -1,71 +1,431 @@
-package exp
+package exp_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/fingerprint"
+	"repro/internal/policy"
+	"repro/internal/snapshot"
 	"repro/smt"
 )
 
-// coreMatrixOpts are the frozen budgets behind the matrix hash file: the
+// matrixOpts are the budgets of every matrix row: one rotation, small
+// enough that every row runs through every path in seconds.
+var matrixOpts = exp.Opts{Runs: 1, Warmup: 1_000, Measure: 2_000, Seed: 1}
+
+// workers is the pool size of the matrix's parallel sweeps.
+const workers = 4
+
+// A row is one machine of the matrix.
+type row struct {
+	name string
+	cfg  smt.Config
+}
+
+// variantRows and pairRows are the matrix's machines: every core.Variants
+// machine, and every fetch x issue policy pair as the x.2.8 scheme at 4
+// threads. They are read as the test binary starts, before any test
+// registers a strategy of its own, so the rows do not depend on which
+// tests ran first.
+var variantRows, pairRows = func() (variants, pairs []row) {
+	for _, v := range core.Variants() {
+		variants = append(variants, row{v.Name, v.Config})
+	}
+	fetches, issues := policy.FetchNames(), policy.IssueNames()
+	sort.Strings(fetches)
+	sort.Strings(issues)
+	for _, f := range fetches {
+		for _, is := range issues {
+			cfg := exp.MustFetchScheme(4, f, 2, 8)
+			cfg.IssuePolicy = policy.IssueAlg(is)
+			pairs = append(pairs, row{f + "/" + is, cfg})
+		}
+	}
+	return variants, pairs
+}()
+
+// simulate is the reference path: exp.Simulate for each job, nothing else.
+type simulate struct{}
+
+func (simulate) Dispatch(_ context.Context, j exp.Job, o exp.Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error) {
+	return exp.Simulate(j.Spec.Config, j.Run, exp.JobSeed(o.Seed, j.Run), o, interval, onSnap), nil
+}
+
+// sweep is what one run of a row set produced.
+type sweep struct {
+	fps  []string // per row: fingerprint.Of its Results
+	body []byte   // the sweep's EncodeJSON bytes
+	hits int      // jobs served from the runner's cache
+}
+
+// runSweep runs rows on r as one experiment, named after its golden-file
+// section, with a point per row.
+func runSweep(t *testing.T, section string, rows []row, r exp.Runner) sweep {
+	t.Helper()
+	specs := make([]exp.PointSpec, len(rows))
+	for i, rw := range rows {
+		specs[i] = exp.PointSpec{Series: section, Label: rw.name, Threads: rw.cfg.Threads, Config: rw.cfg}
+	}
+	e := exp.Experiment{
+		Name:   section,
+		Title:  "every row through one execution path",
+		Shape:  exp.Shape{Series: 1, Points: len(specs)},
+		Points: func() []exp.PointSpec { return specs },
+	}
+	out := sweep{fps: make([]string, len(rows))}
+	var mu sync.Mutex
+	r.OnJobDone = func(j exp.Job, res smt.Results, fromCache bool) {
+		fp := fingerprint.Of(res)
+		mu.Lock()
+		defer mu.Unlock()
+		out.fps[j.Point] = fp
+		if fromCache {
+			out.hits++
+		}
+	}
+	res, err := r.RunExperiment(context.Background(), e, matrixOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out.body = buf.Bytes()
+	return out
+}
+
+// TestPathMatrix is the differential matrix: every execution path a
+// result can reach a user through must commit the bits the plain kernel
+// commits. The plain path (exp.Simulate per job) is pinned to
+// testdata/fingerprints.golden.json; every other path must reproduce its
+// per-job Results fingerprints and its encoded sweep byte for byte, and
+// each path's own counters (checkpoint, trace, cache, local and remote
+// completions) must show the path really ran. The runner and warmenv
+// paths run the plain kernel, replay adds traces alone, and the paths
+// from checkpoint-restored on replay traces and restore the warmups the
+// checkpoint-cold sweep saved, as smtd does. Every path runs every
+// variant row; the policy pairs run on the plain and both checkpoint
+// paths. Under -short every fifth row of each set runs, through every
+// path.
+//
+// Refresh after an intentional simulator change with:
+//
+//	go test ./internal/exp -run PathMatrix -update
+func TestPathMatrix(t *testing.T) {
+	type set struct {
+		section string
+		rows    []row
+		ref     sweep
+	}
+	variants := &set{section: "variants", rows: variantRows}
+	pairs := &set{section: "policy_pairs", rows: pairRows}
+	for _, s := range []*set{variants, pairs} {
+		if testing.Short() {
+			var sample []row
+			for i := 0; i < len(s.rows); i += 5 {
+				sample = append(sample, s.rows[i])
+			}
+			s.rows = sample
+		}
+		s.ref = runSweep(t, s.section, s.rows, exp.Runner{Workers: workers, Dispatch: simulate{}})
+	}
+	// compare holds one sweep of s to the plain path's.
+	compare := func(t *testing.T, s *set, got sweep) {
+		t.Helper()
+		for i, rw := range s.rows {
+			if got.fps[i] != s.ref.fps[i] {
+				t.Errorf("%s %s: Results fingerprint %s, plain path %s", s.section, rw.name, got.fps[i], s.ref.fps[i])
+			}
+		}
+		if !bytes.Equal(got.body, s.ref.body) {
+			t.Errorf("%s sweep bytes differ from the plain path's\nplain: %s\ngot:   %s", s.section, s.ref.body, got.body)
+		}
+	}
+	// check runs each set on r against the plain path and returns how many
+	// jobs r served from its cache.
+	check := func(t *testing.T, r exp.Runner, sets ...*set) (hits int) {
+		t.Helper()
+		for _, s := range sets {
+			got := runSweep(t, s.section, s.rows, r)
+			compare(t, s, got)
+			hits += got.hits
+		}
+		return hits
+	}
+	n, maxThreads := len(variants.rows), 0
+	for _, rw := range variants.rows {
+		maxThreads = max(maxThreads, rw.cfg.Threads)
+	}
+
+	t.Run("simulate", func(t *testing.T) {
+		for _, s := range []*set{variants, pairs} {
+			got := map[string]string{}
+			for i, rw := range s.rows {
+				got[rw.name] = s.ref.fps[i]
+			}
+			checkGolden(t, s.section, got, !testing.Short())
+		}
+	})
+
+	// The checkpoint path's cold sweep fills one store, here, so that any
+	// path runs alone under -run. Every path after it restores its warmups
+	// from that store, as smtd's local slots and workers share one
+	// checkpoint stack, through counters of its own.
+	ckpt := cache.New[[]byte](0)
+	fill := snapshot.NewStore(ckpt)
+	cold := exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: fill, Traces: snapshot.NewTraceCache(0)}}
+	coldVariants := runSweep(t, variants.section, variants.rows, cold)
+	coldPairs := runSweep(t, pairs.section, pairs.rows, cold)
+	t.Run("checkpoint-cold", func(t *testing.T) {
+		compare(t, variants, coldVariants)
+		compare(t, pairs, coldPairs)
+		rows := int64(n + len(pairs.rows))
+		if st := fill.Stats(); st.Misses != rows || st.Puts != rows || st.Hits != 0 {
+			t.Errorf("checkpoint stats %+v, want %d misses, each filled", st, rows)
+		}
+	})
+	// restoring returns an env that replays traces and restores from the
+	// filled store, and the check that it restored rows warmups and warmed
+	// none.
+	restoring := func(t *testing.T, rows int) (exp.WarmEnv, func()) {
+		store := snapshot.NewStore(ckpt)
+		return exp.WarmEnv{Snapshots: store, Traces: snapshot.NewTraceCache(0)}, func() {
+			t.Helper()
+			if st := store.Stats(); st.Hits != int64(rows) || st.Misses != 0 || st.Puts != 0 {
+				t.Errorf("checkpoint stats %+v, want %d restores and nothing warmed", st, rows)
+			}
+		}
+	}
+
+	paths := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		// The rows above run a few thousand instructions a thread; a
+		// cycle-loop rewrite can pass all of them and still change an
+		// eight-thread machine a few hundred thousand instructions in (see
+		// the visit-order invariant at core's nextIssuable). The benchmark's
+		// six machines, run long on the plain path, are that check.
+		{"core_matrix", func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("runs 20M instructions")
+			}
+			o := coreMatrixOpts()
+			machines := coreMatrixMachines()
+			type result struct{ name, hash string }
+			ch := make(chan result)
+			for name, cfg := range machines {
+				go func() { ch <- result{name, fingerprint.Of(exp.Simulate(cfg, 0, o.Seed, o, 0, nil))} }()
+			}
+			got := make(map[string]string, len(machines))
+			for range machines {
+				r := <-ch
+				got[r.name] = r.hash
+			}
+			checkGolden(t, "core_matrix", got, true)
+		}},
+		{"runner", func(t *testing.T) { check(t, exp.Runner{Workers: 1}, variants) }},
+		{"warmenv", func(t *testing.T) { check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{}}, variants) }},
+		{"replay", func(t *testing.T) {
+			traces := snapshot.NewTraceCache(0)
+			check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Traces: traces}}, variants)
+			if st := traces.Stats(); st.Builds != int64(maxThreads) {
+				t.Errorf("trace stats %+v, want one build per context of the widest row (%d)", st, maxThreads)
+			}
+		}},
+		{"checkpoint-restored", func(t *testing.T) {
+			env, restoredAll := restoring(t, n+len(pairs.rows))
+			check(t, exp.Runner{Workers: workers, Dispatch: env}, variants, pairs)
+			restoredAll()
+		}},
+		{"interval", func(t *testing.T) {
+			env, restoredAll := restoring(t, n)
+			var mu sync.Mutex
+			snaps, finals := make([]int, n), make([]string, n)
+			check(t, exp.Runner{Workers: workers, Dispatch: env, Interval: 300, OnSnapshot: func(j exp.Job, s smt.Snapshot) {
+				mu.Lock()
+				defer mu.Unlock()
+				snaps[j.Point]++
+				if s.Done {
+					finals[j.Point] = fingerprint.Of(s.Cumulative)
+				}
+			}}, variants)
+			for i, rw := range variants.rows {
+				if snaps[i] < 2 || finals[i] != variants.ref.fps[i] {
+					t.Errorf("%s: %d snapshots, final cumulative %s; want interval + final, and %s", rw.name, snaps[i], finals[i], variants.ref.fps[i])
+				}
+			}
+			restoredAll()
+		}},
+		{"cache", func(t *testing.T) {
+			dir := t.TempDir()
+			newStack := func() *cache.Stack[smt.Results] {
+				s, err := cache.NewStack[smt.Results](0, dir, "", nil, cache.FederatedConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			results := newStack()
+			env, restoredAll := restoring(t, n)
+			r := exp.Runner{Workers: workers, Cache: cache.NewFlight(results.Top()), Dispatch: env}
+			t.Run("cold", func(t *testing.T) {
+				if hits, st := check(t, r, variants), results.Stats(); hits != 0 || st.Memory.Len != n || st.Disk.Entries != n {
+					t.Errorf("%d hits, memory %+v, disk %+v; want every job simulated and stored in both tiers", hits, st.Memory, st.Disk)
+				}
+			})
+			t.Run("hit", func(t *testing.T) {
+				if hits, st := check(t, r, variants), results.Stats(); hits != n || st.Memory.Hits != int64(n) {
+					t.Errorf("%d hits, memory %+v; want every job from memory", hits, st.Memory)
+				}
+			})
+			t.Run("disk", func(t *testing.T) {
+				results := newStack() // a restarted process on the same directory
+				r.Cache = cache.NewFlight(results.Top())
+				if hits, st := check(t, r, variants), results.Stats(); hits != n || st.Disk.Warm != n || st.Disk.Hits != int64(n) {
+					t.Errorf("%d hits, disk %+v; want every job from the entries the boot scan found", hits, st.Disk)
+				}
+			})
+			restoredAll()
+		}},
+		{"local", func(t *testing.T) {
+			env, restoredAll := restoring(t, n)
+			coord := dist.NewCoordinator(dist.Options{Exec: dist.SimulateJob(env), LocalSlots: make(chan struct{}, 2)})
+			defer coord.Close()
+			check(t, exp.Runner{Workers: workers, Dispatch: coord}, variants)
+			restoredAll()
+			if st := coord.Stats(); st.LocalDone != int64(n) || st.RemoteDone != 0 {
+				t.Errorf("local_done %d remote_done %d, want %d and 0", st.LocalDone, st.RemoteDone, n)
+			}
+		}},
+		{"remote", func(t *testing.T) {
+			coord := dist.NewCoordinator(dist.Options{LeaseTTL: 2 * time.Second, PollWait: 200 * time.Millisecond, SweepEvery: 50 * time.Millisecond})
+			defer coord.Close()
+			mux := http.NewServeMux()
+			coord.Handle(mux)
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+			env, restoredAll := restoring(t, n)
+			ctx, cancel := context.WithCancel(context.Background())
+			w := dist.NewWorker(dist.WorkerOptions{Coordinator: srv.URL, Name: "matrix", Slots: 2, Warm: env, Backoff: 50 * time.Millisecond})
+			stopped := make(chan error, 1)
+			go func() { stopped <- w.Run(ctx) }()
+			defer func() { cancel(); <-stopped }()
+			for deadline := time.Now().Add(10 * time.Second); coord.Capacity() == 0; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("worker never registered")
+				}
+			}
+			check(t, exp.Runner{Workers: workers, Dispatch: coord}, variants)
+			restoredAll()
+			st := coord.Stats()
+			if st.RemoteDone != int64(n) || st.LocalDone != 0 || len(st.Workers) != 1 || st.Workers[0].Completed != int64(n) {
+				t.Errorf("remote_done %d local_done %d workers %+v, want all %d jobs completed by the one worker", st.RemoteDone, st.LocalDone, st.Workers, n)
+			}
+		}},
+	}
+	// The paths only read what was built above, so they run side by side
+	// (up to -parallel at a time) and fill the cores the serial runner
+	// path leaves idle.
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			p.run(t)
+		})
+	}
+}
+
+// goldenFile holds the plain path's Results fingerprints, one section per
+// row set: variants, policy_pairs and core_matrix.
+const goldenFile = "testdata/fingerprints.golden.json"
+
+// checkGolden compares got, row name -> Results fingerprint, with one
+// section of goldenFile. Every name the section lists must match; a row it
+// does not list (a strategy registered since the file was written) is held
+// to the other paths only. complete says got is the whole section, so a
+// listed name missing from it is a machine no longer produced. Under
+// -update (golden_test.go's flag) it rewrites the section instead.
+func checkGolden(t *testing.T, section string, got map[string]string, complete bool) {
+	t.Helper()
+	file := map[string]map[string]string{}
+	raw, err := os.ReadFile(goldenFile)
+	if err == nil {
+		err = json.Unmarshal(raw, &file)
+	}
+	if flag.Lookup("update").Value.String() == "true" {
+		if !complete {
+			t.Fatal("-update needs every row: run it without -short")
+		}
+		file[section] = got
+		buf, err := json.MarshalIndent(file, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := file[section]
+	for name, h := range got {
+		switch w, ok := want[name]; {
+		case !ok:
+			t.Logf("%s %s is not in %s: held to the other paths only (-update pins it)", section, name, goldenFile)
+		case h != w:
+			t.Errorf("%s %s: Results fingerprint drifted: got %s want %s", section, name, h, w)
+		}
+	}
+	if complete {
+		for name := range want {
+			if _, ok := got[name]; !ok {
+				t.Errorf("%s %s in %s is no longer produced", section, name, goldenFile)
+			}
+		}
+	}
+}
+
+// coreMatrixOpts are the budgets behind the core_matrix section: the
 // per-thread warmup and measured instructions of one run at seed 1.
-func coreMatrixOpts() Opts {
-	return Opts{Runs: 1, Warmup: 100_000, Measure: 400_000, Seed: 1}
+func coreMatrixOpts() exp.Opts {
+	return exp.Opts{Runs: 1, Warmup: 100_000, Measure: 400_000, Seed: 1}
 }
 
 // coreMatrixMachines are the six machines of the benchmark's core_matrix
 // workload (bench/grid.go pins its own copy).
 func coreMatrixMachines() map[string]smt.Config {
-	optLast := ICount28(8)
+	optLast := exp.ICount28(8)
 	optLast.IssuePolicy = smt.IssueOptLast
-	iqposn := ICount28(8)
+	iqposn := exp.ICount28(8)
 	iqposn.FetchPolicy = smt.FetchIQPosn
-	noneVFR := ICount28(8)
+	noneVFR := exp.ICount28(8)
 	noneVFR.Branch.Predictor = smt.PredNone
 	noneVFR.VarFetchRate = true
 	return map[string]smt.Config{
 		"superscalar":         smt.Superscalar(),
 		"rr18x8":              smt.DefaultConfig(8),
-		"icount28x8":          ICount28(8),
+		"icount28x8":          exp.ICount28(8),
 		"icount28x8_optlast":  optLast,
 		"iqposn28x8":          iqposn,
 		"icount28x8_none_vfr": noneVFR,
 	}
-}
-
-// TestCoreMatrixFingerprints pins the Results fingerprint of the six
-// core_matrix machines, run long, to testdata/core_matrix.golden.json. The
-// goldens and the policy-pair hashes run a few thousand instructions on
-// four threads; a cycle-loop rewrite can pass all of them and still change
-// an eight-thread machine a few hundred thousand instructions in (see the
-// visit-order invariant at core's nextIssuable), and only the benchmark's
-// own check would notice. This is that check as a test.
-//
-// Refresh after an intentional simulator change with:
-//
-//	go test ./internal/exp -run CoreMatrixFingerprints -update
-func TestCoreMatrixFingerprints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 20M instructions")
-	}
-	o := coreMatrixOpts()
-	machines := coreMatrixMachines()
-	type result struct {
-		name, hash string
-	}
-	ch := make(chan result)
-	for name, cfg := range machines {
-		name, cfg := name, cfg
-		go func() { ch <- result{name, fingerprint.Of(Simulate(cfg, 0, o.Seed, o, 0, nil))} }()
-	}
-	got := make(map[string]string, len(machines))
-	for range machines {
-		r := <-ch
-		got[r.name] = r.hash
-	}
-
-	checkHashFile(t, "core_matrix.golden.json", got)
 }
 
 // BenchmarkStep is the cycle loop's A/B harness: one sub-benchmark per

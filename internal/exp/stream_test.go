@@ -1,75 +1,11 @@
 package exp
 
 import (
-	"bytes"
 	"context"
-	"sync"
 	"testing"
 
 	"repro/smt"
 )
-
-// Interval streaming must be an observation layer only: a runner streaming
-// snapshots produces byte-identical experiment results to one that does
-// not, and every simulated (non-cached) job emits at least one snapshot
-// whose final cumulative results match the job's reported results.
-func TestRunnerIntervalStreaming(t *testing.T) {
-	e, ok := Lookup("table3")
-	if !ok {
-		t.Fatal("table3 missing")
-	}
-	o := tinyOpts()
-
-	plain, err := Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	type key struct{ point, run int }
-	finals := map[key]smt.Results{}
-	counts := map[key]int{}
-	streamed, err := Runner{
-		Workers:  2,
-		Interval: 200,
-		OnSnapshot: func(j Job, s smt.Snapshot) {
-			mu.Lock()
-			defer mu.Unlock()
-			k := key{j.Point, j.Run}
-			counts[k]++
-			if s.Done {
-				finals[k] = s.Cumulative
-			}
-		},
-	}.RunExperiment(context.Background(), e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var a, b bytes.Buffer
-	if err := plain.EncodeJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := streamed.EncodeJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("streaming changed experiment result bytes")
-	}
-
-	jobs, err := Jobs(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(finals) != len(jobs) {
-		t.Fatalf("final snapshots for %d jobs, want %d", len(finals), len(jobs))
-	}
-	for k, n := range counts {
-		if n < 2 {
-			t.Errorf("job %+v emitted %d snapshots, want interval + final", k, n)
-		}
-	}
-}
 
 // A custom fetch policy registered through the public smt API must sweep
 // through the engine like a built-in, with its jobs content-addressed by
