@@ -5,10 +5,12 @@ import (
 	"repro/internal/policy"
 )
 
-// Variant is one named machine of Variants.
+// Variant is one named machine of Variants. Aliases are the later names
+// that built the same machine.
 type Variant struct {
-	Name   string
-	Config Config
+	Name    string
+	Config  Config
+	Aliases []string
 }
 
 // Variants lists one machine per behaviour a configuration can select, built
@@ -19,18 +21,22 @@ type Variant struct {
 // test steps each of them, and internal/exp's path matrix runs each through
 // every execution path. A registry entry that is the design point's own
 // setting (fetch=ICOUNT, issue=OLDEST_FIRST, predictor=gshare) has its
-// Fingerprint, so it is listed once, under the first of those names.
+// Fingerprint, so it is listed once, under the first of those names, with
+// the others as its Aliases.
 func Variants() []Variant {
 	var out []Variant
-	seen := map[string]bool{}
+	seen := map[string]int{}
 	add := func(name string, set func(*Config)) {
 		cfg := DefaultConfig(8)
 		cfg.FetchPolicy, cfg.FetchThreads = policy.ICount, 2
 		set(&cfg)
-		if fp := cfg.Fingerprint(); !seen[fp] {
-			seen[fp] = true
-			out = append(out, Variant{name, cfg})
+		fp := cfg.Fingerprint()
+		if i, ok := seen[fp]; ok {
+			out[i].Aliases = append(out[i].Aliases, name)
+			return
 		}
+		seen[fp] = len(out)
+		out = append(out, Variant{Name: name, Config: cfg})
 	}
 	for _, f := range policy.FetchNames() {
 		add("fetch="+f, func(c *Config) { c.FetchPolicy = policy.FetchAlg(f) })

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -16,6 +17,31 @@ type dispatcherFunc func(ctx context.Context, j Job, o Opts, interval int64, onS
 
 func (f dispatcherFunc) Dispatch(ctx context.Context, j Job, o Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error) {
 	return f(ctx, j, o, interval, onSnap)
+}
+
+// TestDispatcherByteIdentical: a registered experiment at two rotations,
+// dispatched job by job to Simulate, encodes to the bytes the runner's own
+// execution does. The path matrix's rows run one rotation; this one hands
+// the dispatcher run 1 and its seed.
+func TestDispatcherByteIdentical(t *testing.T) {
+	e, _ := Lookup("fig7")
+	o := tinyOpts()
+	local, err := Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaDispatch, err := Runner{
+		Workers: 3,
+		Dispatch: dispatcherFunc(func(ctx context.Context, j Job, o Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error) {
+			return Simulate(j.Spec.Config, j.Run, JobSeed(o.Seed, j.Run), o, interval, onSnap), nil
+		}),
+	}.RunExperiment(context.Background(), e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := encode(t, local), encode(t, viaDispatch); !bytes.Equal(a, b) {
+		t.Fatalf("dispatcher changed result bytes\nlocal:\n%s\ndispatched:\n%s", a, b)
+	}
 }
 
 // TestDispatchErrorFailsSweepAndReleasesFlight: a dispatch failure must

@@ -109,6 +109,51 @@ func runSweep(t *testing.T, section string, rows []row, r exp.Runner) sweep {
 	return out
 }
 
+// A set is one golden-file section's rows and their plain-path sweep, the
+// reference every other path of the set is held to.
+type set struct {
+	section string
+	rows    []row
+	ref     sweep
+}
+
+// plain runs rows on the plain path (exp.Simulate per job).
+func plain(t *testing.T, section string, rows []row) *set {
+	t.Helper()
+	return &set{section, rows, runSweep(t, section, rows, exp.Runner{Workers: workers, Dispatch: simulate{}})}
+}
+
+// fingerprints maps each row's name to its plain-path Results fingerprint.
+func (s *set) fingerprints() map[string]string {
+	got := make(map[string]string, len(s.rows))
+	for i, rw := range s.rows {
+		got[rw.name] = s.ref.fps[i]
+	}
+	return got
+}
+
+// compare holds one sweep of s to the plain path's.
+func (s *set) compare(t *testing.T, got sweep) {
+	t.Helper()
+	for i, rw := range s.rows {
+		if got.fps[i] != s.ref.fps[i] {
+			t.Errorf("%s %s: Results fingerprint %s, plain path %s", s.section, rw.name, got.fps[i], s.ref.fps[i])
+		}
+	}
+	if !bytes.Equal(got.body, s.ref.body) {
+		t.Errorf("%s sweep bytes differ from the plain path's\nplain: %s\ngot:   %s", s.section, s.ref.body, got.body)
+	}
+}
+
+// check runs s on r against the plain path and returns how many jobs r
+// served from its cache.
+func (s *set) check(t *testing.T, r exp.Runner) (hits int) {
+	t.Helper()
+	got := runSweep(t, s.section, s.rows, r)
+	s.compare(t, got)
+	return got.hits
+}
+
 // TestPathMatrix is the differential matrix: every execution path a
 // result can reach a user through must commit the bits the plain kernel
 // commits. The plain path (exp.Simulate per job) is pinned to
@@ -119,67 +164,30 @@ func runSweep(t *testing.T, section string, rows []row, r exp.Runner) sweep {
 // paths run the plain kernel, replay adds traces alone, and the paths
 // from checkpoint-restored on replay traces and restore the warmups the
 // checkpoint-cold sweep saved, as smtd does. Every path runs every
-// variant row; the policy pairs run on the plain and both checkpoint
-// paths. Under -short every fifth row of each set runs, through every
-// path.
+// variant row; under -short every fifth row runs, through every path. The
+// policy pairs are TestPolicyPairFingerprints' and
+// TestPolicyPairFingerprintsWarm's rows.
 //
 // Refresh after an intentional simulator change with:
 //
-//	go test ./internal/exp -run PathMatrix -update
+//	go test ./internal/exp -run 'PathMatrix|PolicyPairFingerprints$' -update
 func TestPathMatrix(t *testing.T) {
-	type set struct {
-		section string
-		rows    []row
-		ref     sweep
-	}
-	variants := &set{section: "variants", rows: variantRows}
-	pairs := &set{section: "policy_pairs", rows: pairRows}
-	for _, s := range []*set{variants, pairs} {
-		if testing.Short() {
-			var sample []row
-			for i := 0; i < len(s.rows); i += 5 {
-				sample = append(sample, s.rows[i])
-			}
-			s.rows = sample
+	rows := variantRows
+	if testing.Short() {
+		var sample []row
+		for i := 0; i < len(rows); i += 5 {
+			sample = append(sample, rows[i])
 		}
-		s.ref = runSweep(t, s.section, s.rows, exp.Runner{Workers: workers, Dispatch: simulate{}})
+		rows = sample
 	}
-	// compare holds one sweep of s to the plain path's.
-	compare := func(t *testing.T, s *set, got sweep) {
-		t.Helper()
-		for i, rw := range s.rows {
-			if got.fps[i] != s.ref.fps[i] {
-				t.Errorf("%s %s: Results fingerprint %s, plain path %s", s.section, rw.name, got.fps[i], s.ref.fps[i])
-			}
-		}
-		if !bytes.Equal(got.body, s.ref.body) {
-			t.Errorf("%s sweep bytes differ from the plain path's\nplain: %s\ngot:   %s", s.section, s.ref.body, got.body)
-		}
-	}
-	// check runs each set on r against the plain path and returns how many
-	// jobs r served from its cache.
-	check := func(t *testing.T, r exp.Runner, sets ...*set) (hits int) {
-		t.Helper()
-		for _, s := range sets {
-			got := runSweep(t, s.section, s.rows, r)
-			compare(t, s, got)
-			hits += got.hits
-		}
-		return hits
-	}
+	variants := plain(t, "variants", rows)
 	n, maxThreads := len(variants.rows), 0
 	for _, rw := range variants.rows {
 		maxThreads = max(maxThreads, rw.cfg.Threads)
 	}
 
 	t.Run("simulate", func(t *testing.T) {
-		for _, s := range []*set{variants, pairs} {
-			got := map[string]string{}
-			for i, rw := range s.rows {
-				got[rw.name] = s.ref.fps[i]
-			}
-			checkGolden(t, s.section, got, !testing.Short())
-		}
+		checkGolden(t, variants.section, variants.fingerprints(), !testing.Short())
 	})
 
 	// The checkpoint path's cold sweep fills one store, here, so that any
@@ -188,15 +196,11 @@ func TestPathMatrix(t *testing.T) {
 	// checkpoint stack, through counters of its own.
 	ckpt := cache.New[[]byte](0)
 	fill := snapshot.NewStore(ckpt)
-	cold := exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: fill, Traces: snapshot.NewTraceCache(0)}}
-	coldVariants := runSweep(t, variants.section, variants.rows, cold)
-	coldPairs := runSweep(t, pairs.section, pairs.rows, cold)
+	cold := runSweep(t, variants.section, variants.rows, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: fill, Traces: snapshot.NewTraceCache(0)}})
 	t.Run("checkpoint-cold", func(t *testing.T) {
-		compare(t, variants, coldVariants)
-		compare(t, pairs, coldPairs)
-		rows := int64(n + len(pairs.rows))
-		if st := fill.Stats(); st.Misses != rows || st.Puts != rows || st.Hits != 0 {
-			t.Errorf("checkpoint stats %+v, want %d misses, each filled", st, rows)
+		variants.compare(t, cold)
+		if st := fill.Stats(); st.Misses != int64(n) || st.Puts != int64(n) || st.Hits != 0 {
+			t.Errorf("checkpoint stats %+v, want %d misses, each filled", st, n)
 		}
 	})
 	// restoring returns an env that replays traces and restores from the
@@ -239,32 +243,32 @@ func TestPathMatrix(t *testing.T) {
 			}
 			checkGolden(t, "core_matrix", got, true)
 		}},
-		{"runner", func(t *testing.T) { check(t, exp.Runner{Workers: 1}, variants) }},
-		{"warmenv", func(t *testing.T) { check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{}}, variants) }},
+		{"runner", func(t *testing.T) { variants.check(t, exp.Runner{Workers: 1}) }},
+		{"warmenv", func(t *testing.T) { variants.check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{}}) }},
 		{"replay", func(t *testing.T) {
 			traces := snapshot.NewTraceCache(0)
-			check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Traces: traces}}, variants)
+			variants.check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Traces: traces}})
 			if st := traces.Stats(); st.Builds != int64(maxThreads) {
 				t.Errorf("trace stats %+v, want one build per context of the widest row (%d)", st, maxThreads)
 			}
 		}},
 		{"checkpoint-restored", func(t *testing.T) {
-			env, restoredAll := restoring(t, n+len(pairs.rows))
-			check(t, exp.Runner{Workers: workers, Dispatch: env}, variants, pairs)
+			env, restoredAll := restoring(t, n)
+			variants.check(t, exp.Runner{Workers: workers, Dispatch: env})
 			restoredAll()
 		}},
 		{"interval", func(t *testing.T) {
 			env, restoredAll := restoring(t, n)
 			var mu sync.Mutex
 			snaps, finals := make([]int, n), make([]string, n)
-			check(t, exp.Runner{Workers: workers, Dispatch: env, Interval: 300, OnSnapshot: func(j exp.Job, s smt.Snapshot) {
+			variants.check(t, exp.Runner{Workers: workers, Dispatch: env, Interval: 300, OnSnapshot: func(j exp.Job, s smt.Snapshot) {
 				mu.Lock()
 				defer mu.Unlock()
 				snaps[j.Point]++
 				if s.Done {
 					finals[j.Point] = fingerprint.Of(s.Cumulative)
 				}
-			}}, variants)
+			}})
 			for i, rw := range variants.rows {
 				if snaps[i] < 2 || finals[i] != variants.ref.fps[i] {
 					t.Errorf("%s: %d snapshots, final cumulative %s; want interval + final, and %s", rw.name, snaps[i], finals[i], variants.ref.fps[i])
@@ -285,19 +289,19 @@ func TestPathMatrix(t *testing.T) {
 			env, restoredAll := restoring(t, n)
 			r := exp.Runner{Workers: workers, Cache: cache.NewFlight(results.Top()), Dispatch: env}
 			t.Run("cold", func(t *testing.T) {
-				if hits, st := check(t, r, variants), results.Stats(); hits != 0 || st.Memory.Len != n || st.Disk.Entries != n {
+				if hits, st := variants.check(t, r), results.Stats(); hits != 0 || st.Memory.Len != n || st.Disk.Entries != n {
 					t.Errorf("%d hits, memory %+v, disk %+v; want every job simulated and stored in both tiers", hits, st.Memory, st.Disk)
 				}
 			})
 			t.Run("hit", func(t *testing.T) {
-				if hits, st := check(t, r, variants), results.Stats(); hits != n || st.Memory.Hits != int64(n) {
+				if hits, st := variants.check(t, r), results.Stats(); hits != n || st.Memory.Hits != int64(n) {
 					t.Errorf("%d hits, memory %+v; want every job from memory", hits, st.Memory)
 				}
 			})
 			t.Run("disk", func(t *testing.T) {
 				results := newStack() // a restarted process on the same directory
 				r.Cache = cache.NewFlight(results.Top())
-				if hits, st := check(t, r, variants), results.Stats(); hits != n || st.Disk.Warm != n || st.Disk.Hits != int64(n) {
+				if hits, st := variants.check(t, r), results.Stats(); hits != n || st.Disk.Warm != n || st.Disk.Hits != int64(n) {
 					t.Errorf("%d hits, disk %+v; want every job from the entries the boot scan found", hits, st.Disk)
 				}
 			})
@@ -307,7 +311,7 @@ func TestPathMatrix(t *testing.T) {
 			env, restoredAll := restoring(t, n)
 			coord := dist.NewCoordinator(dist.Options{Exec: dist.SimulateJob(env), LocalSlots: make(chan struct{}, 2)})
 			defer coord.Close()
-			check(t, exp.Runner{Workers: workers, Dispatch: coord}, variants)
+			variants.check(t, exp.Runner{Workers: workers, Dispatch: coord})
 			restoredAll()
 			if st := coord.Stats(); st.LocalDone != int64(n) || st.RemoteDone != 0 {
 				t.Errorf("local_done %d remote_done %d, want %d and 0", st.LocalDone, st.RemoteDone, n)
@@ -331,7 +335,7 @@ func TestPathMatrix(t *testing.T) {
 					t.Fatal("worker never registered")
 				}
 			}
-			check(t, exp.Runner{Workers: workers, Dispatch: coord}, variants)
+			variants.check(t, exp.Runner{Workers: workers, Dispatch: coord})
 			restoredAll()
 			st := coord.Stats()
 			if st.RemoteDone != int64(n) || st.LocalDone != 0 || len(st.Workers) != 1 || st.Workers[0].Completed != int64(n) {
@@ -347,6 +351,52 @@ func TestPathMatrix(t *testing.T) {
 			t.Parallel()
 			p.run(t)
 		})
+	}
+}
+
+// TestPolicyPairFingerprints pins the plain path of every fetch x issue
+// policy pair, as the x.2.8 scheme at 4 threads, to the golden file's
+// policy_pairs section: not just "policy names still content-address
+// identically" but "every selector still simulates identically, cycle for
+// cycle".
+func TestPolicyPairFingerprints(t *testing.T) {
+	pairs := pairSet(t)
+	checkGolden(t, pairs.section, pairs.fingerprints(), true)
+}
+
+// pairRef holds the policy pairs' plain-path sweep, run by whichever pair
+// test comes first and shared with the other.
+var pairRef struct {
+	once sync.Once
+	ref  *set
+}
+
+func pairSet(t *testing.T) *set {
+	t.Helper()
+	pairRef.once.Do(func() { pairRef.ref = plain(t, "policy_pairs", pairRows) })
+	if pairRef.ref == nil {
+		t.Fatal("the policy pairs' plain-path sweep failed")
+	}
+	return pairRef.ref
+}
+
+// TestPolicyPairFingerprintsWarm runs every policy pair through trace
+// replay and warmup checkpoints, first filling the store cold and then
+// restoring every pair's warmup from it; both sweeps must equal the plain
+// path's fingerprints and bytes, with one trace build per context of the
+// 4-thread rotation shared by all of them.
+func TestPolicyPairFingerprintsWarm(t *testing.T) {
+	pairs := pairSet(t)
+	store, traces := snapshot.NewStore(cache.New[[]byte](0)), snapshot.NewTraceCache(0)
+	r := exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: store, Traces: traces}}
+	pairs.check(t, r)
+	pairs.check(t, r)
+	n := int64(len(pairs.rows))
+	if st := store.Stats(); st.Misses != n || st.Puts != n || st.Hits != n {
+		t.Errorf("checkpoint stats %+v, want %d cold fills then %d restores", st, n, n)
+	}
+	if st := traces.Stats(); st.Builds != 4 {
+		t.Errorf("trace stats %+v, want one build per context of the 4-thread rotation", st)
 	}
 }
 

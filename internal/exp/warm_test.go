@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +37,39 @@ func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	}
 	if ts := env.Traces.Stats(); ts.Builds != int64(a.Threads) {
 		t.Fatalf("trace cache built %d context traces, want %d shared across configs", ts.Builds, a.Threads)
+	}
+}
+
+// TestRunnerWarmSweepByteIdentical: a registered experiment at two
+// rotations, swept through warmup checkpoints and trace replay twice (cold
+// fills, then restores), encodes to the plain runner's bytes both times.
+// The path matrix's rows run one rotation; this one keys a checkpoint per
+// run.
+func TestRunnerWarmSweepByteIdentical(t *testing.T) {
+	e, ok := Lookup("fig4")
+	if !ok {
+		t.Fatal("fig4 is not registered")
+	}
+	o := Opts{Runs: 2, Warmup: 2_000, Measure: 4_000, Seed: 1}
+	base, err := Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encode(t, base)
+
+	store := snapshot.NewStore(cache.New[[]byte](0))
+	warm := Runner{Workers: 4, Dispatch: WarmEnv{Snapshots: store, Traces: snapshot.NewTraceCache(0)}}
+	for pass := 0; pass < 2; pass++ {
+		res, err := warm.RunExperiment(context.Background(), e, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encode(t, res); !bytes.Equal(got, want) {
+			t.Fatalf("warm sweep pass %d not byte-identical to the plain sweep\nplain: %s\nwarm:  %s", pass, want, got)
+		}
+	}
+	if st := store.Stats(); st.Hits == 0 || st.Puts == 0 || st.Misses != st.Puts {
+		t.Fatalf("store stats = %+v, want cold fills, each miss filled once, then restores", st)
 	}
 }
 
