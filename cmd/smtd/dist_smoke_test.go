@@ -17,13 +17,14 @@ import (
 
 // TestDistributedSmoke is CI's distributed smoke job: boot a coordinator
 // and a worker through the real binary entry point, run a 2-point sweep
-// through the worker, assert the results are byte-identical on cached
-// resubmission and that the jobs really executed remotely.
+// through them, assert the results are byte-identical on cached
+// resubmission and that the worker really executed jobs.
 func TestDistributedSmoke(t *testing.T) {
-	// Coordinator on an ephemeral port.
+	// Coordinator on an ephemeral port, with one local slot: of the two
+	// jobs dispatched together, at least one goes to the worker.
 	ready := make(chan string, 1)
 	var cout, cerr bytes.Buffer
-	go run([]string{"-addr", "127.0.0.1:0", "-workers", "2"}, &cout, &cerr, ready)
+	go run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, &cout, &cerr, ready)
 	var base string
 	select {
 	case addr := <-ready:
@@ -105,13 +106,13 @@ func TestDistributedSmoke(t *testing.T) {
 	if first.CacheHits != 0 {
 		t.Fatalf("cold distributed sweep reported %d cache hits", first.CacheHits)
 	}
-	// The jobs must have executed on the worker, not via local fallback.
+	// The worker and the coordinator's local slot share the jobs.
 	st := status()
-	if st.RemoteDone != 2 || st.LocalDone != 0 {
-		t.Fatalf("want 2 remote / 0 local completions, got %d / %d", st.RemoteDone, st.LocalDone)
+	if st.RemoteDone < 1 || st.RemoteDone+st.LocalDone != int64(first.TotalJobs) {
+		t.Fatalf("want >= 1 remote and %d in all, got %d remote / %d local", first.TotalJobs, st.RemoteDone, st.LocalDone)
 	}
-	if len(st.Workers) != 1 || st.Workers[0].Completed != 2 {
-		t.Fatalf("worker registry does not show the completions: %+v", st.Workers)
+	if len(st.Workers) != 1 || st.Workers[0].Completed != st.RemoteDone {
+		t.Fatalf("worker registry does not show the %d remote completions: %+v", st.RemoteDone, st.Workers)
 	}
 
 	second := post()
@@ -121,9 +122,9 @@ func TestDistributedSmoke(t *testing.T) {
 	if a, b := result(first), result(second); a != b || len(a) == 0 {
 		t.Fatalf("cached resubmission changed the result:\n%s\nvs\n%s", a, b)
 	}
-	// Resubmission was served from cache — no new remote executions.
-	if st := status(); st.RemoteDone != 2 {
-		t.Fatalf("cached resubmission re-dispatched jobs: remote_done=%d", st.RemoteDone)
+	// Resubmission was served from cache — no new executions.
+	if again := status(); again.RemoteDone != st.RemoteDone || again.LocalDone != st.LocalDone {
+		t.Fatalf("cached resubmission re-dispatched jobs: remote_done=%d local_done=%d", again.RemoteDone, again.LocalDone)
 	}
 }
 

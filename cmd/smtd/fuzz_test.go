@@ -29,7 +29,7 @@ func newStubServer() *Server {
 func newExecServer(run dist.Exec) *Server {
 	s := NewServer(2, 0)
 	s.coord.Close()
-	s.coord = dist.NewCoordinator(dist.Options{LocalSlots: make(chan struct{}, 2), Exec: run})
+	s.coord = dist.NewCoordinator(dist.Options{LocalSlots: 2, Exec: run})
 	return s
 }
 

@@ -68,7 +68,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(&b, "smtd_dist_capacity", "Total simulation slots offered by live workers.", float64(st.Capacity))
 	counter(&b, "smtd_dist_dispatched_total", "Jobs ever handed to the scheduler.", float64(st.Dispatched))
 	counter(&b, "smtd_dist_remote_done_total", "Jobs completed by workers.", float64(st.RemoteDone))
-	counter(&b, "smtd_dist_local_done_total", "Jobs completed by coordinator-local fallback.", float64(st.LocalDone))
+	counter(&b, "smtd_dist_local_done_total", "Jobs completed by the coordinator's local slots.", float64(st.LocalDone))
 	counter(&b, "smtd_dist_requeues_total", "Lease expiries and worker-death requeues.", float64(st.Requeues))
 	counter(&b, "smtd_dist_leases_total", "Job leases ever granted to workers.", float64(st.Leases))
 	counter(&b, "smtd_dist_lease_wait_seconds_total", "Total time granted leases spent queued; divide by smtd_dist_leases_total for the mean.", st.LeaseWaitSecondsTotal)

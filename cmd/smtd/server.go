@@ -47,7 +47,7 @@ type Server struct {
 	flight    *cache.Flight[smt.Results] // results.Top + in-flight dedup, what runners consult
 	snapshots *snapshot.Store            // snaps.Top + traffic counters, what runners consult
 	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
-	coord     *dist.Coordinator          // execution backend: remote workers, local fallback
+	coord     *dist.Coordinator          // execution backend: one queue for local slots and remote workers
 	plans     *cache.Store[*sweepPlan]   // request body digest -> everything derived from it, see sweepPlan
 
 	// breakers is the per-peer circuit breaker set shared by the result
@@ -221,18 +221,17 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 	// serialize unrelated sweeps behind one warmup.
 	s.snapshots = snapshot.NewStore(s.snaps.Top())
 	s.traces = snapshot.NewTraceCache(0)
-	// The coordinator is every sweep's execution backend. With no
-	// workers registered it runs every job in-process under LocalSlots,
-	// so a standalone smtd simulates at most -workers jobs at once
-	// across all sweeps; workers joining at runtime
-	// absorb the jobs of sweeps submitted from then on (a running
-	// sweep keeps dispatching — to them too — but at the dispatch
-	// width fixed when it was submitted).
+	// The coordinator is every sweep's execution backend. Its n local
+	// slots and any workers that join lease from one queue, so smtd
+	// simulates at most -workers jobs at once in-process across all
+	// sweeps, and workers joining at runtime take jobs as soon as they
+	// poll (a running sweep keeps its dispatch width fixed at
+	// submission).
 	s.coord = dist.NewCoordinator(dist.Options{
-		LocalSlots:  make(chan struct{}, n), // local simulation slots, shared by every sweep
+		LocalSlots:  n,
 		ServesCache: true,
-		// The local fallback runs the same warm kernel the sweep runners
-		// use, so jobs that land in-process still restore checkpoints and
+		// The local slots run the same warm kernel the sweep runners use,
+		// so jobs that land in-process still restore checkpoints and
 		// replay traces.
 		Exec: dist.SimulateJob(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
 		// /v1/workers surfaces the federation breakers: one status call
@@ -813,9 +812,9 @@ func (s *Server) startSweep(p *sweepPlan) *sweep {
 	// sweep's backpressure bound — and it is fixed for the sweep's
 	// lifetime: workers joining later receive this sweep's jobs, but
 	// cannot widen its in-flight window (resubmit, or submit the next
-	// sweep, to use them fully). The coordinator enforces the local
-	// simulation limit (its LocalSlots) and carries the warm environment
-	// (its Exec), because jobs may execute remotely.
+	// sweep, to use them fully). The coordinator's local slots enforce the
+	// local simulation limit and run its warm Exec; a job runs on
+	// whichever slot, local or remote, is free first.
 	pool := s.workers + s.coord.Capacity()
 	runner := exp.Runner{
 		Workers:  pool,

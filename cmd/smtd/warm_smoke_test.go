@@ -135,13 +135,15 @@ func TestWarmSweepSmoke(t *testing.T) {
 // TestWarmSweepDistSmoke is the distributed half: the same two-sweep
 // sequence through a real coordinator + worker pair. The worker shares
 // warmup checkpoints through the coordinator's /v1/cache endpoint, so the
-// first sweep's cold warmups (computed on the worker) are pulled back by
-// the worker for the second sweep — cross-process checkpoint reuse,
+// first sweep's cold warmups (computed on whichever slot ran them) are
+// pulled back for the second sweep — cross-process checkpoint reuse,
 // observed in the coordinator's snapshot memory tier.
 func TestWarmSweepDistSmoke(t *testing.T) {
+	// One local slot: of each sweep's two jobs, at least one goes to the
+	// worker.
 	ready := make(chan string, 1)
 	var cout, cerr bytes.Buffer
-	go run([]string{"-addr", "127.0.0.1:0", "-workers", "2"}, &cout, &cerr, ready)
+	go run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, &cout, &cerr, ready)
 	var base string
 	select {
 	case addr := <-ready:
@@ -177,7 +179,7 @@ func TestWarmSweepDistSmoke(t *testing.T) {
 		return st.Snapshots.Memory
 	}
 	if st := snapshotMemStats(); st.Len != 2 {
-		t.Fatalf("after cold dist sweep: coordinator snapshot tier holds %d checkpoints, want 2 (worker fills via /v1/cache)", st.Len)
+		t.Fatalf("after cold dist sweep: coordinator snapshot tier holds %d checkpoints, want 2", st.Len)
 	}
 
 	second := postWarmSweep(t, base, warmGrid(2000))
@@ -185,10 +187,10 @@ func TestWarmSweepDistSmoke(t *testing.T) {
 		t.Fatalf("warm dist sweep was served from the result cache (%d hits)", second.CacheHits)
 	}
 	if st := snapshotMemStats(); st.Hits < 2 {
-		t.Fatalf("coordinator snapshot tier hits = %d, want >= 2 (worker restores via /v1/cache)", st.Hits)
+		t.Fatalf("coordinator snapshot tier hits = %d, want >= 2 (every job of the second sweep restores)", st.Hits)
 	}
-	// All four jobs really executed on the worker — restores included.
-	if st := status(); st.RemoteDone != 4 || st.LocalDone != 0 {
-		t.Fatalf("want 4 remote / 0 local completions, got %d / %d", st.RemoteDone, st.LocalDone)
+	// The worker really executed jobs, and every job ran somewhere once.
+	if st := status(); st.RemoteDone < 1 || st.RemoteDone+st.LocalDone != 4 {
+		t.Fatalf("want >= 1 remote and 4 in all, got %d remote / %d local", st.RemoteDone, st.LocalDone)
 	}
 }

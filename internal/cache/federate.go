@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/rng"
 )
 
 // PeerHeader marks cache traffic that already crossed one federation hop.
@@ -348,18 +349,12 @@ func (f *Federated[V]) Stats() PeerStats {
 
 // hash64 is the ring's key and vnode hash: FNV-1a — stable across
 // processes and Go versions (unlike maphash), which the ring agreement
-// between separately booted coordinators depends on — pushed through a
+// between separately booted coordinators depends on — pushed through the
 // splitmix64 finalizer, because raw FNV-1a barely avalanches a change in
 // a string's last bytes and sequential keys would otherwise cluster on
 // one member's arc.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return rng.Mix(h.Sum64())
 }

@@ -134,21 +134,6 @@ func (p *Processor) walk(w *stateWalk) {
 	w.refs(&p.renameLatch, cfg.FetchTotal, "rename latch")
 	w.queue(p.intQ, "int IQ")
 	w.queue(p.fpQ, "fp IQ")
-	// The stream format has a list of the issued instructions that have not
-	// begun executing. This machine keeps no such list (squashDependents
-	// finds them on optHeld), but another reader of the format may, so it is
-	// written from the ROBs; here it is decoded and dropped.
-	var preExec []*dyn
-	if c.Writing() {
-		for _, th := range p.threads {
-			for _, d := range th.liveROB() {
-				if d.state == stIssued && d.execStart > p.cycle {
-					preExec = append(preExec, d)
-				}
-			}
-		}
-	}
-	w.refs(&preExec, len(w.dyns), "issued-pre-exec list")
 
 	// optHeld may hold stale pointers to recycled instructions (the
 	// membership bit, not list presence, is the source of truth). Entries

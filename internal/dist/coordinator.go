@@ -15,28 +15,27 @@ import (
 	"repro/smt"
 )
 
-// Per-endpoint request body caps. Control-plane messages (register, poll,
-// heartbeat) are tiny; snapshots are one interval's counters; result
-// batches carry full smt.Results per job and get room for a large batch —
-// but not an unbounded one, so a single request cannot balloon the
-// coordinator's heap.
+// Per-endpoint request body caps, so a single request cannot balloon the
+// coordinator's heap. Control-plane messages (register, poll, heartbeat)
+// are tiny; a snapshot is one interval's counters; a result post carries
+// one job's full smt.Results.
 const (
 	maxControlBody  = 64 << 10 // register / poll
 	maxSnapshotBody = 1 << 20  // one interval snapshot
-	maxResultsBody  = 64 << 20 // a batched results post
+	maxResultsBody  = 64 << 10 // one job's results, ~1 KiB even at 64 threads
 )
 
 // Options configures a Coordinator. The zero value works: sensible
-// timings, in-process execution fallback on the plain kernel, no logging.
+// timings, no local slots (every job waits for a worker), no logging.
 type Options struct {
-	// Exec is the local execution fallback, used when no workers are
-	// registered or a job exhausts its remote attempts. Defaults to
+	// Exec runs the jobs the local slots take. Defaults to
 	// SimulateJob(exp.WarmEnv{}) — the same kernel workers run.
 	Exec Exec
-	// LocalSlots, when non-nil, bounds concurrent local executions across
-	// every sweep dispatching through this coordinator (the smtd service
-	// sizes it from -workers).
-	LocalSlots chan struct{}
+	// LocalSlots is how many jobs the coordinator simulates in-process at
+	// once, across every sweep dispatching through it (the smtd service
+	// sizes it from -workers). Each slot leases from the queue worker
+	// polls lease from. Zero runs nothing in-process.
+	LocalSlots int
 	// LeaseTTL is how long a worker may go silent — no heartbeat, poll,
 	// snapshot, or result — before it is declared dead and its leased
 	// jobs are requeued. Default 15s.
@@ -46,9 +45,10 @@ type Options struct {
 	PollWait time.Duration
 	// SweepEvery is the lease janitor's cadence. Default LeaseTTL/4.
 	SweepEvery time.Duration
-	// MaxAttempts caps how many workers a job is leased to before the
-	// coordinator executes it locally instead — a circuit breaker against
-	// a job that kills every worker it lands on. Default 3.
+	// MaxAttempts caps how many workers a job is leased to; past it only
+	// the local slots take the job — a circuit breaker against a job that
+	// kills every worker it lands on. With no local slots the job stays in
+	// the shared queue. Default 3.
 	MaxAttempts int
 	// ServesCache is advertised to registering workers: the coordinator's
 	// HTTP surface also exposes GET/PUT /v1/cache/{key}, so workers share
@@ -94,16 +94,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator shards jobs across registered workers and implements
-// exp.Dispatcher, so an exp.Runner plugs it in as its execution backend.
-// With no workers registered every job transparently executes locally;
-// with workers, jobs are leased over a pull protocol with requeue on
-// worker death, spilling to bounded local slots (LocalSlots) when the
-// fleet already has a full backlog — local capacity adds to the cluster
-// instead of idling behind it. Backpressure is inherited from the
-// runner: each of the runner's pool goroutines dispatches one job and
-// blocks for its result, so at most pool-size jobs are in flight per
-// sweep.
+// Coordinator runs jobs on registered workers and on its own local slots
+// and implements exp.Dispatcher, so an exp.Runner plugs it in as its
+// execution backend. Every dispatched job enters one FIFO queue, and a
+// worker's poll and a free local slot lease from it alike, so no slot
+// idles while a job waits. A job whose worker dies is requeued.
+// Backpressure is inherited from the runner: each of the runner's pool
+// goroutines dispatches one job and blocks for its result, so at most
+// pool-size jobs are in flight per sweep.
 type Coordinator struct {
 	opts   Options
 	closed chan struct{}
@@ -111,8 +109,9 @@ type Coordinator struct {
 	mu         sync.Mutex
 	workers    map[string]*workerState
 	pending    []*task          // FIFO; requeues go to the front
+	localOnly  []*task          // out of remote attempts; only local slots take these
 	tasks      map[string]*task // every undelivered dispatched task
-	wake       chan struct{}    // closed and replaced whenever pending grows
+	wake       chan struct{}    // closed and replaced whenever a queue grows
 	nextWorker int64
 	nextTask   int64
 
@@ -133,26 +132,23 @@ type workerState struct {
 	completed int64
 }
 
-// task is one dispatched job waiting for a result. Every Dispatch makes
-// one; only a task queued for the fleet gets an id and enters c.tasks.
+// task is one dispatched job waiting for a result.
 type task struct {
 	id      string
 	payload JobPayload
 	onSnap  func(smt.Snapshot)
-	ctx     context.Context // the dispatching sweep's context
 
 	attempts   int       // remote leases granted so far
-	assignedTo string    // worker id; "" while pending
-	local      bool      // fell back to coordinator-local execution
-	enqueued   time.Time // when the task last entered the pending queue
+	assignedTo string    // worker id; "" while queued or on a local slot
+	enqueued   time.Time // when the task last entered a queue
 	deadline   time.Time
 	done       bool
 	cancelled  bool
 	result     chan smt.Results // buffered 1; sent exactly once
 }
 
-// NewCoordinator builds a coordinator and starts its lease janitor; call
-// Close to stop it.
+// NewCoordinator builds a coordinator and starts its lease janitor and
+// local slots; call Close to stop them.
 func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:    opts.withDefaults(),
@@ -162,11 +158,15 @@ func NewCoordinator(opts Options) *Coordinator {
 		wake:    make(chan struct{}),
 	}
 	go c.janitor()
+	for i := 0; i < c.opts.LocalSlots; i++ {
+		go c.localSlot()
+	}
 	return c
 }
 
-// Close stops the lease janitor and releases parked long-polls. Dispatch
-// must not be called after Close.
+// Close stops the lease janitor, releases parked long-polls and stops the
+// local slots, each once the queue has nothing left for it. Dispatch must
+// not be called after Close.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.closed:
@@ -186,10 +186,10 @@ func (c *Coordinator) Handle(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/work/snapshot", c.handleSnapshot)
 }
 
-// Dispatch implements exp.Dispatcher: derive the job's wire payload, hand
-// it to the worker fleet (or run it locally when there is none), and
-// block until its results arrive, the job's lease machinery having
-// survived any worker deaths in between.
+// Dispatch implements exp.Dispatcher: derive the job's wire payload,
+// queue it for the next free worker or local slot, and block until its
+// results arrive, the job's lease machinery having survived any worker
+// deaths in between.
 func (c *Coordinator) Dispatch(ctx context.Context, j exp.Job, o exp.Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error) {
 	o = o.Normalized()
 	p := JobPayload{
@@ -203,41 +203,16 @@ func (c *Coordinator) Dispatch(ctx context.Context, j exp.Job, o exp.Opts, inter
 	t := &task{
 		payload: p,
 		onSnap:  onSnap,
-		ctx:     ctx,
 		result:  make(chan smt.Results, 1),
 	}
 	c.mu.Lock()
 	c.dispatched++
-	capacity := c.capacityLocked()
-	// Local spill: when the fleet already has a full backlog (live pending
-	// >= capacity), a local slot that is free right now takes the job, so
-	// the coordinator's own slots ADD to cluster capacity rather than
-	// idling behind it. Only metered local execution spills; with no
-	// LocalSlots bound there is no way to know how much local work is safe,
-	// so everything stays remote.
-	spill := capacity > 0 && c.opts.LocalSlots != nil && c.pendingLocked() >= capacity
-	c.mu.Unlock()
-	if capacity == 0 || spill {
-		ran, err := c.runLocal(t, spill)
-		if err != nil {
-			return smt.Results{}, err
-		}
-		if ran {
-			return <-t.result, nil
-		}
-		// No local slot free; queue for the fleet.
-	}
-	c.mu.Lock()
 	c.nextTask++
 	t.id = fmt.Sprintf("t%d", c.nextTask)
 	t.enqueued = time.Now()
 	c.tasks[t.id] = t
 	c.pending = append(c.pending, t)
 	c.wakeLocked()
-	if len(c.workers) == 0 {
-		// The fleet left while this job tried for a local slot.
-		c.drainPendingToLocalLocked()
-	}
 	c.mu.Unlock()
 
 	select {
@@ -338,24 +313,48 @@ func (c *Coordinator) Stats() Status {
 	return st
 }
 
-// wakeLocked releases every parked long-poll so it re-checks the queue.
+// wakeLocked releases every parked long-poll and idle local slot so it
+// re-checks the queues.
 func (c *Coordinator) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
 }
 
-// popPendingLocked returns the next dispatchable task, discarding
-// cancelled ones lazily.
-func (c *Coordinator) popPendingLocked() *task {
-	for len(c.pending) > 0 {
-		t := c.pending[0]
-		c.pending = c.pending[1:]
-		if t.done || t.cancelled {
-			continue
+// popLocked takes the next live task off the front of q, discarding
+// finished and cancelled ones lazily.
+func popLocked(q *[]*task) *task {
+	for len(*q) > 0 {
+		t := (*q)[0]
+		*q = (*q)[1:]
+		if !t.done && !t.cancelled {
+			return t
 		}
-		return t
 	}
 	return nil
+}
+
+// localSlot is one in-process simulation slot. It leases the way a
+// worker's poll does, from the same queue, after the jobs only it may
+// take, and parks on wake while both are empty, until Close.
+func (c *Coordinator) localSlot() {
+	for {
+		c.mu.Lock()
+		t := popLocked(&c.localOnly)
+		if t == nil {
+			t = popLocked(&c.pending)
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		if t != nil {
+			c.deliver(t, c.opts.Exec(t.payload, t.onSnap), "")
+			continue
+		}
+		select {
+		case <-wake:
+		case <-c.closed:
+			return
+		}
+	}
 }
 
 // deliver completes a task exactly once. workerID is "" for local
@@ -400,76 +399,25 @@ func (c *Coordinator) drop(t *task) bool {
 	return false
 }
 
-// runLocal is the coordinator's one local route: the no-fleet path, the
-// backlog spill and the requeue fallback all execute a task here, under
-// one LocalSlots token when local execution is metered, and deliver the
-// result into the task. try asks for a token that is free right now and
-// reports ran == false without one; otherwise the wait for a token ends
-// only with the dispatching sweep's context. A requeued task whose context
-// ends needs nothing more: the dispatching goroutine observes its own
-// context.
-func (c *Coordinator) runLocal(t *task, try bool) (ran bool, err error) {
-	if slots := c.opts.LocalSlots; slots != nil {
-		if try {
-			select {
-			case slots <- struct{}{}:
-			default:
-				return false, nil
-			}
-		} else {
-			select {
-			case slots <- struct{}{}:
-			case <-t.ctx.Done():
-				return false, t.ctx.Err()
-			}
-		}
-		defer func() { <-slots }()
-	}
-	if err := t.ctx.Err(); err != nil {
-		return false, err
-	}
-	c.deliver(t, c.opts.Exec(t.payload, t.onSnap), "")
-	return true, nil
-}
-
-// drainPendingToLocalLocked sends every queued, unassigned task to local
-// execution. It must run whenever the worker set becomes empty: pending
-// tasks are only ever handed out by worker polls, so with no workers
-// left they would otherwise sit in the queue forever — a sweep dispatched
-// while a fleet existed must not hang because the fleet left.
-func (c *Coordinator) drainPendingToLocalLocked() {
-	for {
-		t := c.popPendingLocked()
-		if t == nil {
-			return
-		}
-		t.local = true
-		c.opts.Logf("dist: job %s falling back to local execution; no workers remain", t.id)
-		go c.runLocal(t, false)
-	}
-}
-
 // requeueLocked returns a leased task to the queue after its worker died
-// or its lease expired. Jobs that exhausted their remote attempts — or
-// have no workers left to run on — fall back to local execution so a
-// sweep always completes.
+// or its lease expired. A task out of remote attempts goes to the local
+// slots alone when there are any.
 func (c *Coordinator) requeueLocked(t *task) {
-	if t.done || t.cancelled || t.local {
+	if t.done || t.cancelled {
 		return
 	}
 	if w := c.workers[t.assignedTo]; w != nil {
 		delete(w.running, t.id)
 	}
 	t.assignedTo = ""
-	c.requeues++
-	if t.attempts >= c.opts.MaxAttempts || c.capacityLocked() == 0 {
-		t.local = true
-		c.opts.Logf("dist: job %s falling back to local execution after %d remote attempt(s)", t.id, t.attempts)
-		go c.runLocal(t, false)
-		return
-	}
 	t.enqueued = time.Now()
-	c.pending = append([]*task{t}, c.pending...)
+	c.requeues++
+	if t.attempts >= c.opts.MaxAttempts && c.opts.LocalSlots > 0 {
+		c.opts.Logf("dist: job %s left to the local slots after %d remote attempt(s)", t.id, t.attempts)
+		c.localOnly = append(c.localOnly, t)
+	} else {
+		c.pending = append([]*task{t}, c.pending...)
+	}
 	c.wakeLocked()
 }
 
@@ -504,15 +452,12 @@ func (c *Coordinator) expire(now time.Time) {
 		}
 	}
 	for _, t := range c.tasks {
-		if t.assignedTo != "" && !t.local && !t.done && !t.cancelled && now.After(t.deadline) {
+		if t.assignedTo != "" && !t.done && !t.cancelled && now.After(t.deadline) {
 			stale[t] = true
 		}
 	}
 	for t := range stale {
 		c.requeueLocked(t)
-	}
-	if len(c.workers) == 0 {
-		c.drainPendingToLocalLocked()
 	}
 }
 
@@ -560,9 +505,6 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		delete(c.workers, id)
 		for _, t := range ws.running {
 			c.requeueLocked(t)
-		}
-		if len(c.workers) == 0 {
-			c.drainPendingToLocalLocked()
 		}
 	}
 	c.mu.Unlock()
@@ -624,7 +566,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		ws.lastSeen = now
 		var batch Batch
 		for len(batch.Assignments) < max {
-			t := c.popPendingLocked()
+			t := popLocked(&c.pending)
 			if t == nil {
 				break
 			}
@@ -667,11 +609,11 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleResult accepts a batch of finished jobs. Stale entries — tasks
-// that were cancelled, already completed by another worker, or reassigned
-// and finished elsewhere — are acknowledged and discarded: determinism
-// makes every copy of a result interchangeable, and exactly one delivery
-// per dispatch is guaranteed by deliver.
+// handleResult accepts one finished job. A stale result — its task
+// cancelled, already completed by another worker or a local slot, or
+// reassigned and finished elsewhere — is acknowledged and discarded:
+// determinism makes every copy of a result interchangeable, and exactly
+// one delivery per dispatch is guaranteed by deliver.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultsRequest
 	if !decodeInto(w, r, &req, maxResultsBody) {
@@ -682,25 +624,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if ws := c.workers[req.WorkerID]; ws != nil {
 		ws.lastSeen = now
 	}
-	tasks := make([]*task, len(req.Results))
-	for i, tr := range req.Results {
-		// Task ids are guessable; nobody can hold the result of a job that
-		// was never leased out.
-		if t := c.tasks[tr.TaskID]; t != nil && t.attempts > 0 {
-			tasks[i] = t
-		}
-	}
+	// Task ids are guessable; nobody can hold the result of a job that was
+	// never leased out.
+	t := c.tasks[req.TaskID]
+	leased := t != nil && t.attempts > 0
 	c.mu.Unlock()
-	// A task that was requeued into local fallback can still receive its
-	// original worker's result; determinism makes the copies identical,
-	// so whichever lands first wins — deliver re-checks completion under
-	// the lock, making the race benign.
-	accepted := 0
-	for i, tr := range req.Results {
-		if tasks[i] != nil && c.deliver(tasks[i], tr.Results, req.WorkerID) {
-			accepted++
-		}
-	}
+	accepted := leased && c.deliver(t, req.Results, req.WorkerID)
 	httpJSON(w, http.StatusOK, ResultsResponse{Accepted: accepted})
 }
 
@@ -733,9 +662,8 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeInto decodes a JSON body capped at limit bytes. An over-limit
-// body answers 413 rather than 400 so clients can tell "shrink your
-// batch" apart from "your JSON is malformed" — a worker posting a large
-// result batch should split it, not drop it.
+// body answers 413 rather than 400 so clients can tell "too large" apart
+// from "your JSON is malformed".
 func decodeInto(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	body := http.MaxBytesReader(w, r.Body, limit)
 	if err := json.NewDecoder(body).Decode(v); err != nil {

@@ -233,10 +233,9 @@ func TestWorkerFailover(t *testing.T) {
 }
 
 // TestLastWorkerLeavesPendingJobsComplete: when the only worker leaves
-// while dispatched jobs are still queued (never leased), those jobs must
-// fall back to local execution instead of waiting forever for a fleet
-// that no longer exists. Regression test for a sweep-hang: requeue logic
-// used to cover only leased tasks.
+// while dispatched jobs are still queued (never leased), the local slots
+// must run them instead of the sweep waiting forever for a fleet that no
+// longer exists.
 func TestLastWorkerLeavesPendingJobsComplete(t *testing.T) {
 	e, o := testGrid(), testOpts()
 	local, err := exp.Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
@@ -244,7 +243,16 @@ func TestLastWorkerLeavesPendingJobsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, url := newTestCoordinator(t, Options{LocalSlots: make(chan struct{}, 2)})
+	// The one local slot holds its first job until the worker has left, so
+	// the worker's departure strands queued jobs only that slot can take.
+	gate := make(chan struct{})
+	coord, url := newTestCoordinator(t, Options{
+		LocalSlots: 1,
+		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
+			<-gate
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
+		},
+	})
 	// One slow slot: the sweep's 8 jobs queue up behind it.
 	w := NewWorker(WorkerOptions{
 		Coordinator: url,
@@ -271,10 +279,14 @@ func TestLastWorkerLeavesPendingJobsComplete(t *testing.T) {
 		resCh <- res
 	}()
 	// Let the worker take (and finish) at least one job, leaving the rest
-	// pending, then gracefully stop it: it drains, deregisters, and the
-	// coordinator must push the still-queued jobs to local execution.
+	// pending, then gracefully stop it: it drains and deregisters, and the
+	// local slot must run the still-queued jobs.
 	waitFor(t, "first remote completion", func() bool { return coord.Stats().RemoteDone >= 1 })
 	stop()
+	if st := coord.Stats(); st.Capacity != 0 || st.Pending == 0 {
+		t.Fatalf("want the fleet gone with jobs still queued, got %+v", st)
+	}
+	close(gate)
 
 	select {
 	case remote := <-resCh:
@@ -286,33 +298,34 @@ func TestLastWorkerLeavesPendingJobsComplete(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatalf("sweep hung after the last worker left (stats %+v)", coord.Stats())
 	}
-	if st := coord.Stats(); st.LocalDone == 0 {
-		t.Fatalf("no local fallback recorded after worker departure (stats %+v)", st)
+	if st := coord.Stats(); st.LocalDone < 2 {
+		t.Fatalf("local_done = %d, want the gated job and at least one left by the worker (stats %+v)", st.LocalDone, st)
 	}
 }
 
-// TestLocalSpillAddsCapacity: with a saturated small fleet and bounded
-// local slots configured, dispatch spills overflow jobs to local
-// execution — local capacity adds to the cluster instead of idling —
-// and the bytes still match a plain local run.
-func TestLocalSpillAddsCapacity(t *testing.T) {
+// TestLocalSlotsAddCapacity: with a one-slot fleet and two local slots,
+// both take jobs from the one queue — local capacity adds to the cluster
+// instead of idling — and the bytes still match a plain local run.
+func TestLocalSlotsAddCapacity(t *testing.T) {
 	e, o := testGrid(), testOpts()
 	local, err := exp.Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	coord, url := newTestCoordinator(t, Options{LocalSlots: make(chan struct{}, 2)})
-	// One slow slot: the fleet backlogs immediately, so overflow spills.
+	// Every slot is slow, so four jobs in flight keep each side busy
+	// while the other leases.
+	slow := func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
+		time.Sleep(50 * time.Millisecond)
+		return SimulateJob(exp.WarmEnv{})(p, onSnap)
+	}
+	coord, url := newTestCoordinator(t, Options{LocalSlots: 2, Exec: slow})
 	w := NewWorker(WorkerOptions{
 		Coordinator: url,
 		Name:        "slowpoke",
 		Slots:       1,
 		Backoff:     50 * time.Millisecond,
-		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
-			time.Sleep(50 * time.Millisecond)
-			return SimulateJob(exp.WarmEnv{})(p, onSnap)
-		},
+		Exec:        slow,
 	})
 	defer startWorker(t, w)()
 	waitFor(t, "worker to register", func() bool { return coord.Capacity() == 1 })
@@ -322,11 +335,11 @@ func TestLocalSpillAddsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lb, rb := encode(t, local), encode(t, remote); lb != rb {
-		t.Fatalf("spilled sweep changed the bytes\nlocal:\n%s\ngot:\n%s", lb, rb)
+		t.Fatalf("mixed sweep changed the bytes\nlocal:\n%s\ngot:\n%s", lb, rb)
 	}
 	st := coord.Stats()
 	if st.LocalDone == 0 || st.RemoteDone == 0 {
-		t.Fatalf("want both local spill and remote execution, got local=%d remote=%d", st.LocalDone, st.RemoteDone)
+		t.Fatalf("want both local and remote execution, got local=%d remote=%d", st.LocalDone, st.RemoteDone)
 	}
 	if st.LocalDone+st.RemoteDone != int64(len(e.Points())*o.Runs) {
 		t.Fatalf("local %d + remote %d != %d jobs", st.LocalDone, st.RemoteDone, len(e.Points())*o.Runs)
@@ -390,9 +403,8 @@ func workerRunning(c *Coordinator, name string) int {
 // dispatches promptly even while jobs sit unclaimed in the queue.
 func TestDispatchCancellation(t *testing.T) {
 	coord, url := newTestCoordinator(t, Options{})
-	// A worker must exist for Dispatch to queue (otherwise it falls back
-	// to local and completes); give it zero chance to finish by blocking
-	// its Exec.
+	// With no local slots every job queues for the one worker; give it
+	// zero chance to finish by blocking its Exec.
 	release := make(chan struct{})
 	t.Cleanup(func() {
 		select {
@@ -438,9 +450,31 @@ func TestDispatchCancellation(t *testing.T) {
 // With four jobs queued, a default one-slot worker takes one; the other
 // three stay in the coordinator's queue, where the autoscale signal counts
 // them. Cancelled mid-job, the worker still delivers the job it leased and
-// returns from Run, and the queued jobs fall back to local execution.
+// returns from Run, and the local slot runs the queued jobs.
 func TestWorkerBacklogStaysVisible(t *testing.T) {
-	coord, url := newTestCoordinator(t, Options{})
+	// The one local slot is held by a job of its own until the end, so the
+	// sweep's jobs queue and the worker's first poll finds the whole
+	// backlog.
+	gate := make(chan struct{})
+	localRunning := make(chan struct{}, 1)
+	coord, url := newTestCoordinator(t, Options{
+		LocalSlots: 1,
+		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
+			select {
+			case localRunning <- struct{}{}:
+			default:
+			}
+			<-gate
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
+		},
+	})
+	o := exp.Opts{Runs: 1, Warmup: 100, Measure: 400, Seed: 1}
+	held := make(chan error, 1)
+	go func() {
+		_, err := coord.Dispatch(context.Background(), exp.Job{Spec: exp.PointSpec{Config: exp.ICount28(1)}}, o, 0, nil)
+		held <- err
+	}()
+	<-localRunning
 
 	release := make(chan struct{})
 	running := make(chan struct{}, 16)
@@ -449,30 +483,14 @@ func TestWorkerBacklogStaysVisible(t *testing.T) {
 		<-release
 		return SimulateJob(exp.WarmEnv{})(p, nil)
 	}
-	// A phantom worker (registered over HTTP, never polls) keeps capacity
-	// non-zero so dispatched jobs queue at the coordinator instead of
-	// falling back to local execution — the real worker's first poll then
-	// deterministically finds the whole backlog.
-	resp, err := http.Post(url+"/v1/workers", "application/json",
-		bytes.NewReader([]byte(`{"name":"phantom","slots":1}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phantom RegisterResponse
-	err = json.NewDecoder(resp.Body).Decode(&phantom)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	e := testGrid()
-	o := exp.Opts{Runs: 1, Warmup: 100, Measure: 400, Seed: 1}
 	sweepDone := make(chan error, 1)
 	go func() {
 		_, err := (exp.Runner{Workers: 4, Dispatch: coord}).RunExperiment(context.Background(), e, o)
 		sweepDone <- err
 	}()
-	waitFor(t, "jobs to queue behind the phantom", func() bool { return coord.Stats().Pending == 4 })
+	waitFor(t, "jobs to queue behind the busy local slot", func() bool { return coord.Stats().Pending == 4 })
 
 	w := NewWorker(WorkerOptions{Coordinator: url, Name: "drainer", Slots: 1, Exec: exec, Backoff: 20 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -481,22 +499,17 @@ func TestWorkerBacklogStaysVisible(t *testing.T) {
 	go func() { runDone <- w.Run(ctx) }()
 	<-running
 
-	// The phantom leaves, so the fleet is the one busy slot.
-	req, _ := http.NewRequest(http.MethodDelete, url+"/v1/workers/"+phantom.WorkerID, nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-	}
 	st := coord.Stats()
 	if st.Assigned != 1 || st.Pending != 3 || st.Autoscale.WantedSlots != 3 {
 		t.Fatalf("one busy slot, three queued jobs: got assigned=%d pending=%d autoscale=%+v",
 			st.Assigned, st.Pending, st.Autoscale)
 	}
 
-	// Shut the worker down mid-job, then let the job finish.
+	// Shut the worker down mid-job, then let the job finish and free the
+	// local slot.
 	cancel()
 	close(release)
+	close(gate)
 	select {
 	case err := <-runDone:
 		if err != nil {
@@ -517,7 +530,10 @@ func TestWorkerBacklogStaysVisible(t *testing.T) {
 	if done := w.JobsDone(); done != 1 {
 		t.Fatalf("worker delivered %d jobs, want its one leased job", done)
 	}
-	if st := coord.Stats(); st.RemoteDone != 1 || st.LocalDone != 3 {
-		t.Fatalf("remote %d / local %d, want 1 / 3", st.RemoteDone, st.LocalDone)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.RemoteDone != 1 || st.LocalDone != 4 {
+		t.Fatalf("remote %d / local %d, want 1 / 4 (three queued jobs and the one holding the slot)", st.RemoteDone, st.LocalDone)
 	}
 }

@@ -22,13 +22,13 @@ func BenchmarkPayloadJSON(b *testing.B) {
 
 func BenchmarkResultsJSON(b *testing.B) {
 	res := exp.Simulate(exp.ICount28(2), 0, 1, exp.Opts{Runs: 1, Warmup: 200, Measure: 1500}, 0, nil)
-	tr := TaskResult{TaskID: "t1", Results: res}
+	tr := ResultsRequest{WorkerID: "w1", TaskID: "t1", Results: res}
 	raw, _ := json.Marshal(tr)
 	b.Logf("result bytes: %d", len(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		raw, _ = json.Marshal(tr)
-		var q TaskResult
+		var q ResultsRequest
 		json.Unmarshal(raw, &q)
 	}
 }

@@ -46,10 +46,17 @@ func TestBodyLimits413(t *testing.T) {
 	if code := post("/v1/work/snapshot", []byte(bigSnap)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized snapshot: status %d, want 413", code)
 	}
-	// Poll and results share the same decoder; spot-check poll.
 	bigPoll := fmt.Sprintf(`{"worker_id":%q}`, strings.Repeat("z", maxControlBody))
 	if code := post("/v1/work/next", []byte(bigPoll)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized poll: status %d, want 413", code)
+	}
+	// A result post carries one job's results; a padded one is refused.
+	bigResult := fmt.Sprintf(`{"worker_id":"w1","task_id":%q}`, strings.Repeat("r", maxResultsBody))
+	if code := post("/v1/work/result", []byte(bigResult)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized result: status %d, want 413", code)
+	}
+	if code := post("/v1/work/result", []byte(`{"worker_id":"w1","task_id":"t1"}`)); code != http.StatusOK {
+		t.Fatalf("result for an unknown task: status %d, want 200 (acknowledged, discarded)", code)
 	}
 }
 
@@ -135,7 +142,15 @@ func TestLeaseLatencyAndAutoscaleSignal(t *testing.T) {
 // checkpoint fill is dropped, and its result is still delivered. Bound to
 // nothing, the peek rode the client timeout twice over.
 func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
+	// The one local slot holds its first job until the worker's peek has
+	// parked, so the worker is sure to lease one.
+	gate := make(chan struct{})
 	coord := NewCoordinator(Options{
+		LocalSlots: 1,
+		Exec: func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results {
+			<-gate
+			return SimulateJob(exp.WarmEnv{})(p, onSnap)
+		},
 		ServesCache: true,
 		LeaseTTL:    2 * time.Second,
 		PollWait:    200 * time.Millisecond,
@@ -194,6 +209,7 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 	// The worker's one job is parked inside its checkpoint peek. Cancel the
 	// worker: the peek must abort, and the job must simulate and deliver.
 	waitFor(t, "the job's checkpoint peek to park", func() bool { return parked.Load() >= 1 })
+	close(gate)
 	cancel()
 	select {
 	case err := <-runDone:
@@ -209,8 +225,7 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 	if n := parked.Load(); n != 1 {
 		t.Fatalf("%d checkpoint requests reached the cache, want the one peek (a drained fill is dropped)", n)
 	}
-	// The rest of the sweep fell back to coordinator-local execution after
-	// the worker left, and the bytes did not move.
+	// The local slot ran the rest of the sweep, and the bytes did not move.
 	select {
 	case out := <-sweepDone:
 		if out.err != nil {

@@ -13,25 +13,22 @@ import (
 	"repro/smt"
 )
 
-// localProbe is a coordinator whose Exec reports how many LocalSlots
-// tokens are held while it runs, then parks until the test lets it go.
+// localProbe is a coordinator whose Exec reports each job it starts, then
+// parks until the test lets it go.
 type localProbe struct {
 	coord   *Coordinator
 	url     string
-	slots   chan struct{}
-	held    chan int      // len(slots) observed from inside each Exec
+	started chan struct{} // one send per Exec
 	release chan struct{} // one receive per Exec
 }
 
 func newLocalProbe(t *testing.T, opts Options) *localProbe {
 	p := &localProbe{
-		slots:   make(chan struct{}, 2),
-		held:    make(chan int, 8),
+		started: make(chan struct{}, 8),
 		release: make(chan struct{}, 8),
 	}
-	opts.LocalSlots = p.slots
 	opts.Exec = func(JobPayload, func(smt.Snapshot)) smt.Results {
-		p.held <- len(p.slots)
+		p.started <- struct{}{}
 		<-p.release
 		return smt.Results{Committed: 1}
 	}
@@ -53,18 +50,19 @@ func (p *localProbe) dispatch(ctx context.Context) <-chan error {
 	return errc
 }
 
-// finishOne checks that the one local execution now running holds exactly
-// one token, lets it finish, and checks the token came back.
-func (p *localProbe) finishOne(t *testing.T, errc <-chan error, wantLocalDone int64) {
+// waitStart waits for a local slot to start a job.
+func (p *localProbe) waitStart(t *testing.T, what string) {
 	t.Helper()
 	select {
-	case n := <-p.held:
-		if n != 1 {
-			t.Fatalf("local execution ran with %d slot token(s) held, want exactly 1", n)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("job never reached local execution")
+	case <-p.started:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never started on a local slot", what)
 	}
+}
+
+// finish lets one running job end and waits for its dispatch to return.
+func (p *localProbe) finish(t *testing.T, errc <-chan error) {
+	t.Helper()
 	p.release <- struct{}{}
 	select {
 	case err := <-errc:
@@ -73,12 +71,6 @@ func (p *localProbe) finishOne(t *testing.T, errc <-chan error, wantLocalDone in
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("dispatch never returned")
-	}
-	// The requeue fallback delivers from its own goroutine, a moment before
-	// that goroutine returns its token.
-	waitFor(t, "the slot token to come back", func() bool { return len(p.slots) == 0 })
-	if st := p.coord.Stats(); st.LocalDone != wantLocalDone || st.RemoteDone != 0 {
-		t.Fatalf("local_done = %d remote_done = %d, want %d and 0", st.LocalDone, st.RemoteDone, wantLocalDone)
 	}
 }
 
@@ -98,90 +90,120 @@ func (p *localProbe) phantom(t *testing.T) string {
 	return reg.WorkerID
 }
 
-// TestLocalRouteHoldsOneSlot: the coordinator's three local situations —
-// no fleet, backlog spill, requeue after MaxAttempts — each run their job
-// under exactly one LocalSlots token and return it, and a dispatch whose
-// context ends while it waits for a token takes none and runs nothing.
-func TestLocalRouteHoldsOneSlot(t *testing.T) {
-	t.Run("no workers", func(t *testing.T) {
-		p := newLocalProbe(t, Options{})
-		p.finishOne(t, p.dispatch(context.Background()), 1)
-	})
+// poll asks for one job on behalf of worker id and returns the status.
+func (p *localProbe) poll(t *testing.T, id string) int {
+	t.Helper()
+	body, _ := json.Marshal(PollRequest{WorkerID: id, Max: 1})
+	resp, err := http.Post(p.url+"/v1/work/next", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
 
-	t.Run("backlog spill", func(t *testing.T) {
-		p := newLocalProbe(t, Options{})
-		p.phantom(t)
-		// The first job queues for the one-slot fleet and fills its backlog;
-		// the second finds pending >= capacity and a free local slot.
-		qctx, cancelQueued := context.WithCancel(context.Background())
-		queued := p.dispatch(qctx)
-		waitFor(t, "first job to queue", func() bool { return p.coord.Stats().Pending == 1 })
-		p.finishOne(t, p.dispatch(context.Background()), 1)
-
-		// With every local slot taken, a spill candidate queues instead of
-		// waiting for one.
-		p.slots <- struct{}{}
-		p.slots <- struct{}{}
-		full := p.dispatch(qctx)
-		waitFor(t, "job to queue past the full local slots", func() bool { return p.coord.Stats().Pending == 2 })
-		cancelQueued()
-		for _, errc := range []<-chan error{queued, full} {
-			if err := <-errc; !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled queued dispatch returned %v", err)
-			}
-		}
-		if n := len(p.slots); n != 2 {
-			t.Fatalf("queued dispatches changed the held slot count to %d", n)
-		}
-	})
-
-	t.Run("requeue after MaxAttempts", func(t *testing.T) {
-		p := newLocalProbe(t, Options{MaxAttempts: 1, LeaseTTL: 200 * time.Millisecond, SweepEvery: 20 * time.Millisecond})
+// TestLocalSlots: the coordinator's local slots lease from the queue the
+// workers' polls lease from. A free local slot takes the next job whatever
+// the workers hold, a job out of remote attempts runs on a local slot and
+// is never leased again, a job cancelled while queued runs nowhere, and
+// with no slot anywhere a dispatch waits for its context.
+func TestLocalSlots(t *testing.T) {
+	t.Run("idle slot", func(t *testing.T) {
+		// The lease outlasts the test: nothing but a free slot can run the
+		// third job.
+		p := newLocalProbe(t, Options{LocalSlots: 1, LeaseTTL: time.Minute})
+		first := p.dispatch(context.Background())
+		p.waitStart(t, "the first job")
+		// With the local slot busy, the second job goes to a one-slot
+		// worker, which holds it.
 		id := p.phantom(t)
-		errc := p.dispatch(context.Background())
-		waitFor(t, "job to queue", func() bool { return p.coord.Stats().Pending == 1 })
-		// Lease it once and go silent: the lease expires, the job has used
-		// its one remote attempt, and the janitor sends it local.
-		body, _ := json.Marshal(PollRequest{WorkerID: id, Max: 1})
-		resp, err := http.Post(p.url+"/v1/work/next", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		leased := p.dispatch(ctx)
+		waitFor(t, "the second job to queue", func() bool { return p.coord.Stats().Pending == 1 })
+		if code := p.poll(t, id); code != http.StatusOK {
+			t.Fatalf("poll answered %d, want a lease", code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll answered %d, want a lease", resp.StatusCode)
+		p.finish(t, first)
+		// The local slot is free again: the third job must not wait out
+		// the worker's lease.
+		third := p.dispatch(context.Background())
+		p.waitStart(t, "a job queued while a worker holds a lease")
+		p.finish(t, third)
+		if st := p.coord.Stats(); st.LocalDone != 2 || st.Assigned != 1 {
+			t.Fatalf("local_done = %d assigned = %d, want 2 and 1", st.LocalDone, st.Assigned)
 		}
-		p.finishOne(t, errc, 1)
-		if st := p.coord.Stats(); st.Requeues != 1 {
-			t.Fatalf("requeues = %d, want 1", st.Requeues)
+		cancel()
+		if err := <-leased; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled leased dispatch returned %v", err)
 		}
 	})
 
-	t.Run("cancelled while waiting", func(t *testing.T) {
-		p := newLocalProbe(t, Options{})
-		p.slots <- struct{}{} // other tenants hold both slots
-		p.slots <- struct{}{}
+	t.Run("out of attempts", func(t *testing.T) {
+		p := newLocalProbe(t, Options{LocalSlots: 1, MaxAttempts: 1, LeaseTTL: 200 * time.Millisecond, SweepEvery: 20 * time.Millisecond})
+		first := p.dispatch(context.Background())
+		p.waitStart(t, "the first job")
+		id := p.phantom(t)
+		second := p.dispatch(context.Background())
+		waitFor(t, "the second job to queue", func() bool { return p.coord.Stats().Pending == 1 })
+		if code := p.poll(t, id); code != http.StatusOK {
+			t.Fatalf("poll answered %d, want a lease", code)
+		}
+		// The worker goes silent: its lease expires, and the job, out of
+		// its one remote attempt, waits for the busy local slot alone.
+		waitFor(t, "the lease to expire", func() bool { return p.coord.Stats().Requeues == 1 })
+		if code := p.poll(t, p.phantom(t)); code != http.StatusNoContent {
+			t.Fatalf("a fresh worker's poll answered %d: a job out of remote attempts was leased again", code)
+		}
+		p.finish(t, first)
+		p.waitStart(t, "the job out of remote attempts")
+		p.finish(t, second)
+		if st := p.coord.Stats(); st.LocalDone != 2 || st.RemoteDone != 0 || st.Leases != 1 {
+			t.Fatalf("local_done = %d remote_done = %d leases = %d, want 2, 0 and 1", st.LocalDone, st.RemoteDone, st.Leases)
+		}
+	})
+
+	t.Run("cancelled while queued", func(t *testing.T) {
+		p := newLocalProbe(t, Options{LocalSlots: 1})
+		first := p.dispatch(context.Background())
+		p.waitStart(t, "the first job")
 		ctx, cancel := context.WithCancel(context.Background())
-		errc := p.dispatch(ctx)
-		waitFor(t, "dispatch to start", func() bool { return p.coord.Stats().Dispatched == 1 })
+		queued := p.dispatch(ctx)
+		waitFor(t, "the second job to queue", func() bool { return p.coord.Stats().Pending == 1 })
 		cancel()
 		select {
-		case err := <-errc:
+		case err := <-queued:
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled dispatch returned %v", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("dispatch stayed parked on the slot wait after its context ended")
+			t.Fatal("dispatch stayed parked after its context ended")
 		}
-		<-p.slots
-		<-p.slots
+		p.finish(t, first)
 		select {
-		case <-p.held:
-			t.Fatal("a cancelled dispatch ran its job once a slot came free")
+		case <-p.started:
+			t.Fatal("the local slot ran a job whose dispatch was cancelled")
 		case <-time.After(100 * time.Millisecond):
 		}
-		if st := p.coord.Stats(); st.LocalDone != 0 {
-			t.Fatalf("local_done = %d after a cancelled dispatch", st.LocalDone)
+		if st := p.coord.Stats(); st.LocalDone != 1 || st.Pending != 0 {
+			t.Fatalf("local_done = %d pending = %d, want 1 and 0", st.LocalDone, st.Pending)
+		}
+	})
+
+	t.Run("no capacity", func(t *testing.T) {
+		p := newLocalProbe(t, Options{})
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		if err := <-p.dispatch(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("dispatch with no local slots and no workers returned %v, want its context's error", err)
+		}
+		select {
+		case <-p.started:
+			t.Fatal("a job ran with no local slots")
+		default:
+		}
+		if st := p.coord.Stats(); st.LocalDone != 0 || st.Pending != 0 {
+			t.Fatalf("local_done = %d pending = %d, want 0 and 0", st.LocalDone, st.Pending)
 		}
 	})
 }

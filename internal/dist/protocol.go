@@ -1,7 +1,8 @@
 // Package dist distributes experiment sweeps across processes: a
-// coordinator shards a sweep's content-addressed jobs over registered
-// workers, and workers pull jobs, simulate them, and stream snapshots and
-// results back over HTTP.
+// coordinator queues a sweep's content-addressed jobs, and registered
+// workers and the coordinator's own local slots lease them from that one
+// queue; workers simulate theirs and stream snapshots and results back
+// over HTTP.
 //
 // The unit of distribution is the experiment engine's Job — a
 // deterministic, content-addressed simulation — so distribution is
@@ -24,14 +25,16 @@
 // (POST /v1/workers/{id}/heartbeat). A poll that finds several slots free
 // leases several jobs in one round trip, and a worker never holds a job it
 // cannot start, so the backlog stays visible in the coordinator's queue.
-// Every assignment carries a lease; a worker that stops heartbeating —
-// crashed, partitioned, killed — has its in-flight jobs requeued to
-// surviving workers, falling back to local execution on the coordinator
-// when none remain. Identical jobs never execute twice across the
-// cluster: sweeps dedupe through the coordinator's singleflight cache
-// before dispatch. Warmup checkpoints travel through the coordinator's
-// content-addressed store (GET/PUT /v1/cache/{key}, "snap:" keys), so one
-// worker's cold warmup is every worker's restore.
+// A local slot leases from the same queue in-process, so a job goes to
+// whichever slot is free first. Every worker assignment carries a lease; a
+// worker that stops heartbeating — crashed, partitioned, killed — has its
+// in-flight jobs requeued, and a job out of remote attempts is left to the
+// local slots. With no local slots, queued jobs wait for a worker.
+// Identical jobs never execute twice across the cluster: sweeps dedupe
+// through the coordinator's singleflight cache before dispatch. Warmup
+// checkpoints travel through the coordinator's content-addressed store
+// (GET/PUT /v1/cache/{key}, "snap:" keys), so one worker's cold warmup is
+// every worker's restore.
 package dist
 
 import (
@@ -84,7 +87,7 @@ type Exec func(p JobPayload, onSnap func(smt.Snapshot)) smt.Results
 // SimulateJob is the canonical Exec: the experiment engine's own
 // measurement kernel applied to the payload, under env's warmup
 // checkpoints and trace replay when it carries any. The coordinator's
-// local fallback and every worker default to it, which is what makes
+// local slots and every worker default to it, which is what makes
 // distributed results byte-identical to local ones — the kernel commits
 // the same bits under every env.
 func SimulateJob(env exp.WarmEnv) Exec {
@@ -132,25 +135,20 @@ type Batch struct {
 	Assignments []Assignment `json:"assignments"`
 }
 
-// TaskResult is one finished job inside a ResultsRequest.
-type TaskResult struct {
-	TaskID  string      `json:"task_id"`
-	Results smt.Results `json:"results"`
-}
-
-// ResultsRequest reports one or more finished jobs. The worker posts each
-// job's result as the job finishes; the coordinator accepts any number in
-// one request.
+// ResultsRequest reports one finished job; the worker posts it as the job
+// finishes.
 type ResultsRequest struct {
-	WorkerID string       `json:"worker_id"`
-	Results  []TaskResult `json:"results"`
+	WorkerID string      `json:"worker_id"`
+	TaskID   string      `json:"task_id"`
+	Results  smt.Results `json:"results"`
 }
 
-// ResultsResponse acknowledges a batch: Accepted counts the results that
-// completed a live dispatch (the rest were stale — requeued or cancelled
-// tasks — and discarded; determinism makes every copy interchangeable).
+// ResultsResponse acknowledges a result: Accepted reports whether it
+// completed a live dispatch (otherwise it was stale — a requeued or
+// cancelled task — and discarded; determinism makes every copy
+// interchangeable).
 type ResultsResponse struct {
-	Accepted int `json:"accepted"`
+	Accepted bool `json:"accepted"`
 }
 
 // SnapshotRequest streams one interval snapshot of a running job back to
@@ -183,7 +181,7 @@ type Status struct {
 	Assigned   int          `json:"assigned"`    // leased to a worker right now
 	Dispatched int64        `json:"dispatched"`  // jobs ever handed to the scheduler
 	RemoteDone int64        `json:"remote_done"` // completed by a worker
-	LocalDone  int64        `json:"local_done"`  // completed by coordinator fallback
+	LocalDone  int64        `json:"local_done"`  // completed by a coordinator local slot
 	Requeues   int64        `json:"requeues"`    // lease expiries / worker deaths
 
 	// Lease latency: total time granted leases spent in the pending queue.

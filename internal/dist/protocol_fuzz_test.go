@@ -37,10 +37,10 @@ func FuzzProtocolBodies(f *testing.F) {
 	f.Add(uint8(1), marshal(PollRequest{WorkerID: "w1", Max: 3}))
 	f.Add(uint8(1), marshal(PollRequest{WorkerID: "w9"}))
 	for _, task := range []string{"t1", "t2", "t3"} {
-		f.Add(uint8(2), marshal(ResultsRequest{WorkerID: "w1", Results: []TaskResult{{TaskID: task, Results: smt.Results{Committed: 7}}}}))
+		f.Add(uint8(2), marshal(ResultsRequest{WorkerID: "w1", TaskID: task, Results: smt.Results{Committed: 7}}))
 		f.Add(uint8(3), marshal(SnapshotRequest{WorkerID: "w1", TaskID: task, Snapshot: smt.Snapshot{Index: 1, Cycles: 50}}))
 	}
-	f.Add(uint8(2), marshal(ResultsRequest{WorkerID: "w1", Results: []TaskResult{{TaskID: "t1"}, {TaskID: "t2"}, {TaskID: "t1"}}}))
+	f.Add(uint8(2), []byte(`{"worker_id":"w1","results":[{"task_id":"t1"},{"task_id":"t2"}]}`)) // the retired batched shape
 	f.Add(uint8(3), []byte(fmt.Sprintf(`{"worker_id":"w1","task_id":%q}`, strings.Repeat("y", maxSnapshotBody))))
 	f.Add(uint8(3), []byte(`{"task_id":"t2","snapshot":{"Index":1}}`)) // no worker_id: matches a queued task's empty assignee
 	f.Add(uint8(1), []byte("not json"))
@@ -51,7 +51,7 @@ func FuzzProtocolBodies(f *testing.F) {
 			PollWait: time.Millisecond,
 			Build:    "rev-coordinator",
 			Exec: func(JobPayload, func(smt.Snapshot)) smt.Results {
-				t.Error("a job ran locally while a worker was registered")
+				t.Error("a job ran with no local slots")
 				return smt.Results{}
 			},
 		})

@@ -505,7 +505,7 @@ func (w *Worker) execute(ctx context.Context, asg Assignment) {
 	if asg.Job.Interval > 0 {
 		onSnap = func(s smt.Snapshot) { w.postSnapshot(ctx, asg, s) }
 	}
-	w.postResult(TaskResult{TaskID: asg.TaskID, Results: w.exec()(asg.Job, onSnap)})
+	w.postResult(asg.TaskID, w.exec()(asg.Job, onSnap))
 }
 
 // postResult delivers one result on the retry policy. Transport errors,
@@ -526,8 +526,8 @@ func (w *Worker) execute(ctx context.Context, asg Assignment) {
 // re-registers us under a fresh identity. If the network is down
 // entirely, the deregister fails too, but then heartbeats are failing
 // as well and the leases expire on their own.
-func (w *Worker) postResult(tr TaskResult) {
-	body := ResultsRequest{WorkerID: w.ID(), Results: []TaskResult{tr}}
+func (w *Worker) postResult(taskID string, res smt.Results) {
+	body := ResultsRequest{WorkerID: w.ID(), TaskID: taskID, Results: res}
 	err := w.retry.Do(w.pctx, func(ctx context.Context) error {
 		resp, err := w.postJSON(ctx, "/v1/work/result", body)
 		if err != nil {
@@ -543,19 +543,18 @@ func (w *Worker) postResult(tr TaskResult) {
 		var ack ResultsResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 			// The coordinator processed the post but the ack was lost in
-			// transit; re-posting is safe (delivery deduplicates) and
-			// recovers the accepted count.
+			// transit; re-posting is safe (delivery deduplicates).
 			return fmt.Errorf("result ack garbled: %w", err)
 		}
-		if ack.Accepted > 0 {
+		if ack.Accepted {
 			w.mu.Lock()
-			w.done += int64(ack.Accepted)
+			w.done++
 			w.mu.Unlock()
 		}
 		return nil
 	})
 	if err != nil {
-		w.logf("dist: result post for task %s never landed; leaving the registry so its lease requeues", tr.TaskID)
+		w.logf("dist: result post for task %s never landed; leaving the registry so its lease requeues", taskID)
 		w.deregister(w.pctx)
 	}
 }

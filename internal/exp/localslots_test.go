@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 
 // These two tests exercise the bound production runs under: smtd gives
 // every sweep its own Runner, all dispatching through one dist.Coordinator
-// whose LocalSlots meter in-process simulation. They live in the external
+// whose LocalSlots bound in-process simulation. They live in the external
 // test package because internal/dist imports internal/exp.
 
 var slotOpts = exp.Opts{Runs: 2, Warmup: 1_000, Measure: 2_000, Seed: 1}
@@ -29,7 +30,7 @@ func TestSharedSemaphoreBoundsConcurrency(t *testing.T) {
 	var mu sync.Mutex
 	inFlight, maxInFlight, ran := 0, 0, 0
 	coord := dist.NewCoordinator(dist.Options{
-		LocalSlots: make(chan struct{}, 1),
+		LocalSlots: 1,
 		Exec: func(p dist.JobPayload, onSnap func(smt.Snapshot)) smt.Results {
 			mu.Lock()
 			inFlight++
@@ -70,19 +71,31 @@ func TestSharedSemaphoreBoundsConcurrency(t *testing.T) {
 // TestRunnerCancelPromptWithSharedSem is the goroutine-leak regression
 // test: a sweep cancelled while its jobs queue for a local slot must return
 // promptly (not wait for slots held by other tenants), run nothing, and
-// leave no goroutine parked on the slot send.
+// leave no goroutine behind once the coordinator closes.
 func TestRunnerCancelPromptWithSharedSem(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	slots := make(chan struct{}, 1)
-	slots <- struct{}{} // another tenant owns the only slot for the whole test
+	// Another tenant's job holds the only slot until the sweep is over.
+	var ran atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
 	coord := dist.NewCoordinator(dist.Options{
-		LocalSlots: slots,
+		LocalSlots: 1,
 		Exec: func(dist.JobPayload, func(smt.Snapshot)) smt.Results {
-			t.Error("a job ran without holding a local slot")
+			if ran.Add(1) > 1 {
+				t.Error("a job of the cancelled sweep ran")
+				return smt.Results{}
+			}
+			close(started)
+			<-release
 			return smt.Results{}
 		},
 	})
+	tenant := make(chan error, 1)
+	go func() {
+		_, err := coord.Dispatch(context.Background(), exp.Job{Spec: exp.PointSpec{Config: exp.ICount28(1)}}, slotOpts, 0, nil)
+		tenant <- err
+	}()
+	<-started
 
 	e, _ := exp.Lookup("fig7")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -92,7 +105,7 @@ func TestRunnerCancelPromptWithSharedSem(t *testing.T) {
 		_, err := (exp.Runner{Workers: 4, Dispatch: coord}).RunExperiment(ctx, e, slotOpts)
 		done <- err
 	}()
-	// Let the pool park on the slot, then cancel.
+	// Let the pool queue behind the slot, then cancel.
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
@@ -103,11 +116,14 @@ func TestRunnerCancelPromptWithSharedSem(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("RunExperiment never returned: dispatches are stuck in the local-slot queue")
 	}
+	close(release)
+	if err := <-tenant; err != nil {
+		t.Fatal(err)
+	}
 	coord.Close()
 
-	// Every goroutine the run and the coordinator spawned must be gone —
-	// without the select-on-ctx acquire they would still be parked on the
-	// slot send.
+	// Every goroutine the run and the coordinator spawned must be gone,
+	// the local slot included once Close stops it.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

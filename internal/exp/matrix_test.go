@@ -309,7 +309,7 @@ func TestPathMatrix(t *testing.T) {
 		}},
 		{"local", func(t *testing.T) {
 			env, restoredAll := restoring(t, n)
-			coord := dist.NewCoordinator(dist.Options{Exec: dist.SimulateJob(env), LocalSlots: make(chan struct{}, 2)})
+			coord := dist.NewCoordinator(dist.Options{Exec: dist.SimulateJob(env), LocalSlots: 2})
 			defer coord.Close()
 			variants.check(t, exp.Runner{Workers: workers, Dispatch: coord})
 			restoredAll()

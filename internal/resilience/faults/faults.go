@@ -43,6 +43,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Kind labels one fault flavor.
@@ -194,18 +196,8 @@ func (t *Transport) decide(ri int, k int64, fi int) bool {
 func mix(vals ...uint64) uint64 {
 	var x uint64
 	for _, v := range vals {
-		x = splitmix64(x ^ v)
+		x = rng.Mix((x ^ v) + rng.Golden)
 	}
-	return x
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
 	return x
 }
 

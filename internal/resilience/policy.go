@@ -18,11 +18,13 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Policy is a capped exponential backoff retry schedule. The zero value
 // is usable: sensible defaults apply (3 attempts, 100ms base doubling to
-// a 5s cap, no per-attempt timeout). Policies are values — copy and
+// a 5s cap). Policies are values — copy and
 // tweak one per call site; the copy shares nothing but Counters.
 type Policy struct {
 	// MaxAttempts is the total number of attempts (first try included).
@@ -36,11 +38,6 @@ type Policy struct {
 
 	// MaxDelay caps the exponential growth. Zero defaults to 5s.
 	MaxDelay time.Duration
-
-	// AttemptTimeout bounds each individual attempt with a derived
-	// context deadline. Zero leaves attempts bounded only by the parent
-	// ctx (and whatever transport timeout the caller configured).
-	AttemptTimeout time.Duration
 
 	// Seed selects the deterministic jitter stream. Two policies with
 	// the same seed sleep identical schedules; give fleet members
@@ -105,15 +102,14 @@ func (p Policy) Delay(attempt int) time.Duration {
 		d = p.MaxDelay
 	}
 	// 53 uniform bits from the seeded stream → fraction in [0, 1).
-	u := splitmix64(p.Seed ^ splitmix64(uint64(attempt)))
+	u := rng.Mix((p.Seed ^ rng.Mix(uint64(attempt)+rng.Golden)) + rng.Golden)
 	frac := float64(u>>11) / float64(1<<53)
 	return time.Duration(float64(d) * (0.5 + 0.5*frac))
 }
 
 // Do runs op until it succeeds, returns a Permanent error, exhausts
 // MaxAttempts, or ctx ends. Between failures it sleeps the seeded
-// backoff schedule, aborting the sleep the moment ctx ends. Each attempt
-// gets a context derived from ctx, bounded by AttemptTimeout when set.
+// backoff schedule, aborting the sleep the moment ctx ends.
 //
 // The returned error is op's last error (unwrapped from Permanent), or
 // ctx's error when ctx ended before the first attempt.
@@ -123,13 +119,7 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		actx := ctx
-		cancel := func() {}
-		if p.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-		}
-		err := op(actx)
-		cancel()
+		err := op(ctx)
 		if err == nil {
 			return nil
 		}
@@ -185,18 +175,4 @@ func Sleep(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// splitmix64 is the jitter stream's mixer — the same finalizer the cache
-// ring and fingerprint hashing use, chosen for full avalanche at the
-// cost of three multiplies. Stateless: callers derive stream position by
-// XORing mixed counters into the seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

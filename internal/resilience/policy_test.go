@@ -138,22 +138,6 @@ func TestDoCtxAbortsBackoffSleep(t *testing.T) {
 	}
 }
 
-func TestDoAttemptTimeoutBoundsEachAttempt(t *testing.T) {
-	p := Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, AttemptTimeout: 30 * time.Millisecond}
-	var deadlines int
-	err := p.Do(context.Background(), func(ctx context.Context) error {
-		<-ctx.Done() // simulate an attempt that hangs until cut off
-		deadlines++
-		return ctx.Err()
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if deadlines != 2 {
-		t.Fatalf("%d attempts hit their deadline, want 2", deadlines)
-	}
-}
-
 func TestDoCtxAlreadyDone(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

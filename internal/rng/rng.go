@@ -21,11 +21,13 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// golden is the splitmix64 increment (2^64 / phi, rounded to odd).
-const golden = 0x9E3779B97F4A7C15
+// Golden is the splitmix64 increment (2^64 / phi, rounded to odd).
+const Golden = 0x9E3779B97F4A7C15
 
-// mix is the splitmix64 output function applied to a raw counter value.
-func mix(z uint64) uint64 {
+// Mix is the splitmix64 output function applied to a raw counter value:
+// full avalanche for three multiplies. Mix(x + Golden) is the first draw
+// of a stream seeded at x.
+func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
@@ -33,14 +35,14 @@ func mix(z uint64) uint64 {
 
 // Uint64 returns the next value in the stream.
 func (s *Source) Uint64() uint64 {
-	s.state += golden
-	return mix(s.state)
+	s.state += Golden
+	return Mix(s.state)
 }
 
 // Split returns a new Source whose stream is statistically independent of
 // the receiver's. The receiver advances by one step.
 func (s *Source) Split() *Source {
-	return &Source{state: mix(s.Uint64())}
+	return &Source{state: Mix(s.Uint64())}
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -86,8 +88,8 @@ func (s *Source) Geometric(mean float64) int {
 func Hash(vals ...uint64) uint64 {
 	h := uint64(0x2545F4914F6CDD1D)
 	for _, v := range vals {
-		h ^= mix(v + golden)
+		h ^= Mix(v + Golden)
 		h *= 0x100000001B3
 	}
-	return mix(h)
+	return Mix(h)
 }

@@ -169,3 +169,26 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Fatal("zero-value Source not advancing")
 	}
 }
+
+// TestMixMatchesSplitmix64 pins Mix to the splitmix64 finalizer as the
+// backoff jitter, the fault schedules and the cache ring spell it out:
+// Mix(x+Golden) is one splitmix64 step, Mix(x) the bare finalizer. Any
+// drift would move ring owners, backoff delays and chaos schedules.
+func TestMixMatchesSplitmix64(t *testing.T) {
+	finalizer := func(x uint64) uint64 {
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		return x
+	}
+	step := func(x uint64) uint64 { return finalizer(x + 0x9e3779b97f4a7c15) }
+	if got := Mix(0 + Golden); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("first splitmix64 output from seed 0 = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+	f := func(x uint64) bool { return Mix(x) == finalizer(x) && Mix(x+Golden) == step(x) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Fatal(err)
+	}
+}

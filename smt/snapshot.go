@@ -12,8 +12,8 @@ import (
 // SnapshotVersion is the serialization version embedded in every snapshot
 // (and in its cache key); a restore rejects any other version, so a format
 // change can never silently install mismatched state. Version 2 is the flat
-// binary stream of internal/state.
-const SnapshotVersion = 2
+// binary stream of internal/state; version 3 drops its issued-pre-exec list.
+const SnapshotVersion = 3
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
