@@ -33,7 +33,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(&b, "smtd_trace_reuses_total", "Per-context trace lookups served by an existing shared trace.", float64(ts.Reuses))
 	counter(&b, "smtd_trace_evictions_total", "Context traces evicted by the byte budget.", float64(ts.Evictions))
 	gauge(&b, "smtd_trace_entries", "Context traces currently cached.", float64(ts.Entries))
-	gauge(&b, "smtd_trace_bytes", "Bytes of pre-decoded trace records currently cached.", float64(ts.Bytes))
+	gauge(&b, "smtd_trace_bytes", "Bytes the cached context traces pin, their programs included.", float64(ts.Bytes))
 
 	ps := s.plans.Stats()
 	counter(&b, "smtd_sweep_plan_hits_total", "Sweep requests whose body was planned before: decode, validation and expansion skipped.", float64(ps.Hits))

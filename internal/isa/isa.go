@@ -182,22 +182,24 @@ const (
 
 // Static is one instruction in a program's static code image. The simulator
 // fetches Static instructions (possibly down wrong paths), renames their
-// register operands, and executes them according to Class.
+// register operands, and executes them according to Class. The fields are
+// ordered so that it packs into 32 bytes: a program pins one per static
+// instruction.
 type Static struct {
-	Class Class
-	Dest  Reg // destination register or RegNone
-	Src1  Reg // first source or RegNone
-	Src2  Reg // second source or RegNone
+	Class   Class
+	Pattern MemPattern // memory access pattern (valid when Class.IsMem())
+	Dest    Reg        // destination register or RegNone
+	Src1    Reg        // first source or RegNone
+	Src2    Reg        // second source or RegNone
 
 	// Control flow (valid when Class.IsControl()):
 	Target   int64 // branch/jump/call target PC; 0 for indirect
 	BranchID int32 // dense index of this static branch within its program; -1 otherwise
 
 	// Memory (valid when Class.IsMem()):
-	Pattern MemPattern
-	Region  int32 // index of the data region this access walks
-	Stride  int32 // stride in bytes for MemStride
-	MemID   int32 // dense index of this static memory op within its program; -1 otherwise
+	Region int32 // index of the data region this access walks
+	Stride int32 // stride in bytes for MemStride
+	MemID  int32 // dense index of this static memory op within its program; -1 otherwise
 }
 
 // String renders the instruction for debugging and traces.

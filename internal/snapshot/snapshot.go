@@ -109,12 +109,14 @@ const traceGranule = 64 << 10
 
 // defaultTraceBytes bounds a TraceCache built with no explicit budget.
 // Traces are per-(benchmark, seed, context) and shared by every width and
-// configuration of a sweep; at 12 bytes a record 64 MiB holds 85 granules
-// — five seeds of the eight-context rotation at the two granules a
-// 90k-instruction budget rounds to — so a handful of rotations fit;
+// configuration of a sweep. An entry is counted whole — its program
+// (31–780 KB of code and tables), its end walker and its records (under a
+// byte each) — so the budget bounds what the cache really pins. At the two
+// granules a 90k-instruction budget rounds to, one seed of the
+// eight-context rotation pins about 3 MB, so 32 MiB holds ten seeds;
 // gigantic budgets would just trade RSS for rebuilds the cursor spill
 // already makes cheap.
-const defaultTraceBytes = 64 << 20
+const defaultTraceBytes = 32 << 20
 
 // TraceStats snapshots a TraceCache's counters.
 type TraceStats struct {
@@ -127,7 +129,8 @@ type TraceStats struct {
 
 // TraceCache builds each hardware context's trace once and assembles every
 // job's smt.TraceSet from the shared context traces, bounded by a byte
-// budget with least-recently-used eviction. An entry is keyed by
+// budget — each entry counted with the program it pins — and
+// least-recently-used eviction. An entry is keyed by
 // (benchmark, seed, context) — what the context's program is a function of
 // — so the T-thread and the 8-thread machine of one rotation replay the
 // same first T traces. Lengths round up to traceGranule and a cached trace
@@ -167,8 +170,8 @@ type traceEntry struct {
 	bytes int64
 }
 
-// NewTraceCache returns a cache bounded at maxBytes of trace records
-// (<= 0 means the default budget).
+// NewTraceCache returns a cache bounded at maxBytes of pinned traces,
+// programs included (<= 0 means the default budget).
 func NewTraceCache(maxBytes int64) *TraceCache {
 	if maxBytes <= 0 {
 		maxBytes = defaultTraceBytes

@@ -61,13 +61,26 @@ func TestStoreCountsTraffic(t *testing.T) {
 	}
 }
 
-// granuleBytes is what one context trace of one granule costs.
-const granuleBytes = traceGranule * 12
+// pinned is what spec's context traces at records records each pin: what
+// a cache holding exactly them counts.
+func pinned(t *testing.T, spec smt.WorkloadSpec, records int64) int64 {
+	t.Helper()
+	var n int64
+	for i, name := range spec.Names {
+		ct, err := smt.BuildContextTrace(name, spec.Seed, i, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += ct.Bytes()
+	}
+	return n
+}
 
 // Concurrent identical lookups share one build per context.
 func TestTraceCacheSharesBuilds(t *testing.T) {
 	c := NewTraceCache(0)
 	spec := smt.WorkloadMix(2, 0, 1)
+	granuleBytes := pinned(t, spec, traceGranule)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -79,13 +92,13 @@ func TestTraceCacheSharesBuilds(t *testing.T) {
 				t.Errorf("Get: %v", err)
 				return
 			}
-			if ts.Records() != traceGranule || ts.Bytes() != 2*granuleBytes {
-				t.Errorf("set has %d records in %d bytes, want one granule per context", ts.Records(), ts.Bytes())
+			if ts.Records() != traceGranule || ts.Bytes() != granuleBytes {
+				t.Errorf("set has %d records in %d bytes, want one granule per context in %d", ts.Records(), ts.Bytes(), granuleBytes)
 			}
 		}()
 	}
 	wg.Wait()
-	want := TraceStats{Builds: 2, Reuses: 2 * (goroutines - 1), Entries: 2, Bytes: 2 * granuleBytes}
+	want := TraceStats{Builds: 2, Reuses: 2 * (goroutines - 1), Entries: 2, Bytes: granuleBytes}
 	if st := c.Stats(); st != want {
 		t.Fatalf("Stats = %+v, want %+v: one build per context shared by every lookup", st, want)
 	}
@@ -102,7 +115,7 @@ func TestTraceCacheSharesContextsAcrossWidths(t *testing.T) {
 		}
 		lookups += threads
 	}
-	want := TraceStats{Builds: 8, Reuses: int64(lookups - 8), Entries: 8, Bytes: 8 * granuleBytes}
+	want := TraceStats{Builds: 8, Reuses: int64(lookups - 8), Entries: 8, Bytes: pinned(t, smt.WorkloadMix(8, 0, 1), traceGranule)}
 	if st := c.Stats(); st != want {
 		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
@@ -138,7 +151,7 @@ func TestTraceCacheLengthRule(t *testing.T) {
 	for _, n := range []int64{2000, 1999, 2001, 1, traceGranule} {
 		get(n)
 	}
-	want := TraceStats{Builds: 2, Reuses: 8, Entries: 2, Bytes: 2 * granuleBytes}
+	want := TraceStats{Builds: 2, Reuses: 8, Entries: 2, Bytes: pinned(t, spec, traceGranule)}
 	if st := c.Stats(); st != want {
 		t.Fatalf("inside one granule: Stats = %+v, want %+v", st, want)
 	}
@@ -146,7 +159,7 @@ func TestTraceCacheLengthRule(t *testing.T) {
 	if ts := get(traceGranule + 1); ts.Records() != 2*traceGranule {
 		t.Fatalf("superseding set has %d records, want two granules", ts.Records())
 	}
-	want = TraceStats{Builds: 4, Reuses: 8, Entries: 2, Bytes: 4 * granuleBytes}
+	want = TraceStats{Builds: 4, Reuses: 8, Entries: 2, Bytes: pinned(t, spec, 2*traceGranule)}
 	if st := c.Stats(); st != want {
 		t.Fatalf("after a longer request: Stats = %+v, want %+v (the short entries replaced, their bytes released)", st, want)
 	}
@@ -159,9 +172,17 @@ func TestTraceCacheLengthRule(t *testing.T) {
 }
 
 func TestTraceCacheEvictsToBudget(t *testing.T) {
-	// Room for one 2-context rotation and a half, so each new rotation
-	// evicts the one before it.
-	const budget = 3 * granuleBytes
+	// Room for the largest 2-context rotation and a half, so each new
+	// rotation evicts some of the ones before it. An entry counts the
+	// program it pins, so the rotations differ in size.
+	var budget, total int64
+	for rot := 0; rot < 3; rot++ {
+		b := pinned(t, smt.WorkloadMix(2, rot, 1), traceGranule)
+		budget, total = max(budget, b*3/2), total+b
+	}
+	if total <= budget {
+		t.Fatalf("three rotations pin %d bytes, within the %d budget: nothing to evict", total, budget)
+	}
 	c := NewTraceCache(budget)
 	for rot := 0; rot < 3; rot++ {
 		if _, err := c.Get(smt.WorkloadMix(2, rot, 1), 1000); err != nil {
@@ -172,8 +193,12 @@ func TestTraceCacheEvictsToBudget(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Evictions != 3 || st.Entries != 3 || st.Bytes != budget {
-		t.Fatalf("Stats = %+v, want 3 of 6 context traces evicted and the budget full", st)
+	held := int64(0)
+	for _, el := range c.items {
+		held += el.Value.(*traceEntry).trace.Bytes()
+	}
+	if st.Evictions == 0 || st.Entries+int(st.Evictions) != 6 || st.Bytes != held {
+		t.Fatalf("Stats = %+v, want evictions, every context trace held or evicted, and the %d bytes held counted", st, held)
 	}
 	// The survivors must be the most recently used: all of the last
 	// rotation.
@@ -209,7 +234,7 @@ func TestTraceCacheSupersedeWhileBuilding(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Entries != 2 || st.Bytes != 4*granuleBytes || st.Evictions != 0 {
+	if st.Entries != 2 || st.Bytes != pinned(t, spec, 2*traceGranule) || st.Evictions != 0 {
 		t.Fatalf("Stats = %+v, want the two long traces and nothing else counted", st)
 	}
 	if st.Builds < 2 || st.Builds > 4 || st.Builds+st.Reuses != 16 {

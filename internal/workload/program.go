@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -20,11 +22,11 @@ func (r Region) Contains(addr int64) bool { return addr >= r.Base && addr < r.Ba
 // branchMeta describes the dynamic behaviour of one static control
 // instruction; it is indexed by isa.Static.BranchID.
 type branchMeta struct {
-	kind      BranchKind
 	takenProb float64 // biased / random / guard kinds
 	tripMean  float64 // loop kind
 	pattern   uint64  // pattern kind: repeating bit pattern
-	period    uint8   // pattern kind: pattern length in bits
+	kind      BranchKind
+	period    uint8 // pattern kind: pattern length in bits
 }
 
 // Program is one synthetic benchmark instance: a static code image placed at
@@ -120,6 +122,32 @@ func (p *Program) PCOf(idx int) int64 { return p.Base + int64(idx)*isa.InstrByte
 // At returns the static instruction at pc (with wraparound, see IndexOf).
 func (p *Program) At(pc int64) *isa.Static { return &p.Code[p.IndexOf(pc)] }
 
+// regionOf returns the data region memory instruction s addresses: the
+// stack for stack-pattern accesses, else its designated region. Every
+// correct-path address of s lies at or above the region's base.
+func (p *Program) regionOf(s *isa.Static) Region {
+	if s.Pattern == isa.MemStack || s.Region < 0 {
+		return p.Stack
+	}
+	return p.Regions[s.Region]
+}
+
+// Bytes approximates the memory the program holds: its code image, branch
+// metadata, jump tables and regions, at their allocated capacity. A trace
+// pins its program, so a trace budget counts this beside the trace's own
+// bytes.
+func (p *Program) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*p)) + int64(len(p.Name)) +
+		int64(cap(p.Code))*int64(unsafe.Sizeof(isa.Static{})) +
+		int64(cap(p.branchMeta))*int64(unsafe.Sizeof(branchMeta{})) +
+		int64(cap(p.jumpTables))*int64(unsafe.Sizeof([]int64{})) +
+		int64(cap(p.Regions))*int64(unsafe.Sizeof(Region{}))
+	for _, t := range p.jumpTables {
+		n += int64(cap(t)) * 8
+	}
+	return n
+}
+
 // generator holds the state of one program-generation run.
 //
 // Three independent random streams keep concerns separate: structure
@@ -207,6 +235,11 @@ func (g *generator) generate() {
 		g.prog.Code[f.site].Target = int64(g.procStart[f.proc])
 	}
 	g.prog.NumBranches = len(g.prog.branchMeta)
+	// The tables grew by appending; a program lives as long as any trace
+	// of it, so it keeps only their lengths.
+	g.prog.Code = slices.Clone(g.prog.Code)
+	g.prog.branchMeta = slices.Clone(g.prog.branchMeta)
+	g.prog.jumpTables = slices.Clone(g.prog.jumpTables)
 }
 
 // genProcedure emits one procedure: prologue, structured body, epilogue.

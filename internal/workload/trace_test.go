@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/isa"
 	"repro/internal/state"
 )
 
@@ -13,13 +14,26 @@ import (
 // tested are the lengths the cache actually builds.
 const granule = 64 << 10
 
-func TestTraceRecordIs12Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(traceRec{}); got != traceRecBytes {
-		t.Fatalf("traceRec is %d bytes, traceRecBytes says %d", got, traceRecBytes)
+// A trace costs at most a byte a record for every profile, and its Bytes
+// count the program it pins: the static code alone outweighs two granules
+// of records for most profiles.
+func TestTraceBytesPerRecord(t *testing.T) {
+	if got := unsafe.Sizeof(isa.Static{}); got != 32 {
+		t.Errorf("isa.Static is %d bytes, want 32", got)
 	}
-	prof, _ := ProfileByName("espresso")
-	if got := BuildTrace(MustNew(prof, 1, 0), 1000).Bytes(); got != 1000*traceRecBytes {
-		t.Fatalf("Bytes() = %d for 1000 records, want %d", got, 1000*traceRecBytes)
+	const n = 2 * granule
+	for _, prof := range Profiles() {
+		p := MustNew(prof, 1, 0)
+		empty, tr := BuildTrace(p, 0), BuildTrace(p, n)
+		perRecord := float64(tr.Bytes()-empty.Bytes()) / n
+		t.Logf("%-8s %.3f bytes a record; program %7d bytes, trace of %d records %7d", prof.Name, perRecord, p.Bytes(), n, tr.Bytes())
+		if perRecord > 1 {
+			t.Errorf("%s: %.3f bytes a record, want at most 1", prof.Name, perRecord)
+		}
+		if code := int64(len(p.Code)) * 32; empty.Bytes() <= p.Bytes() || p.Bytes() < code {
+			t.Errorf("%s: empty trace %d bytes, program %d, code %d: want the code in the program and the program in the trace",
+				prof.Name, empty.Bytes(), p.Bytes(), code)
+		}
 	}
 }
 
@@ -35,13 +49,14 @@ func encodeState(t *testing.T, walk func(*state.Codec)) []byte {
 	return data
 }
 
-// A trace stores neither PC nor NextPC: the cursor re-derives them from
-// this record's and the next record's static index, and from the frozen end
-// walker at the last prefix record. For every profile, at prefix lengths
-// around the cache's granule, replay must yield field for field what a
-// live walker yields — across the last prefix record and the first spilled
-// one — and PC() and State must agree with the walker's on both sides of
-// every boundary, including after a restore onto a fresh cursor.
+// A trace stores only branch directions, table slots and addresses: the
+// cursor re-derives every PC and NextPC by walking the code, and resumes a
+// restore from the seek point before it. For every profile, at prefix
+// lengths around the cache's granule, replay must yield field for field
+// what a live walker yields — across the last prefix record and the first
+// spilled one — and PC() and State must agree with the walker's on both
+// sides of every boundary, including after a restore onto a fresh cursor
+// there and on both sides of every seek point.
 func TestCursorMatchesWalker(t *testing.T) {
 	for _, prof := range Profiles() {
 		p := MustNew(prof, 7, 3)
@@ -55,9 +70,10 @@ func TestCursorMatchesWalker(t *testing.T) {
 				if c.PC() != w.PC() {
 					t.Fatalf("%s n=%d: before record %d cursor PC %#x, walker PC %#x", prof.Name, n, i, c.PC(), w.PC())
 				}
-				if i >= n-1 && i <= n+1 {
+				atEnd := i >= n-1 && i <= n+1
+				if atEnd || (i < n && (i+1)%seekEvery <= 2) {
 					want := encodeState(t, w.State)
-					if got := encodeState(t, c.State); !bytes.Equal(got, want) {
+					if atEnd && !bytes.Equal(encodeState(t, c.State), want) {
 						t.Fatalf("%s n=%d: cursor state before record %d differs from the walker's", prof.Name, n, i)
 					}
 					// A fresh cursor restored here must continue identically.

@@ -73,54 +73,75 @@ func (w *Walker) Next() DynRecord {
 	return rec
 }
 
-// resolveControl computes taken/target for a control instruction.
+// resolveControl computes taken/target for a control instruction: the
+// walker draws what only it can resolve — a conditional branch's direction
+// and an indirect jump's table slot — and the program's code does the rest.
 func (w *Walker) resolveControl(s *isa.Static, rec *DynRecord) {
-	p := w.prog
-	bid := s.BranchID
+	var taken bool
+	var slot uint64
 	switch s.Class {
 	case isa.ClassBranch:
-		rec.Taken = w.condOutcome(s)
-		if rec.Taken {
-			rec.NextPC = s.Target
-		}
-	case isa.ClassJump:
-		rec.Taken = true
-		rec.NextPC = s.Target
+		taken = w.condOutcome(s)
 	case isa.ClassJumpInd:
-		targets := p.jumpTables[bid]
-		rec.Taken = true
-		if len(targets) == 0 {
-			return // degenerate table: fall through
+		slot = w.jumpSlot(s)
+	}
+	rec.NextPC, rec.Taken = w.prog.transfer(s, rec.PC, &w.callStack, taken, slot)
+}
+
+// jumpSlot picks which entry of an indirect jump's table this instance
+// takes. Switch dispatch is skewed in practice: one case dominates (the
+// common token/opcode), so a BTB predicting the last target is right most
+// of the time, as in real interpreters.
+func (w *Walker) jumpSlot(s *isa.Static) uint64 {
+	p, bid := w.prog, s.BranchID
+	n := uint64(len(p.jumpTables[bid]))
+	if n == 0 {
+		return 0 // degenerate table: transfer falls through
+	}
+	h := rng.Hash(p.seed, uint64(bid), uint64(w.entrySeq[bid]))
+	w.entrySeq[bid]++
+	if h%100 < 85 {
+		return uint64(bid) % n // the site's hot case
+	}
+	return (h >> 8) % n
+}
+
+// transfer returns the successor of control instruction s at pc, and
+// whether control transferred, given the outcomes only a walker can draw —
+// a conditional branch's direction and an indirect jump's table slot —
+// keeping stack as the walk's return addresses. Every other successor
+// follows from the code: direct targets, fall-through, and the return
+// stack. The walker and a trace cursor both step through here.
+func (p *Program) transfer(s *isa.Static, pc int64, stack *[]int64, taken bool, slot uint64) (next int64, transferred bool) {
+	next = pc + isa.InstrBytes
+	switch s.Class {
+	case isa.ClassBranch:
+		if taken {
+			next = s.Target
 		}
-		// Switch dispatch is skewed in practice: one case dominates (the
-		// common token/opcode), so a BTB predicting the last target is
-		// right most of the time, as in real interpreters.
-		h := rng.Hash(p.seed, uint64(bid), uint64(w.entrySeq[bid]))
-		var pick uint64
-		if h%100 < 85 {
-			pick = uint64(bid) % uint64(len(targets)) // the site's hot case
-		} else {
-			pick = (h >> 8) % uint64(len(targets))
+		return next, taken
+	case isa.ClassJump:
+		next = s.Target
+	case isa.ClassJumpInd:
+		if targets := p.jumpTables[s.BranchID]; len(targets) > 0 {
+			next = targets[slot]
 		}
-		w.entrySeq[bid]++
-		rec.NextPC = targets[pick]
 	case isa.ClassCall:
-		rec.Taken = true
-		if len(w.callStack) < maxCallDepth+8 {
-			w.callStack = append(w.callStack, rec.PC+isa.InstrBytes)
-			rec.NextPC = s.Target
-		}
 		// At the (never reached in practice) stack cap the call falls
 		// through, keeping the walk well defined.
+		if len(*stack) < maxCallDepth+8 {
+			*stack = append(*stack, pc+isa.InstrBytes)
+			next = s.Target
+		}
 	case isa.ClassReturn:
-		rec.Taken = true
-		if n := len(w.callStack); n > 0 {
-			rec.NextPC = w.callStack[n-1]
-			w.callStack = w.callStack[:n-1]
+		if n := len(*stack); n > 0 {
+			next = (*stack)[n-1]
+			*stack = (*stack)[:n-1]
 		} else {
-			rec.NextPC = p.Entry // returning from the driver restarts it
+			next = p.Entry // returning from the driver restarts it
 		}
 	}
+	return next, true
 }
 
 // condOutcome resolves a conditional branch according to its behaviour class.
@@ -280,12 +301,7 @@ func (w *Walker) address(s *isa.Static) int64 {
 // values in practice, so they are drawn from a hot prefix of the region the
 // instruction touches on the correct path.
 func (p *Program) WrongPathAddr(s *isa.Static, salt uint64) int64 {
-	var r Region
-	if s.Pattern == isa.MemStack || s.Region < 0 {
-		r = p.Stack
-	} else {
-		r = p.Regions[s.Region]
-	}
+	r := p.regionOf(s)
 	span := uint64(r.Size)
 	if span > popularBytes {
 		span = popularBytes

@@ -101,15 +101,17 @@ func BuildContextTrace(name string, seed uint64, ctx int, records int64) (*Conte
 // Records returns the pre-decoded record count.
 func (ct *ContextTrace) Records() int64 { return int64(ct.trace.Len()) }
 
-// Bytes returns the approximate memory footprint of the trace records.
+// Bytes returns the approximate memory the trace pins, the program it
+// replays included.
 func (ct *ContextTrace) Bytes() int64 { return ct.trace.Bytes() }
 
 // TraceSet is one workload spec's per-context traces, shared read-only
 // across every configuration and goroutine of a sweep: NewReplay binds any
-// number of simulators to one TraceSet, each replaying the decoded records
-// from flat shared slices instead of re-walking the synthetic program's
-// control flow per run. The traces may differ in length; a replayed run
-// that outlives one spills onto a live walker bit-identically.
+// number of simulators to one TraceSet, each replaying the recorded branch
+// directions and addresses over the shared code instead of re-resolving the
+// synthetic program's behaviour per run. The traces may differ in length;
+// a replayed run that outlives one spills onto a live walker
+// bit-identically.
 type TraceSet struct {
 	spec   WorkloadSpec
 	traces []*ContextTrace
@@ -169,7 +171,7 @@ func (ts *TraceSet) Records() int64 {
 	return n
 }
 
-// Bytes returns the approximate memory footprint of all trace records.
+// Bytes returns the approximate memory all of the set's traces pin.
 func (ts *TraceSet) Bytes() int64 {
 	var n int64
 	for _, ct := range ts.traces {
