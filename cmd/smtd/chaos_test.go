@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/resilience"
 	"repro/internal/resilience/faults"
 	"repro/internal/snapshot"
 )
@@ -53,34 +52,7 @@ func chaosSeed(t *testing.T) uint64 {
 	return seed
 }
 
-// chaosNode is one in-process coordinator served on a real TCP port.
-type chaosNode struct {
-	server *Server
-	http   *http.Server
-	base   string
-}
-
-func (n *chaosNode) shutdown() {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	n.http.Shutdown(ctx)
-	cancel()
-	n.server.Close()
-}
-
-// serveChaosNode builds a Server on opts and serves it on ln.
-func serveChaosNode(t *testing.T, ln net.Listener, opts ServerOptions) *chaosNode {
-	t.Helper()
-	s, err := NewServerWith(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	return &chaosNode{server: s, http: hs, base: "http://" + ln.Addr().String()}
-}
-
-// listenLocal opens a real listener whose address is known before any
-// server boots — federation members need the full URL list up front.
+// listenLocal opens a real listener on an ephemeral loopback port.
 func listenLocal(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,16 +101,15 @@ func corruptEveryFourth(key string, body []byte) []byte {
 	return mangled
 }
 
-// TestChaosFederatedSweepByteIdentical is the chaos suite's core
-// acceptance test: a 2-coordinator, 2-worker federated sweep with faults
-// injected on every outbound edge — worker registration, polls, result
-// and snapshot posts, cache peeks and fills, federation probes and
-// forwards, plus corrupted disk writes — must still complete, and its
-// result bytes must be identical to a fault-free run. The resilience
-// layer may retry, trip breakers, shed fills, and re-simulate as much as
-// it likes; what it may never do is change bytes, wedge the sweep, stall
-// a drain, or leak goroutines.
-func TestChaosFederatedSweepByteIdentical(t *testing.T) {
+// TestChaosSweepByteIdentical is the chaos suite's core acceptance
+// test: a sweep on one coordinator with two workers, faults injected on
+// every worker edge — registration, polls, result and snapshot posts,
+// checkpoint peeks and fills — plus corrupted disk writes, must still
+// complete, and its result bytes must be identical to a fault-free run.
+// The resilience layer may retry, requeue and re-simulate as much as it
+// likes; what it may never do is change bytes, wedge the sweep, stall a
+// drain, or leak goroutines.
+func TestChaosSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process-shaped chaos run")
 	}
@@ -164,40 +135,26 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	gBefore := runtime.NumGoroutine()
 
-	// Two federated coordinators; their peer traffic crosses a faulty
-	// transport with every response-mangling flavor on the cache surface.
-	lnA, lnB := listenLocal(t), listenLocal(t)
-	baseA, baseB := "http://"+lnA.Addr().String(), "http://"+lnB.Addr().String()
-	members := []string{baseA, baseB}
-	const peerSpec = "/v1/cache=err@0.15,latency:5ms@0.2,code:500@0.1,truncate@0.1,corrupt@0.1"
-	peerBase := &http.Transport{}
-	peerFaults, err := faults.New(peerSpec, seed^0xA, peerBase)
+	server, err := NewServerWith(ServerOptions{Workers: 2, CacheSize: 4096, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(ln net.Listener, self string) *chaosNode {
-		return serveChaosNode(t, ln, ServerOptions{
-			Workers:    2,
-			CacheSize:  4096,
-			CacheDir:   t.TempDir(),
-			Self:       self,
-			Peers:      members,
-			PeerClient: &http.Client{Transport: peerFaults, Timeout: 2 * time.Second},
-		})
-	}
-	nodeA, nodeB := mk(lnA, baseA), mk(lnB, baseB)
+	ln := listenLocal(t)
+	hs := &http.Server{Handler: server.Handler()}
+	go hs.Serve(ln)
+	base := "http://" + ln.Addr().String()
 	// Chaos on the durable tier too: a deterministic slice of disk writes
 	// is corrupted; the checksums must turn each into a miss, never a
 	// wrong value.
-	nodeA.server.results.SetWriteTransform(corruptEveryFourth)
-	nodeA.server.snaps.SetWriteTransform(corruptEveryFourth)
+	server.results.SetWriteTransform(corruptEveryFourth)
+	server.snaps.SetWriteTransform(corruptEveryFourth)
 
-	// Two workers, one per coordinator, every protocol edge faulted.
-	// Response-mangling faults (truncate, corrupt) stay off /v1/work:
-	// they are harmless on the cache surface (a garbled body is a miss)
-	// but a garbled poll response would strand granted leases until TTL
-	// expiry, which slows the test without testing anything new —
-	// pre-send faults (err, code) already cover "the poll never landed".
+	// Two workers, every protocol edge faulted. Response-mangling faults
+	// (truncate, corrupt) stay off /v1/work: they are harmless on the
+	// cache surface (a garbled body is a miss) but a garbled poll
+	// response would strand granted leases until TTL expiry, which slows
+	// the test without testing anything new — pre-send faults (err, code)
+	// already cover "the poll never landed".
 	const workerSpec = "/v1/work/next=err@0.08,latency:5ms@0.15;" +
 		"/v1/work/result=err@0.1,latency:5ms@0.15,code:503@0.1;" +
 		"/v1/work/snapshot=err@0.2,code:500@0.1;" +
@@ -207,16 +164,16 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 	var wdone sync.WaitGroup
 	var workerBases []*http.Transport
 	var workerFaults []*faults.Transport
-	for i, join := range []string{baseA, baseB} {
-		base := &http.Transport{}
-		ft, err := faults.New(workerSpec, seed^uint64(0xB0+i), base)
+	for i := range 2 {
+		tr := &http.Transport{}
+		ft, err := faults.New(workerSpec, seed^uint64(0xB0+i), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		workerBases = append(workerBases, base)
+		workerBases = append(workerBases, tr)
 		workerFaults = append(workerFaults, ft)
 		w := dist.NewWorker(dist.WorkerOptions{
-			Coordinator: join,
+			Coordinator: base,
 			Name:        fmt.Sprintf("chaos%d", i),
 			Slots:       2,
 			Backoff:     20 * time.Millisecond,
@@ -232,31 +189,24 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 			}
 		}()
 	}
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(20 * time.Millisecond)
+	deadline := time.Now().Add(20 * time.Second)
+	for server.coord.Capacity() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for workers to register")
 		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	waitFor("workers to register", func() bool {
-		return nodeA.server.coord.Capacity() >= 2 && nodeB.server.coord.Capacity() >= 2
-	})
 
-	// The sweep through A must complete and match the baseline bytes.
-	first := postSweepBody(t, baseA, chaosSweepBody)
-	if got := getBody(t, baseA+first.ResultURL); got != baseline {
+	// The sweep must complete and match the baseline bytes, and so must
+	// its resubmission, served from whatever the faults let the cache
+	// keep.
+	first := postSweepBody(t, base, chaosSweepBody)
+	if got := getBody(t, base+first.ResultURL); got != baseline {
 		t.Fatalf("faulted sweep changed result bytes:\n%s\nvs baseline\n%s", got, baseline)
 	}
-	// Resubmitted through B — served from the federated cache where the
-	// faults allowed fills through, re-simulated where they did not —
-	// the bytes must not move either way.
-	second := postSweepBody(t, baseB, chaosSweepBody)
-	if got := getBody(t, baseB+second.ResultURL); got != baseline {
-		t.Fatalf("cross-peer resubmission changed result bytes:\n%s\nvs baseline\n%s", got, baseline)
+	second := postSweepBody(t, base, chaosSweepBody)
+	if got := getBody(t, base+second.ResultURL); got != baseline {
+		t.Fatalf("resubmission changed result bytes:\n%s\nvs baseline\n%s", got, baseline)
 	}
 
 	// The schedule really fired: at least one fault of some kind landed
@@ -269,10 +219,11 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("no worker-edge faults injected; the chaos schedule is inert")
 	}
-	t.Logf("worker-edge faults injected: %d; peer-edge stats: %+v", injected, peerFaults.Stats())
+	cs := server.coord.Stats()
+	t.Logf("worker-edge faults injected: %d; jobs done remote %d, local %d", injected, cs.RemoteDone, cs.LocalDone)
 
 	// Drain both workers against the (still live, still faulty)
-	// coordinators: bounded, clean exit.
+	// coordinator: bounded, clean exit.
 	start := time.Now()
 	wcancel()
 	drained := make(chan struct{})
@@ -284,17 +235,18 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 	}
 	t.Logf("worker drain took %v", time.Since(start))
 
-	nodeA.shutdown()
-	nodeB.shutdown()
-	peerBase.CloseIdleConnections()
-	for _, b := range workerBases {
-		b.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	hs.Shutdown(ctx)
+	cancel()
+	server.Close()
+	for _, tr := range workerBases {
+		tr.CloseIdleConnections()
 	}
 	http.DefaultClient.CloseIdleConnections()
 
-	// No goroutine leaks: everything the cluster spawned — forwarders,
-	// heartbeats, executors, janitors, parked polls — must be gone.
-	deadline := time.Now().Add(10 * time.Second)
+	// No goroutine leaks: everything the cluster spawned — heartbeats,
+	// executors, janitors, parked polls — must be gone.
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		if g := runtime.NumGoroutine(); g <= gBefore+2 {
@@ -307,108 +259,5 @@ func TestChaosFederatedSweepByteIdentical(t *testing.T) {
 				gBefore, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestChaosDownPeerBoundedByBreaker: a federation member that blackholes
-// TCP (accepts, never answers) must not stall sweeps on its owner's
-// shard — after the breaker trips, probes are instant local misses, so
-// the sweep completes within a small multiple of the fault-free time,
-// and the open breaker is visible in /metrics and /v1/workers.
-func TestChaosDownPeerBoundedByBreaker(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive chaos run")
-	}
-	// Fault-free baseline timing on an identical solo server.
-	var fair time.Duration
-	{
-		s := NewServer(2, 0)
-		ln := listenLocal(t)
-		hs := &http.Server{Handler: s.Handler()}
-		go hs.Serve(ln)
-		start := time.Now()
-		postSweepBody(t, "http://"+ln.Addr().String(), chaosSweepBody)
-		fair = time.Since(start)
-		hs.Close()
-		s.Close()
-	}
-
-	// The blackhole peer: a listener that accepts and then says nothing,
-	// the worst failure mode — connects succeed, so only timeouts (not
-	// refusals) surface it, and every un-broken probe pays one in full.
-	bln := listenLocal(t)
-	var bmu sync.Mutex
-	var bconns []net.Conn
-	go func() {
-		for {
-			c, err := bln.Accept()
-			if err != nil {
-				return
-			}
-			bmu.Lock()
-			bconns = append(bconns, c)
-			bmu.Unlock()
-		}
-	}()
-	defer func() {
-		bln.Close()
-		bmu.Lock()
-		for _, c := range bconns {
-			c.Close()
-		}
-		bmu.Unlock()
-	}()
-	deadPeer := "http://" + bln.Addr().String()
-
-	ln := listenLocal(t)
-	self := "http://" + ln.Addr().String()
-	node := serveChaosNode(t, ln, ServerOptions{
-		Workers:     2,
-		CacheSize:   4096,
-		Self:        self,
-		Peers:       []string{self, deadPeer},
-		PeerClient:  &http.Client{Timeout: 250 * time.Millisecond},
-		PeerBreaker: resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-	})
-	defer node.shutdown()
-
-	start := time.Now()
-	postSweepBody(t, self, chaosSweepBody)
-	elapsed := time.Since(start)
-	// Generous but damning: without the breaker, every probe and fill on
-	// the dead owner's ~half of the keyspace rides a 250ms timeout (x2
-	// fill attempts), which on this sweep is seconds of serialized stall.
-	bound := 5*fair + 3*time.Second
-	if elapsed > bound {
-		t.Fatalf("down-peer sweep took %v (fault-free %v, bound %v); the breaker is not short-circuiting", elapsed, fair, bound)
-	}
-	t.Logf("down-peer sweep %v vs fault-free %v", elapsed, fair)
-
-	// The trip is observable: /metrics exposes the open breaker and its
-	// trip count, /v1/workers carries the same snapshot.
-	metrics := getBody(t, self+"/metrics")
-	openLine := fmt.Sprintf("smtd_breaker_state{peer=%q} 2", deadPeer)
-	if !strings.Contains(metrics, openLine) {
-		t.Fatalf("/metrics missing %s:\n%s", openLine, metrics)
-	}
-	if !strings.Contains(metrics, "smtd_breaker_opens_total") || !strings.Contains(metrics, "smtd_cache_peer_breaker_skips_total") {
-		t.Fatalf("/metrics missing breaker counters:\n%s", metrics)
-	}
-	st := distStatus(t, self)
-	var open bool
-	for _, b := range st.Breakers {
-		if b.Peer == deadPeer && b.State == "open" && b.Opens >= 1 {
-			open = true
-		}
-	}
-	if !open {
-		t.Fatalf("/v1/workers does not report the open breaker: %+v", st.Breakers)
-	}
-
-	// smt's determinism postscript: the down peer never changed bytes
-	// either — resubmission is all cache hits with identical results.
-	resub := postSweepBody(t, self, chaosSweepBody)
-	if resub.CacheHits != resub.TotalJobs {
-		t.Fatalf("resubmission hit cache on %d of %d jobs", resub.CacheHits, resub.TotalJobs)
 	}
 }

@@ -237,9 +237,9 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
-// TestCachePeekFillEndpoints: the content-addressed cache surface —
-// checkpoints for workers, results and checkpoints for federation peers —
-// serves misses as 404 and round-trips fills.
+// TestCachePeekFillEndpoints: the content-addressed cache surface that
+// workers share checkpoints through serves misses as 404 and round-trips
+// fills.
 func TestCachePeekFillEndpoints(t *testing.T) {
 	ts := newTestService(t)
 	if code := doJSON(t, "GET", ts.URL+"/v1/cache/nope", nil, nil); code != 404 {

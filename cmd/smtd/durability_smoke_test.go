@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/dist"
 )
 
-// smokeSweepBody is the sweep both durability smokes replay: small enough
+// smokeSweepBody is the sweep the durability smoke replays: small enough
 // to simulate in milliseconds, two distinct configs so a cache mixup
 // would change the bytes.
 const smokeSweepBody = `{
@@ -189,100 +188,6 @@ func metricLine(exposition, name string) string {
 		}
 	}
 	return ""
-}
-
-// TestFederationSmoke is the tentpole's shared-logical-cache acceptance
-// test: two coordinators federated over -peers, one worker on A. A sweep
-// computed through A then resubmitted through B must be 100% cache hits
-// with byte-identical results and zero dispatches on B — every key came
-// out of B's own shard (forwarded fills) or one peer probe to A.
-func TestFederationSmoke(t *testing.T) {
-	// Reserve two ports so both coordinators know the full member list
-	// before either boots (the ring must agree on both sides).
-	reserve := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr
-	}
-	addrA, addrB := reserve(), reserve()
-	baseA, baseB := "http://"+addrA, "http://"+addrB
-	members := baseA + "," + baseB
-
-	var outA, outB bytes.Buffer
-	go run([]string{"-addr", addrA, "-workers", "2", "-self", baseA, "-peers", members}, &outA, &outA, nil)
-	go run([]string{"-addr", addrB, "-workers", "2", "-self", baseB, "-peers", members}, &outB, &outB, nil)
-	waitUp := func(base string, out *bytes.Buffer) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(base + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("coordinator %s never came up:\n%s", base, out.String())
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	waitUp(baseA, &outA)
-	waitUp(baseB, &outB)
-
-	// One worker, joined to A.
-	var outW bytes.Buffer
-	go run([]string{"-worker", "-join", baseA, "-workers", "2", "-name", "fed-worker"}, &outW, &outW, nil)
-	deadline := time.Now().Add(10 * time.Second)
-	for distStatus(t, baseA).Capacity < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered:\n%s", outW.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	first := postSweep(t, baseA)
-	if first.CacheHits != 0 {
-		t.Fatalf("cold federated sweep reported %d cache hits", first.CacheHits)
-	}
-	firstResult := getBody(t, baseA+first.ResultURL)
-
-	// Resubmit through the OTHER coordinator: one logical cache means B
-	// serves the whole sweep without simulating anything.
-	second := postSweep(t, baseB)
-	if second.CacheHits != second.TotalJobs {
-		t.Fatalf("cross-peer resubmission hit cache on %d of %d jobs", second.CacheHits, second.TotalJobs)
-	}
-	if secondResult := getBody(t, baseB+second.ResultURL); secondResult != firstResult || len(firstResult) == 0 {
-		t.Fatalf("federation changed the result bytes:\n%s\nvs\n%s", firstResult, secondResult)
-	}
-	if st := distStatus(t, baseB); st.Dispatched != 0 {
-		t.Fatalf("federated resubmission dispatched %d jobs on B, want 0", st.Dispatched)
-	}
-
-	// Federation really carried traffic: every key either lived in B's
-	// shard (A forwarded the fill) or crossed back as a peer hit. With at
-	// least one job, one of the two counters must be positive.
-	var statsA, statsB struct {
-		Peers *struct {
-			PeerHits  int64 `json:"peer_hits"`
-			PeerFills int64 `json:"peer_fills"`
-		} `json:"peers"`
-	}
-	json.Unmarshal([]byte(getBody(t, baseA+"/v1/cache")), &statsA)
-	json.Unmarshal([]byte(getBody(t, baseB+"/v1/cache")), &statsB)
-	if statsA.Peers == nil || statsB.Peers == nil {
-		t.Fatalf("federation stats absent: A=%+v B=%+v", statsA.Peers, statsB.Peers)
-	}
-	if statsA.Peers.PeerFills == 0 && statsB.Peers.PeerHits == 0 {
-		t.Fatalf("no cross-peer traffic: A fills=%d, B hits=%d", statsA.Peers.PeerFills, statsB.Peers.PeerHits)
-	}
-	// The same counters are scrapeable.
-	if m := getBody(t, baseB+"/metrics"); !strings.Contains(m, "smtd_cache_peer_hits_total") {
-		t.Fatalf("/metrics on B missing federation counters:\n%s", m)
-	}
 }
 
 // TestServiceBodyLimits: oversized bodies on the service's write

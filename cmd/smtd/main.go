@@ -22,16 +22,15 @@
 // With -cache-dir the result cache gains a durable disk tier: results
 // persist as content-addressed files written atomically, and a restarted
 // coordinator warm-starts from the directory — a resubmitted sweep is
-// 100% cache hits instead of re-simulation. With -peers (the full
-// coordinator list, same on every member) plus -self, coordinators
-// consistent-hash keys across the set and share one logical cache:
+// 100% cache hits instead of re-simulation:
 //
-//	smtd -addr :8080 -cache-dir /var/lib/smtd \
-//	     -self http://a:8080 -peers http://a:8080,http://b:8080
+//	smtd -addr :8080 -cache-dir /var/lib/smtd
 //
 // The same binary also runs as a worker node that joins a coordinator and
-// absorbs its sweep jobs (see internal/dist for the protocol); workers
-// have no service listener, so profiling one is opt-in via -pprof:
+// absorbs its sweep jobs (see internal/dist for the protocol). Workers
+// keep no cache of their own: they share warmup checkpoints through the
+// coordinator's /v1/cache. A worker has no service listener, so profiling
+// one is opt-in via -pprof:
 //
 //	smtd -worker -join http://coordinator:8080 -workers 8 -pprof localhost:6060
 //
@@ -56,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -85,8 +83,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		workers   = fs.Int("workers", 0, "simulation slots: local pool size, or slots offered in -worker mode (0 = GOMAXPROCS)")
 		cacheSize = fs.Int("cache", 4096, "max cached job results in memory (bounded LRU, must be positive)")
 		cacheDir  = fs.String("cache-dir", "", "durable result cache directory: results persist as content-addressed files and a restart warm-starts from them")
-		peers     = fs.String("peers", "", "comma-separated FULL list of coordinator base URLs in the federation (every member passes the same list); keys consistent-hash across the set so N coordinators share one logical cache")
-		self      = fs.String("self", "", "this coordinator's base URL as peers reach it (required with -peers)")
 		worker    = fs.Bool("worker", false, "run as a worker node: join a coordinator instead of listening")
 		join      = fs.String("join", "", "coordinator base URL to join (required with -worker)")
 		name      = fs.String("name", "", "worker display name (default: hostname)")
@@ -107,8 +103,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			fmt.Fprintln(stderr, "-worker requires -join <coordinator url>")
 			return 2
 		}
-		if *cacheDir != "" || *peers != "" || *self != "" {
-			fmt.Fprintln(stderr, "-cache-dir/-peers/-self are coordinator flags; workers use the coordinator's cache")
+		if *cacheDir != "" {
+			fmt.Fprintln(stderr, "-cache-dir is a coordinator flag; workers use the coordinator's cache")
 			return 2
 		}
 		return runWorker(*join, *name, *workers, *pprofAddr, stdout, stderr)
@@ -128,18 +124,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "-cache %d must be positive; the service always runs a bounded result cache\n", *cacheSize)
 		return 2
 	}
-	var peerList []string
-	if *peers != "" {
-		if *self == "" {
-			fmt.Fprintln(stderr, "-peers requires -self <this coordinator's base URL>; rings only agree when every member knows its own place in the list")
-			return 2
-		}
-		peerList = strings.Split(*peers, ",")
-	} else if *self != "" {
-		fmt.Fprintln(stderr, "-self only makes sense with -peers")
-		return 2
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "smtd:", err)
@@ -149,8 +133,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Workers:   *workers,
 		CacheSize: *cacheSize,
 		CacheDir:  *cacheDir,
-		Self:      *self,
-		Peers:     peerList,
 	})
 	if err != nil {
 		ln.Close()

@@ -11,14 +11,14 @@ import (
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format (hand-rolled: the format is a dozen lines of fmt and the repo
 // takes no dependencies). One scrape answers the operational questions a
-// fleet of coordinators raises: per-tier cache hit/miss/eviction rates,
-// federation traffic, lease latency, queue depth, per-worker capacity —
-// and the autoscale signal (smtd_autoscale_wanted_slots, saturation)
-// that a deployment layer alerts and scales on.
+// coordinator raises: per-tier cache hit/miss/eviction rates, lease
+// latency, queue depth, per-worker capacity — and the autoscale signal
+// (smtd_autoscale_wanted_slots, saturation) that a deployment layer
+// alerts and scales on.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 
-	// The two tier stacks, then the checkpoint store's own traffic and the
+	// The two tiered caches, then the checkpoint store's own traffic and the
 	// trace cache.
 	writeStackMetrics(&b, "smtd_cache", s.results.Stats())
 	writeStackMetrics(&b, "smtd_snapshot", s.snaps.Stats())
@@ -91,41 +91,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "smtd_worker_completed_total{worker=%q,id=%q} %d\n", wk.Name, wk.ID, wk.Completed)
 	}
 
-	// Resilience: retry spend and per-peer circuit state. Breaker state is
-	// a coded gauge (0 closed, 1 half-open, 2 open) so "any peer down" is
-	// the one-liner max(smtd_breaker_state) > 1.
-	if s.retryCtr != nil {
-		counter(&b, "smtd_retry_total", "Retry attempts spent by the peer fill policies.", float64(s.retryCtr.Retries()))
-		counter(&b, "smtd_backoff_seconds_total", "Total backoff time slept between peer fill retries.", s.retryCtr.BackoffSeconds())
-	}
-	if s.breakers != nil {
-		snaps := s.breakers.Snapshot()
-		fmt.Fprintf(&b, "# HELP smtd_breaker_state Per-peer circuit state: 0 closed, 1 half-open, 2 open.\n# TYPE smtd_breaker_state gauge\n")
-		for _, bs := range snaps {
-			state := 0
-			switch bs.State {
-			case "half-open":
-				state = 1
-			case "open":
-				state = 2
-			}
-			fmt.Fprintf(&b, "smtd_breaker_state{peer=%q} %d\n", bs.Peer, state)
-		}
-		fmt.Fprintf(&b, "# HELP smtd_breaker_opens_total Times one peer's breaker has tripped open.\n# TYPE smtd_breaker_opens_total counter\n")
-		for _, bs := range snaps {
-			fmt.Fprintf(&b, "smtd_breaker_opens_total{peer=%q} %d\n", bs.Peer, bs.Opens)
-		}
-	}
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b.Bytes())
 }
 
-// writeStackMetrics emits one cache.Stack's tiers under prefix
+// writeStackMetrics emits one cache.Tiered's tiers under prefix
 // (smtd_cache for results, smtd_snapshot for warmup checkpoints): the
-// memory tier always, disk and peer series only when that tier exists.
-func writeStackMetrics(b *bytes.Buffer, prefix string, st cache.StackStats) {
+// memory tier always, disk series only when that tier exists.
+func writeStackMetrics(b *bytes.Buffer, prefix string, st cache.TieredStats) {
 	m := st.Memory
 	counter(b, prefix+"_memory_hits_total", "Memory-tier hits.", float64(m.Hits))
 	counter(b, prefix+"_memory_misses_total", "Memory-tier misses.", float64(m.Misses))
@@ -138,15 +112,6 @@ func writeStackMetrics(b *bytes.Buffer, prefix string, st cache.StackStats) {
 		counter(b, prefix+"_disk_corrupt_total", "Disk entries dropped as corrupt (checksum or decode failure; served as misses).", float64(d.Corrupt))
 		gauge(b, prefix+"_disk_entries", "Entries held in the durable disk tier.", float64(d.Entries))
 		gauge(b, prefix+"_disk_warm_entries", "Entries recovered by the boot-time directory scan.", float64(d.Warm))
-	}
-	if p := st.Peers; p != nil {
-		counter(b, prefix+"_peer_hits_total", "Local misses served by the key's owning peer.", float64(p.PeerHits))
-		counter(b, prefix+"_peer_misses_total", "Owner-peer probes that missed too.", float64(p.PeerMisses))
-		counter(b, prefix+"_peer_fills_total", "Fills the key's owning peer acknowledged.", float64(p.PeerFills))
-		counter(b, prefix+"_peer_fill_failures_total", "Forwarded fills that never landed (transport failure or open breaker).", float64(p.PeerFillFailures))
-		counter(b, prefix+"_peer_fill_dropped_total", "Fills shed because the async forward queue was full.", float64(p.PeerFillDropped))
-		counter(b, prefix+"_peer_breaker_skips_total", "Peer probes answered as instant misses by an open breaker.", float64(p.PeerSkipped))
-		gauge(b, prefix+"_peer_members", "Coordinators in the federation ring (self included).", float64(len(p.Members)))
 	}
 }
 

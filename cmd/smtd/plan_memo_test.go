@@ -199,7 +199,7 @@ func newMemoServer(t *testing.T, entries int) *memoServer {
 	s := newStubServer()
 	t.Cleanup(s.Close)
 	s.plans = cache.New[*sweepPlan](entries)
-	keys := &keyLog{Getter: s.results.Top(), seen: map[string]bool{}}
+	keys := &keyLog{Getter: s.results, seen: map[string]bool{}}
 	s.flight = cache.NewFlight[smt.Results](keys)
 	return &memoServer{s, s.Handler(), keys}
 }

@@ -17,12 +17,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/resilience"
 	"repro/internal/snapshot"
 	"repro/smt"
 )
@@ -34,29 +32,21 @@ import (
 // re-simulating them, and determinism guarantees a cache hit returns
 // exactly the bytes a fresh simulation would.
 //
-// Storage is cache.Stack built twice — simulation results and warmup
-// checkpoints — each a bounded memory LRU (always), a durable disk tier
-// under -cache-dir, and consistent-hash federation across -peers. Sweeps
-// consult the result stack through singleflight dedup and the checkpoint
-// stack through a counting wrapper; distributed workers and federation
-// peers reach both through /v1/cache/{key}, split on the "snap:" prefix.
+// Storage is cache.Tiered built twice — simulation results and warmup
+// checkpoints — each a bounded memory LRU over a durable disk tier under
+// -cache-dir. Sweeps consult the result cache through singleflight dedup
+// and the checkpoint cache through a counting wrapper; distributed
+// workers reach both through /v1/cache/{key}, split on the "snap:"
+// prefix.
 type Server struct {
 	workers   int                        // local simulation slots (resolved; > 0)
-	results   *cache.Stack[smt.Results]  // result tiers
-	snaps     *cache.Stack[[]byte]       // warmup-checkpoint tiers
-	flight    *cache.Flight[smt.Results] // results.Top + in-flight dedup, what runners consult
-	snapshots *snapshot.Store            // snaps.Top + traffic counters, what runners consult
+	results   *cache.Tiered[smt.Results] // result tiers
+	snaps     *cache.Tiered[[]byte]      // warmup-checkpoint tiers
+	flight    *cache.Flight[smt.Results] // results + in-flight dedup, what runners consult
+	snapshots *snapshot.Store            // snaps + traffic counters, what runners consult
 	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
 	coord     *dist.Coordinator          // execution backend: one queue for local slots and remote workers
 	plans     *cache.Store[*sweepPlan]   // request body digest -> everything derived from it, see sweepPlan
-
-	// breakers is the per-peer circuit breaker set shared by the result
-	// and snapshot federations — a host that is down is down for both
-	// keyspaces, so one failure streak must open one breaker, not two
-	// half-streaks. retryCtr aggregates every retry the peer fill
-	// policies spend, for /metrics. Both nil without -peers.
-	breakers *resilience.BreakerSet
-	retryCtr *resilience.Counters
 
 	mu         sync.Mutex
 	sweeps     map[string]*sweep
@@ -143,19 +133,6 @@ type ServerOptions struct {
 	// the directory is rescanned on boot, so a restart serves prior sweeps
 	// from disk instead of re-simulating.
 	CacheDir string
-	// Self and Peers enable federation: Peers is the FULL coordinator
-	// member list (Self included or not — it is added) and Self is this
-	// node's base URL as peers reach it. Every member must be configured
-	// with the same list so the consistent-hash rings agree.
-	Self  string
-	Peers []string
-	// PeerClient overrides the HTTP client used for peer cache traffic
-	// (tests shorten its timeout); nil gets the federation default.
-	PeerClient *http.Client
-	// PeerBreaker tunes the per-peer circuit breakers guarding federation
-	// traffic (tests shorten threshold and cooldown); the zero value gets
-	// the resilience defaults.
-	PeerBreaker resilience.BreakerConfig
 }
 
 // NewServer builds a service with the given simulation concurrency
@@ -188,18 +165,8 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 		maxHistory: defaultMaxHistory,
 		plans:      cache.New[*sweepPlan](planEntries),
 	}
-	var fedCfg cache.FederatedConfig
-	if len(opts.Peers) > 0 {
-		s.breakers = resilience.NewBreakerSet(opts.PeerBreaker)
-		s.retryCtr = &resilience.Counters{}
-		fedCfg = cache.FederatedConfig{
-			Client:     opts.PeerClient,
-			Breakers:   s.breakers,
-			FillPolicy: resilience.Policy{MaxAttempts: 2, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Counters: s.retryCtr},
-		}
-	}
 	var err error
-	if s.results, err = cache.NewStack[smt.Results](opts.CacheSize, opts.CacheDir, opts.Self, opts.Peers, fedCfg); err != nil {
+	if s.results, err = newTiered[smt.Results](opts.CacheSize, opts.CacheDir); err != nil {
 		return nil, fmt.Errorf("durable cache: %w", err)
 	}
 	// Snapshots get their own directory under the cache dir: same
@@ -209,17 +176,16 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 	if opts.CacheDir != "" {
 		snapDir = filepath.Join(opts.CacheDir, "snapshots")
 	}
-	if s.snaps, err = cache.NewStack[[]byte](snapshotMemEntries, snapDir, opts.Self, opts.Peers, fedCfg); err != nil {
-		s.results.Close()
+	if s.snaps, err = newTiered[[]byte](snapshotMemEntries, snapDir); err != nil {
 		return nil, fmt.Errorf("durable snapshot cache: %w", err)
 	}
-	// In-flight dedup on top of the stack: concurrent identical sweeps
+	// In-flight dedup on top of the tiers: concurrent identical sweeps
 	// compute each overlapping job once, the rest wait and take the hit.
-	s.flight = cache.NewFlight(s.results.Top())
+	s.flight = cache.NewFlight(s.results)
 	// No singleflight for snapshots: a duplicated warmup fill is idempotent
 	// and rare (runners probe before warming), while a dedup barrier would
 	// serialize unrelated sweeps behind one warmup.
-	s.snapshots = snapshot.NewStore(s.snaps.Top())
+	s.snapshots = snapshot.NewStore(s.snaps)
 	s.traces = snapshot.NewTraceCache(0)
 	// The coordinator is every sweep's execution backend. Its n local
 	// slots and any workers that join lease from one queue, so smtd
@@ -234,38 +200,26 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 		// so jobs that land in-process still restore checkpoints and
 		// replay traces.
 		Exec: dist.SimulateJob(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
-		// /v1/workers surfaces the federation breakers: one status call
-		// answers "which peers is this coordinator treating as down".
-		BreakerStats: s.breakerStats,
 	})
 	return s, nil
 }
 
-// breakerStats snapshots the federation circuit breakers (nil without
-// -peers).
-func (s *Server) breakerStats() []resilience.BreakerSnapshot {
-	if s.breakers == nil {
-		return nil
+// newTiered builds a memory LRU of entries slots (0 = unbounded) over a
+// disk tier rooted at dir, or memory only when dir is empty.
+func newTiered[V any](entries int, dir string) (*cache.Tiered[V], error) {
+	var disk *cache.Disk[V]
+	if dir != "" {
+		var err error
+		if disk, err = cache.NewDisk[V](dir); err != nil {
+			return nil, err
+		}
 	}
-	return s.breakers.Snapshot()
+	return cache.NewTiered(cache.New[V](entries), disk), nil
 }
 
-// Close stops the coordinator's background lease janitor and the
-// federation fill forwarders.
+// Close stops the coordinator's background lease janitor.
 func (s *Server) Close() {
 	s.coord.Close()
-	s.results.Close()
-	s.snaps.Close()
-}
-
-// flushPeerFills drains both federations' async fill queues, bounded by
-// ctx. Sweeps flush at completion so the one-logical-cache property is
-// visible the moment a sweep reports done: a resubmission through any
-// member is a 100% hit, which the cross-process federation smoke test
-// (and any client that round-robins coordinators) relies on.
-func (s *Server) flushPeerFills(ctx context.Context) {
-	s.results.Flush(ctx)
-	s.snaps.Flush(ctx)
 }
 
 // Drain blocks until every sweep running when it was called has finished
@@ -323,7 +277,7 @@ func (s *Server) Handler() http.Handler {
 	// metrics.go.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Content-addressed peek/fill: workers share warmup checkpoints
-	// ("snap:" keys) through it, federation peers results and checkpoints.
+	// ("snap:" keys) through it.
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	// Worker registry, long-poll work queue, snapshot/result ingestion.
@@ -392,16 +346,15 @@ const (
 	maxSnapPutBody = 64 << 20
 )
 
-// handleCacheGet peeks one content-addressed entry: a worker's checkpoint
-// probe before it warms a machine, or a federation peer's probe of a key
-// this node owns. The keyspace is split by prefix: "snap:" keys are warmup
-// checkpoints (opaque bytes in the snapshot stack), everything else is a
-// result.
+// handleCacheGet peeks one content-addressed entry, typically a worker's
+// checkpoint probe before it warms a machine. The keyspace is split by
+// prefix: "snap:" keys are warmup checkpoints (opaque bytes in the
+// snapshot tiers), everything else is a result.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
-		peek(w, r, s.snaps, key, "snapshot")
+		peek(w, s.snaps, key, "snapshot")
 	} else {
-		peek(w, r, s.results, key, "result")
+		peek(w, s.results, key, "result")
 	}
 }
 
@@ -419,20 +372,9 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tierFor picks how deep into st a cache request may reach. Requests
-// already carrying the federation hop marker are served by this node's
-// local tiers only — never re-forwarded to another peer — so federated
-// lookups and fills are single-hop by construction (see cache.PeerHeader).
-func tierFor[V any](st *cache.Stack[V], r *http.Request) cache.Getter[V] {
-	if r.Header.Get(cache.PeerHeader) != "" {
-		return st.Local()
-	}
-	return st.Top()
-}
-
 // peek answers GET /v1/cache/{key} from st: 404 on a miss.
-func peek[V any](w http.ResponseWriter, r *http.Request, st *cache.Stack[V], key, what string) {
-	v, ok := tierFor(st, r).Get(key)
+func peek[V any](w http.ResponseWriter, st *cache.Tiered[V], key, what string) {
+	v, ok := st.Get(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no cached %s for %q", what, key)
 		return
@@ -441,12 +383,12 @@ func peek[V any](w http.ResponseWriter, r *http.Request, st *cache.Stack[V], key
 }
 
 // fill answers PUT /v1/cache/{key} into st: 204 once stored.
-func fill[V any](w http.ResponseWriter, r *http.Request, st *cache.Stack[V], key, what string, limit int64) {
+func fill[V any](w http.ResponseWriter, r *http.Request, st *cache.Tiered[V], key, what string, limit int64) {
 	var v V
 	if !decodeBody(w, r, &v, limit, what) {
 		return
 	}
-	tierFor(st, r).Put(key, v)
+	st.Put(key, v)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -862,14 +804,6 @@ func (s *Server) startSweep(p *sweepPlan) *sweep {
 		defer close(sw.done)
 		defer cancel()
 		res, err := runner.RunJobs(ctx, p.exp, p.opts, p.jobs)
-		if err == nil {
-			// Barrier the async federation fills before reporting done, so
-			// a resubmission through any member sees this sweep's shard.
-			// Bounded: a dead owner cannot hold the sweep open past it.
-			fctx, fcancel := context.WithTimeout(context.Background(), 15*time.Second)
-			s.flushPeerFills(fctx)
-			fcancel()
-		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if err != nil {
@@ -1025,21 +959,20 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(sw))
 }
 
-// cacheStatus is the GET /v1/cache payload: the result stack with its
+// cacheStatus is the GET /v1/cache payload: the result tiers with the
 // memory tier's counters at the top level (the shape the endpoint always
-// had), plus the checkpoint stack under "snapshots".
+// had), plus the checkpoint tiers under "snapshots".
 type cacheStatus struct {
 	cache.Stats
 	Disk      *cache.DiskStats    `json:"disk,omitempty"`
-	Peers     *cache.PeerStats    `json:"peers,omitempty"`
 	Snapshots *snapshotTierStatus `json:"snapshots,omitempty"`
 }
 
-// snapshotTierStatus reports the warmup-checkpoint stack: the counting
+// snapshotTierStatus reports the warmup-checkpoint tiers: the counting
 // store's traffic, each configured tier beneath it, and the trace cache.
 type snapshotTierStatus struct {
 	snapshot.Stats
-	cache.StackStats
+	cache.TieredStats
 	Traces snapshot.TraceStats `json:"traces"`
 }
 
@@ -1048,11 +981,10 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cacheStatus{
 		Stats: rs.Memory,
 		Disk:  rs.Disk,
-		Peers: rs.Peers,
 		Snapshots: &snapshotTierStatus{
-			Stats:      s.snapshots.Stats(),
-			StackStats: s.snaps.Stats(),
-			Traces:     s.traces.Stats(),
+			Stats:       s.snapshots.Stats(),
+			TieredStats: s.snaps.Stats(),
+			Traces:      s.traces.Stats(),
 		},
 	})
 }

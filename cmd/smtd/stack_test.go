@@ -11,18 +11,15 @@ import (
 	"testing"
 )
 
-// storageShapes are the three ways a coordinator's storage can be
+// storageShapes are the two ways a coordinator's storage can be
 // configured, each a superset of the one before.
-var storageShapes = []string{"mem", "disk", "peers"}
+var storageShapes = []string{"mem", "disk"}
 
 func serveShape(t *testing.T, shape string) (*Server, string) {
 	t.Helper()
 	opts := ServerOptions{Workers: 2, CacheSize: 16}
 	if shape != "mem" {
 		opts.CacheDir = t.TempDir()
-	}
-	if shape == "peers" {
-		opts.Self, opts.Peers = "http://127.0.0.1:1", []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
 	}
 	srv, err := NewServerWith(opts)
 	if err != nil {
@@ -127,11 +124,11 @@ func jsonShape(t *testing.T, doc []byte) string {
 
 // TestCacheStatusShape: GET /v1/cache on a fully configured coordinator is
 // field for field — names, nesting, order, value kinds — the document in
-// testdata/cache_status_peers.json, captured before the tier stacks were
+// testdata/cache_status_disk.json, captured before the tier stacks were
 // unified.
 func TestCacheStatusShape(t *testing.T) {
-	_, base := serveShape(t, "peers")
-	golden, err := os.ReadFile("testdata/cache_status_peers.json")
+	_, base := serveShape(t, "disk")
+	golden, err := os.ReadFile("testdata/cache_status_disk.json")
 	if err != nil {
 		t.Fatal(err)
 	}

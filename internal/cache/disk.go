@@ -106,21 +106,14 @@ func (d *Disk[V]) Get(key string) (V, bool) {
 
 	// Read outside the lock: file I/O must not serialize the whole store.
 	rec, ok := readRecord(filepath.Join(d.dir, name))
-	if !ok || rec.Key != key {
+	var v V
+	if !ok || rec.Key != key || json.Unmarshal(rec.Value, &v) != nil {
 		d.mu.Lock()
 		d.corrupt++
 		d.misses++
 		if d.index[key] == name {
 			delete(d.index, key) // do not re-read a file known bad
 		}
-		d.mu.Unlock()
-		return zero, false
-	}
-	var v V
-	if err := json.Unmarshal(rec.Value, &v); err != nil {
-		d.mu.Lock()
-		d.corrupt++
-		d.misses++
 		d.mu.Unlock()
 		return zero, false
 	}

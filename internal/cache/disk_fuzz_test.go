@@ -79,6 +79,16 @@ func FuzzDiskRecord(f *testing.F) {
 		if hit && (st.Hits != 1 || st.Corrupt != 0) || !hit && (st.Misses != 1 || st.Corrupt != 1) {
 			t.Fatalf("hit=%v counted as %+v", hit, st)
 		}
+		// A corrupt entry leaves the index: asking again is a plain miss,
+		// not a second read of the same bad file.
+		if !hit {
+			if _, again := d.Get("aaaa"); again {
+				t.Fatal("a second Get served what the first refused")
+			}
+			if st := d.Stats(); st.Misses != 2 || st.Corrupt != 1 || st.Entries != 0 {
+				t.Fatalf("second Get of a corrupt entry counted as %+v", st)
+			}
+		}
 
 		// The restart: the boot scan indexes the file under the key it
 		// embeds when it verifies, and counts it corrupt when it does not.

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,6 +119,32 @@ func TestDiskCorruptReadsAsMiss(t *testing.T) {
 	}
 	if _, ok := d2.Get("bbbb"); ok {
 		t.Fatal("corrupt entry survived a restart as a hit")
+	}
+}
+
+// TestDiskUndecodableValueDropsEntry: a record whose checksum verifies
+// but whose value does not decode into V is corrupt like any other bad
+// file — a counted miss that leaves the index, so later Gets neither
+// re-read the file nor count it again, and Entries stops counting it.
+func TestDiskUndecodableValueDropsEntry(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk[result](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put("aaaa", result{IPC: 1})
+	sum := sha256.Sum256([]byte(`"text"`))
+	body := `{"key":"aaaa","sum":"` + hex.EncodeToString(sum[:]) + `","value":"text"}`
+	if err := os.WriteFile(filepath.Join(dir, "aaaa.json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if v, ok := d.Get("aaaa"); ok {
+			t.Fatalf("Get %d served %+v from a value that is not a result", i+1, v)
+		}
+	}
+	if st := d.Stats(); st.Corrupt != 1 || st.Misses != 2 || st.Entries != 0 {
+		t.Fatalf("after two Gets of an undecodable record: %+v; want corrupt 1, misses 2, entries 0", st)
 	}
 }
 

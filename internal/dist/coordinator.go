@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/resilience"
 	"repro/smt"
 )
 
@@ -62,11 +61,6 @@ type Options struct {
 	// Logf receives scheduler events (worker joins/deaths, requeues).
 	// Nil discards them.
 	Logf func(format string, args ...any)
-	// BreakerStats, when non-nil, supplies the host's per-peer circuit
-	// breaker snapshots for Status.Breakers — the coordinator itself has
-	// no outbound peers; smtd passes the federation layer's set here so
-	// /v1/workers surfaces them.
-	BreakerStats func() []resilience.BreakerSnapshot
 }
 
 func (o Options) withDefaults() Options {
@@ -307,9 +301,6 @@ func (c *Coordinator) Stats() Status {
 		})
 	}
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
-	if c.opts.BreakerStats != nil {
-		st.Breakers = c.opts.BreakerStats()
-	}
 	return st
 }
 

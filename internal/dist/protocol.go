@@ -41,7 +41,6 @@ import (
 	"runtime/debug"
 
 	"repro/internal/exp"
-	"repro/internal/resilience"
 	"repro/smt"
 )
 
@@ -195,11 +194,16 @@ type Status struct {
 	// watches to size the worker fleet.
 	Autoscale Autoscale `json:"autoscale"`
 
-	// Breakers reports the per-peer circuit breakers guarding this
-	// coordinator's federation probes, when the host wires them in
-	// (Options.BreakerStats) — one glance at /v1/workers answers "which
-	// peers are we currently treating as down".
-	Breakers []resilience.BreakerSnapshot `json:"breakers,omitempty"`
+	// Breakers is always empty and so never on the wire: nothing fills it.
+	// It stays only because the benchmark harness still reads it, and goes
+	// with ROADMAP item 3.
+	Breakers []BreakerStatus `json:"breakers,omitempty"`
+}
+
+// BreakerStatus is Status.Breakers' element, reduced to the one field
+// anything reads.
+type BreakerStatus struct {
+	Opens int64 `json:"opens"`
 }
 
 // Autoscale compares the backlog against fleet capacity in units a

@@ -278,16 +278,16 @@ func TestPathMatrix(t *testing.T) {
 		}},
 		{"cache", func(t *testing.T) {
 			dir := t.TempDir()
-			newStack := func() *cache.Stack[smt.Results] {
-				s, err := cache.NewStack[smt.Results](0, dir, "", nil, cache.FederatedConfig{})
+			newTiered := func() *cache.Tiered[smt.Results] {
+				disk, err := cache.NewDisk[smt.Results](dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return s
+				return cache.NewTiered(cache.New[smt.Results](0), disk)
 			}
-			results := newStack()
+			results := newTiered()
 			env, restoredAll := restoring(t, n)
-			r := exp.Runner{Workers: workers, Cache: cache.NewFlight(results.Top()), Dispatch: env}
+			r := exp.Runner{Workers: workers, Cache: cache.NewFlight(results), Dispatch: env}
 			t.Run("cold", func(t *testing.T) {
 				if hits, st := variants.check(t, r), results.Stats(); hits != 0 || st.Memory.Len != n || st.Disk.Entries != n {
 					t.Errorf("%d hits, memory %+v, disk %+v; want every job simulated and stored in both tiers", hits, st.Memory, st.Disk)
@@ -299,8 +299,8 @@ func TestPathMatrix(t *testing.T) {
 				}
 			})
 			t.Run("disk", func(t *testing.T) {
-				results := newStack() // a restarted process on the same directory
-				r.Cache = cache.NewFlight(results.Top())
+				results := newTiered() // a restarted process on the same directory
+				r.Cache = cache.NewFlight(results)
 				if hits, st := variants.check(t, r), results.Stats(); hits != n || st.Disk.Warm != n || st.Disk.Hits != int64(n) {
 					t.Errorf("%d hits, disk %+v; want every job from the entries the boot scan found", hits, st.Disk)
 				}

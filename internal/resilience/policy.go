@@ -1,22 +1,20 @@
-// Package resilience is the distributed tier's single source of retry,
-// backoff, and circuit-breaking behavior. Every outbound client call in
-// the service stack — worker register/poll/result/snapshot traffic,
-// cache.Remote peeks and fills, federation probes — routes its failure
-// handling through a Policy, and every federation peer sits behind a
-// Breaker, so "degrades, never breaks" is one implementation instead of
-// a convention re-invented per call site.
+// Package resilience is the distributed tier's one retry discipline.
+// Policy is a capped exponential backoff with seeded jitter; every
+// outbound client call in the service stack (worker register, poll,
+// result and snapshot traffic, cache.Remote peeks and fills) routes its
+// failure handling through one. Permanent stops a Policy early, and Sleep
+// is the context-aware wait those loops use. So "degrades, never breaks"
+// is one implementation instead of a convention re-invented per call site.
 //
 // Backoff jitter is seeded and deterministic: the k-th retry under a
 // given seed always sleeps the same duration. Nothing here consults
-// math/rand or the wall clock to make a decision (breakers read the
-// clock only to age cooldowns, and tests inject it), so fault-injection
+// math/rand or the wall clock to make a decision, so fault-injection
 // runs reproduce exactly from a logged seed.
 package resilience
 
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -24,8 +22,7 @@ import (
 
 // Policy is a capped exponential backoff retry schedule. The zero value
 // is usable: sensible defaults apply (3 attempts, 100ms base doubling to
-// a 5s cap). Policies are values — copy and
-// tweak one per call site; the copy shares nothing but Counters.
+// a 5s cap). Policies are values — copy and tweak one per call site.
 type Policy struct {
 	// MaxAttempts is the total number of attempts (first try included).
 	// Zero or negative means retry until ctx ends or the error is
@@ -44,26 +41,6 @@ type Policy struct {
 	// different seeds (hash of the worker name, say) so their retries
 	// do not synchronize into thundering herds.
 	Seed uint64
-
-	// Counters, when non-nil, accumulates retries and backoff time
-	// across every Do call sharing it — the feed for smtd_retry_total
-	// and smtd_backoff_seconds_total.
-	Counters *Counters
-}
-
-// Counters accumulates retry telemetry across the call sites that share
-// it. Safe for concurrent use.
-type Counters struct {
-	retries      atomic.Int64
-	backoffNanos atomic.Int64
-}
-
-// Retries reports attempts beyond the first across all sharing callers.
-func (c *Counters) Retries() int64 { return c.retries.Load() }
-
-// BackoffSeconds reports total time spent sleeping between attempts.
-func (c *Counters) BackoffSeconds() float64 {
-	return time.Duration(c.backoffNanos.Load()).Seconds()
 }
 
 const (
@@ -133,12 +110,7 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if ctx.Err() != nil {
 			return err
 		}
-		d := p.Delay(attempt)
-		if p.Counters != nil {
-			p.Counters.retries.Add(1)
-			p.Counters.backoffNanos.Add(int64(d))
-		}
-		if !Sleep(ctx, d) {
+		if !Sleep(ctx, p.Delay(attempt)) {
 			return err
 		}
 	}

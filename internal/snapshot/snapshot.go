@@ -5,9 +5,9 @@
 //     (config, rotation, seed, warmup) point, serialized by
 //     smt.Simulator.SaveSnapshot and stored content-addressed under a Key.
 //     Every grid point sharing the prefix restores instead of re-warming;
-//     tiering the backing store through internal/cache (memory, disk,
-//     federation peers) extends the reuse to distributed workers and
-//     restarted coordinators.
+//     tiering the backing store through internal/cache (memory, disk, a
+//     coordinator's /v1/cache) extends the reuse to distributed workers
+//     and restarted coordinators.
 //
 //   - Trace replay: each hardware context's program pre-decoded once into
 //     an immutable trace shared read-only by every configuration, machine
