@@ -72,7 +72,7 @@ func FuzzInlineGrid(f *testing.F) {
 	f.Add(wide)
 	for _, seed := range []string{
 		`{"grid":[{"series":"RR","threads":2},{"series":"IC","threads":2,"config":{"FetchPolicy":"ICOUNT","FetchThreads":2}}],"opts":{"runs":1,"measure":100},"wait":true}`,
-		`{"grid":[{"threads":4,"config":{"FetchPolicy":3,"Rename":{"ExcessRegs":90}}},{"threads":8,"config":{"FetchPolicy":3,"Rename":{"ExcessRegs":90}}}],"interval_cycles":50}`,
+		`{"grid":[{"threads":4,"config":{"FetchPolicy":"ICOUNT","Rename":{"ExcessRegs":90}}},{"threads":8,"config":{"FetchPolicy":"ICOUNT","Rename":{"ExcessRegs":90}}}],"interval_cycles":50}`,
 		`{"grid":[{"threads":2,"config":{"Threads":4}}]}`,
 		`{"grid":[{"threads":2,"config":{"NoSuchField":1}}]}`,
 		`{"grid":[{"threads":2,"config":{"IQSize":0}}]}`,

@@ -33,7 +33,7 @@ func genGridPoint(r *rand.Rand) gridPoint {
 		g.Label = fmt.Sprintf("l%d", r.Intn(3))
 	}
 
-	policies := []string{`"RR"`, `"BRCOUNT"`, `"MISSCOUNT"`, `"ICOUNT"`, `"IQPOSN"`, `"ICOUNT+BRCOUNT"`, `0`, `3`, `4`}
+	policies := []string{`"RR"`, `"BRCOUNT"`, `"MISSCOUNT"`, `"ICOUNT"`, `"IQPOSN"`, `"ICOUNT+BRCOUNT"`, `"ICOUNT+2MISSCOUNT"`}
 	var fields []string
 	maybe := func(f string) {
 		if r.Intn(3) == 0 {
@@ -77,6 +77,7 @@ func genGridPoint(r *rand.Rand) gridPoint {
 			fmt.Sprintf(`"FetchThreads":%d`, threads+1),
 			`"IQSize":0`,
 			`"FetchPolicy":"NOPE"`,
+			`"FetchPolicy":3`,
 			`"DisambigBits":99`,
 			fmt.Sprintf(`"Rename":{"Threads":%d}`, threads+1),
 			`"Branch":{"Predictor":"no-such-predictor"}`,

@@ -441,8 +441,7 @@ type gridPoint struct {
 
 // sweepRequest is the body of POST /v1/sweep: a registry experiment by
 // name, or an inline config grid. Grid configs carry fetch/issue policies
-// by registered name ("FetchPolicy": "ICOUNT+BRCOUNT"); the historical
-// numeric enum values are still accepted.
+// by registered name ("FetchPolicy": "ICOUNT+BRCOUNT") and nothing else.
 type sweepRequest struct {
 	Experiment string      `json:"experiment,omitempty"`
 	Name       string      `json:"name,omitempty"` // inline-grid sweep name

@@ -183,7 +183,7 @@ func TestInlineGridSweep(t *testing.T) {
 		Grid: []gridPoint{
 			{Series: "RR", Threads: 2},
 			{Series: "ICOUNT", Threads: 2,
-				Config: json.RawMessage(`{"FetchPolicy": 3, "FetchThreads": 2}`)},
+				Config: json.RawMessage(`{"FetchPolicy": "ICOUNT", "FetchThreads": 2}`)},
 		},
 		Opts: tinyOpts(),
 		Wait: true,
@@ -249,6 +249,14 @@ func TestSweepValidation(t *testing.T) {
 		{"bad opts", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: -1, Measure: 100}}, 400, "opts.runs"},
 		{"too many jobs", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: 1 << 40, Measure: 100}}, 400, "job limit"},
 		{"malformed body", "not json at all", 400, "invalid request body"},
+		// A machine property has one spelling; the retired second ones are
+		// unknown fields, and a policy is its name, never a number.
+		{"retired PerfectBranchPred", retiredField(`{"PerfectBranchPred": true}`), 400, `unknown field "PerfectBranchPred"`},
+		{"retired Rename.TotalRegs", retiredField(`{"Rename": {"TotalRegs": 200}}`), 400, `unknown field "TotalRegs"`},
+		{"retired Rename.Threads", retiredField(`{"Rename": {"Threads": 2}}`), 400, `unknown field "Threads"`},
+		{"retired Branch.Threads", retiredField(`{"Branch": {"Threads": 2}}`), 400, `unknown field "Threads"`},
+		{"retired Branch.Perfect", retiredField(`{"Branch": {"Perfect": true}}`), 400, `unknown field "Perfect"`},
+		{"numeric FetchPolicy", retiredField(`{"FetchPolicy": 3}`), 400, "FetchPolicy"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -264,6 +272,11 @@ func TestSweepValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// retiredField is a one-point grid whose config overlays raw.
+func retiredField(raw string) sweepRequest {
+	return sweepRequest{Grid: []gridPoint{{Threads: 2, Config: json.RawMessage(raw)}}}
 }
 
 // oversizedMachines are sweeps that ended the process when Validate put no

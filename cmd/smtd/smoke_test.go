@@ -33,7 +33,7 @@ func TestServiceSmoke(t *testing.T) {
 			"name": "smoke",
 			"grid": [
 				{"series": "RR.1.8", "threads": 2},
-				{"series": "ICOUNT.2.8", "threads": 2, "config": {"FetchPolicy": 3, "FetchThreads": 2}}
+				{"series": "ICOUNT.2.8", "threads": 2, "config": {"FetchPolicy": "ICOUNT", "FetchThreads": 2}}
 			],
 			"opts": {"runs": 1, "warmup": 500, "measure": 1000, "seed": 1},
 			"wait": true

@@ -123,7 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.FetchPerThread = *wFetch
 	cfg.BigQ = *bigq
 	cfg.ITAG = *itag
-	cfg.PerfectBranchPred = *perfectBP
+	if *perfectBP {
+		cfg.Branch.Predictor = smt.PredPerfect
+	}
 	cfg.Rename.ExcessRegs = *excess
 
 	spec := smt.WorkloadMix(cfg.Threads, *rotate, *seed)

@@ -13,7 +13,9 @@ import (
 )
 
 func run(cfg smt.Config, bench string, perfect bool) float64 {
-	cfg.PerfectBranchPred = perfect
+	if perfect {
+		cfg.Branch.Predictor = smt.PredPerfect
+	}
 	spec := smt.WorkloadSpec{Names: []string{bench}, Seed: 5}
 	sim := smt.MustNew(cfg, spec)
 	sim.Warmup(100_000)

@@ -16,15 +16,15 @@
 //
 //   - "gshare" (the default): a 2K x 2-bit PHT indexed by the XOR of the
 //     low PC bits and the per-thread history register (McFarling), exactly
-//     the paper's baseline — the default configuration's behaviour and
-//     fingerprint are byte-identical to the pre-registry implementation;
+//     the paper's baseline;
 //   - "smiths": the same 2-bit counters indexed by PC alone (Smith 1981);
 //   - "static": backward-taken/forward-not-taken, using a non-mutating BTB
 //     peek for the target comparison (an unknown target predicts not-taken);
 //   - "gskewed": three 2-bit banks with skewed indices and majority vote
 //     (Michaud/Seznec/Uhlig);
 //   - "none": always not-taken;
-//   - "perfect": the oracle — the core bypasses prediction entirely.
+//   - "perfect": the oracle — the core bypasses prediction entirely. This
+//     name is the only way to ask for perfect prediction (Section 7).
 //
 // Each direction engine also registers ".rasonly" (return stack without
 // BTB fallback) and ".noret" (no return prediction) variants. A custom
@@ -36,11 +36,7 @@
 // fetch allotment while low-confidence branches are in flight.
 package branch
 
-import (
-	"fmt"
-
-	"repro/internal/fingerprint"
-)
+import "fmt"
 
 // Built-in predictor names. Composable return-stack variants append
 // ".rasonly" or ".noret" (e.g. "gshare.noret").
@@ -57,34 +53,30 @@ const (
 	DefaultPredictor = Gshare
 )
 
-// Config sizes the prediction hardware and names the predictor. The zero
-// value is not useful; use DefaultConfig.
+// Config sizes the prediction hardware and names the predictor. The
+// number of hardware contexts is the machine's (core.Config.Threads) and is
+// passed to New. The zero value is not useful; use DefaultConfig.
 type Config struct {
-	BTBEntries int  // total BTB entries (256 in the paper)
-	BTBAssoc   int  // BTB associativity (4-way in the paper)
-	PHTEntries int  // direction-table entries per bank (2048 in the paper)
-	RASEntries int  // return-stack entries per thread (12 in the paper)
-	HistoryLen int  // global history bits used in the gshare index
-	Threads    int  // hardware contexts (sizes the per-thread state)
-	Perfect    bool // oracle prediction: every branch and jump predicted correctly
+	BTBEntries int // total BTB entries (256 in the paper)
+	BTBAssoc   int // BTB associativity (4-way in the paper)
+	PHTEntries int // direction-table entries per bank (2048 in the paper)
+	RASEntries int // return-stack entries per thread (12 in the paper)
+	HistoryLen int // global history bits used in the gshare index
 
-	// Predictor names a registered predictor; empty selects the
-	// default (gshare), keeping the configuration's fingerprint — and
-	// every cached result keyed by it — identical to the pre-registry
-	// encoding (see CanonicalFingerprint).
+	// Predictor names a registered predictor; empty selects the default
+	// (gshare). "perfect" is the oracle: every branch and jump predicted
+	// correctly.
 	Predictor string
 }
 
-// DefaultConfig returns the paper's baseline predictor configuration for the
-// given number of hardware contexts.
-func DefaultConfig(threads int) Config {
+// DefaultConfig returns the paper's baseline predictor configuration.
+func DefaultConfig() Config {
 	return Config{
 		BTBEntries: 256,
 		BTBAssoc:   4,
 		PHTEntries: 2048,
 		RASEntries: 12,
 		HistoryLen: 11, // log2(PHTEntries)
-		Threads:    threads,
 	}
 }
 
@@ -97,9 +89,6 @@ const (
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Threads < 1 {
-		return fmt.Errorf("branch: Threads = %d, want >= 1", c.Threads)
-	}
 	if c.BTBEntries > maxEntries || c.PHTEntries > maxEntries || c.RASEntries > maxRAS {
 		return fmt.Errorf("branch: BTBEntries %d / PHTEntries %d / RASEntries %d, want <= %d / %d / %d",
 			c.BTBEntries, c.PHTEntries, c.RASEntries, maxEntries, maxEntries, maxRAS)
@@ -135,32 +124,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// resolved returns the effective predictor name (empty resolves to the
-// default).
-func (c Config) resolved() string {
-	if c.Predictor == "" {
-		return DefaultPredictor
-	}
-	return c.Predictor
-}
-
 // Oracle reports whether the configuration asks for perfect prediction, in
 // which case the core bypasses the predictor entirely.
 func (c Config) Oracle() bool {
-	return c.Perfect || c.resolved() == Perfect
-}
-
-// CanonicalFingerprint keeps Config's canonical encoding stable as the
-// subsystem grows: the Predictor field renders only when it names a
-// non-default predictor, so every fingerprint computed before predictors
-// became pluggable — and every cache key derived from one — remains valid,
-// while any other predictor content-addresses the configuration it
-// actually runs.
-func (c Config) CanonicalFingerprint() string {
-	if c.Predictor == DefaultPredictor {
-		c.Predictor = "" // the default encodes as absent, like the empty name
-	}
-	return fingerprint.Struct(c, "Predictor")
+	return c.Predictor == Perfect
 }
 
 func log2(n int) int {

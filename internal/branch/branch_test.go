@@ -12,13 +12,13 @@ import (
 
 func newTest(t *testing.T, threads int) *Unit {
 	t.Helper()
-	return mustUnit(t, DefaultConfig(threads))
+	return mustUnit(t, DefaultConfig(), threads)
 }
 
-// mustUnit builds the predictor cfg names.
-func mustUnit(t *testing.T, cfg Config) *Unit {
+// mustUnit builds the predictor cfg names for threads hardware contexts.
+func mustUnit(t *testing.T, cfg Config, threads int) *Unit {
 	t.Helper()
-	p, err := New(cfg)
+	p, err := New(cfg, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func mustUnit(t *testing.T, cfg Config) *Unit {
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	c := DefaultConfig(8)
+	c := DefaultConfig()
 	if c.BTBEntries != 256 || c.BTBAssoc != 4 || c.PHTEntries != 2048 || c.RASEntries != 12 {
 		t.Fatalf("default config %+v does not match Section 2.1", c)
 	}
@@ -37,17 +37,19 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{BTBEntries: 256, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12, Threads: 0},
-		{BTBEntries: 0, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12, Threads: 1},
-		{BTBEntries: 255, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12, Threads: 1},
-		{BTBEntries: 192, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12, Threads: 1}, // 48 sets
-		{BTBEntries: 256, BTBAssoc: 4, PHTEntries: 1000, RASEntries: 12, Threads: 1},
-		{BTBEntries: 256, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 0, Threads: 1},
+		{BTBEntries: 0, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12},
+		{BTBEntries: 255, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12},
+		{BTBEntries: 192, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 12}, // 48 sets
+		{BTBEntries: 256, BTBAssoc: 4, PHTEntries: 1000, RASEntries: 12},
+		{BTBEntries: 256, BTBAssoc: 4, PHTEntries: 2048, RASEntries: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, c)
 		}
+	}
+	if _, err := New(DefaultConfig(), 0); err == nil {
+		t.Error("New built a predictor for zero threads")
 	}
 }
 
@@ -55,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 // bits silently alias the gshare index, so Validate must reject the
 // combination instead of letting the extra bits fold away.
 func TestValidateRejectsOversizedHistory(t *testing.T) {
-	c := DefaultConfig(1)
+	c := DefaultConfig()
 	c.PHTEntries = 1024 // log2 = 10
 	c.HistoryLen = 11
 	if err := c.Validate(); err == nil {
@@ -68,7 +70,7 @@ func TestValidateRejectsOversizedHistory(t *testing.T) {
 }
 
 func TestValidateRejectsUnknownPredictor(t *testing.T) {
-	c := DefaultConfig(1)
+	c := DefaultConfig()
 	c.Predictor = "no-such-predictor"
 	err := c.Validate()
 	if err == nil {
@@ -111,23 +113,18 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestCanonicalEncodingFrozen pins the default configuration's canonical
-// encoding to the exact pre-registry rendering: the Predictor field must be
-// invisible for the default (whether spelled "" or "gshare"), so every
-// fingerprint and cache key computed before predictors became pluggable
-// remains valid.
+// encoding: every field, the predictor name included, renders as it is, so
+// a change here is drift in the encoding every content address hashes.
+// Deciding that "" and "gshare" are one machine is core.Config.Fingerprint's
+// job, not this struct's.
 func TestCanonicalEncodingFrozen(t *testing.T) {
-	const want = "{BTBAssoc:4;BTBEntries:256;HistoryLen:11;PHTEntries:2048;Perfect:false;RASEntries:12;Threads:8}"
-	if got := fingerprint.Canonical(DefaultConfig(8)); got != want {
+	const want = `{BTBAssoc:4;BTBEntries:256;HistoryLen:11;PHTEntries:2048;Predictor:"";RASEntries:12}`
+	if got := fingerprint.Canonical(DefaultConfig()); got != want {
 		t.Fatalf("default canonical encoding drifted:\ngot  %s\nwant %s", got, want)
 	}
-	named := DefaultConfig(8)
-	named.Predictor = Gshare
-	if got := fingerprint.Canonical(named); got != want {
-		t.Fatalf("explicit gshare must encode identically to the default:\ngot  %s\nwant %s", got, want)
-	}
-	custom := DefaultConfig(8)
+	custom := DefaultConfig()
 	custom.Predictor = Gskewed
-	if got := fingerprint.Canonical(custom); got == want || !strings.Contains(got, `Predictor:"gskewed"`) {
+	if got := fingerprint.Canonical(custom); !strings.Contains(got, `Predictor:"gskewed"`) {
 		t.Fatalf("non-default predictor must content-address: %s", got)
 	}
 }
@@ -189,9 +186,9 @@ func TestGshareUsesHistory(t *testing.T) {
 // TestSmithsIgnoresHistory: the bimodal predictor must return the same
 // counter regardless of global history.
 func TestSmithsIgnoresHistory(t *testing.T) {
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.Predictor = Smiths
-	p := mustUnit(t, cfg)
+	p := mustUnit(t, cfg, 1)
 	pc := int64(0x4000)
 	for i := 0; i < 4; i++ {
 		p.Update(0, pc, isa.ClassBranch, true, 0x100, p.history[0])
@@ -207,9 +204,9 @@ func TestSmithsIgnoresHistory(t *testing.T) {
 // predicts taken exactly for backward (loop) branches, and the probe must
 // not disturb BTB replacement state.
 func TestStaticBackwardTaken(t *testing.T) {
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.Predictor = Static
-	p := mustUnit(t, cfg)
+	p := mustUnit(t, cfg, 1)
 	back, fwd := int64(0x5000), int64(0x6000)
 	if taken, conf := p.Direction(0, back); taken || conf {
 		t.Fatal("unknown-target branch must predict not-taken, low confidence")
@@ -232,9 +229,9 @@ func TestStaticBackwardTaken(t *testing.T) {
 // TestGskewedMajorityTrains: the three-bank majority vote must learn a
 // biased branch like the other engines, and report unanimity as confidence.
 func TestGskewedMajorityTrains(t *testing.T) {
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.Predictor = Gskewed
-	p := mustUnit(t, cfg)
+	p := mustUnit(t, cfg, 1)
 	pc := int64(0x2340)
 	if taken, conf := p.Direction(0, pc); taken || !conf {
 		t.Fatalf("fresh gskewed: taken=%v conf=%v, want false (unanimous not-taken)", taken, conf)
@@ -250,9 +247,9 @@ func TestGskewedMajorityTrains(t *testing.T) {
 // TestNonePredictsNotTaken: the none engine never predicts taken and never
 // claims confidence.
 func TestNonePredictsNotTaken(t *testing.T) {
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.Predictor = None
-	p := mustUnit(t, cfg)
+	p := mustUnit(t, cfg, 1)
 	pc := int64(0x100)
 	for i := 0; i < 8; i++ {
 		p.Update(0, pc, isa.ClassBranch, true, 0x2000, p.history[0])
@@ -267,9 +264,9 @@ func TestNonePredictsNotTaken(t *testing.T) {
 func TestReturnVariants(t *testing.T) {
 	retPC := int64(0x9000)
 	mk := func(name string) *Unit {
-		cfg := DefaultConfig(1)
+		cfg := DefaultConfig()
 		cfg.Predictor = name
-		return mustUnit(t, cfg)
+		return mustUnit(t, cfg, 1)
 	}
 
 	full := mk("gshare")
@@ -356,8 +353,8 @@ func TestBTBThreadTagging(t *testing.T) {
 // TestBTBLRUEviction: filling a set beyond its associativity evicts the
 // least recently used entry, not the most recent.
 func TestBTBLRUEviction(t *testing.T) {
-	cfg := DefaultConfig(1)
-	p := mustUnit(t, cfg)
+	cfg := DefaultConfig()
+	p := mustUnit(t, cfg, 1)
 	sets := cfg.BTBEntries / cfg.BTBAssoc
 	// PCs mapping to the same set: stride = sets * 4 bytes.
 	pcAt := func(i int) int64 { return int64(0x8000 + i*sets*4) }
@@ -416,8 +413,8 @@ func TestRASPerThread(t *testing.T) {
 // TestRASOverflowWrap: pushing beyond capacity keeps the most recent
 // RASEntries returns (a 12-deep circular stack, per the paper).
 func TestRASOverflowWrap(t *testing.T) {
-	cfg := DefaultConfig(1)
-	p := mustUnit(t, cfg)
+	cfg := DefaultConfig()
+	p := mustUnit(t, cfg, 1)
 	n := cfg.RASEntries + 3
 	for i := 0; i < n; i++ {
 		p.PushReturn(0, int64(i*8))
@@ -480,8 +477,8 @@ func TestRASUnderflowCheckpoint(t *testing.T) {
 // in reverse order — the stack must predict exactly as if the speculation
 // never happened, per thread.
 func TestRASWraparoundUnderSpeculation(t *testing.T) {
-	cfg := DefaultConfig(2)
-	p := mustUnit(t, cfg)
+	cfg := DefaultConfig()
+	p := mustUnit(t, cfg, 2)
 	// Fill thread 0 beyond capacity so top has wrapped to a small index.
 	n := cfg.RASEntries + cfg.RASEntries/2
 	for i := 0; i < n; i++ {
@@ -523,7 +520,7 @@ func TestRASWraparoundUnderSpeculation(t *testing.T) {
 // subsequent pops unchanged, from any reachable stack state.
 func TestRASPushUndoProperty(t *testing.T) {
 	f := func(ops []bool, addr int64) bool {
-		p := mustUnit(t, DefaultConfig(1))
+		p := mustUnit(t, DefaultConfig(), 1)
 		for i, push := range ops {
 			if push {
 				p.PushReturn(0, int64(i+1)*8)
@@ -570,7 +567,7 @@ func TestPredictabilityOfPatterns(t *testing.T) {
 // mechanism behind the paper's Table 3 mispredict growth with thread count.
 // History is disabled so the aliasing is exact and the effect deterministic.
 func TestSharedPHTInterference(t *testing.T) {
-	cfg := DefaultConfig(2)
+	cfg := DefaultConfig()
 	cfg.HistoryLen = 0
 	acc := func(p *Unit, interfere bool) float64 {
 		correct, total := 0, 0
@@ -592,8 +589,8 @@ func TestSharedPHTInterference(t *testing.T) {
 		}
 		return float64(correct) / float64(total)
 	}
-	soloAcc := acc(mustUnit(t, cfg), false)
-	sharedAcc := acc(mustUnit(t, cfg), true)
+	soloAcc := acc(mustUnit(t, cfg, 2), false)
+	sharedAcc := acc(mustUnit(t, cfg, 2), true)
 	if soloAcc < 0.9 {
 		t.Fatalf("solo accuracy %.3f unexpectedly low", soloAcc)
 	}
@@ -611,9 +608,9 @@ func TestComposedPredictor(t *testing.T) {
 	if err := Register("test_recording", func(Config) (DirEngine, error) { return eng, nil }); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.Predictor = "test_recording"
-	p := mustUnit(t, cfg)
+	p := mustUnit(t, cfg, 1)
 	p.SpeculateHistory(0, true)
 	pc := int64(0x300)
 	if taken, conf := p.Direction(0, pc); taken || conf {
@@ -644,7 +641,7 @@ func TestComposedPredictor(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Predictor = name
-		if _, err := New(cfg); err == nil {
+		if _, err := New(cfg, 1); err == nil {
 			t.Errorf("%s: New built a predictor around no engine", name)
 		} else if name == "test_failing_engine" && !errors.Is(err, refused) {
 			t.Errorf("%s: New returned %v, want the builder's error", name, err)

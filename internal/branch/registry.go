@@ -55,8 +55,12 @@ func Registered(name string) bool {
 // (built-ins first).
 func Names() []string { return reg.Names() }
 
-// New builds the predictor cfg names (the default when unnamed).
-func New(cfg Config) (*Unit, error) {
+// New builds the predictor cfg names (the default when unnamed) for a
+// machine of threads hardware contexts.
+func New(cfg Config, threads int) (*Unit, error) {
+	if threads < 1 {
+		return nil, fmt.Errorf("branch: %d threads, want >= 1", threads)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -65,5 +69,5 @@ func New(cfg Config) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newUnit(cfg, dir, s.ret), nil
+	return newUnit(cfg, threads, dir, s.ret), nil
 }

@@ -43,12 +43,12 @@ func TestStateWalk(t *testing.T) {
 	}
 
 	for _, name := range []string{"gshare", "smiths", "gskewed", "static", "none.noret"} {
-		cfg := DefaultConfig(2)
+		cfg := DefaultConfig()
 		cfg.Predictor = name
-		warm := mustUnit(t, cfg)
+		warm := mustUnit(t, cfg, 2)
 		train(warm)
 		data := save(warm)
-		fresh := mustUnit(t, cfg)
+		fresh := mustUnit(t, cfg, 2)
 		if err := restore(fresh, data); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,11 +58,11 @@ func TestStateWalk(t *testing.T) {
 
 		small := cfg
 		small.PHTEntries, small.HistoryLen, small.BTBEntries = 1024, 10, 128
-		if err := restore(mustUnit(t, small), data); err == nil {
+		if err := restore(mustUnit(t, small, 2), data); err == nil {
 			t.Errorf("%s: state restored onto a differently sized unit", name)
 		}
 		warm.ras[1].top = cfg.RASEntries
-		if err := restore(mustUnit(t, cfg), save(warm)); err == nil {
+		if err := restore(mustUnit(t, cfg, 2), save(warm)); err == nil {
 			t.Errorf("%s: return-stack cursor past the stack accepted", name)
 		}
 	}
@@ -70,9 +70,9 @@ func TestStateWalk(t *testing.T) {
 	if err := Register("test_coinflip", func(Config) (DirEngine, error) { return coinFlip{}, nil }); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(2)
+	cfg := DefaultConfig()
 	cfg.Predictor = "test_coinflip"
-	custom := mustUnit(t, cfg)
+	custom := mustUnit(t, cfg, 2)
 	if taken, _ := custom.Direction(1, 0x4004); !taken {
 		t.Error("custom engine not consulted through the frame")
 	}

@@ -46,7 +46,7 @@ type RASCheckpoint struct {
 //
 // Every method is deterministic and allocation-free: the fetch stage calls
 // Direction/Target/Return every cycle on the simulator's zero-allocation
-// hot path. thread is always in [0, Config.Threads).
+// hot path. thread is always in [0, threads) of New.
 type Unit struct {
 	cfg     Config
 	sets    int
@@ -60,15 +60,15 @@ type Unit struct {
 }
 
 // newUnit builds the shared frame around a direction engine.
-func newUnit(cfg Config, dir dirEngine, ret retMode) *Unit {
+func newUnit(cfg Config, threads int, dir dirEngine, ret retMode) *Unit {
 	sets := cfg.BTBEntries / cfg.BTBAssoc
 	u := &Unit{
 		cfg:     cfg,
 		sets:    sets,
 		setMask: uint64(sets - 1),
 		btb:     make([]btbEntry, cfg.BTBEntries),
-		history: make([]uint32, cfg.Threads),
-		ras:     make([]retStack, cfg.Threads),
+		history: make([]uint32, threads),
+		ras:     make([]retStack, threads),
 		dir:     dir,
 		ret:     ret,
 	}

@@ -92,28 +92,17 @@ type Config struct {
 	// when the low DisambigBits of their addresses match (10 in the paper).
 	DisambigBits int
 
+	// The nested subsystems. Their per-thread state is sized by Threads;
+	// perfect branch prediction (Section 7) is Branch.Predictor "perfect".
 	Rename rename.Config
 	Branch branch.Config
 	Mem    mem.Config
 
-	// PerfectBranchPred makes every control transfer predicted exactly
-	// (Section 7 "Branch Prediction" study).
-	PerfectBranchPred bool
-
 	// VarFetchRate throttles each thread's per-cycle fetch allotment by its
 	// count of in-flight low-confidence branches (FetchPerThread >> count,
 	// floor 1), using the predictor's per-prediction confidence estimate.
-	// Off by default; the zero value is omitted from the fingerprint so
-	// pre-existing content addresses are unchanged.
+	// Off by default.
 	VarFetchRate bool
-}
-
-// CanonicalFingerprint renders the config for content addressing
-// (fingerprint.Canonicaler): the standard sorted-field struct encoding,
-// with VarFetchRate omitted when false so every pre-VFR fingerprint — and
-// therefore every cached result key — survives the field's addition.
-func (c Config) CanonicalFingerprint() string {
-	return fingerprint.Struct(c, "VarFetchRate")
 }
 
 // DefaultConfig returns the paper's baseline SMT machine (Section 2.1) for
@@ -135,8 +124,8 @@ func DefaultConfig(threads int) Config {
 		FPUnits:        3,
 		CommitWidth:    8,
 		DisambigBits:   10,
-		Rename:         rename.Config{Threads: threads, ExcessRegs: 100},
-		Branch:         branch.DefaultConfig(threads),
+		Rename:         rename.Config{ExcessRegs: 100},
+		Branch:         branch.DefaultConfig(),
 		Mem:            mem.DefaultConfig(),
 	}
 }
@@ -194,10 +183,7 @@ func (c Config) Validate() error {
 	if _, err := c.IssuePolicy.Resolve(); err != nil {
 		return err
 	}
-	if c.Rename.Threads != c.Threads || c.Branch.Threads != c.Threads {
-		return fmt.Errorf("core: rename/branch thread counts must match Threads")
-	}
-	if err := c.Rename.Validate(); err != nil {
+	if err := c.Rename.Validate(c.Threads); err != nil {
 		return err
 	}
 	if err := c.Branch.Validate(); err != nil {
@@ -215,10 +201,17 @@ func (c Config) Validate() error {
 
 // Fingerprint returns the configuration's content address: a stable hash
 // of every exported field (nested subsystem configs included), invariant
-// under struct-field reordering. Two configs with equal fingerprints
+// under struct-field reordering. It is the one place that decides "same
+// machine": an empty fetch, issue or predictor name runs its default, so
+// it is hashed as that default's name. Two configs with equal fingerprints
 // produce identical simulations for the same workload, which is what lets
 // the result cache reuse one's results for the other.
 func (c Config) Fingerprint() string {
+	c.FetchPolicy = policy.FetchAlg(c.FetchPolicy.String())
+	c.IssuePolicy = policy.IssueAlg(c.IssuePolicy.String())
+	if c.Branch.Predictor == "" {
+		c.Branch.Predictor = branch.DefaultPredictor
+	}
 	return fingerprint.Of(c)
 }
 

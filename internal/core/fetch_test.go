@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/isa"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -87,7 +88,7 @@ func TestWrongPathFetchOccurs(t *testing.T) {
 		t.Fatal("no wrong-path instructions fetched under real prediction")
 	}
 
-	cfg.PerfectBranchPred = true
+	cfg.Branch.Predictor = branch.Perfect
 	p2 := MustNew(cfg, []*workload.Program{workload.MustNew(workload.Profiles()[5], 17, 0)})
 	p2.Run(40_000, 2_000_000)
 	if got := p2.Stats().FetchedWrongPath; got != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -8,19 +9,19 @@ import (
 	"repro/internal/policy"
 )
 
-// TestDefaultFingerprintFrozen pins the content addresses of the
-// pre-registry configurations. These hashes key the durable result cache:
-// if either moves, every cached result ever produced is orphaned. The
-// predictor registry and the VarFetchRate field must therefore be
+// TestDefaultFingerprintFrozen pins the content addresses of the default
+// machine and of perfect prediction. These hashes key the durable result
+// cache: if either moves, every cached result ever produced is orphaned.
+// The predictor registry and the VarFetchRate field must therefore be
 // invisible to the fingerprint at their default values.
 func TestDefaultFingerprintFrozen(t *testing.T) {
-	if got := DefaultConfig(8).Fingerprint(); got != "d6299ababff1dd25cd1e24bb710c4b0f" {
+	if got := DefaultConfig(8).Fingerprint(); got != "226d43d9fd5d1c9cdc25243bb5269050" {
 		t.Errorf("DefaultConfig(8) fingerprint moved: %s", got)
 	}
 	perfect := DefaultConfig(4)
-	perfect.PerfectBranchPred = true
-	if got := perfect.Fingerprint(); got != "0cdc1a825143342b4c261f9599ec63ce" {
-		t.Errorf("DefaultConfig(4)+PerfectBranchPred fingerprint moved: %s", got)
+	perfect.Branch.Predictor = branch.Perfect
+	if got := perfect.Fingerprint(); got != "74a15f2aab64b6f3d32f4d7d37147b78" {
+		t.Errorf("DefaultConfig(4)+perfect predictor fingerprint moved: %s", got)
 	}
 
 	// Naming the default predictor explicitly is the same machine and must
@@ -36,11 +37,57 @@ func TestDefaultFingerprintFrozen(t *testing.T) {
 		t.Error("gskewed collides with the default fingerprint")
 	}
 
-	// VarFetchRate=false is the pre-existing machine; true is a new one.
+	// VarFetchRate=false is the default machine; true is a new one.
 	vfr := DefaultConfig(8)
 	vfr.VarFetchRate = true
 	if vfr.Fingerprint() == DefaultConfig(8).Fingerprint() {
 		t.Error("VarFetchRate=true collides with the default fingerprint")
+	}
+}
+
+// TestVariantAddresses: on every Variants machine the content address
+// survives a JSON round trip (the path a config takes through smtd), and an
+// empty fetch, issue or predictor name addresses the same machine as the
+// default it runs (RR, OLDEST_FIRST, gshare), in both directions.
+func TestVariantAddresses(t *testing.T) {
+	type spelling struct {
+		name     string
+		field    func(*Config) *string
+		explicit string
+	}
+	spellings := []spelling{
+		{"fetch", func(c *Config) *string { return (*string)(&c.FetchPolicy) }, string(policy.RR)},
+		{"issue", func(c *Config) *string { return (*string)(&c.IssuePolicy) }, string(policy.OldestFirst)},
+		{"predictor", func(c *Config) *string { return &c.Branch.Predictor }, branch.DefaultPredictor},
+	}
+	for _, v := range Variants() {
+		want := v.Config.Fingerprint()
+		raw, err := json.Marshal(v.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rt Config
+		if err := json.Unmarshal(raw, &rt); err != nil {
+			t.Fatalf("%s: %v", v.Name, err)
+		}
+		if got := rt.Fingerprint(); got != want {
+			t.Errorf("%s: JSON round trip moved the address %s -> %s", v.Name, want, got)
+		}
+		for _, sp := range spellings {
+			other := v.Config
+			switch f := sp.field(&other); *f {
+			case "":
+				*f = sp.explicit
+			case sp.explicit:
+				*f = ""
+			default:
+				continue
+			}
+			if got := other.Fingerprint(); got != want {
+				t.Errorf("%s: %s name %q addresses %s, %q addresses %s",
+					v.Name, sp.name, *sp.field(&other), got, *sp.field(&v.Config), want)
+			}
+		}
 	}
 }
 
@@ -85,23 +132,6 @@ func TestDefaultPredictorByteIdentical(t *testing.T) {
 	got := runStats(t, named, 23)
 	if !reflect.DeepEqual(base, got) {
 		t.Fatalf("explicit gshare diverges from default:\nbase %+v\ngot  %+v", base, got)
-	}
-}
-
-// TestPerfectPredictorMatchesOracleFlag checks the "perfect" registry name
-// is the same machine as the historical PerfectBranchPred flag.
-func TestPerfectPredictorMatchesOracleFlag(t *testing.T) {
-	flag := DefaultConfig(2)
-	flag.PerfectBranchPred = true
-	name := DefaultConfig(2)
-	name.Branch.Predictor = branch.Perfect
-	a := runStats(t, flag, 29)
-	b := runStats(t, name, 29)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("perfect-by-name diverges from PerfectBranchPred:\nflag %+v\nname %+v", a, b)
-	}
-	if a.Mispredicts != 0 {
-		t.Errorf("oracle mispredicted %d times", a.Mispredicts)
 	}
 }
 
@@ -156,7 +186,7 @@ func TestConfidenceCountersSane(t *testing.T) {
 	}
 
 	oracle := DefaultConfig(2)
-	oracle.PerfectBranchPred = true
+	oracle.Branch.Predictor = branch.Perfect
 	so := runStats(t, oracle, 37)
 	for t2, n := range so.LowConfFetched {
 		if n != 0 {

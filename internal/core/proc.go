@@ -66,8 +66,8 @@ type Processor struct {
 
 	// pred is the branch predictor built from cfg.Branch.Predictor's
 	// registered name at construction. oracle short-circuits it entirely:
-	// perfect prediction (PerfectBranchPred or the "perfect" predictor)
-	// never consults or trains the unit.
+	// perfect prediction (the "perfect" predictor) never consults or trains
+	// the unit.
 	pred   *branch.Unit
 	oracle bool
 
@@ -135,7 +135,7 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 	if len(programs) != cfg.Threads {
 		return nil, fmt.Errorf("core: %d programs for %d threads", len(programs), cfg.Threads)
 	}
-	pred, err := branch.New(cfg.Branch)
+	pred, err := branch.New(cfg.Branch, cfg.Threads)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ren, err := rename.New(cfg.Rename)
+	ren, err := rename.New(cfg.Rename, cfg.Threads)
 	if err != nil {
 		return nil, err
 	}
@@ -168,13 +168,13 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 		ren:         ren,
 		intQ:        iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
 		fpQ:         iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
-		intProducer: make([]*dyn, cfg.Rename.PhysPerFile()),
-		fpProducer:  make([]*dyn, cfg.Rename.PhysPerFile()),
+		intProducer: make([]*dyn, cfg.Rename.PhysPerFile(cfg.Threads)),
+		fpProducer:  make([]*dyn, cfg.Rename.PhysPerFile(cfg.Threads)),
 		fbBuf:       make([]policy.ThreadFeedback, cfg.Threads),
 		orderBuf:    make([]int, 0, cfg.Threads),
 		pickBuf:     make([]*threadState, cfg.FetchThreads),
 	}
-	p.oracle = cfg.PerfectBranchPred || cfg.Branch.Oracle()
+	p.oracle = cfg.Branch.Oracle()
 	p.events.init(cfg.eventHorizon())
 	p.stats.CommittedByThread = make([]int64, cfg.Threads)
 	p.stats.LowConfFetched = make([]int64, cfg.Threads)

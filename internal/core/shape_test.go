@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -51,7 +52,7 @@ func TestConfigValidationRejects(t *testing.T) {
 		func(c *Config) { c.LdStUnits = 7 }, // more ld/st than int units
 		func(c *Config) { c.CommitWidth = 0 },
 		func(c *Config) { c.DisambigBits = 0 },
-		func(c *Config) { c.Rename.Threads = 2 }, // mismatched
+		func(c *Config) { c.Rename.ExcessRegs = 0 }, // no renaming registers
 		func(c *Config) { c.SpecMode = SpecNoWrongPath + 1 },
 		func(c *Config) { c.Mem.Caches[mem.L1D].TransferTime = -1 },
 		func(c *Config) { c.Mem.Caches[mem.L2].FillTime = -1 },
@@ -199,7 +200,7 @@ func TestShapePerfectBranchPredictionHelpsOneThreadMore(t *testing.T) {
 		base.FetchPolicy = policy.ICount
 		base.FetchThreads = min(2, threads)
 		perfect := base
-		perfect.PerfectBranchPred = true
+		perfect.Branch.Predictor = branch.Perfect
 		run := func(cfg Config) float64 {
 			p := MustNew(cfg, progsFor(threads))
 			p.Run(20_000*int64(threads), 0)
@@ -299,15 +300,13 @@ func TestIssuePoliciesAllRun(t *testing.T) {
 func TestFig7RegisterBudgetValidity(t *testing.T) {
 	for threads := 1; threads <= 5; threads++ {
 		cfg := DefaultConfig(threads)
-		cfg.Rename.ExcessRegs = 0
-		cfg.Rename.TotalRegs = 200
+		cfg.Rename.ExcessRegs = 200 - 32*threads
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("200 regs with %d threads rejected: %v", threads, err)
 		}
 	}
 	cfg := DefaultConfig(7)
-	cfg.Rename.ExcessRegs = 0
-	cfg.Rename.TotalRegs = 200
+	cfg.Rename.ExcessRegs = 200 - 32*7
 	if err := cfg.Validate(); err == nil {
 		t.Error("200 regs with 7 threads should be rejected")
 	}

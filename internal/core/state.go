@@ -208,7 +208,7 @@ func (d *dyn) walk(w *stateWalk) {
 	state.Enum(c, &d.state, stSquashed)
 	state.Enum(c, &d.mispred, mispredExec)
 	for _, r := range []*rename.PhysReg{&d.destPhys, &d.oldPhys, &d.src1Phys, &d.src2Phys} {
-		state.Ref(c, r, cfg.Rename.PhysPerFile())
+		state.Ref(c, r, cfg.Rename.PhysPerFile(cfg.Threads))
 	}
 	state.Index(c, &d.rasCP.Top, cfg.Branch.RASEntries)
 	state.Index(c, &d.rasCP.Size, cfg.Branch.RASEntries+1)

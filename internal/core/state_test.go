@@ -216,7 +216,7 @@ func corrupt(p *Processor, r *xorshift) {
 	live = append(append(live, p.decodeLatch...), p.renameLatch...)
 	d, th := live[r.below(len(live))], p.threads[r.below(len(p.threads))]
 	delta := int64(r.below(9) - 4)
-	reg := func() rename.PhysReg { return rename.PhysReg(r.below(p.cfg.Rename.PhysPerFile()+1) - 1) }
+	reg := func() rename.PhysReg { return rename.PhysReg(r.below(p.cfg.Rename.PhysPerFile(p.cfg.Threads)+1) - 1) }
 	soon := &p.events.buckets[(p.cycle+1+int64(r.below(40)))&p.events.mask]
 
 	flags := []*bool{&d.wrongPath, &d.predTaken, &d.lowConf, &d.hasGhrCP, &d.hasRasCP, &d.inIQ, &d.optimistic,

@@ -52,7 +52,6 @@ func Variants() []Variant {
 	add("VarFetchRate", func(c *Config) { c.VarFetchRate = true })
 	add("InfiniteFUs", func(c *Config) { c.InfiniteFUs = true })
 	add("InfiniteBW", func(c *Config) { c.Mem.InfiniteBW = true })
-	add("PerfectBranchPred", func(c *Config) { c.PerfectBranchPred = true })
 	add("SpecNoPassBranch", func(c *Config) { c.SpecMode = SpecNoPassBranch })
 	add("SpecNoWrongPath", func(c *Config) { c.SpecMode = SpecNoWrongPath })
 	add("FetchTotal16", func(c *Config) { c.FetchTotal, c.FetchPerThread = 16, 16 })

@@ -28,7 +28,7 @@ func sec7Cases() []sec7Case {
 			c.IQSize = 64
 			c.Rename.ExcessRegs = 140
 		}},
-		{"perfect branch prediction", []int{1, 4, 8}, func(c *smt.Config) { c.PerfectBranchPred = true }},
+		{"perfect branch prediction", []int{1, 4, 8}, func(c *smt.Config) { c.Branch.Predictor = smt.PredPerfect }},
 		{"double BTB and PHT", []int{8}, func(c *smt.Config) {
 			c.Branch.BTBEntries *= 2
 			c.Branch.PHTEntries *= 2

@@ -3,10 +3,13 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -42,6 +45,21 @@ func TestJobKeyContentAddress(t *testing.T) {
 		if c.job.Key(c.opts) == base.Key(o) {
 			t.Errorf("%s change did not change the job key", c.name)
 		}
+	}
+}
+
+// TestKeysCarryModelVersion: a result key and a checkpoint key both carry
+// smt.ModelVersion, so one bump misses a durable cache's results and its
+// checkpoints together.
+func TestKeysCarryModelVersion(t *testing.T) {
+	o := tinyOpts()
+	cfg := ICount28(2)
+	v := fmt.Sprintf("v%d:", smt.ModelVersion)
+	if k := (Job{Spec: PointSpec{Config: cfg}}).Key(o); !strings.HasPrefix(k, v) {
+		t.Errorf("result key %s does not start with %s", k, v)
+	}
+	if k := snapshot.Key(cfg.Fingerprint(), 0, o.Seed, o.Warmup); !strings.HasPrefix(k, snapshot.KeyPrefix+v) {
+		t.Errorf("checkpoint key %s does not start with %s%s", k, snapshot.KeyPrefix, v)
 	}
 }
 

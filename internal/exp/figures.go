@@ -176,8 +176,7 @@ func init() {
 		Points: func() []PointSpec {
 			return seriesOf("200 regs", []int{1, 2, 3, 4, 5}, func(t int) smt.Config {
 				cfg := ICount28(t)
-				cfg.Rename.ExcessRegs = 0
-				cfg.Rename.TotalRegs = 200
+				cfg.Rename.ExcessRegs = 200 - 32*t
 				return cfg
 			})
 		},

@@ -41,18 +41,18 @@ func JobSeed(base uint64, run int) uint64 {
 }
 
 // Key returns the job's content address: everything that determines its
-// smt.Results — the machine configuration's fingerprint, the rotation, the
-// derived workload seed, and the measurement budgets. Experiment and point
-// identity are deliberately excluded (they do not affect the simulation),
-// so the same configuration appearing in two different grids shares one
-// cache entry.
+// smt.Results — the model version, the machine configuration's
+// fingerprint, the rotation, the derived workload seed, and the
+// measurement budgets. Experiment and point identity are deliberately
+// excluded (they do not affect the simulation), so the same configuration
+// appearing in two different grids shares one cache entry.
 func (j Job) Key(o Opts) string {
 	o = o.Normalized()
 	fp := j.fp
 	if fp == "" {
 		fp = j.Spec.Config.Fingerprint()
 	}
-	return fmt.Sprintf("%s:r%d:s%d:w%d:m%d", fp, j.Run, JobSeed(o.Seed, j.Run), o.Warmup, o.Measure)
+	return fmt.Sprintf("v%d:%s:r%d:s%d:w%d:m%d", smt.ModelVersion, fp, j.Run, JobSeed(o.Seed, j.Run), o.Warmup, o.Measure)
 }
 
 // JobCache is the pluggable per-job result store the runner consults

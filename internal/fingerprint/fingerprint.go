@@ -7,6 +7,12 @@
 // identically no matter how their structs declare or order those fields,
 // so a config that round-trips through JSON, or is rebuilt by a different
 // caller, still produces the same address.
+//
+// The encoding is the value as it is: every exported field, always, with
+// no per-type override. Deciding that two spellings are one machine (an
+// empty policy name and the default it resolves to) is the caller's job,
+// done before hashing; core.Config.Fingerprint is the one place that does
+// it for the simulator.
 package fingerprint
 
 import (
@@ -44,24 +50,12 @@ func Canonical(v any) string {
 	return string(appendCanonical(nil, reflect.ValueOf(v), nil))
 }
 
-// Canonicaler lets a type override its canonical rendering. The override
-// exists for encoding stability: a type whose Go representation changes
-// (e.g. the policy enums becoming registered names) implements it to keep
-// emitting its historical encoding, so previously computed fingerprints —
-// and every cache key derived from them — remain valid.
-type Canonicaler interface {
-	CanonicalFingerprint() string
-}
-
-var canonicalerType = reflect.TypeOf((*Canonicaler)(nil)).Elem()
-
-// plan is what the canonical walk needs to know about a type, resolved
-// once per reflect.Type: whether values render through Canonicaler, and —
-// for structs — the exported fields in the order they encode. A type's
-// field set is fixed at compile time, so it is collected and sorted here
-// once rather than on every fingerprint of every value of the type.
+// plan is what the canonical walk needs to know about a struct type,
+// resolved once per reflect.Type: its exported fields in the order they
+// encode. A type's field set is fixed at compile time, so it is collected
+// and sorted here once rather than on every fingerprint of every value of
+// the type.
 type plan struct {
-	canon  bool
 	fields []planField // sorted by name
 }
 
@@ -77,7 +71,7 @@ func planOf(t reflect.Type) *plan {
 	if p, ok := plans.Load(t); ok {
 		return p.(*plan)
 	}
-	p := &plan{canon: t.Implements(canonicalerType)}
+	p := &plan{}
 	if t.Kind() == reflect.Struct {
 		for i := 0; i < t.NumField(); i++ {
 			if f := t.Field(i); f.IsExported() {
@@ -95,83 +89,22 @@ func planOf(t reflect.Type) *plan {
 	return actual.(*plan)
 }
 
-// Struct renders a struct value in the standard canonical form —
-// {name:value;...}, exported fields sorted by name — omitting any field
-// named in omitZero that holds its zero value. It exists for Canonicaler
-// implementations on growing config structs: rendering a new field only
-// when it is set keeps every fingerprint computed before the field existed
-// valid (the default encodes exactly as it always did), while non-default
-// values still content-address. Fields render through the canonical walk,
-// so nested Canonicalers apply; the receiver's own Canonicaler is not
-// re-invoked (no recursion).
-func Struct(v any, omitZero ...string) string {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Struct {
-		panic(fmt.Sprintf("fingerprint: Struct requires a struct value, got %s", rv.Kind()))
-	}
-	buf := scratch.Get().(*[]byte)
-	b := appendStruct((*buf)[:0], rv, planOf(rv.Type()), omitZero)
-	out := string(b)
-	*buf = b
-	scratch.Put(buf)
-	return out
-}
-
-// scratch recycles encoding buffers: a rendering is copied out (hashed, or
-// converted to a string) before its buffer goes back, and a nested
-// Canonicaler's Struct call draws its own.
+// scratch recycles encoding buffers: a rendering is hashed before its
+// buffer goes back.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendStruct writes {name:value;...} for the plan's fields, skipping
-// any named in omitZero that holds its zero value.
-func appendStruct(b []byte, v reflect.Value, p *plan, omitZero []string) []byte {
-	b = append(b, '{')
-	first := true
-	for _, f := range p.fields {
-		fv := v.Field(f.index)
-		if omitted(f.name, fv, omitZero) {
-			continue
-		}
-		if !first {
-			b = append(b, ';')
-		}
-		first = false
-		b = append(b, f.name...)
-		b = append(b, ':')
-		b = appendCanonical(b, fv, f.plan)
-	}
-	return append(b, '}')
-}
-
-// omitted reports whether a field named in omitZero holds its zero value.
-func omitted(name string, fv reflect.Value, omitZero []string) bool {
-	for _, n := range omitZero {
-		if n == name {
-			return fv.IsZero()
-		}
-	}
-	return false
-}
 
 // appendCanonical appends a deterministic, name-keyed rendering of v.
 // Structs encode as {name:value;...} with names sorted, so declaration
 // order never matters; maps sort their keys; slices and arrays keep
 // element order (it is semantically significant). Unexported fields are
-// skipped — a content address must only cover what callers can set.
-// Types implementing Canonicaler render through it instead. p is the plan
-// of v's type when the caller already holds it, else nil.
+// skipped — a content address must only cover what callers can set. p is
+// the plan of v's type when the caller already holds it, else nil.
 func appendCanonical(b []byte, v reflect.Value, p *plan) []byte {
 	if !v.IsValid() {
 		return append(b, "nil"...)
 	}
 	if (v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface) && v.IsNil() {
 		return append(b, "nil"...)
-	}
-	if p == nil {
-		p = planOf(v.Type())
-	}
-	if p.canon && v.CanInterface() {
-		return append(b, v.Interface().(Canonicaler).CanonicalFingerprint()...)
 	}
 	switch v.Kind() {
 	case reflect.Bool:
@@ -185,8 +118,6 @@ func appendCanonical(b []byte, v reflect.Value, p *plan) []byte {
 	case reflect.String:
 		return strconv.AppendQuote(b, v.String())
 	case reflect.Pointer, reflect.Interface:
-		// A value whose dynamic type is a Canonicaler is caught one level
-		// down, by that type's own plan.
 		return appendCanonical(b, v.Elem(), nil)
 	case reflect.Slice, reflect.Array:
 		b = append(b, '[')
@@ -218,7 +149,19 @@ func appendCanonical(b []byte, v reflect.Value, p *plan) []byte {
 		}
 		return append(b, '}')
 	case reflect.Struct:
-		return appendStruct(b, v, p, nil)
+		if p == nil {
+			p = planOf(v.Type())
+		}
+		b = append(b, '{')
+		for i, f := range p.fields {
+			if i > 0 {
+				b = append(b, ';')
+			}
+			b = append(b, f.name...)
+			b = append(b, ':')
+			b = appendCanonical(b, v.Field(f.index), f.plan)
+		}
+		return append(b, '}')
 	default:
 		// Chan, Func, UnsafePointer: no meaningful content address. Render
 		// the kind so the fingerprint is still deterministic, but configs

@@ -72,26 +72,8 @@ func TestOfMultipleValues(t *testing.T) {
 	}
 }
 
-type legacyCoded string
-
-func (l legacyCoded) CanonicalFingerprint() string { return "7" }
-
+// holder is a small struct the plan tests nest in other values.
 type holder struct {
-	Policy legacyCoded
+	Policy string
 	Width  int
-}
-
-// Canonicaler overrides must apply wherever the value appears — top level
-// or nested in a struct — so types can freeze their historical encoding.
-func TestCanonicalerOverride(t *testing.T) {
-	if got := fingerprint.Canonical(legacyCoded("ICOUNT")); got != "7" {
-		t.Fatalf("top-level override = %q", got)
-	}
-	if got := fingerprint.Canonical(holder{Policy: "ICOUNT", Width: 8}); got != "{Policy:7;Width:8}" {
-		t.Fatalf("nested override = %q", got)
-	}
-	// The override participates in the hash like any other encoding.
-	if fingerprint.Of(holder{Policy: "A"}) != fingerprint.Of(holder{Policy: "B"}) {
-		t.Fatal("overridden values with equal encodings must hash equal")
-	}
 }

@@ -13,13 +13,6 @@ import (
 	"repro/smt"
 )
 
-// refOmitZero names the fields the tree's struct Canonicalers
-// (core.Config, branch.Config) omit while zero. The reference walk below
-// renders those structs itself rather than through their
-// CanonicalFingerprint — which would hand the work back to the planned
-// fingerprint.Struct under test.
-var refOmitZero = map[string]bool{"VarFetchRate": true, "Predictor": true}
-
 // referenceWalk is the canonical encoding computed the way it was before
 // types carried a resolved plan: every struct re-collects its exported
 // field names, sorts them and resolves each by name, on every visit. It
@@ -32,11 +25,6 @@ func referenceWalk(v reflect.Value, b *strings.Builder) {
 	}
 	if (v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface) && v.IsNil() {
 		b.WriteString("nil")
-		return
-	}
-	_, canon := v.Interface().(fingerprint.Canonicaler)
-	if canon && v.Kind() != reflect.Struct {
-		b.WriteString(v.Interface().(fingerprint.Canonicaler).CanonicalFingerprint())
 		return
 	}
 	switch v.Kind() {
@@ -91,20 +79,14 @@ func referenceWalk(v reflect.Value, b *strings.Builder) {
 		}
 		sort.Strings(names)
 		b.WriteByte('{')
-		first := true
-		for _, name := range names {
+		for i, name := range names {
 			f, _ := t.FieldByName(name)
-			fv := v.FieldByIndex(f.Index)
-			if canon && refOmitZero[name] && fv.IsZero() {
-				continue
-			}
-			if !first {
+			if i > 0 {
 				b.WriteByte(';')
 			}
-			first = false
 			b.WriteString(name)
 			b.WriteByte(':')
-			referenceWalk(fv, b)
+			referenceWalk(v.FieldByIndex(f.Index), b)
 		}
 		b.WriteByte('}')
 	default:
@@ -118,7 +100,6 @@ type mixed struct {
 	NilPtr  *orderedA
 	Any     any
 	NilAny  any
-	Coded   fingerprint.Canonicaler
 	Nested  []holder
 	Table   map[string]orderedB
 	Levels  [2]uint8
@@ -129,23 +110,22 @@ type mixed struct {
 // planCases is every value the plan is checked on: this package's test
 // types in each position a walk can meet them, and the machines whose
 // fingerprints key the caches — the baseline at every thread count, the
-// superscalar, and configs whose omit-while-zero fields are set.
+// superscalar, and configs with non-default switches and names.
 func planCases() map[string]any {
 	a := orderedA{Threads: 8, Name: "icount"}
 	a.Deep.X, a.Deep.Y = 3, 4
 	b := orderedB{Threads: 2, Name: "rr"}
 	b.Deep.X, b.Deep.Y = 5, 6
 	cases := map[string]any{
-		"orderedA":    a,
-		"orderedB":    b,
-		"holder":      holder{Policy: "ICOUNT", Width: 8},
-		"legacyCoded": legacyCoded("ICOUNT"),
-		"pointer":     &a,
-		"nil":         nil,
-		"slice":       []orderedB{b, {}},
-		"map":         map[string]int{"c": 3, "a": 1, "b": 2},
+		"orderedA": a,
+		"orderedB": b,
+		"holder":   holder{Policy: "ICOUNT", Width: 8},
+		"pointer":  &a,
+		"nil":      nil,
+		"slice":    []orderedB{b, {}},
+		"map":      map[string]int{"c": 3, "a": 1, "b": 2},
 		"mixed": mixed{
-			hidden: 1, Ptr: &a, Any: holder{Policy: "RR", Width: 1}, Coded: legacyCoded("x"),
+			hidden: 1, Ptr: &a, Any: holder{Policy: "RR", Width: 1},
 			Nested: []holder{{Policy: "A", Width: 1}, {Policy: "B", Width: 2}},
 			Table:  map[string]orderedB{"z": b, "y": {}},
 			Levels: [2]uint8{1, 2}, Ratio: 0.1,

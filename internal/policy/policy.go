@@ -34,14 +34,14 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"repro/internal/registry"
 )
 
 // FetchAlg names a registered fetch thread-choice policy. The zero value
-// resolves to round-robin. The historical enum constants (RR, ICount, ...)
-// are now names, so existing code assigning or comparing them is unchanged.
+// resolves to round-robin. In JSON it is the name as a string; name
+// existence is checked at Config.Validate, not at decode, so configs can be
+// decoded before their policies are registered.
 type FetchAlg string
 
 // Fetch policies from Section 5.2 of the paper.
@@ -65,10 +65,6 @@ const (
 	ICountWeightedMiss FetchAlg = "ICOUNT+2MISSCOUNT"
 )
 
-// fetchLegacy maps the historical uint8 enum values (still accepted in
-// JSON) to names, in their original declaration order. Index == old value.
-var fetchLegacy = [...]FetchAlg{RR, BRCount, MissCount, ICount, IQPosn}
-
 // String returns the policy's registered name ("RR" for the zero value).
 func (a FetchAlg) String() string {
 	if a == "" {
@@ -82,22 +78,6 @@ func (a FetchAlg) Resolve() (Fetch, error) { return resolve(&fetchReg, a.String(
 
 // MarshalJSON encodes the policy as its name.
 func (a FetchAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()) }
-
-// UnmarshalJSON accepts a policy name, or the historical numeric enum value
-// (pre-registry clients sent {"FetchPolicy": 3} for ICOUNT). Name existence
-// is checked at Config.Validate, not here, so configs can be decoded before
-// their policies are registered.
-func (a *FetchAlg) UnmarshalJSON(b []byte) (err error) {
-	*a, err = unmarshalAlg(b, fetchReg.Kind, fetchLegacy[:])
-	return err
-}
-
-// CanonicalFingerprint renders the policy for content addressing
-// (fingerprint.Canonicaler). The paper's built-ins keep their historical
-// uint8 encoding so every pre-registry fingerprint — and therefore every
-// cached result key — survives the redesign; other policies are addressed
-// by quoted name, which cannot collide with a bare digit.
-func (a FetchAlg) CanonicalFingerprint() string { return canonicalAlg(a, fetchLegacy[:]) }
 
 // ParseFetchAlg resolves a registered policy name (as printed by String).
 func ParseFetchAlg(s string) (FetchAlg, error) { return parseAlg[FetchAlg](&fetchReg, s) }
@@ -134,9 +114,6 @@ const (
 	BranchFirst IssueAlg = "BRANCH_FIRST"
 )
 
-// issueLegacy maps historical uint8 enum values to names; index == value.
-var issueLegacy = [...]IssueAlg{OldestFirst, OptLast, SpecLast, BranchFirst}
-
 // String returns the policy's registered name ("OLDEST_FIRST" for zero).
 func (a IssueAlg) String() string {
 	if a == "" {
@@ -151,16 +128,6 @@ func (a IssueAlg) Resolve() (Issue, error) { return resolve(&issueReg, a.String(
 // MarshalJSON encodes the policy as its name.
 func (a IssueAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()) }
 
-// UnmarshalJSON accepts a policy name or the historical numeric enum value.
-func (a *IssueAlg) UnmarshalJSON(b []byte) (err error) {
-	*a, err = unmarshalAlg(b, issueReg.Kind, issueLegacy[:])
-	return err
-}
-
-// CanonicalFingerprint renders the policy for content addressing; built-ins
-// keep their historical uint8 encoding (see FetchAlg.CanonicalFingerprint).
-func (a IssueAlg) CanonicalFingerprint() string { return canonicalAlg(a, issueLegacy[:]) }
-
 // ParseIssueAlg resolves a registered policy name (as printed by String).
 func ParseIssueAlg(s string) (IssueAlg, error) { return parseAlg[IssueAlg](&issueReg, s) }
 
@@ -172,9 +139,7 @@ type IssueInfo struct {
 	Branch      bool  // is a control-flow instruction
 }
 
-// resolve, parseAlg, unmarshalAlg and canonicalAlg are the one codec behind both
-// algorithm types; legacy maps a historical uint8 enum value (its index) to
-// a name, and its first entry is what the zero value means.
+// resolve and parseAlg are the one lookup behind both algorithm types.
 
 func resolve[P any](reg *registry.Named[P], name string) (P, error) {
 	p, ok := reg.Lookup(name)
@@ -189,31 +154,4 @@ func parseAlg[A ~string, P any](reg *registry.Named[P], s string) (A, error) {
 		return "", err
 	}
 	return A(s), nil
-}
-
-func unmarshalAlg[A ~string](b []byte, kind string, legacy []A) (A, error) {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		return A(s), nil
-	}
-	var n int
-	if err := json.Unmarshal(b, &n); err == nil {
-		if n < 0 || n >= len(legacy) {
-			return "", fmt.Errorf("policy: legacy %s index %d out of range [0,%d]", kind, n, len(legacy)-1)
-		}
-		return legacy[n], nil
-	}
-	return "", fmt.Errorf("policy: %s must be a name or legacy index, got %s", kind, b)
-}
-
-func canonicalAlg[A ~string](a A, legacy []A) string {
-	if a == "" {
-		return "0"
-	}
-	for i, n := range legacy {
-		if n == a {
-			return strconv.Itoa(i)
-		}
-	}
-	return strconv.Quote(string(a))
 }

@@ -423,47 +423,28 @@ func TestICountWeightedMiss(t *testing.T) {
 	}
 }
 
-// Legacy JSON compatibility: pre-registry clients encoded policies as their
-// uint8 enum values; both spellings must decode to the same name.
+// A policy's JSON is its registered name: names decode as the plain strings
+// they are, the zero value encodes as the default it resolves to, and the
+// pre-registry numeric enum values are not a second spelling.
 func TestPolicyJSONCompat(t *testing.T) {
 	var f FetchAlg
-	if err := json.Unmarshal([]byte(`3`), &f); err != nil || f != ICount {
-		t.Fatalf("legacy index 3 = %q, err %v", f, err)
-	}
 	if err := json.Unmarshal([]byte(`"ICOUNT+BRCOUNT"`), &f); err != nil || f != ICountBRCount {
 		t.Fatalf("name decode = %q, err %v", f, err)
 	}
-	if err := json.Unmarshal([]byte(`99`), &f); err == nil {
-		t.Fatal("out-of-range legacy index accepted")
-	}
-	raw, err := json.Marshal(ICount)
-	if err != nil || string(raw) != `"ICOUNT"` {
-		t.Fatalf("marshal = %s, err %v", raw, err)
+	if err := json.Unmarshal([]byte(`3`), &f); err == nil {
+		t.Fatalf("numeric fetch policy decoded as %q", f)
 	}
 	var i IssueAlg
-	if err := json.Unmarshal([]byte(`1`), &i); err != nil || i != OptLast {
-		t.Fatalf("legacy issue index 1 = %q, err %v", i, err)
+	if err := json.Unmarshal([]byte(`1`), &i); err == nil {
+		t.Fatalf("numeric issue policy decoded as %q", i)
 	}
-}
-
-// The built-in canonical fingerprints are frozen to the historical uint8
-// encoding; every cached result key depends on this.
-func TestCanonicalFingerprintFrozen(t *testing.T) {
-	for i, alg := range []FetchAlg{RR, BRCount, MissCount, ICount, IQPosn} {
-		if got, want := alg.CanonicalFingerprint(), string(rune('0'+i)); got != want {
-			t.Errorf("fetch %s canonical = %q, want %q", alg, got, want)
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{{ICount, `"ICOUNT"`}, {FetchAlg(""), `"RR"`}, {IssueAlg(""), `"OLDEST_FIRST"`}} {
+		if raw, err := json.Marshal(tc.v); err != nil || string(raw) != tc.want {
+			t.Errorf("marshal %#v = %s, err %v; want %s", tc.v, raw, err, tc.want)
 		}
-	}
-	if got := FetchAlg("").CanonicalFingerprint(); got != "0" {
-		t.Errorf("zero fetch canonical = %q, want 0", got)
-	}
-	for i, alg := range []IssueAlg{OldestFirst, OptLast, SpecLast, BranchFirst} {
-		if got, want := alg.CanonicalFingerprint(), string(rune('0'+i)); got != want {
-			t.Errorf("issue %s canonical = %q, want %q", alg, got, want)
-		}
-	}
-	if got := ICountBRCount.CanonicalFingerprint(); got != `"ICOUNT+BRCOUNT"` {
-		t.Errorf("composite canonical = %q", got)
 	}
 }
 

@@ -34,20 +34,16 @@ const None PhysReg = -1
 // scheduled yet.
 const NotReady int64 = math.MaxInt64
 
-// Config sizes the rename subsystem.
+// Config sizes the rename subsystem. The number of hardware contexts is
+// the machine's (core.Config.Threads) and is passed alongside.
 type Config struct {
-	Threads    int
-	ExcessRegs int // renaming registers beyond Threads*32, per file
-	TotalRegs  int // if nonzero, total physical registers per file (overrides ExcessRegs)
+	ExcessRegs int // renaming registers beyond threads*32, per file
 }
 
-// PhysPerFile returns the total physical registers per file implied by the
-// configuration.
-func (c Config) PhysPerFile() int {
-	if c.TotalRegs > 0 {
-		return c.TotalRegs
-	}
-	return c.Threads*isa.LogicalRegs + c.ExcessRegs
+// PhysPerFile returns the total physical registers per file for a machine
+// of threads hardware contexts.
+func (c Config) PhysPerFile(threads int) int {
+	return threads*isa.LogicalRegs + c.ExcessRegs
 }
 
 // maxPhysPerFile bounds a register file, whose size is an allocation: a
@@ -56,20 +52,21 @@ func (c Config) PhysPerFile() int {
 // excess ones; this is finiteness, not policy.
 const maxPhysPerFile = 1 << 17
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Threads < 1 {
-		return fmt.Errorf("rename: Threads = %d, want >= 1", c.Threads)
+// Validate reports configuration errors for a machine of threads hardware
+// contexts.
+func (c Config) Validate(threads int) error {
+	if threads < 1 {
+		return fmt.Errorf("rename: %d threads, want >= 1", threads)
 	}
-	need := c.Threads * isa.LogicalRegs
-	total := c.PhysPerFile()
+	need := threads * isa.LogicalRegs
+	total := c.PhysPerFile(threads)
 	if total < need+1 {
-		return fmt.Errorf("rename: %d physical registers cannot hold %d threads (need > %d)",
-			total, c.Threads, need)
+		return fmt.Errorf("rename: ExcessRegs %d leave %d physical registers for %d threads (need > %d)",
+			c.ExcessRegs, total, threads, need)
 	}
 	if total > maxPhysPerFile {
-		return fmt.Errorf("rename: ExcessRegs %d / TotalRegs %d make %d physical registers a file, want <= %d",
-			c.ExcessRegs, c.TotalRegs, total, maxPhysPerFile)
+		return fmt.Errorf("rename: ExcessRegs %d make %d physical registers a file, want <= %d",
+			c.ExcessRegs, total, maxPhysPerFile)
 	}
 	return nil
 }
@@ -187,35 +184,30 @@ func (f *File) CheckConsistency() error {
 
 // Renamer bundles the integer and floating-point rename files.
 type Renamer struct {
-	cfg Config
 	Int *File
 	FP  *File
 }
 
-// New builds a Renamer from cfg.
-func New(cfg Config) (*Renamer, error) {
-	if err := cfg.Validate(); err != nil {
+// New builds a Renamer from cfg for threads hardware contexts.
+func New(cfg Config, threads int) (*Renamer, error) {
+	if err := cfg.Validate(threads); err != nil {
 		return nil, err
 	}
-	total := cfg.PhysPerFile()
+	total := cfg.PhysPerFile(threads)
 	return &Renamer{
-		cfg: cfg,
-		Int: newFile(cfg.Threads, total),
-		FP:  newFile(cfg.Threads, total),
+		Int: newFile(threads, total),
+		FP:  newFile(threads, total),
 	}, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
-func MustNew(cfg Config) *Renamer {
-	r, err := New(cfg)
+func MustNew(cfg Config, threads int) *Renamer {
+	r, err := New(cfg, threads)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
-
-// Config returns the renamer's configuration.
-func (r *Renamer) Config() Config { return r.cfg }
 
 // FileFor returns the file holding reg (integer or floating point).
 func (r *Renamer) FileFor(reg isa.Reg) *File {

@@ -9,35 +9,34 @@ import (
 )
 
 func TestConfigPhysPerFile(t *testing.T) {
-	c := Config{Threads: 8, ExcessRegs: 100}
-	if got := c.PhysPerFile(); got != 356 {
+	c := Config{ExcessRegs: 100}
+	if got := c.PhysPerFile(8); got != 356 {
 		t.Fatalf("8 threads + 100 excess = %d physical, want 356 (paper Section 2)", got)
 	}
-	c = Config{Threads: 1, ExcessRegs: 100}
-	if got := c.PhysPerFile(); got != 132 {
+	if got := c.PhysPerFile(1); got != 132 {
 		t.Fatalf("1 thread = %d physical, want 132 (paper Section 2)", got)
 	}
-	c = Config{Threads: 4, TotalRegs: 200}
-	if got := c.PhysPerFile(); got != 200 {
-		t.Fatalf("TotalRegs override = %d, want 200 (Figure 7)", got)
+	// Figure 7 states its 200-register machine as ExcessRegs = 200 - 32t.
+	if got := (Config{ExcessRegs: 200 - 32*4}).PhysPerFile(4); got != 200 {
+		t.Fatalf("Figure 7 at 4 threads = %d physical, want 200", got)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := (Config{Threads: 0, ExcessRegs: 100}).Validate(); err == nil {
+	if err := (Config{ExcessRegs: 100}).Validate(0); err == nil {
 		t.Error("zero threads accepted")
 	}
 	// Figure 7: 200 registers cannot support 7 contexts (224 needed).
-	if err := (Config{Threads: 7, TotalRegs: 200}).Validate(); err == nil {
+	if err := (Config{ExcessRegs: 200 - 32*7}).Validate(7); err == nil {
 		t.Error("7 threads in 200 registers accepted")
 	}
-	if err := (Config{Threads: 5, TotalRegs: 200}).Validate(); err != nil {
+	if err := (Config{ExcessRegs: 200 - 32*5}).Validate(5); err != nil {
 		t.Errorf("5 threads in 200 registers rejected: %v", err)
 	}
 }
 
 func TestInitialMappingsReady(t *testing.T) {
-	r := MustNew(Config{Threads: 2, ExcessRegs: 10})
+	r := MustNew(Config{ExcessRegs: 10}, 2)
 	for th := 0; th < 2; th++ {
 		for reg := 0; reg < isa.LogicalRegs; reg++ {
 			p := r.Int.Lookup(th, reg)
@@ -55,7 +54,7 @@ func TestInitialMappingsReady(t *testing.T) {
 }
 
 func TestThreadsIsolated(t *testing.T) {
-	r := MustNew(Config{Threads: 2, ExcessRegs: 10})
+	r := MustNew(Config{ExcessRegs: 10}, 2)
 	p0 := r.Int.Lookup(0, 5)
 	p1 := r.Int.Lookup(1, 5)
 	if p0 == p1 {
@@ -74,7 +73,7 @@ func TestThreadsIsolated(t *testing.T) {
 }
 
 func TestAllocateExhaustionStalls(t *testing.T) {
-	r := MustNew(Config{Threads: 1, ExcessRegs: 2})
+	r := MustNew(Config{ExcessRegs: 2}, 1)
 	if _, _, ok := r.Int.Allocate(0, 1); !ok {
 		t.Fatal("first allocate failed")
 	}
@@ -90,7 +89,7 @@ func TestAllocateExhaustionStalls(t *testing.T) {
 }
 
 func TestCommitFreeRecycles(t *testing.T) {
-	r := MustNew(Config{Threads: 1, ExcessRegs: 1})
+	r := MustNew(Config{ExcessRegs: 1}, 1)
 	d1, old1, _ := r.Int.Allocate(0, 7)
 	if r.Int.FreeCount() != 0 {
 		t.Fatal("expected empty free list")
@@ -111,7 +110,7 @@ func TestCommitFreeRecycles(t *testing.T) {
 // TestRollbackRestoresMap: squash walk (youngest first) must restore the
 // exact pre-rename state.
 func TestRollbackRestoresMap(t *testing.T) {
-	r := MustNew(Config{Threads: 1, ExcessRegs: 8})
+	r := MustNew(Config{ExcessRegs: 8}, 1)
 	type alloc struct {
 		reg       int
 		dest, old PhysReg
@@ -145,7 +144,7 @@ func TestRollbackRestoresMap(t *testing.T) {
 }
 
 func TestReadyTracking(t *testing.T) {
-	r := MustNew(Config{Threads: 1, ExcessRegs: 4})
+	r := MustNew(Config{ExcessRegs: 4}, 1)
 	d, _, _ := r.Int.Allocate(0, 9)
 	if r.Int.ReadyAt(d) != NotReady {
 		t.Fatal("fresh register should be NotReady")
@@ -160,7 +159,7 @@ func TestReadyTracking(t *testing.T) {
 }
 
 func TestSrcPhysAndFileFor(t *testing.T) {
-	r := MustNew(Config{Threads: 2, ExcessRegs: 4})
+	r := MustNew(Config{ExcessRegs: 4}, 2)
 	if r.FileFor(isa.IntReg(3)) != r.Int || r.FileFor(isa.FPReg(3)) != r.FP {
 		t.Fatal("FileFor misroutes")
 	}
@@ -181,7 +180,7 @@ func TestConservationProperty(t *testing.T) {
 		dest, old PhysReg
 	}
 	f := func(ops []uint8) bool {
-		r := MustNew(Config{Threads: 2, ExcessRegs: 6})
+		r := MustNew(Config{ExcessRegs: 6}, 2)
 		file := r.Int
 		var inflight []pending
 		for _, op := range ops {
@@ -233,7 +232,7 @@ func TestConservationProperty(t *testing.T) {
 // core would index ready times with them, and on the free list, where the
 // next Allocate would hand one out.
 func TestStateWalk(t *testing.T) {
-	cfg := Config{Threads: 2, ExcessRegs: 20}
+	cfg := Config{ExcessRegs: 20}
 	save := func(r *Renamer) []byte {
 		c := state.NewWriter(1)
 		r.State(c)
@@ -244,12 +243,12 @@ func TestStateWalk(t *testing.T) {
 		return data
 	}
 	restore := func(data []byte) (*Renamer, error) {
-		r, c := MustNew(cfg), state.NewReader(data, 1)
+		r, c := MustNew(cfg, 2), state.NewReader(data, 1)
 		r.State(c)
 		return r, c.Close()
 	}
 
-	warm := MustNew(cfg)
+	warm := MustNew(cfg, 2)
 	dest, _, _ := warm.Int.Allocate(1, 5)
 	warm.Int.SetReady(dest, 42)
 	warm.FP.Allocate(0, 9)
@@ -273,7 +272,7 @@ func TestStateWalk(t *testing.T) {
 		"register free twice":      func(f *File) { f.free[0] = f.free[1] },
 		"free list over capacity":  func(f *File) { f.free = append(f.free, make([]PhysReg, f.total)...) },
 	} {
-		bad := MustNew(cfg)
+		bad := MustNew(cfg, 2)
 		corrupt(bad.FP)
 		if _, err := restore(save(bad)); err == nil {
 			t.Errorf("%s: restore accepted it", name)

@@ -35,10 +35,10 @@ const KeyPrefix = "snap:"
 
 // Key derives the content address of one warmup checkpoint. The
 // fingerprint is the FULL configuration fingerprint — warmed state depends
-// on every configuration field — and the serialization version is baked
-// in so a format change misses instead of failing restores.
+// on every configuration field — and smt.ModelVersion is baked in so a
+// format or model change misses instead of failing restores.
 func Key(fingerprint string, rotation int, seed uint64, warmup int64) string {
-	return fmt.Sprintf("%sv%d:%s:r%d:s%d:w%d", KeyPrefix, smt.SnapshotVersion, fingerprint, rotation, seed, warmup)
+	return fmt.Sprintf("%sv%d:%s:r%d:s%d:w%d", KeyPrefix, smt.ModelVersion, fingerprint, rotation, seed, warmup)
 }
 
 // Backing is the tier stack a Store counts on top of: the tree's one

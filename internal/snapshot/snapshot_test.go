@@ -11,7 +11,7 @@ import (
 
 func TestKeyShape(t *testing.T) {
 	key := Key("fp123", 3, 7, 30000)
-	want := fmt.Sprintf("snap:v%d:fp123:r3:s7:w30000", smt.SnapshotVersion)
+	want := fmt.Sprintf("snap:v%d:fp123:r3:s7:w30000", smt.ModelVersion)
 	if key != want {
 		t.Fatalf("Key = %q, want %q", key, want)
 	}

@@ -48,10 +48,13 @@ func TestConfigFingerprint(t *testing.T) {
 }
 
 // TestBuiltinFingerprintsFrozen pins the content addresses of the paper's
-// standard machines to their pre-registry values: the policy redesign (enum
-// -> registered names) must never invalidate existing cache entries or
-// published result identities. These hashes were captured on the enum-based
-// implementation; if one changes, the canonical encoding changed.
+// standard machines. What it guards is drift in the encoding: a field added,
+// renamed or removed, or a change to how fingerprint.Of renders a value,
+// moves these hashes and with them every result and checkpoint key a
+// durable cache holds. Re-pin them only for such a change, made on purpose.
+// The relational checks say what the address must see and what it must not:
+// spelling the default predictor out is the same machine; another
+// predictor, perfect prediction or the variable fetch rate is not.
 func TestBuiltinFingerprintsFrozen(t *testing.T) {
 	icount28 := DefaultConfig(8)
 	icount28.FetchPolicy = FetchICount
@@ -65,20 +68,38 @@ func TestBuiltinFingerprintsFrozen(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"RR.1.8 x8", DefaultConfig(8), "d6299ababff1dd25cd1e24bb710c4b0f"},
-		{"ICOUNT.2.8 x8", icount28, "c5f400b8bb24ba27154a29bbbb82f063"},
-		{"superscalar", Superscalar(), "687c8c2af5fe889a3d41c54e4ddb94bd"},
-		{"IQPOSN/BRANCH_FIRST x4", mixed, "0c42723b831f4a600648b725e5e46b53"},
+		{"RR.1.8 x8", DefaultConfig(8), "226d43d9fd5d1c9cdc25243bb5269050"},
+		{"ICOUNT.2.8 x8", icount28, "edb67c437a6c0e9a6ca0bd99dd440594"},
+		{"superscalar", Superscalar(), "2619e728fe446396fef3d609bb90a9f5"},
+		{"IQPOSN/BRANCH_FIRST x4", mixed, "ae2bef38de4ed2641f2028eb1cb23513"},
 	} {
 		if got := tc.cfg.Fingerprint(); got != tc.want {
 			t.Errorf("%s fingerprint = %s, want frozen %s", tc.name, got, tc.want)
+		}
+	}
+
+	base := DefaultConfig(8).Fingerprint()
+	named := DefaultConfig(8)
+	named.Branch.Predictor = PredGshare
+	if named.Fingerprint() != base {
+		t.Error("explicit gshare fingerprints differently from the default")
+	}
+	for name, mod := range map[string]func(*Config){
+		"gskewed":      func(c *Config) { c.Branch.Predictor = PredGskewed },
+		"perfect":      func(c *Config) { c.Branch.Predictor = PredPerfect },
+		"VarFetchRate": func(c *Config) { c.VarFetchRate = true },
+	} {
+		cfg := DefaultConfig(8)
+		mod(&cfg)
+		if cfg.Fingerprint() == base {
+			t.Errorf("%s collides with the default fingerprint", name)
 		}
 	}
 }
 
 // Custom policies are content-addressed by name: distinct names yield
 // distinct fingerprints, the address survives a JSON round trip, and it
-// never collides with a built-in's frozen address.
+// never collides with a built-in's address.
 func TestCustomPolicyFingerprintByName(t *testing.T) {
 	a := DefaultConfig(4)
 	a.FetchPolicy = FetchICountBRCount

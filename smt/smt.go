@@ -196,7 +196,8 @@ const (
 	PredGskewed = branch.Gskewed
 	// PredNone predicts every conditional branch not-taken.
 	PredNone = branch.None
-	// PredPerfect is oracle prediction (equivalent to PerfectBranchPred).
+	// PredPerfect is oracle prediction: every branch and jump predicted
+	// correctly, the Section 7 study. It is the only way to ask for it.
 	PredPerfect = branch.Perfect
 )
 

@@ -9,11 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// SnapshotVersion is the serialization version embedded in every snapshot
-// (and in its cache key); a restore rejects any other version, so a format
-// change can never silently install mismatched state. Version 2 is the flat
-// binary stream of internal/state; version 3 drops its issued-pre-exec list.
-const SnapshotVersion = 3
+// ModelVersion is the version of what the simulator computes: bump it on
+// any change to the checkpoint format or to simulated behaviour. It is
+// embedded in every snapshot, and a restore rejects any other version, so a
+// format change can never silently install mismatched state. Result keys
+// (exp.Job.Key) and checkpoint keys (snapshot.Key) both carry it, so one
+// bump makes a durable cache miss its results and checkpoints together.
+// Version 2 is the flat binary stream of internal/state; version 3 drops
+// its issued-pre-exec list.
+const ModelVersion = 3
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
@@ -42,7 +46,7 @@ func (s *Simulator) SaveSnapshot() ([]byte, error) {
 	if s.running.Load() {
 		return nil, fmt.Errorf("smt: cannot snapshot while a session is active")
 	}
-	c := state.NewWriter(SnapshotVersion)
+	c := state.NewWriter(ModelVersion)
 	s.identity(c)
 	if err := s.proc.SaveState(c); err != nil {
 		return nil, err
@@ -60,7 +64,7 @@ func (s *Simulator) RestoreSnapshot(data []byte) error {
 	if s.running.Load() {
 		return fmt.Errorf("smt: cannot restore while a session is active")
 	}
-	c := state.NewReader(data, SnapshotVersion)
+	c := state.NewReader(data, ModelVersion)
 	s.identity(c) // a failure here sticks: the core walk below is then a no-op
 	err := s.proc.RestoreState(c)
 	if err == nil {
