@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -200,6 +201,8 @@ func NewServerWith(opts ServerOptions) (*Server, error) {
 		// so jobs that land in-process still restore checkpoints and
 		// replay traces.
 		Exec: dist.SimulateJob(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
+		// Worker joins, deaths and requeues go to the process log.
+		Logf: log.Printf,
 	})
 	return s, nil
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,6 +259,9 @@ func TestSweepValidation(t *testing.T) {
 		{"retired Branch.Threads", retiredField(`{"Branch": {"Threads": 2}}`), 400, `unknown field "Threads"`},
 		{"retired Branch.Perfect", retiredField(`{"Branch": {"Perfect": true}}`), 400, `unknown field "Perfect"`},
 		{"numeric FetchPolicy", retiredField(`{"FetchPolicy": 3}`), 400, "FetchPolicy"},
+		// Table 2's memory bus is the L3's TransferTime; the knob nothing
+		// read is gone.
+		{"retired Mem.MemBusTime", retiredField(`{"Mem": {"MemBusTime": 4}}`), 400, `unknown field "MemBusTime"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -272,6 +277,41 @@ func TestSweepValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The coordinator's scheduler events reach the process log: a worker's
+// join is one line there. Not parallel: it swaps the log's output.
+func TestSchedulerEventsReachTheLog(t *testing.T) {
+	var out syncBuffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&out)
+	ts := newTestService(t)
+	var reg dist.RegisterResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/workers", dist.RegisterRequest{Name: "logged", Slots: 1}, &reg); code != 200 {
+		t.Fatalf("register: status %d", code)
+	}
+	if want := fmt.Sprintf("worker %s (logged) joined", reg.WorkerID); !strings.Contains(out.String(), want) {
+		t.Fatalf("log %q does not mention %q", out.String(), want)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to write from a handler goroutine while
+// the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // retiredField is a one-point grid whose config overlays raw.

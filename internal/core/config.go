@@ -150,7 +150,7 @@ const MaxThreads = 64
 // machine, not policy. The nested configs bound their own fields.
 const (
 	maxIQSize       = 1 << 12 // the paper's queues search 32 entries, 64 in Section 7
-	maxEventHorizon = 1 << 15 // the default machine's event ring spans 1472 cycles
+	maxEventHorizon = 1 << 15 // the default machine's event ring spans 1456 cycles
 )
 
 // Validate reports configuration errors, including a machine the
@@ -272,7 +272,7 @@ func (c *Config) eventHorizon() int64 {
 		cc := c.Mem.Caches[l]
 		h += int64(cc.LatencyToNext + 2*cc.TransferTime + cc.FillTime + cc.AccessEvery)
 	}
-	h += int64(c.Mem.MemLatency + c.Mem.MemBusTime)
+	h += int64(c.Mem.MemLatency)
 	h += c.execOffset() + c.commitDelay() + 16
 	return h * 4
 }

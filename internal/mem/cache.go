@@ -7,9 +7,12 @@
 // conflicts at multiple levels of the hierarchy"; this package does the
 // same with a completion-time model: every access walks the hierarchy once,
 // reserving bank, port, and bus occupancy as side effects and returning the
-// cycle at which data is available. Caches are lockup-free: misses allocate
-// MSHR entries and concurrent requests for the same line merge onto the
-// in-flight fill.
+// cycle at which data is available. Each level's access port, fill port and
+// bus to the next level is one port, booked in request order; Section 7's
+// infinite-bandwidth machine builds them unlimited. One lookup serves every
+// level: it merges onto the line's in-flight fill, hits in the tags, or
+// misses and fills. Caches are lockup-free: misses allocate MSHR entries and
+// concurrent requests for the same line merge onto the in-flight fill.
 package mem
 
 import (
@@ -46,7 +49,7 @@ type CacheConfig struct {
 	LineBytes     int
 	Banks         int
 	BankGranule   int // bytes per bank interleave unit
-	AccessEvery   int // min cycles between accesses (1 = one/cycle, 4 = L3's 1/4)
+	AccessEvery   int // min cycles between L2/L3 accesses (4 = L3's 1/4); an L1's is 1
 	TransferTime  int // bus cycles to move one line into this cache
 	FillTime      int // cycles the cache is busy accepting a fill
 	LatencyToNext int // one-way request latency to the next level
@@ -156,14 +159,41 @@ type cache struct {
 	bankShift uint
 	bankMask  uint64
 
-	bankLast    []int64    // last cycle each bank accepted an access
-	nextAccess  int64      // port throttle (AccessEvery)
-	fills       []interval // scheduled fill-occupancy windows
-	lastFillEnd int64      // serializes overlapping fills
+	bankLast []int64    // last cycle each bank accepted an access
+	access   port       // port throttle (AccessEvery)
+	fill     port       // serializes overlapping fills
+	fills    []interval // scheduled fill-occupancy windows
+	bus      port       // bus to the next level
 
-	mshr    []mshrEntry // in-flight line fills, at most MSHRs entries
-	busNext int64       // bus to the next level: next free cycle
-	stats   Stats
+	mshr  []mshrEntry // in-flight line fills, at most MSHRs entries
+	stats Stats
+}
+
+// port is one occupancy frontier: an access port, a fill port or a bus.
+// Bookings are made in request order, so a request waits behind every
+// booking made before it, even one for a later cycle. An unlimited port
+// (Section 7's infinite bandwidth) books nothing and never delays.
+type port struct {
+	next      int64 // first cycle free after the last booking
+	unlimited bool
+}
+
+// free returns the first cycle at or after t the port can start a booking.
+func (p *port) free(t int64) int64 { return max(t, p.next) }
+
+// book occupies the port for dur cycles from start.
+func (p *port) book(start, dur int64) {
+	if !p.unlimited {
+		p.next = start + dur
+	}
+}
+
+// reserve books dur cycles at the first free cycle at or after t and
+// returns that cycle.
+func (p *port) reserve(t, dur int64) int64 {
+	start := p.free(t)
+	p.book(start, dur)
+	return start
 }
 
 // mshrEntry records one in-flight line fill. The table is a flat slice —
@@ -207,23 +237,13 @@ func (c *cache) fillBusyAt(now int64, mask uint32) bool {
 	return busy
 }
 
-// scheduleFill reserves the line's banks for a fill arriving at arrive,
-// serializing with other pending fills, and returns the cycle the data is
-// available.
-func (c *cache) scheduleFill(arrive int64, addr int64) int64 {
-	start := arrive
-	if start < c.lastFillEnd {
-		start = c.lastFillEnd
-	}
-	end := start + int64(c.cfg.FillTime)
-	c.fills = append(c.fills, interval{start, end, c.lineBanks(addr)})
-	c.lastFillEnd = end
-	return start
-}
-
-func newCache(name string, cfg CacheConfig) *cache {
+// newCache builds one level; under infiniteBW its ports are unlimited.
+func newCache(name string, cfg CacheConfig, infiniteBW bool) *cache {
 	sets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
 	c := &cache{
+		access:    port{unlimited: infiniteBW},
+		fill:      port{unlimited: infiniteBW},
+		bus:       port{unlimited: infiniteBW},
 		cfg:       cfg,
 		name:      name,
 		sets:      sets,
@@ -243,15 +263,12 @@ func newCache(name string, cfg CacheConfig) *cache {
 }
 
 // inflight returns the completion cycle of an in-flight fill covering addr,
-// if one exists. Lines are installed in the tag array when the miss is
-// issued, so this check must precede the tag probe for correct timing.
+// if one exists, after dropping the fills done by now. Lines are installed
+// in the tag array when the miss is issued, so this check must precede the
+// tag probe for correct timing.
 func (c *cache) inflight(now int64, addr int64) (done int64, ok bool) {
 	c.expireMSHRs(now)
-	return c.mshrLookup(c.lineAddr(addr))
-}
-
-// mshrLookup finds the in-flight fill for a line address, if any.
-func (c *cache) mshrLookup(la uint64) (done int64, ok bool) {
+	la := c.lineAddr(addr)
 	for i := range c.mshr {
 		if c.mshr[i].line == la {
 			return c.mshr[i].done, true
@@ -381,13 +398,14 @@ func (c *cache) mshrWait() int64 {
 type Config struct {
 	Caches     [NumLevels]CacheConfig
 	MemLatency int  // one-way latency from L3 to memory (Table 2: 62)
-	MemBusTime int  // bus cycles per line from memory (Table 2: 4)
 	InfiniteBW bool // disable all bank/port/bus conflicts (Section 7 study)
 	ITLB       TLBConfig
 	DTLB       TLBConfig
 }
 
-// DefaultConfig returns the paper's Table 2 memory hierarchy.
+// DefaultConfig returns the paper's Table 2 memory hierarchy. Table 2's
+// memory bus (4 cycles a line) is the L3's TransferTime: the bus a line
+// from memory crosses into the L3.
 func DefaultConfig() Config {
 	return Config{
 		Caches: [NumLevels]CacheConfig{
@@ -405,7 +423,6 @@ func DefaultConfig() Config {
 				LatencyToNext: 62, MSHRs: 16},
 		},
 		MemLatency: 62,
-		MemBusTime: 4,
 		ITLB:       TLBConfig{Entries: 48, PageBytes: 8 << 10, MissPenalty: 160},
 		DTLB:       TLBConfig{Entries: 64, PageBytes: 8 << 10, MissPenalty: 160},
 	}
@@ -417,8 +434,13 @@ func (c Config) Validate() error {
 		if err := c.Caches[l].Validate(l.String()); err != nil {
 			return err
 		}
+		// An L1 arbitrates per bank; only L2 and L3 accesses pass the port
+		// throttle, so another L1 value would re-address the same machine.
+		if l <= L1D && c.Caches[l].AccessEvery != 1 {
+			return fmt.Errorf("mem: %s AccessEvery %d, want 1", l, c.Caches[l].AccessEvery)
+		}
 	}
-	if err := errors.Join(cycles("MemLatency", c.MemLatency, 1), cycles("MemBusTime", c.MemBusTime, 0)); err != nil {
+	if err := cycles("MemLatency", c.MemLatency, 1); err != nil {
 		return err
 	}
 	if err := c.ITLB.Validate("ITLB"); err != nil {
@@ -442,7 +464,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{cfg: cfg}
 	for l := Level(0); l < NumLevels; l++ {
-		h.caches[l] = newCache(l.String(), cfg.Caches[l])
+		h.caches[l] = newCache(l.String(), cfg.Caches[l], cfg.InfiniteBW)
 	}
 	h.itlb = NewTLB(cfg.ITLB)
 	h.dtlb = NewTLB(cfg.DTLB)
@@ -495,31 +517,10 @@ func (h *Hierarchy) AccessData(now int64, addr int64, write bool) DataResult {
 		}
 		l1.bankLast[b] = now
 	}
-	res := DataResult{}
-	t := now
-	if !h.dtlb.Lookup(addr) {
-		res.TLBMiss = true
-		t += int64(h.cfg.DTLB.MissPenalty)
-	}
-	l1.stats.Accesses++
-	if done, ok := l1.inflight(t, addr); ok {
-		// Secondary miss: merge onto the in-flight fill.
-		l1.stats.Merged++
-		res.L1Miss = true
-		if done < t {
-			done = t
-		}
-		res.Done = done + 1
-		return res
-	}
-	if l1.touch(addr, write) {
-		res.Done = t + 1 // pipelined 1-cycle hit (Table 1: load hit = 1)
-		return res
-	}
-	l1.stats.Misses++
-	res.L1Miss = true
-	res.Done = h.fill(L1D, t, addr, write) + 1
-	return res
+	t, tlbMiss := translate(h.dtlb, now, addr)
+	done, how := h.lookup(L1D, t, addr, write)
+	// Every outcome adds the pipelined 1-cycle hit (Table 1: load hit = 1).
+	return DataResult{Done: done + 1, L1Miss: how != hit, TLBMiss: tlbMiss}
 }
 
 // InstrResult describes the outcome of one instruction-cache access.
@@ -534,34 +535,12 @@ type InstrResult struct {
 // reports when the fill completes (the thread stalls until then; the fill
 // proceeds in the background — the cache is lockup-free).
 func (h *Hierarchy) AccessInstr(now int64, pc int64) InstrResult {
-	l1 := h.caches[L1I]
-	res := InstrResult{}
-	if !h.cfg.InfiniteBW && l1.fillBusyAt(now, 1<<uint(l1.bank(pc))) {
+	if h.InstrBankBusy(now, pc) {
 		return InstrResult{Done: now + 1, BankConflict: true}
 	}
-	t := now
-	if !h.itlb.Lookup(pc) {
-		res.TLBMiss = true
-		t += int64(h.cfg.ITLB.MissPenalty)
-	}
-	l1.stats.Accesses++
-	if done, ok := l1.inflight(t, pc); ok {
-		l1.stats.Merged++
-		res.Miss = true
-		if done < t {
-			done = t
-		}
-		res.Done = done
-		return res
-	}
-	if l1.touch(pc, false) {
-		res.Done = t
-		return res
-	}
-	l1.stats.Misses++
-	res.Miss = true
-	res.Done = h.fill(L1I, t, pc, false)
-	return res
+	t, tlbMiss := translate(h.itlb, now, pc)
+	done, how := h.lookup(L1I, t, pc, false)
+	return InstrResult{Done: done, Miss: how != hit, TLBMiss: tlbMiss}
 }
 
 // ProbeInstr reports whether pc hits in the L1 instruction cache without
@@ -577,98 +556,96 @@ func (h *Hierarchy) InstrBank(pc int64) int { return h.caches[L1I].bank(pc) }
 // fills)").
 func (h *Hierarchy) InstrBankBusy(now int64, pc int64) bool {
 	c := h.caches[L1I]
-	return !h.cfg.InfiniteBW && c.fillBusyAt(now, 1<<uint(c.bank(pc)))
+	return c.fillBusyAt(now, 1<<uint(c.bank(pc)))
 }
 
-// fill services a miss in cache l at time t and returns the cycle the line
-// arrives. It recurses down the hierarchy, reserving port and bus occupancy
-// unless InfiniteBW is set.
+// translate looks addr up in tlb at cycle now. It returns the cycle the
+// access proceeds at, past a miss's fixed penalty, and whether it missed.
+func translate(tlb *TLB, now int64, addr int64) (int64, bool) {
+	if tlb.Lookup(addr) {
+		return now, false
+	}
+	return now + int64(tlb.cfg.MissPenalty), true
+}
+
+// outcome is what one lookup did.
+type outcome uint8
+
+const (
+	hit    outcome = iota // the tags held the line
+	merged                // the line's fill was in flight
+	filled                // the access missed and started a fill
+)
+
+// lookup performs one access to level l at cycle t: it merges onto the
+// line's in-flight fill, hits in the tags, or misses and fills. It returns
+// the cycle the line is present at this level (t itself on a hit) and
+// which of the three happened; each caller adds its own access latency.
+// write marks the line dirty: only an L1D store sets it.
+func (h *Hierarchy) lookup(l Level, t int64, addr int64, write bool) (int64, outcome) {
+	c := h.caches[l]
+	c.stats.Accesses++
+	if done, ok := c.inflight(t, addr); ok {
+		// Secondary miss: it stalls with the fill but adds no traffic.
+		c.stats.Merged++
+		return max(done, t), merged
+	}
+	if c.touch(addr, write) {
+		return t, hit
+	}
+	c.stats.Misses++
+	return h.fill(l, t, addr, write), filled
+}
+
+// fill services a miss in cache l at time t, which lookup has just found
+// in neither the MSHRs nor the tags, and returns the cycle the line
+// arrives. It recurses down the hierarchy, booking the bus and fill port.
 func (h *Hierarchy) fill(l Level, t int64, addr int64, write bool) int64 {
 	c := h.caches[l]
-	la := c.lineAddr(addr)
-	c.expireMSHRs(t)
-	if done, ok := c.mshrLookup(la); ok {
-		// Merge with the in-flight fill for this line.
-		if done > t {
-			return done
-		}
-		return t
-	}
 	if len(c.mshr) >= c.cfg.MSHRs {
 		// All MSHRs busy: the request queues until one frees.
-		if w := c.mshrWait(); w > t {
-			t = w
-		}
+		t = max(t, c.mshrWait())
 		c.expireMSHRs(t)
 	}
 
-	// Request travels to the next level.
+	// Request travels to the next level (both L1s sit on the L2); main
+	// memory is a fixed latency behind the L3, its bus the L3's.
 	reqArrive := t + int64(c.cfg.LatencyToNext)
-	var dataReady int64
-	if l == L3 {
-		dataReady = h.memAccess(reqArrive)
-	} else {
-		dataReady = h.levelAccess(h.nextLevel(l), reqArrive, addr, write)
+	dataReady := reqArrive + int64(h.cfg.MemLatency)
+	if l != L3 {
+		dataReady = h.levelAccess(max(l+1, L2), reqArrive, addr)
 	}
 
-	// Data returns over the bus into this cache, then the fill occupies it.
-	if !h.cfg.InfiniteBW {
-		if dataReady < c.busNext {
-			dataReady = c.busNext
-		}
-		c.busNext = dataReady + int64(c.cfg.TransferTime)
+	// Data returns over the bus into this cache, then the fill occupies
+	// the fill port and the line's banks.
+	xfer, fillTime := int64(c.cfg.TransferTime), int64(c.cfg.FillTime)
+	arrive := c.fill.reserve(c.bus.reserve(dataReady, xfer)+xfer, fillTime)
+	if !c.fill.unlimited {
+		c.fills = append(c.fills, interval{arrive, arrive + fillTime, c.lineBanks(addr)})
 	}
-	arrive := dataReady + int64(c.cfg.TransferTime)
-	if !h.cfg.InfiniteBW {
-		arrive = c.scheduleFill(arrive, addr)
-	}
-	if c.install(addr, write && l == L1D) {
+	if c.install(addr, write) {
 		// Dirty victim writeback consumes the outbound bus.
-		if !h.cfg.InfiniteBW {
-			c.busNext += int64(c.cfg.TransferTime)
-		}
+		c.bus.book(c.bus.next, xfer)
 	}
-	c.mshr = append(c.mshr, mshrEntry{line: la, done: arrive})
+	c.mshr = append(c.mshr, mshrEntry{line: c.lineAddr(addr), done: arrive})
 	return arrive
 }
 
 // levelAccess performs a (demand-fill) access at a lower-level cache and
-// returns when its data is ready to send back up.
-func (h *Hierarchy) levelAccess(l Level, t int64, addr int64, write bool) int64 {
+// returns when its data is ready to send back up: one cycle after a hit or
+// a merge, the fill's arrival after a miss.
+func (h *Hierarchy) levelAccess(l Level, t int64, addr int64) int64 {
 	c := h.caches[l]
-	if !h.cfg.InfiniteBW {
-		// Port throttle: L2 takes one access per cycle, L3 one per four.
-		if t < c.nextAccess {
-			t = c.nextAccess
-		}
-		for c.fillBusyAt(t, c.lineBanks(addr)) {
-			t++
-		}
-		c.nextAccess = t + int64(c.cfg.AccessEvery)
+	// Port throttle: L2 takes one access per cycle, L3 one per four, and
+	// none while a fill holds the line's banks.
+	t = c.access.free(t)
+	for c.fillBusyAt(t, c.lineBanks(addr)) {
+		t++
 	}
-	c.stats.Accesses++
-	if done, ok := c.inflight(t, addr); ok {
-		c.stats.Merged++
-		if done < t {
-			done = t
-		}
-		return done + 1
+	c.access.book(t, int64(c.cfg.AccessEvery))
+	done, how := h.lookup(l, t, addr, false)
+	if how == filled {
+		return done
 	}
-	if c.touch(addr, false) {
-		return t + 1
-	}
-	c.stats.Misses++
-	return h.fill(l, t, addr, false)
-}
-
-// memAccess models main memory: fixed latency, bus modelled at the L3 fill.
-func (h *Hierarchy) memAccess(t int64) int64 {
-	return t + int64(h.cfg.MemLatency)
-}
-
-func (h *Hierarchy) nextLevel(l Level) Level {
-	if l == L1I || l == L1D {
-		return L2
-	}
-	return L3
+	return done + 1
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,92 @@ func TestConfigValidation(t *testing.T) {
 	c.ITLB.Entries = 0
 	if err := c.Validate(); err == nil {
 		t.Error("zero TLB entries accepted")
+	}
+	// Only L2 and L3 accesses pass a port throttle: an L1's AccessEvery
+	// is never read, so any value but 1 would be a second address for the
+	// same machine.
+	for _, l := range []Level{L1I, L1D} {
+		c = DefaultConfig()
+		c.Caches[l].AccessEvery = 4
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "AccessEvery") {
+			t.Errorf("%s AccessEvery 4: got %v, want an error naming AccessEvery", l, err)
+		}
+	}
+	c = DefaultConfig()
+	c.Caches[L2].AccessEvery = 4
+	if err := c.Validate(); err != nil {
+		t.Errorf("L2 AccessEvery 4 rejected: %v", err)
+	}
+}
+
+// port books in request order: a request waits behind every booking made
+// before it, even one for a later cycle, and an unlimited port never
+// books.
+func TestPort(t *testing.T) {
+	var p port
+	for _, step := range []struct{ t, dur, want, next int64 }{
+		{10, 4, 10, 14},
+		{5, 4, 14, 18}, // made later for an earlier cycle: it queues
+		{30, 1, 30, 31},
+		{31, 0, 31, 31},
+	} {
+		if got := p.reserve(step.t, step.dur); got != step.want || p.next != step.next {
+			t.Fatalf("reserve(%d, %d) = %d, next %d; want %d, next %d", step.t, step.dur, got, p.next, step.want, step.next)
+		}
+	}
+	p = port{next: 20}
+	if p.free(25) != 25 || p.free(15) != 20 {
+		t.Fatalf("free around next 20: free(25) = %d, free(15) = %d", p.free(25), p.free(15))
+	}
+	p.book(22, 3)
+	if p.next != 25 {
+		t.Fatalf("book(22, 3): next %d, want 25", p.next)
+	}
+
+	u := port{unlimited: true}
+	u.book(100, 50)
+	for _, at := range []int64{0, 7, 200} {
+		if got := u.reserve(at, 9); got != at || u.free(at) != at {
+			t.Fatalf("unlimited port delayed a request at %d to %d", at, got)
+		}
+	}
+	if u.next != 0 {
+		t.Fatalf("unlimited port booked up to %d", u.next)
+	}
+}
+
+// TestBusBooksInRequestOrder pins today's request-order frontier. An L1D
+// miss that hits in L2 is back in 9 cycles on its own; issued one cycle
+// after a miss to memory it waits 310, because that miss has already
+// booked the L1D bus and fill port for its data ~300 cycles out. A
+// time-ordered calendar would put the L2 hit in the gap before that
+// booking; changing the ports to one is expected to flip this assertion.
+func TestBusBooksInRequestOrder(t *testing.T) {
+	const near, far = int64(0x10040), int64(0x7000000)
+	l2Hit := func(h *Hierarchy) int64 {
+		// Evict near from the direct-mapped L1D; the 4-way L2 keeps it.
+		now := warm(h, 0, near)
+		now = warm(h, now, near+int64(h.cfg.Caches[L1D].SizeBytes))
+		return now + 500
+	}
+
+	h := MustNew(DefaultConfig())
+	now := l2Hit(h)
+	alone := h.AccessData(now, near, false)
+	if !alone.L1Miss || alone.TLBMiss || alone.Done-now != 9 {
+		t.Fatalf("L2 hit alone: %+v at %d, want an L1 miss done in 9 cycles", alone, now)
+	}
+
+	h = MustNew(DefaultConfig())
+	now = l2Hit(h)
+	first := h.AccessData(now, far, false)
+	behind := h.AccessData(now+1, near, false)
+	if l2 := h.CacheStats(L2); l2.Misses != 3 {
+		t.Fatalf("setup: L2 misses %d, want 3 (two warm lines and the far one)", l2.Misses)
+	}
+	if behind.Done-(now+1) != 310 || behind.Done <= first.Done {
+		t.Fatalf("L2 hit behind a memory miss done in %d cycles (miss at +%d), want 310, after the miss",
+			behind.Done-(now+1), first.Done-now)
 	}
 }
 
@@ -153,6 +240,10 @@ func TestBankConflictSameCycle(t *testing.T) {
 	}
 }
 
+// Under InfiniteBW every port is unlimited: there are no bank conflicts,
+// and a burst of misses to distinct lines records no fill window, books no
+// port, and each miss completes at the latency it has alone on an idle
+// hierarchy.
 func TestInfiniteBWDisablesConflicts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InfiniteBW = true
@@ -163,6 +254,44 @@ func TestInfiniteBWDisablesConflicts(t *testing.T) {
 		if r := h.AccessData(now, 0x20000, false); r.BankConflict {
 			t.Fatal("bank conflict under InfiniteBW")
 		}
+	}
+
+	const page = int64(0x7000000)
+	lines := int64(DefaultConfig().Caches[L1D].MSHRs) // no MSHR queueing
+	// Warm the DTLB with the page's last line, so the burst misses only in
+	// the caches.
+	setup := func(cfg Config) (*Hierarchy, int64) {
+		h := MustNew(cfg)
+		return h, warm(h, 0, page+8<<10-64) + 1000
+	}
+	alone := make([]int64, lines)
+	for i := range alone {
+		h, now := setup(DefaultConfig())
+		alone[i] = h.AccessData(now, page+int64(i)*64, false).Done - now
+	}
+
+	h, now = setup(cfg)
+	for i := range alone {
+		r := h.AccessData(now, page+int64(i)*64, false)
+		if r.BankConflict || !r.L1Miss || r.Done-now != alone[i] {
+			t.Errorf("line %d: %+v, want a miss done in %d cycles as alone", i, r, alone[i])
+		}
+	}
+	for l, c := range h.caches {
+		if len(c.fills) != 0 || c.access.next != 0 || c.fill.next != 0 || c.bus.next != 0 {
+			t.Errorf("%s: %d fill windows, ports next access %d fill %d bus %d; want none booked",
+				Level(l), len(c.fills), c.access.next, c.fill.next, c.bus.next)
+		}
+	}
+
+	// The same burst on the finite hierarchy queues on the buses.
+	h, now = setup(DefaultConfig())
+	last := h.AccessData(now, page, false).Done
+	for i := int64(1); i < lines; i++ {
+		last = h.AccessData(now+i, page+i*64, false).Done
+	}
+	if last-now <= alone[lines-1] {
+		t.Errorf("finite hierarchy: last of the burst done in %d cycles, want more than %d alone", last-now, alone[lines-1])
 	}
 }
 
@@ -395,7 +524,7 @@ func TestStateWalk(t *testing.T) {
 	for name, corrupt := range map[string]func(h *Hierarchy){
 		"MSHRs over capacity":            func(h *Hierarchy) { h.caches[L1D].mshr = make([]mshrEntry, h.cfg.Caches[L1D].MSHRs+1) },
 		"TLB MRU out of range":           func(h *Hierarchy) { h.dtlb.last = len(h.dtlb.pages) },
-		"bus busy until the far future":  func(h *Hierarchy) { h.caches[L2].busNext = 1 << 40 },
+		"bus busy until the far future":  func(h *Hierarchy) { h.caches[L2].bus.next = 1 << 40 },
 		"fill landing in the far future": func(h *Hierarchy) { h.caches[L3].mshr = []mshrEntry{{line: 1, done: 1 << 40}} },
 	} {
 		bad := warm()

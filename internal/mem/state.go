@@ -28,9 +28,9 @@ func (k *cache) state(c *state.Codec) {
 		state.Int(c, &e.line)
 		c.Cycle(&e.done)
 	})
-	c.Cycle(&k.nextAccess)
-	c.Cycle(&k.lastFillEnd)
-	c.Cycle(&k.busNext)
+	c.Cycle(&k.access.next)
+	c.Cycle(&k.fill.next)
+	c.Cycle(&k.bus.next)
 	c.Counters(&k.stats)
 }
 

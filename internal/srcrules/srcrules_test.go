@@ -33,6 +33,19 @@ var (
 	clients  = []string{"internal/dist", "internal/cache", "cmd/smtd"}
 	waiters  = []string{"internal/dist", "internal/cache"}
 	handlers = []string{"cmd/smtd", "internal/dist"}
+
+	// configs names, by declaring package, the structs whose exported
+	// fields are the machine's settable properties. A field must be read
+	// (x.Field) somewhere in the machine packages, the keys here, outside
+	// the functions that only state, bound or address it: a field nothing
+	// else reads changes the content address and not the simulation.
+	configs = map[string][]string{
+		"internal/core":   {"Config"},
+		"internal/mem":    {"Config", "CacheConfig", "TLBConfig"},
+		"internal/branch": {"Config"},
+		"internal/rename": {"Config"},
+	}
+	notReads = []string{"Validate", "DefaultConfig", "Superscalar", "Fingerprint", "eventHorizon"}
 )
 
 // ban forbids, in pkgs, any reference to the named package-level functions
@@ -149,6 +162,51 @@ func check(fset *token.FileSet, rel string, f *ast.File) (found []string) {
 	return found
 }
 
+// unreadFields returns one "file:line: message" per exported field of a
+// configs struct that nothing in files reads outside notReads. files holds
+// the non-test files of the configs packages, by package.
+func unreadFields(fset *token.FileSet, files map[string][]*ast.File) (found []string) {
+	read := map[string]bool{}
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && slices.Contains(notReads, fd.Name.Name) {
+					continue
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						read[sel.Sel.Name] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for rel, types := range configs {
+		for _, f := range files[rel] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || !slices.Contains(types, ts.Name.Name) {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.IsExported() && !read[name.Name] {
+								p := fset.Position(name.Pos())
+								found = append(found, fmt.Sprintf("%s:%d: %s.%s.%s is never read by the model: delete the field", p.Filename, p.Line, path.Base(rel), ts.Name.Name, name.Name))
+							}
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	slices.Sort(found)
+	return found
+}
+
 // checkFunc applies the two per-function rules to one top-level function.
 func checkFunc(rel, name string, ft *ast.FuncType, body *ast.BlockStmt, is func(ast.Expr, string, string) bool, report func(token.Pos, string, ...any)) {
 	hasCtx := false
@@ -194,6 +252,8 @@ func checkFunc(rel, name string, ft *ast.FuncType, body *ast.BlockStmt, is func(
 // TestSourceRules holds every non-test file of every package a rule names
 // to the rules.
 func TestSourceRules(t *testing.T) {
+	fset := token.NewFileSet()
+	machine := map[string][]*ast.File{}
 	for _, rel := range slices.Concat(resultAffecting, clients) { // the other scopes are subsets
 		dir := filepath.Join("..", "..", rel)
 		names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -206,7 +266,6 @@ func TestSourceRules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fset := token.NewFileSet()
 			f, err := parser.ParseFile(fset, path.Join(rel, filepath.Base(name)), src, parser.ParseComments)
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +273,13 @@ func TestSourceRules(t *testing.T) {
 			for _, finding := range check(fset, rel, f) {
 				t.Error(finding)
 			}
+			if _, ok := configs[rel]; ok {
+				machine[rel] = append(machine[rel], f)
+			}
 		}
+	}
+	for _, finding := range unreadFields(fset, machine) {
+		t.Error(finding)
 	}
 }
 
@@ -281,14 +346,47 @@ func resp(r *http.Response) { io.ReadAll(r.Body) }`, []int{4, 5, 9, 10}},
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		found := check(fset, tc.rel, f)
-		ok := len(found) == len(tc.want)
-		for _, line := range tc.want {
-			at := fmt.Sprintf("src.go:%d:", line)
-			ok = ok && slices.ContainsFunc(found, func(finding string) bool { return strings.HasPrefix(finding, at) })
+		wantFindings(t, tc.name, check(fset, tc.rel, f), tc.want)
+	}
+
+	// The unread-field rule reads a package set, not one file: a field
+	// read in another machine package counts, one read only where it is
+	// validated or defaulted does not, and unexported fields and other
+	// structs are out of scope.
+	fset := token.NewFileSet()
+	parse := func(src string) []*ast.File {
+		f, err := parser.ParseFile(fset, "src.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !ok {
-			t.Errorf("%s: want findings at lines %v, got:\n%s", tc.name, tc.want, strings.Join(found, "\n"))
-		}
+		return []*ast.File{f}
+	}
+	wantFindings(t, "unread config fields", unreadFields(fset, map[string][]*ast.File{
+		"internal/mem": parse(`package mem
+type Config struct {
+	Latency, BusTime int
+	Banks            int
+	Unused           int
+	scratch          int
+}
+type Stats struct{ Never int }
+func DefaultConfig() Config { return Config{BusTime: 4} }
+func (c Config) Validate() bool { return c.BusTime > 0 && c.Unused > 0 }
+var latency = func(c Config) int { return c.Latency }`),
+		"internal/core": parse("package core\nfunc f(c struct{ Mem struct{ Banks int } }) int { return c.Mem.Banks }"),
+	}), []int{3, 5})
+}
+
+// wantFindings reports unless found holds exactly one finding at each line
+// of src.go listed in want.
+func wantFindings(t *testing.T, name string, found []string, want []int) {
+	t.Helper()
+	ok := len(found) == len(want)
+	for _, line := range want {
+		at := fmt.Sprintf("src.go:%d:", line)
+		ok = ok && slices.ContainsFunc(found, func(finding string) bool { return strings.HasPrefix(finding, at) })
+	}
+	if !ok {
+		t.Errorf("%s: want findings at lines %v, got:\n%s", name, want, strings.Join(found, "\n"))
 	}
 }
