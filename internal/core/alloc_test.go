@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // TestSteadyStateCycleAllocs asserts the steady-state cycle loop performs
 // zero heap allocations on every path a configuration can select: after a
@@ -63,5 +67,53 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMachineFootprint bounds what core.New allocates, programs aside, so
+// a structure sized by a configuration's reach rather than by what it
+// holds shows up as a regression. The event calendar is the case in
+// point: its storage follows the events pending, so a machine whose
+// memory latencies stretch the horizon toward maxEventHorizon pays one
+// slice header a cycle, not a bucket of events.
+func TestMachineFootprint(t *testing.T) {
+	progs := buildPrograms(t, 8, 1)
+	footprint := func(cfg Config) (uint64, int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p := MustNew(cfg, progs[:cfg.Threads])
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, p.events.mask + 1
+	}
+	far := DefaultConfig(8)
+	far.Mem.MemLatency += int(maxEventHorizon/4 - far.eventHorizon()/4)
+	if h := far.eventHorizon(); h > maxEventHorizon || h <= maxEventHorizon/2 {
+		t.Fatalf("far machine's horizon is %d, want just under %d", h, maxEventHorizon)
+	}
+	// Ceilings are the measured footprint plus about 25 %.
+	cases := []struct {
+		name    string
+		cfg     Config
+		ceiling uint64
+	}{
+		{"DefaultConfig(8)", DefaultConfig(8), 1160 << 10},
+		{"Superscalar", Superscalar(), 900 << 10},
+		{"horizon near max", far, 2060 << 10},
+	}
+	got := make([]uint64, len(cases))
+	buckets := make([]int64, len(cases))
+	for i, c := range cases {
+		got[i], buckets[i] = footprint(c.cfg)
+		t.Logf("%s: %d KiB, %d calendar buckets", c.name, got[i]>>10, buckets[i])
+		if got[i] > c.ceiling {
+			t.Errorf("%s: core.New allocates %d KiB, want <= %d KiB", c.name, got[i]>>10, c.ceiling>>10)
+		}
+	}
+	// The far machine differs from DefaultConfig(8) only in its calendar's
+	// length: each extra cycle may cost its slice header, not its events.
+	perCycle := float64(got[2]-got[0]) / float64(buckets[2]-buckets[0])
+	if header := float64(unsafe.Sizeof([]event(nil))); perCycle > 2*header {
+		t.Errorf("footprint grows %.0f bytes per horizon cycle, want about %.0f (one slice header)", perCycle, header)
 	}
 }

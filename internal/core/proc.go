@@ -354,18 +354,32 @@ type event struct {
 	gen    int32 // d.gen at scheduling; a mismatch marks the event stale
 }
 
-// ring is a calendar queue for events, sized at construction from the
+// ring is a calendar queue for events: one slice header per cycle of the
 // configuration's worst-case event horizon (the longest memory round trip
-// the hierarchy can quote, TLB walks included). Bucket backing arrays are
-// reused across laps, so the steady-state schedule/drain cycle is
-// allocation-free. Horizon overruns — possible only through pathological
+// the hierarchy can quote, TLB walks included), nil while that cycle has
+// nothing scheduled. Storage follows what is pending, not the horizon: a
+// bucket borrows a backing array from the spare list when its first event
+// arrives, and drain hands the previous cycle's backing back, so the
+// steady-state schedule/drain cycle is allocation-free once the spare list
+// covers the backings in use at once (at most 48 on every Variants
+// machine: 47 buckets plus the one being walked, none holding more than
+// 33 events). Horizon overruns — possible only through pathological
 // queueing pile-ups the static bound cannot see — grow the ring in place
 // (amortized once, never per cycle) instead of spilling to a map.
 type ring struct {
 	buckets [][]event
+	spare   [][]event // emptied backings, each of length 0
+	drained []event   // the backing the last drain returned, still being walked
 	mask    int64
 	base    int64
 }
+
+// spareSeed backings of bucketSeed events are carved from one array at
+// construction: the measured peak of backings in use and of events in a
+// bucket, so a machine starts at its working set instead of trickling
+// small allocations across its first laps. A bucket that needs more grows
+// its backing by append, and the grown backing recycles.
+const spareSeed, bucketSeed = 48, 32
 
 func (r *ring) init(horizon int64) {
 	size := int64(256)
@@ -374,20 +388,12 @@ func (r *ring) init(horizon int64) {
 	}
 	r.buckets = make([][]event, size)
 	r.mask = size - 1
-	// Pre-size every bucket to the common-case event count so steady state
-	// reaches its allocation plateau at construction, not by trickling
-	// growth across the first few thousand laps. A bucket that ever needs
-	// more keeps its grown capacity forever.
-	backing := make([]event, size*bucketSeed)
-	for i := range r.buckets {
-		r.buckets[i] = backing[int64(i)*bucketSeed : int64(i)*bucketSeed : (int64(i)+1)*bucketSeed]
+	backing := make([]event, spareSeed*bucketSeed)
+	r.spare = make([][]event, spareSeed)
+	for i := range r.spare {
+		r.spare[i] = backing[i*bucketSeed : i*bucketSeed : (i+1)*bucketSeed]
 	}
 }
-
-// bucketSeed is the initial per-bucket event capacity: comfortably above
-// the events one cycle typically schedules for any single future cycle
-// (bounded by issue width plus miss completions landing together).
-const bucketSeed = 32
 
 func (r *ring) schedule(cycle int64, kind evKind, d *dyn, thread int32) {
 	var gen int32
@@ -395,11 +401,27 @@ func (r *ring) schedule(cycle int64, kind evKind, d *dyn, thread int32) {
 		d.pendingEvts++
 		gen = d.gen
 	}
+	r.insert(cycle, event{kind: kind, d: d, thread: thread, gen: gen})
+}
+
+// insert appends ev to cycle's bucket, growing the ring first if cycle lies
+// beyond it. An empty bucket borrows a spare backing (or, with none left,
+// a fresh one of bucketSeed events). schedule and a checkpoint restore
+// both come through here, so a restored machine borrows as a live one does.
+func (r *ring) insert(cycle int64, ev event) {
 	for cycle-r.base > r.mask {
 		r.grow()
 	}
 	idx := cycle & r.mask
-	r.buckets[idx] = append(r.buckets[idx], event{kind: kind, d: d, thread: thread, gen: gen})
+	b := r.buckets[idx]
+	if b == nil {
+		if n := len(r.spare); n > 0 {
+			b, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			b = make([]event, 0, bucketSeed)
+		}
+	}
+	r.buckets[idx] = append(b, ev)
 }
 
 // grow doubles the ring. Every live event sits in a bucket whose index
@@ -425,12 +447,19 @@ func (r *ring) grow() {
 	r.mask = nextMask
 }
 
-// drain returns the events scheduled for cycle. The returned slice is owned
-// by the ring and valid until the next drain of the same bucket.
+// drain detaches and returns the events scheduled for cycle, in the order
+// they were scheduled, and hands the backing the previous drain returned
+// back to the spare list. The returned slice is owned by the ring and
+// valid until the next drain; an event scheduled while it is walked goes
+// to another backing, never into it.
 func (r *ring) drain(cycle int64) []event {
 	r.base = cycle
 	idx := cycle & r.mask
+	if r.drained != nil {
+		r.spare = append(r.spare, r.drained[:0])
+	}
 	evs := r.buckets[idx]
-	r.buckets[idx] = r.buckets[idx][:0]
+	r.buckets[idx] = nil
+	r.drained = evs
 	return evs
 }

@@ -71,9 +71,11 @@ func (p *Processor) SaveState(c *state.Codec) error {
 		add(d)
 	}
 	// Live events occupy cycles (cycle, cycle+mask]; the current cycle's
-	// bucket was drained at the top of this Step and nothing can schedule
-	// into it again. Events may reference squashed instructions awaiting
-	// release; they join the table here.
+	// bucket was drained (detached, left nil) at the top of this Step and
+	// nothing can schedule into it again. Every other bucket is nil or
+	// holds its cycle's events in schedule order, which the stream keeps.
+	// Events may reference squashed instructions awaiting release; they
+	// join the table here.
 	if n := len(p.events.buckets[p.cycle&p.events.mask]); n != 0 {
 		return fmt.Errorf("core: %d events stranded in the current cycle's bucket", n)
 	}
@@ -240,10 +242,11 @@ func (th *threadState) walk(w *stateWalk) {
 	w.refs(&th.ctlFlight, len(w.dyns), "control list")
 }
 
-// walk walks one scheduled event; reading installs it directly into its
-// ring bucket, preserving the saved generation stamp and per-bucket order.
-// schedule() is bypassed: it would re-stamp the generation and double-count
-// pendingEvts, which was restored with the instruction.
+// walk walks one scheduled event; reading inserts it into its ring bucket
+// through ring.insert, as schedule does, keeping the saved generation
+// stamp and per-bucket order. schedule() itself is bypassed: it would
+// re-stamp the generation and double-count pendingEvts, which was restored
+// with the instruction.
 func (ev *pending) walk(w *stateWalk) {
 	c, r := w.Codec, &w.p.events
 	c.Cycle(&ev.cycle)
@@ -259,10 +262,7 @@ func (ev *pending) walk(w *stateWalk) {
 		return
 	}
 	r.base = w.p.cycle
-	for ev.cycle-r.base > r.mask {
-		r.grow()
-	}
-	r.buckets[ev.cycle&r.mask] = append(r.buckets[ev.cycle&r.mask], ev.event)
+	r.insert(ev.cycle, ev.event)
 }
 
 // admit rejects a well-formed state the cycle loop could never have

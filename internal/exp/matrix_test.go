@@ -521,3 +521,45 @@ func BenchmarkStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuild is a machine's size next to BenchmarkStep's speed: one
+// sub-benchmark per core_matrix machine for smt.New (programs built per
+// call, as every cold job does) and for smt.NewReplay over a TraceSet
+// built once outside the timer (the path a job with a cached trace takes).
+// B/op is what one machine allocates to exist.
+//
+//	go test ./internal/exp -run '^$' -bench Build -benchmem
+func BenchmarkBuild(b *testing.B) {
+	const records = 1 << 16 // a trace prefix a thread; replay does not copy it
+	machines := coreMatrixMachines()
+	names := make([]string, 0, len(machines))
+	for name := range machines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cfg := machines[name]
+		spec := smt.WorkloadMix(cfg.Threads, 0, coreMatrixOpts().Seed)
+		b.Run("new/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := smt.New(cfg, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("replay/"+name, func(b *testing.B) {
+			ts, err := smt.BuildTraceSet(spec, records)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := smt.NewReplay(cfg, ts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

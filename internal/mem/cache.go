@@ -133,12 +133,14 @@ func (s Stats) Sub(base Stats) Stats {
 	}
 }
 
-// line is one cache line's tag state.
+// line is one cache line's tag state. Fields run widest first so a line
+// packs into 16 bytes; the state walk names each field, so the order is
+// not part of a checkpoint.
 type line struct {
-	valid bool
-	dirty bool
 	tag   uint64
 	lru   uint32
+	valid bool
+	dirty bool
 }
 
 // cache is one level of the hierarchy.
