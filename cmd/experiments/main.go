@@ -93,15 +93,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		msg string
 	}{
 		{*parallel < 0, fmt.Sprintf("-parallel %d is negative; use 0 for GOMAXPROCS or a positive pool size", *parallel)},
-		{*runs <= 0, fmt.Sprintf("-runs %d must be positive (rotations averaged per data point)", *runs)},
-		{*warmup < 0, fmt.Sprintf("-warmup %d is negative; use 0 to skip warmup", *warmup)},
-		{*measure <= 0, fmt.Sprintf("-measure %d must be positive (instructions measured per thread)", *measure)},
 		{*cacheSize < 0, fmt.Sprintf("-cache %d is negative; use 0 to disable result reuse", *cacheSize)},
 	} {
 		if check.bad {
 			fmt.Fprintln(stderr, check.msg)
 			return 2
 		}
+	}
+	o := exp.Opts{Runs: *runs, Warmup: *warmup, Measure: *measure, Seed: *seed}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintf(stderr, "-%v\n", err)
+		return 2
 	}
 
 	// Profiling hooks: experiment sweeps are the natural profiling harness
@@ -178,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	o := exp.Opts{Runs: *runs, Warmup: *warmup, Measure: *measure, Seed: *seed}
 	// Every context's program is pre-decoded once and replayed by every
 	// configuration that runs it, as in smtd.
 	warm := exp.WarmEnv{Traces: snapshot.NewTraceCache(0)}

@@ -212,6 +212,7 @@ func TestInvalidNumericFlagsRejected(t *testing.T) {
 		{"negative warmup", []string{"-warmup", "-5"}, "-warmup -5 is negative"},
 		{"zero measure", []string{"-measure", "0"}, "-measure 0 must be positive"},
 		{"negative measure", []string{"-measure", "-100"}, "-measure -100 must be positive"},
+		{"overflowing measure", []string{"-measure", "1729382256910270464"}, "-measure 1729382256910270464 exceeds"},
 		{"negative cache", []string{"-cache", "-2"}, "-cache -2 is negative"},
 	}
 	for _, c := range cases {

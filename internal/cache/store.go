@@ -1,6 +1,6 @@
 // Package cache provides the simulation service's content-addressed
-// result store: a bounded LRU map from canonical content addresses (see
-// internal/fingerprint) to results, plus an in-flight deduplication
+// result store: a bounded LRU map from content addresses (keys built on
+// core.Config.Fingerprint) to results, plus an in-flight deduplication
 // wrapper (Flight) so concurrent callers compute each address once.
 package cache
 

@@ -13,10 +13,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/branch"
-	"repro/internal/fingerprint"
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/rename"
@@ -199,20 +201,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Fingerprint returns the configuration's content address: a stable hash
-// of every exported field (nested subsystem configs included), invariant
-// under struct-field reordering. It is the one place that decides "same
-// machine": an empty fetch, issue or predictor name runs its default, so
-// it is hashed as that default's name. Two configs with equal fingerprints
-// produce identical simulations for the same workload, which is what lets
-// the result cache reuse one's results for the other.
+// Fingerprint returns the configuration's content address: the first 16
+// bytes, hex-encoded, of SHA-256 over the config's JSON, the form it
+// already travels in to workers and arrives in from smtd's inline grids.
+// It is the one place that decides "same machine": an empty predictor name
+// runs the default predictor, so it is hashed as that name, and an empty
+// fetch or issue policy already marshals as its default's name. Two
+// configs with equal fingerprints produce identical simulations for the
+// same workload, which is what lets the result cache reuse one's results
+// for the other. The address follows the JSON, field order included:
+// reordering, renaming, adding or removing a field moves every address,
+// and the frozen fingerprint tests in core and smt catch that drift.
 func (c Config) Fingerprint() string {
-	c.FetchPolicy = policy.FetchAlg(c.FetchPolicy.String())
-	c.IssuePolicy = policy.IssueAlg(c.IssuePolicy.String())
 	if c.Branch.Predictor == "" {
 		c.Branch.Predictor = branch.DefaultPredictor
 	}
-	return fingerprint.Of(c)
+	raw, err := json.Marshal(c)
+	if err != nil {
+		panic(err) // unreachable: a Config is ints, bools and strings
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:16])
 }
 
 // FetchName renders the paper's alg.num1.num2 notation for this config

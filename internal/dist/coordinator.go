@@ -19,7 +19,7 @@ import (
 // are tiny; a snapshot is one interval's counters; a result post carries
 // one job's full smt.Results.
 const (
-	maxControlBody  = 64 << 10 // register / poll
+	maxControlBody  = 64 << 10 // register / poll / heartbeat
 	maxSnapshotBody = 1 << 20  // one interval snapshot
 	maxResultsBody  = 64 << 10 // one job's results, ~1 KiB even at 64 threads
 )
@@ -37,7 +37,8 @@ type Options struct {
 	LocalSlots int
 	// LeaseTTL is how long a worker may go silent — no heartbeat, poll,
 	// snapshot, or result — before it is declared dead and its leased
-	// jobs are requeued. Default 15s.
+	// jobs are requeued, and how long a lease lives unless a heartbeat
+	// listing it or a snapshot of it renews it. Default 15s.
 	LeaseTTL time.Duration
 	// PollWait is how long /v1/work/next may hold a long poll before
 	// answering 204. Default 2s.
@@ -507,15 +508,25 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	httpJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
+// handleHeartbeat keeps a worker registered and renews the leases it
+// lists. Only those: a lease the worker does not list was never received
+// (its poll reply was lost), and renewing it would strand the job on a
+// worker that will never run it.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	var req HeartbeatRequest
+	if !decodeInto(w, r, &req, maxControlBody) {
+		return
+	}
 	id := r.PathValue("id")
 	now := time.Now()
 	c.mu.Lock()
 	ws, ok := c.workers[id]
 	if ok {
 		ws.lastSeen = now
-		for _, t := range ws.running {
-			t.deadline = now.Add(c.opts.LeaseTTL)
+		for _, tid := range req.Tasks {
+			if t := ws.running[tid]; t != nil {
+				t.deadline = now.Add(c.opts.LeaseTTL)
+			}
 		}
 	}
 	c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -375,6 +376,63 @@ func TestBuildMismatchRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unknown-build registration: status %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestLostPollReplyLeaseLapses: a poll reply that never reaches its
+// worker leaves the coordinator holding a lease for a job nobody runs. The
+// worker's heartbeats list only the leases it received, so the lost one
+// lapses after one TTL and is requeued, and the sweep finishes within a
+// few TTLs with the bytes of a local run.
+func TestLostPollReplyLeaseLapses(t *testing.T) {
+	e, o := testGrid(), testOpts()
+	local, err := exp.Runner{Workers: 2}.RunExperiment(context.Background(), e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl = 500 * time.Millisecond
+	coord, url := newTestCoordinator(t, Options{LeaseTTL: ttl, PollWait: 100 * time.Millisecond})
+	w := NewWorker(WorkerOptions{
+		Coordinator: url,
+		Name:        "lossy",
+		Slots:       1,
+		Backoff:     50 * time.Millisecond,
+		Client:      &http.Client{Transport: &halvingTransport{}, Timeout: 10 * time.Second},
+	})
+	defer startWorker(t, w)()
+	waitFor(t, "worker to register", func() bool { return coord.Capacity() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*ttl)
+	defer cancel()
+	remote, err := exp.Runner{Workers: 4, Dispatch: coord}.RunExperiment(ctx, e, o)
+	if err != nil {
+		t.Fatalf("sweep did not finish within %v of a lost poll reply: %v (stats %+v)", 10*ttl, err, coord.Stats())
+	}
+	if lb, rb := encode(t, local), encode(t, remote); lb != rb {
+		t.Fatalf("the requeued lease changed the bytes\nlocal:\n%s\nremote:\n%s", lb, rb)
+	}
+	if st := coord.Stats(); st.Requeues == 0 || st.RemoteDone != int64(len(e.Points())*o.Runs) {
+		t.Fatalf("stats %+v, want the lost lease requeued and every job run by the worker", st)
+	}
+}
+
+// halvingTransport loses the first poll reply that carries work: the
+// worker reads half its body, as if the connection dropped mid-reply,
+// after the coordinator has granted the lease.
+type halvingTransport struct{ lost atomic.Bool }
+
+func (h *halvingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.URL.Path != "/v1/work/next" || resp.StatusCode != http.StatusOK || h.lost.Swap(true) {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body[:len(body)/2]))
+	resp.ContentLength = int64(len(body) / 2)
+	return resp, nil
 }
 
 // killableTransport simulates a worker crash: once dead, every request

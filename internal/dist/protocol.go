@@ -28,8 +28,10 @@
 // A local slot leases from the same queue in-process, so a job goes to
 // whichever slot is free first. Every worker assignment carries a lease; a
 // worker that stops heartbeating — crashed, partitioned, killed — has its
-// in-flight jobs requeued, and a job out of remote attempts is left to the
-// local slots. With no local slots, queued jobs wait for a worker.
+// in-flight jobs requeued, a lease its heartbeats do not list (a poll reply
+// lost on the way) lapses and requeues the same way, and a job out of
+// remote attempts is left to the local slots. With no local slots, queued
+// jobs wait for a worker.
 // Identical jobs never execute twice across the cluster: sweeps dedupe
 // through the coordinator's singleflight cache before dispatch. Warmup
 // checkpoints travel through the coordinator's content-addressed store
@@ -121,6 +123,14 @@ type RegisterResponse struct {
 type PollRequest struct {
 	WorkerID string `json:"worker_id"`
 	Max      int    `json:"max,omitempty"`
+}
+
+// HeartbeatRequest keeps a worker alive and renews the leases it lists:
+// the tasks it holds, from receiving the lease until its result post
+// returns. A lease granted in a poll reply the worker never received is
+// not listed, so it lapses after one lease TTL and is requeued.
+type HeartbeatRequest struct {
+	Tasks []string `json:"tasks"`
 }
 
 // Assignment hands one leased job to a worker.

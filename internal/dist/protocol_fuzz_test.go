@@ -16,12 +16,12 @@ import (
 )
 
 // FuzzProtocolBodies: arbitrary bytes as the body of each worker-facing
-// POST — register, poll, result, snapshot — through the real handlers of a
-// coordinator mid-sweep never panic, are answered 200, 204, 400, 404, 409
-// or 413, and never complete or stream into a job the coordinator has not
-// leased to anyone.
+// POST — register, poll, result, snapshot, heartbeat — through the real
+// handlers of a coordinator mid-sweep never panic, are answered 200, 204,
+// 400, 404, 409 or 413, and never complete or stream into a job the
+// coordinator has not leased to anyone.
 func FuzzProtocolBodies(f *testing.F) {
-	paths := []string{"/v1/workers", "/v1/work/next", "/v1/work/result", "/v1/work/snapshot"}
+	paths := []string{"/v1/workers", "/v1/work/next", "/v1/work/result", "/v1/work/snapshot", "/v1/workers/w1/heartbeat"}
 	marshal := func(v any) []byte {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -43,6 +43,11 @@ func FuzzProtocolBodies(f *testing.F) {
 	f.Add(uint8(2), []byte(`{"worker_id":"w1","results":[{"task_id":"t1"},{"task_id":"t2"}]}`)) // the retired batched shape
 	f.Add(uint8(3), []byte(fmt.Sprintf(`{"worker_id":"w1","task_id":%q}`, strings.Repeat("y", maxSnapshotBody))))
 	f.Add(uint8(3), []byte(`{"task_id":"t2","snapshot":{"Index":1}}`)) // no worker_id: matches a queued task's empty assignee
+	f.Add(uint8(4), marshal(HeartbeatRequest{Tasks: []string{"t1"}}))
+	f.Add(uint8(4), marshal(HeartbeatRequest{Tasks: []string{"t1", "t2", "t9"}})) // t2 is queued, t9 unknown
+	f.Add(uint8(4), []byte(`{}`))
+	f.Add(uint8(4), []byte(`{"tasks":"t1"}`))
+	f.Add(uint8(4), []byte(fmt.Sprintf(`{"tasks":[%q]}`, strings.Repeat("z", maxControlBody))))
 	f.Add(uint8(1), []byte("not json"))
 	f.Add(uint8(2), []byte{})
 

@@ -101,9 +101,10 @@ type Worker struct {
 	id       string
 	leaseTTL time.Duration
 	pollWait time.Duration
-	warm     exp.WarmEnv // opts.Warm, its Snapshots filled in at registration when unset
-	done     int64       // jobs whose results the coordinator accepted
-	fatal    error       // permanent rejection observed mid-run (build mismatch)
+	warm     exp.WarmEnv     // opts.Warm, its Snapshots filled in at registration when unset
+	held     map[string]bool // task ids leased to us whose result post has not returned
+	done     int64           // jobs whose results the coordinator accepted
+	fatal    error           // permanent rejection observed mid-run (build mismatch)
 }
 
 func (w *Worker) setFatal(err error) {
@@ -160,6 +161,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 		pctx:       pctx,
 		pcancel:    pcancel,
 		warm:       opts.Warm,
+		held:       map[string]bool{},
 	}
 }
 
@@ -347,11 +349,11 @@ func (w *Worker) deregister(ctx context.Context) {
 	}
 }
 
-// heartbeatLoop renews the worker's lease at a third of its TTL. The
-// cadence is recomputed every beat: a re-registration (coordinator
-// restart) may have negotiated a different — possibly much shorter —
-// lease TTL, and beating at the old pace would let the new lease expire
-// between heartbeats.
+// heartbeatLoop renews the worker's registration and the leases it holds
+// at a third of the lease TTL. The cadence is recomputed every beat: a
+// re-registration (coordinator restart) may have negotiated a different —
+// possibly much shorter — lease TTL, and beating at the old pace would let
+// the new lease expire between heartbeats.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		w.mu.Lock()
@@ -364,7 +366,13 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			return
 		}
 		id := w.ID()
-		resp, err := w.postJSON(ctx, "/v1/workers/"+id+"/heartbeat", struct{}{})
+		var hb HeartbeatRequest
+		w.mu.Lock()
+		for task := range w.held {
+			hb.Tasks = append(hb.Tasks, task)
+		}
+		w.mu.Unlock()
+		resp, err := w.postJSON(ctx, "/v1/workers/"+id+"/heartbeat", hb)
 		if err != nil {
 			continue
 		}
@@ -426,6 +434,11 @@ func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 		// these jobs (at most free of them) to us the moment it answered,
 		// so dropping them here would strand the leases until expiry — an
 		// accepted job is always executed and delivered (drain semantics).
+		w.mu.Lock()
+		for _, asg := range batch.Assignments {
+			w.held[asg.TaskID] = true
+		}
+		w.mu.Unlock()
 		for _, asg := range batch.Assignments {
 			executors.Add(1)
 			go func() {
@@ -506,6 +519,9 @@ func (w *Worker) execute(ctx context.Context, asg Assignment) {
 		onSnap = func(s smt.Snapshot) { w.postSnapshot(ctx, asg, s) }
 	}
 	w.postResult(asg.TaskID, w.exec()(asg.Job, onSnap))
+	w.mu.Lock()
+	delete(w.held, asg.TaskID)
+	w.mu.Unlock()
 }
 
 // postResult delivers one result on the retry policy. Transport errors,

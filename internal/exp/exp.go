@@ -42,6 +42,31 @@ func (o Opts) Normalized() Opts {
 	return o
 }
 
+// maxBudget bounds Opts.Warmup and Opts.Measure, both per thread: times
+// core.MaxThreads (64), and with SimulateEnv's trace slack, a budget stays
+// far inside int64.
+const maxBudget int64 = 1 << 40
+
+// Validate is the one statement of the budgets a caller may ask for: runs
+// positive, warmup non-negative, measure positive, and neither budget past
+// maxBudget. Each message starts with the field's JSON name, so a caller
+// prefixes it with its own spelling ("opts." in smtd, "-" in the CLI).
+func (o Opts) Validate() error {
+	switch {
+	case o.Runs <= 0:
+		return fmt.Errorf("runs %d must be positive (rotations averaged per data point)", o.Runs)
+	case o.Warmup < 0:
+		return fmt.Errorf("warmup %d is negative; use 0 to skip warmup", o.Warmup)
+	case o.Measure <= 0:
+		return fmt.Errorf("measure %d must be positive (instructions measured per thread)", o.Measure)
+	case o.Warmup > maxBudget:
+		return fmt.Errorf("warmup %d exceeds %d instructions per thread", o.Warmup, maxBudget)
+	case o.Measure > maxBudget:
+		return fmt.Errorf("measure %d exceeds %d instructions per thread", o.Measure, maxBudget)
+	}
+	return nil
+}
+
 // Point is one measured machine configuration.
 type Point struct {
 	Label   string      `json:"label"`

@@ -8,12 +8,44 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/smt"
 )
 
 // quick returns tiny budgets so experiment plumbing tests stay fast.
 func quickOpts() Opts {
 	return Opts{Runs: 1, Warmup: 5_000, Measure: 10_000, Seed: 1}
+}
+
+// TestOptsValidate: Validate names the offending field first (callers
+// prefix it), and every budget it accepts stays inside int64 through the
+// kernel's arithmetic: times core.MaxThreads, and warmup plus measure with
+// the trace slack.
+func TestOptsValidate(t *testing.T) {
+	for _, c := range []struct {
+		o    Opts
+		want string // "" = valid
+	}{
+		{quickOpts(), ""},
+		{Opts{Runs: 1, Warmup: 0, Measure: 1}, ""},
+		{Opts{Runs: 1, Warmup: maxBudget, Measure: maxBudget}, ""},
+		{Opts{Runs: 0, Measure: 1}, "runs 0 must be positive"},
+		{Opts{Runs: 1, Warmup: -1, Measure: 1}, "warmup -1 is negative"},
+		{Opts{Runs: 1, Measure: 0}, "measure 0 must be positive"},
+		{Opts{Runs: 1, Warmup: maxBudget + 1, Measure: 1}, "warmup 1099511627777 exceeds"},
+		{Opts{Runs: 1, Measure: 1729382256910270464}, "measure 1729382256910270464 exceeds"},
+	} {
+		err := c.o.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: %v", c.o, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)):
+			t.Errorf("%+v: error %v, want one starting %q", c.o, err, c.want)
+		}
+	}
+	if b := maxBudget; b*core.MaxThreads <= 0 || 2*b+(2*b)>>3+1024 <= 0 {
+		t.Fatal("the widest valid budget overflows the kernel's arithmetic")
+	}
 }
 
 func TestFetchSchemeConfig(t *testing.T) {

@@ -3,12 +3,17 @@ package exp_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/fingerprint"
 	"repro/internal/policy"
 	"repro/internal/snapshot"
 	"repro/smt"
@@ -67,7 +71,7 @@ func (simulate) Dispatch(_ context.Context, j exp.Job, o exp.Opts, interval int6
 
 // sweep is what one run of a row set produced.
 type sweep struct {
-	fps  []string // per row: fingerprint.Of its Results
+	fps  []string // per row: resultsFingerprint of its Results
 	body []byte   // the sweep's EncodeJSON bytes
 	hits int      // jobs served from the runner's cache
 }
@@ -89,7 +93,7 @@ func runSweep(t *testing.T, section string, rows []row, r exp.Runner) sweep {
 	out := sweep{fps: make([]string, len(rows))}
 	var mu sync.Mutex
 	r.OnJobDone = func(j exp.Job, res smt.Results, fromCache bool) {
-		fp := fingerprint.Of(res)
+		fp := resultsFingerprint(res)
 		mu.Lock()
 		defer mu.Unlock()
 		out.fps[j.Point] = fp
@@ -234,7 +238,7 @@ func TestPathMatrix(t *testing.T) {
 			type result struct{ name, hash string }
 			ch := make(chan result)
 			for name, cfg := range machines {
-				go func() { ch <- result{name, fingerprint.Of(exp.Simulate(cfg, 0, o.Seed, o, 0, nil))} }()
+				go func() { ch <- result{name, resultsFingerprint(exp.Simulate(cfg, 0, o.Seed, o, 0, nil))} }()
 			}
 			got := make(map[string]string, len(machines))
 			for range machines {
@@ -266,7 +270,7 @@ func TestPathMatrix(t *testing.T) {
 				defer mu.Unlock()
 				snaps[j.Point]++
 				if s.Done {
-					finals[j.Point] = fingerprint.Of(s.Cumulative)
+					finals[j.Point] = resultsFingerprint(s.Cumulative)
 				}
 			}})
 			for i, rw := range variants.rows {
@@ -403,6 +407,47 @@ func TestPolicyPairFingerprintsWarm(t *testing.T) {
 // goldenFile holds the plain path's Results fingerprints, one section per
 // row set: variants, policy_pairs and core_matrix.
 const goldenFile = "testdata/fingerprints.golden.json"
+
+// resultsFingerprint is the Results address goldenFile pins: SHA-256, first
+// 16 bytes in hex, of a rendering with fields sorted by name ({Cycles:9;
+// IPC:0.5}), floats in 'g' shortest form, slices and arrays as [a,b].
+func resultsFingerprint(res smt.Results) string {
+	sum := sha256.Sum256(appendResults(nil, reflect.ValueOf(res)))
+	return hex.EncodeToString(sum[:16])
+}
+
+func appendResults(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Int64:
+		return strconv.AppendInt(b, v.Int(), 10)
+	case reflect.Float64:
+		return strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
+	case reflect.Slice, reflect.Array:
+		b = append(b, '[')
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendResults(b, v.Index(i))
+		}
+		return append(b, ']')
+	case reflect.Struct:
+		names := make([]string, v.NumField())
+		for i := range names {
+			names[i] = v.Type().Field(i).Name
+		}
+		sort.Strings(names)
+		b = append(b, '{')
+		for i, name := range names {
+			if i > 0 {
+				b = append(b, ';')
+			}
+			b = appendResults(append(append(b, name...), ':'), v.FieldByName(name))
+		}
+		return append(b, '}')
+	}
+	panic(fmt.Sprintf("smt.Results holds a %s", v.Kind()))
+}
 
 // checkGolden compares got, row name -> Results fingerprint, with one
 // section of goldenFile. Every name the section lists must match; a row it

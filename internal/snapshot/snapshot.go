@@ -118,6 +118,13 @@ const traceGranule = 64 << 10
 // already makes cheap.
 const defaultTraceBytes = 32 << 20
 
+// maxTraceRecords caps one context trace, whatever a lookup asks for. At
+// the cap a context pins about 2 MB, so a full eight-context set fits the
+// default budget with its programs, and one job cannot pin more than the
+// cache may hold. A run past the cap spills onto the live walker, which is
+// bit-identical, so the cap bounds memory and never changes results.
+const maxTraceRecords = 1 << 22
+
 // TraceStats snapshots a TraceCache's counters.
 type TraceStats struct {
 	Builds    int64 `json:"builds"` // context traces decoded from scratch
@@ -133,9 +140,10 @@ type TraceStats struct {
 // least-recently-used eviction. An entry is keyed by
 // (benchmark, seed, context) — what the context's program is a function of
 // — so the T-thread and the 8-thread machine of one rotation replay the
-// same first T traces. Lengths round up to traceGranule and a cached trace
-// at least as long as the request serves it; a longer request builds a new
-// trace that supersedes the shorter entry. Concurrent lookups of the same
+// same first T traces. Lengths round up to traceGranule, capped at
+// maxTraceRecords, and a cached trace at least as long as the request
+// serves it; a longer request builds a new trace that supersedes the
+// shorter entry. Concurrent lookups of the same
 // context block on one build instead of decoding in parallel.
 type TraceCache struct {
 	mu       sync.Mutex
@@ -184,10 +192,11 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 }
 
 // Get returns the trace set for spec with at least perThread records per
-// context, building the context traces no earlier lookup left behind.
-// Identical concurrent lookups share one build per context.
+// context, or maxTraceRecords when perThread is more, building the context
+// traces no earlier lookup left behind. Identical concurrent lookups share
+// one build per context.
 func (c *TraceCache) Get(spec smt.WorkloadSpec, perThread int64) (*smt.TraceSet, error) {
-	records := (max(perThread, 0) + traceGranule - 1) / traceGranule * traceGranule
+	records := (min(max(perThread, 0), maxTraceRecords) + traceGranule - 1) / traceGranule * traceGranule
 	traces := make([]*smt.ContextTrace, len(spec.Names))
 	for i, name := range spec.Names {
 		ct, err := c.contextTrace(contextKey{name: name, seed: spec.Seed, ctx: i}, records)

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -240,4 +241,40 @@ func TestTraceCacheSupersedeWhileBuilding(t *testing.T) {
 	if st.Builds < 2 || st.Builds > 4 || st.Builds+st.Reuses != 16 {
 		t.Fatalf("Stats = %+v, want 2..4 builds and every lookup a build or a reuse", st)
 	}
+}
+
+// A lookup far past the cap builds maxTraceRecords per context: one job
+// pins no more than the cache may hold, a replay that runs past the capped
+// trace spills onto the live walker and commits exactly what a live run
+// does, and a full eight-context set at the cap fits the default budget
+// without evicting itself.
+func TestTraceCacheCapsRecords(t *testing.T) {
+	c := NewTraceCache(0)
+	spec := smt.WorkloadMix(1, 0, 1)
+	ts, err := c.Get(spec, 100_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); ts.Records() != maxTraceRecords || st.Bytes > defaultTraceBytes {
+		t.Fatalf("oversized Get: %d records, Stats = %+v; want %d records within %d bytes", ts.Records(), st, maxTraceRecords, defaultTraceBytes)
+	}
+	if testing.Short() {
+		t.Skip("runs past the cap")
+	}
+	cfg := smt.DefaultConfig(1)
+	replay, err := smt.NewReplay(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = maxTraceRecords + 100_000
+	if got, want := replay.Run(n), smt.MustNew(cfg, spec).Run(n); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay past the cap diverged from the live run:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := c.Get(smt.WorkloadMix(8, 0, 1), 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 8 || st.Evictions != 0 || st.Bytes > defaultTraceBytes {
+		t.Fatalf("full set at the cap: Stats = %+v, want 8 entries within %d bytes and no evictions", st, defaultTraceBytes)
+	}
+	t.Logf("eight contexts at the cap pin %d bytes", c.Stats().Bytes)
 }

@@ -26,7 +26,7 @@ var (
 	// resultAffecting packages can reach simulation results or fingerprints.
 	resultAffecting = []string{"internal/core", "internal/exp", "internal/policy", "internal/mem",
 		"internal/iq", "internal/rename", "internal/branch", "internal/workload",
-		"internal/fingerprint", "internal/snapshot", "internal/state", "smt"}
+		"internal/snapshot", "internal/state", "smt"}
 	// model packages run inside the cycle loop.
 	model = []string{"internal/core", "internal/policy", "internal/mem", "internal/iq",
 		"internal/rename", "internal/branch", "internal/workload"}

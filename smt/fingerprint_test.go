@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestConfigFingerprint: the content address must be deterministic,
@@ -34,23 +36,31 @@ func TestConfigFingerprint(t *testing.T) {
 		}
 	}
 
-	var rt Config
-	raw, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
+	// Workers recompute snapshot keys from the config they decode, so
+	// every registered machine must keep its address across the wire.
+	machines := map[string]Config{"default": base}
+	for _, v := range core.Variants() {
+		machines[v.Name] = v.Config
 	}
-	if err := json.Unmarshal(raw, &rt); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Fingerprint() != base.Fingerprint() {
-		t.Fatal("JSON round trip changed the fingerprint")
+	for name, cfg := range machines {
+		var rt Config
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &rt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rt.Fingerprint() != cfg.Fingerprint() {
+			t.Errorf("%s: JSON round trip changed the fingerprint", name)
+		}
 	}
 }
 
 // TestBuiltinFingerprintsFrozen pins the content addresses of the paper's
 // standard machines. What it guards is drift in the encoding: a field added,
-// renamed or removed, or a change to how fingerprint.Of renders a value,
-// moves these hashes and with them every result and checkpoint key a
+// renamed, reordered or removed, or a change to how a value marshals to
+// JSON, moves these hashes and with them every result and checkpoint key a
 // durable cache holds. Re-pin them only for such a change, made on purpose.
 // The relational checks say what the address must see and what it must not:
 // spelling the default predictor out is the same machine; another
@@ -68,10 +78,10 @@ func TestBuiltinFingerprintsFrozen(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"RR.1.8 x8", DefaultConfig(8), "c8e074a65c7f0a3632bd14bd0fcdf476"},
-		{"ICOUNT.2.8 x8", icount28, "49cc75ee3551cca571bd51c1e90160af"},
-		{"superscalar", Superscalar(), "c22bb10f4277965cb231d0b18f7b110c"},
-		{"IQPOSN/BRANCH_FIRST x4", mixed, "b0b77c178746a10956049567ba075d47"},
+		{"RR.1.8 x8", DefaultConfig(8), "1aa752f56d49fa4028752e2a798cdee9"},
+		{"ICOUNT.2.8 x8", icount28, "1944489e1e935f82b593958350d14ab9"},
+		{"superscalar", Superscalar(), "02560149250dcfb7408e045253c2eb24"},
+		{"IQPOSN/BRANCH_FIRST x4", mixed, "d83bc2f8fd0c23d9e2945e08c4723a2f"},
 	} {
 		if got := tc.cfg.Fingerprint(); got != tc.want {
 			t.Errorf("%s fingerprint = %s, want frozen %s", tc.name, got, tc.want)
