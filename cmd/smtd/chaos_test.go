@@ -119,7 +119,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	// goroutine watermark is taken.
 	var baseline string
 	{
-		s := NewServer(2, 0)
+		s := newServer(t, ServerOptions{Workers: 2})
 		ln := listenLocal(t)
 		hs := &http.Server{Handler: s.Handler()}
 		go hs.Serve(ln)
@@ -135,10 +135,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	gBefore := runtime.NumGoroutine()
 
-	server, err := NewServerWith(ServerOptions{Workers: 2, CacheSize: 4096, CacheDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := newServer(t, ServerOptions{Workers: 2, CacheSize: 4096, CacheDir: t.TempDir()})
 	ln := listenLocal(t)
 	hs := &http.Server{Handler: server.Handler()}
 	go hs.Serve(ln)

@@ -163,7 +163,7 @@ func (c *routeCounter) count(route string) int64 {
 // coordinator looks every result key up before it dispatches and stores
 // every posted result, so a worker-side peek or fill only repeats it.
 func TestWorkerTrafficContract(t *testing.T) {
-	s := NewServer(1, 0)
+	s := newServer(t, ServerOptions{Workers: 1})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -266,7 +266,7 @@ func TestCachePeekFillEndpoints(t *testing.T) {
 // TestDrainWaitsForRunningSweeps: Drain returns once running sweeps
 // finish and reports stragglers on timeout.
 func TestDrainWaitsForRunningSweeps(t *testing.T) {
-	s := NewServer(2, 16)
+	s := newServer(t, ServerOptions{Workers: 2, CacheSize: 16})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

@@ -20,14 +20,14 @@ import (
 // expansion, keys, bookkeeping, result encoding — runs for real, and no
 // cycle is simulated, so a fuzzed budget of 10^18 instructions costs
 // nothing.
-func newStubServer() *Server {
-	return newExecServer(func(dist.JobPayload, func(smt.Snapshot)) smt.Results { return smt.Results{} })
+func newStubServer(tb testing.TB) *Server {
+	return newExecServer(tb, func(dist.JobPayload, func(smt.Snapshot)) smt.Results { return smt.Results{} })
 }
 
 // newExecServer is a service that runs every cache-missed job through run
 // instead of the simulator.
-func newExecServer(run dist.Exec) *Server {
-	s := NewServer(2, 0)
+func newExecServer(tb testing.TB, run dist.Exec) *Server {
+	s := newServer(tb, ServerOptions{Workers: 2})
 	s.coord.Close()
 	s.coord = dist.NewCoordinator(dist.Options{LocalSlots: 2, Exec: run})
 	return s
@@ -94,7 +94,7 @@ func FuzzInlineGrid(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := newStubServer()
+		s := newStubServer(t)
 		defer s.Close()
 		h := s.Handler()
 		do := func(method, path string, body []byte) (int, []byte) {

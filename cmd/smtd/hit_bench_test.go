@@ -50,7 +50,7 @@ func paperGrid(tb testing.TB) []gridPoint {
 // a new name each time — a body the service has not seen, so it is decoded,
 // validated, expanded and encoded again, and only the 41 jobs hit.
 func BenchmarkHitSweep(b *testing.B) {
-	s := NewServer(2, 0)
+	s := newServer(b, ServerOptions{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

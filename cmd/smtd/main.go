@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintln(stderr, "smtd:", err)
 		return 1
 	}
-	server, err := NewServerWith(ServerOptions{
+	server, err := NewServer(ServerOptions{
 		Workers:   *workers,
 		CacheSize: *cacheSize,
 		CacheDir:  *cacheDir,

@@ -197,7 +197,7 @@ type memoServer struct {
 }
 
 func newMemoServer(t *testing.T, entries int) *memoServer {
-	s := newStubServer()
+	s := newStubServer(t)
 	t.Cleanup(s.Close)
 	s.plans = cache.New[*sweepPlan](entries)
 	keys := &keyLog{Getter: s.results, seen: map[string]bool{}}
@@ -423,7 +423,7 @@ func TestPlanMemoSkipsWhatItCannotBound(t *testing.T) {
 // the sweep, a resubmission is a plan hit whose jobs mostly miss: it must
 // say so, simulate them again, and still return the primed bytes.
 func TestPlanMemoEvictionHonesty(t *testing.T) {
-	s := NewServer(2, 16)
+	s := newServer(t, ServerOptions{Workers: 2, CacheSize: 16})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -475,7 +475,7 @@ func postBody(base string, body []byte) (code int, st sweepStatus, raw []byte) {
 // sweep must finish, sweeps of the same body must return the same bytes
 // whichever of them planned it, and no sweep may change a shared plan.
 func TestPlanMemoConcurrentSweeps(t *testing.T) {
-	s := NewServer(2, 0)
+	s := newServer(t, ServerOptions{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -576,7 +576,7 @@ func TestPlanMemoConcurrentSweeps(t *testing.T) {
 // from plan hits, the plan must still hold the jobs, with the configs,
 // fingerprints and keys, it was stored with.
 func TestSweepLeavesPlanIntact(t *testing.T) {
-	s := NewServer(2, 0)
+	s := newServer(t, ServerOptions{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -123,7 +123,7 @@ const (
 // typo or abuse, and expanding it would exhaust memory before any job ran.
 const maxSweepJobs = 1 << 16
 
-// ServerOptions configures a Server beyond the basic knobs.
+// ServerOptions configures a Server.
 type ServerOptions struct {
 	// Workers is the local simulation concurrency (<=0 means GOMAXPROCS).
 	Workers int
@@ -136,26 +136,13 @@ type ServerOptions struct {
 	CacheDir string
 }
 
-// NewServer builds a service with the given simulation concurrency
-// (<=0 means GOMAXPROCS) and result-cache capacity (0 means unbounded).
-// The concurrency bound applies to local simulation: however many sweeps
-// run at once, at most `workers` simulations execute on this process.
-// Registered remote workers (see internal/dist) add their own capacity on
-// top. Call Close when done with the server outside a process-lifetime
-// context.
-func NewServer(workers, cacheSize int) *Server {
-	s, err := NewServerWith(ServerOptions{Workers: workers, CacheSize: cacheSize})
-	if err != nil {
-		// Unreachable: without CacheDir nothing in construction can fail.
-		panic(err)
-	}
-	return s
-}
-
-// NewServerWith builds a service with the full option set; the error is
-// non-nil only when the durable cache directory cannot be created or
-// scanned.
-func NewServerWith(opts ServerOptions) (*Server, error) {
+// NewServer builds a service. The Workers bound applies to local
+// simulation: however many sweeps run at once, at most that many
+// simulations execute on this process. Registered remote workers (see
+// internal/dist) add their own capacity on top. The error is non-nil only
+// when the durable cache directory cannot be created or scanned. Call
+// Close when done with the server outside a process-lifetime context.
+func NewServer(opts ServerOptions) (*Server, error) {
 	n := opts.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

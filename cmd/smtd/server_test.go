@@ -26,7 +26,7 @@ func tinyOpts() *exp.Opts {
 
 func newTestService(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewServer(2, 0).Handler())
+	ts := httptest.NewServer(newServer(t, ServerOptions{Workers: 2}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -410,7 +410,7 @@ func TestCancelSweep(t *testing.T) {
 // result is served.
 func TestWaitingHandlerReturnsWhenClientLeaves(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
-	s := newExecServer(func(dist.JobPayload, func(smt.Snapshot)) smt.Results {
+	s := newExecServer(t, func(dist.JobPayload, func(smt.Snapshot)) smt.Results {
 		close(started)
 		<-release
 		return smt.Results{}
@@ -541,7 +541,7 @@ func TestConcurrentIdenticalSweepsSimulateOnce(t *testing.T) {
 // bound are evicted (oldest first) so a long-running service cannot grow
 // without limit; evicted IDs answer 404.
 func TestFinishedSweepHistoryBounded(t *testing.T) {
-	srv := NewServer(2, 0)
+	srv := newServer(t, ServerOptions{Workers: 2})
 	srv.maxHistory = 2
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

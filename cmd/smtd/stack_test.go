@@ -15,16 +15,23 @@ import (
 // configured, each a superset of the one before.
 var storageShapes = []string{"mem", "disk"}
 
+// newServer is NewServer for tests: a construction error fails tb.
+func newServer(tb testing.TB, opts ServerOptions) *Server {
+	tb.Helper()
+	s, err := NewServer(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func serveShape(t *testing.T, shape string) (*Server, string) {
 	t.Helper()
 	opts := ServerOptions{Workers: 2, CacheSize: 16}
 	if shape != "mem" {
 		opts.CacheDir = t.TempDir()
 	}
-	srv, err := NewServerWith(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, opts)
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

@@ -75,7 +75,7 @@ func warmSweepResult(t *testing.T, base string, st sweepStatus) string {
 // reports fewer trace builds than the widths sum to, and none for the
 // second sweep.
 func TestWarmSweepSmoke(t *testing.T) {
-	s := NewServer(2, 0)
+	s := newServer(t, ServerOptions{Workers: 2})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -122,7 +122,7 @@ func TestWarmSweepSmoke(t *testing.T) {
 	// Byte-identity: a cold server running the second sweep from scratch
 	// (simulating its warmups) must produce the same result bytes the
 	// restored sweep produced.
-	cold := NewServer(2, 0)
+	cold := newServer(t, ServerOptions{Workers: 2})
 	t.Cleanup(cold.Close)
 	cts := httptest.NewServer(cold.Handler())
 	t.Cleanup(cts.Close)

@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("smtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		threads     = fs.Int("threads", 8, "hardware contexts (1-8)")
+		threads     = fs.Int("threads", 8, "hardware contexts (1-64; the benchmark mix repeats past 8)")
 		fetchAlg    = fs.String("fetch", "RR", "fetch policy: any registered name (RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN, ICOUNT+BRCOUNT, ...)")
 		nFetch      = fs.Int("nfetch", 1, "threads fetched per cycle (num1)")
 		wFetch      = fs.Int("wfetch", 8, "max instructions per thread per cycle (num2)")
@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		measure     = fs.Int64("measure", 100000, "measured instructions per thread")
 		seed        = fs.Uint64("seed", 1, "workload seed")
 		rotate      = fs.Int("rotate", 0, "benchmark rotation (which mix of the 8 benchmarks)")
-		bench       = fs.String("bench", "", "comma-separated benchmark names (overrides -rotate)")
+		bench       = fs.String("bench", "", "comma-separated benchmark names, one per context (overrides -rotate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -130,7 +130,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	spec := smt.WorkloadMix(cfg.Threads, *rotate, *seed)
 	if *bench != "" {
-		spec.Names = strings.Split(*bench, ",")
+		// Parsed as cmd/experiments parses its lists: names are trimmed and
+		// empty ones (a trailing comma) skipped.
+		spec.Names = nil
+		for _, n := range strings.Split(*bench, ",") {
+			if n = strings.TrimSpace(n); n != "" {
+				spec.Names = append(spec.Names, n)
+			}
+		}
 	}
 	sim, err := smt.New(cfg, spec)
 	if err != nil {

@@ -72,6 +72,18 @@ func TestBadBenchNameFails(t *testing.T) {
 	}
 }
 
+// TestBenchListParsedLikeExperiments: -bench trims each name and skips
+// empty ones, so a space after a comma or a trailing comma names the same
+// mix as the bare list.
+func TestBenchListParsedLikeExperiments(t *testing.T) {
+	for _, list := range []string{"espresso, xlisp", "espresso,xlisp,"} {
+		out, errOut, code := runCLI(t, "-threads", "2", "-bench", list, "-warmup", "500", "-measure", "1000")
+		if code != 0 || !strings.Contains(out, "workload=[espresso xlisp]") {
+			t.Errorf("-bench %q: exit %d, stderr %q, stdout:\n%s", list, code, errOut, out)
+		}
+	}
+}
+
 // TestNegativeBudgetsAndRotationRejected: each used to reach the simulator
 // and die there with a stack trace (or, for -warmup, be taken as zero).
 func TestNegativeBudgetsAndRotationRejected(t *testing.T) {

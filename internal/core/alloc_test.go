@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -25,13 +26,16 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping warmup-heavy allocation measurement")
 	}
-	progs := buildPrograms(t, 8, 1)
+	progs := buildTraces(t, 8, 1)
 	measure := func(t *testing.T, cfg Config) {
 		p := MustNew(cfg, progs[:cfg.Threads])
 		// Warm every reusable structure: scratch buffers and the dyn
 		// pool grow to their high-water marks, the event ring's buckets
-		// reach their plateau capacities, caches and TLBs fill.
-		p.Run(600_000, 0)
+		// reach their plateau capacities, caches and TLBs fill. The run
+		// is also held to the bounds any machine's counters obey.
+		if err := runBounds(cfg, p.Run(600_000, 0)); err != nil {
+			t.Error(err)
+		}
 		// One run is an exact count (AllocsPerRun divides in integers,
 		// so a mean over many would round a slow leak down to 0). A
 		// pool or a per-thread slice still meets a new high-water mark
@@ -70,14 +74,39 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 	}
 }
 
-// TestMachineFootprint bounds what core.New allocates, programs aside, so
+// runBounds reports the first per-run bound s breaks: no machine commits
+// more than it fetched on the correct path, fetches more than FetchTotal a
+// cycle, issues more than IssueWidth a cycle (unless InfiniteFUs lifts the
+// limit) or commits more than CommitWidth a cycle, and every context
+// commits.
+func runBounds(cfg Config, s Stats) error {
+	c := s.Cycles
+	switch {
+	case s.Committed > s.Fetched-s.FetchedWrongPath:
+		return fmt.Errorf("committed %d > correct-path fetched %d", s.Committed, s.Fetched-s.FetchedWrongPath)
+	case s.Fetched > int64(cfg.FetchTotal)*c:
+		return fmt.Errorf("fetched %d > FetchTotal %d x %d cycles", s.Fetched, cfg.FetchTotal, c)
+	case !cfg.InfiniteFUs && s.Issued > int64(cfg.IssueWidth)*c:
+		return fmt.Errorf("issued %d > IssueWidth %d x %d cycles", s.Issued, cfg.IssueWidth, c)
+	case s.Committed > int64(cfg.CommitWidth)*c:
+		return fmt.Errorf("committed %d > CommitWidth %d x %d cycles", s.Committed, cfg.CommitWidth, c)
+	}
+	for t, n := range s.CommittedByThread {
+		if n <= 0 {
+			return fmt.Errorf("thread %d committed %d of %d (per thread %v)", t, n, s.Committed, s.CommittedByThread)
+		}
+	}
+	return nil
+}
+
+// TestMachineFootprint bounds what core.New allocates, traces aside, so
 // a structure sized by a configuration's reach rather than by what it
 // holds shows up as a regression. The event calendar is the case in
 // point: its storage follows the events pending, so a machine whose
 // memory latencies stretch the horizon toward maxEventHorizon pays one
 // slice header a cycle, not a bucket of events.
 func TestMachineFootprint(t *testing.T) {
-	progs := buildPrograms(t, 8, 1)
+	progs := buildTraces(t, 8, 1)
 	footprint := func(cfg Config) (uint64, int64) {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -97,9 +126,9 @@ func TestMachineFootprint(t *testing.T) {
 		cfg     Config
 		ceiling uint64
 	}{
-		{"DefaultConfig(8)", DefaultConfig(8), 1160 << 10},
+		{"DefaultConfig(8)", DefaultConfig(8), 900 << 10},
 		{"Superscalar", Superscalar(), 900 << 10},
-		{"horizon near max", far, 2060 << 10},
+		{"horizon near max", far, 1810 << 10},
 	}
 	got := make([]uint64, len(cases))
 	buckets := make([]int64, len(cases))

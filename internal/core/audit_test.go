@@ -52,7 +52,7 @@ func TestDerivedShortcutsSound(t *testing.T) {
 						cfg := DefaultConfig(threads)
 						cfg.FetchPolicy, cfg.FetchThreads = policy.FetchAlg(f), min(2, threads)
 						cfg.IssuePolicy, cfg.SpecMode = policy.IssueAlg(is), mode
-						p := MustNew(cfg, buildPrograms(t, threads, 5))
+						p := MustNew(cfg, buildTraces(t, threads, 5))
 						audited(t, p)
 						asleep := 0
 						for i := 0; i < cycles; i++ {
@@ -95,7 +95,7 @@ func TestWakeStateSurvivesRestore(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.FetchPolicy, cfg.FetchThreads, cfg.IssuePolicy = policy.ICount, 2, policy.OptLast
 	build := func() *Processor {
-		p := MustNew(cfg, buildPrograms(t, 4, 7))
+		p := MustNew(cfg, buildTraces(t, 4, 7))
 		audited(t, p)
 		return p
 	}

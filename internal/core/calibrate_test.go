@@ -22,7 +22,7 @@ func TestCalibrationReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := MustNew(cfg, []*workload.Program{prog})
+		p := MustNew(cfg, live(prog))
 		p.Run(30000, 1000000) // warmup
 		p.ResetStats()
 		s := p.Run(150000, 2000000)

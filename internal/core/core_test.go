@@ -7,8 +7,9 @@ import (
 	"repro/internal/workload"
 )
 
-// buildPrograms creates the first n benchmark programs, one per context.
-func buildPrograms(t testing.TB, n int, seed uint64) []*workload.Program {
+// buildTraces creates the first n benchmark programs, one per context, as
+// zero-record traces: a machine built from them walks its programs live.
+func buildTraces(t testing.TB, n int, seed uint64) []*workload.Trace {
 	t.Helper()
 	profiles := workload.Profiles()
 	progs := make([]*workload.Program, n)
@@ -19,12 +20,21 @@ func buildPrograms(t testing.TB, n int, seed uint64) []*workload.Program {
 		}
 		progs[i] = prog
 	}
-	return progs
+	return live(progs...)
+}
+
+// live wraps each program in a zero-record trace.
+func live(progs ...*workload.Program) []*workload.Trace {
+	traces := make([]*workload.Trace, len(progs))
+	for i, prog := range progs {
+		traces[i] = workload.BuildTrace(prog, 0)
+	}
+	return traces
 }
 
 func TestSingleThreadRunsAndCommits(t *testing.T) {
 	cfg := DefaultConfig(1)
-	p := MustNew(cfg, buildPrograms(t, 1, 1))
+	p := MustNew(cfg, buildTraces(t, 1, 1))
 	s := p.Run(20000, 200000)
 	if s.Committed < 20000 {
 		t.Fatalf("committed %d of 20000 in %d cycles", s.Committed, s.Cycles)
@@ -41,7 +51,7 @@ func TestSingleThreadRunsAndCommits(t *testing.T) {
 func TestCommitStreamMatchesOracle(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		cfg := DefaultConfig(threads)
-		progs := buildPrograms(t, threads, 7)
+		progs := buildTraces(t, threads, 7)
 		p := MustNew(cfg, progs)
 		oracles := make([]*workload.Walker, threads)
 		for i := range progs {
@@ -67,7 +77,7 @@ func TestCommitStreamMatchesOracle(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() Stats {
 		cfg := DefaultConfig(4)
-		p := MustNew(cfg, buildPrograms(t, 4, 11))
+		p := MustNew(cfg, buildTraces(t, 4, 11))
 		return p.Run(20000, 400000)
 	}
 	a, b := run(), run()
@@ -81,7 +91,7 @@ func TestDeterminism(t *testing.T) {
 func TestMoreThreadsMoreThroughput(t *testing.T) {
 	ipc := func(threads int) float64 {
 		cfg := DefaultConfig(threads)
-		p := MustNew(cfg, buildPrograms(t, threads, 3))
+		p := MustNew(cfg, buildTraces(t, threads, 3))
 		s := p.Run(int64(threads)*15000, 600000)
 		return s.IPC()
 	}
@@ -94,7 +104,7 @@ func TestMoreThreadsMoreThroughput(t *testing.T) {
 
 func TestSuperscalarBaselineRuns(t *testing.T) {
 	cfg := Superscalar()
-	p := MustNew(cfg, buildPrograms(t, 1, 5))
+	p := MustNew(cfg, buildTraces(t, 1, 5))
 	s := p.Run(20000, 200000)
 	if s.Committed < 20000 {
 		t.Fatalf("superscalar committed only %d", s.Committed)
@@ -105,7 +115,7 @@ func TestICountPolicyRuns(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.FetchPolicy = policy.ICount
 	cfg.FetchThreads = 2
-	p := MustNew(cfg, buildPrograms(t, 4, 9))
+	p := MustNew(cfg, buildTraces(t, 4, 9))
 	s := p.Run(40000, 600000)
 	if s.Committed < 40000 {
 		t.Fatalf("ICOUNT.2.8 committed only %d in %d cycles", s.Committed, s.Cycles)
@@ -114,7 +124,7 @@ func TestICountPolicyRuns(t *testing.T) {
 
 func TestStatsSanity(t *testing.T) {
 	cfg := DefaultConfig(2)
-	p := MustNew(cfg, buildPrograms(t, 2, 13))
+	p := MustNew(cfg, buildTraces(t, 2, 13))
 	s := p.Run(30000, 400000)
 	if s.Fetched < s.Committed {
 		t.Errorf("fetched %d < committed %d", s.Fetched, s.Committed)

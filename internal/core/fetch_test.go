@@ -15,7 +15,7 @@ import (
 // fragmentation.
 func TestFetchGroupStopsAtBlockBoundary(t *testing.T) {
 	cfg := DefaultConfig(1)
-	p := MustNew(cfg, buildPrograms(t, 1, 21))
+	p := MustNew(cfg, buildTraces(t, 1, 21))
 	th := p.threads[0]
 	// Warm the I-cache so fetch is not miss-limited.
 	p.Run(5_000, 200_000)
@@ -45,7 +45,7 @@ func TestFetchGroupStopsAtBlockBoundary(t *testing.T) {
 func TestFetchBankConflictSkipsThread(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.FetchThreads = 2
-	progs := buildPrograms(t, 2, 33)
+	progs := buildTraces(t, 2, 33)
 	p := MustNew(cfg, progs)
 	p.Run(5_000, 400_000) // warm both I-caches
 
@@ -81,15 +81,14 @@ func TestFetchBankConflictSkipsThread(t *testing.T) {
 // prediction it must not.
 func TestWrongPathFetchOccurs(t *testing.T) {
 	cfg := DefaultConfig(1)
-	progs := []*workload.Program{workload.MustNew(workload.Profiles()[5], 17, 0)} // espresso: branchy
-	p := MustNew(cfg, progs)
+	p := MustNew(cfg, live(workload.MustNew(workload.Profiles()[5], 17, 0))) // espresso: branchy
 	p.Run(40_000, 2_000_000)
 	if p.Stats().FetchedWrongPath == 0 {
 		t.Fatal("no wrong-path instructions fetched under real prediction")
 	}
 
 	cfg.Branch.Predictor = branch.Perfect
-	p2 := MustNew(cfg, []*workload.Program{workload.MustNew(workload.Profiles()[5], 17, 0)})
+	p2 := MustNew(cfg, live(workload.MustNew(workload.Profiles()[5], 17, 0)))
 	p2.Run(40_000, 2_000_000)
 	if got := p2.Stats().FetchedWrongPath; got != 0 {
 		t.Fatalf("%d wrong-path instructions under perfect prediction", got)
@@ -104,8 +103,7 @@ func TestWrongPathFetchOccurs(t *testing.T) {
 func TestMisfetchPenaltyCounted(t *testing.T) {
 	cfg := DefaultConfig(1)
 	// espresso: call- and jump-rich, so cold-BTB taken transfers occur.
-	progs := []*workload.Program{workload.MustNew(workload.Profiles()[5], 13, 0)}
-	p := MustNew(cfg, progs)
+	p := MustNew(cfg, live(workload.MustNew(workload.Profiles()[5], 13, 0)))
 	p.Run(50_000, 2_000_000)
 	if p.Stats().Misfetches == 0 {
 		t.Fatal("no misfetches recorded; cold BTB must cause decode redirects")
@@ -123,12 +121,12 @@ func TestFetchPolicySwitchRelievesClog(t *testing.T) {
 	}
 	iqFull := func(alg policy.FetchAlg) float64 {
 		profiles := workload.Profiles()
-		progs := []*workload.Program{
+		progs := live(
 			workload.MustNew(profiles[6], 3, 0), // xlisp: IQ-clogging
 			workload.MustNew(profiles[0], 3, 1), // alvinn: efficient
 			workload.MustNew(profiles[4], 3, 2), // tomcatv: efficient
 			workload.MustNew(profiles[2], 3, 3), // fpppp
-		}
+		)
 		cfg := DefaultConfig(4)
 		cfg.FetchPolicy = alg
 		cfg.FetchThreads = 2
@@ -150,7 +148,7 @@ func TestFetchPolicySwitchRelievesClog(t *testing.T) {
 func TestICacheMissBlocksOnlyThatThread(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.FetchThreads = 2
-	p := MustNew(cfg, buildPrograms(t, 2, 41))
+	p := MustNew(cfg, buildTraces(t, 2, 41))
 	p.Run(10_000, 600_000)
 	t0 := p.threads[0]
 	// Force thread 0 into a long artificial I-miss stall.

@@ -32,7 +32,7 @@ func TestFetchAccountingInvariant(t *testing.T) {
 				cfg.FetchPolicy = alg
 				cfg.FetchThreads = 2
 				cfg.ITAG = itag
-				p := MustNew(cfg, buildPrograms(t, 4, 7))
+				p := MustNew(cfg, buildTraces(t, 4, 7))
 				s := p.Run(30_000, 2_000_000)
 				if got := fetchLossSum(s); got != s.Cycles {
 					t.Fatalf("fetch accounting leaks: outcomes sum to %d over %d cycles\n"+
@@ -51,7 +51,7 @@ func TestFetchAccountingInvariant(t *testing.T) {
 // TestFetchAccountingInvariantSingleThread covers the superscalar shape,
 // where back-pressure and I-miss losses dominate.
 func TestFetchAccountingInvariantSingleThread(t *testing.T) {
-	p := MustNew(Superscalar(), buildPrograms(t, 1, 11))
+	p := MustNew(Superscalar(), buildTraces(t, 1, 11))
 	s := p.Run(30_000, 2_000_000)
 	if got := fetchLossSum(s); got != s.Cycles {
 		t.Fatalf("fetch accounting leaks: %d != %d cycles", got, s.Cycles)
@@ -65,7 +65,7 @@ func TestFetchAccountingInvariantSingleThread(t *testing.T) {
 func TestBankConflictLossAttributed(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.FetchThreads = 2
-	p := MustNew(cfg, buildPrograms(t, 8, 5))
+	p := MustNew(cfg, buildTraces(t, 8, 5))
 	s := p.Run(60_000, 4_000_000)
 	if s.FetchLostBankConflict == 0 {
 		t.Fatal("no bank-conflict fetch losses recorded; attribution fix not exercised")

@@ -125,7 +125,7 @@ func TestInvariantsUnderConfigs(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := DefaultConfig(4)
 			v.mod(&cfg)
-			p := MustNew(cfg, buildPrograms(t, 4, 99))
+			p := MustNew(cfg, buildTraces(t, 4, 99))
 			for step := 0; step < 40; step++ {
 				for i := 0; i < 1500; i++ {
 					p.Step()
@@ -158,7 +158,7 @@ func TestOracleSyncUnderSquash(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.IQSize = 16 // small queues: maximum clog and squash interplay
 	cfg.Rename.ExcessRegs = 48
-	p := MustNew(cfg, progs)
+	p := MustNew(cfg, live(progs...))
 	mismatches := 0
 	p.CommitHook = func(thread int, pc int64) {
 		if want := oracle[thread].Next(); want.PC != pc && mismatches == 0 {

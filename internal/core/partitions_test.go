@@ -7,7 +7,7 @@ import "testing"
 func TestDeclaredPartitionsHold(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.FetchThreads = 2
-	p := MustNew(cfg, buildPrograms(t, 4, 13))
+	p := MustNew(cfg, buildTraces(t, 4, 13))
 	s := p.Run(20_000, 1_000_000)
 	for _, v := range s.PartitionViolations() {
 		t.Errorf("partition broken: %s", v)

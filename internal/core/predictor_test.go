@@ -94,7 +94,7 @@ func TestVariantAddresses(t *testing.T) {
 // runStats runs cfg over the standard test programs and returns the stats.
 func runStats(t *testing.T, cfg Config, seed uint64) Stats {
 	t.Helper()
-	p := MustNew(cfg, buildPrograms(t, cfg.Threads, seed))
+	p := MustNew(cfg, buildTraces(t, cfg.Threads, seed))
 	return p.Run(30000, 400000)
 }
 

@@ -16,10 +16,10 @@ type threadState struct {
 	id   int
 	prog *workload.Program
 	// feed is the thread's correct-path instruction stream: a cursor over
-	// a pre-decoded trace that continues on a private walker once the
-	// trace runs out. A machine built without a trace gets an empty one,
-	// so replay and live walking are one path that differs only in how
-	// long the pre-decoded prefix is.
+	// the thread's trace that continues on a private walker once the trace
+	// runs out. Every machine is built from traces, and one that walks live
+	// has zero-record ones, so replay and live walking are one path that
+	// differs only in how long the pre-decoded prefix is.
 	feed *workload.Cursor
 
 	fetchPC           int64
@@ -126,14 +126,16 @@ type Processor struct {
 	CommitHook func(thread int, pc int64)
 }
 
-// New builds a processor for cfg running the given programs, one per
-// hardware context. len(programs) must equal cfg.Threads.
-func New(cfg Config, programs []*workload.Program) (*Processor, error) {
+// New builds a processor for cfg, one hardware context per trace: each
+// context fetches from its own cursor over its trace's program, so traces
+// may be shared read-only across any number of processors.
+// len(traces) must equal cfg.Threads.
+func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(programs) != cfg.Threads {
-		return nil, fmt.Errorf("core: %d programs for %d threads", len(programs), cfg.Threads)
+	if len(traces) != cfg.Threads {
+		return nil, fmt.Errorf("core: %d traces for %d threads", len(traces), cfg.Threads)
 	}
 	pred, err := branch.New(cfg.Branch, cfg.Threads)
 	if err != nil {
@@ -179,11 +181,11 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 	p.stats.CommittedByThread = make([]int64, cfg.Threads)
 	p.stats.LowConfFetched = make([]int64, cfg.Threads)
 	p.stats.MispredictsByThread = make([]int64, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		prog := programs[t]
+	for t, tr := range traces {
+		prog := tr.Program()
 		p.threads = append(p.threads, &threadState{
 			id:      t,
-			feed:    workload.BuildTrace(prog, 0).NewCursor(),
+			feed:    tr.NewCursor(),
 			prog:    prog,
 			fetchPC: prog.Entry,
 		})
@@ -192,8 +194,8 @@ func New(cfg Config, programs []*workload.Program) (*Processor, error) {
 }
 
 // MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, programs []*workload.Program) *Processor {
-	p, err := New(cfg, programs)
+func MustNew(cfg Config, traces []*workload.Trace) *Processor {
+	p, err := New(cfg, traces)
 	if err != nil {
 		panic(err)
 	}

@@ -87,7 +87,7 @@ func TestFetchPicksBeyondEight(t *testing.T) {
 	cfg.FetchThreads, cfg.FetchPerThread, cfg.FetchTotal = 16, 1, 16
 	cfg.Mem.Caches[mem.L1I].Banks = 32
 	cfg.Mem.Caches[mem.L1I].BankGranule = 4
-	p := MustNew(cfg, buildPrograms(t, 16, 1))
+	p := MustNew(cfg, buildTraces(t, 16, 1))
 	if s := p.Run(20_000, 400_000); s.Committed < 20_000 {
 		t.Fatalf("committed %d of 20000 in %d cycles", s.Committed, s.Cycles)
 	}
@@ -106,7 +106,7 @@ func TestFetchName(t *testing.T) {
 // runIPC measures a configuration briefly for shape tests.
 func runIPC(t *testing.T, cfg Config, seed uint64, insns int64) float64 {
 	t.Helper()
-	p := MustNew(cfg, buildPrograms(t, cfg.Threads, seed))
+	p := MustNew(cfg, buildTraces(t, cfg.Threads, seed))
 	p.Run(20_000*int64(cfg.Threads), 0) // warmup
 	p.ResetStats()
 	s := p.Run(insns, 0)
@@ -140,7 +140,7 @@ func TestShapeICountRelievesIQClog(t *testing.T) {
 		cfg := DefaultConfig(8)
 		cfg.FetchPolicy = alg
 		cfg.FetchThreads = 2
-		p := MustNew(cfg, buildPrograms(t, 8, 5))
+		p := MustNew(cfg, buildTraces(t, 8, 5))
 		p.Run(160_000, 0)
 		p.ResetStats()
 		s := p.Run(400_000, 0)
@@ -187,13 +187,13 @@ func TestShapePerfectBranchPredictionHelpsOneThreadMore(t *testing.T) {
 	}
 	// Build workloads starting from the branchy integer codes (espresso,
 	// xlisp, ...), so the single-thread case has mispredictions to recover.
-	progsFor := func(threads int) []*workload.Program {
+	tracesFor := func(threads int) []*workload.Trace {
 		profiles := workload.Profiles()
 		progs := make([]*workload.Program, threads)
 		for i := 0; i < threads; i++ {
 			progs[i] = workload.MustNew(profiles[(5+i)%len(profiles)], 7, i)
 		}
-		return progs
+		return live(progs...)
 	}
 	gain := func(threads int) float64 {
 		base := DefaultConfig(threads)
@@ -202,7 +202,7 @@ func TestShapePerfectBranchPredictionHelpsOneThreadMore(t *testing.T) {
 		perfect := base
 		perfect.Branch.Predictor = branch.Perfect
 		run := func(cfg Config) float64 {
-			p := MustNew(cfg, progsFor(threads))
+			p := MustNew(cfg, tracesFor(threads))
 			p.Run(20_000*int64(threads), 0)
 			p.ResetStats()
 			st := p.Run(120_000*int64(threads), 0)
@@ -246,14 +246,14 @@ func TestShapeInfiniteFUsSmallGain(t *testing.T) {
 func TestBigQBuffersWithoutSearchGrowth(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.BigQ = true
-	p := MustNew(cfg, buildPrograms(t, 2, 1))
+	p := MustNew(cfg, buildTraces(t, 2, 1))
 	for i := 0; i < 40; i++ {
 		p.intQ.Push(&dyn{})
 	}
 	if window := len(p.intQ.Window()); p.intQ.Cap() != 64 || window != 32 {
 		t.Fatalf("BIGQ queue shape: cap %d window %d", p.intQ.Cap(), window)
 	}
-	p = MustNew(cfg, buildPrograms(t, 2, 1))
+	p = MustNew(cfg, buildTraces(t, 2, 1))
 	p.Run(20_000, 400_000)
 	if p.Stats().Committed < 20_000 {
 		t.Fatal("BIGQ machine stalled")
@@ -265,7 +265,7 @@ func TestITAGRuns(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.ITAG = true
 	cfg.FetchPolicy = policy.ICount
-	p := MustNew(cfg, buildPrograms(t, 4, 3))
+	p := MustNew(cfg, buildTraces(t, 4, 3))
 	p.Run(40_000, 800_000)
 	if p.Stats().Committed < 40_000 {
 		t.Fatal("ITAG machine stalled")
@@ -322,7 +322,7 @@ func TestFig7RegisterBudgetValidity(t *testing.T) {
 // editing this test.
 func TestIntegerFieldsBoundedOrHarmless(t *testing.T) {
 	const budget = 64 << 20 // bytes one machine may allocate
-	progs := buildPrograms(t, 2, 1)
+	progs := buildTraces(t, 2, 1)
 	cfg := DefaultConfig(2)
 	try := func(field reflect.Value, path string) {
 		defer field.SetInt(field.Int())

@@ -7,7 +7,6 @@ import (
 	"repro/internal/iq"
 	"repro/internal/rename"
 	"repro/internal/state"
-	"repro/internal/workload"
 )
 
 // This file implements warmup checkpointing: SaveState writes the complete
@@ -345,29 +344,4 @@ func (p *Processor) admit(w *stateWalk) {
 			return
 		}
 	}
-}
-
-// SetCursors replaces each thread's instruction feed with a cursor over
-// a (typically shared, pre-decoded) trace. It is valid only on a freshly
-// built processor, and each cursor must replay the identical program
-// instance the processor was built with.
-func (p *Processor) SetCursors(cursors []*workload.Cursor) error {
-	if p.cycle != 0 || p.stats.Cycles != 0 {
-		return fmt.Errorf("core: cursors can only be installed before stepping")
-	}
-	if len(cursors) != len(p.threads) {
-		return fmt.Errorf("core: %d cursors for %d threads", len(cursors), len(p.threads))
-	}
-	for t, c := range cursors {
-		if c == nil {
-			return fmt.Errorf("core: nil cursor for thread %d", t)
-		}
-		if c.Program() != p.threads[t].prog {
-			return fmt.Errorf("core: thread %d cursor replays a different program instance", t)
-		}
-	}
-	for t, c := range cursors {
-		p.threads[t].feed = c
-	}
-	return nil
 }

@@ -15,7 +15,7 @@ const stateTestVersion = 1
 func stateTestMachine(t *testing.T) *Processor {
 	cfg := DefaultConfig(4)
 	cfg.FetchPolicy, cfg.FetchThreads = policy.ICount, 2
-	return MustNew(cfg, buildPrograms(t, 4, 7))
+	return MustNew(cfg, buildTraces(t, 4, 7))
 }
 
 func writeState(t *testing.T, p *Processor) []byte {
@@ -183,7 +183,7 @@ func TestSaveStateRefusesOpaquePredictor(t *testing.T) {
 	}
 	cfg := DefaultConfig(4)
 	cfg.Branch.Predictor = name
-	p := MustNew(cfg, buildPrograms(t, 4, 7))
+	p := MustNew(cfg, buildTraces(t, 4, 7))
 	if s := p.Run(3_000, 0); s.Committed == 0 {
 		t.Fatal("machine with a custom direction engine committed nothing")
 	}

@@ -358,6 +358,68 @@ func TestPathMatrix(t *testing.T) {
 	}
 }
 
+// indistinct lists every group of registered machines whose results the
+// golden file's variants section shows byte-identical, names sorted, with
+// the reason the workload cannot tell them apart. A registered strategy
+// the workload cannot distinguish is dead weight or a workload defect, so
+// a new group fails TestVariantsDistinct until it is listed here, and an
+// entry the goldens no longer bear out fails it until it is removed.
+var indistinct = []struct {
+	machines []string
+	reason   string
+}{
+	{[]string{"fetch=ICOUNT", "predictor=gshare.rasonly"}, rasOnly},
+	{[]string{"predictor=gskewed", "predictor=gskewed.rasonly"}, rasOnly},
+	{[]string{"predictor=none", "predictor=none.rasonly"}, rasOnly},
+	{[]string{"predictor=smiths", "predictor=smiths.noret", "predictor=smiths.rasonly"}, fewReturns},
+	{[]string{"predictor=static", "predictor=static.noret", "predictor=static.rasonly"}, fewReturns},
+}
+
+// The reasons indistinct gives.
+const (
+	rasOnly    = ".rasonly only drops the BTB fallback for a return that finds the return stack empty, and the workload barely calls, so no run reaches that case"
+	fewReturns = "the workload makes a few dozen returns and indirect jumps in half a million instructions, too few for return prediction to move this engine's results"
+)
+
+// TestVariantsDistinct groups the golden file's variants section by
+// Results fingerprint and holds every group of two or more machines to
+// the indistinct table, exactly: an unlisted group and a stale entry both
+// fail. It reads the golden file and simulates nothing.
+func TestVariantsDistinct(t *testing.T) {
+	var file map[string]map[string]string
+	raw, err := os.ReadFile(goldenFile)
+	if err == nil {
+		err = json.Unmarshal(raw, &file)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHash := map[string][]string{}
+	for name, h := range file["variants"] {
+		byHash[h] = append(byHash[h], name)
+	}
+	listed := map[string]bool{}
+	for _, e := range indistinct {
+		if e.reason == "" {
+			t.Errorf("indistinct %v carries no reason", e.machines)
+		}
+		listed[fmt.Sprint(e.machines)] = true
+	}
+	for _, names := range byHash {
+		if len(names) < 2 {
+			continue
+		}
+		sort.Strings(names)
+		if !listed[fmt.Sprint(names)] {
+			t.Errorf("machines %v produce identical results and are not listed in indistinct", names)
+		}
+		delete(listed, fmt.Sprint(names))
+	}
+	for group := range listed {
+		t.Errorf("indistinct lists %s, which the golden file does not show as one group of identical results", group)
+	}
+}
+
 // TestPolicyPairFingerprints pins the plain path of every fetch x issue
 // policy pair, as the x.2.8 scheme at 4 threads, to the golden file's
 // policy_pairs section: not just "policy names still content-address

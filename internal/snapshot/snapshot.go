@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
+	"repro/internal/workload"
 	"repro/smt"
 )
 
@@ -171,7 +172,7 @@ type traceEntry struct {
 	key     contextKey
 	records int64 // granule-rounded length the entry is built at
 	once    sync.Once
-	trace   *smt.ContextTrace
+	trace   *workload.Trace
 	err     error
 
 	done  bool
@@ -197,19 +198,19 @@ func NewTraceCache(maxBytes int64) *TraceCache {
 // one build per context.
 func (c *TraceCache) Get(spec smt.WorkloadSpec, perThread int64) (*smt.TraceSet, error) {
 	records := (min(max(perThread, 0), maxTraceRecords) + traceGranule - 1) / traceGranule * traceGranule
-	traces := make([]*smt.ContextTrace, len(spec.Names))
+	traces := make([]*workload.Trace, len(spec.Names))
 	for i, name := range spec.Names {
-		ct, err := c.contextTrace(contextKey{name: name, seed: spec.Seed, ctx: i}, records)
+		tr, err := c.contextTrace(contextKey{name: name, seed: spec.Seed, ctx: i}, records)
 		if err != nil {
 			return nil, err
 		}
-		traces[i] = ct
+		traces[i] = tr
 	}
 	return smt.NewTraceSet(spec, traces)
 }
 
 // contextTrace returns key's trace with at least records records.
-func (c *TraceCache) contextTrace(key contextKey, records int64) (*smt.ContextTrace, error) {
+func (c *TraceCache) contextTrace(key contextKey, records int64) (*workload.Trace, error) {
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if ok && el.Value.(*traceEntry).records >= records {
@@ -229,7 +230,7 @@ func (c *TraceCache) contextTrace(key contextKey, records int64) (*smt.ContextTr
 	c.mu.Unlock()
 
 	ent.once.Do(func() {
-		ent.trace, ent.err = smt.BuildContextTrace(key.name, key.seed, key.ctx, ent.records)
+		ent.trace, ent.err = smt.BuildTrace(key.name, key.seed, key.ctx, ent.records)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.builds++

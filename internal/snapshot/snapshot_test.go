@@ -68,11 +68,11 @@ func pinned(t *testing.T, spec smt.WorkloadSpec, records int64) int64 {
 	t.Helper()
 	var n int64
 	for i, name := range spec.Names {
-		ct, err := smt.BuildContextTrace(name, spec.Seed, i, records)
+		tr, err := smt.BuildTrace(name, spec.Seed, i, records)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += ct.Bytes()
+		n += tr.Bytes()
 	}
 	return n
 }

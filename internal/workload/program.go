@@ -32,9 +32,11 @@ type branchMeta struct {
 // Program is one synthetic benchmark instance: a static code image placed at
 // a concrete base address, plus its data regions. A Program is a pure
 // function of (Profile, seed, asid); two instances with equal parameters are
-// identical.
+// identical, and each records the parameters it was generated from.
 type Program struct {
 	Name    string
+	Seed    uint64 // the seed New was given
+	ASID    int    // the address space New placed it in: its hardware context
 	Code    []isa.Static
 	Base    int64 // PC of Code[0]
 	Entry   int64 // entry PC
@@ -46,7 +48,7 @@ type Program struct {
 
 	branchMeta []branchMeta
 	jumpTables [][]int64 // indexed by BranchID; nil except for indirect jumps
-	seed       uint64
+	progSeed   uint64    // seed folded with name and asid; every draw hashes it
 }
 
 // addrSpaceBits is the bit position of the per-thread address-space tag.
@@ -85,7 +87,7 @@ func New(p Profile, seed uint64, asid int) (*Program, error) {
 		src:    src,
 		clsSrc: src.Split(),
 		memSrc: src.Split(),
-		prog:   &Program{Name: p.Name, seed: progSeed},
+		prog:   &Program{Name: p.Name, Seed: seed, ASID: asid, progSeed: progSeed},
 	}
 	g.generate()
 	g.place(int64(asid+1) << addrSpaceBits)
@@ -630,7 +632,7 @@ func (g *generator) place(tag int64) {
 	p, prog := g.p, g.prog
 	const lineMask = ^int64(63) // 64-byte alignment
 
-	prog.Base = tag | (int64(rng.Hash(prog.seed, 1)%(16<<20)) & lineMask)
+	prog.Base = tag | (int64(rng.Hash(prog.progSeed, 1)%(16<<20)) & lineMask)
 	prog.Entry = prog.Base
 
 	// Patch control-flow targets from static indices to PCs. Indirect-jump
@@ -666,14 +668,14 @@ func (g *generator) place(tag int64) {
 		if size < 1024 {
 			size = 1024
 		}
-		offset := int64(rng.Hash(prog.seed, 2, uint64(i))%(1<<30)) & lineMask
+		offset := int64(rng.Hash(prog.progSeed, 2, uint64(i))%(1<<30)) & lineMask
 		prog.Regions = append(prog.Regions, Region{Base: heapBase + offset, Size: size})
 	}
 	// The stack lands at a program-specific offset: identical placement
 	// across programs would make every thread's hottest lines collide in
 	// the same direct-mapped sets.
 	prog.Stack = Region{
-		Base: tag | (3 << 30) | (int64(rng.Hash(prog.seed, 3)%(1<<20)) & lineMask),
+		Base: tag | (3 << 30) | (int64(rng.Hash(prog.progSeed, 3)%(1<<20)) & lineMask),
 		Size: int64(maxCallDepth+2) * frameBytes,
 	}
 }

@@ -135,8 +135,8 @@ func (t *Trace) NewCursor() *Cursor {
 // the trace, and no allocation — so any number of cursors share one Trace
 // concurrently. A run that outlives the prefix spills to a private tail
 // walker seeded from the trace's end state and continues bit-identically;
-// over an empty trace that happens at record 0, which is how a machine
-// built without a trace walks live.
+// over a zero-record trace that happens at record 0, so a machine that
+// walks its programs live is one built from zero-record traces.
 type Cursor struct {
 	t     *Trace
 	seq   int64   // records replayed; valid while tail == nil
@@ -215,9 +215,6 @@ func (w *Walker) clone() *Walker {
 	cp.memState = slices.Clone(w.memState)
 	return &cp
 }
-
-// Program returns the program being replayed.
-func (c *Cursor) Program() *Program { return c.t.prog }
 
 // PC returns the PC of the next architectural instruction.
 func (c *Cursor) PC() int64 {

@@ -48,9 +48,6 @@ func NewWalker(p *Program) *Walker {
 	return w
 }
 
-// Program returns the program being walked.
-func (w *Walker) Program() *Program { return w.prog }
-
 // PC returns the PC of the next architectural instruction.
 func (w *Walker) PC() int64 { return w.pc }
 
@@ -98,7 +95,7 @@ func (w *Walker) jumpSlot(s *isa.Static) uint64 {
 	if n == 0 {
 		return 0 // degenerate table: transfer falls through
 	}
-	h := rng.Hash(p.seed, uint64(bid), uint64(w.entrySeq[bid]))
+	h := rng.Hash(p.progSeed, uint64(bid), uint64(w.entrySeq[bid]))
 	w.entrySeq[bid]++
 	if h%100 < 85 {
 		return uint64(bid) % n // the site's hot case
@@ -152,7 +149,7 @@ func (w *Walker) condOutcome(s *isa.Static) bool {
 	switch meta.kind {
 	case BranchLoop:
 		if w.loopRem[bid] < 0 {
-			trips := drawTrip(p.seed, bid, w.entrySeq[bid], meta.tripMean)
+			trips := drawTrip(p.progSeed, bid, w.entrySeq[bid], meta.tripMean)
 			w.entrySeq[bid]++
 			w.loopRem[bid] = trips - 1
 		}
@@ -174,8 +171,8 @@ func (w *Walker) condOutcome(s *isa.Static) bool {
 		if len(w.callStack) >= maxCallDepth {
 			return true // forced skip of the recursive call
 		}
-		threshold := 2 + int(rng.Hash(p.seed, uint64(bid), 0xDE9)%4)
-		h := rng.Hash(p.seed, uint64(bid), uint64(w.entrySeq[bid]), 0x6A)
+		threshold := 2 + int(rng.Hash(p.progSeed, uint64(bid), 0xDE9)%4)
+		h := rng.Hash(p.progSeed, uint64(bid), uint64(w.entrySeq[bid]), 0x6A)
 		w.entrySeq[bid]++
 		if h%100 < 15 {
 			threshold += int(h>>8%3) - 1
@@ -187,7 +184,7 @@ func (w *Walker) condOutcome(s *isa.Static) bool {
 }
 
 func (w *Walker) bernoulli(bid int32, prob float64) bool {
-	u := float64(rng.Hash(w.prog.seed, uint64(bid), uint64(w.entrySeq[bid]))>>11) / (1 << 53)
+	u := float64(rng.Hash(w.prog.progSeed, uint64(bid), uint64(w.entrySeq[bid]))>>11) / (1 << 53)
 	w.entrySeq[bid]++
 	return u < prob
 }
@@ -214,7 +211,7 @@ func (w *Walker) address(s *isa.Static) int64 {
 	switch s.Pattern {
 	case isa.MemStack:
 		frame := int64(len(w.callStack)) * frameBytes
-		off := int64(rng.Hash(p.seed, uint64(s.MemID))%(frameBytes-8)) &^ 7
+		off := int64(rng.Hash(p.progSeed, uint64(s.MemID))%(frameBytes-8)) &^ 7
 		return p.Stack.Base + frame + off
 	case isa.MemStride:
 		// A strided load sweeps a window of its region repeatedly, the way
@@ -224,7 +221,7 @@ func (w *Walker) address(s *isa.Static) int64 {
 		// few windows per region, not one per static instruction. Window
 		// sizes vary from 2KB (L1-resident) to 16KB (L2 and bandwidth).
 		r := p.Regions[s.Region]
-		h := rng.Hash(p.seed, 0x57E, uint64(s.MemID))
+		h := rng.Hash(p.progSeed, 0x57E, uint64(s.MemID))
 		// Window sizes weighted toward small (L1-resident): most loop
 		// slices are short; a minority sweep L2-sized or larger slices.
 		// Huge regions (tomcatv-style arrays) sweep up to 64KB.
@@ -271,20 +268,20 @@ func (w *Walker) address(s *isa.Static) int64 {
 		if hot > nClusters {
 			hot = nClusters
 		}
-		h := rng.Hash(p.seed, uint64(s.MemID), uint64(cnt/clusterReuse))
+		h := rng.Hash(p.progSeed, uint64(s.MemID), uint64(cnt/clusterReuse))
 		var cluster int64
 		if float64(h>>48)/65536 < 0.95 {
 			cluster = int64(h % uint64(hot))
 		} else {
 			cluster = int64(h % uint64(nClusters))
 		}
-		off := int64(rng.Hash(p.seed, 0xF00D, uint64(s.MemID), uint64(cnt/3))%clusterBytes) &^ 7
+		off := int64(rng.Hash(p.progSeed, 0xF00D, uint64(s.MemID), uint64(cnt/3))%clusterBytes) &^ 7
 		return r.Base + cluster*clusterBytes + off
 	default: // MemRandom
 		r := p.Regions[s.Region]
 		cnt := w.memState[s.MemID]
 		w.memState[s.MemID]++
-		h := rng.Hash(p.seed, 0xBEEF, uint64(s.MemID), uint64(cnt/2))
+		h := rng.Hash(p.progSeed, 0xBEEF, uint64(s.MemID), uint64(cnt/2))
 		span := uint64(r.Size)
 		if float64(h>>40&0xFFFF)/65536 < popularProb && span > popularBytes {
 			span = popularBytes
@@ -306,6 +303,6 @@ func (p *Program) WrongPathAddr(s *isa.Static, salt uint64) int64 {
 	if span > popularBytes {
 		span = popularBytes
 	}
-	off := int64(rng.Hash(p.seed, 0x3AD, uint64(s.MemID), salt)%span) &^ 7
+	off := int64(rng.Hash(p.progSeed, 0x3AD, uint64(s.MemID), salt)%span) &^ 7
 	return r.Base + off
 }

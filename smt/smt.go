@@ -300,29 +300,18 @@ type Simulator struct {
 }
 
 // New builds a simulator: cfg.Threads programs are generated per spec and
-// loaded one per hardware context. Unknown benchmark names and duplicate
-// names (while distinct benchmarks remain available) are rejected.
+// loaded one per hardware context, each walked live. It is NewReplay over
+// zero-record traces. Unknown benchmark names and duplicate names (while
+// distinct benchmarks remain available) are rejected.
 func New(cfg Config, spec WorkloadSpec) (*Simulator, error) {
 	if err := validateSpec(cfg, spec); err != nil {
 		return nil, err
 	}
-	programs := make([]*workload.Program, cfg.Threads)
-	for i, name := range spec.Names {
-		prof, err := workload.ProfileByName(name)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := workload.New(prof, spec.Seed, i)
-		if err != nil {
-			return nil, err
-		}
-		programs[i] = prog
-	}
-	proc, err := core.New(cfg, programs)
+	ts, err := BuildTraceSet(spec, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{proc: proc, cfg: cfg, spec: spec}, nil
+	return NewReplay(cfg, ts)
 }
 
 // MustNew is New for known-good arguments; it panics on error.

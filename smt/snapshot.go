@@ -76,21 +76,13 @@ func (s *Simulator) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// ContextTrace is one hardware context's program pre-decoded into an
-// immutable instruction trace. A context's program is a pure function of
-// (benchmark, seed, context index) — the same at every machine width and
-// under every configuration — so one ContextTrace serves every job whose
-// workload spec puts that benchmark in that context.
-type ContextTrace struct {
-	name  string
-	seed  uint64
-	ctx   int
-	trace *workload.Trace
-}
-
-// BuildContextTrace decodes the first records architectural instructions
-// of the program benchmark name runs in hardware context ctx under seed.
-func BuildContextTrace(name string, seed uint64, ctx int, records int64) (*ContextTrace, error) {
+// BuildTrace decodes the first records architectural instructions of the
+// program benchmark name runs in hardware context ctx under seed. A
+// context's program is a pure function of (benchmark, seed, context) — the
+// same at every machine width and under every configuration — so one trace
+// serves every job whose workload spec puts that benchmark in that context.
+// It is the one place a workload spec's names become programs.
+func BuildTrace(name string, seed uint64, ctx int, records int64) (*workload.Trace, error) {
 	prof, err := workload.ProfileByName(name)
 	if err != nil {
 		return nil, err
@@ -99,15 +91,8 @@ func BuildContextTrace(name string, seed uint64, ctx int, records int64) (*Conte
 	if err != nil {
 		return nil, err
 	}
-	return &ContextTrace{name: name, seed: seed, ctx: ctx, trace: workload.BuildTrace(prog, records)}, nil
+	return workload.BuildTrace(prog, records), nil
 }
-
-// Records returns the pre-decoded record count.
-func (ct *ContextTrace) Records() int64 { return int64(ct.trace.Len()) }
-
-// Bytes returns the approximate memory the trace pins, the program it
-// replays included.
-func (ct *ContextTrace) Bytes() int64 { return ct.trace.Bytes() }
 
 // TraceSet is one workload spec's per-context traces, shared read-only
 // across every configuration and goroutine of a sweep: NewReplay binds any
@@ -118,24 +103,24 @@ func (ct *ContextTrace) Bytes() int64 { return ct.trace.Bytes() }
 // bit-identically.
 type TraceSet struct {
 	spec   WorkloadSpec
-	traces []*ContextTrace
+	traces []*workload.Trace
 }
 
-// NewTraceSet assembles spec's trace set from one ContextTrace per
-// hardware context, in context order. A trace built for another benchmark,
-// seed or context is rejected: replaying it would simulate the wrong
-// program without any other symptom.
-func NewTraceSet(spec WorkloadSpec, traces []*ContextTrace) (*TraceSet, error) {
+// NewTraceSet assembles spec's trace set from one trace per hardware
+// context, in context order. A trace of another benchmark, seed or context
+// is rejected: replaying it would simulate the wrong program without any
+// other symptom.
+func NewTraceSet(spec WorkloadSpec, traces []*workload.Trace) (*TraceSet, error) {
 	if len(spec.Names) == 0 {
 		return nil, fmt.Errorf("smt: trace set needs at least one workload")
 	}
 	if len(traces) != len(spec.Names) {
 		return nil, fmt.Errorf("smt: %d context traces for %d workloads", len(traces), len(spec.Names))
 	}
-	for i, ct := range traces {
-		if ct.name != spec.Names[i] || ct.seed != spec.Seed || ct.ctx != i {
+	for i, tr := range traces {
+		if p := tr.Program(); p.Name != spec.Names[i] || p.Seed != spec.Seed || p.ASID != i {
 			return nil, fmt.Errorf("smt: context %d runs %s seed %d, got the trace of %s seed %d context %d",
-				i, spec.Names[i], spec.Seed, ct.name, ct.seed, ct.ctx)
+				i, spec.Names[i], spec.Seed, p.Name, p.Seed, p.ASID)
 		}
 	}
 	return &TraceSet{
@@ -149,13 +134,13 @@ func NewTraceSet(spec WorkloadSpec, traces []*ContextTrace) (*TraceSet, error) {
 // outlives its trace spills onto a live walker bit-identically — so
 // perThread is a performance knob, not a correctness bound.
 func BuildTraceSet(spec WorkloadSpec, perThread int64) (*TraceSet, error) {
-	traces := make([]*ContextTrace, len(spec.Names))
+	traces := make([]*workload.Trace, len(spec.Names))
 	for i, name := range spec.Names {
-		ct, err := BuildContextTrace(name, spec.Seed, i, perThread)
+		tr, err := BuildTrace(name, spec.Seed, i, perThread)
 		if err != nil {
 			return nil, err
 		}
-		traces[i] = ct
+		traces[i] = tr
 	}
 	return NewTraceSet(spec, traces)
 }
@@ -168,41 +153,33 @@ func (ts *TraceSet) Spec() WorkloadSpec {
 // Records returns the pre-decoded record count every context has: the
 // minimum over the set's traces.
 func (ts *TraceSet) Records() int64 {
-	n := ts.traces[0].Records()
-	for _, ct := range ts.traces[1:] {
-		n = min(n, ct.Records())
+	n := ts.traces[0].Len()
+	for _, tr := range ts.traces[1:] {
+		n = min(n, tr.Len())
 	}
-	return n
+	return int64(n)
 }
 
 // Bytes returns the approximate memory all of the set's traces pin.
 func (ts *TraceSet) Bytes() int64 {
 	var n int64
-	for _, ct := range ts.traces {
-		n += ct.Bytes()
+	for _, tr := range ts.traces {
+		n += tr.Bytes()
 	}
 	return n
 }
 
 // NewReplay builds a simulator over the trace set's pre-decoded programs:
 // identical to New(cfg, ts.Spec()) in every simulated bit, but each
-// hardware context fetches from the shared trace instead of walking its
-// program live. cfg.Threads must match the trace set's workload count.
+// hardware context fetches from the shared trace for as long as it lasts
+// instead of walking its program live. It is the one way a Simulator is
+// built. cfg.Threads must match the trace set's workload count.
 func NewReplay(cfg Config, ts *TraceSet) (*Simulator, error) {
 	if err := validateSpec(cfg, ts.spec); err != nil {
 		return nil, err
 	}
-	progs := make([]*workload.Program, len(ts.traces))
-	cursors := make([]*workload.Cursor, len(ts.traces))
-	for i, ct := range ts.traces {
-		progs[i] = ct.trace.Program()
-		cursors[i] = ct.trace.NewCursor()
-	}
-	proc, err := core.New(cfg, progs)
+	proc, err := core.New(cfg, ts.traces)
 	if err != nil {
-		return nil, err
-	}
-	if err := proc.SetCursors(cursors); err != nil {
 		return nil, err
 	}
 	return &Simulator{proc: proc, cfg: cfg, spec: ts.Spec()}, nil

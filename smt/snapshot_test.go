@@ -5,6 +5,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // snapshotMatrix spans the machine-state space a checkpoint must carry:
@@ -178,7 +180,7 @@ func TestReplaySnapshotComposes(t *testing.T) {
 // spill to their walkers at different points and the run, its checkpoint
 // and a restore of it onto a machine with other lengths still match the
 // walker. A trace of another benchmark, seed or context is refused.
-func TestTraceSetFromContextTraces(t *testing.T) {
+func TestTraceSetFromTraces(t *testing.T) {
 	const warm, meas = 2_000, 16_000
 	cfg := snapshotConfig(PredGshare, FetchICount)
 	spec := WorkloadMix(4, 1, 23)
@@ -190,15 +192,15 @@ func TestTraceSetFromContextTraces(t *testing.T) {
 	var sum int64
 	assemble := func(lengths [4]int64) *TraceSet {
 		t.Helper()
-		traces := make([]*ContextTrace, len(spec.Names))
+		traces := make([]*workload.Trace, len(spec.Names))
 		sum = 0
 		for i, name := range spec.Names {
-			ct, err := BuildContextTrace(name, spec.Seed, i, lengths[i])
+			tr, err := BuildTrace(name, spec.Seed, i, lengths[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			traces[i] = ct
-			sum += ct.Bytes()
+			traces[i] = tr
+			sum += tr.Bytes()
 		}
 		ts, err := NewTraceSet(spec, traces)
 		if err != nil {
@@ -231,28 +233,28 @@ func TestTraceSetFromContextTraces(t *testing.T) {
 		t.Fatalf("restore onto other trace lengths differs from walker run:\n got %+v\nwant %+v", got, want)
 	}
 
-	good, err := BuildContextTrace(spec.Names[0], spec.Seed, 0, 100)
+	good, err := BuildTrace(spec.Names[0], spec.Seed, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := WorkloadSpec{Names: spec.Names[:1], Seed: spec.Seed}
-	if _, err := NewTraceSet(one, []*ContextTrace{good}); err != nil {
+	if _, err := NewTraceSet(one, []*workload.Trace{good}); err != nil {
 		t.Fatalf("matching trace refused: %v", err)
 	}
-	for name, build := range map[string]func() (*ContextTrace, error){
-		"benchmark": func() (*ContextTrace, error) { return BuildContextTrace(spec.Names[1], spec.Seed, 0, 100) },
-		"seed":      func() (*ContextTrace, error) { return BuildContextTrace(spec.Names[0], spec.Seed+1, 0, 100) },
-		"context":   func() (*ContextTrace, error) { return BuildContextTrace(spec.Names[0], spec.Seed, 1, 100) },
+	for name, build := range map[string]func() (*workload.Trace, error){
+		"benchmark": func() (*workload.Trace, error) { return BuildTrace(spec.Names[1], spec.Seed, 0, 100) },
+		"seed":      func() (*workload.Trace, error) { return BuildTrace(spec.Names[0], spec.Seed+1, 0, 100) },
+		"context":   func() (*workload.Trace, error) { return BuildTrace(spec.Names[0], spec.Seed, 1, 100) },
 	} {
-		ct, err := build()
+		tr, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewTraceSet(one, []*ContextTrace{ct}); err == nil {
+		if _, err := NewTraceSet(one, []*workload.Trace{tr}); err == nil {
 			t.Errorf("NewTraceSet accepted a trace of another %s", name)
 		}
 	}
-	if _, err := NewTraceSet(spec, []*ContextTrace{good}); err == nil {
+	if _, err := NewTraceSet(spec, []*workload.Trace{good}); err == nil {
 		t.Error("NewTraceSet accepted 1 trace for 4 contexts")
 	}
 }
