@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -83,29 +85,11 @@ func postSweepBody(t *testing.T, base, body string) sweepStatus {
 	return st
 }
 
-// corruptEveryFourth is the disk tier's chaos write transform: a
-// deterministic ~25% of writes lose bytes to NULs, which the tier's
-// checksums must catch and serve as misses.
-func corruptEveryFourth(key string, body []byte) []byte {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	if h%4 != 0 || len(body) == 0 {
-		return body
-	}
-	mangled := append([]byte(nil), body...)
-	for i := len(mangled) / 3; i < len(mangled)/3+8 && i < len(mangled); i++ {
-		mangled[i] = 0
-	}
-	return mangled
-}
-
 // TestChaosSweepByteIdentical is the chaos suite's core acceptance
 // test: a sweep on one coordinator with two workers, faults injected on
 // every worker edge — registration, polls, result and snapshot posts,
-// checkpoint peeks and fills — plus corrupted disk writes, must still
-// complete, and its result bytes must be identical to a fault-free run.
+// checkpoint peeks and fills — must still complete, and its result bytes
+// must be identical to a fault-free run.
 // The resilience layer may retry, requeue and re-simulate as much as it
 // likes; what it may never do is change bytes, wedge the sweep, stall a
 // drain, or leak goroutines.
@@ -140,11 +124,6 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	hs := &http.Server{Handler: server.Handler()}
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
-	// Chaos on the durable tier too: a deterministic slice of disk writes
-	// is corrupted; the checksums must turn each into a miss, never a
-	// wrong value.
-	server.results.SetWriteTransform(corruptEveryFourth)
-	server.snaps.SetWriteTransform(corruptEveryFourth)
 
 	// Two workers, every protocol edge faulted. Response-mangling faults
 	// (truncate, corrupt) stay off /v1/work: they are harmless on the
@@ -259,4 +238,76 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestChaosDiskCorruptionRestart: bytes that rot on disk while the
+// coordinator is down are caught when its successor reads them. A sweep
+// fills a -cache-dir; with that server gone, every fourth entry file by
+// sorted name, in the result tier and in snapshots/, has 8 bytes mid-file
+// overwritten with NULs; a new server on the directory must answer the
+// resubmission with the same bytes, counting each mangled result file
+// once as corrupt and re-simulating exactly those jobs.
+func TestChaosDiskCorruptionRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two servers over one cache directory")
+	}
+	dir := t.TempDir()
+	serve := func() (*Server, string, func()) {
+		s := newServer(t, ServerOptions{Workers: 2, CacheDir: dir})
+		ts := httptest.NewServer(s.Handler())
+		return s, ts.URL, func() { ts.Close(); s.Close() }
+	}
+
+	_, base, stop := serve()
+	st := postSweepBody(t, base, chaosSweepBody)
+	baseline := getBody(t, base+st.ResultURL)
+	stop()
+
+	mangle := func(sub string) int {
+		ents, err := os.ReadDir(filepath.Join(dir, sub)) // sorted by name
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []string
+		for _, e := range ents {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+				files = append(files, filepath.Join(dir, sub, e.Name()))
+			}
+		}
+		n := 0
+		for i := 0; i < len(files); i += 4 {
+			raw, err := os.ReadFile(files[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(raw[len(raw)/2 : min(len(raw)/2+8, len(raw))])
+			if err := os.WriteFile(files[i], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		return n
+	}
+	results, snaps := mangle(""), mangle("snapshots")
+	if results == 0 || snaps == 0 {
+		t.Fatalf("mangled %d result and %d checkpoint files; the sweep left too few", results, snaps)
+	}
+
+	server, base, stop := serve()
+	defer stop()
+	again := postSweepBody(t, base, chaosSweepBody)
+	if got := getBody(t, base+again.ResultURL); got != baseline {
+		t.Fatalf("resubmission over a rotted cache changed result bytes:\n%s\nvs baseline\n%s", got, baseline)
+	}
+	if got := server.results.Stats().Disk.Corrupt; got != int64(results) {
+		t.Errorf("result tier counted %d corrupt files, %d were mangled", got, results)
+	}
+	if got := server.coord.Stats().Dispatched; got != int64(results) {
+		t.Errorf("re-simulated %d jobs, %d result files were mangled", got, results)
+	}
+	if got := server.snaps.Stats().Disk.Corrupt; got > int64(snaps) {
+		t.Errorf("checkpoint tier counted %d corrupt files, only %d were mangled", got, snaps)
+	}
+	t.Logf("mangled %d of the result files and %d checkpoints; %d jobs re-simulated",
+		results, snaps, server.coord.Stats().Dispatched)
 }

@@ -141,18 +141,14 @@ func TestRestartDurabilitySmoke(t *testing.T) {
 	kill() // SIGKILL: the disk tier's atomic writes are all that survives
 
 	base2, _ := startSmtd(t, bin, "-cache-dir", cacheDir)
-	// The warm-start scan recovered the crashed process's results.
-	var cacheStats struct {
-		Disk *struct {
-			Warm int64 `json:"warm"`
-			Hits int64 `json:"hits"`
-		} `json:"disk"`
-	}
+	// The restarted process has read nothing yet: the disk tier is there
+	// and has counted no lookup.
+	var cacheStats cacheStatus
 	if err := json.Unmarshal([]byte(getBody(t, base2+"/v1/cache")), &cacheStats); err != nil {
 		t.Fatal(err)
 	}
-	if cacheStats.Disk == nil || cacheStats.Disk.Warm < 2 {
-		t.Fatalf("warm start recovered too little: %+v", cacheStats.Disk)
+	if d := cacheStats.Disk; d == nil || d.Hits != 0 || d.Misses != 0 || d.Corrupt != 0 {
+		t.Fatalf("disk tier before any lookup: %+v, want present and all zero", d)
 	}
 
 	second := postSweep(t, base2)
@@ -168,15 +164,15 @@ func TestRestartDurabilitySmoke(t *testing.T) {
 	}
 	// And the disk tier's hits are visible in the Prometheus exposition.
 	metrics := getBody(t, base2+"/metrics")
-	for _, want := range []string{"smtd_cache_disk_hits_total", "smtd_cache_disk_warm_entries", "smtd_autoscale_wanted_slots"} {
+	for _, want := range []string{"smtd_cache_disk_hits_total", "smtd_cache_disk_corrupt_total", "smtd_autoscale_wanted_slots"} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, metrics)
 		}
 	}
 	var diskHits float64
 	fmt.Sscanf(metricLine(metrics, "smtd_cache_disk_hits_total"), "%g", &diskHits)
-	if diskHits < 2 {
-		t.Fatalf("disk-tier hits in /metrics = %g, want >= 2\n%s", diskHits, metricLine(metrics, "smtd_cache_disk_hits_total"))
+	if diskHits != float64(second.TotalJobs) {
+		t.Fatalf("disk-tier hits in /metrics = %g, want %d\n%s", diskHits, second.TotalJobs, metricLine(metrics, "smtd_cache_disk_hits_total"))
 	}
 }
 

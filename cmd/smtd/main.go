@@ -20,9 +20,11 @@
 //	GET    /debug/pprof/        live profiling (net/http/pprof)
 //
 // With -cache-dir the result cache gains a durable disk tier: results
-// persist as content-addressed files written atomically, and a restarted
-// coordinator warm-starts from the directory — a resubmitted sweep is
-// 100% cache hits instead of re-simulation:
+// persist as content-addressed files written atomically, and warmup
+// checkpoints the same way under its snapshots/ subdirectory. Nothing is
+// read at boot; a restarted coordinator serves each entry from its first
+// lookup, so a resubmitted sweep is 100% cache hits instead of
+// re-simulation:
 //
 //	smtd -addr :8080 -cache-dir /var/lib/smtd
 //
@@ -82,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		addr      = fs.String("addr", ":8080", "listen address (coordinator mode)")
 		workers   = fs.Int("workers", 0, "simulation slots: local pool size, or slots offered in -worker mode (0 = GOMAXPROCS)")
 		cacheSize = fs.Int("cache", 4096, "max cached job results in memory (bounded LRU, must be positive)")
-		cacheDir  = fs.String("cache-dir", "", "durable result cache directory: results persist as content-addressed files and a restart warm-starts from them")
+		cacheDir  = fs.String("cache-dir", "", "durable cache directory: results persist as content-addressed files, warmup checkpoints under its snapshots/ subdirectory; a restart serves each from its first lookup")
 		worker    = fs.Bool("worker", false, "run as a worker node: join a coordinator instead of listening")
 		join      = fs.String("join", "", "coordinator base URL to join (required with -worker)")
 		name      = fs.String("name", "", "worker display name (default: hostname)")

@@ -109,9 +109,7 @@ func writeStackMetrics(b *bytes.Buffer, prefix string, st cache.TieredStats) {
 	if d := st.Disk; d != nil {
 		counter(b, prefix+"_disk_hits_total", "Disk-tier hits (memory misses served from disk).", float64(d.Hits))
 		counter(b, prefix+"_disk_misses_total", "Disk-tier misses.", float64(d.Misses))
-		counter(b, prefix+"_disk_corrupt_total", "Disk entries dropped as corrupt (checksum or decode failure; served as misses).", float64(d.Corrupt))
-		gauge(b, prefix+"_disk_entries", "Entries held in the durable disk tier.", float64(d.Entries))
-		gauge(b, prefix+"_disk_warm_entries", "Entries recovered by the boot-time directory scan.", float64(d.Warm))
+		counter(b, prefix+"_disk_corrupt_total", "Disk entry files that failed their checksum or decode on lookup (served as misses and removed).", float64(d.Corrupt))
 	}
 }
 

@@ -130,9 +130,10 @@ type ServerOptions struct {
 	// CacheSize bounds the in-memory result LRU (0 means unbounded).
 	CacheSize int
 	// CacheDir, when non-empty, adds a durable disk tier under the memory
-	// LRU: results are written atomically as content-addressed files and
-	// the directory is rescanned on boot, so a restart serves prior sweeps
-	// from disk instead of re-simulating.
+	// LRU: results are written atomically as content-addressed files, and
+	// checkpoints under its snapshots/ subdirectory. Nothing is read at
+	// boot; a restart serves each prior entry from disk on its first
+	// lookup instead of re-simulating.
 	CacheDir string
 }
 
@@ -140,7 +141,7 @@ type ServerOptions struct {
 // simulation: however many sweeps run at once, at most that many
 // simulations execute on this process. Registered remote workers (see
 // internal/dist) add their own capacity on top. The error is non-nil only
-// when the durable cache directory cannot be created or scanned. Call
+// when the durable cache directory cannot be created. Call
 // Close when done with the server outside a process-lifetime context.
 func NewServer(opts ServerOptions) (*Server, error) {
 	n := opts.Workers
@@ -158,8 +159,8 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		return nil, fmt.Errorf("durable cache: %w", err)
 	}
 	// Snapshots get their own directory under the cache dir: same
-	// durability story (atomic content-addressed files, rescanned on
-	// boot, corrupt reads served as misses), different value type.
+	// durability story (atomic content-addressed files, read on first
+	// lookup, corrupt reads served as misses), different value type.
 	snapDir := ""
 	if opts.CacheDir != "" {
 		snapDir = filepath.Join(opts.CacheDir, "snapshots")

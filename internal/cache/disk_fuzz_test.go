@@ -10,11 +10,11 @@ import (
 	"testing"
 )
 
-// FuzzDiskRecord: arbitrary bytes in an indexed entry's file never panic
-// the read path, and are served only when they verify — the embedded key
-// is the one asked for and the checksum covers the value bytes returned.
-// Anything else is a miss counted in Corrupt, at runtime (Get) and at boot
-// (NewDisk's scan of the same directory).
+// FuzzDiskRecord: arbitrary bytes in an entry's file never panic the
+// read path, and are served only when they verify — the embedded key is
+// the one asked for and the checksum covers the value bytes returned.
+// Anything else is a miss counted in Corrupt that removes the file. A
+// restart reads nothing until asked, then answers as the first store did.
 func FuzzDiskRecord(f *testing.F) {
 	// The corpus is what the disk tests leave on disk: an intact record,
 	// the same truncated, bit-flipped inside its value, re-keyed, a record
@@ -25,18 +25,17 @@ func FuzzDiskRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed.Put("aaaa", result{IPC: 3.0000000000000004, Cycles: 99})
-	intact, err := os.ReadFile(filepath.Join(seedDir, "aaaa.json"))
+	intact, err := os.ReadFile(filepath.Join(seedDir, fileNameFor("aaaa")))
 	if err != nil {
 		f.Fatal(err)
 	}
 	flipped := append([]byte(nil), intact...)
 	flipped[strings.Index(string(flipped), `"value"`)+10] ^= 0x20
-	sum := sha256.Sum256([]byte(`"text"`))
 	f.Add(intact)
 	f.Add(intact[:len(intact)/2])
 	f.Add(flipped)
 	f.Add([]byte(strings.Replace(string(intact), `"aaaa"`, `"bbbb"`, 1)))
-	f.Add([]byte(`{"key":"aaaa","sum":"` + hex.EncodeToString(sum[:]) + `","value":"text"}`))
+	f.Add(undecodable("aaaa"))
 	f.Add([]byte(`{"key":"","sum":"","value":null}`))
 	f.Add([]byte("not json"))
 	f.Add([]byte{})
@@ -48,29 +47,25 @@ func FuzzDiskRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		d.Put("aaaa", result{IPC: 1})
-		path := filepath.Join(dir, "aaaa.json")
+		path := filepath.Join(dir, fileNameFor("aaaa"))
 		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
-		rec, ok := readRecord(path)
+		rec, ok := decodeRecord(body)
 		if ok {
 			sum := sha256.Sum256(rec.Value)
 			if rec.Key == "" || hex.EncodeToString(sum[:]) != rec.Sum {
-				t.Fatalf("readRecord accepted a record that does not verify: %+v", rec)
+				t.Fatalf("decodeRecord accepted a record that does not verify: %+v", rec)
 			}
 		}
-		// servable is what Get may return for key: the verified value,
+		// What Get may return: the verified value of the key asked for,
 		// decoded, and nothing else.
-		servable := func(key string) (result, bool) {
-			var v result
-			if !ok || rec.Key != key || json.Unmarshal(rec.Value, &v) != nil {
-				return result{}, false
-			}
-			return v, true
+		var want result
+		wantHit := ok && rec.Key == "aaaa" && json.Unmarshal(rec.Value, &want) == nil
+		if !wantHit {
+			want = result{}
 		}
-
-		want, wantHit := servable("aaaa")
 		got, hit := d.Get("aaaa")
 		if hit != wantHit || got != want {
 			t.Fatalf("Get = %+v, %v; the file verifies to %+v, %v", got, hit, want, wantHit)
@@ -79,32 +74,34 @@ func FuzzDiskRecord(f *testing.F) {
 		if hit && (st.Hits != 1 || st.Corrupt != 0) || !hit && (st.Misses != 1 || st.Corrupt != 1) {
 			t.Fatalf("hit=%v counted as %+v", hit, st)
 		}
-		// A corrupt entry leaves the index: asking again is a plain miss,
+		// A corrupt entry's file is gone: asking again is a plain miss,
 		// not a second read of the same bad file.
 		if !hit {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("a corrupt entry's file survived its Get: %v", err)
+			}
 			if _, again := d.Get("aaaa"); again {
 				t.Fatal("a second Get served what the first refused")
 			}
-			if st := d.Stats(); st.Misses != 2 || st.Corrupt != 1 || st.Entries != 0 {
+			if st := d.Stats(); st.Misses != 2 || st.Corrupt != 1 {
 				t.Fatalf("second Get of a corrupt entry counted as %+v", st)
 			}
 		}
 
-		// The restart: the boot scan indexes the file under the key it
-		// embeds when it verifies, and counts it corrupt when it does not.
+		// The restart, over the same bytes: nothing is read or counted
+		// before a Get, and the Get answers as the first store's did.
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		d2, err := NewDisk[result](dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st = d2.Stats()
-		if ok && (st.Warm != 1 || st.Corrupt != 0) || !ok && (st.Warm != 0 || st.Corrupt != 1) {
-			t.Fatalf("boot scan of a file that verifies=%v counted %+v", ok, st)
+		if st := d2.Stats(); st != (DiskStats{Dir: dir}) {
+			t.Fatalf("a restart counted %+v before any Get", st)
 		}
-		if ok {
-			want, wantHit := servable(rec.Key)
-			if got, hit := d2.Get(rec.Key); hit != wantHit || got != want {
-				t.Fatalf("after restart Get(%q) = %+v, %v; want %+v, %v", rec.Key, got, hit, want, wantHit)
-			}
+		if got, hit := d2.Get("aaaa"); hit != wantHit || got != want {
+			t.Fatalf("after restart Get = %+v, %v; want %+v, %v", got, hit, want, wantHit)
 		}
 	})
 }

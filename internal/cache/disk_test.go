@@ -33,15 +33,11 @@ func TestDiskPutGetAndWarmStart(t *testing.T) {
 		}
 	}
 
-	// A new store over the same directory — the restart — warm-starts with
-	// every entry and serves identical values.
+	// A new store over the same directory — the restart — serves identical
+	// values from their first Get.
 	d2, err := NewDisk[result](dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	st := d2.Stats()
-	if st.Warm != 2 || st.Entries != 2 {
-		t.Fatalf("warm start recovered %d/%d entries, want 2/2", st.Warm, st.Entries)
 	}
 	if v, ok := d2.Get("deadbeef01"); !ok || v != want {
 		t.Fatalf("post-restart value %+v ok=%v, want %+v", v, ok, want)
@@ -49,11 +45,49 @@ func TestDiskPutGetAndWarmStart(t *testing.T) {
 	if v, ok := d2.Get("k:with/odd chars"); !ok || v.Cycles != 1 {
 		t.Fatalf("unsafe-name key lost across restart: %+v ok=%v", v, ok)
 	}
+	if st := d2.Stats(); st.Hits != 2 || st.Misses != 0 || st.Corrupt != 0 {
+		t.Fatalf("restarted store counted %+v, want 2 hits", st)
+	}
+}
+
+// TestDiskFileNames: every key's file is "x" + 32 hex digits of its
+// SHA-256 + ".json". A job and a checkpoint key are pinned to their file
+// names, because a cache directory outlives the build that wrote it; and
+// a key spelled like another key's file name is a key of its own.
+func TestDiskFileNames(t *testing.T) {
+	const job = "v3:1aa752f56d49fa4028752e2a798cdee9:r0:s1:w30000:m60000"
+	for key, want := range map[string]string{
+		job: "xe06d9b0b4e6a0139cfd679f453f9c742.json",
+		"snap:v3:1aa752f56d49fa4028752e2a798cdee9:r0:s1:w30000": "xc2f530ca459049bb1b628a929a03e58a.json",
+	} {
+		if got := fileNameFor(key); got != want {
+			t.Errorf("fileNameFor(%q) = %s, want %s", key, got, want)
+		}
+	}
+
+	d, err := NewDisk[result](t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := job
+	sum := sha256.Sum256([]byte(k))
+	alias := "x" + hex.EncodeToString(sum[:16])
+	d.Put(k, result{Cycles: 1})
+	d.Put(alias, result{Cycles: 2})
+	if v, ok := d.Get(k); !ok || v.Cycles != 1 {
+		t.Fatalf("Get(%q) = %+v, %v after a Put of %q", k, v, ok, alias)
+	}
+	if v, ok := d.Get(alias); !ok || v.Cycles != 2 {
+		t.Fatalf("Get(%q) = %+v, %v", alias, v, ok)
+	}
+	if st := d.Stats(); st.Corrupt != 0 {
+		t.Fatalf("two keys shared a file: %+v", st)
+	}
 }
 
 // TestDiskCorruptReadsAsMiss: truncated or bit-flipped entry files must
 // degrade to misses (costing a re-simulation), never a wrong value or an
-// error — both when hit at runtime and when scanned at boot.
+// error, and a corrupt file is removed so its refill starts clean.
 func TestDiskCorruptReadsAsMiss(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDisk[result](dir)
@@ -67,8 +101,8 @@ func TestDiskCorruptReadsAsMiss(t *testing.T) {
 	// Truncate one entry (the crash-mid-write shape rename prevents, but
 	// disks misbehave), bit-flip another inside its value, and drop a
 	// non-JSON foreign file in the directory.
-	flip := func(name string, f func([]byte) []byte) {
-		path := filepath.Join(dir, name)
+	flip := func(key string, f func([]byte) []byte) {
+		path := filepath.Join(dir, fileNameFor(key))
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -77,8 +111,8 @@ func TestDiskCorruptReadsAsMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flip("aaaa.json", func(b []byte) []byte { return b[:len(b)/2] })
-	flip("bbbb.json", func(b []byte) []byte {
+	flip("aaaa", func(b []byte) []byte { return b[:len(b)/2] })
+	flip("bbbb", func(b []byte) []byte {
 		i := strings.Index(string(b), `"value"`) + 10
 		b[i] ^= 0x20
 		return b
@@ -99,33 +133,41 @@ func TestDiskCorruptReadsAsMiss(t *testing.T) {
 	if st := d.Stats(); st.Corrupt != 2 {
 		t.Fatalf("corrupt counter = %d, want 2", st.Corrupt)
 	}
+	for _, key := range []string{"aaaa", "bbbb"} {
+		if _, err := os.Stat(filepath.Join(dir, fileNameFor(key))); !os.IsNotExist(err) {
+			t.Fatalf("corrupt file of %q still there: %v", key, err)
+		}
+	}
 	// A once-corrupt key is re-fillable.
 	d.Put("aaaa", result{IPC: 9})
 	if v, ok := d.Get("aaaa"); !ok || v.IPC != 9 {
 		t.Fatalf("refill after corruption: %+v ok=%v", v, ok)
 	}
 
-	// Boot over the damaged directory: corrupt and foreign files are
-	// skipped, intact entries recovered.
+	// Restart over the directory: the refilled and untouched entries
+	// serve, the removed one is a plain miss, the foreign file is never
+	// read.
 	d2, err := NewDisk[result](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := d2.Stats()
-	// aaaa was refilled above (intact again), cccc never touched; bbbb is
-	// still bit-flipped and junk.json never parses — both skipped.
-	if st.Warm != 2 {
-		t.Fatalf("warm start recovered %d entries, want 2", st.Warm)
-	}
 	if _, ok := d2.Get("bbbb"); ok {
 		t.Fatal("corrupt entry survived a restart as a hit")
+	}
+	for key, want := range map[string]float64{"aaaa": 9, "cccc": 3} {
+		if v, ok := d2.Get(key); !ok || v.IPC != want {
+			t.Fatalf("after restart %q = %+v, %v", key, v, ok)
+		}
+	}
+	if st := d2.Stats(); st.Hits != 2 || st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("restarted store counted %+v, want 2 hits and 1 plain miss", st)
 	}
 }
 
 // TestDiskUndecodableValueDropsEntry: a record whose checksum verifies
 // but whose value does not decode into V is corrupt like any other bad
-// file — a counted miss that leaves the index, so later Gets neither
-// re-read the file nor count it again, and Entries stops counting it.
+// file — a counted miss whose file is removed, so a later Get is a plain
+// miss that neither re-reads nor counts it again.
 func TestDiskUndecodableValueDropsEntry(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDisk[result](dir)
@@ -133,9 +175,7 @@ func TestDiskUndecodableValueDropsEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Put("aaaa", result{IPC: 1})
-	sum := sha256.Sum256([]byte(`"text"`))
-	body := `{"key":"aaaa","sum":"` + hex.EncodeToString(sum[:]) + `","value":"text"}`
-	if err := os.WriteFile(filepath.Join(dir, "aaaa.json"), []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fileNameFor("aaaa")), undecodable("aaaa"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -143,15 +183,80 @@ func TestDiskUndecodableValueDropsEntry(t *testing.T) {
 			t.Fatalf("Get %d served %+v from a value that is not a result", i+1, v)
 		}
 	}
-	if st := d.Stats(); st.Corrupt != 1 || st.Misses != 2 || st.Entries != 0 {
-		t.Fatalf("after two Gets of an undecodable record: %+v; want corrupt 1, misses 2, entries 0", st)
+	if st := d.Stats(); st.Corrupt != 1 || st.Misses != 2 {
+		t.Fatalf("after two Gets of an undecodable record: %+v; want corrupt 1, misses 2", st)
 	}
 }
 
-// TestDiskConcurrentWarmStart: a freshly warm-started store must take
-// concurrent Gets and Puts immediately — the boot path shares no state
-// with runtime access that the race detector could object to — and a
-// second store scanning the directory mid-traffic must not explode.
+// undecodable is an envelope for key whose checksum verifies but whose
+// value is a JSON string, not a result.
+func undecodable(key string) []byte {
+	sum := sha256.Sum256([]byte(`"text"`))
+	return []byte(`{"key":"` + key + `","sum":"` + hex.EncodeToString(sum[:]) + `","value":"text"}`)
+}
+
+// TestDiskBootReadsNothing: opening a store reads no entry. Over a
+// directory of undecodable files it counts nothing until a Get, and that
+// Get counts the one file it read as corrupt and removes it.
+func TestDiskBootReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"k0", "k1", "k2", "k3", "k4"}
+	for _, key := range keys {
+		if err := os.WriteFile(filepath.Join(dir, fileNameFor(key)), undecodable(key), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := NewDisk[result](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st != (DiskStats{Dir: dir}) {
+		t.Fatalf("NewDisk over %d undecodable files counted %+v", len(keys), st)
+	}
+	if _, ok := d.Get(keys[0]); ok {
+		t.Fatal("an undecodable entry served as a hit")
+	}
+	if st := d.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("one Get of an undecodable entry counted %+v", st)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(keys)-1 {
+		t.Fatalf("%d files left of %d after one corrupt Get, want %d", len(ents), len(keys), len(keys)-1)
+	}
+}
+
+// TestDiskSharedDirectory: two stores over one directory — two processes,
+// or a process and its restarted self — see each other's writes from the
+// first Get after them.
+func TestDiskSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewDisk[result](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDisk[result](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Get("k"); ok {
+		t.Fatal("hit before any Put")
+	}
+	a.Put("k", result{Cycles: 7})
+	if v, ok := b.Get("k"); !ok || v.Cycles != 7 {
+		t.Fatalf("second store missed the first one's Put: %+v, %v", v, ok)
+	}
+	b.Put("k", result{Cycles: 8})
+	if v, ok := a.Get("k"); !ok || v.Cycles != 8 {
+		t.Fatalf("first store missed the second one's overwrite: %+v, %v", v, ok)
+	}
+}
+
+// TestDiskConcurrentWarmStart: a store over a populated directory takes
+// concurrent Gets and Puts from the start, while a second store over the
+// same directory reads the same entries.
 func TestDiskConcurrentWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	seed, err := NewDisk[result](dir)
@@ -176,8 +281,8 @@ func TestDiskConcurrentWarmStart(t *testing.T) {
 			defer wg.Done()
 			for i, k := range keys {
 				if g%2 == 0 {
-					if v, ok := d.Get(k); ok && v.Cycles != int64(i) {
-						t.Errorf("key %s: got %d, want %d", k, v.Cycles, i)
+					if v, ok := d.Get(k); !ok || v.Cycles != int64(i) {
+						t.Errorf("key %s: got %+v, %v, want %d", k, v, ok, i)
 					}
 				} else {
 					d.Put(k, result{Cycles: int64(i)})
@@ -185,8 +290,8 @@ func TestDiskConcurrentWarmStart(t *testing.T) {
 			}
 		}()
 	}
-	// A concurrent boot scan over the same directory while traffic flows:
-	// every entry it indexes must verify.
+	// A second store over the same directory while traffic flows: every
+	// entry it reads verifies.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -195,8 +300,10 @@ func TestDiskConcurrentWarmStart(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if st := d3.Stats(); st.Warm == 0 {
-			t.Error("concurrent warm start found nothing")
+		for i, k := range keys {
+			if v, ok := d3.Get(k); !ok || v.Cycles != int64(i) {
+				t.Errorf("second store, key %s: got %+v, %v, want %d", k, v, ok, i)
+			}
 		}
 	}()
 	wg.Wait()
@@ -204,6 +311,9 @@ func TestDiskConcurrentWarmStart(t *testing.T) {
 		if v, ok := d.Get(k); !ok || v.Cycles != int64(i) {
 			t.Fatalf("key %s lost after concurrent traffic: %+v ok=%v", k, v, ok)
 		}
+	}
+	if st := d.Stats(); st.Corrupt != 0 {
+		t.Fatalf("concurrent traffic read a torn file: %+v", st)
 	}
 }
 
@@ -249,36 +359,5 @@ func TestTieredPromotesAndSurvivesRestart(t *testing.T) {
 	}
 	if st := mem2.Stats(); st.Hits < 3 {
 		t.Fatalf("promotions did not serve repeats from memory: %+v", st)
-	}
-}
-
-// TestDiskWriteTransformCorruptionDetected: the chaos suite's
-// corrupt-write hook mangles envelopes on their way to disk; every such
-// write must be caught by the read-side checksum and served as a miss —
-// never a wrong value — and a clean refill must recover the key.
-func TestDiskWriteTransformCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewDisk[result](dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetWriteTransform(func(key string, body []byte) []byte {
-		mangled := append([]byte(nil), body...)
-		for i := len(mangled) / 2; i < len(mangled) && i < len(mangled)/2+8; i++ {
-			mangled[i] = 0
-		}
-		return mangled
-	})
-	d.Put("feedface", result{IPC: 4})
-	if _, ok := d.Get("feedface"); ok {
-		t.Fatal("corrupted write served as a hit")
-	}
-	if st := d.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt counter = %d, want 1", st.Corrupt)
-	}
-	d.SetWriteTransform(nil)
-	d.Put("feedface", result{IPC: 4})
-	if v, ok := d.Get("feedface"); !ok || v.IPC != 4 {
-		t.Fatalf("clean refill after corrupt write: %+v ok=%v", v, ok)
 	}
 }

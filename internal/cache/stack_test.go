@@ -52,9 +52,6 @@ func testStackShapes[V any](t *testing.T, val func(i int) V) {
 			if (st.Disk != nil) != shape.disk {
 				t.Fatalf("stats report tiers %+v for shape %s", st, shape.name)
 			}
-			if shape.disk && st.Disk.Entries != 3 {
-				t.Fatalf("disk tier holds %d entries, want 3", st.Disk.Entries)
-			}
 			got, ok := s.Get(keys[0]) // evicted from memory
 			if ok != shape.disk {
 				t.Fatalf("evicted key: hit=%v on shape %s", ok, shape.name)
@@ -76,19 +73,6 @@ func testStackShapes[V any](t *testing.T, val func(i int) V) {
 			}
 			if _, ok := s.Get("never-stored"); ok {
 				t.Fatal("hit on a key nobody stored")
-			}
-
-			// The corrupt-write hook reaches the disk tier and is a no-op
-			// without one: a mangled file is a counted miss, never data.
-			s.SetWriteTransform(func(string, []byte) []byte { return []byte("garbage") })
-			s.Put("k003", val(3))
-			if _, ok := s.Get("k003"); !ok {
-				t.Fatal("a fresh Put missed in memory")
-			}
-			if shape.disk {
-				if _, ok := disk.Get("k003"); ok || s.Stats().Disk.Corrupt != 1 {
-					t.Fatalf("mangled write served or not counted: %+v", s.Stats().Disk)
-				}
 			}
 		})
 	}

@@ -11,8 +11,9 @@ type TieredStats struct {
 // store: Gets hit memory first and fall through to disk (promoting the
 // value back into memory), Puts write through to both. The LRU bounds RSS
 // while the disk tier holds the full result history, so a restarted
-// process — fresh, empty LRU — still serves every previously computed
-// result, paying one file read per first touch instead of a re-simulation.
+// process — fresh, empty LRU, and a disk tier that read nothing at boot —
+// still serves every previously computed result, paying one file read per
+// first touch instead of a re-simulation.
 //
 // smtd builds one twice — simulation results and warmup checkpoints — and
 // everything above (singleflight, the snapshot counting store, the HTTP
@@ -60,12 +61,4 @@ func (t *Tiered[V]) Stats() TieredStats {
 		st.Disk = &ds
 	}
 	return st
-}
-
-// SetWriteTransform installs Disk.SetWriteTransform's corrupt-write hook
-// on the disk tier (a no-op without one). Production code never calls it.
-func (t *Tiered[V]) SetWriteTransform(f func(key string, body []byte) []byte) {
-	if t.back != nil {
-		t.back.SetWriteTransform(f)
-	}
 }

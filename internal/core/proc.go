@@ -202,9 +202,6 @@ func MustNew(cfg Config, traces []*workload.Trace) *Processor {
 	return p
 }
 
-// Config returns the processor's configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
 // Stats returns a snapshot of the statistics counters.
 func (p *Processor) Stats() Stats {
 	s := p.stats
@@ -216,9 +213,6 @@ func (p *Processor) Stats() Stats {
 
 // Mem exposes the memory hierarchy's statistics.
 func (p *Processor) Mem() *mem.Hierarchy { return p.mem }
-
-// Cycle returns the current cycle number.
-func (p *Processor) Cycle() int64 { return p.cycle }
 
 // Committed returns the committed-instruction count without snapshotting
 // the full counter set; run loops poll it every cycle.

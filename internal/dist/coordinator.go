@@ -24,6 +24,11 @@ const (
 	maxResultsBody  = 64 << 10 // one job's results, ~1 KiB even at 64 threads
 )
 
+// maxWorkerSlots bounds the slots one worker may register. Capacity sums
+// every worker's slots, so an unbounded claim could overflow it; no host
+// runs this many simulations at once.
+const maxWorkerSlots = 4096
+
 // Options configures a Coordinator. The zero value works: sensible
 // timings, no local slots (every job waits for a worker), no logging.
 type Options struct {
@@ -458,8 +463,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req, maxControlBody) {
 		return
 	}
-	if req.Slots <= 0 {
-		httpError(w, http.StatusBadRequest, "slots %d must be positive", req.Slots)
+	if req.Slots <= 0 || req.Slots > maxWorkerSlots {
+		httpError(w, http.StatusBadRequest, "slots %d, want 1..%d", req.Slots, maxWorkerSlots)
 		return
 	}
 	if req.Build != "" && c.opts.Build != "" && req.Build != c.opts.Build {
@@ -542,10 +547,11 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePoll long-polls for work: it answers immediately when the queue
-// has any, leasing up to req.Max jobs in one response, otherwise parks
-// until an enqueue, the poll-wait deadline, disconnect, or coordinator
-// shutdown. Batching matters on small jobs: each job's HTTP hop is paid
-// once per batch, not once per job.
+// has any, leasing up to req.Max jobs (never more than the worker's
+// registered slots) in one response, otherwise parks until an enqueue,
+// the poll-wait deadline, disconnect, or coordinator shutdown. Batching
+// matters on small jobs: each job's HTTP hop is paid once per batch, not
+// once per job.
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req PollRequest
 	if !decodeInto(w, r, &req, maxControlBody) {
@@ -567,7 +573,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		}
 		ws.lastSeen = now
 		var batch Batch
-		for len(batch.Assignments) < max {
+		for len(batch.Assignments) < min(max, ws.slots) {
 			t := popLocked(&c.pending)
 			if t == nil {
 				break

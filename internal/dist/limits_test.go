@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -236,5 +238,94 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep never completed after worker drain")
+	}
+}
+
+// TestRegisterRejectsOversizedSlots: a worker's slot count is bounded, so
+// registered capacity cannot overflow however many workers join.
+func TestRegisterRejectsOversizedSlots(t *testing.T) {
+	coord, url := newTestCoordinator(t, Options{})
+	for _, slots := range []int{1 << 62, maxWorkerSlots + 1} {
+		body := fmt.Sprintf(`{"name":"huge","slots":%d}`, slots)
+		for range 2 {
+			resp, err := http.Post(url+"/v1/workers", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("register with %d slots: status %d, want 400", slots, resp.StatusCode)
+			}
+		}
+	}
+	if got := coord.Capacity(); got != 0 {
+		t.Fatalf("capacity %d after only refused registrations", got)
+	}
+	// A worker offering too many slots stops at the refusal instead of
+	// retrying it until cancelled.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	w := NewWorker(WorkerOptions{Coordinator: url, Name: "huge", Slots: maxWorkerSlots + 1, Backoff: time.Millisecond})
+	if err := w.Run(ctx); !errors.Is(err, errRejected) || ctx.Err() != nil {
+		t.Fatalf("worker with %d slots: Run = %v (ctx %v), want a prompt rejection", maxWorkerSlots+1, err, ctx.Err())
+	}
+	resp, err := http.Post(url+"/v1/workers", "application/json", strings.NewReader(fmt.Sprintf(`{"name":"max","slots":%d}`, maxWorkerSlots)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || coord.Capacity() != maxWorkerSlots {
+		t.Fatalf("register with %d slots: status %d, capacity %d", maxWorkerSlots, resp.StatusCode, coord.Capacity())
+	}
+}
+
+// TestPollLeasesAtMostSlots: a poll asking for more jobs than the worker
+// registered slots for gets at most its slots, however deep the queue.
+func TestPollLeasesAtMostSlots(t *testing.T) {
+	coord, url := newTestCoordinator(t, Options{})
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	var reg RegisterResponse
+	if err := json.NewDecoder(post("/v1/workers", `{"name":"one","slots":1}`).Body).Decode(&reg); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const jobs = 3
+	done := make(chan struct{}, jobs)
+	for range jobs {
+		go func() {
+			coord.Dispatch(ctx, exp.Job{Spec: exp.PointSpec{Config: exp.ICount28(1)}}, testOpts(), 0, nil)
+			done <- struct{}{}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if coord.Stats().Pending == jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("jobs never queued")
+		}
+	}
+
+	resp := post("/v1/work/next", fmt.Sprintf(`{"worker_id":%q,"max":%d}`, reg.WorkerID, jobs))
+	var batch Batch
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll: status %d, %v", resp.StatusCode, err)
+	}
+	if len(batch.Assignments) != 1 {
+		t.Fatalf("a 1-slot worker polling max %d was leased %d jobs", jobs, len(batch.Assignments))
+	}
+	cancel()
+	for range jobs {
+		<-done
 	}
 }

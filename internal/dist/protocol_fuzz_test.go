@@ -18,8 +18,9 @@ import (
 // FuzzProtocolBodies: arbitrary bytes as the body of each worker-facing
 // POST — register, poll, result, snapshot, heartbeat — through the real
 // handlers of a coordinator mid-sweep never panic, are answered 200, 204,
-// 400, 404, 409 or 413, and never complete or stream into a job the
-// coordinator has not leased to anyone.
+// 400, 404, 409 or 413, never complete or stream into a job the
+// coordinator has not leased to anyone, and never lease a worker more jobs
+// in one poll reply than it registered slots.
 func FuzzProtocolBodies(f *testing.F) {
 	paths := []string{"/v1/workers", "/v1/work/next", "/v1/work/result", "/v1/work/snapshot", "/v1/workers/w1/heartbeat"}
 	marshal := func(v any) []byte {
@@ -63,19 +64,19 @@ func FuzzProtocolBodies(f *testing.F) {
 		defer c.Close()
 		mux := http.NewServeMux()
 		c.Handle(mux)
-		post := func(path string, body []byte) int {
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
 			mux.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
-			return rec.Code
+			return rec
 		}
 
-		// Mid-sweep: worker w1 holds a lease on t1; t2 is queued and has
-		// never been leased.
-		if code := post(paths[0], []byte(`{"name":"legit","slots":1}`)); code != http.StatusOK {
+		// Mid-sweep: worker w1, one slot, holds a lease on t1; t2 and t3
+		// are queued and have never been leased.
+		if code := post(paths[0], []byte(`{"name":"legit","slots":1}`)).Code; code != http.StatusOK {
 			t.Fatalf("register: %d", code)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		dispatched := make(chan struct{}, 2)
+		dispatched := make(chan struct{}, 3)
 		streamedUnleased := false
 		dispatch := func(onSnap func(smt.Snapshot)) {
 			go func() {
@@ -96,30 +97,44 @@ func FuzzProtocolBodies(f *testing.F) {
 		}
 		dispatch(func(smt.Snapshot) {})
 		queued(1)
-		if code := post(paths[1], []byte(`{"worker_id":"w1","max":1}`)); code != http.StatusOK {
+		if code := post(paths[1], []byte(`{"worker_id":"w1","max":1}`)).Code; code != http.StatusOK {
 			t.Fatalf("poll: %d", code)
 		}
 		dispatch(func(smt.Snapshot) { streamedUnleased = true })
-		unleased := queued(2)
+		unleased := []*task{queued(2)}
+		dispatch(func(smt.Snapshot) { streamedUnleased = true })
+		unleased = append(unleased, queued(3))
 
-		switch code := post(paths[int(which)%len(paths)], body); code {
+		path := paths[int(which)%len(paths)]
+		rec := post(path, body)
+		switch rec.Code {
 		case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusNotFound,
 			http.StatusConflict, http.StatusRequestEntityTooLarge:
 		default:
-			t.Fatalf("%s answered %d", paths[int(which)%len(paths)], code)
+			t.Fatalf("%s answered %d", path, rec.Code)
+		}
+		if path == paths[1] && rec.Code == http.StatusOK {
+			var batch Batch
+			if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
+				t.Fatalf("poll reply: %v", err)
+			}
+			if len(batch.Assignments) > 1 {
+				t.Fatalf("a poll reply leased %d jobs to a 1-slot worker", len(batch.Assignments))
+			}
 		}
 
 		c.mu.Lock()
-		done := unleased.done
+		done := unleased[0].done || unleased[1].done
 		c.mu.Unlock()
 		if done {
-			t.Fatalf("%s completed a job that was never leased", paths[int(which)%len(paths)])
+			t.Fatalf("%s completed a job that was never leased", path)
 		}
 		if streamedUnleased {
 			t.Fatal("a snapshot reached a job that was never leased")
 		}
 		cancel()
-		<-dispatched
-		<-dispatched
+		for range 3 {
+			<-dispatched
+		}
 	})
 }

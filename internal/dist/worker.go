@@ -268,7 +268,8 @@ func (w *Worker) reregister(ctx context.Context, staleID string) error {
 
 // register announces the worker, retrying on the policy's backoff
 // schedule (unlimited attempts) until it succeeds, the coordinator
-// rejects it permanently (build mismatch), or ctx ends.
+// rejects it permanently (build mismatch, or a slot count out of range),
+// or ctx ends.
 func (w *Worker) register(ctx context.Context) error {
 	pol := w.retry
 	pol.MaxAttempts = 0 // a worker with nothing to join retries until told to stop
@@ -301,7 +302,7 @@ func (w *Worker) registerOnce(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		// fall through to decode
-	case http.StatusConflict:
+	case http.StatusConflict, http.StatusBadRequest:
 		var apiErr struct {
 			Error string `json:"error"`
 		}

@@ -482,9 +482,6 @@ func MustNew(cfg Config) *Hierarchy {
 	return h
 }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // CacheStats returns access/miss counts for a level.
 func (h *Hierarchy) CacheStats(l Level) Stats { return h.caches[l].stats }
 

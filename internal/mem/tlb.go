@@ -117,6 +117,3 @@ func (t *TLB) Lookup(addr int64) bool {
 	*hint = uint16(victim)
 	return false
 }
-
-// Stats returns the TLB's access/miss counters.
-func (t *TLB) Stats() Stats { return t.stats }

@@ -103,9 +103,6 @@ func MustNew(p Profile, seed uint64, asid int) *Program {
 	return prog
 }
 
-// Len returns the number of static instructions.
-func (p *Program) Len() int { return len(p.Code) }
-
 // IndexOf maps a PC to a static instruction index. PCs outside the image
 // wrap modulo the code size so that wrong-path fetch never faults.
 func (p *Program) IndexOf(pc int64) int {
