@@ -87,7 +87,7 @@ func postSweepBody(t *testing.T, base, body string) sweepStatus {
 
 // TestChaosSweepByteIdentical is the chaos suite's core acceptance
 // test: a sweep on one coordinator with two workers, faults injected on
-// every worker edge — registration, polls, result and snapshot posts,
+// every worker edge — beats, polls, result and snapshot posts,
 // checkpoint peeks and fills — must still complete, and its result bytes
 // must be identical to a fault-free run.
 // The resilience layer may retry, requeue and re-simulate as much as it
@@ -129,7 +129,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	// (truncate, corrupt) stay off /v1/work: they are harmless on the
 	// cache surface (a garbled body is a miss), and a garbled poll
 	// response strands its leases for one lease TTL before they lapse and
-	// requeue (the worker's heartbeats list only the leases it received;
+	// requeue (the worker's beats list only the leases it received;
 	// internal/dist's TestLostPollReplyLeaseLapses covers it), which slows
 	// the test without testing anything new — pre-send faults (err, code)
 	// already cover "the poll never landed".
@@ -222,7 +222,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	}
 	http.DefaultClient.CloseIdleConnections()
 
-	// No goroutine leaks: everything the cluster spawned — heartbeats,
+	// No goroutine leaks: everything the cluster spawned — beats,
 	// executors, janitors, parked polls — must be gone.
 	deadline = time.Now().Add(10 * time.Second)
 	for {

@@ -183,8 +183,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	// poll (a running sweep keeps its dispatch width fixed at
 	// submission).
 	s.coord = dist.NewCoordinator(dist.Options{
-		LocalSlots:  n,
-		ServesCache: true,
+		LocalSlots: n,
 		// The local slots run the same warm kernel the sweep runners use,
 		// so jobs that land in-process still restore checkpoints and
 		// replay traces.
@@ -352,9 +351,9 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // handleCachePut fills one content-addressed entry. Determinism makes
 // fills idempotent: every honest writer of a key computes identical
 // bytes. Like the rest of the API (sweep submission, cancellation,
-// worker registration — a registered worker's result posts are equally
-// unverified), this endpoint trusts its network: smtd is designed to run
-// inside a trusted cluster, not on the open internet.
+// worker beats — a worker's self-chosen id and its result posts are
+// equally unverified), this endpoint trusts its network: smtd is designed
+// to run inside a trusted cluster, not on the open internet.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
 		fill(w, r, s.snaps, key, "snapshot", maxSnapPutBody)

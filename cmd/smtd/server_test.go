@@ -288,11 +288,10 @@ func TestSchedulerEventsReachTheLog(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(&out)
 	ts := newTestService(t)
-	var reg dist.RegisterResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/workers", dist.RegisterRequest{Name: "logged", Slots: 1}, &reg); code != 200 {
-		t.Fatalf("register: status %d", code)
+	if code := doJSON(t, "PUT", ts.URL+"/v1/workers/ab12", dist.Beat{Name: "logged", Slots: 1}, nil); code != 200 {
+		t.Fatalf("beat: status %d", code)
 	}
-	if want := fmt.Sprintf("worker %s (logged) joined", reg.WorkerID); !strings.Contains(out.String(), want) {
+	if want := "worker ab12 (logged) joined"; !strings.Contains(out.String(), want) {
 		t.Fatalf("log %q does not mention %q", out.String(), want)
 	}
 }

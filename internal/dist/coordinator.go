@@ -15,19 +15,21 @@ import (
 )
 
 // Per-endpoint request body caps, so a single request cannot balloon the
-// coordinator's heap. Control-plane messages (register, poll, heartbeat)
-// are tiny; a snapshot is one interval's counters; a result post carries
+// coordinator's heap. Control-plane messages (beat, poll) are tiny; a snapshot is one interval's counters; a result post carries
 // one job's full smt.Results.
 const (
-	maxControlBody  = 64 << 10 // register / poll / heartbeat
+	maxControlBody  = 64 << 10 // beat / poll
 	maxSnapshotBody = 1 << 20  // one interval snapshot
 	maxResultsBody  = 64 << 10 // one job's results, ~1 KiB even at 64 threads
 )
 
-// maxWorkerSlots bounds the slots one worker may register. Capacity sums
-// every worker's slots, so an unbounded claim could overflow it; no host
-// runs this many simulations at once.
-const maxWorkerSlots = 4096
+// maxWorkerSlots bounds the slots one beat may offer. Capacity sums every
+// worker's slots, so an unbounded claim could overflow it; no host runs
+// this many simulations at once. maxWorkerID bounds a self-chosen id.
+const (
+	maxWorkerSlots = 4096
+	maxWorkerID    = 64
+)
 
 // Options configures a Coordinator. The zero value works: sensible
 // timings, no local slots (every job waits for a worker), no logging.
@@ -40,10 +42,9 @@ type Options struct {
 	// sizes it from -workers). Each slot leases from the queue worker
 	// polls lease from. Zero runs nothing in-process.
 	LocalSlots int
-	// LeaseTTL is how long a worker may go silent — no heartbeat, poll,
-	// snapshot, or result — before it is declared dead and its leased
-	// jobs are requeued, and how long a lease lives unless a heartbeat
-	// listing it or a snapshot of it renews it. Default 15s.
+	// LeaseTTL is how long a worker may go without a beat before it is
+	// declared dead and its leased jobs are requeued, and how long a lease
+	// lives unless a beat listing it renews it. Default 15s.
 	LeaseTTL time.Duration
 	// PollWait is how long /v1/work/next may hold a long poll before
 	// answering 204. Default 2s.
@@ -55,12 +56,8 @@ type Options struct {
 	// kills every worker it lands on. With no local slots the job stays in
 	// the shared queue. Default 3.
 	MaxAttempts int
-	// ServesCache is advertised to registering workers: the coordinator's
-	// HTTP surface also exposes GET/PUT /v1/cache/{key}, so workers share
-	// warmup checkpoints through it.
-	ServesCache bool
 	// Build is the coordinator's binary identity; defaults to BuildID().
-	// Registration rejects workers whose (known) build differs — a
+	// A beat from a worker whose (known) build differs is refused — a
 	// version-skewed worker would silently break byte-identity and poison
 	// the shared content-addressed cache.
 	Build string
@@ -94,7 +91,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator runs jobs on registered workers and on its own local slots
+// Coordinator runs jobs on live workers and on its own local slots
 // and implements exp.Dispatcher, so an exp.Runner plugs it in as its
 // execution backend. Every dispatched job enters one FIFO queue, and a
 // worker's poll and a free local slot lease from it alike, so no slot
@@ -106,14 +103,13 @@ type Coordinator struct {
 	opts   Options
 	closed chan struct{}
 
-	mu         sync.Mutex
-	workers    map[string]*workerState
-	pending    []*task          // FIFO; requeues go to the front
-	localOnly  []*task          // out of remote attempts; only local slots take these
-	tasks      map[string]*task // every undelivered dispatched task
-	wake       chan struct{}    // closed and replaced whenever a queue grows
-	nextWorker int64
-	nextTask   int64
+	mu        sync.Mutex
+	workers   map[string]*workerState
+	pending   []*task          // FIFO; requeues go to the front
+	localOnly []*task          // out of remote attempts; only local slots take these
+	tasks     map[string]*task // every undelivered dispatched task
+	wake      chan struct{}    // closed and replaced whenever a queue grows
+	nextTask  int64
 
 	dispatched int64
 	remoteDone int64
@@ -123,12 +119,12 @@ type Coordinator struct {
 	leaseWait  time.Duration // total pending-queue wait across granted leases
 }
 
+// workerState is what a worker's last beat said, plus its tally. Its
+// leases are the tasks whose assignedTo is its id.
 type workerState struct {
-	id        string
 	name      string
 	slots     int
 	lastSeen  time.Time
-	running   map[string]*task
 	completed int64
 }
 
@@ -139,7 +135,7 @@ type task struct {
 	onSnap  func(smt.Snapshot)
 
 	attempts   int       // remote leases granted so far
-	assignedTo string    // worker id; "" while queued or on a local slot
+	assignedTo string    // worker id holding the lease; "" while queued or on a local slot
 	enqueued   time.Time // when the task last entered a queue
 	deadline   time.Time
 	done       bool
@@ -177,10 +173,9 @@ func (c *Coordinator) Close() {
 
 // Handle registers the coordinator's worker-facing routes on mux.
 func (c *Coordinator) Handle(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/workers", c.handleRegister)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
+	mux.HandleFunc("PUT /v1/workers/{id}", c.handleBeat)
 	mux.HandleFunc("DELETE /v1/workers/{id}", c.handleDeregister)
-	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/work/next", c.handlePoll)
 	mux.HandleFunc("POST /v1/work/result", c.handleResult)
 	mux.HandleFunc("POST /v1/work/snapshot", c.handleSnapshot)
@@ -228,7 +223,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, j exp.Job, o exp.Opts, inter
 	}
 }
 
-// Capacity returns the number of simulation slots live workers offer.
+// Capacity returns the number of simulation slots live workers offer; a
+// draining worker offers none.
 // Sweep schedulers use it to size their dispatch pools.
 func (c *Coordinator) Capacity() int {
 	c.mu.Lock()
@@ -272,9 +268,12 @@ func (c *Coordinator) Stats() Status {
 		Leases:                c.leases,
 		LeaseWaitSecondsTotal: c.leaseWait.Seconds(),
 	}
+	// c.tasks holds only undelivered, uncancelled tasks.
+	running := map[string]int{}
 	for _, t := range c.tasks {
-		if t.assignedTo != "" && !t.done && !t.cancelled {
+		if t.assignedTo != "" {
 			st.Assigned++
+			running[t.assignedTo]++
 		}
 	}
 	// The autoscale signal: queued work measured against what the fleet
@@ -296,12 +295,12 @@ func (c *Coordinator) Stats() Status {
 	if st.Capacity > 0 {
 		st.Autoscale.Saturation = float64(st.Assigned+st.Pending) / float64(st.Capacity)
 	}
-	for _, w := range c.workers {
+	for id, w := range c.workers {
 		st.Workers = append(st.Workers, WorkerInfo{
-			ID:        w.id,
+			ID:        id,
 			Name:      w.name,
 			Slots:     w.slots,
-			Running:   len(w.running),
+			Running:   running[id],
 			Completed: w.completed,
 			LastSeen:  w.lastSeen.UTC().Format(time.RFC3339Nano),
 		})
@@ -364,9 +363,6 @@ func (c *Coordinator) deliver(t *task, res smt.Results, workerID string) bool {
 	}
 	t.done = true
 	delete(c.tasks, t.id)
-	if w := c.workers[t.assignedTo]; w != nil {
-		delete(w.running, t.id)
-	}
 	if workerID != "" {
 		if w := c.workers[workerID]; w != nil {
 			w.completed++
@@ -390,9 +386,6 @@ func (c *Coordinator) drop(t *task) bool {
 	}
 	t.cancelled = true
 	delete(c.tasks, t.id)
-	if w := c.workers[t.assignedTo]; w != nil {
-		delete(w.running, t.id)
-	}
 	return false
 }
 
@@ -400,12 +393,6 @@ func (c *Coordinator) drop(t *task) bool {
 // or its lease expired. A task out of remote attempts goes to the local
 // slots alone when there are any.
 func (c *Coordinator) requeueLocked(t *task) {
-	if t.done || t.cancelled {
-		return
-	}
-	if w := c.workers[t.assignedTo]; w != nil {
-		delete(w.running, t.id)
-	}
 	t.assignedTo = ""
 	t.enqueued = time.Now()
 	c.requeues++
@@ -437,60 +424,82 @@ func (c *Coordinator) janitor() {
 func (c *Coordinator) expire(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	stale := map[*task]bool{}
 	for id, w := range c.workers {
 		if now.Sub(w.lastSeen) > c.opts.LeaseTTL {
-			c.opts.Logf("dist: worker %s (%s) silent for %v; removing and requeueing %d job(s)",
-				id, w.name, now.Sub(w.lastSeen).Round(time.Millisecond), len(w.running))
-			for _, t := range w.running {
-				stale[t] = true
-			}
 			delete(c.workers, id)
+			c.opts.Logf("dist: worker %s (%s) silent for %v; removed, %d job(s) requeued",
+				id, w.name, now.Sub(w.lastSeen).Round(time.Millisecond), c.requeueHeldLocked(id))
 		}
 	}
 	for _, t := range c.tasks {
-		if t.assignedTo != "" && !t.done && !t.cancelled && now.After(t.deadline) {
-			stale[t] = true
+		if t.assignedTo != "" && now.After(t.deadline) {
+			c.requeueLocked(t)
 		}
-	}
-	for t := range stale {
-		c.requeueLocked(t)
 	}
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !decodeInto(w, r, &req, maxControlBody) {
+// requeueHeldLocked requeues every lease worker id holds and reports how
+// many there were.
+func (c *Coordinator) requeueHeldLocked(id string) int {
+	n := 0
+	for _, t := range c.tasks {
+		if t.assignedTo == id {
+			c.requeueLocked(t)
+			n++
+		}
+	}
+	return n
+}
+
+// handleBeat keeps what a worker's beat says: it joins an unknown worker
+// that offers slots, refreshes a known one, and renews the listed leases
+// the worker holds. Only those: a lease the worker does not list was never
+// received (its poll reply was lost), and renewing it would strand the job
+// on a worker that will never run it. A zero-slot beat from an unknown id
+// is a draining worker the coordinator already forgot; it answers 404 and
+// never comes back as capacity.
+func (c *Coordinator) handleBeat(w http.ResponseWriter, r *http.Request) {
+	var b Beat
+	if !decodeInto(w, r, &b, maxControlBody) {
 		return
 	}
-	if req.Slots <= 0 || req.Slots > maxWorkerSlots {
-		httpError(w, http.StatusBadRequest, "slots %d, want 1..%d", req.Slots, maxWorkerSlots)
+	id := r.PathValue("id")
+	if len(id) > maxWorkerID || b.Slots < 0 || b.Slots > maxWorkerSlots {
+		httpError(w, http.StatusBadRequest, "worker id of %d bytes (max %d), slots %d (want 0..%d)",
+			len(id), maxWorkerID, b.Slots, maxWorkerSlots)
 		return
 	}
-	if req.Build != "" && c.opts.Build != "" && req.Build != c.opts.Build {
+	if b.Build != "" && c.opts.Build != "" && b.Build != c.opts.Build {
 		httpError(w, http.StatusConflict,
 			"worker build %q does not match coordinator build %q; distributed results must come from identical binaries",
-			req.Build, c.opts.Build)
+			b.Build, c.opts.Build)
 		return
 	}
+	now := time.Now()
 	c.mu.Lock()
-	c.nextWorker++
-	ws := &workerState{
-		id:       fmt.Sprintf("w%d", c.nextWorker),
-		name:     req.Name,
-		slots:    req.Slots,
-		lastSeen: time.Now(),
-		running:  map[string]*task{},
+	ws, known := c.workers[id]
+	if !known && b.Slots == 0 {
+		c.mu.Unlock()
+		httpError(w, http.StatusNotFound, "unknown worker %q offers no slots", id)
+		return
 	}
-	c.workers[ws.id] = ws
+	if !known {
+		ws = &workerState{}
+		c.workers[id] = ws
+	}
+	ws.name, ws.slots, ws.lastSeen = b.Name, b.Slots, now
+	for _, tid := range b.Tasks {
+		if t := c.tasks[tid]; t != nil && t.assignedTo == id {
+			t.deadline = now.Add(c.opts.LeaseTTL)
+		}
+	}
 	c.mu.Unlock()
-	c.opts.Logf("dist: worker %s (%s) joined with %d slot(s)", ws.id, ws.name, ws.slots)
-	httpJSON(w, http.StatusOK, RegisterResponse{
-		WorkerID:     ws.id,
-		LeaseTTLMS:   c.opts.LeaseTTL.Milliseconds(),
-		PollWaitMS:   c.opts.PollWait.Milliseconds(),
-		Coordinator:  "smtd",
-		CacheEnabled: c.opts.ServesCache,
+	if !known {
+		c.opts.Logf("dist: worker %s (%s) joined with %d slot(s)", id, b.Name, b.Slots)
+	}
+	httpJSON(w, http.StatusOK, BeatResponse{
+		LeaseTTLMS: c.opts.LeaseTTL.Milliseconds(),
+		PollWaitMS: c.opts.PollWait.Milliseconds(),
 	})
 }
 
@@ -500,45 +509,14 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	ws, ok := c.workers[id]
 	if ok {
 		delete(c.workers, id)
-		for _, t := range ws.running {
-			c.requeueLocked(t)
-		}
+		c.requeueHeldLocked(id)
 	}
 	c.mu.Unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown worker %q", id)
 		return
 	}
-	c.opts.Logf("dist: worker %s (%s) left", ws.id, ws.name)
-	httpJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// handleHeartbeat keeps a worker registered and renews the leases it
-// lists. Only those: a lease the worker does not list was never received
-// (its poll reply was lost), and renewing it would strand the job on a
-// worker that will never run it.
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decodeInto(w, r, &req, maxControlBody) {
-		return
-	}
-	id := r.PathValue("id")
-	now := time.Now()
-	c.mu.Lock()
-	ws, ok := c.workers[id]
-	if ok {
-		ws.lastSeen = now
-		for _, tid := range req.Tasks {
-			if t := ws.running[tid]; t != nil {
-				t.deadline = now.Add(c.opts.LeaseTTL)
-			}
-		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown worker %q; re-register", id)
-		return
-	}
+	c.opts.Logf("dist: worker %s (%s) left", id, ws.name)
 	httpJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
@@ -547,9 +525,10 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePoll long-polls for work: it answers immediately when the queue
-// has any, leasing up to req.Max jobs (never more than the worker's
-// registered slots) in one response, otherwise parks until an enqueue,
-// the poll-wait deadline, disconnect, or coordinator shutdown. Batching
+// has any, leasing up to req.Max jobs (never more than the slots the
+// worker's last beat offered) in one response, otherwise parks until an
+// enqueue, the poll-wait deadline, disconnect, or coordinator shutdown.
+// It neither keeps the worker alive nor renews a lease. Batching
 // matters on small jobs: each job's HTTP hop is paid once per batch, not
 // once per job.
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
@@ -568,22 +547,20 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		ws, ok := c.workers[req.WorkerID]
 		if !ok {
 			c.mu.Unlock()
-			httpError(w, http.StatusNotFound, "unknown worker %q; re-register", req.WorkerID)
+			httpError(w, http.StatusNotFound, "unknown worker %q; beat to join", req.WorkerID)
 			return
 		}
-		ws.lastSeen = now
 		var batch Batch
 		for len(batch.Assignments) < min(max, ws.slots) {
 			t := popLocked(&c.pending)
 			if t == nil {
 				break
 			}
-			t.assignedTo = ws.id
+			t.assignedTo = req.WorkerID
 			t.attempts++
 			t.deadline = now.Add(c.opts.LeaseTTL)
 			c.leases++
 			c.leaseWait += now.Sub(t.enqueued)
-			ws.running[t.id] = t
 			batch.Assignments = append(batch.Assignments, Assignment{TaskID: t.id, Job: t.payload})
 		}
 		if len(batch.Assignments) > 0 {
@@ -627,11 +604,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req, maxResultsBody) {
 		return
 	}
-	now := time.Now()
 	c.mu.Lock()
-	if ws := c.workers[req.WorkerID]; ws != nil {
-		ws.lastSeen = now
-	}
 	// Task ids are guessable; nobody can hold the result of a job that was
 	// never leased out.
 	t := c.tasks[req.TaskID]
@@ -642,9 +615,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot forwards one interval snapshot to the dispatching
-// sweep's observer and renews the job's lease — a worker deep in a long
-// simulation proves liveness by the snapshots themselves. Only the
-// current assignee's snapshots are forwarded, so a presumed-dead worker
+// sweep's observer. Only the current assignee's snapshots are forwarded, so a presumed-dead worker
 // that is still simulating cannot interleave with its replacement, and a
 // queued job (assigned to nobody) takes none.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -652,14 +623,9 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req, maxSnapshotBody) {
 		return
 	}
-	now := time.Now()
 	c.mu.Lock()
-	if ws := c.workers[req.WorkerID]; ws != nil {
-		ws.lastSeen = now
-	}
 	var onSnap func(smt.Snapshot)
-	if t := c.tasks[req.TaskID]; t != nil && !t.done && !t.cancelled && t.assignedTo != "" && t.assignedTo == req.WorkerID {
-		t.deadline = now.Add(c.opts.LeaseTTL)
+	if t := c.tasks[req.TaskID]; t != nil && t.assignedTo != "" && t.assignedTo == req.WorkerID {
 		onSnap = t.onSnap
 	}
 	c.mu.Unlock()

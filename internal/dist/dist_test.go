@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -99,6 +98,21 @@ func startWorker(t *testing.T, w *Worker) (stop func()) {
 	}
 }
 
+// beat sends one raw beat body for worker id and returns the status.
+func beat(t *testing.T, url, id, body string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, url+"/v1/workers/"+id, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -132,7 +146,7 @@ func TestWorkerFailover(t *testing.T) {
 	// Victim: grabs jobs and never finishes them (a hung node). Its Exec
 	// parks until the test releases it at cleanup so its drain can
 	// complete, and its transport can be severed to simulate a crash —
-	// a graceful context cancel is NOT a crash: drain keeps heartbeating
+	// a graceful context cancel is NOT a crash: drain keeps beating
 	// until in-flight work finishes, deliberately holding the leases.
 	release := make(chan struct{})
 	t.Cleanup(func() {
@@ -192,7 +206,7 @@ func TestWorkerFailover(t *testing.T) {
 	}()
 
 	// Once the victim is sitting on leased jobs, crash it: sever its
-	// network (heartbeats, polls, and result posts all start failing)
+	// network (beats, polls, and result posts all start failing)
 	// while its Exec keeps hanging — exactly a dead or partitioned node
 	// from the coordinator's point of view.
 	waitFor(t, "victim to hold leased jobs", func() bool { return victim.JobsDone() == 0 && workerRunning(coord, "victim") > 0 })
@@ -367,20 +381,87 @@ func TestBuildMismatchRejected(t *testing.T) {
 		t.Fatalf("mismatched worker joined (err = %v)", err)
 	}
 	// An unknown (un-stamped) build cannot be verified and is accepted.
-	body, _ := json.Marshal(RegisterRequest{Name: "unstamped", Slots: 1})
-	resp, err := http.Post(url+"/v1/workers", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if code := beat(t, url, "unstamped", `{"name":"unstamped","slots":1}`); code != http.StatusOK {
+		t.Fatalf("unknown-build beat: status %d, want 200", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unknown-build registration: status %d, want 200", resp.StatusCode)
+}
+
+// TestWorkerRejoinsForgetfulCoordinator: a worker started before its
+// coordinator retries its join until one answers. A coordinator restarted
+// on the same address has forgotten every worker; the worker's next beat
+// or poll rejoins it under the same id, and it serves each coordinator's
+// jobs in turn. A restart with a different build refuses the rejoin, and
+// Run returns that refusal instead of reporting a drain.
+func TestWorkerRejoinsForgetfulCoordinator(t *testing.T) {
+	var mux atomic.Pointer[http.ServeMux] // nil until the first coordinator starts
+	var down atomic.Int64
+	restart := func(build string) *Coordinator {
+		c := NewCoordinator(Options{
+			Build:      build,
+			LeaseTTL:   600 * time.Millisecond,
+			PollWait:   100 * time.Millisecond,
+			SweepEvery: 50 * time.Millisecond,
+			Logf:       t.Logf,
+		})
+		t.Cleanup(c.Close)
+		m := http.NewServeMux()
+		c.Handle(m)
+		mux.Store(m)
+		return c
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if m := mux.Load(); m != nil {
+			m.ServeHTTP(w, r)
+			return
+		}
+		down.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(srv.Close)
+
+	w := NewWorker(WorkerOptions{
+		Coordinator: srv.URL,
+		Name:        "rejoiner",
+		Slots:       1,
+		Build:       "rev-a",
+		Backoff:     20 * time.Millisecond,
+		Exec: func(JobPayload, func(smt.Snapshot)) smt.Results {
+			return smt.Results{Committed: 1}
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(ctx) }()
+
+	waitFor(t, "the worker to retry its join", func() bool { return down.Load() >= 2 })
+	for i := range 2 {
+		coord := restart("rev-a")
+		jctx, jcancel := context.WithTimeout(ctx, 10*time.Second)
+		res, err := coord.Dispatch(jctx, exp.Job{Spec: exp.PointSpec{Config: exp.ICount28(1)}}, testOpts(), 0, nil)
+		jcancel()
+		if err != nil || res.Committed != 1 {
+			t.Fatalf("coordinator %d: dispatch = %+v, %v (stats %+v)", i, res, err, coord.Stats())
+		}
+		if st := coord.Stats(); st.RemoteDone != 1 {
+			t.Fatalf("coordinator %d: remote_done = %d, want the job run by the worker", i, st.RemoteDone)
+		}
+	}
+
+	restart("rev-b")
+	select {
+	case err := <-runDone:
+		if err == nil || !strings.Contains(err.Error(), "does not match coordinator build") {
+			t.Fatalf("Run after a restart with another build = %v, want the build mismatch", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run kept going after the coordinator restarted with another build")
 	}
 }
 
 // TestLostPollReplyLeaseLapses: a poll reply that never reaches its
 // worker leaves the coordinator holding a lease for a job nobody runs. The
-// worker's heartbeats list only the leases it received, so the lost one
+// worker's beats list only the leases it received, so the lost one
 // lapses after one TTL and is requeued, and the sweep finishes within a
 // few TTLs with the bytes of a local run.
 func TestLostPollReplyLeaseLapses(t *testing.T) {

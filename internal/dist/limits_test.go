@@ -34,14 +34,14 @@ func TestBodyLimits413(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// A register body padded past the control-plane cap.
+	// A beat body padded past the control-plane cap.
 	big := fmt.Sprintf(`{"name":%q,"slots":1}`, strings.Repeat("x", maxControlBody))
-	if code := post("/v1/workers", []byte(big)); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized register: status %d, want 413", code)
+	if code := beat(t, url, "w1", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized beat: status %d, want 413", code)
 	}
 	// The same endpoint still accepts a sane body.
-	if code := post("/v1/workers", []byte(`{"name":"ok","slots":1}`)); code != http.StatusOK {
-		t.Fatalf("normal register after oversized one: status %d, want 200", code)
+	if code := beat(t, url, "w1", `{"name":"ok","slots":1}`); code != http.StatusOK {
+		t.Fatalf("normal beat after oversized one: status %d, want 200", code)
 	}
 	// A snapshot body padded past the snapshot cap.
 	bigSnap := fmt.Sprintf(`{"worker_id":"w1","task_id":%q}`, strings.Repeat("y", maxSnapshotBody))
@@ -153,11 +153,10 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 			<-gate
 			return SimulateJob(exp.WarmEnv{})(p, onSnap)
 		},
-		ServesCache: true,
-		LeaseTTL:    2 * time.Second,
-		PollWait:    200 * time.Millisecond,
-		SweepEvery:  50 * time.Millisecond,
-		Logf:        t.Logf,
+		LeaseTTL:   2 * time.Second,
+		PollWait:   200 * time.Millisecond,
+		SweepEvery: 50 * time.Millisecond,
+		Logf:       t.Logf,
 	})
 	t.Cleanup(coord.Close)
 	var parked atomic.Int64
@@ -241,25 +240,29 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsOversizedSlots: a worker's slot count is bounded, so
-// registered capacity cannot overflow however many workers join.
-func TestRegisterRejectsOversizedSlots(t *testing.T) {
+// TestBeatBoundsSlotsAndID: a beat's slot count and self-chosen id are
+// bounded, so capacity cannot overflow however many workers join, and a
+// zero-slot beat from an unknown id never creates a worker.
+func TestBeatBoundsSlotsAndID(t *testing.T) {
 	coord, url := newTestCoordinator(t, Options{})
-	for _, slots := range []int{1 << 62, maxWorkerSlots + 1} {
-		body := fmt.Sprintf(`{"name":"huge","slots":%d}`, slots)
+	for _, c := range []struct {
+		id, body string
+		code     int
+	}{
+		{"huge", `{"name":"huge","slots":4611686018427387904}`, http.StatusBadRequest},
+		{"huge", fmt.Sprintf(`{"name":"huge","slots":%d}`, maxWorkerSlots+1), http.StatusBadRequest},
+		{"negative", `{"name":"negative","slots":-1}`, http.StatusBadRequest},
+		{strings.Repeat("i", maxWorkerID+1), `{"name":"long","slots":1}`, http.StatusBadRequest},
+		{"idle", `{"name":"idle","slots":0}`, http.StatusNotFound},
+	} {
 		for range 2 {
-			resp, err := http.Post(url+"/v1/workers", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("register with %d slots: status %d, want 400", slots, resp.StatusCode)
+			if code := beat(t, url, c.id, c.body); code != c.code {
+				t.Fatalf("beat %s as %.8s…: status %d, want %d", c.body, c.id, code, c.code)
 			}
 		}
 	}
-	if got := coord.Capacity(); got != 0 {
-		t.Fatalf("capacity %d after only refused registrations", got)
+	if st := coord.Stats(); st.Capacity != 0 || len(st.Workers) != 0 {
+		t.Fatalf("refused beats left workers %+v, capacity %d", st.Workers, st.Capacity)
 	}
 	// A worker offering too many slots stops at the refusal instead of
 	// retrying it until cancelled.
@@ -269,18 +272,14 @@ func TestRegisterRejectsOversizedSlots(t *testing.T) {
 	if err := w.Run(ctx); !errors.Is(err, errRejected) || ctx.Err() != nil {
 		t.Fatalf("worker with %d slots: Run = %v (ctx %v), want a prompt rejection", maxWorkerSlots+1, err, ctx.Err())
 	}
-	resp, err := http.Post(url+"/v1/workers", "application/json", strings.NewReader(fmt.Sprintf(`{"name":"max","slots":%d}`, maxWorkerSlots)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || coord.Capacity() != maxWorkerSlots {
-		t.Fatalf("register with %d slots: status %d, capacity %d", maxWorkerSlots, resp.StatusCode, coord.Capacity())
+	max := fmt.Sprintf(`{"name":"max","slots":%d}`, maxWorkerSlots)
+	if code := beat(t, url, strings.Repeat("i", maxWorkerID), max); code != http.StatusOK || coord.Capacity() != maxWorkerSlots {
+		t.Fatalf("beat with %d slots: status %d, capacity %d", maxWorkerSlots, code, coord.Capacity())
 	}
 }
 
-// TestPollLeasesAtMostSlots: a poll asking for more jobs than the worker
-// registered slots for gets at most its slots, however deep the queue.
+// TestPollLeasesAtMostSlots: a poll asking for more jobs than the worker's
+// beat offered slots for gets at most its slots, however deep the queue.
 func TestPollLeasesAtMostSlots(t *testing.T) {
 	coord, url := newTestCoordinator(t, Options{})
 	post := func(path, body string) *http.Response {
@@ -292,9 +291,8 @@ func TestPollLeasesAtMostSlots(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	var reg RegisterResponse
-	if err := json.NewDecoder(post("/v1/workers", `{"name":"one","slots":1}`).Body).Decode(&reg); err != nil {
-		t.Fatal(err)
+	if code := beat(t, url, "one", `{"name":"one","slots":1}`); code != http.StatusOK {
+		t.Fatalf("beat: status %d", code)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -316,7 +314,7 @@ func TestPollLeasesAtMostSlots(t *testing.T) {
 		}
 	}
 
-	resp := post("/v1/work/next", fmt.Sprintf(`{"worker_id":%q,"max":%d}`, reg.WorkerID, jobs))
+	resp := post("/v1/work/next", fmt.Sprintf(`{"worker_id":"one","max":%d}`, jobs))
 	var batch Batch
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("poll: status %d, %v", resp.StatusCode, err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ type localProbe struct {
 	url     string
 	started chan struct{} // one send per Exec
 	release chan struct{} // one receive per Exec
+	workers int           // phantoms joined so far
 }
 
 func newLocalProbe(t *testing.T, opts Options) *localProbe {
@@ -74,20 +76,16 @@ func (p *localProbe) finish(t *testing.T, errc <-chan error) {
 	}
 }
 
-// phantom registers a worker over HTTP that never polls on its own, and
-// returns its id.
+// phantom joins a new one-slot worker with a single beat; it never beats
+// or polls on its own. It returns the worker's id.
 func (p *localProbe) phantom(t *testing.T) string {
 	t.Helper()
-	resp, err := http.Post(p.url+"/v1/workers", "application/json", bytes.NewReader([]byte(`{"name":"phantom","slots":1}`)))
-	if err != nil {
-		t.Fatal(err)
+	p.workers++
+	id := fmt.Sprintf("phantom%d", p.workers)
+	if code := beat(t, p.url, id, `{"name":"phantom","slots":1}`); code != http.StatusOK {
+		t.Fatalf("phantom beat answered %d", code)
 	}
-	defer resp.Body.Close()
-	var reg RegisterResponse
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
-		t.Fatal(err)
-	}
-	return reg.WorkerID
+	return id
 }
 
 // poll asks for one job on behalf of worker id and returns the status.

@@ -1,8 +1,7 @@
 // Package dist distributes experiment sweeps across processes: a
-// coordinator queues a sweep's content-addressed jobs, and registered
-// workers and the coordinator's own local slots lease them from that one
-// queue; workers simulate theirs and stream snapshots and results back
-// over HTTP.
+// coordinator queues a sweep's content-addressed jobs, and live workers
+// and the coordinator's own local slots lease them from that one queue;
+// workers simulate theirs and stream snapshots and results back over HTTP.
 //
 // The unit of distribution is the experiment engine's Job — a
 // deterministic, content-addressed simulation — so distribution is
@@ -18,18 +17,23 @@
 //  3. Aggregation stays on the coordinator and walks jobs in index order,
 //     exactly as a local run does, whatever order results arrive in.
 //
-// The protocol is pull-based: workers register (POST /v1/workers),
-// long-poll for as many jobs as they have free slots (POST
-// /v1/work/next), post interval snapshots (POST /v1/work/snapshot) and
-// each finished job's result (POST /v1/work/result), and heartbeat
-// (POST /v1/workers/{id}/heartbeat). A poll that finds several slots free
-// leases several jobs in one round trip, and a worker never holds a job it
-// cannot start, so the backlog stays visible in the coordinator's queue.
-// A local slot leases from the same queue in-process, so a job goes to
-// whichever slot is free first. Every worker assignment carries a lease; a
-// worker that stops heartbeating — crashed, partitioned, killed — has its
-// in-flight jobs requeued, a lease its heartbeats do not list (a poll reply
-// lost on the way) lapses and requeues the same way, and a job out of
+// The protocol is pull-based. A worker names itself (a random hex id) and
+// says everything the coordinator keeps about it in one idempotent
+// message, a beat (PUT /v1/workers/{id}: name, slots, build, the leases it
+// holds), which it sends to join, every third of a lease TTL, and to
+// rejoin a coordinator that forgot it. Between beats it long-polls for as
+// many jobs as it has free slots (POST /v1/work/next), posts interval
+// snapshots (POST /v1/work/snapshot) and each finished job's result (POST
+// /v1/work/result), and says goodbye with DELETE /v1/workers/{id}. A poll
+// that finds several slots free leases several jobs in one round trip,
+// and a worker never holds a job it cannot start, so the backlog stays
+// visible in the coordinator's queue. A local slot leases from the same
+// queue in-process, so a job goes to whichever slot is free first. Only a
+// beat keeps a worker alive or renews a lease, and only a lease the beat
+// lists: a worker that stops beating — crashed, partitioned, killed — has
+// its in-flight jobs requeued, a lease its beats do not list (a poll reply
+// lost on the way) lapses and requeues the same way, a draining worker
+// beats zero slots so it offers no capacity, and a job out of
 // remote attempts is left to the local slots. With no local slots, queued
 // jobs wait for a worker.
 // Identical jobs never execute twice across the cluster: sweeps dedupe
@@ -50,7 +54,7 @@ import (
 // revision when the build was stamped with one, else the module version,
 // else "" (un-stamped dev and test binaries). The byte-identity guarantee
 // only holds when coordinator and workers run the same simulator, so
-// registration rejects a worker whose known build differs from the
+// a beat is refused when the worker's known build differs from the
 // coordinator's known build; unknown builds are accepted (they cannot be
 // verified, and in-process test clusters share the binary anyway).
 func BuildID() string {
@@ -97,20 +101,24 @@ func SimulateJob(env exp.WarmEnv) Exec {
 	}
 }
 
-// RegisterRequest announces a worker to the coordinator.
-type RegisterRequest struct {
-	Name  string `json:"name"`            // display name, e.g. the worker's hostname
-	Slots int    `json:"slots"`           // concurrent simulations the worker runs
-	Build string `json:"build,omitempty"` // worker BuildID; mismatch with a known coordinator build is rejected
+// Beat is a worker's whole state, sent as PUT /v1/workers/{id} to join,
+// to stay alive and to rejoin: the coordinator keeps what the last beat
+// said. A beat with Slots > 0 from an unknown id joins the worker; a beat
+// renews exactly the listed leases that the coordinator holds for that
+// id, from receiving the lease until its result post returns. A lease
+// granted in a poll reply the worker never received is not listed, so it
+// lapses after one lease TTL and is requeued.
+type Beat struct {
+	Name  string   `json:"name"`            // display name, e.g. the worker's hostname
+	Slots int      `json:"slots"`           // concurrent simulations offered; 0 while draining
+	Build string   `json:"build,omitempty"` // worker BuildID; mismatch with a known coordinator build is refused
+	Tasks []string `json:"tasks"`           // task ids the worker holds
 }
 
-// RegisterResponse assigns the worker its identity and protocol timings.
-type RegisterResponse struct {
-	WorkerID     string `json:"worker_id"`
-	LeaseTTLMS   int64  `json:"lease_ttl_ms"`  // heartbeat at least this often / 3
-	PollWaitMS   int64  `json:"poll_wait_ms"`  // how long /v1/work/next may hold
-	Coordinator  string `json:"coordinator"`   // human-readable identity echo
-	CacheEnabled bool   `json:"cache_enabled"` // coordinator serves /v1/cache/{key}
+// BeatResponse carries the coordinator's protocol timings.
+type BeatResponse struct {
+	LeaseTTLMS int64 `json:"lease_ttl_ms"` // beat at least this often / 3
+	PollWaitMS int64 `json:"poll_wait_ms"` // how long /v1/work/next may hold
 }
 
 // PollRequest asks for work; the call long-polls up to the coordinator's
@@ -123,14 +131,6 @@ type RegisterResponse struct {
 type PollRequest struct {
 	WorkerID string `json:"worker_id"`
 	Max      int    `json:"max,omitempty"`
-}
-
-// HeartbeatRequest keeps a worker alive and renews the leases it lists:
-// the tasks it holds, from receiving the lease until its result post
-// returns. A lease granted in a poll reply the worker never received is
-// not listed, so it lapses after one lease TTL and is requeued.
-type HeartbeatRequest struct {
-	Tasks []string `json:"tasks"`
 }
 
 // Assignment hands one leased job to a worker.
@@ -161,16 +161,14 @@ type ResultsResponse struct {
 }
 
 // SnapshotRequest streams one interval snapshot of a running job back to
-// the coordinator, which forwards it to the sweep's observer. Snapshot
-// posts also renew the task's lease — a worker mid-simulation is alive
-// even between heartbeats.
+// the coordinator, which forwards it to the sweep's observer.
 type SnapshotRequest struct {
 	WorkerID string       `json:"worker_id"`
 	TaskID   string       `json:"task_id"`
 	Snapshot smt.Snapshot `json:"snapshot"`
 }
 
-// WorkerInfo describes one registered worker in GET /v1/workers.
+// WorkerInfo describes one live worker in GET /v1/workers.
 type WorkerInfo struct {
 	ID        string `json:"id"`
 	Name      string `json:"name"`

@@ -3,16 +3,17 @@ package dist
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -27,7 +28,7 @@ type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
 	// Name labels the worker in the coordinator's registry; default
-	// "worker".
+	// "worker". The worker's id is its own random choice, not an option.
 	Name string
 	// Slots is how many simulations run concurrently, and how many jobs
 	// the worker leases at most; <=0 means runtime.GOMAXPROCS(0).
@@ -35,9 +36,9 @@ type WorkerOptions struct {
 	// Exec runs one job payload; default SimulateJob under Warm.
 	Exec Exec
 	// Warm is the default executor's acceleration environment: warmup
-	// checkpoints and per-context trace replay. When Warm.Snapshots is nil
-	// and the coordinator advertises a cache, checkpoints are shared
-	// through the coordinator's /v1/cache endpoint under the run context:
+	// checkpoints and per-context trace replay. When Warm.Snapshots is nil,
+	// checkpoints are shared through the coordinator's /v1/cache endpoint
+	// under the run context (a coordinator without one answers misses):
 	// one worker's cold warmup becomes every worker's restore, and a
 	// draining worker's checkpoint traffic aborts instead of waiting out
 	// the client timeout.
@@ -50,8 +51,8 @@ type WorkerOptions struct {
 	Client *http.Client
 	// Backoff is the base retry pause after a failed coordinator call;
 	// default 500ms. It seeds the worker's retry policy: 3 attempts,
-	// Backoff base doubling to 10x Backoff, jitter seeded from the worker
-	// name so a fleet's retries do not synchronize.
+	// Backoff base doubling to 10x Backoff, jitter seeded from the worker's
+	// random id so a fleet's retries do not synchronize.
 	Backoff time.Duration
 	// DrainGrace bounds how long a draining worker keeps retrying result
 	// delivery against an unresponsive coordinator before abandoning the
@@ -59,8 +60,8 @@ type WorkerOptions struct {
 	// coordinator would stall a SIGTERM'd worker for the full client
 	// timeout times every retry.
 	DrainGrace time.Duration
-	// Build is the worker's binary identity sent at registration;
-	// defaults to BuildID().
+	// Build is the worker's binary identity sent in every beat; defaults
+	// to BuildID().
 	Build string
 	// Logf receives worker events; nil discards them.
 	Logf func(format string, args ...any)
@@ -68,11 +69,13 @@ type WorkerOptions struct {
 
 // Worker leases only jobs it can start at once, simulates each with the
 // engine's canonical kernel, and posts each result as it finishes.
-// Cancelling the context passed to Run drains the worker: in-flight
-// simulations run to completion and post their results, then the worker
-// deregisters — a SIGTERM'd node never strands a lease until expiry.
+// Cancelling the context passed to Run drains the worker: it beats zero
+// slots, in-flight simulations run to completion and post their results,
+// then the worker deregisters — a SIGTERM'd node never strands a lease
+// until expiry.
 type Worker struct {
 	opts       WorkerOptions
+	id         string // 16 hex digits, chosen in NewWorker
 	base       string
 	client     *http.Client
 	pollClient *http.Client // no global timeout; polls are bounded per-request
@@ -86,33 +89,11 @@ type Worker struct {
 	pctx    context.Context
 	pcancel context.CancelFunc
 
-	// run is Run's context. The checkpoint store built at registration is
-	// bound to it, so once a drain starts its peeks miss and its fills drop.
-	run context.Context
-
-	// regMu serializes (re-)registration so a coordinator that forgot us
-	// triggers exactly one rejoin, not one per loop that sees the 404 —
-	// a storm would register N ghost identities advertising N slots each.
-	regMu sync.Mutex
-
-	draining atomic.Bool // run ctx cancelled: no new identities, no new jobs
-
 	mu       sync.Mutex
-	id       string
 	leaseTTL time.Duration
 	pollWait time.Duration
-	warm     exp.WarmEnv     // opts.Warm, its Snapshots filled in at registration when unset
 	held     map[string]bool // task ids leased to us whose result post has not returned
 	done     int64           // jobs whose results the coordinator accepted
-	fatal    error           // permanent rejection observed mid-run (build mismatch)
-}
-
-func (w *Worker) setFatal(err error) {
-	w.mu.Lock()
-	if w.fatal == nil {
-		w.fatal = err
-	}
-	w.mu.Unlock()
 }
 
 // NewWorker builds a worker; Run starts it.
@@ -129,13 +110,15 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.DrainGrace <= 0 {
 		opts.DrainGrace = 15 * time.Second
 	}
-	h := fnv.New64a()
-	h.Write([]byte(opts.Name))
+	// The worker names itself. crypto/rand.Read does not fail on the
+	// supported platforms (Go 1.24 crashes rather than return its error).
+	var id [8]byte
+	rand.Read(id[:])
 	retry := resilience.Policy{
 		MaxAttempts: 3,
 		BaseDelay:   opts.Backoff,
 		MaxDelay:    10 * opts.Backoff,
-		Seed:        h.Sum64(),
+		Seed:        binary.LittleEndian.Uint64(id[:]),
 	}
 	if opts.Build == "" {
 		opts.Build = BuildID()
@@ -153,6 +136,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	pctx, pcancel := context.WithCancel(context.Background())
 	return &Worker{
 		opts:       opts,
+		id:         hex.EncodeToString(id[:]),
 		base:       strings.TrimRight(opts.Coordinator, "/"),
 		client:     client,
 		pollClient: pollClient,
@@ -160,29 +144,8 @@ func NewWorker(opts WorkerOptions) *Worker {
 		retry:      retry,
 		pctx:       pctx,
 		pcancel:    pcancel,
-		warm:       opts.Warm,
 		held:       map[string]bool{},
 	}
-}
-
-// exec resolves the executor for one job: an explicit Exec verbatim, else
-// the canonical kernel under the current warm environment — the snapshot
-// store may have been auto-built at (re-)registration, so the binding is
-// per-job, not per-worker.
-func (w *Worker) exec() Exec {
-	if w.opts.Exec != nil {
-		return w.opts.Exec
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return SimulateJob(w.warm)
-}
-
-// ID returns the coordinator-assigned worker id ("" before registration).
-func (w *Worker) ID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.id
 }
 
 // JobsDone returns how many jobs this worker has completed.
@@ -192,29 +155,39 @@ func (w *Worker) JobsDone() int64 {
 	return w.done
 }
 
-// Run registers with the coordinator and serves jobs until ctx is
-// cancelled, then drains: running simulations finish and post results
-// before Run deregisters and returns. The returned error is non-nil only
-// when registration never succeeded.
+// Run joins the coordinator and serves jobs until ctx is cancelled, then
+// drains: running simulations finish and post results before Run
+// deregisters and returns. The returned error is non-nil only when the
+// worker never joined or the coordinator refused it (build mismatch).
 func (w *Worker) Run(ctx context.Context) error {
-	w.run = ctx
-	if err := w.register(ctx); err != nil {
+	exec := w.opts.Exec
+	if exec == nil {
+		warm := w.opts.Warm
+		if warm.Snapshots == nil {
+			// Warmup checkpoints ride the coordinator's content-addressed
+			// endpoint; snapshot.Key's "snap:" prefix routes them to its
+			// byte-typed snapshot tiers. Bound to ctx, a drain's peeks miss
+			// and its fills drop.
+			warm.Snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client).WithContext(ctx))
+		}
+		exec = SimulateJob(warm)
+	}
+	if err := w.join(ctx); err != nil {
 		return err
 	}
-	// Heartbeats outlive ctx: they must keep renewing our leases while
-	// the drain finishes in-flight simulations, or a job longer than the
-	// lease TTL would be declared dead — and re-simulated elsewhere — in
-	// the middle of a graceful shutdown.
-	hbCtx, hbCancel := context.WithCancel(context.Background())
-	hbDone := make(chan struct{})
+	// Beats outlive ctx: they must keep renewing our leases while the
+	// drain finishes in-flight simulations, or a job longer than the lease
+	// TTL would be declared dead — and re-simulated elsewhere — in the
+	// middle of a graceful shutdown. Once ctx ends they offer zero slots.
+	beatCtx, beatCancel := context.WithCancel(context.Background())
+	beatDone := make(chan struct{})
 	go func() {
-		defer close(hbDone)
-		w.heartbeatLoop(hbCtx)
+		defer close(beatDone)
+		w.beatLoop(beatCtx, ctx)
 	}()
 	delivered := make(chan struct{})
 	go func() {
 		<-ctx.Done()
-		w.draining.Store(true)
 		// Give post-shutdown result delivery a bounded grace, then cut
 		// the post context: a coordinator that died mid-drain stops
 		// stalling the shutdown the moment the grace expires, instead of
@@ -229,72 +202,66 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}()
 	var executors sync.WaitGroup
-	w.dispatchLoop(ctx, &executors)
+	err := w.dispatchLoop(ctx, exec, &executors)
 	// Each executor posts its own result, so once they are all back every
-	// leased job has been delivered (drain semantics); heartbeats kept
-	// renewing our leases until it was.
+	// leased job has been delivered (drain semantics); beats kept renewing
+	// our leases until it was.
 	executors.Wait()
 	close(delivered)
-	hbCancel()
-	<-hbDone
+	beatCancel()
+	<-beatDone
 	// Detached from the run context on purpose — it is already canceled
 	// by the time the worker says goodbye. The post context stands in:
 	// alive on every normal drain, already cut when the drain grace
 	// expired against a dead coordinator (the goodbye would only stall).
 	w.deregister(w.pctx)
-	// A mid-run permanent rejection (the coordinator restarted with a
-	// different build) is a failure, not a drain: the caller must see it
-	// and exit non-zero rather than report a clean shutdown.
-	w.mu.Lock()
-	fatal := w.fatal
-	w.mu.Unlock()
-	if fatal != nil && ctx.Err() == nil {
-		return fatal
-	}
-	return nil
-}
-
-// reregister rejoins the coordinator, but only if staleID is still our
-// identity — when several loops observe the same 404, the first rejoin
-// wins and the rest are no-ops.
-func (w *Worker) reregister(ctx context.Context, staleID string) error {
-	w.regMu.Lock()
-	defer w.regMu.Unlock()
-	if w.ID() != staleID {
+	// A mid-run refusal (the coordinator restarted with a different build)
+	// is a failure, not a drain: the caller must see it and exit non-zero
+	// rather than report a clean shutdown.
+	if ctx.Err() != nil {
 		return nil
-	}
-	return w.register(ctx)
-}
-
-// register announces the worker, retrying on the policy's backoff
-// schedule (unlimited attempts) until it succeeds, the coordinator
-// rejects it permanently (build mismatch, or a slot count out of range),
-// or ctx ends.
-func (w *Worker) register(ctx context.Context) error {
-	pol := w.retry
-	pol.MaxAttempts = 0 // a worker with nothing to join retries until told to stop
-	err := pol.Do(ctx, func(actx context.Context) error {
-		err := w.registerOnce(actx)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, errRejected):
-			return resilience.Permanent(err)
-		}
-		w.logf("dist: register against %s failed (%v); retrying", w.base, err)
-		return err
-	})
-	if err != nil && !errors.Is(err, errRejected) {
-		return fmt.Errorf("dist: worker never registered with %s: %w", w.base, err)
 	}
 	return err
 }
 
-// errRejected marks a registration the coordinator refused outright.
-var errRejected = errors.New("registration rejected")
+// join beats on the policy's backoff schedule (unlimited attempts) until
+// the coordinator takes the beat, refuses it (build mismatch, or a slot
+// count or id out of range), or ctx ends.
+func (w *Worker) join(ctx context.Context) error {
+	pol := w.retry
+	pol.MaxAttempts = 0 // a worker with nothing to join retries until told to stop
+	err := pol.Do(ctx, func(actx context.Context) error {
+		err := w.beat(actx, w.opts.Slots)
+		if errors.Is(err, errRejected) {
+			return resilience.Permanent(err)
+		}
+		if err != nil {
+			w.logf("dist: joining %s failed (%v); retrying", w.base, err)
+		}
+		return err
+	})
+	if err != nil && !errors.Is(err, errRejected) {
+		return fmt.Errorf("dist: worker never joined %s: %w", w.base, err)
+	}
+	if err == nil {
+		w.logf("dist: joined %s as %s (%d slots)", w.base, w.id, w.opts.Slots)
+	}
+	return err
+}
 
-func (w *Worker) registerOnce(ctx context.Context) error {
-	resp, err := w.postJSON(ctx, "/v1/workers", RegisterRequest{Name: w.opts.Name, Slots: w.opts.Slots, Build: w.opts.Build})
+// errRejected marks a beat the coordinator refused outright.
+var errRejected = errors.New("beat rejected")
+
+// beat sends the worker's state once: its name, build, the slots it
+// offers and the leases it holds, and adopts the coordinator's timings.
+func (w *Worker) beat(ctx context.Context, slots int) error {
+	b := Beat{Name: w.opts.Name, Slots: slots, Build: w.opts.Build}
+	w.mu.Lock()
+	for task := range w.held {
+		b.Tasks = append(b.Tasks, task)
+	}
+	w.mu.Unlock()
+	resp, err := w.send(ctx, http.MethodPut, "/v1/workers/"+w.id, b)
 	if err != nil {
 		return err
 	}
@@ -309,24 +276,16 @@ func (w *Worker) registerOnce(ctx context.Context) error {
 		json.NewDecoder(resp.Body).Decode(&apiErr)
 		return fmt.Errorf("%w by %s: %s", errRejected, w.base, apiErr.Error)
 	default:
-		return fmt.Errorf("register against %s: status %d", w.base, resp.StatusCode)
+		return fmt.Errorf("beat to %s: status %d", w.base, resp.StatusCode)
 	}
-	var reg RegisterResponse
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+	var br BeatResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	w.id = reg.WorkerID
-	w.leaseTTL = time.Duration(reg.LeaseTTLMS) * time.Millisecond
-	w.pollWait = time.Duration(reg.PollWaitMS) * time.Millisecond
-	if w.warm.Snapshots == nil && reg.CacheEnabled {
-		// Warmup checkpoints ride the coordinator's content-addressed
-		// endpoint; snapshot.Key's "snap:" prefix routes them to its
-		// byte-typed snapshot tiers.
-		w.warm.Snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client).WithContext(w.run))
-	}
+	w.leaseTTL = time.Duration(br.LeaseTTLMS) * time.Millisecond
+	w.pollWait = time.Duration(br.PollWaitMS) * time.Millisecond
 	w.mu.Unlock()
-	w.logf("dist: registered with %s as %s (%d slots)", w.base, reg.WorkerID, w.opts.Slots)
 	return nil
 }
 
@@ -335,27 +294,21 @@ func (w *Worker) registerOnce(ctx context.Context) error {
 const deregisterTimeout = 5 * time.Second
 
 func (w *Worker) deregister(ctx context.Context) {
-	id := w.ID()
-	if id == "" {
-		return
-	}
 	ctx, cancel := context.WithTimeout(ctx, deregisterTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, w.base+"/v1/workers/"+id, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := w.client.Do(req); err == nil {
+	if resp, err := w.send(ctx, http.MethodDelete, "/v1/workers/"+w.id, nil); err == nil {
 		drainBody(resp.Body)
 	}
 }
 
-// heartbeatLoop renews the worker's registration and the leases it holds
-// at a third of the lease TTL. The cadence is recomputed every beat: a
-// re-registration (coordinator restart) may have negotiated a different —
-// possibly much shorter — lease TTL, and beating at the old pace would let
-// the new lease expire between heartbeats.
-func (w *Worker) heartbeatLoop(ctx context.Context) {
+// beatLoop beats at a third of the lease TTL, offering zero slots
+// once run has ended. The cadence is recomputed every beat: a coordinator
+// restart may have brought a different — possibly much shorter — lease
+// TTL, and beating at the old pace would let the new lease expire between
+// beats. A beat needs no answer handled: one that reaches a coordinator
+// that forgot us rejoins us (or, draining, is a 404 with nothing left to
+// renew), and a refusal surfaces through the poll loop's join.
+func (w *Worker) beatLoop(ctx, run context.Context) {
 	for {
 		w.mu.Lock()
 		interval := w.leaseTTL / 3
@@ -366,30 +319,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		if !resilience.Sleep(ctx, interval) {
 			return
 		}
-		id := w.ID()
-		var hb HeartbeatRequest
-		w.mu.Lock()
-		for task := range w.held {
-			hb.Tasks = append(hb.Tasks, task)
+		slots := w.opts.Slots
+		if run.Err() != nil {
+			slots = 0
 		}
-		w.mu.Unlock()
-		resp, err := w.postJSON(ctx, "/v1/workers/"+id+"/heartbeat", hb)
-		if err != nil {
-			continue
-		}
-		code := resp.StatusCode
-		drainBody(resp.Body)
-		if code == http.StatusNotFound {
-			if w.draining.Load() {
-				// The coordinator forgot us and we are shutting down:
-				// re-registering would advertise slots no poll loop will
-				// ever serve — phantom capacity that strands queued jobs.
-				// Our leases are already lost; nothing left to renew.
-				return
-			}
-			// The coordinator forgot us (restart, expiry); rejoin.
-			w.reregister(ctx, id)
-		}
+		w.beat(ctx, slots)
 	}
 }
 
@@ -399,7 +333,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // in one round trip, and a worker never holds a job it cannot start: the
 // rest of the backlog stays in the coordinator's queue, where the
 // autoscale signal counts it and an idle local slot can take it.
-func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
+// It returns the error of a rejoin that failed: a refusal, or ctx ending.
+func (w *Worker) dispatchLoop(ctx context.Context, exec Exec, executors *sync.WaitGroup) error {
 	slots := make(chan struct{}, w.opts.Slots)
 	for i := 0; i < w.opts.Slots; i++ {
 		slots <- struct{}{}
@@ -413,7 +348,7 @@ func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 		// blocking.
 		select {
 		case <-ctx.Done():
-			return
+			return nil
 		case <-slots:
 		}
 		free := 1
@@ -426,8 +361,7 @@ func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 				break grab
 			}
 		}
-		id := w.ID()
-		batch, code, err := w.poll(ctx, id, free)
+		batch, code, err := w.poll(ctx, free)
 		if err == nil && code != 0 {
 			pollFails = 0 // any coordinator answer resets the backoff ramp
 		}
@@ -444,7 +378,7 @@ func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 			executors.Add(1)
 			go func() {
 				defer executors.Done()
-				w.execute(ctx, asg)
+				w.execute(ctx, exec, asg)
 				slots <- struct{}{}
 			}()
 		}
@@ -455,16 +389,14 @@ func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 		case err == nil && code == http.StatusOK:
 			// Batch started above; poll again once a slot frees.
 		case ctx.Err() != nil:
-			return
+			return nil
 		case err != nil:
 			pollFails++
 			resilience.Sleep(ctx, w.retry.Delay(pollFails))
 		case code == http.StatusNotFound:
-			if err := w.reregister(ctx, id); err != nil {
-				if errors.Is(err, errRejected) {
-					w.setFatal(err)
-				}
-				return
+			// The coordinator forgot us (restart, expiry): rejoin.
+			if err := w.join(ctx); err != nil {
+				return err
 			}
 		case code == http.StatusNoContent:
 			// No work inside the poll window; ask again.
@@ -479,13 +411,13 @@ func (w *Worker) dispatchLoop(ctx context.Context, executors *sync.WaitGroup) {
 // shutdown aborts a parked long poll immediately — bounded at the
 // coordinator's poll wait plus a margin so a lost connection cannot park
 // the dispatcher forever, however large PollWait is configured.
-func (w *Worker) poll(ctx context.Context, id string, max int) (Batch, int, error) {
+func (w *Worker) poll(ctx context.Context, max int) (Batch, int, error) {
 	w.mu.Lock()
 	wait := w.pollWait
 	w.mu.Unlock()
 	pctx, cancel := context.WithTimeout(ctx, wait+15*time.Second)
 	defer cancel()
-	body, err := json.Marshal(PollRequest{WorkerID: id, Max: max})
+	body, err := json.Marshal(PollRequest{WorkerID: w.id, Max: max})
 	if err != nil {
 		return Batch{}, 0, err
 	}
@@ -514,12 +446,12 @@ func (w *Worker) poll(ctx context.Context, id string, max int) (Batch, int, erro
 // is finished and delivered (drain semantics) — while its interval
 // snapshots and checkpoint traffic ride it, so a draining worker neither
 // streams telemetry nor waits on a slow cache.
-func (w *Worker) execute(ctx context.Context, asg Assignment) {
+func (w *Worker) execute(ctx context.Context, exec Exec, asg Assignment) {
 	var onSnap func(smt.Snapshot)
 	if asg.Job.Interval > 0 {
 		onSnap = func(s smt.Snapshot) { w.postSnapshot(ctx, asg, s) }
 	}
-	w.postResult(asg.TaskID, w.exec()(asg.Job, onSnap))
+	w.postResult(asg.TaskID, exec(asg.Job, onSnap))
 	w.mu.Lock()
 	delete(w.held, asg.TaskID)
 	w.mu.Unlock()
@@ -537,16 +469,14 @@ func (w *Worker) execute(ctx context.Context, asg Assignment) {
 // coordinator cannot stall a SIGTERM'd worker behind client timeouts.
 //
 // When every attempt fails at the transport, the worker deregisters
-// itself: its own heartbeats would otherwise keep renewing the
-// undelivered job's lease forever, wedging the sweep — leaving the
-// registry requeues every lease we hold, and the next poll's 404
-// re-registers us under a fresh identity. If the network is down
-// entirely, the deregister fails too, but then heartbeats are failing
-// as well and the leases expire on their own.
+// itself rather than let the undelivered job wait out its lease: leaving
+// the registry requeues every lease we hold, and the next beat or poll
+// rejoins us. If the network is down entirely, the deregister fails too,
+// but then beats are failing as well and the leases expire on their own.
 func (w *Worker) postResult(taskID string, res smt.Results) {
-	body := ResultsRequest{WorkerID: w.ID(), TaskID: taskID, Results: res}
+	body := ResultsRequest{WorkerID: w.id, TaskID: taskID, Results: res}
 	err := w.retry.Do(w.pctx, func(ctx context.Context) error {
-		resp, err := w.postJSON(ctx, "/v1/work/result", body)
+		resp, err := w.send(ctx, http.MethodPost, "/v1/work/result", body)
 		if err != nil {
 			return err
 		}
@@ -577,15 +507,15 @@ func (w *Worker) postResult(taskID string, res smt.Results) {
 }
 
 // postSnapshot streams one interval snapshot; best-effort with one
-// retry — snapshots are progress telemetry and lease renewal, so a lost
-// one costs visibility, never correctness. A draining worker drops them
+// retry — snapshots are progress telemetry, so a lost one costs
+// visibility, never correctness. A draining worker drops them
 // (ctx is the run context), exactly as it drops cache fills.
 func (w *Worker) postSnapshot(ctx context.Context, asg Assignment, s smt.Snapshot) {
 	pol := w.retry
 	pol.MaxAttempts = 2
 	pol.Do(ctx, func(actx context.Context) error {
-		resp, err := w.postJSON(actx, "/v1/work/snapshot",
-			SnapshotRequest{WorkerID: w.ID(), TaskID: asg.TaskID, Snapshot: s})
+		resp, err := w.send(actx, http.MethodPost, "/v1/work/snapshot",
+			SnapshotRequest{WorkerID: w.id, TaskID: asg.TaskID, Snapshot: s})
 		if err != nil {
 			return err
 		}
@@ -597,15 +527,18 @@ func (w *Worker) postSnapshot(ctx context.Context, asg Assignment, s smt.Snapsho
 	})
 }
 
-// postJSON issues a POST with a JSON body. Long polls pass the worker
-// context so shutdown interrupts them; posts of finished work pass the
-// post context so drain still delivers.
-func (w *Worker) postJSON(ctx context.Context, path string, v any) (*http.Response, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
+// send issues one coordinator call with v as its JSON body (none when v
+// is nil). Posts of finished work pass the post context so drain still
+// delivers.
+func (w *Worker) send(ctx context.Context, method, path string, v any) (*http.Response, error) {
+	var body []byte
+	if v != nil {
+		var err error
+		if body, err = json.Marshal(v); err != nil {
+			return nil, err
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, w.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

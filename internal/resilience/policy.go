@@ -1,6 +1,6 @@
 // Package resilience is the distributed tier's one retry discipline.
 // Policy is a capped exponential backoff with seeded jitter; every
-// outbound client call in the service stack (worker register, poll,
+// outbound client call in the service stack (worker beat, poll,
 // result and snapshot traffic, cache.Remote peeks and fills) routes its
 // failure handling through one. Permanent stops a Policy early, and Sleep
 // is the context-aware wait those loops use. So "degrades, never breaks"
@@ -26,7 +26,7 @@ import (
 type Policy struct {
 	// MaxAttempts is the total number of attempts (first try included).
 	// Zero or negative means retry until ctx ends or the error is
-	// Permanent — the shape register loops want.
+	// Permanent — the shape a worker's join loop wants.
 	MaxAttempts int
 
 	// BaseDelay is the backoff before the second attempt; each further
