@@ -368,6 +368,15 @@ func TestAdhocUnknownPolicyFails(t *testing.T) {
 	}
 }
 
+// TestAdhocTooManyThreadsFails: a comparison past the simulator's 64
+// contexts is a usage error with nothing on stdout, not a runner panic.
+func TestAdhocTooManyThreadsFails(t *testing.T) {
+	out, errOut, code := runCLI(t, "-fetch", "RR", "-threads", "65", "-runs", "1", "-measure", "100", "-warmup", "0")
+	if code != 2 || out != "" || !strings.Contains(errOut, "Threads = 65") {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}
+
 func TestAdhocOnlyFlagsRequireFetch(t *testing.T) {
 	_, errOut, code := runCLI(t, "-experiment", "fig3", "-issue", "SPEC_LAST")
 	if code != 2 || !strings.Contains(errOut, "-issue") {

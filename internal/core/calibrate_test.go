@@ -31,9 +31,9 @@ func TestCalibrationReport(t *testing.T) {
 		l2 := p.Mem().CacheStats(mem.L2)
 		l3 := p.Mem().CacheStats(mem.L3)
 		fmt.Printf("%-9s IPC=%.2f brMis=%.1f%% jmpMis=%.1f%% I$=%.1f%% D$=%.1f%% L2=%.1f%% L3=%.1f%% wpF=%.1f%% wpI=%.1f%% opt=%.1f%% IQfull=%.0f/%.0f%% oor=%.0f%% qpop=%.0f\n",
-			profiles[bench].Name, s.IPC(), s.CondMispredictRate()*100, s.JumpMispredictRate()*100,
-			ic.MissRate()*100, d.MissRate()*100, l2.MissRate()*100, l3.MissRate()*100,
-			s.WrongPathFetchedFrac()*100, s.WrongPathIssuedFrac()*100, s.OptimisticSquashFrac()*100,
-			s.IntIQFullFrac()*100, s.FPIQFullFrac()*100, s.OutOfRegFrac()*100, s.AvgQueuePopulation())
+			profiles[bench].Name, frac(s.Committed, s.Cycles), frac(s.CondMispredicts, s.CondBranches)*100, frac(s.JumpMispredicts, s.Jumps)*100,
+			frac(ic.Misses, ic.Accesses)*100, frac(d.Misses, d.Accesses)*100, frac(l2.Misses, l2.Accesses)*100, frac(l3.Misses, l3.Accesses)*100,
+			frac(s.FetchedWrongPath, s.Fetched)*100, frac(s.IssuedWrongPath, s.Issued)*100, frac(s.OptimisticSquash, s.Issued)*100,
+			frac(s.IntIQFullCycles, s.Cycles)*100, frac(s.FPIQFullCycles, s.Cycles)*100, frac(s.OutOfRegCycles, s.Cycles)*100, frac(s.QueuePopSamples, s.Cycles))
 	}
 }

@@ -32,6 +32,29 @@ func live(progs ...*workload.Program) []*workload.Trace {
 	return traces
 }
 
+// Run advances until instructions commits have occurred (across all
+// threads) or maxCycles elapse (0 means no cycle bound). It returns the
+// statistics snapshot at stop.
+func (p *Processor) Run(instructions int64, maxCycles int64) Stats {
+	start := p.stats.Committed
+	for p.stats.Committed-start < instructions {
+		if maxCycles > 0 && p.stats.Cycles >= maxCycles {
+			break
+		}
+		p.Step()
+	}
+	return p.Stats()
+}
+
+// frac is n/d, or 0 when d is 0: the rates smt.Results reports, read off
+// raw counters.
+func frac(n, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
+}
+
 func TestSingleThreadRunsAndCommits(t *testing.T) {
 	cfg := DefaultConfig(1)
 	p := MustNew(cfg, buildTraces(t, 1, 1))
@@ -39,7 +62,7 @@ func TestSingleThreadRunsAndCommits(t *testing.T) {
 	if s.Committed < 20000 {
 		t.Fatalf("committed %d of 20000 in %d cycles", s.Committed, s.Cycles)
 	}
-	if ipc := s.IPC(); ipc < 0.3 || ipc > 8 {
+	if ipc := frac(s.Committed, s.Cycles); ipc < 0.3 || ipc > 8 {
 		t.Fatalf("implausible IPC %.2f", ipc)
 	}
 }
@@ -93,7 +116,7 @@ func TestMoreThreadsMoreThroughput(t *testing.T) {
 		cfg := DefaultConfig(threads)
 		p := MustNew(cfg, buildTraces(t, threads, 3))
 		s := p.Run(int64(threads)*15000, 600000)
-		return s.IPC()
+		return frac(s.Committed, s.Cycles)
 	}
 	one := ipc(1)
 	four := ipc(4)
@@ -135,14 +158,14 @@ func TestStatsSanity(t *testing.T) {
 	if s.CondBranches == 0 {
 		t.Error("no conditional branches committed")
 	}
-	if r := s.CondMispredictRate(); r < 0 || r > 0.5 {
+	if r := frac(s.CondMispredicts, s.CondBranches); r < 0 || r > 0.5 {
 		t.Errorf("implausible mispredict rate %.3f", r)
 	}
-	if f := s.WrongPathFetchedFrac(); f < 0 || f > 0.6 {
+	if f := frac(s.FetchedWrongPath, s.Fetched); f < 0 || f > 0.6 {
 		t.Errorf("implausible wrong-path fetch fraction %.3f", f)
 	}
-	if s.AvgQueuePopulation() < 0 || s.AvgQueuePopulation() > 64 {
-		t.Errorf("implausible queue population %.1f", s.AvgQueuePopulation())
+	if pop := frac(s.QueuePopSamples, s.Cycles); pop < 0 || pop > 64 {
+		t.Errorf("implausible queue population %.1f", pop)
 	}
 	sum := int64(0)
 	for _, c := range s.CommittedByThread {

@@ -134,7 +134,7 @@ func TestFetchPolicySwitchRelievesClog(t *testing.T) {
 		p.Run(30_000, 0)
 		p.ResetStats()
 		s := p.Run(200_000, 0)
-		return s.IntIQFullFrac()
+		return frac(s.IntIQFullCycles, s.Cycles)
 	}
 	rr := iqFull(policy.RR)
 	ic := iqFull(policy.ICount)

@@ -6,12 +6,12 @@ import (
 )
 
 // candidate is one potentially-issuable queue entry, materialized only for
-// issue policies that reorder the age-sorted candidate stream. The struct
+// issue policies that reorder the merged candidate stream. The struct
 // is kept small (one pointer, one packed position, the policy-visible
 // info) so collection is a handful of stores per entry.
 type candidate struct {
 	d      *dyn
-	pos    int32 // age position within its queue
+	pos    int32 // position within its queue window
 	fp     bool  // from the FP queue
 	asleep bool  // audit only: would have been dropped before the walk
 	info   policy.IssueInfo
@@ -30,12 +30,15 @@ type fuState struct {
 // producers (compares) can feed consumers issued in the same cycle, and
 // one-cycle producers feed back-to-back dependents.
 //
-// Each queue window is age-ordered, so the merged candidate stream is
-// age-sorted by a two-pointer walk without a comparison sort. OLDEST_FIRST
-// consumes that stream directly — no candidate list exists at all; the
-// paper's non-default policies materialize it once and apply a stable O(n)
-// boolean partition; only policies stating a full comparison pay for a
-// (closure-free, stable) insertion sort.
+// The two queue windows are merged by a two-pointer walk on globalAge
+// without a comparison sort. The merged stream keeps each queue's rename
+// order, so it is not globalAge-sorted across threads fetched in the same
+// cycle (see nextIssuable); it is the order every policy treats as
+// oldest-first, and IssueInfo.Age is a candidate's rank in it.
+// OLDEST_FIRST consumes that stream directly — no candidate list exists
+// at all; the paper's non-default policies materialize it once and apply
+// a stable O(n) boolean partition; only policies stating a full
+// comparison pay for a (closure-free, stable) insertion sort.
 func (p *Processor) issueStage() {
 	p.idxBuf = p.idxBuf[:0]
 	p.fpIdxBuf = p.fpIdxBuf[:0]
@@ -92,7 +95,7 @@ func nextIssuable(w []*dyn, i int, cycle int64) (int, int64) {
 	return len(w), ageInf
 }
 
-// issueOldestFirst issues straight off the merged age-ordered stream: the
+// issueOldestFirst issues straight off the merged stream: the
 // two queue windows are walked with two pointers and no candidate list is
 // built (the default policy's hot path).
 func (p *Processor) issueOldestFirst(fu *fuState) {
@@ -115,7 +118,7 @@ func (p *Processor) issueOldestFirst(fu *fuState) {
 	}
 }
 
-// issueReordered materializes the age-ordered candidate list, reorders it
+// issueReordered materializes the merged candidate list, reorders it
 // under the issue policy, and issues down it.
 func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 	needs := p.issuePol.Needs
@@ -128,12 +131,11 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 		var d *dyn
 		var pos int
 		var fp bool
-		var age int64
 		if intAge <= fpAge {
-			d, pos, fp, age = intW[ii], ii, false, intAge
+			d, pos, fp = intW[ii], ii, false
 			ii, intAge = nextIssuable(intW, ii+1, p.cycle)
 		} else {
-			d, pos, fp, age = fpW[fi], fi, true, fpAge
+			d, pos, fp = fpW[fi], fi, true
 			fi, fpAge = nextIssuable(fpW, fi+1, p.cycle)
 		}
 		// An entry that cannot wake during this walk never issues in it, so
@@ -144,7 +146,9 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 			continue
 		}
 		c := candidate{d: d, pos: int32(pos), fp: fp, asleep: sleeps}
-		c.info.Age = age
+		// The rank in the merged stream, not globalAge (see issueStage):
+		// a Less that breaks ties on Age then keeps the built-ins' order.
+		c.info.Age = int64(len(cands))
 		if needs.Branch {
 			c.info.Branch = d.isControl()
 		}
@@ -167,11 +171,11 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 	}
 	if first := p.issuePol.First; first != nil {
 		// The paper's non-default policies: one stable boolean partition of
-		// the age-sorted list, O(n).
+		// the merged list, O(n).
 		p.partBuf = partitionByFirst(cands, first, p.partBuf[:0])
 	} else {
 		// A policy stating a full comparison. A stable insertion sort keeps
-		// equal candidates in age order — the same permutation
+		// equal candidates in stream order — the same permutation
 		// sort.SliceStable produced — without its per-call closure and
 		// reflection-swapper allocations.
 		less := p.issuePol.Less
@@ -449,7 +453,7 @@ func insertionSortInts(s []int) {
 	}
 }
 
-// partitionByFirst stably reorders an age-sorted candidate list in place
+// partitionByFirst stably reorders a merged candidate list in place
 // for policies whose order is a single boolean partition with oldest-first
 // tie-breaking (Section 6's non-default policies). It returns the scratch
 // buffer (grown as needed) for the caller to reuse; the scratch must not

@@ -32,23 +32,6 @@ var CounterPartitions = []CounterPartition{
 	},
 }
 
-// DiagnosticOnlyCounters lists the Stats counters that deliberately do not
-// surface in the exported smt.Results set: they exist for debugging and
-// invariant checks, and adding them to Results would change its frozen
-// JSON schema (and with it every golden fingerprint). smt's
-// TestCounterContract requires every counter to either move smt.Results or
-// be declared here, so the list can hold neither stale nor missing names.
-var DiagnosticOnlyCounters = []string{
-	"ICacheMissStalls",     // subsumed by FetchLostIMiss in the availability partition
-	"LoadRetries",          // bank-conflict retry churn; visible via OptimisticSquash rates
-	"Misfetches",           // decode-corrected bubbles; folded into fetch availability
-	"SquashedInstructions", // squash volume; Results reports the wrong-path fractions instead
-	"Mispredicts",          // exec redirects; Results reports per-class mispredict rates
-	"LowConfFetched",       // per-thread confidence diagnostics; schema stays frozen
-	"MispredictsByThread",  // per-thread split of Mispredicts, same reasoning
-	"VarFetchThrottled",    // VFR throttle accounting; off-by-default feature
-}
-
 // PartitionViolations evaluates every declared partition against the
 // snapshot and returns one message per broken identity (nil when all
 // hold). Unknown field names panic: the table is part of the source

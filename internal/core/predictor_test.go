@@ -110,7 +110,7 @@ func TestRegisteredPredictorsRun(t *testing.T) {
 		if s.Committed < 30000 {
 			t.Fatalf("%s: committed only %d in %d cycles", name, s.Committed, s.Cycles)
 		}
-		mispredRate[name] = s.CondMispredictRate()
+		mispredRate[name] = frac(s.CondMispredicts, s.CondBranches)
 	}
 	if mispredRate[branch.Gshare] >= mispredRate[branch.None] {
 		t.Errorf("gshare mispredict rate %.3f not below none's %.3f",

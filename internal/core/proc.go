@@ -246,20 +246,6 @@ func (p *Processor) Step() {
 	p.stats.QueuePopSamples += int64(p.intQ.Len() + p.fpQ.Len())
 }
 
-// Run advances until instructions commits have occurred (across all
-// threads) or maxCycles elapse (0 means no cycle bound). It returns the
-// statistics snapshot at stop.
-func (p *Processor) Run(instructions int64, maxCycles int64) Stats {
-	start := p.stats.Committed
-	for p.stats.Committed-start < instructions {
-		if maxCycles > 0 && p.stats.Cycles >= maxCycles {
-			break
-		}
-		p.Step()
-	}
-	return p.Stats()
-}
-
 // producerFor returns the in-flight producer of a physical register in the
 // given file, or nil.
 func (p *Processor) producerFor(f *rename.File, reg rename.PhysReg) *dyn {

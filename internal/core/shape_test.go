@@ -110,7 +110,7 @@ func runIPC(t *testing.T, cfg Config, seed uint64, insns int64) float64 {
 	p.Run(20_000*int64(cfg.Threads), 0) // warmup
 	p.ResetStats()
 	s := p.Run(insns, 0)
-	return s.IPC()
+	return frac(s.Committed, s.Cycles)
 }
 
 // TestShapeICountBeatsRR asserts the paper's central qualitative result:
@@ -144,7 +144,7 @@ func TestShapeICountRelievesIQClog(t *testing.T) {
 		p.Run(160_000, 0)
 		p.ResetStats()
 		s := p.Run(400_000, 0)
-		return s.IntIQFullFrac()
+		return frac(s.IntIQFullCycles, s.Cycles)
 	}
 	rr := measure(policy.RR)
 	ic := measure(policy.ICount)
@@ -206,7 +206,7 @@ func TestShapePerfectBranchPredictionHelpsOneThreadMore(t *testing.T) {
 			p.Run(20_000*int64(threads), 0)
 			p.ResetStats()
 			st := p.Run(120_000*int64(threads), 0)
-			return st.IPC()
+			return frac(st.Committed, st.Cycles)
 		}
 		return run(perfect) / run(base)
 	}

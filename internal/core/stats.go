@@ -5,8 +5,9 @@ import (
 	"reflect"
 )
 
-// Stats aggregates everything the paper's tables and figures report. All
-// counters are cumulative from construction (or the last ResetStats).
+// Stats is the core's raw event counters, cumulative from construction (or
+// the last ResetStats). smt.Results derives every rate the paper's tables
+// and figures report from them.
 type Stats struct {
 	Cycles int64
 
@@ -63,163 +64,31 @@ type Stats struct {
 
 // Sub returns the counter-wise difference s - base: the statistics of the
 // interval between two snapshots of the same run. It walks the struct
-// reflectively so new counters are covered automatically; every derived
-// rate (IPC, CycleFrac, ...) then works on an interval the same way it
-// works on a whole run. A zero base returns a copy of s.
+// reflectively so new counters are covered automatically. A counter is an
+// int64 or a []int64, the only kinds state.Counters checkpoints; any other
+// kind panics, so a new counter of another kind cannot slip through as a
+// cumulative value in interval deltas. A zero base returns a copy of s.
 func (s Stats) Sub(base Stats) Stats {
 	out := s
-	va := reflect.ValueOf(s)
-	vb := reflect.ValueOf(base)
 	vo := reflect.ValueOf(&out).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		switch f := va.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			vo.Field(i).SetInt(f.Int() - vb.Field(i).Int())
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			vo.Field(i).SetUint(f.Uint() - vb.Field(i).Uint())
-		case reflect.Float32, reflect.Float64:
-			vo.Field(i).SetFloat(f.Float() - vb.Field(i).Float())
-		case reflect.Slice:
-			n := f.Len()
-			ns := reflect.MakeSlice(f.Type(), n, n)
-			bf := vb.Field(i)
-			for j := 0; j < n; j++ {
-				var bv int64
-				if j < bf.Len() {
-					bv = bf.Index(j).Int()
+	vb := reflect.ValueOf(&base).Elem()
+	for i := 0; i < vo.NumField(); i++ {
+		switch f := vo.Field(i).Addr().Interface().(type) {
+		case *int64:
+			*f -= vb.Field(i).Int()
+		case *[]int64:
+			b := *vb.Field(i).Addr().Interface().(*[]int64)
+			d := make([]int64, len(*f)) // fresh: out must not share s's backing array
+			for j, v := range *f {
+				if j < len(b) {
+					v -= b[j]
 				}
-				ns.Index(j).SetInt(f.Index(j).Int() - bv)
+				d[j] = v
 			}
-			vo.Field(i).Set(ns)
+			*f = d
 		default:
-			// A kind this walk cannot subtract would silently leave the
-			// cumulative value in interval deltas; fail loudly instead so
-			// the new counter's author extends Sub.
-			panic(fmt.Sprintf("core: Stats.Sub cannot subtract field %s (kind %s)",
-				reflect.TypeOf(s).Field(i).Name, f.Kind()))
+			panic(fmt.Sprintf("core: Stats.Sub cannot subtract field %s (%T)", vo.Type().Field(i).Name, f))
 		}
 	}
 	return out
-}
-
-// IPC returns committed instructions per cycle.
-func (s *Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Committed) / float64(s.Cycles)
-}
-
-// WrongPathFetchedFrac returns the fraction of fetched instructions that
-// were down a wrong path (Table 3's "wrong-path instructions fetched").
-func (s *Stats) WrongPathFetchedFrac() float64 {
-	if s.Fetched == 0 {
-		return 0
-	}
-	return float64(s.FetchedWrongPath) / float64(s.Fetched)
-}
-
-// WrongPathIssuedFrac returns the fraction of issued instructions that were
-// down a wrong path (Table 3's "wrong-path instructions issued").
-func (s *Stats) WrongPathIssuedFrac() float64 {
-	if s.Issued == 0 {
-		return 0
-	}
-	return float64(s.IssuedWrongPath) / float64(s.Issued)
-}
-
-// OptimisticSquashFrac returns the fraction of issue slots wasted on
-// squashed optimistically-issued instructions (Table 5's "optimistic").
-func (s *Stats) OptimisticSquashFrac() float64 {
-	if s.Issued == 0 {
-		return 0
-	}
-	return float64(s.OptimisticSquash) / float64(s.Issued)
-}
-
-// UselessIssueFrac returns the total useless fraction of issue bandwidth:
-// wrong-path plus squashed optimistic issues (Section 6).
-func (s *Stats) UselessIssueFrac() float64 {
-	if s.Issued == 0 {
-		return 0
-	}
-	return float64(s.IssuedWrongPath+s.OptimisticSquash) / float64(s.Issued)
-}
-
-// CondMispredictRate returns the conditional-branch misprediction rate.
-func (s *Stats) CondMispredictRate() float64 {
-	if s.CondBranches == 0 {
-		return 0
-	}
-	return float64(s.CondMispredicts) / float64(s.CondBranches)
-}
-
-// JumpMispredictRate returns the indirect-jump/return misprediction rate.
-func (s *Stats) JumpMispredictRate() float64 {
-	if s.Jumps == 0 {
-		return 0
-	}
-	return float64(s.JumpMispredicts) / float64(s.Jumps)
-}
-
-// AvgQueuePopulation returns the mean combined population of the two
-// instruction queues (Table 3/4's "avg queue population").
-func (s *Stats) AvgQueuePopulation() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.QueuePopSamples) / float64(s.Cycles)
-}
-
-// IntIQFullFrac returns the fraction of cycles the integer queue was full
-// when rename tried to insert.
-func (s *Stats) IntIQFullFrac() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.IntIQFullCycles) / float64(s.Cycles)
-}
-
-// FPIQFullFrac returns the fraction of cycles the fp queue was full when
-// rename tried to insert.
-func (s *Stats) FPIQFullFrac() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.FPIQFullCycles) / float64(s.Cycles)
-}
-
-// OutOfRegFrac returns the fraction of cycles rename stalled on registers.
-func (s *Stats) OutOfRegFrac() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.OutOfRegCycles) / float64(s.Cycles)
-}
-
-// UsefulFetchPerCycle returns committed-path instructions fetched per cycle.
-func (s *Stats) UsefulFetchPerCycle() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Fetched-s.FetchedWrongPath) / float64(s.Cycles)
-}
-
-// CycleFrac returns n as a fraction of all simulated cycles; the fetch
-// availability breakdown (FetchCycles and the FetchLost* counters) reports
-// through it.
-func (s *Stats) CycleFrac(n int64) float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(n) / float64(s.Cycles)
-}
-
-// PerK returns n per thousand committed instructions (the paper's
-// "misses per thousand instructions").
-func (s *Stats) PerK(n int64) float64 {
-	if s.Committed == 0 {
-		return 0
-	}
-	return float64(n) * 1000 / float64(s.Committed)
 }

@@ -80,8 +80,8 @@ type JobPayload struct {
 	Config   smt.Config `json:"config"`
 	Run      int        `json:"run"`      // benchmark rotation index
 	Seed     uint64     `json:"seed"`     // derived workload seed (exp.JobSeed applied)
-	Warmup   int64      `json:"warmup"`   // committed instructions before measurement
-	Measure  int64      `json:"measure"`  // measured committed instructions per thread
+	Warmup   int64      `json:"warmup"`   // committed instructions before measurement, per thread
+	Measure  int64      `json:"measure"`  // measured committed instructions, per thread
 	Interval int64      `json:"interval"` // snapshot cadence in cycles; 0 = no streaming
 }
 

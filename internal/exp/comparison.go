@@ -103,7 +103,7 @@ func comparison(ax axis, names []string, fetchAlg, issue string, maxThreads, num
 	}
 	threads = append(threads, maxThreads)
 	names = append([]string(nil), names...)
-	return Experiment{
+	e := Experiment{
 		Name:  ax.exp,
 		Title: ax.title(len(names), fmt.Sprintf("%s.%d.%d", fetchAlg, num1, num2), issue),
 		Shape: Shape{Series: len(names), Points: len(names) * len(threads)},
@@ -120,5 +120,9 @@ func comparison(ax axis, names []string, fetchAlg, issue string, maxThreads, num
 			}
 			return pts
 		},
-	}, nil
+	}
+	if _, err := e.Grid(); err != nil {
+		return Experiment{}, err
+	}
+	return e, nil
 }

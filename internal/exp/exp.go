@@ -18,7 +18,7 @@ import (
 // Opts scales an experiment.
 type Opts struct {
 	Runs    int    `json:"runs"`    // benchmark rotations averaged per data point
-	Warmup  int64  `json:"warmup"`  // committed instructions before measurement, per run
+	Warmup  int64  `json:"warmup"`  // committed instructions before measurement, per thread
 	Measure int64  `json:"measure"` // measured committed instructions per thread
 	Seed    uint64 `json:"seed"`
 }

@@ -42,11 +42,15 @@ type Experiment struct {
 }
 
 // Grid materializes the experiment's point list and checks it against the
-// declared shape.
+// declared shape and every point's machine against Config.Validate, so an
+// unbuildable machine is an error here rather than a panic in a runner.
 func (e Experiment) Grid() ([]PointSpec, error) {
 	pts := e.Points()
 	series := map[string]bool{}
 	for _, p := range pts {
+		if err := p.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("exp: %s point %s at %d threads: %w", e.Name, p.Series, p.Threads, err)
+		}
 		series[p.Series] = true
 	}
 	if len(series) != e.Shape.Series || len(pts) != e.Shape.Points {

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -82,6 +83,27 @@ func TestRegisterRefusesBadEntries(t *testing.T) {
 		if e.Print == nil {
 			t.Errorf("%s has no layout", e.Name)
 		}
+	}
+}
+
+// TestGridRejectsInvalidPoint: a grid that declares its shape correctly
+// but holds a machine core.New would refuse is an error from Grid, and the
+// comparison builders return it before any job runs (past 64 threads one
+// panicked in a runner goroutine).
+func TestGridRejectsInvalidPoint(t *testing.T) {
+	bad := ICount28(2)
+	bad.IQSize = 0
+	e := Experiment{Name: "bad", Shape: Shape{Series: 1, Points: 2}, Points: func() []PointSpec {
+		return []PointSpec{{Series: "s", Threads: 1, Config: ICount28(1)}, {Series: "s", Threads: 2, Config: bad}}
+	}}
+	if _, err := e.Grid(); err == nil || !strings.Contains(err.Error(), "IQSize") {
+		t.Errorf("Grid accepted an IQSize 0 machine: %v", err)
+	}
+	if _, err := PolicyComparison([]string{"RR"}, "", 65, 2, 8); err == nil || !strings.Contains(err.Error(), "Threads = 65") {
+		t.Errorf("PolicyComparison at 65 threads: %v", err)
+	}
+	if _, err := PredictorComparison([]string{"gshare"}, "", "", 65, 2, 8); err == nil || !strings.Contains(err.Error(), "Threads = 65") {
+		t.Errorf("PredictorComparison at 65 threads: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/smt"
@@ -64,5 +65,46 @@ func TestCustomPolicySweepsAndCaches(t *testing.T) {
 	}
 	if _, err := PolicyComparison([]string{"ICOUNT"}, "NOT_REGISTERED", 4, 2, 8); err == nil {
 		t.Error("unknown issue policy accepted")
+	}
+}
+
+// TestIssuePolicyRestatedAsLess: each built-in issue policy restated as a
+// comparison through the public API, breaking ties on IssueInfo.Age as the
+// IssuePolicyFunc doc says to, runs the built-in's machine cycle for cycle.
+// Age is a candidate's rank in the merged issue stream; were it globalAge,
+// OLDEST_FIRST restated would diverge from 2 threads up, because the stream
+// is not globalAge order for threads fetched in the same cycle.
+func TestIssuePolicyRestatedAsLess(t *testing.T) {
+	older := func(a, b smt.IssueInfo) bool { return a.Age < b.Age }
+	// firstThenOlder is the comparison form of a First partition.
+	firstThenOlder := func(first func(smt.IssueInfo) bool) func(a, b smt.IssueInfo) bool {
+		return func(a, b smt.IssueInfo) bool {
+			if fa, fb := first(a), first(b); fa != fb {
+				return fa
+			}
+			return older(a, b)
+		}
+	}
+	restated := map[smt.IssueAlg]func(a, b smt.IssueInfo) bool{
+		smt.IssueOldestFirst: older,
+		smt.IssueOptLast:     firstThenOlder(func(i smt.IssueInfo) bool { return !i.Optimistic }),
+		smt.IssueSpecLast:    firstThenOlder(func(i smt.IssueInfo) bool { return !i.Speculative }),
+		smt.IssueBranchFirst: firstThenOlder(func(i smt.IssueInfo) bool { return i.Branch }),
+	}
+	o := Opts{Runs: 1, Warmup: 10_000, Measure: 30_000, Seed: 1}
+	for _, builtin := range []smt.IssueAlg{smt.IssueOldestFirst, smt.IssueOptLast, smt.IssueSpecLast, smt.IssueBranchFirst} {
+		name := "TEST_LESS_" + string(builtin)
+		if err := smt.RegisterIssuePolicy(smt.IssuePolicyFunc(name, restated[builtin], builtin == smt.IssueOptLast)); err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 8} {
+			cfg := ICount28(threads)
+			cfg.IssuePolicy = builtin
+			want := Simulate(cfg, 0, o.Seed, o, 0, nil)
+			cfg.IssuePolicy = smt.IssueAlg(name)
+			if got := Simulate(cfg, 0, o.Seed, o, 0, nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at %d threads: %d cycles, built-in %s %d", name, threads, got.Cycles, builtin, want.Cycles)
+			}
+		}
 	}
 }

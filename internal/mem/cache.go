@@ -113,14 +113,6 @@ type Stats struct {
 	Merged   int64
 }
 
-// MissRate returns Misses/Accesses (0 when idle).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Sub returns the counter-wise difference s - base: the statistics of the
 // interval between two snapshots of the same cache. Every field of Stats
 // must be subtracted here — streaming interval deltas flow through Sub, so

@@ -412,11 +412,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Accesses == 0 || s.Misses == 0 {
 		t.Fatalf("stats not counted: %+v", s)
 	}
-	if s.MissRate() <= 0 || s.MissRate() > 1 {
-		t.Fatalf("miss rate %v out of range", s.MissRate())
-	}
-	if (Stats{}).MissRate() != 0 {
-		t.Fatal("idle miss rate should be 0")
+	if s.Misses > s.Accesses {
+		t.Fatalf("more misses than accesses: %+v", s)
 	}
 }
 

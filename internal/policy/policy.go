@@ -133,7 +133,7 @@ func ParseIssueAlg(s string) (IssueAlg, error) { return parseAlg[IssueAlg](&issu
 
 // IssueInfo describes one ready instruction for issue ordering.
 type IssueInfo struct {
-	Age         int64 // global age (smaller = older = deeper in queue)
+	Age         int64 // rank in the cycle's merged issue stream, the order OLDEST_FIRST issues in (smaller = older)
 	Optimistic  bool  // depends on a load whose hit status is still unknown
 	Speculative bool  // behind an unresolved branch of the same thread
 	Branch      bool  // is a control-flow instruction

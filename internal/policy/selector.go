@@ -57,7 +57,7 @@ func (f *Fetch) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
 }
 
 // Issue is an issue policy: a registered name, how it reorders the
-// age-sorted list of ready instructions, and the IssueInfo fields it
+// oldest-first list of ready instructions, and the IssueInfo fields it
 // reads. At most one of First and Less is set:
 //
 //   - First, the shape of the paper's non-default policies: candidates it
@@ -65,7 +65,8 @@ func (f *Fetch) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
 //     group — one O(n) stable partition;
 //   - Less, a strict weak ordering the core applies as a stable sort, so
 //     equal candidates keep age order (compare Age last to break every
-//     tie oldest-first, as every policy in the paper does);
+//     tie oldest-first, as every policy in the paper does: a First policy
+//     restated as a Less that way issues exactly as the First does);
 //   - neither: pure age order, OLDEST_FIRST — the list is consumed as is.
 //
 // Both must be deterministic and read only the fields Needs declares.

@@ -114,9 +114,9 @@ func (se *Session) run(ctx context.Context, sim *Simulator, spec RunSpec) {
 
 	p := sim.proc
 	if spec.Warmup > 0 {
-		// Same step sequence as the blocking warmup (core.Processor.Run),
-		// with the measurement loop's amortized cancellation poll layered
-		// on so a cancelled session stops mid-warmup too.
+		// Step until Warmup more instructions commit, with the
+		// measurement loop's amortized cancellation poll so a cancelled
+		// session stops mid-warmup too.
 		warmStart := p.Committed()
 		for c := int64(0); p.Committed()-warmStart < spec.Warmup; c++ {
 			if c&255 == 0 && ctx.Err() != nil {

@@ -362,41 +362,50 @@ func (o observation) sub(base observation) observation {
 
 // results derives the full metric set from an observation — of a whole run
 // or of one interval; every rate is computed over the observation's own
-// cycle and instruction counts.
+// cycle and instruction counts. Each field's definition is on Results.
 func (o observation) results() Results {
 	st := o.st
 	res := Results{
 		Cycles:            st.Cycles,
 		Committed:         st.Committed,
-		IPC:               st.IPC(),
+		IPC:               ratio(float64(st.Committed), st.Cycles),
 		CommittedByThread: st.CommittedByThread,
-		BranchMispredict:  st.CondMispredictRate(),
-		JumpMispredict:    st.JumpMispredictRate(),
-		WrongPathFetched:  st.WrongPathFetchedFrac(),
-		WrongPathIssued:   st.WrongPathIssuedFrac(),
-		OptimisticSquash:  st.OptimisticSquashFrac(),
-		UselessIssue:      st.UselessIssueFrac(),
-		IntIQFull:         st.IntIQFullFrac(),
-		FPIQFull:          st.FPIQFullFrac(),
-		OutOfRegisters:    st.OutOfRegFrac(),
-		AvgQueuePop:       st.AvgQueuePopulation(),
-		UsefulFetchPerCyc: st.UsefulFetchPerCycle(),
+		BranchMispredict:  ratio(float64(st.CondMispredicts), st.CondBranches),
+		JumpMispredict:    ratio(float64(st.JumpMispredicts), st.Jumps),
+		WrongPathFetched:  ratio(float64(st.FetchedWrongPath), st.Fetched),
+		WrongPathIssued:   ratio(float64(st.IssuedWrongPath), st.Issued),
+		OptimisticSquash:  ratio(float64(st.OptimisticSquash), st.Issued),
+		UselessIssue:      ratio(float64(st.IssuedWrongPath+st.OptimisticSquash), st.Issued),
+		IntIQFull:         ratio(float64(st.IntIQFullCycles), st.Cycles),
+		FPIQFull:          ratio(float64(st.FPIQFullCycles), st.Cycles),
+		OutOfRegisters:    ratio(float64(st.OutOfRegCycles), st.Cycles),
+		AvgQueuePop:       ratio(float64(st.QueuePopSamples), st.Cycles),
+		UsefulFetchPerCyc: ratio(float64(st.Fetched-st.FetchedWrongPath), st.Cycles),
 
-		FetchCyclesFrac:       st.CycleFrac(st.FetchCycles),
-		FetchLostBackPressure: st.CycleFrac(st.FetchLostBackPressure),
-		FetchLostNoThread:     st.CycleFrac(st.FetchLostNoThread),
-		FetchLostIMiss:        st.CycleFrac(st.FetchLostIMiss),
-		FetchLostBankConflict: st.CycleFrac(st.FetchLostBankConflict),
+		FetchCyclesFrac:       ratio(float64(st.FetchCycles), st.Cycles),
+		FetchLostBackPressure: ratio(float64(st.FetchLostBackPressure), st.Cycles),
+		FetchLostNoThread:     ratio(float64(st.FetchLostNoThread), st.Cycles),
+		FetchLostIMiss:        ratio(float64(st.FetchLostIMiss), st.Cycles),
+		FetchLostBankConflict: ratio(float64(st.FetchLostBankConflict), st.Cycles),
 	}
 	for i, cs := range o.caches {
 		res.Caches[i] = CacheResult{
 			Accesses: cs.Accesses,
 			Misses:   cs.Misses,
-			MissRate: cs.MissRate(),
-			PerK:     st.PerK(cs.Misses),
+			MissRate: ratio(float64(cs.Misses), cs.Accesses),
+			PerK:     ratio(float64(cs.Misses)*1000, st.Committed),
 		}
 	}
 	return res
+}
+
+// ratio is n/d, or 0 when d is 0: an idle interval reports every rate as
+// 0, never NaN or Inf.
+func ratio(n float64, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return n / float64(d)
 }
 
 // Results returns the current statistics snapshot.
@@ -409,36 +418,41 @@ func (s *Simulator) Results() Results {
 // one is a schema change.
 type CacheResult struct {
 	Accesses int64   `json:"accesses"`
-	Misses   int64   `json:"misses"`
-	MissRate float64 `json:"miss_rate"`
-	PerK     float64 `json:"per_k"` // misses per thousand committed instructions
+	Misses   int64   `json:"misses"`    // line fills; merges onto an in-flight fill are not misses
+	MissRate float64 `json:"miss_rate"` // Misses / Accesses (Table 3's cache miss rates)
+	PerK     float64 `json:"per_k"`     // Misses × 1000 / Committed: misses per thousand committed instructions
 }
 
 // Results carries every metric the paper's tables report. As with
 // CacheResult, the JSON tags are part of the experiment engine's versioned
-// result schema.
+// result schema. Every rate is derived from raw core.Stats and mem.Stats
+// counters by observation.results, and each is 0 when its denominator is.
 type Results struct {
 	Cycles            int64   `json:"cycles"`
-	Committed         int64   `json:"committed"`
-	IPC               float64 `json:"ipc"`
-	CommittedByThread []int64 `json:"committed_by_thread"`
+	Committed         int64   `json:"committed"`           // useful instructions; throughput counts only these
+	IPC               float64 `json:"ipc"`                 // Committed / Cycles: the paper's throughput measure
+	CommittedByThread []int64 `json:"committed_by_thread"` // per hardware context
 
-	BranchMispredict float64 `json:"branch_mispredict"`
-	JumpMispredict   float64 `json:"jump_mispredict"`
-	WrongPathFetched float64 `json:"wrong_path_fetched"`
-	WrongPathIssued  float64 `json:"wrong_path_issued"`
-	OptimisticSquash float64 `json:"optimistic_squash"`
-	UselessIssue     float64 `json:"useless_issue"`
+	// Branch and squash rates (Tables 3 and 5). The mispredict rates count
+	// committed, correct-path branches only.
+	BranchMispredict float64 `json:"branch_mispredict"`  // CondMispredicts / CondBranches
+	JumpMispredict   float64 `json:"jump_mispredict"`    // JumpMispredicts / Jumps (indirect jumps and returns)
+	WrongPathFetched float64 `json:"wrong_path_fetched"` // FetchedWrongPath / Fetched: Table 3's wrong-path instructions fetched
+	WrongPathIssued  float64 `json:"wrong_path_issued"`  // IssuedWrongPath / Issued: Table 3's wrong-path instructions issued
+	OptimisticSquash float64 `json:"optimistic_squash"`  // OptimisticSquash / Issued: Table 5's squashed optimistic issues
+	UselessIssue     float64 `json:"useless_issue"`      // (IssuedWrongPath + OptimisticSquash) / Issued: Section 6's useless issue bandwidth
 
-	IntIQFull      float64 `json:"int_iq_full"`
-	FPIQFull       float64 `json:"fp_iq_full"`
-	OutOfRegisters float64 `json:"out_of_registers"`
-	AvgQueuePop    float64 `json:"avg_queue_pop"`
+	// Queue and register pressure, as fractions of all cycles except
+	// AvgQueuePop (Tables 3 and 4).
+	IntIQFull      float64 `json:"int_iq_full"`      // IntIQFullCycles / Cycles: the integer queue rejected an insert
+	FPIQFull       float64 `json:"fp_iq_full"`       // FPIQFullCycles / Cycles: the fp queue rejected an insert
+	OutOfRegisters float64 `json:"out_of_registers"` // OutOfRegCycles / Cycles: rename stalled for physical registers
+	AvgQueuePop    float64 `json:"avg_queue_pop"`    // QueuePopSamples / Cycles: mean combined population of both queues
 
-	UsefulFetchPerCyc float64 `json:"useful_fetch_per_cycle"`
+	UsefulFetchPerCyc float64 `json:"useful_fetch_per_cycle"` // (Fetched - FetchedWrongPath) / Cycles
 
 	// Fetch availability: every cycle lands in exactly one of these five
-	// buckets (fractions of all cycles; they sum to 1), splitting lost
+	// buckets (each counter / Cycles; they sum to 1), splitting lost
 	// fetch bandwidth by cause — the paper's "fetch throughput" bottleneck
 	// discussion around Table 3.
 	FetchCyclesFrac       float64 `json:"fetch_cycles_frac"`        // >=1 instruction delivered

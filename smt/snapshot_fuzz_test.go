@@ -43,7 +43,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		// Step on this goroutine, under a cycle bound: a state that runs
 		// but never commits is tolerable, one that panics is not.
-		sim.proc.Run(2_000, 20_000)
+		p := sim.proc
+		for c, stop := 0, p.Committed()+2_000; c < 20_000 && p.Committed() < stop; c++ {
+			p.Step()
+		}
 		sim.Results()
 	})
 }
