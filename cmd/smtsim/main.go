@@ -35,11 +35,12 @@ func main() {
 
 // runPhase commits at least `instructions` more instructions, like
 // Simulator.Run, but as a streaming session it abandons once a whole
-// stallWindow goes by with nothing committed.
-func runPhase(sim *smt.Simulator, phase string, instructions int64) (smt.Results, error) {
+// window of cycles goes by with nothing committed; main passes
+// stallWindow.
+func runPhase(sim *smt.Simulator, phase string, instructions, window int64) (smt.Results, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	se, err := sim.Start(ctx, smt.RunSpec{Instructions: instructions, IntervalCycles: stallWindow})
+	se, err := sim.Start(ctx, smt.RunSpec{Instructions: instructions, IntervalCycles: window})
 	if err != nil {
 		return smt.Results{}, err
 	}
@@ -49,7 +50,7 @@ func runPhase(sim *smt.Simulator, phase string, instructions int64) (smt.Results
 			se.Finish()
 			at := snap.Cumulative
 			return at, fmt.Errorf("stalled in %s: nothing committed in the %d cycles before cycle %d (committed %d of %d, per thread %v)",
-				phase, stallWindow, at.Cycles, at.Committed, instructions, at.CommittedByThread)
+				phase, window, at.Cycles, at.Committed, instructions, at.CommittedByThread)
 		}
 	}
 	return se.Finish()
@@ -148,11 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.FetchName(), cfg.Threads, cfg.IssuePolicy, spec.Names)
 	// Warmup is a measured phase whose counters are then dropped: the same
 	// cycles Simulator.Warmup steps, under the stall guard.
-	if _, err := runPhase(sim, "warmup", *warmup*int64(cfg.Threads)); err != nil {
+	if _, err := runPhase(sim, "warmup", *warmup*int64(cfg.Threads), stallWindow); err != nil {
 		return fatal(err)
 	}
 	sim.Warmup(0)
-	res, err := runPhase(sim, "measurement", *measure*int64(cfg.Threads))
+	res, err := runPhase(sim, "measurement", *measure*int64(cfg.Threads), stallWindow)
 	if err != nil {
 		return fatal(err)
 	}

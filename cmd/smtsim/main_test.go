@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/smt"
 )
 
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
@@ -99,20 +102,51 @@ func TestNegativeBudgetsAndRotationRejected(t *testing.T) {
 	}
 }
 
-// TestStalledRunFailsInsteadOfHanging runs ROADMAP item 1's reproducer: two
-// contexts evict each other's I-cache line for ever and nothing commits after
-// cycle 17k. Unguarded, this never returns.
-func TestStalledRunFailsInsteadOfHanging(t *testing.T) {
+// TestSeed9219Progresses runs the reproducer of a livelock that ended when
+// a cache line began entering the tags as its fill lands: while tags
+// installed at request time, two contexts evicted each other's I-cache line
+// before it arrived, and nothing committed after cycle 17k. Now the run
+// finishes, and each context commits at least 1/(4T) of the instructions.
+func TestSeed9219Progresses(t *testing.T) {
 	out, errOut, code := runCLI(t, "-threads", "2", "-fetch", "RR", "-seed", "9219", "-warmup", "30000", "-measure", "60000")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (stderr %q)", code, errOut)
 	}
-	for _, want := range []string{"smtsim: stalled in warmup", "before cycle ", "committed 28731 of 60000", "per thread ["} {
-		if !strings.Contains(errOut, want) {
-			t.Errorf("stderr %q does not say %q", errOut, want)
+	var committed int64
+	var perThread [2]int64
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "committed:"); ok {
+			fmt.Sscan(v, &committed)
+		}
+		if v, ok := strings.CutPrefix(line, "per-thread commits:"); ok {
+			fmt.Sscanf(strings.TrimSpace(v), "[%d %d]", &perThread[0], &perThread[1])
 		}
 	}
-	if strings.Contains(out, "throughput") {
-		t.Errorf("a stalled run printed statistics:\n%s", out)
+	if committed < 2*60000 {
+		t.Fatalf("committed %d, want at least %d:\n%s", committed, 2*60000, out)
+	}
+	for i, n := range perThread {
+		if n*4*2 < committed {
+			t.Errorf("context %d committed %d of %d, under 1/(4T):\n%s", i, n, committed, out)
+		}
+	}
+}
+
+// TestStalledRunFailsInsteadOfHanging holds runPhase's guard to a window
+// of one cycle on a fresh machine, whose first cycle commits nothing: the
+// phase is abandoned with a message naming it, the window and the commits.
+func TestStalledRunFailsInsteadOfHanging(t *testing.T) {
+	sim, err := smt.New(smt.DefaultConfig(2), smt.WorkloadMix(2, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runPhase(sim, "warmup", 1000, 1)
+	if err == nil {
+		t.Fatal("a phase that committed nothing in its window was not abandoned")
+	}
+	for _, want := range []string{"stalled in warmup", "nothing committed in the 1 cycles before cycle 1", "committed 0 of 1000", "per thread [0 0]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }

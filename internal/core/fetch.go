@@ -47,7 +47,7 @@ func (p *Processor) fetchStage() {
 		if p.cfg.ITAG {
 			// Early tag lookup: skip threads that would miss, but still
 			// start their miss immediately (Section 5.3).
-			if !p.mem.ProbeInstr(th.fetchPC) {
+			if !p.mem.ProbeInstr(p.cycle, th.fetchPC) {
 				r := p.mem.AccessInstr(p.cycle, th.fetchPC)
 				th.imissUntil = r.Done
 				p.stats.ICacheMissStalls++

@@ -49,14 +49,22 @@ func TestFetchBankConflictSkipsThread(t *testing.T) {
 	p := MustNew(cfg, progs)
 	p.Run(5_000, 400_000) // warm both I-caches
 
-	// Put both threads on PCs in the same bank.
+	// Put both threads on resident PCs in the same bank: a PC whose line
+	// is not resident would lose its slot to the I-miss, not to the bank.
 	t0, t1 := p.threads[0], p.threads[1]
-	pc0 := t0.prog.Base
-	bank0 := p.mem.InstrBank(pc0)
-	pc1 := t1.prog.Base
-	for p.mem.InstrBank(pc1) != bank0 {
-		pc1 += 32
+	residentPC := func(th *threadState, bank int) int64 {
+		t.Helper()
+		end := th.prog.PCOf(len(th.prog.Code))
+		for pc := th.prog.Base; pc < end; pc += 32 {
+			if (bank < 0 || p.mem.InstrBank(pc) == bank) && p.mem.ProbeInstr(p.cycle, pc) {
+				return pc
+			}
+		}
+		t.Fatalf("no resident line in bank %d of thread %d's code", bank, th.id)
+		return 0
 	}
+	pc0 := residentPC(t0, -1)
+	pc1 := residentPC(t1, p.mem.InstrBank(pc0))
 	t0.fetchPC, t1.fetchPC = pc0, pc1
 	t0.wrongPath, t1.wrongPath = true, true
 	t0.fetchBlockedUntil, t1.fetchBlockedUntil = 0, 0

@@ -20,9 +20,12 @@ func (c symmetricCase) String() string {
 	return fmt.Sprintf("%s×%d/%s/seed%d", c.bench, c.threads, c.scheme, c.seed)
 }
 
-// symmetricCases covers each width and both schemes in about two seconds:
-// some that progress and every failure shape seen at 20 000 warmup and
-// 40 000 measured instructions a thread.
+// symmetricCases covers each width and both schemes in a few seconds. Most
+// cases stalled or starved a context while a cache fill installed its tag
+// at request time, so that contexts sharing a set evicted each other's
+// line before it arrived; the 8-thread ones cover each of the six profiles
+// whose 8 copies failed then. The whole sweep of profiles, widths, schemes
+// and seeds is TestSymmetricSweep, under the sweep build tag.
 var symmetricCases = []symmetricCase{
 	{"xlisp", 2, "RR.1.8", 1},
 	{"xlisp", 2, "ICOUNT.2.8", 1},
@@ -34,59 +37,32 @@ var symmetricCases = []symmetricCase{
 	{"espresso", 4, "ICOUNT.2.8", 1},
 	{"doduc", 8, "ICOUNT.2.8", 1},
 	{"alvinn", 8, "RR.1.8", 1},
+	{"alvinn", 8, "ICOUNT.2.8", 3},
+	{"fpppp", 8, "RR.1.8", 1},
 	{"fpppp", 8, "ICOUNT.2.8", 1},
+	{"tomcatv", 8, "ICOUNT.2.8", 2},
+	{"espresso", 8, "RR.1.8", 1},
 	{"xlisp", 8, "RR.1.8", 2},
+	{"xlisp", 8, "ICOUNT.2.8", 3},
+	{"tex", 8, "RR.1.8", 3},
 }
-
-// knownStarved lists the cases of symmetricCases that fail today, each
-// with its reason. TestSymmetricCopiesProgress fails on a failure it does
-// not list and on a listed case that passes, so a model fix shows here as
-// entries to delete.
-var knownStarved = map[string]string{
-	"xlisp×2/RR.1.8/seed1":        stalls,
-	"xlisp×2/ICOUNT.2.8/seed1":    stalls,
-	"fpppp×8/ICOUNT.2.8/seed1":    stalls,
-	"xlisp×8/RR.1.8/seed2":        stalls,
-	"espresso×4/RR.1.8/seed1":     starves,
-	"espresso×4/ICOUNT.2.8/seed1": starves,
-	"alvinn×8/RR.1.8/seed1":       starves,
-}
-
-// The reasons knownStarved gives.
-const (
-	stalls  = "ROADMAP item 1: a cache fill installs its tag at request time, so contexts sharing a set evict each other's line before it arrives and nothing commits"
-	starves = "ROADMAP item 1: one context falls to a sliver of the commits; not yet traced to request-time tag installs or to request-order bus and fill-port booking"
-)
 
 // stallCycles is smtsim's guard: a run that commits nothing for this many
 // cycles is stalled.
 const stallCycles = 100_000
+
+// symmetricWarmup and symmetricMeasure are each case's budgets, in
+// instructions a thread.
+const symmetricWarmup, symmetricMeasure = 20_000, 40_000
 
 // TestSymmetricCopiesProgress runs T copies of one benchmark, where no
 // context is favoured by its program, and requires each run to commit its
 // budget without a stallCycles gap and every context to commit at least
 // 1/(4T) of the measured instructions.
 func TestSymmetricCopiesProgress(t *testing.T) {
-	const warmup, measure = 20_000, 40_000 // instructions a thread
 	for _, c := range symmetricCases {
-		got := runSymmetric(t, c, warmup, measure)
-		reason, listed := knownStarved[c.String()]
-		switch {
-		case got != "" && !listed:
+		if got := runSymmetric(t, c, symmetricWarmup, symmetricMeasure); got != "" {
 			t.Errorf("%s: %s", c, got)
-		case got == "" && listed:
-			t.Errorf("%s progresses, but knownStarved lists it (%s)", c, reason)
-		case got != "":
-			t.Logf("%s: %s (known: %s)", c, got, reason)
-		}
-	}
-	for name := range knownStarved {
-		found := false
-		for _, c := range symmetricCases {
-			found = found || c.String() == name
-		}
-		if !found {
-			t.Errorf("knownStarved lists %s, which is not a case", name)
 		}
 	}
 }

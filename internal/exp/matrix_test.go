@@ -373,18 +373,16 @@ var indistinct = []struct {
 	machines []string
 	reason   string
 }{
-	{[]string{"fetch=ICOUNT", "predictor=gshare.rasonly"}, rasOnly},
-	{[]string{"predictor=gskewed", "predictor=gskewed.rasonly"}, rasOnly},
-	{[]string{"predictor=none", "predictor=none.rasonly"}, rasOnly},
+	{[]string{"fetch=ICOUNT", "predictor=gshare.noret", "predictor=gshare.rasonly"}, fewReturns},
+	{[]string{"predictor=gskewed", "predictor=gskewed.noret", "predictor=gskewed.rasonly"}, fewReturns},
+	{[]string{"predictor=none", "predictor=none.noret", "predictor=none.rasonly"}, fewReturns},
 	{[]string{"predictor=smiths", "predictor=smiths.noret", "predictor=smiths.rasonly"}, fewReturns},
 	{[]string{"predictor=static", "predictor=static.noret", "predictor=static.rasonly"}, fewReturns},
 }
 
-// The reasons indistinct gives.
-const (
-	rasOnly    = ".rasonly only drops the BTB fallback for a return that finds the return stack empty, and the workload barely calls, so no run reaches that case"
-	fewReturns = "the workload makes a few dozen returns and indirect jumps in half a million instructions, too few for return prediction to move this engine's results"
-)
+// fewReturns is the reason every indistinct group gives: each is one
+// direction engine under its three return schemes.
+const fewReturns = "the workload makes a few dozen returns and indirect jumps in half a million instructions, too few for return prediction to move this engine's results"
 
 // TestVariantsDistinct groups the golden file's variants section by
 // Results fingerprint and holds every group of two or more machines to

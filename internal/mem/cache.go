@@ -11,8 +11,10 @@
 // bus to the next level is one port, booked in request order; Section 7's
 // infinite-bandwidth machine builds them unlimited. One lookup serves every
 // level: it merges onto the line's in-flight fill, hits in the tags, or
-// misses and fills. Caches are lockup-free: misses allocate MSHR entries and
-// concurrent requests for the same line merge onto the in-flight fill.
+// misses and fills. Caches are lockup-free: misses allocate MSHR entries,
+// concurrent requests for the same line merge onto the in-flight fill, and
+// a line enters the tags when its fill lands, so a miss to the same set
+// cannot evict a line that has not arrived yet.
 package mem
 
 import (
@@ -195,8 +197,9 @@ func (p *port) reserve(t, dur int64) int64 {
 // map and, unlike map iteration, costs nothing to walk on the expiry
 // check every access performs.
 type mshrEntry struct {
-	line uint64 // line address
-	done int64  // fill completion cycle
+	line  uint64 // line address
+	done  int64  // fill completion cycle
+	dirty bool   // a store missed: the line installs dirty
 }
 
 // interval is a half-open busy window [start, end) over a set of banks.
@@ -257,9 +260,9 @@ func newCache(name string, cfg CacheConfig, infiniteBW bool) *cache {
 }
 
 // inflight returns the completion cycle of an in-flight fill covering addr,
-// if one exists, after dropping the fills done by now. Lines are installed
-// in the tag array when the miss is issued, so this check must precede the
-// tag probe for correct timing.
+// if one exists, after installing the fills done by now. A line enters the
+// tag array only when its fill lands, so this check must precede the tag
+// probe for correct timing.
 func (c *cache) inflight(now int64, addr int64) (done int64, ok bool) {
 	c.expireMSHRs(now)
 	la := c.lineAddr(addr)
@@ -282,8 +285,10 @@ func log2(v int) uint {
 
 func (c *cache) lineAddr(addr int64) uint64 { return uint64(addr) >> c.lineShift }
 
-func (c *cache) setTag(addr int64) (set int, tag uint64) {
-	la := c.lineAddr(addr)
+func (c *cache) setTag(addr int64) (set int, tag uint64) { return c.split(c.lineAddr(addr)) }
+
+// split returns a line address's set and tag.
+func (c *cache) split(la uint64) (set int, tag uint64) {
 	return int(la & c.setMask), la >> c.setShift
 }
 
@@ -340,10 +345,10 @@ func (c *cache) touch(addr int64, write bool) bool {
 	return false
 }
 
-// install fills a line, evicting the LRU way; it returns whether the victim
-// was dirty (requiring writeback traffic).
-func (c *cache) install(addr int64, write bool) (evictedDirty bool) {
-	set, tag := c.setTag(addr)
+// install fills line address la, evicting the LRU way; it returns whether
+// the victim was dirty (requiring writeback traffic).
+func (c *cache) install(la uint64, write bool) (evictedDirty bool) {
+	set, tag := c.split(la)
 	base := set * c.cfg.Assoc
 	victim := base
 	for w := 0; w < c.cfg.Assoc; w++ {
@@ -362,17 +367,27 @@ func (c *cache) install(addr int64, write bool) (evictedDirty bool) {
 	return evictedDirty
 }
 
-// expireMSHRs drops completed fills from the MSHR table. Survivor order is
-// preserved, though nothing depends on it — lookups are by line address
-// and expiry/wait scan the whole table.
+// expireMSHRs lands the fills done by now: each installs its line, in done
+// order with table order breaking ties, and leaves the table. A dirty
+// victim's writeback books the outbound bus as it is evicted. Survivor
+// order is preserved, so table order stays request order.
 func (c *cache) expireMSHRs(now int64) {
-	keep := c.mshr[:0]
-	for _, e := range c.mshr {
-		if e.done > now {
-			keep = append(keep, e)
+	for {
+		first := -1
+		for i, e := range c.mshr {
+			if e.done <= now && (first < 0 || e.done < c.mshr[first].done) {
+				first = i
+			}
+		}
+		if first < 0 {
+			return
+		}
+		e := c.mshr[first]
+		c.mshr = append(c.mshr[:first], c.mshr[first+1:]...)
+		if c.install(e.line, e.dirty) {
+			c.bus.book(c.bus.next, int64(c.cfg.TransferTime))
 		}
 	}
-	c.mshr = keep
 }
 
 // mshrWait returns the earliest cycle at which an MSHR entry frees, used
@@ -534,9 +549,15 @@ func (h *Hierarchy) AccessInstr(now int64, pc int64) InstrResult {
 	return InstrResult{Done: done, Miss: how != hit, TLBMiss: tlbMiss}
 }
 
-// ProbeInstr reports whether pc hits in the L1 instruction cache without
-// side effects — the ITAG early tag lookup of Section 5.3.
-func (h *Hierarchy) ProbeInstr(pc int64) bool { return h.caches[L1I].probe(pc) }
+// ProbeInstr reports whether pc hits in the L1 instruction cache at cycle
+// now — the ITAG early tag lookup of Section 5.3. Its one side effect is
+// landing the fills done by now, so a line that has arrived probes as a
+// hit; it counts no access.
+func (h *Hierarchy) ProbeInstr(now int64, pc int64) bool {
+	c := h.caches[L1I]
+	c.expireMSHRs(now)
+	return c.probe(pc)
+}
 
 // InstrBank returns the I-cache bank for pc, used by the fetch unit's
 // bank-conflict logic when fetching from multiple threads.
@@ -590,7 +611,8 @@ func (h *Hierarchy) lookup(l Level, t int64, addr int64, write bool) (int64, out
 
 // fill services a miss in cache l at time t, which lookup has just found
 // in neither the MSHRs nor the tags, and returns the cycle the line
-// arrives. It recurses down the hierarchy, booking the bus and fill port.
+// arrives. It recurses down the hierarchy, booking the bus and fill port,
+// and leaves the line in an MSHR entry: the tags take it when it lands.
 func (h *Hierarchy) fill(l Level, t int64, addr int64, write bool) int64 {
 	c := h.caches[l]
 	if len(c.mshr) >= c.cfg.MSHRs {
@@ -614,11 +636,7 @@ func (h *Hierarchy) fill(l Level, t int64, addr int64, write bool) int64 {
 	if !c.fill.unlimited {
 		c.fills = append(c.fills, interval{arrive, arrive + fillTime, c.lineBanks(addr)})
 	}
-	if c.install(addr, write) {
-		// Dirty victim writeback consumes the outbound bus.
-		c.bus.book(c.bus.next, xfer)
-	}
-	c.mshr = append(c.mshr, mshrEntry{line: c.lineAddr(addr), done: arrive})
+	c.mshr = append(c.mshr, mshrEntry{line: c.lineAddr(addr), done: arrive, dirty: write})
 	return arrive
 }
 

@@ -27,6 +27,7 @@ func (k *cache) state(c *state.Codec) {
 	state.Slice(c, &k.mshr, k.cfg.MSHRs, k.name+" MSHRs", func(c *state.Codec, e *mshrEntry) {
 		state.Int(c, &e.line)
 		c.Cycle(&e.done)
+		c.Bool(&e.dirty)
 	})
 	c.Cycle(&k.access.next)
 	c.Cycle(&k.fill.next)

@@ -16,8 +16,9 @@ import (
 // (exp.Job.Key) and checkpoint keys (snapshot.Key) both carry it, so one
 // bump makes a durable cache miss its results and checkpoints together.
 // Version 2 is the flat binary stream of internal/state; version 3 drops
-// its issued-pre-exec list.
-const ModelVersion = 3
+// its issued-pre-exec list; version 4 installs a cache line when its fill
+// lands and walks each MSHR entry's dirty bit.
+const ModelVersion = 4
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
