@@ -25,10 +25,10 @@ import (
 func main() {
 	// 1. Register the hybrid. The comparison sees the same per-thread
 	// feedback the built-ins use; ties break round-robin automatically.
-	err := smt.RegisterFetchPolicy(smt.FetchPolicyFunc("ICOUNT+BRPENALTY",
-		func(a, b smt.ThreadFeedback) bool {
+	err := smt.RegisterFetchPolicy(smt.FetchPolicy{Name: "ICOUNT+BRPENALTY",
+		Less: func(a, b smt.ThreadFeedback) bool {
 			return a.ICount+a.BrCount < b.ICount+b.BrCount
-		}, false))
+		}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // warmup long enough to grow every scratch buffer, pool and event-ring
 // bucket to its working size, stepping the machine must not allocate at
 // all. Any append site that loses its reused backing array, any closure,
-// boxing or make sneaking into a stage, a policy's Less/First or a
-// predictor engine shows up here as a non-zero count.
+// boxing or make sneaking into a stage, a policy's Less or a predictor
+// engine shows up here as a non-zero count.
 //
 // The machines are Variants, built from the registries, so a policy or
 // predictor registered later is measured without editing this test; the

@@ -169,3 +169,34 @@ func TestICacheMissBlocksOnlyThatThread(t *testing.T) {
 		t.Fatal("thread 1 fetched nothing while thread 0 stalled")
 	}
 }
+
+// brCountSeen counts the comparisons in which the policy below saw a
+// non-zero BrCount.
+var brCountSeen int
+
+// TestUndeclaredCountersAreFilled: a fetch policy that sets only a name
+// and a comparison reads every counter but IQPosn without declaring it —
+// here BrCount, live on an 8-thread machine.
+func TestUndeclaredCountersAreFilled(t *testing.T) {
+	const name = "TEST_BRCOUNT_UNDECLARED"
+	if _, ok := policy.LookupFetch(name); !ok {
+		pol := policy.Fetch{Name: name, Less: func(a, b policy.ThreadFeedback) bool {
+			if a.BrCount != 0 || b.BrCount != 0 {
+				brCountSeen++
+			}
+			return a.BrCount < b.BrCount
+		}}
+		if err := policy.RegisterFetch(pol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	brCountSeen = 0
+	cfg := DefaultConfig(8)
+	cfg.FetchPolicy = policy.FetchAlg(name)
+	cfg.FetchThreads = 2
+	p := MustNew(cfg, buildTraces(t, cfg.Threads, 5))
+	p.Run(20_000, 0)
+	if brCountSeen == 0 {
+		t.Fatal("the policy's comparison never saw a non-zero BrCount")
+	}
+}

@@ -36,9 +36,8 @@ type fuState struct {
 // cycle (see nextIssuable); it is the order every policy treats as
 // oldest-first, and IssueInfo.Age is a candidate's rank in it.
 // OLDEST_FIRST consumes that stream directly — no candidate list exists
-// at all; the paper's non-default policies materialize it once and apply
-// a stable O(n) boolean partition; only policies stating a full
-// comparison pay for a (closure-free, stable) insertion sort.
+// at all; every other policy materializes it once and reorders it with a
+// (closure-free, stable) insertion sort under its Less.
 func (p *Processor) issueStage() {
 	p.idxBuf = p.idxBuf[:0]
 	p.fpIdxBuf = p.fpIdxBuf[:0]
@@ -51,7 +50,7 @@ func (p *Processor) issueStage() {
 	}
 
 	var fu fuState
-	if p.issuePol.First == nil && p.issuePol.Less == nil {
+	if p.issuePol.Less == nil {
 		p.issueOldestFirst(&fu)
 	} else {
 		p.issueReordered(specSeq, &fu)
@@ -139,7 +138,7 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 			fi, fpAge = nextIssuable(fpW, fi+1, p.cycle)
 		}
 		// An entry that cannot wake during this walk never issues in it, so
-		// it need not be snapshotted, partitioned or visited: dropping it
+		// it need not be snapshotted, sorted or visited: dropping it
 		// leaves every other candidate's relative order as it was.
 		sleeps := p.sleepsThroughWalk(d)
 		if sleeps && p.audit == nil {
@@ -149,9 +148,7 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 		// The rank in the merged stream, not globalAge (see issueStage):
 		// a Less that breaks ties on Age then keeps the built-ins' order.
 		c.info.Age = int64(len(cands))
-		if needs.Branch {
-			c.info.Branch = d.isControl()
-		}
+		c.info.Branch = d.isControl()
 		if needs.Speculative {
 			c.info.Speculative = specSeq[d.thread] < d.seq
 		}
@@ -169,25 +166,20 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 				p.srcAtRisk(p.srcFile(c.d.si.Src2), c.d.src2Phys)
 		}
 	}
-	if first := p.issuePol.First; first != nil {
-		// The paper's non-default policies: one stable boolean partition of
-		// the merged list, O(n).
-		p.partBuf = partitionByFirst(cands, first, p.partBuf[:0])
-	} else {
-		// A policy stating a full comparison. A stable insertion sort keeps
-		// equal candidates in stream order — the same permutation
-		// sort.SliceStable produced — without its per-call closure and
-		// reflection-swapper allocations.
-		less := p.issuePol.Less
-		for i := 1; i < len(cands); i++ {
-			c := cands[i]
-			j := i
-			for j > 0 && less(c.info, cands[j-1].info) {
-				cands[j] = cands[j-1]
-				j--
-			}
-			cands[j] = c
+	// A stable insertion sort keeps candidates Less does not separate in
+	// stream order — the same permutation sort.SliceStable produces —
+	// without its per-call closure and reflection-swapper allocations. A
+	// boolean Less (the paper's OPT_LAST, SPEC_LAST, BRANCH_FIRST) is thus
+	// a stable partition of the stream.
+	less := p.issuePol.Less
+	for i := 1; i < len(cands); i++ {
+		c := cands[i]
+		j := i
+		for j > 0 && less(c.info, cands[j-1].info) {
+			cands[j] = cands[j-1]
+			j--
 		}
+		cands[j] = c
 	}
 
 	for i := range cands {
@@ -451,25 +443,4 @@ func insertionSortInts(s []int) {
 		}
 		s[j] = v
 	}
-}
-
-// partitionByFirst stably reorders a merged candidate list in place
-// for policies whose order is a single boolean partition with oldest-first
-// tie-breaking (Section 6's non-default policies). It returns the scratch
-// buffer (grown as needed) for the caller to reuse; the scratch must not
-// alias cands.
-func partitionByFirst(cands []candidate, first func(policy.IssueInfo) bool, buf []candidate) []candidate {
-	out := buf
-	for i := range cands {
-		if first(cands[i].info) {
-			out = append(out, cands[i])
-		}
-	}
-	for i := range cands {
-		if !first(cands[i].info) {
-			out = append(out, cands[i])
-		}
-	}
-	copy(cands, out)
-	return out
 }

@@ -202,7 +202,7 @@ func TestConfidenceCountersSane(t *testing.T) {
 func TestLowConfFeedbackDrivesCustomPolicy(t *testing.T) {
 	const name = "LOWCONF_TEST"
 	if _, ok := policy.LookupFetch(name); !ok {
-		pol := policy.Fetch{Name: name, Needs: policy.FeedbackNeeds{LowConf: true},
+		pol := policy.Fetch{Name: name,
 			Less: func(a, b policy.ThreadFeedback) bool { return a.LowConf < b.LowConf }}
 		if err := policy.RegisterFetch(pol); err != nil {
 			t.Fatal(err)

@@ -60,7 +60,7 @@ type Processor struct {
 
 	// The fetch and issue policies, resolved from their registered names
 	// once at construction; the per-cycle stages read them directly. Each
-	// policy's Needs say which feedback the cycle loop has to maintain.
+	// policy's Needs say which costly inputs the cycle loop has to compute.
 	fetchPol policy.Fetch
 	issuePol policy.Issue
 
@@ -107,7 +107,6 @@ type Processor struct {
 	orderBuf   []int
 	pickBuf    []*threadState // this cycle's fetch picks; len FetchThreads
 	candBuf    []candidate
-	partBuf    []candidate
 	idxBuf     []int
 	fpIdxBuf   []int
 	specSeqBuf []int64
@@ -269,34 +268,24 @@ func (p *Processor) setProducer(f *rename.File, reg rename.PhysReg, d *dyn) {
 	}
 }
 
-// buildFeedback refreshes the per-thread fetch-policy counters, publishing
-// only the fields the configured policy declared it reads (RR reads
-// nothing and skips the loop entirely; ICOUNT pays for one counter; only
-// IQPOSN pays for the both-queue position scan).
+// buildFeedback refreshes the per-thread fetch-policy counters: a copy of
+// each thread's running counts, plus the both-queue position scan only for
+// a policy that declares IQPosn. RR, which compares nothing, skips it all.
 func (p *Processor) buildFeedback() []policy.ThreadFeedback {
 	const noQueuePosn = 1 << 20
-	needs := p.fetchPol.Needs
-	if needs == (policy.FeedbackNeeds{}) {
+	if p.fetchPol.Less == nil {
 		return p.fbBuf
 	}
-	for t := range p.fbBuf {
-		th := p.threads[t]
-		fb := policy.ThreadFeedback{IQPosn: noQueuePosn}
-		if needs.ICount {
-			fb.ICount = th.icount
+	for t, th := range p.threads {
+		p.fbBuf[t] = policy.ThreadFeedback{
+			ICount:    th.icount,
+			BrCount:   th.brcount,
+			MissCount: th.misscount,
+			IQPosn:    noQueuePosn,
+			LowConf:   th.lowConfCount,
 		}
-		if needs.BrCount {
-			fb.BrCount = th.brcount
-		}
-		if needs.MissCount {
-			fb.MissCount = th.misscount
-		}
-		if needs.LowConf {
-			fb.LowConf = th.lowConfCount
-		}
-		p.fbBuf[t] = fb
 	}
-	if needs.IQPosn {
+	if p.fetchPol.Needs.IQPosn {
 		p.scanQueuePositions()
 	}
 	return p.fbBuf

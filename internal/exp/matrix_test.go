@@ -589,10 +589,12 @@ func coreMatrixMachines() map[string]smt.Config {
 }
 
 // BenchmarkStep is the cycle loop's A/B harness: one sub-benchmark per
-// core_matrix machine, built, warmed and checkpointed once outside the
-// timer; each iteration restores the checkpoint (untimed) and runs a fixed
-// instruction budget, so every iteration is the same simulated work and
-// ns/cycle compares across binaries. Judge a lever with
+// core_matrix machine, plus ICOUNT.2.8×8 under SPEC_LAST and under
+// BRANCH_FIRST so every issue-stage path is timed, each built, warmed and
+// checkpointed once outside the timer; each iteration restores the
+// checkpoint (untimed) and runs a fixed instruction budget, so every
+// iteration is the same simulated work and ns/cycle compares across
+// binaries. Judge a lever with
 //
 //	go test ./internal/exp -run '^$' -bench Step -count 10
 //
@@ -600,6 +602,14 @@ func coreMatrixMachines() map[string]smt.Config {
 func BenchmarkStep(b *testing.B) {
 	const warmup, budget = 100_000, 50_000 // instructions a thread
 	machines := coreMatrixMachines()
+	for name, issue := range map[string]smt.IssueAlg{
+		"icount28x8_speclast":    smt.IssueSpecLast,
+		"icount28x8_branchfirst": smt.IssueBranchFirst,
+	} {
+		cfg := exp.ICount28(8)
+		cfg.IssuePolicy = issue
+		machines[name] = cfg
+	}
 	names := make([]string, 0, len(machines))
 	for name := range machines {
 		names = append(names, name)

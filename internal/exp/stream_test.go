@@ -13,11 +13,11 @@ import (
 // policy name (distinct from every built-in's cache key).
 func TestCustomPolicySweepsAndCaches(t *testing.T) {
 	// Registration is global and permanent; the name is unique to this test.
-	err := smt.RegisterFetchPolicy(smt.FetchPolicyFunc("TEST_EXPSWEEP_HYBRID",
-		func(a, b smt.ThreadFeedback) bool {
+	err := smt.RegisterFetchPolicy(smt.FetchPolicy{Name: "TEST_EXPSWEEP_HYBRID",
+		Less: func(a, b smt.ThreadFeedback) bool {
 			sa, sb := a.ICount+a.BrCount, b.ICount+b.BrCount
 			return sa < sb
-		}, false))
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,15 @@ func TestCustomPolicySweepsAndCaches(t *testing.T) {
 }
 
 // TestIssuePolicyRestatedAsLess: each built-in issue policy restated as a
-// comparison through the public API, breaking ties on IssueInfo.Age as the
-// IssuePolicyFunc doc says to, runs the built-in's machine cycle for cycle.
-// Age is a candidate's rank in the merged issue stream; were it globalAge,
+// total comparison through the public API, breaking every tie on
+// IssueInfo.Age, runs the built-in's machine cycle for cycle. Age is a
+// candidate's rank in the merged issue stream; were it globalAge,
 // OLDEST_FIRST restated would diverge from 2 threads up, because the stream
 // is not globalAge order for threads fetched in the same cycle.
 func TestIssuePolicyRestatedAsLess(t *testing.T) {
 	older := func(a, b smt.IssueInfo) bool { return a.Age < b.Age }
-	// firstThenOlder is the comparison form of a First partition.
+	// firstThenOlder puts the instructions first accepts ahead of the
+	// rest, oldest-first within each group.
 	firstThenOlder := func(first func(smt.IssueInfo) bool) func(a, b smt.IssueInfo) bool {
 		return func(a, b smt.IssueInfo) bool {
 			if fa, fb := first(a), first(b); fa != fb {
@@ -94,7 +95,9 @@ func TestIssuePolicyRestatedAsLess(t *testing.T) {
 	o := Opts{Runs: 1, Warmup: 10_000, Measure: 30_000, Seed: 1}
 	for _, builtin := range []smt.IssueAlg{smt.IssueOldestFirst, smt.IssueOptLast, smt.IssueSpecLast, smt.IssueBranchFirst} {
 		name := "TEST_LESS_" + string(builtin)
-		if err := smt.RegisterIssuePolicy(smt.IssuePolicyFunc(name, restated[builtin], builtin == smt.IssueOptLast)); err != nil {
+		pol := smt.IssuePolicy{Name: name, Less: restated[builtin],
+			Needs: smt.IssueNeeds{Optimistic: builtin == smt.IssueOptLast, Speculative: builtin == smt.IssueSpecLast}}
+		if err := smt.RegisterIssuePolicy(pol); err != nil {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 2, 8} {

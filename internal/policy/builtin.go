@@ -7,25 +7,21 @@ package policy
 func init() {
 	// Section 5.2 fetch policies. Each comparison reproduces the historical
 	// key ordering: smaller counter first, ties round-robin (the stable
-	// sort over the rotation order). Each declares the exact feedback
-	// fields it reads — the core skips maintaining the rest.
+	// sort over the rotation order). Only IQPOSN reads a field that costs
+	// the core a scan to fill.
 	MustRegisterFetch(Fetch{Name: string(RR)})
 	MustRegisterFetch(Fetch{Name: string(BRCount),
-		Needs: FeedbackNeeds{BrCount: true},
-		Less:  func(a, b ThreadFeedback) bool { return a.BrCount < b.BrCount }})
+		Less: func(a, b ThreadFeedback) bool { return a.BrCount < b.BrCount }})
 	MustRegisterFetch(Fetch{Name: string(MissCount),
-		Needs: FeedbackNeeds{MissCount: true},
-		Less:  func(a, b ThreadFeedback) bool { return a.MissCount < b.MissCount }})
+		Less: func(a, b ThreadFeedback) bool { return a.MissCount < b.MissCount }})
 	MustRegisterFetch(Fetch{Name: string(ICount),
-		Needs: FeedbackNeeds{ICount: true},
-		Less:  func(a, b ThreadFeedback) bool { return a.ICount < b.ICount }})
+		Less: func(a, b ThreadFeedback) bool { return a.ICount < b.ICount }})
 	MustRegisterFetch(Fetch{Name: string(IQPosn),
 		Needs: FeedbackNeeds{IQPosn: true},
 		Less:  func(a, b ThreadFeedback) bool { return a.IQPosn > b.IQPosn }}) // farthest from the head first
 
 	// Composite fetch policies beyond the paper.
 	MustRegisterFetch(Fetch{Name: string(ICountBRCount),
-		Needs: FeedbackNeeds{ICount: true, BrCount: true},
 		Less: func(a, b ThreadFeedback) bool {
 			if a.ICount != b.ICount {
 				return a.ICount < b.ICount
@@ -33,18 +29,18 @@ func init() {
 			return a.BrCount < b.BrCount
 		}})
 	MustRegisterFetch(Fetch{Name: string(ICountWeightedMiss),
-		Needs: FeedbackNeeds{ICount: true, MissCount: true},
 		Less: func(a, b ThreadFeedback) bool {
 			return a.ICount+2*a.MissCount < b.ICount+2*b.MissCount
 		}})
 
-	// Section 6 issue policies, each declaring the one IssueInfo flag its
-	// partition reads.
+	// Section 6 issue policies. Each non-default one separates the ready
+	// instructions into two groups by one flag; the stable sort keeps age
+	// order within each.
 	MustRegisterIssue(Issue{Name: string(OldestFirst)})
 	MustRegisterIssue(Issue{Name: string(OptLast), Needs: IssueNeeds{Optimistic: true},
-		First: func(i IssueInfo) bool { return !i.Optimistic }})
+		Less: func(a, b IssueInfo) bool { return !a.Optimistic && b.Optimistic }})
 	MustRegisterIssue(Issue{Name: string(SpecLast), Needs: IssueNeeds{Speculative: true},
-		First: func(i IssueInfo) bool { return !i.Speculative }})
-	MustRegisterIssue(Issue{Name: string(BranchFirst), Needs: IssueNeeds{Branch: true},
-		First: func(i IssueInfo) bool { return i.Branch }})
+		Less: func(a, b IssueInfo) bool { return !a.Speculative && b.Speculative }})
+	MustRegisterIssue(Issue{Name: string(BranchFirst),
+		Less: func(a, b IssueInfo) bool { return a.Branch && !b.Branch }})
 }

@@ -26,9 +26,9 @@
 // and callers can register their own with RegisterFetch / RegisterIssue
 // (or smt.RegisterFetchPolicy / smt.RegisterIssuePolicy from outside the
 // module's internals). A policy is data — a Fetch or an Issue value: a
-// name, a comparison or a flag, and the feedback it reads — and is
-// addressed everywhere — configs, JSON, CLI flags, the result cache — by
-// its registered name.
+// name, a comparison, and which costly inputs the comparison reads — and
+// is addressed everywhere — configs, JSON, CLI flags, the result cache —
+// by its registered name.
 package policy
 
 import (
@@ -83,9 +83,9 @@ func (a FetchAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()
 func ParseFetchAlg(s string) (FetchAlg, error) { return parseAlg[FetchAlg](&fetchReg, s) }
 
 // ThreadFeedback carries the per-thread counters that fetch policies
-// consult. The core maintains them; the paper notes this feedback is what
-// distinguishes SMT fetch — the ability to know, each cycle, which threads
-// are using the machine well.
+// consult; IQPosn is filled only on request (FeedbackNeeds). The paper
+// notes this feedback is what distinguishes SMT fetch — the ability to
+// know, each cycle, which threads are using the machine well.
 type ThreadFeedback struct {
 	ICount    int // instructions in decode, rename, and the IQs
 	BrCount   int // unresolved branches in decode, rename, and the IQs
@@ -133,10 +133,15 @@ func ParseIssueAlg(s string) (IssueAlg, error) { return parseAlg[IssueAlg](&issu
 
 // IssueInfo describes one ready instruction for issue ordering.
 type IssueInfo struct {
-	Age         int64 // rank in the cycle's merged issue stream, the order OLDEST_FIRST issues in (smaller = older)
-	Optimistic  bool  // depends on a load whose hit status is still unknown
-	Speculative bool  // behind an unresolved branch of the same thread
-	Branch      bool  // is a control-flow instruction
+	Age        int64 // rank in the cycle's merged issue stream, the order OLDEST_FIRST issues in (smaller = older)
+	Optimistic bool  // depends on a load whose hit status is still unknown
+
+	// Speculative: an older unresolved control instruction of the same
+	// thread still holds an IQ slot. One that has left the queue
+	// unresolved (issued, still executing) does not count.
+	Speculative bool
+
+	Branch bool // is a control-flow instruction
 }
 
 // resolve and parseAlg are the one lookup behind both algorithm types.

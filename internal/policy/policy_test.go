@@ -84,8 +84,10 @@ func TestEveryRegisteredFetchPolicy(t *testing.T) {
 }
 
 // Property (registry-wide): every registered issue policy name round-trips,
-// states at most one of First and Less, and the order it stands for
-// (issueLess) is irreflexive and asymmetric — usable by a stable sort.
+// the order it stands for (issueLess) is irreflexive and asymmetric —
+// usable by a stable sort — and it reads no costly IssueInfo field outside
+// its declared Needs: the core leaves those false, so a policy that
+// under-declares would order on false in the machine.
 func TestEveryRegisteredIssuePolicy(t *testing.T) {
 	names := IssueNames()
 	if len(names) < 4 {
@@ -100,26 +102,36 @@ func TestEveryRegisteredIssuePolicy(t *testing.T) {
 		if !ok || sel.Name != name {
 			t.Fatalf("lookup %q failed or name mismatch", name)
 		}
-		if sel.First != nil && sel.Less != nil {
-			t.Errorf("%s states both First and Less", name)
-		}
 		less := issueLess(sel)
+		undeclared := func(i IssueInfo) IssueInfo {
+			if !sel.Needs.Optimistic {
+				i.Optimistic = false
+			}
+			if !sel.Needs.Speculative {
+				i.Speculative = false
+			}
+			return i
+		}
 		f := func(aFlags, bFlags uint8, aAge, bAge uint16) bool {
 			a := IssueInfo{Age: int64(aAge), Optimistic: aFlags&1 != 0, Speculative: aFlags&2 != 0, Branch: aFlags&4 != 0}
 			b := IssueInfo{Age: int64(bAge), Optimistic: bFlags&1 != 0, Speculative: bFlags&2 != 0, Branch: bFlags&4 != 0}
 			if less(a, a) {
 				return false // irreflexive
 			}
+			if less(a, b) != less(undeclared(a), undeclared(b)) {
+				return false // reads an undeclared field
+			}
 			return !(less(a, b) && less(b, a)) // asymmetric
 		}
 		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s asymmetry: %v", name, err)
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
 
-// builtinIssueOrder states each built-in issue policy's order as a plain
-// comparison, independently of the First flags builtin.go registers.
+// builtinIssueOrder states each built-in issue policy's order as a total
+// comparison with the age tie-break spelled out, independently of the
+// group-only comparisons builtin.go registers.
 var builtinIssueOrder = map[IssueAlg]func(a, b IssueInfo) bool{
 	OldestFirst: func(a, b IssueInfo) bool { return a.Age < b.Age },
 	OptLast: func(a, b IssueInfo) bool {
@@ -143,10 +155,10 @@ var builtinIssueOrder = map[IssueAlg]func(a, b IssueInfo) bool{
 }
 
 // For every registered issue policy, on random age-sorted candidate lists:
-// the reordering the core applies — nothing, the stable partition by
-// First, or the stable sort by Less — equals a stable sort by the
-// comparison the policy stands for; the built-ins' comparison is the
-// independent one above, so a First with its sense inverted fails here.
+// the reordering the core applies — nothing, or the stable sort by Less —
+// equals a stable sort by the comparison the policy stands for; the
+// built-ins' comparison is the independent one above, so a boolean Less
+// with its sense inverted fails here.
 func TestPartitionersConsistentWithLess(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, name := range IssueNames() {
@@ -164,16 +176,7 @@ func TestPartitionersConsistentWithLess(t *testing.T) {
 			sorted := append([]IssueInfo(nil), cands...)
 			sort.SliceStable(sorted, func(i, j int) bool { return want(sorted[i], sorted[j]) })
 			got := cands
-			if sel.First != nil {
-				got = nil
-				for _, pass := range []bool{true, false} {
-					for _, c := range cands {
-						if sel.First(c) == pass {
-							got = append(got, c)
-						}
-					}
-				}
-			} else if sel.Less != nil {
+			if sel.Less != nil {
 				got = append([]IssueInfo(nil), cands...)
 				sort.SliceStable(got, func(i, j int) bool { return sel.Less(got[i], got[j]) })
 			}
@@ -200,11 +203,7 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 			t.Errorf("bad issue name %q accepted", bad)
 		}
 	}
-	both := Issue{Name: "TEST_BOTH_FIRST_AND_LESS", First: func(IssueInfo) bool { return true }, Less: byAge}
-	if err := RegisterIssue(both); err == nil {
-		t.Error("issue policy stating both First and Less accepted")
-	}
-	if _, ok := LookupIssue(both.Name); ok {
+	if _, ok := LookupIssue("3POLICY"); ok {
 		t.Error("a refused registration still took its name")
 	}
 }
@@ -214,15 +213,15 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 func TestLookupReturnsACopy(t *testing.T) {
 	fb := []ThreadFeedback{{ICount: 9}, {ICount: 1}, {ICount: 5}}
 	f, _ := LookupFetch("ICOUNT")
-	f.Less, f.Needs, f.Name = nil, FeedbackNeeds{}, "RR"
+	f.Less, f.Needs, f.Name = nil, FeedbackNeeds{IQPosn: true}, "RR"
 	again, _ := LookupFetch("ICOUNT")
-	if again.Name != "ICOUNT" || again.Needs != (FeedbackNeeds{ICount: true}) ||
+	if again.Name != "ICOUNT" || again.Needs != (FeedbackNeeds{}) ||
 		!equal(again.Order(0, fb, nil), []int{1, 2, 0}) {
 		t.Errorf("mutating a looked-up fetch policy changed the registry: %+v", again)
 	}
 	i, _ := LookupIssue("OPT_LAST")
-	i.First, i.Needs = nil, IssueNeeds{}
-	if again, _ := LookupIssue("OPT_LAST"); again.First == nil || again.Needs != (IssueNeeds{Optimistic: true}) {
+	i.Less, i.Needs = nil, IssueNeeds{}
+	if again, _ := LookupIssue("OPT_LAST"); again.Less == nil || again.Needs != (IssueNeeds{Optimistic: true}) {
 		t.Errorf("mutating a looked-up issue policy changed the registry: %+v", again)
 	}
 }
@@ -252,21 +251,10 @@ var orderFeedback = []ThreadFeedback{
 }
 
 // One table over every registered fetch policy: the order it produces on a
-// fixed 8-thread feedback vector is frozen, and it reads no feedback field
-// outside its declared Needs — the core leaves those unfilled, so a policy
-// that under-declares would order on zeros in the machine.
+// fixed 8-thread feedback vector is frozen, and unless it declares IQPosn
+// it does not read it — the core fills IQPosn only on request, so a policy
+// that under-declares would order on a constant in the machine.
 func TestFetchPoliciesFrozenAndWithinNeeds(t *testing.T) {
-	perturb := []struct {
-		field    string
-		declared func(FeedbackNeeds) bool
-		set      func(*ThreadFeedback, int)
-	}{
-		{"ICount", func(n FeedbackNeeds) bool { return n.ICount }, func(f *ThreadFeedback, v int) { f.ICount = v }},
-		{"BrCount", func(n FeedbackNeeds) bool { return n.BrCount }, func(f *ThreadFeedback, v int) { f.BrCount = v }},
-		{"MissCount", func(n FeedbackNeeds) bool { return n.MissCount }, func(f *ThreadFeedback, v int) { f.MissCount = v }},
-		{"IQPosn", func(n FeedbackNeeds) bool { return n.IQPosn }, func(f *ThreadFeedback, v int) { f.IQPosn = v }},
-		{"LowConf", func(n FeedbackNeeds) bool { return n.LowConf }, func(f *ThreadFeedback, v int) { f.LowConf = v }},
-	}
 	for _, name := range FetchNames() {
 		sel, _ := LookupFetch(name)
 		want, frozen := frozenOrders[name]
@@ -275,17 +263,15 @@ func TestFetchPoliciesFrozenAndWithinNeeds(t *testing.T) {
 			if frozen && !equal(got, want[k]) {
 				t.Errorf("%s rrBase %d: order %v, frozen %v", name, rrBase, got, want[k])
 			}
-			for _, p := range perturb {
-				if p.declared(sel.Needs) {
-					continue
-				}
-				fb := append([]ThreadFeedback(nil), orderFeedback...)
-				for i := range fb {
-					p.set(&fb[i], (i*5+3)%8)
-				}
-				if after := sel.Order(rrBase, fb, nil); !equal(after, got) {
-					t.Errorf("%s rrBase %d: order moved %v -> %v with undeclared field %s", name, rrBase, got, after, p.field)
-				}
+			if sel.Needs.IQPosn {
+				continue
+			}
+			fb := append([]ThreadFeedback(nil), orderFeedback...)
+			for i := range fb {
+				fb[i].IQPosn = (i*5 + 3) % 8
+			}
+			if after := sel.Order(rrBase, fb, nil); !equal(after, got) {
+				t.Errorf("%s rrBase %d: order moved %v -> %v with IQPosn undeclared", name, rrBase, got, after)
 			}
 		}
 	}
@@ -312,22 +298,21 @@ func fetchSel(t *testing.T, alg FetchAlg) *Fetch {
 	return &sel
 }
 
-// issueLess is the comparison an issue policy stands for, whichever way it
-// states it: First-accepted before First-rejected and oldest-first within,
-// Less itself, or pure age order.
+// issueLess is the total order an issue policy stands for: its Less, with
+// ties (candidates Less does not separate) broken oldest-first as the
+// core's stable sort of the age-ordered stream breaks them.
 func issueLess(p Issue) func(a, b IssueInfo) bool {
-	switch {
-	case p.First != nil:
-		return func(a, b IssueInfo) bool {
-			if fa, fb := p.First(a), p.First(b); fa != fb {
-				return fa
+	return func(a, b IssueInfo) bool {
+		if p.Less != nil {
+			if p.Less(a, b) {
+				return true
 			}
-			return a.Age < b.Age
+			if p.Less(b, a) {
+				return false
+			}
 		}
-	case p.Less != nil:
-		return p.Less
+		return a.Age < b.Age
 	}
-	return func(a, b IssueInfo) bool { return a.Age < b.Age }
 }
 
 // issueSel resolves a built-in issue policy to the comparison it stands for.
@@ -539,18 +524,5 @@ func BenchmarkFetchOrder(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		out = sel.Order(i, fb, out)
-	}
-}
-
-// BenchmarkIssueFirst times one issue-policy flag test through the
-// policy's First field.
-func BenchmarkIssueFirst(b *testing.B) {
-	sel, _ := LookupIssue(string(SpecLast))
-	a := IssueInfo{Age: 4, Speculative: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if sel.First(a) {
-			b.Fatal("unexpected order")
-		}
 	}
 }

@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"repro/internal/registry"
-)
+import "repro/internal/registry"
 
 // The registries map policy names to policy values, listed built-ins first
 // (in the paper's order), then composites, then caller registrations. The
@@ -36,14 +32,8 @@ func LookupFetch(name string) (Fetch, bool) { return fetchReg.Lookup(name) }
 func FetchNames() []string { return fetchReg.Names() }
 
 // RegisterIssue adds an issue policy to the registry under i.Name; same
-// permanence rules as RegisterFetch. A policy stating both First and Less
-// is refused: the two could disagree, and the core would follow only one.
-func RegisterIssue(i Issue) error {
-	if i.First != nil && i.Less != nil {
-		return fmt.Errorf("policy: issue policy %q sets both First and Less", i.Name)
-	}
-	return issueReg.Register(i.Name, i)
-}
+// permanence rules as RegisterFetch.
+func RegisterIssue(i Issue) error { return issueReg.Register(i.Name, i) }
 
 // MustRegisterIssue is RegisterIssue for init-time registrations.
 func MustRegisterIssue(i Issue) {

@@ -1,13 +1,13 @@
 package policy
 
 // Fetch is a fetch policy: a registered name, the comparison that orders
-// the hardware contexts best-first, and the feedback fields the
-// comparison reads. Every policy in the paper has this shape — order the
-// contexts by one per-thread counter, ties round-robin.
+// the hardware contexts best-first, and the costly feedback it reads.
+// Every policy in the paper has this shape — order the contexts by one
+// per-thread counter, ties round-robin.
 //
 // Less must be deterministic (the simulator's reproducibility guarantees
-// flow through it) and read only the ThreadFeedback fields Needs
-// declares; the core leaves the others unfilled. A nil Less is pure
+// flow through it). It reads every ThreadFeedback field but IQPosn
+// freely, and IQPosn only when Needs declares it. A nil Less is pure
 // rotation: round-robin.
 type Fetch struct {
 	Name  string
@@ -15,17 +15,11 @@ type Fetch struct {
 	Needs FeedbackNeeds
 }
 
-// FeedbackNeeds declares which ThreadFeedback fields a fetch policy
-// actually reads, so the core maintains and publishes only those each
-// cycle. IQPosn is the expensive one (a both-queue scan per cycle); the
-// counters are cheap but skipping them keeps the feedback build
-// branch-free for RR, which reads nothing at all.
+// FeedbackNeeds declares the costly ThreadFeedback field a fetch policy
+// reads: IQPosn is a scan of both queues every cycle, so the core fills it
+// only on request.
 type FeedbackNeeds struct {
-	ICount    bool
-	BrCount   bool
-	MissCount bool
-	IQPosn    bool
-	LowConf   bool
+	IQPosn bool
 }
 
 // Order appends all thread ids to out[:0] in priority order: the rotation
@@ -56,34 +50,29 @@ func (f *Fetch) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
 	return out
 }
 
-// Issue is an issue policy: a registered name, how it reorders the
-// oldest-first list of ready instructions, and the IssueInfo fields it
-// reads. At most one of First and Less is set:
+// Issue is an issue policy: a registered name, the comparison that
+// reorders the cycle's ready instructions, and the costly IssueInfo
+// fields it reads. The core applies Less as a stable sort of the
+// oldest-first stream, so candidates Less does not separate keep age
+// order: a boolean comparison such as "a is not optimistic and b is"
+// issues one group before the other, oldest-first within each — the
+// shape of the paper's OPT_LAST, SPEC_LAST and BRANCH_FIRST. A nil Less
+// is pure age order, OLDEST_FIRST: the stream is consumed as is.
 //
-//   - First, the shape of the paper's non-default policies: candidates it
-//     accepts issue before those it rejects, oldest-first within each
-//     group — one O(n) stable partition;
-//   - Less, a strict weak ordering the core applies as a stable sort, so
-//     equal candidates keep age order (compare Age last to break every
-//     tie oldest-first, as every policy in the paper does: a First policy
-//     restated as a Less that way issues exactly as the First does);
-//   - neither: pure age order, OLDEST_FIRST — the list is consumed as is.
-//
-// Both must be deterministic and read only the fields Needs declares.
+// Less must be a deterministic strict weak ordering. It may read Age and
+// Branch freely, and Optimistic or Speculative only when Needs says so.
 type Issue struct {
 	Name  string
-	First func(IssueInfo) bool
 	Less  func(a, b IssueInfo) bool
 	Needs IssueNeeds
 }
 
-// IssueNeeds declares which IssueInfo fields an issue policy actually
-// reads (Age is always maintained — it is the candidate order itself).
-// Optimistic costs two register-file probes per candidate per cycle;
-// Speculative costs a both-queue scan per cycle for the per-thread oldest
-// unresolved branch. The core computes only what the policy declares.
+// IssueNeeds declares which costly IssueInfo fields an issue policy
+// reads. Optimistic costs two register-file probes per candidate per
+// cycle; Speculative costs a both-queue scan per cycle for the per-thread
+// oldest queued unresolved control instruction. The core computes only
+// what the policy declares; undeclared fields read false.
 type IssueNeeds struct {
 	Optimistic  bool
 	Speculative bool
-	Branch      bool
 }

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -97,7 +98,7 @@ func (s *Simulator) Start(ctx context.Context, spec RunSpec) (*Session, error) {
 		return nil, err
 	}
 	if !s.running.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("smt: simulator already has an active session")
+		return nil, errBusy
 	}
 	se := &Session{snaps: make(chan Snapshot, 1)}
 	go se.run(ctx, s, spec)
@@ -193,16 +194,24 @@ func (se *Session) run(ctx context.Context, sim *Simulator, spec RunSpec) {
 	}
 }
 
+// errBusy is what a second claim on a simulator's one session slot gets.
+var errBusy = errors.New("smt: simulator already has an active session")
+
 // Warmup runs `instructions` commits without recording statistics, then
 // resets all counters (cache and predictor contents persist — that is the
 // point). It is a warmup-only session; it panics if a session is active.
 func (s *Simulator) Warmup(instructions int64) {
-	if instructions <= 0 {
-		// A zero-instruction warmup still resets the counters.
-		s.proc.ResetStats()
+	if instructions > 0 {
+		s.blockingSession(RunSpec{Warmup: instructions})
 		return
 	}
-	s.blockingSession(RunSpec{Warmup: instructions})
+	// A zero-instruction warmup still resets the counters, holding the
+	// session slot while it does.
+	if !s.running.CompareAndSwap(false, true) {
+		panic(errBusy)
+	}
+	defer s.running.Store(false)
+	s.proc.ResetStats()
 }
 
 // Run commits at least `instructions` more instructions and returns the
@@ -212,10 +221,11 @@ func (s *Simulator) Run(instructions int64) Results {
 	return s.blockingSession(RunSpec{Instructions: instructions})
 }
 
-// RunCycles advances exactly `cycles` cycles.
+// RunCycles advances exactly `cycles` cycles; it panics if a streaming
+// session is active.
 func (s *Simulator) RunCycles(cycles int64) Results {
 	if cycles <= 0 {
-		return s.Results()
+		return s.blockingSession(RunSpec{}) // steps nothing
 	}
 	return s.blockingSession(RunSpec{Instructions: math.MaxInt64, MaxCycles: cycles})
 }

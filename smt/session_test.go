@@ -2,6 +2,7 @@ package smt
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -143,6 +144,39 @@ func TestSessionExclusive(t *testing.T) {
 	}
 	if _, err := sess2.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Warmup and RunCycles with a zero budget do their work without stepping,
+// and still claim the session slot: during a session they panic instead
+// of resetting or reading counters the session's goroutine is writing.
+func TestZeroBudgetCallsHonourTheSession(t *testing.T) {
+	sim := MustNew(testConfig(2), WorkloadMix(2, 0, 3))
+	ctx, cancel := context.WithCancel(context.Background())
+	sess, err := sim.Start(ctx, RunSpec{Instructions: math.MaxInt64, IntervalCycles: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-sess.Snapshots()
+	for name, call := range map[string]func(){
+		"Warmup(0)":    func() { sim.Warmup(0) },
+		"RunCycles(0)": func() { sim.RunCycles(0) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "active session") {
+					t.Errorf("%s during a session: recovered %v, want the active-session panic", name, r)
+				}
+			}()
+			call()
+		}()
+	}
+	cancel()
+	sess.Finish()
+	// With the slot free again, both run.
+	sim.Warmup(0)
+	if res := sim.RunCycles(0); res.Cycles != 0 {
+		t.Errorf("RunCycles(0) after Warmup(0) reports %d cycles", res.Cycles)
 	}
 }
 

@@ -17,11 +17,12 @@
 //
 // Fetch and issue policies are named, registered strategies — the
 // "exploiting choice" of the title is an extension point. A policy is
-// data: a name, a comparison (or, for issue, a flag), and the feedback it
+// data: a name, a comparison, and which costly inputs the comparison
 // reads. Config carries policy names; RegisterFetchPolicy and
-// RegisterIssuePolicy add new ones (see FetchPolicyFunc), which then work
-// everywhere a built-in does: configs, the experiment engine, CLI flags,
-// smtd sweeps, and the content-addressed result cache. Branch predictors
+// RegisterIssuePolicy add new ones, given as FetchPolicy and IssuePolicy
+// literals, which then work everywhere a built-in does: configs, the
+// experiment engine, CLI flags, smtd sweeps, and the content-addressed
+// result cache. Branch predictors
 // are registered the same way: a predictor is a direction engine
 // (DirEngine) in the standard BTB/history/return-stack frame.
 //
@@ -100,14 +101,15 @@ const (
 // custom strategies can be written against the public API alone.
 type (
 	// FetchPolicy orders hardware contexts for fetch each cycle: a name, a
-	// comparison (nil is round-robin) and the feedback fields it reads.
+	// comparison (nil is round-robin; ties break round-robin) and whether
+	// it reads the queue-position feedback.
 	FetchPolicy = policy.Fetch
 	// IssuePolicy orders ready instructions for issue each cycle: a name,
-	// at most one of a first-group flag and a comparison (neither is
-	// oldest-first), and the instruction facts it reads.
+	// a comparison applied as a stable sort of the oldest-first stream
+	// (nil is oldest-first), and the costly instruction facts it reads.
 	IssuePolicy = policy.Issue
-	// FeedbackNeeds and IssueNeeds declare the fields a policy reads; the
-	// core maintains only those.
+	// FeedbackNeeds and IssueNeeds declare the costly fields a policy
+	// reads; the core computes only those and fills every other field.
 	FeedbackNeeds = policy.FeedbackNeeds
 	IssueNeeds    = policy.IssueNeeds
 	// ThreadFeedback carries the per-thread counters fetch policies consult.
@@ -124,8 +126,7 @@ type (
 func RegisterFetchPolicy(p FetchPolicy) error { return policy.RegisterFetch(p) }
 
 // RegisterIssuePolicy adds a custom issue policy to the global registry;
-// same rules as RegisterFetchPolicy, and a policy setting both First and
-// Less is refused.
+// same rules as RegisterFetchPolicy.
 func RegisterIssuePolicy(p IssuePolicy) error { return policy.RegisterIssue(p) }
 
 // FetchPolicies returns every registered fetch policy name in registration
@@ -142,27 +143,6 @@ func LookupFetchPolicy(name string) (FetchPolicy, bool) { return policy.LookupFe
 
 // LookupIssuePolicy resolves a registered issue policy name.
 func LookupIssuePolicy(name string) (IssuePolicy, bool) { return policy.LookupIssue(name) }
-
-// FetchPolicyFunc builds a fetch policy from a feedback comparison (best
-// thread first, ties round-robin) — the shape of every policy in the
-// paper. It declares that less may read every counter;
-// readsQueuePositions says whether it also consults
-// ThreadFeedback.IQPosn, which costs a per-cycle queue scan to fill. A
-// FetchPolicy literal can declare tighter FeedbackNeeds.
-func FetchPolicyFunc(name string, less func(a, b ThreadFeedback) bool, readsQueuePositions bool) FetchPolicy {
-	return FetchPolicy{Name: name, Less: less,
-		Needs: FeedbackNeeds{ICount: true, BrCount: true, MissCount: true, IQPosn: readsQueuePositions, LowConf: true}}
-}
-
-// IssuePolicyFunc builds an issue policy from a comparison; less must be
-// a strict weak ordering and should break ties oldest-first (compare Age
-// last). readsOptimism declares whether less consults IssueInfo.Optimistic
-// (two register-file probes per candidate); the other flags are always
-// filled for policies built here.
-func IssuePolicyFunc(name string, less func(a, b IssueInfo) bool, readsOptimism bool) IssuePolicy {
-	return IssuePolicy{Name: name, Less: less,
-		Needs: IssueNeeds{Optimistic: readsOptimism, Speculative: true, Branch: true}}
-}
 
 // Branch-predictor extension points, re-exported from the internal branch
 // layer. Like policies, predictors are named and registered:
