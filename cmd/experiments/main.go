@@ -199,7 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "experiments:", err)
 			return 1
 		}
-		warm.Snapshots = snapshot.NewStore(disk)
+		warm.Snapshots = disk
 	}
 	runner.Dispatch = warm
 

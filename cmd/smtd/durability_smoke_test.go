@@ -143,12 +143,11 @@ func TestRestartDurabilitySmoke(t *testing.T) {
 	base2, _ := startSmtd(t, bin, "-cache-dir", cacheDir)
 	// The restarted process has read nothing yet: the disk tier is there
 	// and has counted no lookup.
-	var cacheStats cacheStatus
-	if err := json.Unmarshal([]byte(getBody(t, base2+"/v1/cache")), &cacheStats); err != nil {
-		t.Fatal(err)
-	}
-	if d := cacheStats.Disk; d == nil || d.Hits != 0 || d.Misses != 0 || d.Corrupt != 0 {
-		t.Fatalf("disk tier before any lookup: %+v, want present and all zero", d)
+	boot := getBody(t, base2+"/metrics")
+	for _, name := range []string{"smtd_cache_disk_hits_total", "smtd_cache_disk_misses_total", "smtd_cache_disk_corrupt_total"} {
+		if v := metricLine(boot, name); v != "0" {
+			t.Fatalf("disk tier before any lookup: %s = %q, want present and 0", name, v)
+		}
 	}
 
 	second := postSweep(t, base2)

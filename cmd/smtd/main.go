@@ -14,9 +14,11 @@
 //	GET    /v1/jobs/{id}        streaming progress: jobs done, cache hits
 //	GET    /v1/jobs/{id}/result canonical ExperimentResult JSON
 //	DELETE /v1/jobs/{id}        cancel a running sweep
-//	GET    /v1/cache            content-addressed result cache metrics (all tiers)
+//	GET    /v1/cache/{key}      peek one content-addressed entry (results, "snap:" checkpoints)
+//	PUT    /v1/cache/{key}      fill one
 //	GET    /v1/workers          distributed worker registry + scheduler stats + autoscale signal
-//	GET    /metrics             Prometheus text exposition of the above
+//	GET    /metrics             Prometheus text exposition: every cache tier, checkpoint,
+//	                            trace, sweep and scheduler counter
 //	GET    /debug/pprof/        live profiling (net/http/pprof)
 //
 // With -cache-dir the result cache gains a durable disk tier: results
@@ -31,7 +33,7 @@
 // The same binary also runs as a worker node that joins a coordinator and
 // absorbs its sweep jobs (see internal/dist for the protocol). Workers
 // keep no cache of their own: they share warmup checkpoints through the
-// coordinator's /v1/cache. A worker has no service listener, so profiling
+// coordinator's /v1/cache/{key}. A worker has no service listener, so profiling
 // one is opt-in via -pprof:
 //
 //	smtd -worker -join http://coordinator:8080 -workers 8 -pprof localhost:6060

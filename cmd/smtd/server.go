@@ -38,13 +38,14 @@ import (
 // -cache-dir. Sweeps consult the result cache through singleflight dedup
 // and the checkpoint cache through a counting wrapper; distributed
 // workers reach both through /v1/cache/{key}, split on the "snap:"
-// prefix.
+// prefix, so a worker's checkpoint traffic passes the same wrapper and
+// every restore in the cluster is counted once, on /metrics.
 type Server struct {
 	workers   int                        // local simulation slots (resolved; > 0)
 	results   *cache.Tiered[smt.Results] // result tiers
 	snaps     *cache.Tiered[[]byte]      // warmup-checkpoint tiers
 	flight    *cache.Flight[smt.Results] // results + in-flight dedup, what runners consult
-	snapshots *snapshot.Store            // snaps + traffic counters, what runners consult
+	snapshots *snapshot.Store            // snaps + traffic counters, what runners and workers consult
 	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
 	coord     *dist.Coordinator          // execution backend: one queue for local slots and remote workers
 	plans     *cache.Store[*sweepPlan]   // request body digest -> everything derived from it, see sweepPlan
@@ -262,7 +263,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /v1/cache", s.handleCache)
 	// Prometheus-style exposition of every tier and the scheduler; see
 	// metrics.go.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -338,11 +338,11 @@ const (
 
 // handleCacheGet peeks one content-addressed entry, typically a worker's
 // checkpoint probe before it warms a machine. The keyspace is split by
-// prefix: "snap:" keys are warmup checkpoints (opaque bytes in the
-// snapshot tiers), everything else is a result.
+// prefix: "snap:" keys are warmup checkpoints (opaque bytes, through the
+// counting store the local slots use), everything else is a result.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
-		peek(w, s.snaps, key, "snapshot")
+		peek(w, s.snapshots, key, "snapshot")
 	} else {
 		peek(w, s.results, key, "result")
 	}
@@ -356,14 +356,14 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // to run inside a trusted cluster, not on the open internet.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
-		fill(w, r, s.snaps, key, "snapshot", maxSnapPutBody)
+		fill(w, r, s.snapshots, key, "snapshot", maxSnapPutBody)
 	} else {
 		fill(w, r, s.results, key, "result", maxCachePutBody)
 	}
 }
 
 // peek answers GET /v1/cache/{key} from st: 404 on a miss.
-func peek[V any](w http.ResponseWriter, st *cache.Tiered[V], key, what string) {
+func peek[V any](w http.ResponseWriter, st cache.Getter[V], key, what string) {
 	v, ok := st.Get(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no cached %s for %q", what, key)
@@ -373,7 +373,7 @@ func peek[V any](w http.ResponseWriter, st *cache.Tiered[V], key, what string) {
 }
 
 // fill answers PUT /v1/cache/{key} into st: 204 once stored.
-func fill[V any](w http.ResponseWriter, r *http.Request, st *cache.Tiered[V], key, what string, limit int64) {
+func fill[V any](w http.ResponseWriter, r *http.Request, st cache.Getter[V], key, what string, limit int64) {
 	var v V
 	if !decodeBody(w, r, &v, limit, what) {
 		return
@@ -460,7 +460,6 @@ type sweepStatus struct {
 	Running        []jobProgress `json:"running,omitempty"` // interval streaming, in (point, run) order
 	Error          string        `json:"error,omitempty"`
 	ResultURL      string        `json:"result_url,omitempty"`
-	Cache          cache.Stats   `json:"cache"`
 }
 
 // sweepPlan is everything handleSweep derives from one request body: the
@@ -829,10 +828,9 @@ func (s *Server) pruneHistoryLocked() {
 
 // status snapshots a sweep's progress.
 func (s *Server) status(sw *sweep) sweepStatus {
-	mem := s.results.Stats().Memory
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statusLocked(sw, mem)
+	return s.statusLocked(sw)
 }
 
 // jobKey identifies one (point, run) cell of a sweep's grid.
@@ -840,9 +838,8 @@ type jobKey struct{ point, run int }
 
 func keyOf(j exp.Job) jobKey { return jobKey{j.Point, j.Run} }
 
-// statusLocked is status for callers already holding s.mu; mem is the
-// result stack's memory-tier snapshot every status carries.
-func (s *Server) statusLocked(sw *sweep, mem cache.Stats) sweepStatus {
+// statusLocked is status for callers already holding s.mu.
+func (s *Server) statusLocked(sw *sweep) sweepStatus {
 	st := sweepStatus{
 		ID:             sw.id,
 		Experiment:     sw.experiment,
@@ -853,7 +850,6 @@ func (s *Server) statusLocked(sw *sweep, mem cache.Stats) sweepStatus {
 		DoneJobs:       sw.doneJobs,
 		CacheHits:      sw.cacheHits,
 		Error:          sw.errMsg,
-		Cache:          mem,
 	}
 	if len(sw.running) > 0 {
 		st.Running = make([]jobProgress, 0, len(sw.running))
@@ -882,11 +878,10 @@ func (s *Server) lookup(id string) (*sweep, bool) {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	mem := s.results.Stats().Memory
 	s.mu.Lock()
 	out := make([]sweepStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.sweeps[id], mem))
+		out = append(out, s.statusLocked(s.sweeps[id]))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -933,36 +928,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	sw.cancel()
 	<-sw.done
 	writeJSON(w, http.StatusOK, s.status(sw))
-}
-
-// cacheStatus is the GET /v1/cache payload: the result tiers with the
-// memory tier's counters at the top level (the shape the endpoint always
-// had), plus the checkpoint tiers under "snapshots".
-type cacheStatus struct {
-	cache.Stats
-	Disk      *cache.DiskStats    `json:"disk,omitempty"`
-	Snapshots *snapshotTierStatus `json:"snapshots,omitempty"`
-}
-
-// snapshotTierStatus reports the warmup-checkpoint tiers: the counting
-// store's traffic, each configured tier beneath it, and the trace cache.
-type snapshotTierStatus struct {
-	snapshot.Stats
-	cache.TieredStats
-	Traces snapshot.TraceStats `json:"traces"`
-}
-
-func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	rs := s.results.Stats()
-	writeJSON(w, http.StatusOK, cacheStatus{
-		Stats: rs.Memory,
-		Disk:  rs.Disk,
-		Snapshots: &snapshotTierStatus{
-			Stats:       s.snapshots.Stats(),
-			TieredStats: s.snaps.Stats(),
-			Traces:      s.traces.Stats(),
-		},
-	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

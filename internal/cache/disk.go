@@ -11,10 +11,9 @@ import (
 
 // DiskStats is a snapshot of a disk tier's effectiveness counters.
 type DiskStats struct {
-	Hits    int64  `json:"hits"`
-	Misses  int64  `json:"misses"`
-	Corrupt int64  `json:"corrupt"` // reads that failed integrity checks (each served as a miss)
-	Dir     string `json:"dir"`
+	Hits    int64
+	Misses  int64
+	Corrupt int64 // reads that failed integrity checks (each served as a miss)
 }
 
 // Disk is a durable content-addressed store: one file per key under a
@@ -134,7 +133,6 @@ func (d *Disk[V]) Stats() DiskStats {
 		Hits:    d.hits.Load(),
 		Misses:  d.misses.Load(),
 		Corrupt: d.corrupt.Load(),
-		Dir:     d.dir,
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 
 // Stats is a snapshot of a store's effectiveness counters.
 type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Len       int   `json:"len"`
-	Cap       int   `json:"cap"`
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Len       int
+	Cap       int
 }
 
 // Store is a bounded, concurrency-safe LRU map from content-address keys

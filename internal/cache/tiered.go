@@ -1,10 +1,11 @@
 package cache
 
 // TieredStats snapshots every tier of a Tiered cache; Disk is nil without
-// a disk tier. The JSON shape is what smtd's /v1/cache reports per cache.
+// a disk tier. smtd's /metrics emits one series per field, under the
+// cache's prefix.
 type TieredStats struct {
-	Memory Stats      `json:"memory"`
-	Disk   *DiskStats `json:"disk,omitempty"`
+	Memory Stats
+	Disk   *DiskStats
 }
 
 // Tiered layers a bounded in-memory LRU over an optional durable disk

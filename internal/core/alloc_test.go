@@ -77,11 +77,15 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 // runBounds reports the first per-run bound s breaks: no machine commits
 // more than it fetched on the correct path, fetches more than FetchTotal a
 // cycle, issues more than IssueWidth a cycle (unless InfiniteFUs lifts the
-// limit) or commits more than CommitWidth a cycle, and every context
-// commits.
+// limit) or commits more than CommitWidth a cycle, every context commits,
+// and every cycle is one fetch cycle or lost to exactly one cause (the
+// paper's fetch-loss attribution means nothing otherwise).
 func runBounds(cfg Config, s Stats) error {
 	c := s.Cycles
 	switch {
+	case s.FetchCycles+s.FetchLostBackPressure+s.FetchLostNoThread+s.FetchLostIMiss+s.FetchLostBankConflict != c:
+		return fmt.Errorf("fetch cycles %d + lost to back pressure %d, no thread %d, I-miss %d, bank conflict %d != %d cycles",
+			s.FetchCycles, s.FetchLostBackPressure, s.FetchLostNoThread, s.FetchLostIMiss, s.FetchLostBankConflict, c)
 	case s.Committed > s.Fetched-s.FetchedWrongPath:
 		return fmt.Errorf("committed %d > correct-path fetched %d", s.Committed, s.Fetched-s.FetchedWrongPath)
 	case s.Fetched > int64(cfg.FetchTotal)*c:

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/resilience"
-	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -37,7 +36,7 @@ type WorkerOptions struct {
 	Exec Exec
 	// Warm is the default executor's acceleration environment: warmup
 	// checkpoints and per-context trace replay. When Warm.Snapshots is nil,
-	// checkpoints are shared through the coordinator's /v1/cache endpoint
+	// checkpoints are shared through the coordinator's /v1/cache/{key}
 	// under the run context (a coordinator without one answers misses):
 	// one worker's cold warmup becomes every worker's restore, and a
 	// draining worker's checkpoint traffic aborts instead of waiting out
@@ -165,10 +164,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		warm := w.opts.Warm
 		if warm.Snapshots == nil {
 			// Warmup checkpoints ride the coordinator's content-addressed
-			// endpoint; snapshot.Key's "snap:" prefix routes them to its
-			// byte-typed snapshot tiers. Bound to ctx, a drain's peeks miss
-			// and its fills drop.
-			warm.Snapshots = snapshot.NewStore(cache.NewRemote[[]byte](w.base, w.client).WithContext(ctx))
+			// endpoint; the keys' "snap:" prefix routes them to its
+			// counting checkpoint store, which is where they are counted.
+			// Bound to ctx, a drain's peeks miss and its fills drop.
+			warm.Snapshots = cache.NewRemote[[]byte](w.base, w.client).WithContext(ctx)
 		}
 		exec = SimulateJob(warm)
 	}

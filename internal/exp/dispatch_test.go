@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,6 +42,46 @@ func TestDispatcherByteIdentical(t *testing.T) {
 	}
 	if a, b := encode(t, local), encode(t, viaDispatch); !bytes.Equal(a, b) {
 		t.Fatalf("dispatcher changed result bytes\nlocal:\n%s\ndispatched:\n%s", a, b)
+	}
+}
+
+// TestNoObserverNoInterval: a runner with an Interval but no OnSnapshot
+// asks its dispatcher for no snapshots, since nothing would read them.
+// With an observer it passes the interval and a callback.
+func TestNoObserverNoInterval(t *testing.T) {
+	e, _ := Lookup("fig7")
+	for _, observe := range []bool{false, true} {
+		var mu sync.Mutex
+		var intervals []int64
+		r := Runner{
+			Workers:  2,
+			Interval: 1000,
+			Dispatch: dispatcherFunc(func(ctx context.Context, j Job, o Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error) {
+				if (interval > 0) != (onSnap != nil) {
+					t.Errorf("interval %d with onSnap set = %v", interval, onSnap != nil)
+				}
+				mu.Lock()
+				intervals = append(intervals, interval)
+				mu.Unlock()
+				return smt.Results{}, nil
+			}),
+		}
+		want := int64(0)
+		if observe {
+			r.OnSnapshot = func(Job, smt.Snapshot) {}
+			want = 1000
+		}
+		if _, err := r.RunExperiment(context.Background(), e, tinyOpts()); err != nil {
+			t.Fatal(err)
+		}
+		if len(intervals) == 0 {
+			t.Fatal("nothing was dispatched")
+		}
+		for _, got := range intervals {
+			if got != want {
+				t.Fatalf("observer set = %v: dispatched with interval %d, want %d", observe, got, want)
+			}
+		}
 	}
 }
 

@@ -66,11 +66,11 @@ type JobCache = cache.Getter[smt.Results]
 // process or machine — and returns its results. The contract is strict
 // determinism: Dispatch must return exactly the smt.Results that Simulate
 // would produce for the job in this process, so a distributed run stays
-// byte-identical to a local one. interval > 0 asks the executor to forward
-// interval snapshots to onSnap (never nil when interval > 0 is passed by
-// the runner with an OnSnapshot observer; implementations may ignore the
-// request but must not change results). Dispatch is called concurrently
-// from worker goroutines and must honor ctx cancellation.
+// byte-identical to a local one. The runner passes interval > 0 exactly
+// when onSnap != nil: it asks the executor to forward interval snapshots
+// to onSnap (implementations may ignore the request but must not change
+// results). Dispatch is called concurrently from worker goroutines and
+// must honor ctx cancellation.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, j Job, o Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error)
 }
@@ -213,9 +213,10 @@ type Runner struct {
 	// must synchronize their own state.
 	OnJobDone func(j Job, r smt.Results, fromCache bool)
 
-	// Interval, when positive, streams interval snapshots from every
-	// simulated job: the job runs as a streaming session emitting a
-	// smt.Snapshot every Interval cycles, each forwarded to OnSnapshot.
+	// Interval, when positive and OnSnapshot is set, streams interval
+	// snapshots from every simulated job: the job runs as a streaming
+	// session emitting a smt.Snapshot every Interval cycles, each forwarded
+	// to OnSnapshot.
 	// Cache hits produce no snapshots (nothing simulates). Streaming never
 	// changes results — a job's final streamed results are byte-identical
 	// to its blocking results.
@@ -372,12 +373,13 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts) (smt.Results, error) 
 			return res, nil
 		}
 	}
-	interval := r.Interval
-	if interval < 0 {
-		interval = 0 // tolerate nonsense the way Opts normalization does
-	}
+	// Snapshots are built only for an observer: without one, a job would
+	// pay for a Snapshot every interval (and a remote one for a POST each)
+	// that nobody reads.
+	var interval int64
 	var onSnap func(smt.Snapshot)
-	if interval > 0 && r.OnSnapshot != nil {
+	if r.Interval > 0 && r.OnSnapshot != nil {
+		interval = r.Interval
 		onSnap = func(s smt.Snapshot) { r.OnSnapshot(j, s) }
 	}
 

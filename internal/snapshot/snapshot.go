@@ -6,7 +6,7 @@
 //     smt.Simulator.SaveSnapshot and stored content-addressed under a Key.
 //     Every grid point sharing the prefix restores instead of re-warming;
 //     tiering the backing store through internal/cache (memory, disk, a
-//     coordinator's /v1/cache) extends the reuse to distributed workers
+//     coordinator's /v1/cache/{key}) extends the reuse to distributed workers
 //     and restarted coordinators.
 //
 //   - Trace replay: each hardware context's program pre-decoded once into
@@ -48,11 +48,11 @@ type Backing = cache.Getter[[]byte]
 
 // Stats snapshots a Store's effectiveness counters.
 type Stats struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Puts        int64 `json:"puts"`
-	BytesLoaded int64 `json:"bytes_loaded"` // snapshot bytes served by Get hits
-	BytesStored int64 `json:"bytes_stored"` // snapshot bytes written by Put
+	Hits        int64
+	Misses      int64
+	Puts        int64
+	BytesLoaded int64 // snapshot bytes served by Get hits
+	BytesStored int64 // snapshot bytes written by Put
 }
 
 // Store counts snapshot traffic over a backing tier stack. It satisfies
@@ -128,11 +128,11 @@ const maxTraceRecords = 1 << 22
 
 // TraceStats snapshots a TraceCache's counters.
 type TraceStats struct {
-	Builds    int64 `json:"builds"` // context traces decoded from scratch
-	Reuses    int64 `json:"reuses"` // context lookups served by an existing trace
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"` // context traces currently cached
-	Bytes     int64 `json:"bytes"`
+	Builds    int64 // context traces decoded from scratch
+	Reuses    int64 // context lookups served by an existing trace
+	Evictions int64
+	Entries   int // context traces currently cached
+	Bytes     int64
 }
 
 // TraceCache builds each hardware context's trace once and assembles every

@@ -50,8 +50,9 @@ func nudge(f reflect.Value, delta int64) bool {
 // and Results: every counter is a kind an interval delta can subtract, and
 // every counter either moves Results or is listed in diagnosticOnlyCounters
 // — which holds no name that is not a counter and none that Results does
-// reach. (That core.CounterPartitions names only counters is core's
-// TestPartitionTableResolves.)
+// reach. (The fetch-cycle identity, Cycles = the five fetch outcomes, is
+// a Go expression in core's runBounds, checked on every core.Variants()
+// machine by TestSteadyStateCycleAllocs.)
 func TestCounterContract(t *testing.T) {
 	var filled core.Stats
 	fields := reflect.TypeOf(filled)
