@@ -15,8 +15,11 @@ import (
 func (p *Processor) commitStage() {
 	budget := p.cfg.CommitWidth
 	n := p.cfg.Threads
-	for i := 0; i < n && budget > 0; i++ {
-		th := p.threads[(p.commitRR+i)%n]
+	for i, t := 0, p.commitRR%n; i < n && budget > 0; i, t = i+1, t+1 {
+		if t == n {
+			t = 0
+		}
+		th := p.threads[t]
 		for budget > 0 && th.robHead < len(th.rob) {
 			d := th.rob[th.robHead]
 			if !p.committable(d) {
@@ -27,7 +30,9 @@ func (p *Processor) commitStage() {
 			th.robHead++
 			budget--
 		}
-		th.compactROB()
+		if th.robHead > 0 {
+			th.compactROB()
+		}
 	}
 	p.commitRR++
 }
@@ -42,7 +47,6 @@ func (th *threadState) liveROB() []*dyn { return th.rob[th.robHead:] }
 // the backing array cannot grow without bound.
 func (th *threadState) compactROB() {
 	switch {
-	case th.robHead == 0:
 	case th.robHead == len(th.rob):
 		th.rob = th.rob[:0]
 		th.robHead = 0
@@ -60,8 +64,13 @@ func (th *threadState) compactROB() {
 // completed (including its RegWrite stage). The state check matters: an
 // instruction pulled back to the queue by an optimistic-issue squash is not
 // committable even though it once had a completion time.
+//
+// The completion time is tested first: it shares a cache line with
+// resolved, so a head still executing — most threads' on most cycles — is
+// refused without touching the line holding its state or its static
+// instruction.
 func (p *Processor) committable(d *dyn) bool {
-	return d.state == stIssued && d.doneCycle > 0 && p.cycle >= d.doneCycle &&
+	return d.doneCycle > 0 && p.cycle >= d.doneCycle && d.state == stIssued &&
 		(!d.isControl() || d.resolved)
 }
 
@@ -98,7 +107,7 @@ func (p *Processor) commitOne(th *threadState, d *dyn) {
 // trainPredictor updates the PHT/BTB at branch commit and accounts the
 // paper's branch and jump misprediction rates.
 func (p *Processor) trainPredictor(th *threadState, d *dyn) {
-	cls := d.si.Class
+	cls := d.cls
 	taken := d.rec.Taken
 	target := d.rec.NextPC
 

@@ -44,7 +44,6 @@ type dyn struct {
 	seq  int64 // per-thread fetch order
 	pc   int64
 	si   *isa.Static
-	prog *workload.Program
 
 	state     dynState
 	wrongPath bool
@@ -91,16 +90,21 @@ type dyn struct {
 	// stale (released, pulled back, or squashed-and-recycled) and is
 	// dropped without action, which makes duplicate pointers harmless.
 	optHeldListed bool
+
+	// cls is si.Class, copied wherever si is set, so the stages that only
+	// need the class do not load the static instruction. It sits in the
+	// padding at the end and is derived, not checkpointed.
+	cls isa.Class
 }
 
 // isLoad reports whether the instruction is a load.
-func (d *dyn) isLoad() bool { return d.si.Class == isa.ClassLoad }
+func (d *dyn) isLoad() bool { return d.cls == isa.ClassLoad }
 
 // isStore reports whether the instruction is a store.
-func (d *dyn) isStore() bool { return d.si.Class == isa.ClassStore }
+func (d *dyn) isStore() bool { return d.cls == isa.ClassStore }
 
 // isControl reports whether the instruction can redirect fetch.
-func (d *dyn) isControl() bool { return d.si.Class.IsControl() }
+func (d *dyn) isControl() bool { return d.cls.IsControl() }
 
 // partialAddr returns the low bits of the effective address used for memory
 // disambiguation.

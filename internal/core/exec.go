@@ -262,11 +262,15 @@ func (p *Processor) stillAtRisk(d *dyn) bool {
 // instruction issued on an at-risk source must keep its IQ slot so an
 // optimistic-issue squash can pull it back.
 func (p *Processor) srcAtRisk(f *rename.File, phys rename.PhysReg) bool {
-	prod := p.producerFor(f, phys)
+	return atRisk(p.producerFor(f, phys))
+}
+
+// atRisk is srcAtRisk given the register's producer (nil for none).
+func atRisk(prod *dyn) bool {
 	if prod == nil {
 		return false
 	}
-	if prod.isLoad() && prod.state >= stIssued && !prod.memVerified {
+	if !prod.memVerified && prod.state >= stIssued && prod.isLoad() {
 		return true
 	}
 	return prod.state == stIssued && prod.optimistic

@@ -179,8 +179,8 @@ func (p *Processor) newDyn(th *threadState, pc int64) *dyn {
 	d.seq = th.nextSeq
 	th.nextSeq++
 	d.pc = pc
-	d.prog = th.prog
 	d.si = th.prog.At(pc)
+	d.cls = d.si.Class
 	d.fetchCycle = p.cycle
 	d.age = d.computeAge()
 	d.state = stFetched
@@ -189,7 +189,7 @@ func (p *Processor) newDyn(th *threadState, pc int64) *dyn {
 
 	if th.wrongPath {
 		d.wrongPath = true
-		if d.si.Class.IsMem() {
+		if d.cls.IsMem() {
 			th.wrongSalt++
 			d.addr = th.prog.WrongPathAddr(d.si, th.wrongSalt)
 		}
@@ -210,7 +210,7 @@ func (p *Processor) newDyn(th *threadState, pc int64) *dyn {
 // the thread onto the wrong path when the prediction disagrees with the
 // oracle, and applies decode-redirect (misfetch) bubbles.
 func (p *Processor) predictNext(th *threadState, d *dyn) (next int64, stop bool) {
-	cls := d.si.Class
+	cls := d.cls
 	if !cls.IsControl() {
 		return d.pc + isa.InstrBytes, false
 	}

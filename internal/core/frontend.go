@@ -36,7 +36,7 @@ func (p *Processor) renameStage() {
 	// decode is renamed one cycle later.
 	for _, d := range p.renameLatch {
 		q := p.intQ
-		if d.si.Class.IsFP() {
+		if d.cls.IsFP() {
 			q = p.fpQ
 		}
 		if q.Full() {

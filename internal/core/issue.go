@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/isa"
 	"repro/internal/policy"
 	"repro/internal/rename"
 )
@@ -104,12 +105,20 @@ func (p *Processor) issueOldestFirst(fu *fuState) {
 	fi, fpAge := nextIssuable(fpW, 0, p.cycle)
 	for intAge != ageInf || fpAge != ageInf {
 		if intAge <= fpAge {
-			if full := p.tryIssue(intW[ii], ii, false, fu); full {
+			if d := intW[ii]; p.asleep(d) {
+				if p.audit != nil {
+					p.auditAsleep(d)
+				}
+			} else if full := p.tryIssue(d, ii, false, fu); full {
 				return
 			}
 			ii, intAge = nextIssuable(intW, ii+1, p.cycle)
 		} else {
-			if full := p.tryIssue(fpW[fi], fi, true, fu); full {
+			if d := fpW[fi]; p.asleep(d) {
+				if p.audit != nil {
+					p.auditAsleep(d)
+				}
+			} else if full := p.tryIssue(d, fi, true, fu); full {
 				return
 			}
 			fi, fpAge = nextIssuable(fpW, fi+1, p.cycle)
@@ -188,35 +197,41 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 			p.auditAsleep(c.d)
 			continue
 		}
+		if p.asleep(c.d) {
+			if p.audit != nil {
+				p.auditAsleep(c.d)
+			}
+			continue
+		}
 		if full := p.tryIssue(c.d, int(c.pos), c.fp, fu); full {
 			return
 		}
 	}
 }
 
-// tryIssue attempts to issue one candidate under the cycle's remaining
-// functional-unit and bandwidth budget. It reports whether the cycle's
-// issue bandwidth is exhausted (the caller stops walking candidates).
+// tryIssue attempts to issue one awake candidate under the cycle's
+// remaining functional-unit and bandwidth budget. It reports whether the
+// cycle's issue bandwidth is exhausted (the caller stops walking
+// candidates).
+//
+// The walks test asleep first, inline, and call tryIssue only for an awake
+// entry: asleep is the cheapest refusal (it does not touch the static
+// instruction), and everything tryIssue does answers "not issued" for an
+// entry ready would refuse. So passing an asleep entry over before the
+// bandwidth test changes no outcome: a walk whose bandwidth is spent stops
+// at its next awake entry instead.
 func (p *Processor) tryIssue(d *dyn, pos int, fromFP bool, fu *fuState) (full bool) {
 	if !p.cfg.InfiniteFUs && fu.total >= p.cfg.IssueWidth {
 		return true
 	}
-	// Asleep is tested first of what is left — everything below answers
-	// false for an entry ready would refuse — and costs the least: it does
-	// not touch the static instruction.
-	if p.asleep(d) {
-		if p.audit != nil {
-			p.auditAsleep(d)
-		}
-		return false
-	}
+	cls := d.cls
 	if !p.cfg.InfiniteFUs {
 		switch {
-		case d.si.Class.IsFP():
+		case cls.IsFP():
 			if fu.fpUsed >= p.cfg.FPUnits {
 				return false
 			}
-		case d.si.Class.IsMem():
+		case cls.IsMem():
 			if fu.ldstUsed >= p.cfg.LdStUnits || fu.intUsed >= p.cfg.IntUnits {
 				return false
 			}
@@ -248,9 +263,9 @@ func (p *Processor) tryIssue(d *dyn, pos int, fromFP bool, fu *fuState) (full bo
 	}
 	fu.total++
 	switch {
-	case d.si.Class.IsFP():
+	case cls.IsFP():
 		fu.fpUsed++
-	case d.si.Class.IsMem():
+	case cls.IsMem():
 		fu.ldstUsed++
 		fu.intUsed++
 	default:
@@ -289,27 +304,16 @@ func (p *Processor) oldestQueuedCtl() []int64 {
 // optimistic (some source comes from a load whose hit/miss is unknown).
 func (p *Processor) ready(d *dyn) (ok, optimistic bool) {
 	th := p.threads[d.thread]
-
-	for i := 0; i < 2; i++ {
-		reg, phys := d.si.Src1, d.src1Phys
-		if i == 1 {
-			reg, phys = d.si.Src2, d.src2Phys
-		}
-		f := p.srcFile(reg)
-		if f == nil {
-			continue
-		}
-		if f.ReadyAt(phys) > p.cycle {
-			d.wake = int32(phys) + 1
-			if f == p.ren.FP {
-				d.wake = -d.wake
-			}
-			return false, false
-		}
-		if p.srcAtRisk(f, phys) {
-			optimistic = true
-		}
+	s := d.si
+	blocked, risk1 := p.source(d, s.Src1, d.src1Phys)
+	if blocked {
+		return false, false
 	}
+	blocked, risk2 := p.source(d, s.Src2, d.src2Phys)
+	if blocked {
+		return false, false
+	}
+	optimistic = risk1 || risk2
 
 	// Memory disambiguation: a load may not issue past an older unexecuted
 	// store of its thread whose partial (10-bit) address matches.
@@ -338,6 +342,24 @@ func (p *Processor) ready(d *dyn) (ok, optimistic bool) {
 		}
 	}
 	return true, optimistic
+}
+
+// source checks one source operand of d: whether it reads later than now
+// (blocked, and d sleeps on it: wake is phys+1 in the integer file,
+// -(phys+1) in the FP file), or whether reading it now is optimistic.
+func (p *Processor) source(d *dyn, reg isa.Reg, phys rename.PhysReg) (blocked, risky bool) {
+	if !reg.Valid() || phys == rename.None {
+		return false, false // no operand, or none mapped: always ready
+	}
+	f, wake, prods := p.ren.Int, int32(phys)+1, p.intProducer
+	if reg.IsFP() {
+		f, wake, prods = p.ren.FP, -wake, p.fpProducer
+	}
+	if f.ReadyAt(phys) > p.cycle {
+		d.wake = wake
+		return true, false
+	}
+	return false, atRisk(prods[phys])
 }
 
 // blocker decodes d.wake into the register it names (nil file for none).
@@ -381,7 +403,7 @@ func (p *Processor) sleepsThroughWalk(d *dyn) bool {
 		return true
 	}
 	prod := p.producerFor(f, phys)
-	return prod != nil && prod.si.Class.Latency() > 0
+	return prod != nil && prod.cls.Latency() > 0
 }
 
 // auditAsleep runs behind the test-only audit hook: d is being skipped as
@@ -410,12 +432,13 @@ func (p *Processor) issueOne(d *dyn, optimistic bool) {
 		p.optHeld = append(p.optHeld, d)
 	}
 
-	lat := int64(d.si.Class.Latency())
+	cls := d.cls
+	lat := int64(cls.Latency())
 	switch {
-	case d.si.Class.IsMem():
+	case cls.IsMem():
 		// Hit/miss unknown until the D-cache access at execStart; schedule
 		// the result optimistically (load-hit latency 1).
-		if d.isLoad() && d.destPhys >= 0 {
+		if cls == isa.ClassLoad && d.destPhys >= 0 {
 			p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, p.cycle+1)
 		}
 		p.events.schedule(d.execStart, evMemExec, d, d.thread)

@@ -216,8 +216,8 @@ func (d *dyn) walk(w *stateWalk) {
 	if c.Writing() || c.Err() != nil {
 		return
 	}
-	d.prog = w.p.threads[d.thread].prog
-	d.si = d.prog.At(d.pc)
+	d.si = w.p.threads[d.thread].prog.At(d.pc)
+	d.cls = d.si.Class
 	if (d.destPhys != rename.None && !d.si.Dest.Valid()) || (d.mispred != mispredNone && !d.isControl()) {
 		c.Failf("core: instruction at %#x carries state its static form cannot have", d.pc)
 	}

@@ -80,24 +80,25 @@ func (q *Queue[T]) RemoveIndices(sorted []int) {
 	if len(sorted) == 0 {
 		return
 	}
-	first := sorted[0]
-	if first < 0 || first >= len(q.items) {
-		panic(fmt.Sprintf("iq: RemoveIndices position %d out of range [0,%d)", first, len(q.items)))
+	items := q.items
+	out := sorted[0]
+	if out < 0 || out >= len(items) {
+		panic(fmt.Sprintf("iq: RemoveIndices position %d out of range [0,%d)", out, len(items)))
 	}
-	out := q.items[:first]
-	k := 0
-	for i := first; i < len(q.items); i++ {
+	k := 1
+	for i := out + 1; i < len(items); i++ {
 		if k < len(sorted) && sorted[k] == i {
 			k++
 			continue
 		}
-		out = append(out, q.items[i])
+		items[out] = items[i]
+		out++
 	}
 	if k != len(sorted) {
 		panic(fmt.Sprintf("iq: RemoveIndices got unsorted or out-of-range indices (consumed %d of %d)", k, len(sorted)))
 	}
-	clearTail(q.items, len(out))
-	q.items = out
+	clearTail(items, out)
+	q.items = items[:out]
 }
 
 // clearTail zeroes the abandoned tail so pointer entries do not leak.

@@ -79,28 +79,19 @@ func (c Class) String() string {
 // of the paper. Loads report their cache-hit latency; the memory system adds
 // miss delays at execution time.
 func (c Class) Latency() int {
-	switch c {
-	case ClassIntMul:
-		return 8
-	case ClassIntMulW:
-		return 16
-	case ClassCondMove:
-		return 2
-	case ClassCompare:
-		return 0
-	case ClassFPAdd:
-		return 4
-	case ClassFPDiv:
-		return 17
-	case ClassFPDivD:
-		return 30
-	case ClassLoad:
-		return 1
-	default:
-		// All other integer operations, branches, jumps, calls, returns,
-		// stores, and nops execute in a single cycle.
-		return 1
+	if c < numClasses {
+		return int(latencies[c])
 	}
+	return 1
+}
+
+// latencies is Table 1 by class. All other integer operations, branches,
+// jumps, calls, returns, stores and nops execute in a single cycle; a
+// table lookup is branch-free on the issue path, where a switch is not.
+var latencies = [numClasses]uint8{
+	ClassNop: 1, ClassIntALU: 1, ClassIntMul: 8, ClassIntMulW: 16, ClassCondMove: 2,
+	ClassCompare: 0, ClassLoad: 1, ClassStore: 1, ClassFPAdd: 4, ClassFPDiv: 17, ClassFPDivD: 30,
+	ClassBranch: 1, ClassJump: 1, ClassJumpInd: 1, ClassCall: 1, ClassReturn: 1,
 }
 
 // IsFP reports whether the instruction occupies the floating-point

@@ -28,8 +28,11 @@ type FeedbackNeeds struct {
 func (f *Fetch) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
 	n := len(fb)
 	out = out[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, (rrBase+i)%n)
+	for t := rrBase % n; len(out) < n; t++ {
+		if t == n {
+			t = 0
+		}
+		out = append(out, t)
 	}
 	if f.Less != nil {
 		// Stable insertion sort over the rotation order: closure-free (no

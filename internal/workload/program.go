@@ -108,6 +108,9 @@ func MustNew(p Profile, seed uint64, asid int) *Program {
 func (p *Program) IndexOf(pc int64) int {
 	idx := (pc - p.Base) / isa.InstrBytes
 	n := int64(len(p.Code))
+	if uint64(idx) < uint64(n) {
+		return int(idx) // every correct-path PC: no division
+	}
 	idx %= n
 	if idx < 0 {
 		idx += n

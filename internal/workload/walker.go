@@ -52,29 +52,31 @@ func NewWalker(p *Program) *Walker {
 func (w *Walker) PC() int64 { return w.pc }
 
 // Next produces the next architectural instruction record and advances.
+//
+// The record is assembled once, from locals, at the return: building it
+// through a pointer costs a store-forwarding stall a record, as in
+// Cursor.Next.
 func (w *Walker) Next() DynRecord {
-	p := w.prog
-	idx := p.IndexOf(w.pc)
+	p, pc := w.prog, w.pc
+	idx := p.IndexOf(pc)
 	s := &p.Code[idx]
-	rec := DynRecord{Idx: int32(idx), PC: w.pc, NextPC: w.pc + isa.InstrBytes}
-
+	next, taken, addr := pc+isa.InstrBytes, false, int64(0)
 	switch {
 	case s.Class.IsControl():
-		w.resolveControl(s, &rec)
+		next, taken = w.resolveControl(s, pc)
 	case s.Class.IsMem():
-		rec.Addr = w.address(s)
+		addr = w.address(s)
 	}
-
-	w.pc = rec.NextPC
+	w.pc = next
 	w.seq++
-	return rec
+	return DynRecord{Idx: int32(idx), PC: pc, NextPC: next, Addr: addr, Taken: taken}
 }
 
-// resolveControl computes taken/target for a control instruction: the
-// walker draws what only it can resolve — a conditional branch's direction
-// and an indirect jump's table slot — and the program's code does the rest.
-func (w *Walker) resolveControl(s *isa.Static, rec *DynRecord) {
-	var taken bool
+// resolveControl computes the successor of a control instruction at pc and
+// whether control transferred: the walker draws what only it can resolve —
+// a conditional branch's direction and an indirect jump's table slot — and
+// the program's code does the rest.
+func (w *Walker) resolveControl(s *isa.Static, pc int64) (next int64, taken bool) {
 	var slot uint64
 	switch s.Class {
 	case isa.ClassBranch:
@@ -82,7 +84,7 @@ func (w *Walker) resolveControl(s *isa.Static, rec *DynRecord) {
 	case isa.ClassJumpInd:
 		slot = w.jumpSlot(s)
 	}
-	rec.NextPC, rec.Taken = w.prog.transfer(s, rec.PC, &w.callStack, taken, slot)
+	return w.prog.transfer(s, pc, &w.callStack, taken, slot)
 }
 
 // jumpSlot picks which entry of an indirect jump's table this instance
