@@ -10,7 +10,7 @@ import (
 // resolution, mispredict squashes, and miss-completion bookkeeping.
 func (p *Processor) processEvents() {
 	evs := p.events.drain(p.cycle)
-	needsCleanup := false
+	needsCleanup, verified := false, false
 	for _, ev := range evs {
 		if ev.d != nil {
 			ev.d.pendingEvts--
@@ -36,12 +36,19 @@ func (p *Processor) processEvents() {
 		}
 		switch ev.kind {
 		case evMemExec:
-			if p.memExec(d) {
-				needsCleanup = true
-			}
+			squashed, hit := p.memExec(d)
+			needsCleanup = needsCleanup || squashed
+			verified = verified || hit
 		case evResolve:
 			p.resolve(d)
 		}
+	}
+	// One release walk after every event, not one per verified load: an
+	// instruction a verification frees consumes no load another event this
+	// cycle can squash (it would still be at risk), so no event in between
+	// sees the difference, and the fixed point reached is the same.
+	if verified && p.releaseDependents() {
+		needsCleanup = true
 	}
 	if needsCleanup {
 		p.cleanupQueues()
@@ -49,9 +56,10 @@ func (p *Processor) processEvents() {
 }
 
 // memExec performs the D-cache access for a load or store reaching its
-// execute stage. It returns true when IQ entries were released or reverted
-// (requiring queue cleanup).
-func (p *Processor) memExec(d *dyn) bool {
+// execute stage. It reports whether IQ entries were reverted (requiring
+// queue cleanup), and whether a load verified on the optimistic schedule,
+// so that optimistic instructions may now be released.
+func (p *Processor) memExec(d *dyn) (squashed, hit bool) {
 	th := p.threads[d.thread]
 	res := p.mem.AccessData(p.cycle, d.addr, d.isStore())
 	if res.BankConflict {
@@ -68,9 +76,9 @@ func (p *Processor) memExec(d *dyn) bool {
 				ready = p.cycle + 1
 			}
 			p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, ready)
-			return p.squashDependents(d)
+			return p.squashDependents(d), false
 		}
-		return false
+		return false, false
 	}
 
 	if d.isStore() {
@@ -78,35 +86,24 @@ func (p *Processor) memExec(d *dyn) bool {
 		th.removeStore(d)
 		d.memVerified = true
 		d.doneCycle = p.cycle + 1 + p.cfg.commitDelay()
-		return false
+		return false, false
 	}
 
 	// Load: hit or miss now known.
 	d.memVerified = true
 	d.doneCycle = res.Done + p.cfg.commitDelay()
-	changed := false
 	if res.L1Miss {
 		th.misscount++
 		p.events.schedule(res.Done, evMissDone, nil, d.thread)
 	}
-	if d.destPhys != rename.None {
+	if res.L1Miss && d.destPhys != rename.None {
 		// Dependents may issue so that their execute stage begins after the
 		// data is available.
-		ready := res.Done - p.cfg.execOffset() + 1
-		if ready <= p.cycle {
-			ready = p.cycle // hit: the optimistic schedule was correct
-		}
-		f := p.ren.FileFor(d.si.Dest)
-		if res.L1Miss {
-			f.SetReady(d.destPhys, ready)
-			changed = p.squashDependents(d)
-		} else {
-			changed = p.releaseDependents()
-		}
-	} else if !res.L1Miss {
-		changed = p.releaseDependents()
+		ready := max(res.Done-p.cfg.execOffset()+1, p.cycle)
+		p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, ready)
+		return p.squashDependents(d), false
 	}
-	return changed
+	return false, !res.L1Miss
 }
 
 // squashDependents pulls back every issued-but-not-executing instruction
