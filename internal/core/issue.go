@@ -52,16 +52,18 @@ func (p *Processor) issueStage() {
 
 	var fu fuState
 	if p.issuePol.Less == nil {
+		// The merge walk visits each queue front to back, so its removal
+		// positions are already ascending.
 		p.issueOldestFirst(&fu)
 	} else {
+		// A reordering policy visits candidates in its own order, so
+		// per-queue removal positions may be out of order; they are nearly
+		// sorted (age order within each queue), which insertion sort
+		// handles in ~n compares.
 		p.issueReordered(specSeq, &fu)
+		insertionSortInts(p.idxBuf)
+		insertionSortInts(p.fpIdxBuf)
 	}
-
-	// Issue visits candidates in policy order, so per-queue removal
-	// positions may be out of order; they are nearly sorted (age order
-	// within each queue), which insertion sort handles in ~n compares.
-	insertionSortInts(p.idxBuf)
-	insertionSortInts(p.fpIdxBuf)
 	p.intQ.RemoveIndices(p.idxBuf)
 	p.fpQ.RemoveIndices(p.fpIdxBuf)
 }
