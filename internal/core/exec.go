@@ -193,10 +193,14 @@ func consumes(x *dyn, fp bool, reg rename.PhysReg, p *Processor) bool {
 // both queues would match. The released set is the unique fixed point of a monotone
 // condition over the (acyclic) producer graph, so visiting in list order
 // rather than age order changes nothing.
+//
+// A release can change only a later visit's answer, so a pass needs a
+// successor only when it kept an entry before releasing one; the list is
+// in issue order, which puts producers first, so most calls take one pass.
 func (p *Processor) releaseDependents() bool {
 	released := false
 	for {
-		progress := false
+		again := false
 		keep := p.optHeld[:0]
 		for _, d := range p.optHeld {
 			if !d.optHeldListed {
@@ -218,14 +222,14 @@ func (p *Processor) releaseDependents() bool {
 			if d.isControl() {
 				th.brcount--
 			}
-			progress = true
 			released = true
+			again = again || len(keep) > 0
 		}
 		for i := len(keep); i < len(p.optHeld); i++ {
 			p.optHeld[i] = nil
 		}
 		p.optHeld = keep
-		if !progress {
+		if !again {
 			break
 		}
 	}
