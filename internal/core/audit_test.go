@@ -138,7 +138,7 @@ func TestDynStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
-// dropDead is cleanupQueues' compaction: it must take out exactly the
+// dropDead is processEvents' queue compaction: it must take out exactly the
 // squashed and released entries, keep the rest in age order, leave no
 // pointer behind in the abandoned tail, and not rewrite a queue that has
 // nothing to drop (the read-only pass finds no position to hand over).

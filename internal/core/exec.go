@@ -10,7 +10,10 @@ import (
 // resolution, mispredict squashes, and miss-completion bookkeeping.
 func (p *Processor) processEvents() {
 	evs := p.events.drain(p.cycle)
-	needsCleanup, verified := false, false
+	// Entries leave a queue here only by a mispredict squash or a release
+	// (an optimistic pull-back keeps its slot), so each queue is swept
+	// only after one of those may have emptied a slot in it.
+	deadInt, deadFP, verified := false, false, false
 	for _, ev := range evs {
 		if ev.d != nil {
 			ev.d.pendingEvts--
@@ -22,7 +25,7 @@ func (p *Processor) processEvents() {
 		case evSquash:
 			if ev.d.state != stSquashed && ev.gen == ev.d.gen {
 				p.performSquash(ev.d)
-				needsCleanup = true
+				deadInt, deadFP = true, true
 			}
 			p.maybeRelease(ev.d)
 			continue
@@ -36,9 +39,7 @@ func (p *Processor) processEvents() {
 		}
 		switch ev.kind {
 		case evMemExec:
-			squashed, hit := p.memExec(d)
-			needsCleanup = needsCleanup || squashed
-			verified = verified || hit
+			verified = p.memExec(d) || verified
 		case evResolve:
 			p.resolve(d)
 		}
@@ -47,19 +48,22 @@ func (p *Processor) processEvents() {
 	// instruction a verification frees consumes no load another event this
 	// cycle can squash (it would still be at risk), so no event in between
 	// sees the difference, and the fixed point reached is the same.
-	if verified && p.releaseDependents() {
-		needsCleanup = true
+	if verified {
+		intFreed, fpFreed := p.releaseDependents()
+		deadInt, deadFP = deadInt || intFreed, deadFP || fpFreed
 	}
-	if needsCleanup {
-		p.cleanupQueues()
+	if deadInt {
+		p.idxBuf = dropDead(p.intQ, p.idxBuf[:0])
+	}
+	if deadFP {
+		p.fpIdxBuf = dropDead(p.fpQ, p.fpIdxBuf[:0])
 	}
 }
 
 // memExec performs the D-cache access for a load or store reaching its
-// execute stage. It reports whether IQ entries were reverted (requiring
-// queue cleanup), and whether a load verified on the optimistic schedule,
-// so that optimistic instructions may now be released.
-func (p *Processor) memExec(d *dyn) (squashed, hit bool) {
+// execute stage. It reports whether a load verified on the optimistic
+// schedule, so that optimistic instructions may now be released.
+func (p *Processor) memExec(d *dyn) (hit bool) {
 	th := p.threads[d.thread]
 	res := p.mem.AccessData(p.cycle, d.addr, d.isStore())
 	if res.BankConflict {
@@ -76,9 +80,9 @@ func (p *Processor) memExec(d *dyn) (squashed, hit bool) {
 				ready = p.cycle + 1
 			}
 			p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, ready)
-			return p.squashDependents(d), false
+			p.squashDependents(d)
 		}
-		return false, false
+		return false
 	}
 
 	if d.isStore() {
@@ -86,7 +90,7 @@ func (p *Processor) memExec(d *dyn) (squashed, hit bool) {
 		th.removeStore(d)
 		d.memVerified = true
 		d.doneCycle = p.cycle + 1 + p.cfg.commitDelay()
-		return false, false
+		return false
 	}
 
 	// Load: hit or miss now known.
@@ -101,16 +105,16 @@ func (p *Processor) memExec(d *dyn) (squashed, hit bool) {
 		// data is available.
 		ready := max(res.Done-p.cfg.execOffset()+1, p.cycle)
 		p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, ready)
-		return p.squashDependents(d), false
+		p.squashDependents(d)
+		return false
 	}
-	return false, !res.L1Miss
+	return !res.L1Miss
 }
 
 // squashDependents pulls back every issued-but-not-executing instruction
 // that transitively consumed d's (now invalidated) result. The instructions
 // return to their IQ slots — which they still hold, being optimistic — and
-// reissue once the corrected ready time passes. Returns true if any were
-// squashed.
+// reissue once the corrected ready time passes.
 //
 // That same fact bounds the search: an instruction can have read an
 // unverified load's result, or the result of another instruction that did,
@@ -118,9 +122,8 @@ func (p *Processor) memExec(d *dyn) (squashed, hit bool) {
 // released while its producer can still be squashed. So the walk covers
 // optHeld, not every issued instruction; stale and duplicate entries there
 // fail the state test or flip on first visit.
-func (p *Processor) squashDependents(root *dyn) bool {
+func (p *Processor) squashDependents(root *dyn) {
 	work := append(p.squashBuf[:0], root)
-	any := false
 	for len(work) > 0 {
 		w := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -148,7 +151,6 @@ func (p *Processor) squashDependents(root *dyn) bool {
 			x.doneCycle = 0
 			x.memVerified = false // a pulled-back load re-verifies on reissue
 			p.stats.OptimisticSquash++
-			any = true
 			if x.destPhys != rename.None {
 				p.ren.FileFor(x.si.Dest).SetReady(x.destPhys, rename.NotReady)
 				work = append(work, x)
@@ -156,7 +158,6 @@ func (p *Processor) squashDependents(root *dyn) bool {
 		}
 	}
 	p.squashBuf = work // empty here; retains the grown backing array
-	return any
 }
 
 // auditSquashSearch runs behind the test-only audit hook: whatever
@@ -185,7 +186,8 @@ func consumes(x *dyn, fp bool, reg rename.PhysReg, p *Processor) bool {
 
 // releaseDependents frees the IQ slots of optimistic instructions whose
 // producers have all verified, cascading through dependence levels. It
-// returns true when any slot was released.
+// reports whether it freed a slot in the integer queue and in the FP
+// queue.
 //
 // It walks the optHeld membership list instead of both queues: every
 // instruction satisfying (issued && optimistic && inIQ) went through
@@ -197,8 +199,7 @@ func consumes(x *dyn, fp bool, reg rename.PhysReg, p *Processor) bool {
 // A release can change only a later visit's answer, so a pass needs a
 // successor only when it kept an entry before releasing one; the list is
 // in issue order, which puts producers first, so most calls take one pass.
-func (p *Processor) releaseDependents() bool {
-	released := false
+func (p *Processor) releaseDependents() (intFreed, fpFreed bool) {
 	for {
 		again := false
 		keep := p.optHeld[:0]
@@ -222,7 +223,11 @@ func (p *Processor) releaseDependents() bool {
 			if d.isControl() {
 				th.brcount--
 			}
-			released = true
+			if d.cls.IsFP() {
+				fpFreed = true
+			} else {
+				intFreed = true
+			}
 			again = again || len(keep) > 0
 		}
 		for i := len(keep); i < len(p.optHeld); i++ {
@@ -233,7 +238,7 @@ func (p *Processor) releaseDependents() bool {
 			break
 		}
 	}
-	return released
+	return intFreed, fpFreed
 }
 
 // stillAtRisk reports whether an issued instruction could yet be squashed:
@@ -407,17 +412,11 @@ func (p *Processor) restoreCheckpoints(d *dyn, th *threadState) {
 	}
 }
 
-// cleanupQueues drops squashed and released entries from both queues. It
-// runs in processEvents, ahead of the issue stage that resets and refills
-// the two index buffers, so it borrows them.
-func (p *Processor) cleanupQueues() {
-	p.idxBuf = dropDead(p.intQ, p.idxBuf[:0])
-	p.fpIdxBuf = dropDead(p.fpQ, p.fpIdxBuf[:0])
-}
-
 // dropDead removes q's squashed and released entries, collecting their
 // positions in idx (returned for reuse). Finding them is a read-only pass,
-// so a queue that holds none — the FP queue on most calls — is not written.
+// so a queue that holds none is not written. processEvents calls it ahead
+// of the issue stage that resets and refills the two index buffers, so it
+// borrows them.
 func dropDead(q *iq.Queue[*dyn], idx []int) []int {
 	for i, d := range q.All() {
 		if d.state == stSquashed || !d.inIQ {
