@@ -11,9 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"sort"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -473,45 +471,16 @@ func TestPolicyPairFingerprintsWarm(t *testing.T) {
 // row set: variants, policy_pairs and core_matrix.
 const goldenFile = "testdata/fingerprints.golden.json"
 
-// resultsFingerprint is the Results address goldenFile pins: SHA-256, first
-// 16 bytes in hex, of a rendering with fields sorted by name ({Cycles:9;
-// IPC:0.5}), floats in 'g' shortest form, slices and arrays as [a,b].
+// resultsFingerprint is the Results address goldenFile pins: SHA-256,
+// first 16 bytes in hex, of the Results' JSON encoding, the form a result
+// is cached and shipped in.
 func resultsFingerprint(res smt.Results) string {
-	sum := sha256.Sum256(appendResults(nil, reflect.ValueOf(res)))
-	return hex.EncodeToString(sum[:16])
-}
-
-func appendResults(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Int64:
-		return strconv.AppendInt(b, v.Int(), 10)
-	case reflect.Float64:
-		return strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
-	case reflect.Slice, reflect.Array:
-		b = append(b, '[')
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendResults(b, v.Index(i))
-		}
-		return append(b, ']')
-	case reflect.Struct:
-		names := make([]string, v.NumField())
-		for i := range names {
-			names[i] = v.Type().Field(i).Name
-		}
-		sort.Strings(names)
-		b = append(b, '{')
-		for i, name := range names {
-			if i > 0 {
-				b = append(b, ';')
-			}
-			b = appendResults(append(append(b, name...), ':'), v.FieldByName(name))
-		}
-		return append(b, '}')
+	raw, err := json.Marshal(res)
+	if err != nil {
+		panic(err) // unreachable: every rate is a finite ratio
 	}
-	panic(fmt.Sprintf("smt.Results holds a %s", v.Kind()))
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:16])
 }
 
 // checkGolden compares got, row name -> Results fingerprint, with one

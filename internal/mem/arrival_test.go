@@ -77,12 +77,12 @@ func TestStoreMissInstallsDirty(t *testing.T) {
 			t.Fatalf("write=%v: line after its fill landed is %+v, want tag %#x dirty %v", write, l, tag, write)
 		}
 		r = h.AccessData(landed+10, addr+int64(c.cfg.SizeBytes), false)
-		bus := c.bus.next
+		bus := booked(&c.bus)
 		c.expireMSHRs(r.Done)
 		if c.probe(addr) {
 			t.Fatalf("write=%v: conflicting fill landed without evicting the line", write)
 		}
-		return c.bus.next - bus
+		return booked(&c.bus) - bus
 	}
 	clean, dirty := busAfterEviction(false), busAfterEviction(true)
 	if want := int64(DefaultConfig().Caches[L1D].TransferTime); clean != 0 || dirty != want {
@@ -116,7 +116,7 @@ func checkLandingOrder(t *testing.T, k, lookups int) {
 		}
 	}
 	for _, l := range lines {
-		h.itlb.Lookup(l) // warm the ITLB: a miss would shift the lookup past now
+		h.itlb.Lookup(0, l) // warm the ITLB: a miss would shift the lookup past now
 	}
 	c := h.caches[L1I]
 
@@ -194,5 +194,74 @@ func checkLandingOrder(t *testing.T, k, lookups int) {
 			sh.pending = append(sh.pending, fill{line, res.Done})
 			r.ready = res.Done
 		}
+	}
+}
+
+// booked returns the cycles a calendar holds booked.
+func booked(c *calendar) int64 {
+	var n int64
+	for _, w := range c.win {
+		n += w.end - w.start
+	}
+	return n
+}
+
+// TestStoreMergeDirtiesLine: a store that merges onto a load's in-flight
+// fill dirties the line the fill installs, so evicting the line books a
+// writeback on the bus, as it does for a store that missed itself.
+func TestStoreMergeDirtiesLine(t *testing.T) {
+	const addr = int64(0x20000)
+	h := MustNew(DefaultConfig())
+	c := h.caches[L1D]
+	load := h.AccessData(0, addr, false)
+	if !load.L1Miss {
+		t.Fatalf("setup: the load hit: %+v", load)
+	}
+	store := h.AccessData(1, addr+8, true)
+	if !store.L1Miss || store.Done != load.Done || c.stats.Merged != 1 {
+		t.Fatalf("setup: the store did not merge onto the load's fill: %+v after %+v, %d merged", store, load, c.stats.Merged)
+	}
+	landed := load.Done - 1
+	c.expireMSHRs(landed)
+	set, tag := c.setTag(addr)
+	if l := c.lines[set]; !l.valid || l.tag != tag || !l.dirty {
+		t.Fatalf("line after the fill landed is %+v, want tag %#x and dirty", l, tag)
+	}
+	r := h.AccessData(landed+10, addr+int64(c.cfg.SizeBytes), false)
+	bus := booked(&c.bus)
+	c.expireMSHRs(r.Done)
+	if got, want := booked(&c.bus)-bus, int64(c.cfg.TransferTime); got != want {
+		t.Fatalf("evicting the merged-into line booked the bus for %d cycles, want a %d-cycle writeback", got, want)
+	}
+}
+
+// TestTLBEntryUsableWhenItsWalkEnds is the TLB's version of install on
+// arrival. A line sits in the L1D while its page has left the DTLB. A load
+// to another line of the page misses the DTLB and walks; a load to the
+// cached line one cycle later hits the entry that walk is filling, and
+// must wait for the walk, not finish before it.
+func TestTLBEntryUsableWhenItsWalkEnds(t *testing.T) {
+	const page = int64(0x400000)
+	cfg := DefaultConfig()
+	h := MustNew(cfg)
+	cached := page + 64
+	now := warm(h, 0, cached)
+	// Evict the page from the DTLB through pages whose first lines map to
+	// other L1D sets than the cached line's.
+	for i := int64(1); i <= int64(cfg.DTLB.Entries); i++ {
+		now = warm(h, now, page+i*int64(cfg.DTLB.PageBytes))
+	}
+	now += 1000
+	first := h.AccessData(now, page+128, false)
+	if !first.TLBMiss {
+		t.Fatalf("setup: the page is still in the DTLB: %+v", first)
+	}
+	walked := now + int64(cfg.DTLB.MissPenalty)
+	second := h.AccessData(now+1, cached, false)
+	if second.TLBMiss || second.L1Miss || second.BankConflict {
+		t.Fatalf("setup: want a DTLB and L1D hit, got %+v", second)
+	}
+	if second.Done <= walked {
+		t.Fatalf("the second load finished at %d, before the first's walk ends at %d", second.Done, walked)
 	}
 }

@@ -7,9 +7,12 @@
 // conflicts at multiple levels of the hierarchy"; this package does the
 // same with a completion-time model: every access walks the hierarchy once,
 // reserving bank, port, and bus occupancy as side effects and returning the
-// cycle at which data is available. Each level's access port, fill port and
-// bus to the next level is one port, booked in request order; Section 7's
-// infinite-bandwidth machine builds them unlimited. One lookup serves every
+// cycle at which data is available. Each level's fill port and bus to the
+// next level is a calendar of booked windows, kept in time order: a request
+// takes the first gap at or after the cycle it needs the resource, so an
+// L2 hit is not queued behind a memory miss booked ~300 cycles out. Each
+// level's access port is a frontier, booked in request order. Section 7's
+// infinite-bandwidth machine builds them all unlimited. One lookup serves every
 // level: it merges onto the line's in-flight fill, hits in the tags, or
 // misses and fills. Caches are lockup-free: misses allocate MSHR entries,
 // concurrent requests for the same line merge onto the in-flight fill, and
@@ -20,6 +23,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Level identifies a cache in the hierarchy.
@@ -155,20 +159,21 @@ type cache struct {
 	bankShift uint
 	bankMask  uint64
 
-	bankLast []int64    // last cycle each bank accepted an access
-	access   port       // port throttle (AccessEvery)
-	fill     port       // serializes overlapping fills
-	fills    []interval // scheduled fill-occupancy windows
-	bus      port       // bus to the next level
+	bankLast []int64  // last cycle each bank accepted an access
+	access   port     // port throttle (AccessEvery)
+	fill     calendar // fill windows, each over the banks its line occupies
+	bus      calendar // bus to the next level
 
 	mshr  []mshrEntry // in-flight line fills, at most MSHRs entries
 	stats Stats
+
+	clock *int64 // the hierarchy's current cycle (Hierarchy.now)
 }
 
-// port is one occupancy frontier: an access port, a fill port or a bus.
-// Bookings are made in request order, so a request waits behind every
-// booking made before it, even one for a later cycle. An unlimited port
-// (Section 7's infinite bandwidth) books nothing and never delays.
+// port is one occupancy frontier: a level's access port. Bookings are made
+// in request order, so a request waits behind every booking made before it,
+// even one for a later cycle. An unlimited port (Section 7's infinite
+// bandwidth) books nothing and never delays.
 type port struct {
 	next      int64 // first cycle free after the last booking
 	unlimited bool
@@ -184,12 +189,78 @@ func (p *port) book(start, dur int64) {
 	}
 }
 
-// reserve books dur cycles at the first free cycle at or after t and
-// returns that cycle.
-func (p *port) reserve(t, dur int64) int64 {
-	start := p.free(t)
-	p.book(start, dur)
-	return start
+// calendar is a fill port or a bus: its booked windows, disjoint and sorted
+// by start. reserve books the first gap at or after the requested cycle, so
+// bookings are made in time order, not request order. A window is dropped
+// (prune) once it ends at or before the hierarchy's current cycle; every
+// later request is made at or after that cycle, so dropping it cannot
+// change a booking. The live windows are bounded by the fills in flight,
+// and the backing array is reused, so a warmed calendar never allocates.
+// An unlimited calendar (Section 7's infinite bandwidth) books nothing and
+// never delays.
+type calendar struct {
+	win       []interval
+	unlimited bool
+}
+
+// calendarSeed is a calendar's initial capacity: the windows of a full
+// MSHR table, with room for writebacks.
+const calendarSeed = 24
+
+// interval is a half-open busy window [start, end) over a set of banks
+// (bus windows occupy none).
+type interval struct {
+	start, end int64
+	banks      uint32 // bitmask of occupied banks
+}
+
+// reserve books dur cycles over banks at the first gap at or after t and
+// returns its start. A zero-length booking occupies nothing and starts at
+// t.
+func (c *calendar) reserve(t, dur int64, banks uint32) int64 {
+	if c.unlimited || dur == 0 {
+		return t
+	}
+	i := 0
+	for ; i < len(c.win); i++ {
+		w := &c.win[i]
+		if w.end <= t {
+			continue // over before the booking could start
+		}
+		if w.start >= t+dur {
+			break // the gap before w holds it
+		}
+		t = w.end // overlaps: the next gap starts where w ends
+	}
+	c.win = slices.Insert(c.win, i, interval{t, t + dur, banks})
+	return t
+}
+
+// busyAt reports whether a window covering cycle now occupies any bank in
+// mask.
+func (c *calendar) busyAt(now int64, mask uint32) bool {
+	for i := range c.win {
+		w := &c.win[i]
+		if w.start > now {
+			return false
+		}
+		if w.end > now && w.banks&mask != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// prune drops the windows that end at or before now. Windows are disjoint
+// and sorted by start, so those are a prefix.
+func (c *calendar) prune(now int64) {
+	k := 0
+	for k < len(c.win) && c.win[k].end <= now {
+		k++
+	}
+	if k > 0 {
+		c.win = c.win[:copy(c.win, c.win[k:])]
+	}
 }
 
 // mshrEntry records one in-flight line fill. The table is a flat slice —
@@ -202,12 +273,6 @@ type mshrEntry struct {
 	dirty bool   // a store missed: the line installs dirty
 }
 
-// interval is a half-open busy window [start, end) over a set of banks.
-type interval struct {
-	start, end int64
-	banks      uint32 // bitmask of occupied banks
-}
-
 // lineBanks returns the bank mask a fill occupies: the bank holding the
 // line's critical (first) word. Fill writes stream across banks quickly, so
 // reserving one bank for FillTime cycles approximates the disturbance
@@ -217,30 +282,15 @@ func (c *cache) lineBanks(addr int64) uint32 {
 	return 1 << uint(c.bank(la))
 }
 
-// fillBusyAt reports whether a fill occupies any bank in mask at cycle now,
-// pruning expired windows.
-func (c *cache) fillBusyAt(now int64, mask uint32) bool {
-	keep := c.fills[:0]
-	busy := false
-	for _, iv := range c.fills {
-		if iv.end > now {
-			keep = append(keep, iv)
-			if iv.start <= now && iv.banks&mask != 0 {
-				busy = true
-			}
-		}
-	}
-	c.fills = keep
-	return busy
-}
-
-// newCache builds one level; under infiniteBW its ports are unlimited.
-func newCache(name string, cfg CacheConfig, infiniteBW bool) *cache {
+// newCache builds one level reading the hierarchy's clock; under
+// infiniteBW its ports are unlimited.
+func newCache(name string, cfg CacheConfig, infiniteBW bool, clock *int64) *cache {
 	sets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
 	c := &cache{
+		clock:     clock,
 		access:    port{unlimited: infiniteBW},
-		fill:      port{unlimited: infiniteBW},
-		bus:       port{unlimited: infiniteBW},
+		fill:      calendar{win: make([]interval, 0, calendarSeed), unlimited: infiniteBW},
+		bus:       calendar{win: make([]interval, 0, calendarSeed), unlimited: infiniteBW},
 		cfg:       cfg,
 		name:      name,
 		sets:      sets,
@@ -259,19 +309,19 @@ func newCache(name string, cfg CacheConfig, infiniteBW bool) *cache {
 	return c
 }
 
-// inflight returns the completion cycle of an in-flight fill covering addr,
-// if one exists, after installing the fills done by now. A line enters the
-// tag array only when its fill lands, so this check must precede the tag
-// probe for correct timing.
-func (c *cache) inflight(now int64, addr int64) (done int64, ok bool) {
+// inflight returns the MSHR entry of an in-flight fill covering addr, or
+// nil, after installing the fills done by now. A line enters the tag array
+// only when its fill lands, so this check must precede the tag probe for
+// correct timing.
+func (c *cache) inflight(now int64, addr int64) *mshrEntry {
 	c.expireMSHRs(now)
 	la := c.lineAddr(addr)
 	for i := range c.mshr {
 		if c.mshr[i].line == la {
-			return c.mshr[i].done, true
+			return &c.mshr[i]
 		}
 	}
-	return 0, false
+	return nil
 }
 
 // log2 returns the exponent of a validated power of two.
@@ -369,8 +419,10 @@ func (c *cache) install(la uint64, write bool) (evictedDirty bool) {
 
 // expireMSHRs lands the fills done by now: each installs its line, in done
 // order with table order breaking ties, and leaves the table. A dirty
-// victim's writeback books the outbound bus as it is evicted. Survivor
-// order is preserved, so table order stays request order.
+// victim's writeback books the first bus gap at or after its eviction, or
+// at or after the hierarchy's current cycle clock if the fill is landed
+// later than that: no booking is made in the past. Survivor order is
+// preserved, so table order stays request order.
 func (c *cache) expireMSHRs(now int64) {
 	for {
 		first := -1
@@ -385,7 +437,7 @@ func (c *cache) expireMSHRs(now int64) {
 		e := c.mshr[first]
 		c.mshr = append(c.mshr[:first], c.mshr[first+1:]...)
 		if c.install(e.line, e.dirty) {
-			c.bus.book(c.bus.next, int64(c.cfg.TransferTime))
+			c.bus.reserve(max(e.done, *c.clock), int64(c.cfg.TransferTime), 0)
 		}
 	}
 }
@@ -464,6 +516,10 @@ type Hierarchy struct {
 	caches [NumLevels]*cache
 	itlb   *TLB
 	dtlb   *TLB
+	// now is the current cycle: the latest passed to AccessData or
+	// AccessInstr. Callers never pass an earlier one, so every booking is
+	// made at or after it, and the calendars drop the windows over by then.
+	now int64
 }
 
 // New builds a Hierarchy from cfg.
@@ -473,7 +529,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{cfg: cfg}
 	for l := Level(0); l < NumLevels; l++ {
-		h.caches[l] = newCache(l.String(), cfg.Caches[l], cfg.InfiniteBW)
+		h.caches[l] = newCache(l.String(), cfg.Caches[l], cfg.InfiniteBW, &h.now)
 	}
 	h.itlb = NewTLB(cfg.ITLB)
 	h.dtlb = NewTLB(cfg.DTLB)
@@ -515,15 +571,16 @@ type DataResult struct {
 // (that is the paper's optimistic-issue squash trigger, together with L1
 // misses).
 func (h *Hierarchy) AccessData(now int64, addr int64, write bool) DataResult {
+	h.advance(now)
 	l1 := h.caches[L1D]
 	if !h.cfg.InfiniteBW {
 		b := l1.bank(addr)
-		if l1.fillBusyAt(now, 1<<uint(b)) || l1.bankLast[b] == now {
+		if l1.fill.busyAt(now, 1<<uint(b)) || l1.bankLast[b] == now {
 			return DataResult{Done: now + 1, BankConflict: true}
 		}
 		l1.bankLast[b] = now
 	}
-	t, tlbMiss := translate(h.dtlb, now, addr)
+	t, tlbMiss := h.dtlb.Lookup(now, addr)
 	done, how := h.lookup(L1D, t, addr, write)
 	// Every outcome adds the pipelined 1-cycle hit (Table 1: load hit = 1).
 	return DataResult{Done: done + 1, L1Miss: how != hit, TLBMiss: tlbMiss}
@@ -541,10 +598,11 @@ type InstrResult struct {
 // reports when the fill completes (the thread stalls until then; the fill
 // proceeds in the background — the cache is lockup-free).
 func (h *Hierarchy) AccessInstr(now int64, pc int64) InstrResult {
+	h.advance(now)
 	if h.InstrBankBusy(now, pc) {
 		return InstrResult{Done: now + 1, BankConflict: true}
 	}
-	t, tlbMiss := translate(h.itlb, now, pc)
+	t, tlbMiss := h.itlb.Lookup(now, pc)
 	done, how := h.lookup(L1I, t, pc, false)
 	return InstrResult{Done: done, Miss: how != hit, TLBMiss: tlbMiss}
 }
@@ -568,16 +626,20 @@ func (h *Hierarchy) InstrBank(pc int64) int { return h.caches[L1I].bank(pc) }
 // fills)").
 func (h *Hierarchy) InstrBankBusy(now int64, pc int64) bool {
 	c := h.caches[L1I]
-	return c.fillBusyAt(now, 1<<uint(c.bank(pc)))
+	return c.fill.busyAt(now, 1<<uint(c.bank(pc)))
 }
 
-// translate looks addr up in tlb at cycle now. It returns the cycle the
-// access proceeds at, past a miss's fixed penalty, and whether it missed.
-func translate(tlb *TLB, now int64, addr int64) (int64, bool) {
-	if tlb.Lookup(addr) {
-		return now, false
+// advance moves the current cycle to now, if it is later, and drops the
+// windows over by then from every calendar.
+func (h *Hierarchy) advance(now int64) {
+	if now <= h.now {
+		return
 	}
-	return now + int64(tlb.cfg.MissPenalty), true
+	h.now = now
+	for _, c := range h.caches {
+		c.fill.prune(now)
+		c.bus.prune(now)
+	}
 }
 
 // outcome is what one lookup did.
@@ -597,10 +659,12 @@ const (
 func (h *Hierarchy) lookup(l Level, t int64, addr int64, write bool) (int64, outcome) {
 	c := h.caches[l]
 	c.stats.Accesses++
-	if done, ok := c.inflight(t, addr); ok {
-		// Secondary miss: it stalls with the fill but adds no traffic.
+	if e := c.inflight(t, addr); e != nil {
+		// Secondary miss: it stalls with the fill but adds no traffic. A
+		// store merging onto it dirties the line the fill installs.
 		c.stats.Merged++
-		return max(done, t), merged
+		e.dirty = e.dirty || write
+		return max(e.done, t), merged
 	}
 	if c.touch(addr, write) {
 		return t, hit
@@ -631,11 +695,8 @@ func (h *Hierarchy) fill(l Level, t int64, addr int64, write bool) int64 {
 
 	// Data returns over the bus into this cache, then the fill occupies
 	// the fill port and the line's banks.
-	xfer, fillTime := int64(c.cfg.TransferTime), int64(c.cfg.FillTime)
-	arrive := c.fill.reserve(c.bus.reserve(dataReady, xfer)+xfer, fillTime)
-	if !c.fill.unlimited {
-		c.fills = append(c.fills, interval{arrive, arrive + fillTime, c.lineBanks(addr)})
-	}
+	xfer := int64(c.cfg.TransferTime)
+	arrive := c.fill.reserve(c.bus.reserve(dataReady, xfer, 0)+xfer, int64(c.cfg.FillTime), c.lineBanks(addr))
 	c.mshr = append(c.mshr, mshrEntry{line: c.lineAddr(addr), done: arrive, dirty: write})
 	return arrive
 }
@@ -648,7 +709,7 @@ func (h *Hierarchy) levelAccess(l Level, t int64, addr int64) int64 {
 	// Port throttle: L2 takes one access per cycle, L3 one per four, and
 	// none while a fill holds the line's banks.
 	t = c.access.free(t)
-	for c.fillBusyAt(t, c.lineBanks(addr)) {
+	for c.fill.busyAt(t, c.lineBanks(addr)) {
 		t++
 	}
 	c.access.book(t, int64(c.cfg.AccessEvery))

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,22 +89,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// port books in request order: a request waits behind every booking made
-// before it, even one for a later cycle, and an unlimited port never
-// books.
+// An access port is a frontier: a booking starts no earlier than the end
+// of the last one, whatever cycle it was made for, and an unlimited port
+// never books.
 func TestPort(t *testing.T) {
-	var p port
-	for _, step := range []struct{ t, dur, want, next int64 }{
-		{10, 4, 10, 14},
-		{5, 4, 14, 18}, // made later for an earlier cycle: it queues
-		{30, 1, 30, 31},
-		{31, 0, 31, 31},
-	} {
-		if got := p.reserve(step.t, step.dur); got != step.want || p.next != step.next {
-			t.Fatalf("reserve(%d, %d) = %d, next %d; want %d, next %d", step.t, step.dur, got, p.next, step.want, step.next)
-		}
-	}
-	p = port{next: 20}
+	p := port{next: 20}
 	if p.free(25) != 25 || p.free(15) != 20 {
 		t.Fatalf("free around next 20: free(25) = %d, free(15) = %d", p.free(25), p.free(15))
 	}
@@ -111,31 +101,81 @@ func TestPort(t *testing.T) {
 	if p.next != 25 {
 		t.Fatalf("book(22, 3): next %d, want 25", p.next)
 	}
-
 	u := port{unlimited: true}
 	u.book(100, 50)
-	for _, at := range []int64{0, 7, 200} {
-		if got := u.reserve(at, 9); got != at || u.free(at) != at {
-			t.Fatalf("unlimited port delayed a request at %d to %d", at, got)
-		}
-	}
-	if u.next != 0 {
+	if u.next != 0 || u.free(7) != 7 {
 		t.Fatalf("unlimited port booked up to %d", u.next)
 	}
 }
 
-// TestBusBooksInRequestOrder pins today's request-order frontier. An L1D
-// miss that hits in L2 is back in 9 cycles on its own; issued one cycle
-// after a miss to memory it waits 310, because that miss has already
-// booked the L1D bus and fill port for its data ~300 cycles out. A
-// time-ordered calendar would put the L2 hit in the gap before that
-// booking; changing the ports to one is expected to flip this assertion.
-func TestBusBooksInRequestOrder(t *testing.T) {
+// A calendar books the first gap at or after the requested cycle: a
+// request made later for an earlier cycle takes a gap before the bookings
+// already made, a request that fits no gap goes past the window it meets,
+// and a zero-length request occupies nothing. busyAt sees a window's banks
+// over [start, end), prune drops the windows over by its cycle, and an
+// unlimited calendar never books.
+func TestCalendar(t *testing.T) {
+	var c calendar
+	for _, step := range []struct {
+		t, dur int64
+		banks  uint32
+		want   int64
+	}{
+		{10, 4, 1, 10},
+		{5, 4, 2, 5},  // made later for an earlier cycle: the gap before [10,14)
+		{8, 4, 1, 14}, // overlaps [5,9), then [10,14): past both
+		{30, 1, 4, 30},
+		{31, 0, 4, 31}, // zero-length: nothing booked
+		{0, 5, 8, 0},   // fits exactly before [5,9)
+		{9, 1, 8, 9},   // fits exactly in [9,10)
+		{18, 2, 1, 18}, // adjoins [14,18)
+	} {
+		if got := c.reserve(step.t, step.dur, step.banks); got != step.want {
+			t.Fatalf("reserve(%d, %d) = %d, want %d", step.t, step.dur, got, step.want)
+		}
+	}
+	want := []interval{{0, 5, 8}, {5, 9, 2}, {9, 10, 8}, {10, 14, 1}, {14, 18, 1}, {18, 20, 1}, {30, 31, 4}}
+	if !slices.Equal(c.win, want) {
+		t.Fatalf("windows %v, want %v", c.win, want)
+	}
+	for _, q := range []struct {
+		at   int64
+		mask uint32
+		want bool
+	}{{4, 8, true}, {5, 8, false}, {5, 2, true}, {9, 8, true}, {13, 1, true}, {14, 2, false}, {20, 1, false}, {30, 4, true}, {31, 4, false}} {
+		if got := c.busyAt(q.at, q.mask); got != q.want {
+			t.Errorf("busyAt(%d, %b) = %v, want %v", q.at, q.mask, got, q.want)
+		}
+	}
+	c.prune(14)
+	if want := want[4:]; !slices.Equal(c.win, want) {
+		t.Fatalf("after prune(14): windows %v, want %v", c.win, want)
+	}
+
+	u := calendar{unlimited: true}
+	for _, at := range []int64{0, 7, 200} {
+		if got := u.reserve(at, 9, 1); got != at || u.busyAt(at, 1) {
+			t.Fatalf("unlimited calendar delayed a request at %d to %d", at, got)
+		}
+	}
+	if len(u.win) != 0 {
+		t.Fatalf("unlimited calendar booked %v", u.win)
+	}
+}
+
+// TestBusBooksInTimeOrder: an L1D miss that hits in L2 is back in 9
+// cycles on its own, and still in 9 when issued one cycle after a miss to
+// memory. That miss has booked the L1D bus and fill port for its data ~300
+// cycles out; the L2 hit takes the gap before those bookings instead of
+// queueing behind them. (Both pages are in the DTLB: a walk would hold the
+// miss's L2 access, and with it the L2's request-order access port.)
+func TestBusBooksInTimeOrder(t *testing.T) {
 	const near, far = int64(0x10040), int64(0x7000000)
 	l2Hit := func(h *Hierarchy) int64 {
 		// Evict near from the direct-mapped L1D; the 4-way L2 keeps it.
 		now := warm(h, 0, near)
 		now = warm(h, now, near+int64(h.cfg.Caches[L1D].SizeBytes))
+		now = warm(h, now, far+0x1000) // far's page, not its line
 		return now + 500
 	}
 
@@ -150,11 +190,11 @@ func TestBusBooksInRequestOrder(t *testing.T) {
 	now = l2Hit(h)
 	first := h.AccessData(now, far, false)
 	behind := h.AccessData(now+1, near, false)
-	if l2 := h.CacheStats(L2); l2.Misses != 3 {
-		t.Fatalf("setup: L2 misses %d, want 3 (two warm lines and the far one)", l2.Misses)
+	if l2 := h.CacheStats(L2); l2.Misses != 4 || first.TLBMiss || behind.TLBMiss {
+		t.Fatalf("setup: L2 misses %d, want 4 (three warm lines and the far one); TLB misses %v %v", l2.Misses, first.TLBMiss, behind.TLBMiss)
 	}
-	if behind.Done-(now+1) != 310 || behind.Done <= first.Done {
-		t.Fatalf("L2 hit behind a memory miss done in %d cycles (miss at +%d), want 310, after the miss",
+	if behind.Done-(now+1) != 9 || behind.Done >= first.Done {
+		t.Fatalf("L2 hit behind a memory miss done in %d cycles (miss at +%d), want 9, before the miss",
 			behind.Done-(now+1), first.Done-now)
 	}
 }
@@ -279,9 +319,9 @@ func TestInfiniteBWDisablesConflicts(t *testing.T) {
 		}
 	}
 	for l, c := range h.caches {
-		if len(c.fills) != 0 || c.access.next != 0 || c.fill.next != 0 || c.bus.next != 0 {
-			t.Errorf("%s: %d fill windows, ports next access %d fill %d bus %d; want none booked",
-				Level(l), len(c.fills), c.access.next, c.fill.next, c.bus.next)
+		if len(c.fill.win) != 0 || len(c.bus.win) != 0 || c.access.next != 0 {
+			t.Errorf("%s: %d fill windows, %d bus windows, access port next %d; want none booked",
+				Level(l), len(c.fill.win), len(c.bus.win), c.access.next)
 		}
 	}
 
@@ -388,19 +428,20 @@ func TestTLBLRUCapacity(t *testing.T) {
 	cfg := TLBConfig{Entries: 4, PageBytes: 8 << 10, MissPenalty: 10}
 	tlb := NewTLB(cfg)
 	pages := []int64{0, 1, 2, 3}
+	hit := func(addr int64) bool { _, miss := tlb.Lookup(0, addr); return !miss }
 	for _, p := range pages {
-		tlb.Lookup(p * 8 << 10)
+		hit(p * 8 << 10)
 	}
 	for _, p := range pages {
-		if !tlb.Lookup(p * 8 << 10) {
+		if !hit(p * 8 << 10) {
 			t.Fatalf("page %d evicted within capacity", p)
 		}
 	}
-	tlb.Lookup(4 * 8 << 10) // evicts LRU = page 0
-	if tlb.Lookup(0) {
+	hit(4 * 8 << 10) // evicts LRU = page 0
+	if hit(0) {
 		t.Fatal("LRU page survived over-capacity insert")
 	}
-	if !tlb.Lookup(4 * 8 << 10) {
+	if !hit(4 * 8 << 10) {
 		t.Fatal("newest page missing")
 	}
 }
@@ -499,7 +540,18 @@ func TestStateWalk(t *testing.T) {
 		return h
 	}
 
-	data := save(warm())
+	// The checkpoint is taken with bookings in flight: calendar windows,
+	// MSHR entries and DTLB walks that end after the saved cycle.
+	inFlight := warm()
+	windows := 0
+	for _, k := range inFlight.caches {
+		windows += len(k.fill.win) + len(k.bus.win)
+	}
+	if windows == 0 || len(inFlight.caches[L1D].mshr) == 0 || slices.Max(inFlight.dtlb.ready) <= inFlight.now {
+		t.Fatalf("setup: %d windows, %d L1D MSHRs and DTLB walks to %d at cycle %d: nothing in flight to checkpoint",
+			windows, len(inFlight.caches[L1D].mshr), slices.Max(inFlight.dtlb.ready), inFlight.now)
+	}
+	data := save(inFlight)
 	h, err := restore(DefaultConfig(), data)
 	if err != nil {
 		t.Fatal(err)
@@ -509,8 +561,11 @@ func TestStateWalk(t *testing.T) {
 	}
 	want, got := warm(), h
 	for i := int64(400); i < 600; i++ {
-		if a, b := want.AccessData(i, 0x10000+i*72, false), got.AccessData(i, 0x10000+i*72, false); a != b {
+		if a, b := want.AccessData(i, 0x10000+i*72, i%5 == 0), got.AccessData(i, 0x10000+i*72, i%5 == 0); a != b {
 			t.Fatalf("cycle %d: restored hierarchy answered %+v, original %+v", i, b, a)
+		}
+		if a, b := want.AccessInstr(i, 0x400000+i*40), got.AccessInstr(i, 0x400000+i*40); a != b {
+			t.Fatalf("cycle %d: restored hierarchy fetched %+v, original %+v", i, b, a)
 		}
 	}
 
@@ -520,10 +575,15 @@ func TestStateWalk(t *testing.T) {
 		t.Error("state restored onto a different geometry")
 	}
 	for name, corrupt := range map[string]func(h *Hierarchy){
-		"MSHRs over capacity":            func(h *Hierarchy) { h.caches[L1D].mshr = make([]mshrEntry, h.cfg.Caches[L1D].MSHRs+1) },
-		"TLB MRU out of range":           func(h *Hierarchy) { h.dtlb.last = len(h.dtlb.pages) },
-		"bus busy until the far future":  func(h *Hierarchy) { h.caches[L2].bus.next = 1 << 40 },
-		"fill landing in the far future": func(h *Hierarchy) { h.caches[L3].mshr = []mshrEntry{{line: 1, done: 1 << 40}} },
+		"MSHRs over capacity":           func(h *Hierarchy) { h.caches[L1D].mshr = make([]mshrEntry, h.cfg.Caches[L1D].MSHRs+1) },
+		"TLB MRU out of range":          func(h *Hierarchy) { h.dtlb.last = len(h.dtlb.pages) },
+		"bus busy until the far future": func(h *Hierarchy) { h.caches[L2].bus.win = []interval{{1 << 40, 1<<40 + 1, 0}} },
+		"calendar windows out of order": func(h *Hierarchy) {
+			h.caches[L1D].fill.win = []interval{{500, 502, 1}, {400, 402, 2}}
+		},
+		"empty calendar window":             func(h *Hierarchy) { h.caches[L3].bus.win = []interval{{500, 500, 0}} },
+		"TLB walk ending in the far future": func(h *Hierarchy) { h.dtlb.ready[0] = 1 << 40 },
+		"fill landing in the far future":    func(h *Hierarchy) { h.caches[L3].mshr = []mshrEntry{{line: 1, done: 1 << 40}} },
 	} {
 		bad := warm()
 		corrupt(bad)

@@ -33,6 +33,7 @@ type TLB struct {
 	pages     []uint64
 	lru       []uint32
 	valid     []bool
+	ready     []int64 // the cycle each entry's walk finishes
 	lruTick   uint32
 	last      int  // entry of the most recent hit or install (MRU filter)
 	pageShift uint // PageBytes is a validated power of two
@@ -64,32 +65,36 @@ func NewTLB(cfg TLBConfig) *TLB {
 		pages:     make([]uint64, cfg.Entries),
 		lru:       make([]uint32, cfg.Entries),
 		valid:     make([]bool, cfg.Entries),
+		ready:     make([]int64, cfg.Entries),
 		pageShift: shift,
 	}
 }
 
-// Lookup translates addr, returning false on a miss. A miss installs the
-// page (the hardware walk always succeeds in this model).
+// Lookup translates addr at cycle now. It returns the cycle the access
+// proceeds at and whether it missed. A miss installs the page (the
+// hardware walk always succeeds in this model), usable once the walk's
+// fixed penalty has passed; a hit on an entry still being walked waits for
+// that walk, as a merge onto an in-flight cache fill does.
 //
 // Consecutive accesses overwhelmingly hit the same page (every I-fetch of
 // a straight-line run, every stride walk), so the most recent entry is
 // probed first; several contexts alternating pages defeat that filter, so
-// the hint array is probed next. Both are pure fast paths: a page lives in
-// at most one entry, so stats and LRU updates are exactly what the full
-// scan would have produced.
-func (t *TLB) Lookup(addr int64) bool {
+// the hint array is probed next. Both are pure fast paths to the entry: a
+// page lives in at most one entry, so stats and LRU updates are exactly
+// what the full scan would have produced.
+func (t *TLB) Lookup(now int64, addr int64) (ready int64, miss bool) {
 	page := uint64(addr) >> t.pageShift
 	t.stats.Accesses++
 	t.lruTick++
 	if l := t.last; t.valid[l] && t.pages[l] == page {
 		t.lru[l] = t.lruTick
-		return true
+		return max(now, t.ready[l]), false
 	}
 	hint := &t.hint[hintSlot(page)]
 	if i := int(*hint); i < len(t.pages) && t.valid[i] && t.pages[i] == page {
 		t.lru[i] = t.lruTick
 		t.last = i
-		return true
+		return max(now, t.ready[i]), false
 	}
 	// Hit scan: a bare tag-match walk. Victim selection is deferred to the
 	// (rare) miss path so hits never pay for LRU bookkeeping.
@@ -98,7 +103,7 @@ func (t *TLB) Lookup(addr int64) bool {
 			t.lru[i] = t.lruTick
 			t.last = i
 			*hint = uint16(i)
-			return true
+			return max(now, t.ready[i]), false
 		}
 	}
 	victim := 0
@@ -113,7 +118,8 @@ func (t *TLB) Lookup(addr int64) bool {
 	t.pages[victim] = page
 	t.valid[victim] = true
 	t.lru[victim] = t.lruTick
+	t.ready[victim] = now + int64(t.cfg.MissPenalty)
 	t.last = victim
 	*hint = uint16(victim)
-	return false
+	return t.ready[victim], true
 }

@@ -17,8 +17,12 @@ import (
 // bump makes a durable cache miss its results and checkpoints together.
 // Version 2 is the flat binary stream of internal/state; version 3 drops
 // its issued-pre-exec list; version 4 installs a cache line when its fill
-// lands and walks each MSHR entry's dirty bit.
-const ModelVersion = 4
+// lands and walks each MSHR entry's dirty bit; version 5 books each fill
+// port and bus as a calendar of windows in time order, lets a store
+// merging onto a fill dirty its line, makes a TLB entry usable when its
+// walk ends, and walks the windows, the hierarchy's cycle and each TLB
+// entry's walk completion.
+const ModelVersion = 5
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
