@@ -252,15 +252,20 @@ func (c *calendar) busyAt(now int64, mask uint32) bool {
 }
 
 // prune drops the windows that end at or before now. Windows are disjoint
-// and sorted by start, so those are a prefix.
+// and sorted by start, so those are a prefix; the test of the first
+// window inlines, since most cycles drop nothing.
 func (c *calendar) prune(now int64) {
-	k := 0
+	if len(c.win) > 0 && c.win[0].end <= now {
+		c.drop(now)
+	}
+}
+
+func (c *calendar) drop(now int64) {
+	k := 1
 	for k < len(c.win) && c.win[k].end <= now {
 		k++
 	}
-	if k > 0 {
-		c.win = c.win[:copy(c.win, c.win[k:])]
-	}
+	c.win = c.win[:copy(c.win, c.win[k:])]
 }
 
 // mshrEntry records one in-flight line fill. The table is a flat slice —
