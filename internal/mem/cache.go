@@ -203,10 +203,6 @@ type calendar struct {
 	unlimited bool
 }
 
-// calendarSeed is a calendar's initial capacity: the windows of a full
-// MSHR table, with room for writebacks.
-const calendarSeed = 24
-
 // interval is a half-open busy window [start, end) over a set of banks
 // (bus windows occupy none).
 type interval struct {
@@ -291,11 +287,14 @@ func (c *cache) lineBanks(addr int64) uint32 {
 // infiniteBW its ports are unlimited.
 func newCache(name string, cfg CacheConfig, infiniteBW bool, clock *int64) *cache {
 	sets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
+	// A calendar starts with room for a full MSHR table's fills and as
+	// many writebacks.
+	seed := 2 * cfg.MSHRs
 	c := &cache{
 		clock:     clock,
 		access:    port{unlimited: infiniteBW},
-		fill:      calendar{win: make([]interval, 0, calendarSeed), unlimited: infiniteBW},
-		bus:       calendar{win: make([]interval, 0, calendarSeed), unlimited: infiniteBW},
+		fill:      calendar{win: make([]interval, 0, seed), unlimited: infiniteBW},
+		bus:       calendar{win: make([]interval, 0, seed), unlimited: infiniteBW},
 		cfg:       cfg,
 		name:      name,
 		sets:      sets,

@@ -199,6 +199,29 @@ func TestBusBooksInTimeOrder(t *testing.T) {
 	}
 }
 
+// TestL2HitQueuesBehindAWalkingMiss pins what TestBusBooksInTimeOrder
+// avoids by warming far's page: when the memory miss walks the DTLB first,
+// it reaches the L2 160 cycles later and books the L2 access port there,
+// and the access port is still a request-order frontier, so the L2 hit
+// issued one cycle later queues behind it: 169 cycles instead of 9.
+// ROADMAP 13(b) decides the access port's rule; this assertion flips when
+// the port books in time order.
+func TestL2HitQueuesBehindAWalkingMiss(t *testing.T) {
+	const near, far = int64(0x10040), int64(0x7000000)
+	h := MustNew(DefaultConfig())
+	now := warm(h, 0, near)
+	now = warm(h, now, near+int64(h.cfg.Caches[L1D].SizeBytes))
+	now += 500
+	first := h.AccessData(now, far, false)
+	behind := h.AccessData(now+1, near, false)
+	if !first.TLBMiss || behind.TLBMiss || !behind.L1Miss {
+		t.Fatalf("setup: miss %+v, hit %+v; want a DTLB walk ahead of an L1 miss with its page mapped", first, behind)
+	}
+	if got := behind.Done - (now + 1); got != 169 {
+		t.Fatalf("L2 hit behind a walking memory miss done in %d cycles, want 169 (the access port's frontier)", got)
+	}
+}
+
 // warm performs an access and waits long enough for its fill to land.
 func warm(h *Hierarchy, now int64, addr int64) int64 {
 	r := h.AccessData(now, addr, false)
