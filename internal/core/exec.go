@@ -100,15 +100,19 @@ func (p *Processor) memExec(d *dyn) (hit bool) {
 		th.misscount++
 		p.events.schedule(res.Done, evMissDone, nil, d.thread)
 	}
-	if res.L1Miss && d.destPhys != rename.None {
-		// Dependents may issue so that their execute stage begins after the
-		// data is available.
-		ready := max(res.Done-p.cfg.execOffset()+1, p.cycle)
-		p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, ready)
+	if d.destPhys == rename.None {
+		return !res.L1Miss
+	}
+	// Dependents may issue so that their execute stage begins after the
+	// data is available. A miss, or a hit behind a DTLB walk, delivers
+	// later than the optimistic schedule: the ready time moves and
+	// whatever read the value early is pulled back.
+	if ready := res.Done - p.cfg.execOffset() + 1; res.L1Miss || ready > p.cycle {
+		p.ren.FileFor(d.si.Dest).SetReady(d.destPhys, max(ready, p.cycle))
 		p.squashDependents(d)
 		return false
 	}
-	return !res.L1Miss
+	return true
 }
 
 // squashDependents pulls back every issued-but-not-executing instruction

@@ -182,11 +182,16 @@ func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 	p.stats.MispredictsByThread = make([]int64, cfg.Threads)
 	for t, tr := range traces {
 		prog := tr.Program()
+		// The store and control lists start at a queue's worth: grown one
+		// high-water mark at a time, a thread whose loads stall behind
+		// DTLB walks still reaches new marks long after warmup.
 		p.threads = append(p.threads, &threadState{
-			id:      t,
-			feed:    tr.NewCursor(),
-			prog:    prog,
-			fetchPC: prog.Entry,
+			id:        t,
+			feed:      tr.NewCursor(),
+			prog:      prog,
+			fetchPC:   prog.Entry,
+			stores:    make([]*dyn, 0, cfg.IQSize),
+			ctlFlight: make([]*dyn, 0, cfg.IQSize),
 		})
 	}
 	return p, nil
