@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/snapshot"
+	"repro/internal/exp"
 )
 
 // TestDistributedSmoke is CI's distributed smoke job: boot a coordinator
@@ -141,7 +141,7 @@ func (c *routeCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	route := r.Method + " " + r.URL.Path
 	if key, ok := strings.CutPrefix(r.URL.Path, "/v1/cache/"); ok {
 		route = r.Method + " /v1/cache/{result}"
-		if strings.HasPrefix(key, snapshot.KeyPrefix) {
+		if strings.HasPrefix(key, exp.SnapshotKeyPrefix) {
 			route = r.Method + " /v1/cache/{snap}"
 		}
 	}

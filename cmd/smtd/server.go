@@ -341,7 +341,7 @@ const (
 // prefix: "snap:" keys are warmup checkpoints (opaque bytes, through the
 // counting store the local slots use), everything else is a result.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
+	if key := r.PathValue("key"); strings.HasPrefix(key, exp.SnapshotKeyPrefix) {
 		peek(w, s.snapshots, key, "snapshot")
 	} else {
 		peek(w, s.results, key, "result")
@@ -355,7 +355,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // equally unverified), this endpoint trusts its network: smtd is designed
 // to run inside a trusted cluster, not on the open internet.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if key := r.PathValue("key"); strings.HasPrefix(key, snapshot.KeyPrefix) {
+	if key := r.PathValue("key"); strings.HasPrefix(key, exp.SnapshotKeyPrefix) {
 		fill(w, r, s.snapshots, key, "snapshot", maxSnapPutBody)
 	} else {
 		fill(w, r, s.results, key, "result", maxCachePutBody)

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,4 +81,66 @@ func TestFlightDistinctKeysIndependent(t *testing.T) {
 		t.Fatal("Get(y) blocked behind the in-flight x")
 	}
 	f.Put("x", 1)
+}
+
+// TestGetCtxForgetUpgrade: Flight's own cancellable wait and leader
+// release. A lookup behind another caller's leadership abandons the wait
+// when its ctx ends, taking no leadership; Forget wakes the waiters and
+// the next lookup leads. (Which caches the runner asks through this
+// upgrade is exp's TestRunnerCacheSeam.)
+func TestGetCtxForgetUpgrade(t *testing.T) {
+	t.Run("flight", func(t *testing.T) {
+		f := NewFlight[int](New[int](0))
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		type result struct {
+			v   int
+			ok  bool
+			err error
+		}
+		// lookup runs GetCtx off the test goroutine so a hang is observable.
+		lookup := func(ctx context.Context) <-chan result {
+			ch := make(chan result, 1)
+			go func() {
+				v, ok, err := f.GetCtx(ctx, "k")
+				ch <- result{v, ok, err}
+			}()
+			return ch
+		}
+		await := func(ch <-chan result) result {
+			t.Helper()
+			select {
+			case r := <-ch:
+				return r
+			case <-time.After(5 * time.Second):
+				t.Fatal("lookup hung")
+				return result{}
+			}
+		}
+
+		// A miss is a miss with no error, and makes this caller the leader.
+		if r := await(lookup(context.Background())); r.ok || r.err != nil {
+			t.Fatalf("first lookup: %+v", r)
+		}
+		// A second lookup under a dead context abandons the wait.
+		if r := await(lookup(cancelled)); !errors.Is(r.err, context.Canceled) || r.ok {
+			t.Fatalf("cancelled wait: %+v, want context.Canceled", r)
+		}
+		// A live one waits until the leader Forgets, then leads in turn.
+		waiting := lookup(context.Background())
+		select {
+		case r := <-waiting:
+			t.Fatalf("lookup behind a leader returned %+v", r)
+		case <-time.After(20 * time.Millisecond):
+		}
+		f.Forget("k")
+		if r := await(waiting); r.ok || r.err != nil {
+			t.Fatalf("after Forget: %+v, want a fresh miss", r)
+		}
+		f.Put("k", 7)
+		if r := await(lookup(cancelled)); !r.ok || r.v != 7 || r.err != nil {
+			t.Fatalf("stored key: %+v", r)
+		}
+		f.Forget("absent") // no in-flight computation: a no-op
+	})
 }

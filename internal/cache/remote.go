@@ -18,8 +18,9 @@ import (
 // a worker's view of its coordinator's checkpoint store in a distributed
 // sweep. GET {base}/v1/cache/{key} peeks, PUT {base}/v1/cache/{key}
 // fills; both carry the value as JSON. It satisfies Getter[V], so
-// anything that takes a local store (the experiment runner's JobCache, a
-// Flight wrapper) takes a Remote unchanged.
+// anything that takes a local store (a Flight wrapper, or the Get/Put
+// seams internal/exp declares: a runner's JobCache, a WarmEnv's
+// SnapshotStore) takes a Remote unchanged.
 //
 // Failure degrades, never breaks: a network error or non-200 peek is a
 // miss, a failed fill is dropped. Determinism makes that safe — a missed

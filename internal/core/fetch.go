@@ -72,14 +72,12 @@ func (p *Processor) fetchStage() {
 
 	budget := p.cfg.FetchTotal
 	fetchedAny := false
-	missed, conflicted := false, false
+	missed := false
 	for i := 0; i < nPicks && budget > 0; i++ {
 		th := picks[i]
+		// Selection checked the bank; a fill booked since starts no
+		// earlier than next cycle, so the access cannot conflict.
 		r := p.mem.AccessInstr(p.cycle, th.fetchPC)
-		if r.BankConflict {
-			conflicted = true
-			continue // lost to a fill that started this cycle
-		}
 		if r.Miss {
 			// Without ITAG the selected slot is simply lost this cycle.
 			th.imissUntil = r.Done
@@ -94,16 +92,12 @@ func (p *Processor) fetchStage() {
 		}
 	}
 	// Attribute the cycle to exactly one outcome so the per-cause counters
-	// partition Cycles. A cycle losing picks to both causes charges the
-	// I-miss: the miss stalls the thread for many cycles, the conflict only
-	// this one.
+	// partition Cycles.
 	switch {
 	case fetchedAny:
 		p.stats.FetchCycles++
 	case missed:
 		p.stats.FetchLostIMiss++
-	case conflicted:
-		p.stats.FetchLostBankConflict++
 	default:
 		// Unreachable: FetchTotal >= 1 and nPicks >= 1 guarantee the loop
 		// produced one of the outcomes above. Counted anyway so the

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -164,7 +163,7 @@ func TestWorkerDrainNotWedgedByCacheTraffic(t *testing.T) {
 	mux := http.NewServeMux()
 	coord.Handle(mux)
 	mux.HandleFunc("/v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.PathValue("key"), snapshot.KeyPrefix) {
+		if !strings.HasPrefix(r.PathValue("key"), exp.SnapshotKeyPrefix) {
 			w.WriteHeader(http.StatusNotFound)
 			return
 		}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
-	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -58,8 +60,24 @@ func TestKeysCarryModelVersion(t *testing.T) {
 	if k := (Job{Spec: PointSpec{Config: cfg}}).Key(o); !strings.HasPrefix(k, v) {
 		t.Errorf("result key %s does not start with %s", k, v)
 	}
-	if k := snapshot.Key(cfg.Fingerprint(), 0, o.Seed, o.Warmup); !strings.HasPrefix(k, snapshot.KeyPrefix+v) {
-		t.Errorf("checkpoint key %s does not start with %s%s", k, snapshot.KeyPrefix, v)
+	if k := SnapshotKey(cfg.Fingerprint(), 0, o.Seed, o.Warmup); !strings.HasPrefix(k, SnapshotKeyPrefix+v) {
+		t.Errorf("checkpoint key %s does not start with %s%s", k, SnapshotKeyPrefix, v)
+	}
+}
+
+func TestKeyShape(t *testing.T) {
+	key := SnapshotKey("fp123", 3, 7, 30000)
+	want := fmt.Sprintf("snap:v%d:fp123:r3:s7:w30000", smt.ModelVersion)
+	if key != want {
+		t.Fatalf("SnapshotKey = %q, want %q", key, want)
+	}
+	if !strings.HasPrefix(key, SnapshotKeyPrefix) {
+		t.Fatalf("SnapshotKey %q does not carry the routing prefix %q", key, SnapshotKeyPrefix)
+	}
+	// The measure budget must never appear in the key: excluding it is
+	// what lets every measure-budget variant of a sweep share checkpoints.
+	if strings.Contains(key, "m") {
+		t.Fatalf("SnapshotKey %q appears to encode a measure budget", key)
 	}
 }
 
@@ -186,5 +204,148 @@ func TestCacheSharedAcrossExperiments(t *testing.T) {
 	if st := store.Stats(); st.Hits != int64(len(jobs)) {
 		t.Fatalf("table3 should be fully contained in fig3's cache: %d hits of %d jobs",
 			st.Hits, len(jobs))
+	}
+}
+
+// getPutOnly hides everything but Get/Put of the cache it wraps — the shape
+// of a caller-side instrumenting wrapper (bench/'s traced cache).
+type getPutOnly struct{ inner JobCache }
+
+func (w getPutOnly) Get(key string) (smt.Results, bool) { return w.inner.Get(key) }
+func (w getPutOnly) Put(key string, r smt.Results)      { w.inner.Put(key, r) }
+
+// TestRunnerCacheSeam: runJob serves a plain JobCache, a cache.Flight, and
+// a Flight hidden behind a Get/Put-only wrapper. The waiter upgrade
+// applies exactly when the cache value itself offers it; otherwise the
+// runner takes the plain Get/Put path — never a panic or a hang.
+func TestRunnerCacheSeam(t *testing.T) {
+	o := tinyOpts()
+	j := Job{Spec: PointSpec{Config: ICount28(1)}}
+	key := j.Key(o)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("backend exploded")
+	want := smt.Results{IPC: 4.25, Cycles: 99}
+
+	type result struct {
+		res smt.Results
+		err error
+	}
+	// runner returns a Runner over c whose dispatcher counts its calls and
+	// answers want, or err when err is set.
+	runner := func(c JobCache, calls *atomic.Int32, err error) Runner {
+		return Runner{Cache: c, Dispatch: dispatcherFunc(func(context.Context, Job, Opts, int64, func(smt.Snapshot)) (smt.Results, error) {
+			calls.Add(1)
+			return want, err
+		})}
+	}
+	// run executes j off the test goroutine so a hang is observable.
+	run := func(ctx context.Context, r Runner) <-chan result {
+		ch := make(chan result, 1)
+		go func() {
+			res, err := r.runJob(ctx, j, o)
+			ch <- result{res, err}
+		}()
+		return ch
+	}
+	await := func(t *testing.T, ch <-chan result) result {
+		t.Helper()
+		select {
+		case r := <-ch:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatal("runJob hung")
+			return result{}
+		}
+	}
+	stillWaiting := func(t *testing.T, ch <-chan result, why string) {
+		t.Helper()
+		select {
+		case r := <-ch:
+			t.Fatalf("%s: runJob returned %+v", why, r)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	t.Run("store", func(t *testing.T) {
+		store := cache.New[smt.Results](0)
+		var calls atomic.Int32
+		// A failed dispatch leaves nothing to release and nothing stored.
+		if r := await(t, run(context.Background(), runner(store, &calls, boom))); !errors.Is(r.err, boom) {
+			t.Fatalf("failed dispatch: %+v, want %v", r, boom)
+		}
+		// A miss dispatches and fills the store; the next lookup hits.
+		for i, ctx := range []context.Context{context.Background(), cancelled} {
+			if r := await(t, run(ctx, runner(store, &calls, nil))); r.err != nil || !reflect.DeepEqual(r.res, want) {
+				t.Fatalf("run %d: %+v, want %+v", i, r, want)
+			}
+		}
+		if n := calls.Load(); n != 2 {
+			t.Fatalf("%d dispatches, want 2 (the failure, then one miss)", n)
+		}
+	})
+
+	t.Run("flight", func(t *testing.T) {
+		flight := cache.NewFlight[smt.Results](cache.New[smt.Results](0))
+		var calls atomic.Int32
+		// Another runner leads the key; a cancelled lookup behind it
+		// returns ctx's error, dispatches nothing and takes no leadership.
+		if _, ok := flight.Get(key); ok {
+			t.Fatal("setup: empty flight served a hit")
+		}
+		if r := await(t, run(cancelled, runner(flight, &calls, nil))); !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("cancelled wait: %+v, want context.Canceled", r)
+		}
+		flight.Forget(key)
+
+		// A leader whose dispatch fails releases its waiter, which leads.
+		started, gate := make(chan struct{}), make(chan struct{})
+		leader := Runner{Cache: flight, Dispatch: dispatcherFunc(func(context.Context, Job, Opts, int64, func(smt.Snapshot)) (smt.Results, error) {
+			close(started) // the one job: dispatched once
+			<-gate
+			return smt.Results{}, boom
+		})}
+		failed := run(context.Background(), leader)
+		<-started
+		waiting := run(context.Background(), runner(flight, &calls, nil))
+		stillWaiting(t, waiting, "a lookup behind a dispatching leader")
+		close(gate)
+		if r := await(t, failed); !errors.Is(r.err, boom) {
+			t.Fatalf("leader: %+v, want %v", r, boom)
+		}
+		if r := await(t, waiting); r.err != nil || !reflect.DeepEqual(r.res, want) {
+			t.Fatalf("released waiter: %+v, want its own dispatch's %+v", r, want)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("released waiter dispatched %d times, want 1", n)
+		}
+		if got, ok := flight.Get(key); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("flight after the waiter led: %+v, %v", got, ok)
+		}
+	})
+
+	t.Run("wrapped flight", func(t *testing.T) {
+		flight := cache.NewFlight[smt.Results](cache.New[smt.Results](0))
+		var calls atomic.Int32
+		if _, ok := flight.Get(key); ok {
+			t.Fatal("setup: empty flight served a hit")
+		}
+		// The wrapper hides the upgrade: plain Get waits for the leader,
+		// ctx or not, and takes the leader's value as a hit.
+		waiting := run(cancelled, runner(getPutOnly{flight}, &calls, nil))
+		stillWaiting(t, waiting, "plain Get behind a leader")
+		flight.Put(key, want)
+		if r := await(t, waiting); r.err != nil || !reflect.DeepEqual(r.res, want) {
+			t.Fatalf("waiter after the leader's Put: %+v, want a hit on %+v", r, want)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("a hit dispatched %d times", n)
+		}
+	})
+
+	// A Runner with no Cache dispatches; a failure has nothing to release.
+	var calls atomic.Int32
+	if r := await(t, run(context.Background(), runner(nil, &calls, boom))); !errors.Is(r.err, boom) {
+		t.Fatalf("no cache: %+v, want %v", r, boom)
 	}
 }

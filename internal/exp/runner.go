@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cache"
-	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -55,12 +53,35 @@ func (j Job) Key(o Opts) string {
 	return fmt.Sprintf("v%d:%s:r%d:s%d:w%d:m%d", smt.ModelVersion, fp, j.Run, JobSeed(o.Seed, j.Run), o.Warmup, o.Measure)
 }
 
+// SnapshotKeyPrefix marks warmup checkpoints in a keyspace shared with
+// job results (smtd's /v1/cache/{key} endpoint routes on it).
+const SnapshotKeyPrefix = "snap:"
+
+// SnapshotKey derives the content address of one warmup checkpoint. The
+// fingerprint is the FULL configuration fingerprint — warmed state depends
+// on every configuration field — and smt.ModelVersion is baked in so a
+// format or model change misses instead of failing restores.
+func SnapshotKey(fingerprint string, rotation int, seed uint64, warmup int64) string {
+	return fmt.Sprintf("%sv%d:%s:r%d:s%d:w%d", SnapshotKeyPrefix, smt.ModelVersion, fingerprint, rotation, seed, warmup)
+}
+
 // JobCache is the pluggable per-job result store the runner consults
-// before simulating: the tree's one Get/Put contract at smt.Results.
-// When the cache behind it can wait on another runner's in-flight
-// computation (cache.Flight), the runner's lookups honor ctx and a job it
-// cannot finish releases its leadership — see cache.GetCtx, cache.Forget.
-type JobCache = cache.Getter[smt.Results]
+// before simulating. Implementations must be safe for concurrent use.
+// When the value also offers the waiter upgrade (cache.Flight does), the
+// runner's lookups honor ctx and a job it cannot finish releases its
+// leadership; see runJob.
+type JobCache interface {
+	Get(key string) (smt.Results, bool)
+	Put(key string, r smt.Results)
+}
+
+// waiter is the one optional upgrade of a JobCache: a lookup that can
+// abandon its wait on another runner's in-flight computation, and the
+// release of a key the caller missed on and will never Put.
+type waiter interface {
+	GetCtx(ctx context.Context, key string) (smt.Results, bool, error)
+	Forget(key string)
+}
 
 // Dispatcher executes one cache-missed job somewhere — possibly another
 // process or machine — and returns its results. The contract is strict
@@ -75,28 +96,41 @@ type Dispatcher interface {
 	Dispatch(ctx context.Context, j Job, o Opts, interval int64, onSnap func(smt.Snapshot)) (smt.Results, error)
 }
 
-// SnapshotStore is the pluggable warmup-checkpoint store the runner (and
+// SnapshotStore is the pluggable warmup-checkpoint store the kernel (and
 // the distributed worker) probes before warming a machine and fills after
-// a cold warmup: the same contract at []byte. The internal/cache tiers
-// satisfy it, as does the counting wrapper internal/snapshot.Store.
-type SnapshotStore = cache.Getter[[]byte]
+// a cold warmup, under SnapshotKey. Implementations must be safe for
+// concurrent use.
+type SnapshotStore interface {
+	Get(key string) ([]byte, bool)
+	Put(key string, data []byte)
+}
+
+// TraceSource serves the pre-decoded trace set of a workload with at least
+// perThread records per context, or fewer when it caps lengths (a replay
+// that outlives its trace spills onto the live walker). Implementations
+// must be safe for concurrent use.
+type TraceSource interface {
+	Get(spec smt.WorkloadSpec, perThread int64) (*smt.TraceSet, error)
+}
 
 // WarmEnv carries the optional sweep-acceleration layers into the
 // measurement kernel, and is the in-process Dispatcher: a Runner, the
 // coordinator's local route and a distributed worker all run the kernel
-// under one. The zero value disables both layers; either field works
-// alone. Neither layer changes result bytes — restored and
+// under one. Both fields are seams this package declares; the embedder
+// supplies the stores (internal/cache tiers, snapshot.Store,
+// snapshot.TraceCache). The zero value disables both layers; either field
+// works alone. Neither layer changes result bytes — restored and
 // replayed runs are byte-identical to cold runs by construction.
 type WarmEnv struct {
 	// Snapshots checkpoints warmed machine state under
-	// snapshot.Key(fingerprint, rotation, seed, warmup): a hit restores
+	// SnapshotKey(fingerprint, rotation, seed, warmup): a hit restores
 	// the machine past its entire warmup, a miss warms cold and fills the
 	// store for every later run sharing the key.
 	Snapshots SnapshotStore
-	// Traces pre-decodes each hardware context's program once and replays
-	// the shared trace in the fetch path of every configuration and
-	// machine width that runs it.
-	Traces *snapshot.TraceCache
+	// Traces serves each hardware context's pre-decoded program, replayed
+	// in the fetch path of every configuration and machine width that
+	// runs it.
+	Traces TraceSource
 }
 
 // Dispatch implements Dispatcher: the job's measurement kernel in this
@@ -178,7 +212,7 @@ func SimulateEnv(cfg smt.Config, rotate int, seed uint64, o Opts, interval int64
 		return measure(sim, warmup*int64(cfg.Threads))
 	}
 
-	key := snapshot.Key(cfg.Fingerprint(), rotate, seed, warmup)
+	key := SnapshotKey(cfg.Fingerprint(), rotate, seed, warmup)
 	if data, ok := env.Snapshots.Get(key); ok {
 		if err := sim.RestoreSnapshot(data); err == nil {
 			return measure(sim, 0)
@@ -202,9 +236,11 @@ type Runner struct {
 	Workers int
 
 	// Cache, when non-nil, is consulted per job before simulating and
-	// updated after. Because jobs are deterministic functions of their
-	// content address, a cache hit returns exactly the bytes a fresh
-	// simulation would, so cached and uncached runs stay byte-identical.
+	// updated after, under Job.Key. Because jobs are deterministic
+	// functions of their content address, a cache hit returns exactly the
+	// bytes a fresh simulation would, so cached and uncached runs stay
+	// byte-identical. Any internal/cache store fits; a Flight also makes
+	// lookups waiting on another runner's leader honor ctx (see runJob).
 	Cache JobCache
 
 	// OnJobDone, when non-nil, observes every job completion with its
@@ -356,13 +392,25 @@ feed:
 // runJob executes one job, consulting and feeding the cache, and reports
 // completion through OnJobDone. The cache lookup happens first, so a hit —
 // or a wait on another runner's in-flight computation — never reaches the
-// dispatcher. On a dispatch error the job's cache leadership is released
-// (see cache.Forget) before the error is returned.
+// dispatcher. A cache offering the waiter upgrade is asked through it:
+// the wait honors ctx, and on a dispatch error the job's leadership is
+// released before the error is returned. A wrapper that implements only
+// Get/Put hides the upgrade and gets plain Get.
 func (r Runner) runJob(ctx context.Context, j Job, o Opts) (smt.Results, error) {
 	var key string
+	w, _ := r.Cache.(waiter)
 	if r.Cache != nil {
 		key = j.Key(o)
-		res, ok, err := cache.GetCtx(ctx, r.Cache, key)
+		var (
+			res smt.Results
+			ok  bool
+			err error
+		)
+		if w != nil {
+			res, ok, err = w.GetCtx(ctx, key)
+		} else {
+			res, ok = r.Cache.Get(key)
+		}
 		if err != nil {
 			return smt.Results{}, err // wait abandoned; no leadership taken
 		}
@@ -389,7 +437,9 @@ func (r Runner) runJob(ctx context.Context, j Job, o Opts) (smt.Results, error) 
 	}
 	res, err := d.Dispatch(ctx, j, o, interval, onSnap)
 	if err != nil {
-		cache.Forget(r.Cache, key)
+		if w != nil {
+			w.Forget(key)
+		}
 		return smt.Results{}, err
 	}
 	if r.Cache != nil {

@@ -18,8 +18,8 @@ func warmTestOpts() Opts { return Opts{Runs: 2, Warmup: 3_000, Measure: 5_000, S
 // traces but not the snapshot key.
 func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	o := warmTestOpts()
-	store := snapshot.NewStore(cache.New[[]byte](0))
-	env := WarmEnv{Snapshots: store, Traces: snapshot.NewTraceCache(0)}
+	store, traces := snapshot.NewStore(cache.New[[]byte](0)), snapshot.NewTraceCache(0)
+	env := WarmEnv{Snapshots: store, Traces: traces}
 
 	a := MustFetchScheme(4, "ICOUNT", 2, 8)
 	b := MustFetchScheme(4, "RR", 2, 8)
@@ -35,7 +35,7 @@ func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	if st := store.Stats(); st.Hits != 0 || st.Misses != 2 || st.Puts != 2 {
 		t.Fatalf("store stats = %+v, want distinct configs to miss separately", st)
 	}
-	if ts := env.Traces.Stats(); ts.Builds != int64(a.Threads) {
+	if ts := traces.Stats(); ts.Builds != int64(a.Threads) {
 		t.Fatalf("trace cache built %d context traces, want %d shared across configs", ts.Builds, a.Threads)
 	}
 }
@@ -137,7 +137,7 @@ func TestUnrestorableSnapshotRunsCold(t *testing.T) {
 	want := Simulate(cfg, 0, JobSeed(o.Seed, 0), o, 0, nil)
 
 	seed := JobSeed(o.Seed, 0)
-	key := snapshot.Key(cfg.Fingerprint(), 0, seed, o.Warmup)
+	key := SnapshotKey(cfg.Fingerprint(), 0, seed, o.Warmup)
 	poisoned := cache.New[[]byte](0)
 	poisoned.Put(key, []byte(`{"version":999}`))
 

@@ -8,18 +8,19 @@ import (
 	"repro/internal/rng"
 )
 
-// warmInstr fetches addr and waits out its fill, bank included.
-func warmInstr(h *Hierarchy, now int64, addr int64) int64 {
-	r := h.AccessInstr(now, addr)
-	for r.BankConflict {
-		now++
-		r = h.AccessInstr(now, addr)
-	}
-	now = r.Done
+// freeBank returns the first cycle at or after now at which addr's I-cache
+// bank is free of fills: where the fetch unit would access it.
+func freeBank(h *Hierarchy, now int64, addr int64) int64 {
 	for h.InstrBankBusy(now, addr) {
 		now++
 	}
 	return now
+}
+
+// warmInstr fetches addr and waits out its fill, bank included.
+func warmInstr(h *Hierarchy, now int64, addr int64) int64 {
+	r := h.AccessInstr(freeBank(h, now, addr), addr)
+	return freeBank(h, r.Done, addr)
 }
 
 // TestLineUsableWhenItsFillLands is the two-contexts-one-set livelock in
@@ -46,14 +47,11 @@ func TestLineUsableWhenItsFillLands(t *testing.T) {
 	if !ra.Miss || !rb.Miss || ra.TLBMiss || rb.TLBMiss || h.CacheStats(L2).Misses != l2Misses {
 		t.Fatalf("setup: want two L1I misses that hit in the L2, got %+v and %+v", ra, rb)
 	}
-	at := ra.Done
-	for h.InstrBankBusy(at, a) {
-		at++
-	}
+	at := freeBank(h, ra.Done, a)
 	if at >= rb.Done {
 		t.Fatalf("setup: a's bank is free at %d, not before b's fill lands at %d", at, rb.Done)
 	}
-	if r := h.AccessInstr(at, a); r.Miss || r.BankConflict {
+	if r := h.AccessInstr(at, a); r.Miss {
 		t.Fatalf("a missed again at cycle %d, after its own fill landed at %d (%+v)", at, ra.Done, r)
 	}
 }
@@ -167,10 +165,10 @@ func checkLandingOrder(t *testing.T, k, lookups int) {
 				continue
 			}
 			line := r.addr &^ 63
-			res := h.AccessInstr(now, r.addr)
-			if res.BankConflict {
+			if h.InstrBankBusy(now, r.addr) {
 				continue // retried next cycle
 			}
+			res := h.AccessInstr(now, r.addr)
 			done++
 			sh := at(line, now)
 			if i := slices.IndexFunc(sh.pending, func(f fill) bool { return f.line == line }); i >= 0 {

@@ -592,20 +592,17 @@ func (h *Hierarchy) AccessData(now int64, addr int64, write bool) DataResult {
 
 // InstrResult describes the outcome of one instruction-cache access.
 type InstrResult struct {
-	Done         int64 // cycle at which the line is available
-	Miss         bool  // missed in the L1 instruction cache
-	BankConflict bool  // bank busy (fill in progress)
-	TLBMiss      bool
+	Done    int64 // cycle at which the line is available
+	Miss    bool  // missed in the L1 instruction cache
+	TLBMiss bool
 }
 
 // AccessInstr fetches the line containing pc at cycle now. On a miss, Done
 // reports when the fill completes (the thread stalls until then; the fill
-// proceeds in the background — the cache is lockup-free).
+// proceeds in the background — the cache is lockup-free). The caller
+// arbitrates the bank first: see InstrBankBusy.
 func (h *Hierarchy) AccessInstr(now int64, pc int64) InstrResult {
 	h.advance(now)
-	if h.InstrBankBusy(now, pc) {
-		return InstrResult{Done: now + 1, BankConflict: true}
-	}
 	t, tlbMiss := h.itlb.Lookup(now, pc)
 	done, how := h.lookup(L1I, t, pc, false)
 	return InstrResult{Done: done, Miss: how != hit, TLBMiss: tlbMiss}

@@ -1,27 +1,23 @@
-// Package snapshot accelerates experiment sweeps with two shared,
-// determinism-preserving layers:
+// Package snapshot holds two implementations of the seams an
+// exp.WarmEnv consumes, for embedders that want them:
 //
-//   - Warmup checkpoints: the complete warmed machine state of one
-//     (config, rotation, seed, warmup) point, serialized by
-//     smt.Simulator.SaveSnapshot and stored content-addressed under a Key.
-//     Every grid point sharing the prefix restores instead of re-warming;
-//     tiering the backing store through internal/cache (memory, disk, a
-//     coordinator's /v1/cache/{key}) extends the reuse to distributed workers
-//     and restarted coordinators.
+//   - Store: an exp.SnapshotStore that counts warmup-checkpoint traffic
+//     over a tier stack from internal/cache. The checkpoint key format
+//     (exp.SnapshotKey) and the restore-or-warm logic live in exp.
 //
-//   - Trace replay: each hardware context's program pre-decoded once into
-//     an immutable trace shared read-only by every configuration, machine
-//     width and goroutine that runs it (see TraceCache), replacing the
-//     per-run walker in the fetch hot path.
+//   - TraceCache: an exp.TraceSource that pre-decodes each hardware
+//     context's program once into an immutable trace shared read-only by
+//     every configuration, machine width and goroutine that runs it.
 //
-// Both layers are byte-identical by construction: a restored or replayed
-// run commits exactly the cycles a cold run would, so acceleration never
-// changes result bytes — the same property the result cache leans on.
+// smtd, the experiments CLI and bench build both; nothing in the kernel
+// imports this package. Both stay here while bench builds them (ROADMAP
+// item 3): then TraceCache can move to smt and Store to cmd/smtd. Both
+// layers are byte-identical by construction: a restored or replayed run
+// commits exactly the cycles a cold run would.
 package snapshot
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -30,20 +26,8 @@ import (
 	"repro/smt"
 )
 
-// KeyPrefix marks snapshot entries in a keyspace shared with simulation
-// results (smtd's /v1/cache/{key} endpoint routes on it).
-const KeyPrefix = "snap:"
-
-// Key derives the content address of one warmup checkpoint. The
-// fingerprint is the FULL configuration fingerprint — warmed state depends
-// on every configuration field — and smt.ModelVersion is baked in so a
-// format or model change misses instead of failing restores.
-func Key(fingerprint string, rotation int, seed uint64, warmup int64) string {
-	return fmt.Sprintf("%sv%d:%s:r%d:s%d:w%d", KeyPrefix, smt.ModelVersion, fingerprint, rotation, seed, warmup)
-}
-
-// Backing is the tier stack a Store counts on top of: the tree's one
-// Get/Put contract at []byte, which every internal/cache store satisfies.
+// Backing is the tier stack a Store counts on top of; every internal/cache
+// store at []byte satisfies it.
 type Backing = cache.Getter[[]byte]
 
 // Stats snapshots a Store's effectiveness counters.
@@ -56,9 +40,10 @@ type Stats struct {
 }
 
 // Store counts snapshot traffic over a backing tier stack. It satisfies
-// the experiment runner's SnapshotStore seam; corrupt or truncated entries
-// are the tiers' concern (cache.Disk verifies checksums and serves bad
-// files as misses), so everything reaching Get's hit path is intact bytes.
+// exp.SnapshotStore, so a WarmEnv checkpoints through it. Corrupt or
+// truncated entries are the tiers' concern (cache.Disk verifies checksums
+// and serves bad files as misses), so everything reaching Get's hit path
+// is intact bytes.
 type Store struct {
 	b Backing
 

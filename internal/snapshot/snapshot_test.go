@@ -1,30 +1,12 @@
 package snapshot
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/smt"
 )
-
-func TestKeyShape(t *testing.T) {
-	key := Key("fp123", 3, 7, 30000)
-	want := fmt.Sprintf("snap:v%d:fp123:r3:s7:w30000", smt.ModelVersion)
-	if key != want {
-		t.Fatalf("Key = %q, want %q", key, want)
-	}
-	if !strings.HasPrefix(key, KeyPrefix) {
-		t.Fatalf("Key %q does not carry the routing prefix %q", key, KeyPrefix)
-	}
-	// The measure budget must never appear in the key: excluding it is
-	// what lets every measure-budget variant of a sweep share checkpoints.
-	if strings.Contains(key, "m") {
-		t.Fatalf("Key %q appears to encode a measure budget", key)
-	}
-}
 
 // mapBacking is the simplest Backing: an unbounded map.
 type mapBacking struct {

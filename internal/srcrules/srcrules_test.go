@@ -67,6 +67,7 @@ const (
 	whyBody   = "request body read without http.MaxBytesReader: a client controls this allocation, wrap it"
 	whyCaller = "builds a request but takes no context.Context: the caller cannot cancel or bound it"
 	whySpawn  = "in a model package: the cycle loop is single-threaded and straight-line, hoist it out"
+	whyTiers  = "exp declares the Get/Put seams it consumes (JobCache, SnapshotStore, TraceSource) and the embedder wires a tier in, so every embedder is free not to link the storage tiers"
 )
 
 var bans = []ban{
@@ -77,6 +78,9 @@ var bans = []ban{
 	{resultAffecting, "slices", []string{"SortFunc"}, true, whySort},
 	{clients, "net/http", []string{"NewRequest", "Get", "Post", "PostForm", "Head"}, false, whyNoCtx},
 	{waiters, "time", []string{"Sleep"}, false, whySleep},
+	{[]string{"internal/exp"}, "repro/internal/cache", nil, false, whyTiers},
+	{[]string{"internal/exp"}, "repro/internal/snapshot", nil, false, whyTiers},
+	{[]string{"internal/exp"}, "repro/internal/resilience", nil, false, whyTiers},
 }
 
 // check returns one "file:line: message" per violation in f, a non-test
@@ -339,6 +343,8 @@ func g() { var lit = func(rw http.ResponseWriter, req *http.Request) { io.ReadAl
 func resp(r *http.Response) { io.ReadAll(r.Body) }`, []int{4, 5, 9, 10}},
 		{"request bodies out of scope", "internal/cache", "package p\nimport (\"io\"; \"net/http\")\nfunc h(r *http.Request) { io.ReadAll(r.Body) }", nil},
 		{"go and defer", "internal/iq", "package p\nfunc f() {\n\tdefer f()\n\tgo f()\n}", []int{3, 4}},
+		{"storage tiers in the kernel", "internal/exp", "package p\nimport (\"repro/internal/cache\"; \"repro/internal/snapshot\")\nimport \"repro/internal/resilience\"\nvar _ = cache.New", []int{2, 2, 3}},
+		{"storage tiers out of scope", "internal/dist", "package p\nimport \"repro/internal/cache\"\nvar _ = cache.New", nil},
 		{"go and defer outside the model", "internal/exp", "package p\nfunc f() {\n\tdefer f()\n\tgo f()\n}", nil},
 	} {
 		fset := token.NewFileSet()

@@ -13,7 +13,7 @@ import (
 // any change to the checkpoint format or to simulated behaviour. It is
 // embedded in every snapshot, and a restore rejects any other version, so a
 // format change can never silently install mismatched state. Result keys
-// (exp.Job.Key) and checkpoint keys (snapshot.Key) both carry it, so one
+// (exp.Job.Key) and checkpoint keys (exp.SnapshotKey) both carry it, so one
 // bump makes a durable cache miss its results and checkpoints together.
 // Version 2 is the flat binary stream of internal/state; version 3 drops
 // its issued-pre-exec list; version 4 installs a cache line when its fill
