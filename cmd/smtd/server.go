@@ -101,8 +101,8 @@ type jobProgress struct {
 const defaultMaxHistory = 64
 
 // snapshotMemEntries bounds the in-memory snapshot LRU. A serialized warmed
-// machine runs hundreds of KB, so unlike results the memory tier must cap
-// low; the disk tier (when configured) holds the long tail.
+// machine runs tens of KB deflated, so unlike results the memory tier must
+// cap low; the disk tier (when configured) holds the long tail.
 const snapshotMemEntries = 128
 
 // The sweep-plan memo is bounded in entries and in what one entry may hold:

@@ -78,7 +78,9 @@ func TestStateWalk(t *testing.T) {
 	}
 	if c := state.NewWriter(1); custom.State(c) {
 		t.Error("custom direction engine claimed checkpoint support")
-	} else if data, _ := c.Bytes(); len(data) > 8 {
-		t.Errorf("unsupported predictor still wrote %d bytes", len(data))
+	} else if data, err := c.Bytes(); err != nil {
+		t.Error(err)
+	} else if body, _ := state.Unpack(data, 1); len(body) != 0 {
+		t.Errorf("unsupported predictor still wrote %d bytes", len(body))
 	}
 }

@@ -180,6 +180,13 @@ func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 	p.stats.CommittedByThread = make([]int64, cfg.Threads)
 	p.stats.LowConfFetched = make([]int64, cfg.Threads)
 	p.stats.MispredictsByThread = make([]int64, cfg.Threads)
+	// A thread's in-flight instructions each hold a queue slot or, once
+	// issued, a renaming register, unless they have no destination; and
+	// compactROB lets the ROB's dead prefix grow to its live tail before
+	// sliding it down. So the ROB starts at twice what the queues and the
+	// registers can hold, up to maxROBStart (sec7's unlimited registers),
+	// and grows past that only behind destination-less instructions.
+	robCap := min(2*(2*cfg.IQSize*capScale+2*cfg.Rename.ExcessRegs), maxROBStart)
 	for t, tr := range traces {
 		prog := tr.Program()
 		// The store and control lists start at a queue's worth: grown one
@@ -190,6 +197,7 @@ func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 			feed:      tr.NewCursor(),
 			prog:      prog,
 			fetchPC:   prog.Entry,
+			rob:       make([]*dyn, 0, robCap),
 			stores:    make([]*dyn, 0, cfg.IQSize),
 			ctlFlight: make([]*dyn, 0, cfg.IQSize),
 		})

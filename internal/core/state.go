@@ -233,12 +233,16 @@ func (th *threadState) walk(w *stateWalk) {
 	state.Count(c, &th.nextSeq)
 	state.Ints(c, &th.icount, &th.brcount, &th.misscount, &th.lowConfCount)
 	state.Int(c, &th.wrongSalt)
-	rob := th.liveROB()
-	if w.refs(&rob, len(w.dyns), "ROB"); !c.Writing() {
-		th.rob, th.robHead = rob, 0
+	rob, stores, ctl := th.liveROB(), th.stores, th.ctlFlight
+	w.refs(&rob, len(w.dyns), "ROB")
+	w.refs(&stores, len(w.dyns), "store list")
+	w.refs(&ctl, len(w.dyns), "control list")
+	if !c.Writing() {
+		// Into the backing arrays New sized, not the exact-length slices read.
+		th.rob, th.robHead = append(th.rob[:0], rob...), 0
+		th.stores = append(th.stores[:0], stores...)
+		th.ctlFlight = append(th.ctlFlight[:0], ctl...)
 	}
-	w.refs(&th.stores, len(w.dyns), "store list")
-	w.refs(&th.ctlFlight, len(w.dyns), "control list")
 }
 
 // walk walks one scheduled event; reading inserts it into its ring bucket

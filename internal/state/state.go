@@ -5,22 +5,37 @@
 // to the range it must satisfy, and the codec runs that walk in both
 // directions. Checkpointing a new field is one line in its component's walk.
 //
-// The stream is a magic tag and a version followed by the walked values,
-// every integer a zig-zag varint. Reads are defensive — the bytes may come
-// from disk or the network: a walk fails on the first value out of its
-// range, length or type; the first failure sticks and every later call is a
-// no-op; and a length prefix can never allocate more elements than there
-// are bytes left to decode them from.
+// A stream is an envelope — a magic tag and the format version, neither
+// compressed — followed by the body: the walked values, every integer a
+// zig-zag varint, through one deflate stream. Most of a warmed machine is
+// repetitive (invalid cache lines above all), so a body deflates 4–9×.
+// Reads are defensive — the bytes may come from disk or the network: the
+// envelope is checked before anything is inflated; the body is inflated
+// whole before the walk starts, and rejected if it inflates past MaxBody
+// or leaves bytes after its final block; a walk fails on the first value
+// out of its range, length or type; the first failure sticks and every
+// later call is a no-op; and a length prefix can never allocate more
+// elements than there are inflated bytes left to decode them from.
 package state
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"slices"
+	"sync"
 )
 
 const magic = "SMTS"
+
+// MaxBody caps what one body may inflate to: smtd's limit on a checkpoint
+// PUT, so no stream inflates past what the service would take raw, and
+// hundreds of times the body of any machine the paper studies.
+const MaxBody = 64 << 20
 
 // Unbounded is the Slice limit for lists with no structural capacity; only
 // the bytes that remain bound them.
@@ -31,33 +46,130 @@ const maxCount = 1 << 62
 
 // Codec is one walk's direction, position and sticky error.
 type Codec struct {
-	buf      []byte // writing: the stream so far; reading: the unread rest
+	buf      []byte // writing: the body so far; reading: the unread rest
 	writing  bool
+	version  uint32    // writing: the envelope's version
+	un       *unpacker // reading: holds the inflated body until Close
 	err      error
 	maxCycle int64
 }
 
 // NewWriter starts a stream of the given format version.
 func NewWriter(version uint32) *Codec {
-	c := &Codec{writing: true, buf: append(make([]byte, 0, 64<<10), magic...)}
-	Int(c, &version)
-	return c
+	return &Codec{writing: true, version: version, buf: make([]byte, 0, 64<<10)}
 }
 
 // NewReader opens a stream for reading; a stream of another format or
-// version fails every walk.
+// version, or a body that does not inflate cleanly, fails every walk.
 func NewReader(data []byte, version uint32) *Codec {
-	c := &Codec{buf: data, maxCycle: maxCount}
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		c.Failf("state: not a checkpoint stream")
-		return c
-	}
-	c.buf = data[len(magic):]
-	var got uint32
-	if Int(c, &got); got != version {
-		c.Failf("state: stream version %d, want %d", got, version)
+	c := &Codec{maxCycle: maxCount, un: unpackers.Get().(*unpacker)}
+	if c.err = c.un.unpack(data, version); c.err == nil {
+		c.buf = c.un.body
 	}
 	return c
+}
+
+// packer is a reusable deflate stage: each flate.NewWriter allocates about
+// 1.2 MB, more than the streams it writes.
+type packer struct {
+	zw  *flate.Writer
+	out bytes.Buffer
+}
+
+var packers = sync.Pool{New: func() any {
+	p := new(packer)
+	p.zw, _ = flate.NewWriter(&p.out, flate.BestSpeed) // BestSpeed is a valid level
+	return p
+}}
+
+// Pack wraps a body of walked values in the envelope of the given version
+// and deflates it: the stream a writing walk's Bytes returns.
+func Pack(version uint32, body []byte) []byte {
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
+	p.out.Reset()
+	p.out.WriteString(magic)
+	p.out.Write(binary.AppendVarint(p.out.AvailableBuffer(), int64(version)))
+	p.zw.Reset(&p.out)
+	p.zw.Write(body) // a bytes.Buffer takes every write
+	p.zw.Close()
+	return bytes.Clone(p.out.Bytes())
+}
+
+// unpacker is a reusable inflate stage and the body it inflated last. src
+// is a ByteReader, so the inflater reads no byte past the final block and
+// whatever follows is still in src to be rejected.
+type unpacker struct {
+	src  bytes.Reader
+	zr   io.ReadCloser
+	body []byte
+}
+
+var unpackers = sync.Pool{New: func() any {
+	u := new(unpacker)
+	u.zr = flate.NewReader(&u.src)
+	return u
+}}
+
+// Unpack checks a stream's envelope against version and returns its
+// inflated body: what a reading walk walks.
+func Unpack(data []byte, version uint32) ([]byte, error) {
+	u := unpackers.Get().(*unpacker)
+	defer unpackers.Put(u)
+	err := u.unpack(data, version)
+	body := u.body
+	u.body = nil // the caller's now
+	return body, err
+}
+
+// unpack inflates data's body into u.body, reusing its backing array. The
+// body is inflated into chunks that double in size, so one that would
+// inflate past MaxBody is rejected having allocated at most MaxBody+1
+// bytes, whatever its deflated size.
+func (u *unpacker) unpack(data []byte, version uint32) error {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return fmt.Errorf("state: not a checkpoint stream")
+	}
+	got, n := binary.Varint(data[len(magic):])
+	if n <= 0 {
+		return fmt.Errorf("state: truncated stream")
+	}
+	if got != int64(version) {
+		return fmt.Errorf("state: stream version %d, want %d", got, version)
+	}
+	// A pooled unpacker must not pin the caller's bytes. Reset never fails.
+	u.src.Reset(data[len(magic)+n:])
+	defer u.src.Reset(nil)
+	u.zr.(flate.Resetter).Reset(&u.src, nil)
+	buf := u.body[:0]
+	if want := min(max(8*u.src.Len(), 4<<10), MaxBody+1); cap(buf) < want {
+		buf = make([]byte, 0, want)
+	}
+	u.body = buf
+	var full [][]byte
+	size := 0
+	for {
+		n, err := u.zr.Read(buf[len(buf):cap(buf)])
+		buf, size = buf[:len(buf)+n], size+n
+		switch {
+		case size > MaxBody:
+			return fmt.Errorf("state: body inflates past its %d-byte cap", MaxBody)
+		case err == io.EOF:
+			if u.src.Len() != 0 {
+				return fmt.Errorf("state: %d bytes after the body's final block", u.src.Len())
+			}
+			if full != nil {
+				buf = slices.Concat(append(full, buf)...)
+			}
+			u.body = buf
+			return nil
+		case err != nil:
+			return fmt.Errorf("state: body does not inflate: %w", err)
+		case len(buf) == cap(buf):
+			full = append(full, buf)
+			buf = make([]byte, 0, min(2*cap(buf), MaxBody+1-size))
+		}
+	}
 }
 
 // Writing reports the walk's direction.
@@ -74,12 +186,23 @@ func (c *Codec) Failf(format string, a ...any) {
 }
 
 // Bytes ends a writing walk and returns the stream.
-func (c *Codec) Bytes() ([]byte, error) { return c.buf, c.err }
+func (c *Codec) Bytes() ([]byte, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	return Pack(c.version, c.buf), nil
+}
 
-// Close ends a reading walk: bytes nobody walked are as wrong as missing ones.
+// Close ends a reading walk: bytes nobody walked are as wrong as missing
+// ones. The inflated body goes back for the next reader to reuse; walking
+// on after Close finds the stream truncated.
 func (c *Codec) Close() error {
 	if !c.writing && len(c.buf) != 0 {
 		c.Failf("state: %d trailing bytes", len(c.buf))
+	}
+	if c.un != nil {
+		unpackers.Put(c.un)
+		c.un, c.buf = nil, nil
 	}
 	return c.err
 }

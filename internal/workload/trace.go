@@ -206,10 +206,12 @@ func (c *Cursor) uvarint() uint64 {
 // taken at most once per cursor.
 func (c *Cursor) spill() { c.tail = c.t.end.clone() }
 
-// clone returns an independent copy of w at the same position.
+// clone returns an independent copy of w at the same position. The call
+// stack gets its full depth up front, as NewWalker's does: grown one new
+// depth at a time, a walker still allocates long after warmup.
 func (w *Walker) clone() *Walker {
 	cp := *w
-	cp.callStack = slices.Clone(w.callStack)
+	cp.callStack = append(make([]int64, 0, maxCallDepth+8), w.callStack...)
 	cp.loopRem = slices.Clone(w.loopRem)
 	cp.entrySeq = slices.Clone(w.entrySeq)
 	cp.memState = slices.Clone(w.memState)

@@ -36,11 +36,12 @@ type Walker struct {
 // NewWalker returns a Walker positioned at the program entry.
 func NewWalker(p *Program) *Walker {
 	w := &Walker{
-		prog:     p,
-		pc:       p.Entry,
-		loopRem:  make([]int32, p.NumBranches),
-		entrySeq: make([]uint32, p.NumBranches),
-		memState: make([]int64, p.NumMemOps),
+		prog:      p,
+		pc:        p.Entry,
+		callStack: make([]int64, 0, maxCallDepth+8),
+		loopRem:   make([]int32, p.NumBranches),
+		entrySeq:  make([]uint32, p.NumBranches),
+		memState:  make([]int64, p.NumMemOps),
 	}
 	for i := range w.loopRem {
 		w.loopRem[i] = -1

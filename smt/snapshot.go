@@ -21,8 +21,8 @@ import (
 // port and bus as a calendar of windows in time order, lets a store
 // merging onto a fill dirty its line, makes a TLB entry usable when its
 // walk ends, and walks the windows, the hierarchy's cycle and each TLB
-// entry's walk completion.
-const ModelVersion = 5
+// entry's walk completion; version 6 deflates the stream.
+const ModelVersion = 6
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
@@ -72,8 +72,8 @@ func (s *Simulator) RestoreSnapshot(data []byte) error {
 	c := state.NewReader(data, ModelVersion)
 	s.identity(c) // a failure here sticks: the core walk below is then a no-op
 	err := s.proc.RestoreState(c)
-	if err == nil {
-		err = c.Close()
+	if cerr := c.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return fmt.Errorf("smt: snapshot rejected: %w", err)

@@ -1,10 +1,14 @@
 package smt
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/state"
+)
 
 // fuzzConfig is the 4-thread ICOUNT.2.8 machine with its tables shrunk —
-// same pipeline, same state walk — so a snapshot is a few KB, most of it
-// pipeline state, and the fuzzer spends its mutations where restore has
+// same pipeline, same state walk — so a snapshot's body is a few KB, most
+// of it pipeline state, and the fuzzer spends its mutations where restore has
 // decisions to make instead of on 38,000 cache tags.
 func fuzzConfig() Config {
 	cfg := snapshotConfig(PredGshare, FetchICount)
@@ -16,12 +20,16 @@ func fuzzConfig() Config {
 	return cfg
 }
 
-// FuzzRestoreSnapshot feeds arbitrary bytes to the one decoder in the tree
+// FuzzRestoreSnapshot feeds arbitrary state to the one decoder in the tree
 // that takes machine state from disk and the network. RestoreSnapshot must
 // never panic; and whatever it accepts must be a machine the cycle loop can
-// run — restore's job is to refuse everything else. The corpus is seeded
-// with a real 4-thread snapshot and its truncations; a crasher, once fixed,
-// is committed under testdata/fuzz/FuzzRestoreSnapshot (none found so far).
+// run — restore's job is to refuse everything else. The fuzzer mutates the
+// inflated body, which each input is deflated from through state.Pack, so
+// its mutations reach the state walk instead of dying in the deflate
+// stream; internal/state's FuzzReader covers the stream itself. The corpus
+// is seeded with a real 4-thread snapshot's body and its truncations; a
+// crasher, once fixed, is committed under testdata/fuzz/FuzzRestoreSnapshot
+// (none found so far).
 func FuzzRestoreSnapshot(f *testing.F) {
 	cfg := fuzzConfig()
 	spec := WorkloadMix(4, 0, 7)
@@ -31,14 +39,18 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for n := len(data); n > 0; n /= 2 {
-		f.Add(data[:n])
+	body, err := state.Unpack(data, ModelVersion)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for n := len(body); n > 0; n /= 2 {
+		f.Add(body[:n])
 	}
 	f.Add([]byte(nil))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, body []byte) {
 		sim := MustNew(cfg, spec)
-		if err := sim.RestoreSnapshot(data); err != nil {
+		if err := sim.RestoreSnapshot(state.Pack(ModelVersion, body)); err != nil {
 			return
 		}
 		// Step on this goroutine, under a cycle bound: a state that runs
