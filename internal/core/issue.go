@@ -167,15 +167,13 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 	}
 	p.candBuf = cands
 
-	if needs.Optimistic {
-		// The policy orders on the optimism estimate at selection time
-		// (OPT_LAST among the built-ins); it must be snapshotted before any
-		// issue this cycle changes producer states.
-		for i := range cands {
-			c := &cands[i]
-			c.info.Optimistic = p.srcAtRisk(p.srcFile(c.d.si.Src1), c.d.src1Phys) ||
-				p.srcAtRisk(p.srcFile(c.d.si.Src2), c.d.src2Phys)
-		}
+	// The policy orders on the optimism estimate at selection time
+	// (OPT_LAST among the built-ins); it must be snapshotted before any
+	// issue this cycle changes producer states.
+	for i := range cands {
+		c := &cands[i]
+		c.info.Optimistic = p.srcAtRisk(p.srcFile(c.d.si.Src1), c.d.src1Phys) ||
+			p.srcAtRisk(p.srcFile(c.d.si.Src2), c.d.src2Phys)
 	}
 	// A stable insertion sort keeps candidates Less does not separate in
 	// stream order — the same permutation sort.SliceStable produces —

@@ -96,7 +96,7 @@ func TestIssuePolicyRestatedAsLess(t *testing.T) {
 	for _, builtin := range []smt.IssueAlg{smt.IssueOldestFirst, smt.IssueOptLast, smt.IssueSpecLast, smt.IssueBranchFirst} {
 		name := "TEST_LESS_" + string(builtin)
 		pol := smt.IssuePolicy{Name: name, Less: restated[builtin],
-			Needs: smt.IssueNeeds{Optimistic: builtin == smt.IssueOptLast, Speculative: builtin == smt.IssueSpecLast}}
+			Needs: smt.IssueNeeds{Speculative: builtin == smt.IssueSpecLast}}
 		if err := smt.RegisterIssuePolicy(pol); err != nil {
 			t.Fatal(err)
 		}

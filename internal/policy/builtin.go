@@ -37,7 +37,7 @@ func init() {
 	// instructions into two groups by one flag; the stable sort keeps age
 	// order within each.
 	MustRegisterIssue(Issue{Name: string(OldestFirst)})
-	MustRegisterIssue(Issue{Name: string(OptLast), Needs: IssueNeeds{Optimistic: true},
+	MustRegisterIssue(Issue{Name: string(OptLast),
 		Less: func(a, b IssueInfo) bool { return !a.Optimistic && b.Optimistic }})
 	MustRegisterIssue(Issue{Name: string(SpecLast), Needs: IssueNeeds{Speculative: true},
 		Less: func(a, b IssueInfo) bool { return !a.Speculative && b.Speculative }})

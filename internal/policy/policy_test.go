@@ -104,9 +104,6 @@ func TestEveryRegisteredIssuePolicy(t *testing.T) {
 		}
 		less := issueLess(sel)
 		undeclared := func(i IssueInfo) IssueInfo {
-			if !sel.Needs.Optimistic {
-				i.Optimistic = false
-			}
 			if !sel.Needs.Speculative {
 				i.Speculative = false
 			}
@@ -220,8 +217,8 @@ func TestLookupReturnsACopy(t *testing.T) {
 		t.Errorf("mutating a looked-up fetch policy changed the registry: %+v", again)
 	}
 	i, _ := LookupIssue("OPT_LAST")
-	i.Less, i.Needs = nil, IssueNeeds{}
-	if again, _ := LookupIssue("OPT_LAST"); again.Less == nil || again.Needs != (IssueNeeds{Optimistic: true}) {
+	i.Less, i.Needs = nil, IssueNeeds{Speculative: true}
+	if again, _ := LookupIssue("OPT_LAST"); again.Less == nil || again.Needs != (IssueNeeds{}) {
 		t.Errorf("mutating a looked-up issue policy changed the registry: %+v", again)
 	}
 }

@@ -62,20 +62,18 @@ func (f *Fetch) Order(rrBase int, fb []ThreadFeedback, out []int) []int {
 // shape of the paper's OPT_LAST, SPEC_LAST and BRANCH_FIRST. A nil Less
 // is pure age order, OLDEST_FIRST: the stream is consumed as is.
 //
-// Less must be a deterministic strict weak ordering. It may read Age and
-// Branch freely, and Optimistic or Speculative only when Needs says so.
+// Less must be a deterministic strict weak ordering. It may read Age,
+// Optimistic and Branch freely, and Speculative only when Needs says so.
 type Issue struct {
 	Name  string
 	Less  func(a, b IssueInfo) bool
 	Needs IssueNeeds
 }
 
-// IssueNeeds declares which costly IssueInfo fields an issue policy
-// reads. Optimistic costs two register-file probes per candidate per
-// cycle; Speculative costs a both-queue scan per cycle for the per-thread
-// oldest queued unresolved control instruction. The core computes only
-// what the policy declares; undeclared fields read false.
+// IssueNeeds declares which costly IssueInfo field an issue policy reads:
+// Speculative costs a both-queue scan per cycle for the per-thread oldest
+// queued unresolved control instruction. The core computes it only when
+// the policy declares it; undeclared, it reads false.
 type IssueNeeds struct {
-	Optimistic  bool
 	Speculative bool
 }
