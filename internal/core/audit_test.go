@@ -13,8 +13,9 @@ import (
 	"repro/internal/state"
 )
 
-// audited arms p's audit hook: anything the wake filter or the optHeld
-// squash search gets wrong fails the test (the first few, then it counts).
+// audited arms p's audit hook: anything the wake filter, the Speculative
+// flag or the optHeld squash search gets wrong fails the test (the first
+// few, then it counts).
 func audited(t *testing.T, p *Processor) {
 	t.Helper()
 	wrong := 0
@@ -33,8 +34,10 @@ func audited(t *testing.T, p *Processor) {
 // TestDerivedShortcutsSound runs the audit hook over every built-in fetch x
 // issue policy pair at 1, 2, 4 and 8 threads under each speculation mode:
 // no entry the issue stage skips as asleep would have issued (in tryIssue's
-// live filter or in issueReordered's before-the-walk one), and no
-// instruction squashDependents must pull back is missing from optHeld. Each
+// live filter or in issueReordered's before-the-walk one), every reordering
+// candidate is flagged Speculative exactly when an older branch of its
+// thread is unresolved, and no instruction squashDependents must pull back
+// is missing from optHeld. Each
 // width has to have exercised what makes those hard — misses, bank-conflict
 // retries, optimistic pull-backs, mispredict squashes — and slept at all.
 func TestDerivedShortcutsSound(t *testing.T) {

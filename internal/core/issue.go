@@ -43,13 +43,6 @@ func (p *Processor) issueStage() {
 	p.idxBuf = p.idxBuf[:0]
 	p.fpIdxBuf = p.fpIdxBuf[:0]
 
-	// Oldest in-IQ unresolved control instruction per thread, for the
-	// SPEC_LAST flag — computed only when the policy reads it.
-	var specSeq []int64
-	if p.issuePol.Needs.Speculative {
-		specSeq = p.oldestQueuedCtl()
-	}
-
 	var fu fuState
 	if p.issuePol.Less == nil {
 		// The merge walk visits each queue front to back, so its removal
@@ -60,7 +53,7 @@ func (p *Processor) issueStage() {
 		// per-queue removal positions may be out of order; they are nearly
 		// sorted (age order within each queue), which insertion sort
 		// handles in ~n compares.
-		p.issueReordered(specSeq, &fu)
+		p.issueReordered(&fu)
 		insertionSortInts(p.idxBuf)
 		insertionSortInts(p.fpIdxBuf)
 	}
@@ -128,10 +121,9 @@ func (p *Processor) issueOldestFirst(fu *fuState) {
 	}
 }
 
-// issueReordered materializes the merged candidate list, reorders it
-// under the issue policy, and issues down it.
-func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
-	needs := p.issuePol.Needs
+// issueReordered materializes the merged candidate list, fills every
+// IssueInfo field, reorders it under the issue policy, and issues down it.
+func (p *Processor) issueReordered(fu *fuState) {
 	cands := p.candBuf[:0]
 	intW := p.intQ.Window()
 	fpW := p.fpQ.Window()
@@ -160,8 +152,13 @@ func (p *Processor) issueReordered(specSeq []int64, fu *fuState) {
 		// a Less that breaks ties on Age then keeps the built-ins' order.
 		c.info.Age = int64(len(cands))
 		c.info.Branch = d.isControl()
-		if needs.Speculative {
-			c.info.Speculative = specSeq[d.thread] < d.seq
+		// ctlFlight is the thread's unresolved control instructions in
+		// program order, so its head is the oldest one.
+		if ctl := p.threads[d.thread].ctlFlight; len(ctl) > 0 {
+			c.info.Speculative = ctl[0].seq < d.seq
+		}
+		if p.audit != nil {
+			p.auditSpeculative(d, c.info.Speculative)
 		}
 		cands = append(cands, c)
 	}
@@ -272,32 +269,6 @@ func (p *Processor) tryIssue(d *dyn, pos int, fromFP bool, fu *fuState) (full bo
 		fu.intUsed++
 	}
 	return false
-}
-
-// oldestQueuedCtl returns, per thread, the sequence number of the oldest
-// unresolved control instruction still occupying an IQ slot (MaxInt64 when
-// none).
-func (p *Processor) oldestQueuedCtl() []int64 {
-	if cap(p.specSeqBuf) < p.cfg.Threads {
-		// Growth guard: fires once, then the buffer is reused every cycle.
-		p.specSeqBuf = make([]int64, p.cfg.Threads)
-	}
-	s := p.specSeqBuf[:p.cfg.Threads]
-	for i := range s {
-		s[i] = 1<<63 - 1
-	}
-	for _, d := range p.intQ.All() {
-		if d.isControl() && !d.resolved && d.seq < s[d.thread] {
-			s[d.thread] = d.seq
-		}
-	}
-	for _, d := range p.fpQ.All() {
-		if d.isControl() && !d.resolved && d.seq < s[d.thread] {
-			s[d.thread] = d.seq
-		}
-	}
-	p.specSeqBuf = s
-	return s
 }
 
 // ready decides whether d can issue this cycle, and whether doing so is
@@ -414,6 +385,28 @@ func (p *Processor) auditAsleep(d *dyn) {
 	d.wake = wake
 	if ok {
 		p.audit(d, "skipped as asleep, but ready to issue")
+	}
+}
+
+// auditSpeculative runs behind the test-only audit hook: d's Speculative
+// flag must say what a walk of its thread's live ROB finds, whether an
+// older control instruction is unresolved.
+func (p *Processor) auditSpeculative(d *dyn, spec bool) {
+	behind := false
+	for _, x := range p.threads[d.thread].liveROB() {
+		if x.seq >= d.seq {
+			break
+		}
+		if x.isControl() && !x.resolved {
+			behind = true
+			break
+		}
+	}
+	switch {
+	case spec && !behind:
+		p.audit(d, "marked speculative, but no older branch is unresolved")
+	case !spec && behind:
+		p.audit(d, "not marked speculative, but an older branch is unresolved")
 	}
 }
 

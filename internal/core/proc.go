@@ -59,8 +59,8 @@ type Processor struct {
 	cycle int64
 
 	// The fetch and issue policies, resolved from their registered names
-	// once at construction; the per-cycle stages read them directly. Each
-	// policy's Needs say which costly inputs the cycle loop has to compute.
+	// once at construction; the per-cycle stages read them directly. The
+	// fetch policy's Needs say whether the cycle loop computes IQPosn.
 	fetchPol policy.Fetch
 	issuePol policy.Issue
 
@@ -103,21 +103,21 @@ type Processor struct {
 	// Scratch buffers reused across cycles: every per-cycle append site
 	// reuses one of these backing arrays, so the steady-state loop never
 	// allocates.
-	fbBuf      []policy.ThreadFeedback
-	orderBuf   []int
-	pickBuf    []*threadState // this cycle's fetch picks; len FetchThreads
-	candBuf    []candidate
-	idxBuf     []int
-	fpIdxBuf   []int
-	specSeqBuf []int64
-	squashBuf  []*dyn
+	fbBuf     []policy.ThreadFeedback
+	orderBuf  []int
+	pickBuf   []*threadState // this cycle's fetch picks; len FetchThreads
+	candBuf   []candidate
+	idxBuf    []int
+	fpIdxBuf  []int
+	squashBuf []*dyn
 
 	// audit is a test-only hook (set from _test.go, nil otherwise). When
-	// non-nil, the two places that skip work on derived grounds also do it
-	// the long way, and the hook hears of any instruction they got wrong:
-	// an entry the issue stage skips as asleep is put to ready regardless,
-	// and squashDependents also searches every in-flight instruction for a
-	// consumer that optHeld does not list.
+	// non-nil, the places that skip work on derived grounds also do it the
+	// long way, and the hook hears of any instruction they got wrong: an
+	// entry the issue stage skips as asleep is put to ready regardless, a
+	// reordering candidate's Speculative flag is checked against a walk of
+	// its thread's live ROB, and squashDependents also searches every
+	// in-flight instruction for a consumer that optHeld does not list.
 	audit func(d *dyn, wrong string)
 
 	// CommitHook, when non-nil, observes every committed instruction in

@@ -73,7 +73,9 @@ func TestCustomPolicySweepsAndCaches(t *testing.T) {
 // IssueInfo.Age, runs the built-in's machine cycle for cycle. Age is a
 // candidate's rank in the merged issue stream; were it globalAge,
 // OLDEST_FIRST restated would diverge from 2 threads up, because the stream
-// is not globalAge order for threads fetched in the same cycle.
+// is not globalAge order for threads fetched in the same cycle. The
+// restated policies read Optimistic and Speculative without declaring
+// anything: the core fills every IssueInfo field.
 func TestIssuePolicyRestatedAsLess(t *testing.T) {
 	older := func(a, b smt.IssueInfo) bool { return a.Age < b.Age }
 	// firstThenOlder puts the instructions first accepts ahead of the
@@ -95,8 +97,7 @@ func TestIssuePolicyRestatedAsLess(t *testing.T) {
 	o := Opts{Runs: 1, Warmup: 10_000, Measure: 30_000, Seed: 1}
 	for _, builtin := range []smt.IssueAlg{smt.IssueOldestFirst, smt.IssueOptLast, smt.IssueSpecLast, smt.IssueBranchFirst} {
 		name := "TEST_LESS_" + string(builtin)
-		pol := smt.IssuePolicy{Name: name, Less: restated[builtin],
-			Needs: smt.IssueNeeds{Speculative: builtin == smt.IssueSpecLast}}
+		pol := smt.IssuePolicy{Name: name, Less: restated[builtin]}
 		if err := smt.RegisterIssuePolicy(pol); err != nil {
 			t.Fatal(err)
 		}

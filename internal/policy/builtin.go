@@ -39,7 +39,7 @@ func init() {
 	MustRegisterIssue(Issue{Name: string(OldestFirst)})
 	MustRegisterIssue(Issue{Name: string(OptLast),
 		Less: func(a, b IssueInfo) bool { return !a.Optimistic && b.Optimistic }})
-	MustRegisterIssue(Issue{Name: string(SpecLast), Needs: IssueNeeds{Speculative: true},
+	MustRegisterIssue(Issue{Name: string(SpecLast),
 		Less: func(a, b IssueInfo) bool { return !a.Speculative && b.Speculative }})
 	MustRegisterIssue(Issue{Name: string(BranchFirst),
 		Less: func(a, b IssueInfo) bool { return a.Branch && !b.Branch }})

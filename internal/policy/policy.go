@@ -26,8 +26,8 @@
 // and callers can register their own with RegisterFetch / RegisterIssue
 // (or smt.RegisterFetchPolicy / smt.RegisterIssuePolicy from outside the
 // module's internals). A policy is data — a Fetch or an Issue value: a
-// name, a comparison, and which costly inputs the comparison reads — and
-// is addressed everywhere — configs, JSON, CLI flags, the result cache —
+// name and a comparison (plus, for a fetch policy, whether it reads the
+// costly queue-position feedback) — and is addressed everywhere — configs, JSON, CLI flags, the result cache —
 // by its registered name.
 package policy
 
@@ -136,9 +136,10 @@ type IssueInfo struct {
 	Age        int64 // rank in the cycle's merged issue stream, the order OLDEST_FIRST issues in (smaller = older)
 	Optimistic bool  // depends on a load whose hit status is still unknown
 
-	// Speculative: an older unresolved control instruction of the same
-	// thread still holds an IQ slot. One that has left the queue
-	// unresolved (issued, still executing) does not count.
+	// Speculative: an older control instruction of the same thread is
+	// unresolved, whether it still waits in a queue or has issued and is
+	// executing — the instruction sits behind a branch the machine has
+	// not yet checked.
 	Speculative bool
 
 	Branch bool // is a control-flow instruction

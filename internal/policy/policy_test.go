@@ -84,10 +84,8 @@ func TestEveryRegisteredFetchPolicy(t *testing.T) {
 }
 
 // Property (registry-wide): every registered issue policy name round-trips,
-// the order it stands for (issueLess) is irreflexive and asymmetric —
-// usable by a stable sort — and it reads no costly IssueInfo field outside
-// its declared Needs: the core leaves those false, so a policy that
-// under-declares would order on false in the machine.
+// and the order it stands for (issueLess) is irreflexive and asymmetric —
+// usable by a stable sort.
 func TestEveryRegisteredIssuePolicy(t *testing.T) {
 	names := IssueNames()
 	if len(names) < 4 {
@@ -103,20 +101,11 @@ func TestEveryRegisteredIssuePolicy(t *testing.T) {
 			t.Fatalf("lookup %q failed or name mismatch", name)
 		}
 		less := issueLess(sel)
-		undeclared := func(i IssueInfo) IssueInfo {
-			if !sel.Needs.Speculative {
-				i.Speculative = false
-			}
-			return i
-		}
 		f := func(aFlags, bFlags uint8, aAge, bAge uint16) bool {
 			a := IssueInfo{Age: int64(aAge), Optimistic: aFlags&1 != 0, Speculative: aFlags&2 != 0, Branch: aFlags&4 != 0}
 			b := IssueInfo{Age: int64(bAge), Optimistic: bFlags&1 != 0, Speculative: bFlags&2 != 0, Branch: bFlags&4 != 0}
 			if less(a, a) {
 				return false // irreflexive
-			}
-			if less(a, b) != less(undeclared(a), undeclared(b)) {
-				return false // reads an undeclared field
 			}
 			return !(less(a, b) && less(b, a)) // asymmetric
 		}
@@ -217,8 +206,8 @@ func TestLookupReturnsACopy(t *testing.T) {
 		t.Errorf("mutating a looked-up fetch policy changed the registry: %+v", again)
 	}
 	i, _ := LookupIssue("OPT_LAST")
-	i.Less, i.Needs = nil, IssueNeeds{Speculative: true}
-	if again, _ := LookupIssue("OPT_LAST"); again.Less == nil || again.Needs != (IssueNeeds{}) {
+	i.Less, i.Name = nil, "OLDEST_FIRST"
+	if again, _ := LookupIssue("OPT_LAST"); again.Less == nil || again.Name != "OPT_LAST" {
 		t.Errorf("mutating a looked-up issue policy changed the registry: %+v", again)
 	}
 }

@@ -104,14 +104,13 @@ type (
 	// comparison (nil is round-robin; ties break round-robin) and whether
 	// it reads the queue-position feedback.
 	FetchPolicy = policy.Fetch
-	// IssuePolicy orders ready instructions for issue each cycle: a name,
-	// a comparison applied as a stable sort of the oldest-first stream
-	// (nil is oldest-first), and the costly instruction facts it reads.
+	// IssuePolicy orders ready instructions for issue each cycle: a name
+	// and a comparison applied as a stable sort of the oldest-first stream
+	// (nil is oldest-first). The core fills every IssueInfo field.
 	IssuePolicy = policy.Issue
-	// FeedbackNeeds and IssueNeeds declare the costly fields a policy
-	// reads; the core computes only those and fills every other field.
+	// FeedbackNeeds declares whether a fetch policy reads the costly
+	// queue-position feedback; the core fills every other field.
 	FeedbackNeeds = policy.FeedbackNeeds
-	IssueNeeds    = policy.IssueNeeds
 	// ThreadFeedback carries the per-thread counters fetch policies consult.
 	ThreadFeedback = policy.ThreadFeedback
 	// IssueInfo describes one ready instruction for issue ordering.

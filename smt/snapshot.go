@@ -21,8 +21,10 @@ import (
 // port and bus as a calendar of windows in time order, lets a store
 // merging onto a fill dirty its line, makes a TLB entry usable when its
 // walk ends, and walks the windows, the hierarchy's cycle and each TLB
-// entry's walk completion; version 6 deflates the stream.
-const ModelVersion = 6
+// entry's walk completion; version 6 deflates the stream; version 7
+// counts an issued, unresolved branch as making SPEC_LAST's younger
+// instructions speculative.
+const ModelVersion = 7
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
