@@ -38,7 +38,8 @@ const (
 	// passing branches").
 	SpecNoPassBranch
 	// SpecNoWrongPath guarantees no wrong-path instruction issues by
-	// delaying instructions four cycles after the preceding branch issues.
+	// delaying instructions four cycles after every preceding branch of
+	// the thread issues, resolved or not.
 	SpecNoWrongPath
 )
 

@@ -306,8 +306,13 @@ func (p *Processor) ready(d *dyn) (ok, optimistic bool) {
 			}
 		}
 	case SpecNoWrongPath:
-		for _, c := range th.ctlFlight {
-			if c.seq < d.seq && (c.state < stIssued || p.cycle < c.issueCycle+4) {
+		// Every older control instruction, resolved or not: one leaves
+		// ctlFlight when it resolves, before its mispredict squash lands.
+		for _, c := range th.liveROB() {
+			if c.seq >= d.seq {
+				break
+			}
+			if c.isControl() && (c.state < stIssued || p.cycle < c.issueCycle+4) {
 				return false, false
 			}
 		}

@@ -178,6 +178,23 @@ func TestShapeSpecModesCostSingleThread(t *testing.T) {
 	}
 }
 
+// TestNoWrongPathIssuesNoWrongPath holds SpecNoWrongPath to its promise at
+// 1 and 8 threads. A branch resolves, and leaves its thread's ctlFlight,
+// three cycles after it issues and is squashed a cycle later, so a delay
+// checked against ctlFlight alone lets the instructions behind a
+// mispredicted branch issue in the cycle between.
+func TestNoWrongPathIssuesNoWrongPath(t *testing.T) {
+	for _, threads := range []int{1, 8} {
+		cfg := DefaultConfig(threads)
+		cfg.FetchPolicy, cfg.SpecMode = policy.ICount, SpecNoWrongPath
+		p := MustNew(cfg, buildTraces(t, threads, 3))
+		s := p.Run(200_000, 0)
+		if s.IssuedWrongPath != 0 || s.FetchedWrongPath == 0 {
+			t.Errorf("%d threads: %d wrong-path instructions issued of %d fetched", threads, s.IssuedWrongPath, s.FetchedWrongPath)
+		}
+	}
+}
+
 // TestShapePerfectBranchPredictionHelpsOneThreadMore asserts Section 7's
 // claim that SMT is less sensitive to branch prediction quality: the
 // relative gain from perfect prediction is larger at 1 thread than at 8.

@@ -23,7 +23,8 @@ import (
 // walk ends, and walks the windows, the hierarchy's cycle and each TLB
 // entry's walk completion; version 6 deflates the stream; version 7
 // counts an issued, unresolved branch as making SPEC_LAST's younger
-// instructions speculative.
+// instructions speculative, and holds NO_WRONG_PATH's four-cycle delay
+// past the branch's resolution.
 const ModelVersion = 7
 
 // identity walks the snapshot's envelope: enough identity to refuse a
