@@ -1,16 +1,38 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
+// traceCache memoises buildTraces by (threads, seed). A trace is immutable
+// and shared read-only by every machine built over it, so a test that
+// builds the same machine hundreds of times decodes its programs once.
+var traceCache struct {
+	sync.Mutex
+	m map[traceKey][]*workload.Trace
+}
+
+type traceKey struct {
+	n    int
+	seed uint64
+}
+
 // buildTraces creates the first n benchmark programs, one per context, as
 // zero-record traces: a machine built from them walks its programs live.
+// The slice is the caller's own; the traces in it are shared.
 func buildTraces(t testing.TB, n int, seed uint64) []*workload.Trace {
 	t.Helper()
+	traceCache.Lock()
+	defer traceCache.Unlock()
+	key := traceKey{n, seed}
+	if traces, ok := traceCache.m[key]; ok {
+		return slices.Clone(traces)
+	}
 	profiles := workload.Profiles()
 	progs := make([]*workload.Program, n)
 	for i := 0; i < n; i++ {
@@ -20,7 +42,12 @@ func buildTraces(t testing.TB, n int, seed uint64) []*workload.Trace {
 		}
 		progs[i] = prog
 	}
-	return live(progs...)
+	traces := live(progs...)
+	if traceCache.m == nil {
+		traceCache.m = make(map[traceKey][]*workload.Trace)
+	}
+	traceCache.m[key] = traces
+	return slices.Clone(traces)
 }
 
 // live wraps each program in a zero-record trace.
