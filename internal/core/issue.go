@@ -402,16 +402,10 @@ func (p *Processor) auditSpeculative(d *dyn, spec bool) {
 		if x.seq >= d.seq {
 			break
 		}
-		if x.isControl() && !x.resolved {
-			behind = true
-			break
-		}
+		behind = behind || x.isControl() && !x.resolved
 	}
-	switch {
-	case spec && !behind:
-		p.audit(d, "marked speculative, but no older branch is unresolved")
-	case !spec && behind:
-		p.audit(d, "not marked speculative, but an older branch is unresolved")
+	if spec != behind {
+		p.audit(d, "Speculative flag disagrees with the live ROB")
 	}
 }
 

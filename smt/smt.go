@@ -105,11 +105,9 @@ type (
 	// it reads the queue-position feedback.
 	FetchPolicy = policy.Fetch
 	// IssuePolicy orders ready instructions for issue each cycle: a name
-	// and a comparison applied as a stable sort of the oldest-first stream
-	// (nil is oldest-first). The core fills every IssueInfo field.
+	// and a comparison over IssueInfo (nil is oldest-first).
 	IssuePolicy = policy.Issue
-	// FeedbackNeeds declares whether a fetch policy reads the costly
-	// queue-position feedback; the core fills every other field.
+	// FeedbackNeeds declares whether a fetch policy reads IQPosn.
 	FeedbackNeeds = policy.FeedbackNeeds
 	// ThreadFeedback carries the per-thread counters fetch policies consult.
 	ThreadFeedback = policy.ThreadFeedback

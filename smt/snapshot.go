@@ -21,10 +21,9 @@ import (
 // port and bus as a calendar of windows in time order, lets a store
 // merging onto a fill dirty its line, makes a TLB entry usable when its
 // walk ends, and walks the windows, the hierarchy's cycle and each TLB
-// entry's walk completion; version 6 deflates the stream; version 7
-// counts an issued, unresolved branch as making SPEC_LAST's younger
-// instructions speculative, and holds NO_WRONG_PATH's four-cycle delay
-// past the branch's resolution.
+// entry's walk completion; version 6 deflates the stream; version 7 counts
+// issued, unresolved branches for SPEC_LAST and holds NO_WRONG_PATH's
+// delay past resolution.
 const ModelVersion = 7
 
 // identity walks the snapshot's envelope: enough identity to refuse a
