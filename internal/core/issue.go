@@ -152,6 +152,11 @@ func (p *Processor) issueReordered(fu *fuState) {
 		// a Less that breaks ties on Age then keeps the built-ins' order.
 		c.info.Age = int64(len(cands))
 		c.info.Branch = d.isControl()
+		// The policy orders on the optimism estimate at selection time
+		// (OPT_LAST among the built-ins); it must be snapshotted before any
+		// issue this cycle changes producer states.
+		c.info.Optimistic = p.srcAtRisk(p.srcFile(d.si.Src1), d.src1Phys) ||
+			p.srcAtRisk(p.srcFile(d.si.Src2), d.src2Phys)
 		// ctlFlight is the thread's unresolved control instructions in
 		// program order, so its head is the oldest one.
 		if ctl := p.threads[d.thread].ctlFlight; len(ctl) > 0 {
@@ -164,14 +169,6 @@ func (p *Processor) issueReordered(fu *fuState) {
 	}
 	p.candBuf = cands
 
-	// The policy orders on the optimism estimate at selection time
-	// (OPT_LAST among the built-ins); it must be snapshotted before any
-	// issue this cycle changes producer states.
-	for i := range cands {
-		c := &cands[i]
-		c.info.Optimistic = p.srcAtRisk(p.srcFile(c.d.si.Src1), c.d.src1Phys) ||
-			p.srcAtRisk(p.srcFile(c.d.si.Src2), c.d.src2Phys)
-	}
 	// A stable insertion sort keeps candidates Less does not separate in
 	// stream order — the same permutation sort.SliceStable produces —
 	// without its per-call closure and reflection-swapper allocations. A
