@@ -26,9 +26,9 @@
 // and callers can register their own with RegisterFetch / RegisterIssue
 // (or smt.RegisterFetchPolicy / smt.RegisterIssuePolicy from outside the
 // module's internals). A policy is data — a Fetch or an Issue value: a
-// name and a comparison (plus, for a fetch policy, whether it reads the
-// costly queue-position feedback) — and is addressed everywhere — configs, JSON, CLI flags, the result cache —
-// by its registered name.
+// name and a comparison, plus, for a fetch policy, whether it reads the
+// costly queue-position feedback — and is addressed everywhere — configs,
+// JSON, CLI flags, the result cache — by its registered name.
 package policy
 
 import (
