@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/exp"
-	"repro/internal/snapshot"
 	"repro/smt"
 )
 
@@ -182,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Every context's program is pre-decoded once and replayed by every
 	// configuration that runs it, as in smtd.
-	warm := exp.WarmEnv{Traces: snapshot.NewTraceCache(0)}
+	warm := exp.WarmEnv{Traces: smt.NewTraceCache(0)}
 	runner := exp.Runner{Workers: *parallel}
 	if *cacheSize > 0 {
 		// One content-addressed store across every selected experiment:

@@ -19,7 +19,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/resilience/faults"
-	"repro/internal/snapshot"
+	"repro/smt"
 )
 
 // chaosSweepBody is the sweep the chaos suite replays: four distinct
@@ -157,7 +157,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 			Backoff:     20 * time.Millisecond,
 			DrainGrace:  2 * time.Second,
 			Client:      &http.Client{Transport: ft, Timeout: 15 * time.Second},
-			Warm:        exp.WarmEnv{Traces: snapshot.NewTraceCache(0)},
+			Warm:        exp.WarmEnv{Traces: smt.NewTraceCache(0)},
 		})
 		wdone.Add(1)
 		go func() {

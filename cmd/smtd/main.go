@@ -64,7 +64,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/snapshot"
+	"repro/smt"
 )
 
 func main() {
@@ -217,7 +217,7 @@ func runWorker(join, name string, slots int, pprofAddr string, stdout, stderr io
 		// checkpoints shared through the coordinator's cache endpoint (one
 		// node's cold warmup is every node's restore). Both are
 		// byte-invisible in results.
-		Warm: exp.WarmEnv{Traces: snapshot.NewTraceCache(0)},
+		Warm: exp.WarmEnv{Traces: smt.NewTraceCache(0)},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)
 		},

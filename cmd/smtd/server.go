@@ -46,7 +46,7 @@ type Server struct {
 	snaps     *cache.Tiered[[]byte]      // warmup-checkpoint tiers
 	flight    *cache.Flight[smt.Results] // results + in-flight dedup, what runners consult
 	snapshots *snapshot.Store            // snaps + traffic counters, what runners and workers consult
-	traces    *snapshot.TraceCache       // sweep-shared pre-decoded traces
+	traces    *smt.TraceCache            // sweep-shared pre-decoded traces
 	coord     *dist.Coordinator          // execution backend: one queue for local slots and remote workers
 	plans     *cache.Store[*sweepPlan]   // request body digest -> everything derived from it, see sweepPlan
 
@@ -176,7 +176,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	// and rare (runners probe before warming), while a dedup barrier would
 	// serialize unrelated sweeps behind one warmup.
 	s.snapshots = snapshot.NewStore(s.snaps)
-	s.traces = snapshot.NewTraceCache(0)
+	s.traces = smt.NewTraceCache(0)
 	// The coordinator is every sweep's execution backend. Its n local
 	// slots and any workers that join lease from one queue, so smtd
 	// simulates at most -workers jobs at once in-process across all

@@ -198,7 +198,7 @@ func TestPathMatrix(t *testing.T) {
 	// checkpoint stack, through counters of its own.
 	ckpt := cache.New[[]byte](0)
 	fill := snapshot.NewStore(ckpt)
-	cold := runSweep(t, variants.section, variants.rows, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: fill, Traces: snapshot.NewTraceCache(0)}})
+	cold := runSweep(t, variants.section, variants.rows, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: fill, Traces: smt.NewTraceCache(0)}})
 	t.Run("checkpoint-cold", func(t *testing.T) {
 		variants.compare(t, cold)
 		if st := fill.Stats(); st.Misses != int64(n) || st.Puts != int64(n) || st.Hits != 0 {
@@ -210,7 +210,7 @@ func TestPathMatrix(t *testing.T) {
 	// none.
 	restoring := func(t *testing.T, rows int) (exp.WarmEnv, func()) {
 		store := snapshot.NewStore(ckpt)
-		return exp.WarmEnv{Snapshots: store, Traces: snapshot.NewTraceCache(0)}, func() {
+		return exp.WarmEnv{Snapshots: store, Traces: smt.NewTraceCache(0)}, func() {
 			t.Helper()
 			if st := store.Stats(); st.Hits != int64(rows) || st.Misses != 0 || st.Puts != 0 {
 				t.Errorf("checkpoint stats %+v, want %d restores and nothing warmed", st, rows)
@@ -248,7 +248,7 @@ func TestPathMatrix(t *testing.T) {
 		{"runner", func(t *testing.T) { variants.check(t, exp.Runner{Workers: 1}) }},
 		{"warmenv", func(t *testing.T) { variants.check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{}}) }},
 		{"replay", func(t *testing.T) {
-			traces := snapshot.NewTraceCache(0)
+			traces := smt.NewTraceCache(0)
 			variants.check(t, exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Traces: traces}})
 			if st := traces.Stats(); st.Builds != int64(maxThreads) {
 				t.Errorf("trace stats %+v, want one build per context of the widest row (%d)", st, maxThreads)
@@ -454,7 +454,7 @@ func pairSet(t *testing.T) *set {
 // 4-thread rotation shared by all of them.
 func TestPolicyPairFingerprintsWarm(t *testing.T) {
 	pairs := pairSet(t)
-	store, traces := snapshot.NewStore(cache.New[[]byte](0)), snapshot.NewTraceCache(0)
+	store, traces := snapshot.NewStore(cache.New[[]byte](0)), smt.NewTraceCache(0)
 	r := exp.Runner{Workers: workers, Dispatch: exp.WarmEnv{Snapshots: store, Traces: traces}}
 	pairs.check(t, r)
 	pairs.check(t, r)
@@ -612,10 +612,12 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkBuild is a machine's size next to BenchmarkStep's speed: one
-// sub-benchmark per core_matrix machine for smt.New (programs built per
-// call, as every cold job does) and for smt.NewReplay over a TraceSet
-// built once outside the timer (the path a job with a cached trace takes).
-// B/op is what one machine allocates to exist.
+// sub-benchmark per core_matrix machine for smt.BuildTraceSet(spec, 0)
+// (the programs, generated afresh each call), for smt.New (its programs
+// taken from the process-wide cache, a hit after the first call) and for
+// smt.NewReplay over a TraceSet built once outside the timer (the path a
+// job with a cached trace takes). B/op is what one machine, or one set of
+// its programs, allocates to exist.
 //
 //	go test ./internal/exp -run '^$' -bench Build -benchmem
 func BenchmarkBuild(b *testing.B) {
@@ -629,6 +631,14 @@ func BenchmarkBuild(b *testing.B) {
 	for _, name := range names {
 		cfg := machines[name]
 		spec := smt.WorkloadMix(cfg.Threads, 0, coreMatrixOpts().Seed)
+		b.Run("programs/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := smt.BuildTraceSet(spec, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run("new/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -118,7 +118,7 @@ type TraceSource interface {
 // coordinator's local route and a distributed worker all run the kernel
 // under one. Both fields are seams this package declares; the embedder
 // supplies the stores (internal/cache tiers, snapshot.Store,
-// snapshot.TraceCache). The zero value disables both layers; either field
+// smt.TraceCache). The zero value disables both layers; either field
 // works alone. Neither layer changes result bytes — restored and
 // replayed runs are byte-identical to cold runs by construction.
 type WarmEnv struct {
@@ -186,6 +186,7 @@ func SimulateEnv(cfg smt.Config, rotate int, seed uint64, o Opts, interval int64
 				}
 			}
 		}
+		// Walk live, on programs smt.New shares process-wide.
 		return smt.MustNew(cfg, spec)
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/snapshot"
+	"repro/smt"
 )
 
 func warmTestOpts() Opts { return Opts{Runs: 2, Warmup: 3_000, Measure: 5_000, Seed: 1} }
@@ -18,7 +19,7 @@ func warmTestOpts() Opts { return Opts{Runs: 2, Warmup: 3_000, Measure: 5_000, S
 // traces but not the snapshot key.
 func TestWarmEnvKeysSeparateConfigs(t *testing.T) {
 	o := warmTestOpts()
-	store, traces := snapshot.NewStore(cache.New[[]byte](0)), snapshot.NewTraceCache(0)
+	store, traces := snapshot.NewStore(cache.New[[]byte](0)), smt.NewTraceCache(0)
 	env := WarmEnv{Snapshots: store, Traces: traces}
 
 	a := MustFetchScheme(4, "ICOUNT", 2, 8)
@@ -58,7 +59,7 @@ func TestRunnerWarmSweepByteIdentical(t *testing.T) {
 	want := encode(t, base)
 
 	store := snapshot.NewStore(cache.New[[]byte](0))
-	warm := Runner{Workers: 4, Dispatch: WarmEnv{Snapshots: store, Traces: snapshot.NewTraceCache(0)}}
+	warm := Runner{Workers: 4, Dispatch: WarmEnv{Snapshots: store, Traces: smt.NewTraceCache(0)}}
 	for pass := 0; pass < 2; pass++ {
 		res, err := warm.RunExperiment(context.Background(), e, o)
 		if err != nil {

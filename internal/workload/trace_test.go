@@ -9,7 +9,7 @@ import (
 	"repro/internal/state"
 )
 
-// granule is the unit snapshot.TraceCache rounds trace lengths to. Nothing
+// granule is the unit smt.TraceCache rounds trace lengths to. Nothing
 // in this package depends on it; it is here so the replay boundaries
 // tested are the lengths the cache actually builds.
 const granule = 64 << 10

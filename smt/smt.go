@@ -276,15 +276,16 @@ type Simulator struct {
 	running atomic.Bool // an unfinished streaming session owns the machine
 }
 
-// New builds a simulator: cfg.Threads programs are generated per spec and
-// loaded one per hardware context, each walked live. It is NewReplay over
-// zero-record traces. Unknown benchmark names and duplicate names (while
-// distinct benchmarks remain available) are rejected.
+// New builds a simulator that walks spec's programs live, one per hardware
+// context: NewReplay over zero-record traces from one process-wide
+// TraceCache, so each program is built once per process and shared
+// read-only by every machine that runs it. Unknown benchmark names and
+// duplicate names (while distinct benchmarks remain available) are rejected.
 func New(cfg Config, spec WorkloadSpec) (*Simulator, error) {
 	if err := validateSpec(cfg, spec); err != nil {
 		return nil, err
 	}
-	ts, err := BuildTraceSet(spec, 0)
+	ts, err := shared.Get(spec, 0)
 	if err != nil {
 		return nil, err
 	}
