@@ -10,6 +10,7 @@ import (
 	"repro/internal/iq"
 	"repro/internal/mem"
 	"repro/internal/policy"
+	"repro/internal/rename"
 	"repro/internal/state"
 )
 
@@ -31,16 +32,43 @@ func audited(t *testing.T, p *Processor) {
 	})
 }
 
+// auditRegisters holds every physical register's producer facts to its
+// live producer, found the long way: a register reads at risk exactly when
+// its producer has issued and is an unverified load or is itself
+// optimistic, and reads instant when that producer has a zero-latency
+// class. A register with no live producer reads not at risk.
+func auditRegisters(t *testing.T, p *Processor) {
+	t.Helper()
+	m := producers(p)
+	for _, file := range []struct {
+		f     *rename.File
+		prods []*dyn
+	}{{p.ren.Int, m.int}, {p.ren.FP, m.fp}} {
+		for reg, d := range file.prods {
+			phys := rename.PhysReg(reg)
+			risk := d != nil && (d.isLoad() && !d.memVerified && d.state >= stIssued || d.state == stIssued && d.optimistic)
+			if file.f.AtRisk(phys) != risk {
+				t.Fatalf("cycle %d: register %d reads at risk %t, its producer says %t", p.cycle, phys, !risk, risk)
+			}
+			if d != nil && file.f.Instant(phys) != (d.cls.Latency() == 0) {
+				t.Fatalf("cycle %d: register %d's instant flag disagrees with its producer's %v", p.cycle, phys, d.cls)
+			}
+		}
+	}
+}
+
 // TestDerivedShortcutsSound runs the audit hook over every built-in fetch x
 // issue policy pair at 1, 2, 4 and 8 threads under each speculation mode:
 // no entry the issue stage skips as asleep would have issued (in tryIssue's
 // live filter or in issueReordered's before-the-walk one), every reordering
 // candidate is flagged Speculative exactly when an older branch of its
-// thread is unresolved, and no instruction squashDependents must pull back
-// is missing from optHeld. Each
+// thread is unresolved, no instruction squashDependents must pull back
+// is missing from optHeld, and every register's producer facts hold
+// (auditRegisters, every auditEvery cycles). Each
 // width has to have exercised what makes those hard — misses, bank-conflict
 // retries, optimistic pull-backs, mispredict squashes — and slept at all.
 func TestDerivedShortcutsSound(t *testing.T) {
+	const auditEvery = 8
 	cycles, widths := 6_000, []int{1, 2, 4, 8}
 	if testing.Short() {
 		cycles, widths = 2_000, []int{4}
@@ -60,6 +88,9 @@ func TestDerivedShortcutsSound(t *testing.T) {
 						asleep := 0
 						for i := 0; i < cycles; i++ {
 							p.Step()
+							if i%auditEvery == 0 {
+								auditRegisters(t, p)
+							}
 							for _, q := range [][]*dyn{p.intQ.Window(), p.fpQ.Window()} {
 								for _, d := range q {
 									if d.state == stQueued && p.asleep(d) {
@@ -94,6 +125,8 @@ func TestDerivedShortcutsSound(t *testing.T) {
 // Wake state is derived and not checkpointed: a machine restored mid-run
 // starts with every entry awake, re-learns the blockers, and must land on
 // exactly the uninterrupted run's counters — with the audit on throughout.
+// The registers' producer facts are not checkpointed either: restored, they
+// must equal the uninterrupted machine's at once.
 func TestWakeStateSurvivesRestore(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.FetchPolicy, cfg.FetchThreads, cfg.IssuePolicy = policy.ICount, 2, policy.OptLast
@@ -126,6 +159,34 @@ func TestWakeStateSurvivesRestore(t *testing.T) {
 		if d.wake != 0 {
 			t.Fatal("a restored queue entry carries wake state: it leaked into the checkpoint")
 		}
+	}
+	// A register's producer facts are restated from the live ROBs, not
+	// read: each live register must read as in the machine that never
+	// stopped, and the checkpoint must hold some at risk and some instant.
+	prods, risky, instant := producers(whole), 0, 0
+	for _, file := range []struct {
+		whole, resumed *rename.File
+		prods          []*dyn
+	}{{whole.ren.Int, resumed.ren.Int, prods.int}, {whole.ren.FP, resumed.ren.FP, prods.fp}} {
+		for reg, d := range file.prods {
+			phys := rename.PhysReg(reg)
+			if d == nil {
+				continue
+			}
+			if file.resumed.AtRisk(phys) != file.whole.AtRisk(phys) || file.resumed.Instant(phys) != file.whole.Instant(phys) {
+				t.Fatalf("register %d (producer seq %d, %v) restored at risk %t, instant %t; want %t, %t", phys, d.seq, d.cls,
+					file.resumed.AtRisk(phys), file.resumed.Instant(phys), file.whole.AtRisk(phys), file.whole.Instant(phys))
+			}
+			if file.whole.AtRisk(phys) {
+				risky++
+			}
+			if file.whole.Instant(phys) {
+				instant++
+			}
+		}
+	}
+	if risky == 0 || instant == 0 {
+		t.Fatalf("%d live registers at risk and %d instant at the checkpoint; pick another cycle", risky, instant)
 	}
 	if got, want := resumed.Run(30_000, 0), whole.Run(30_000, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored run diverged from the uninterrupted one:\n got %+v\nwant %+v", got, want)

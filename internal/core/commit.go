@@ -92,11 +92,7 @@ func (p *Processor) commitOne(th *threadState, d *dyn) {
 	}
 
 	if d.destPhys != rename.None {
-		f := p.ren.FileFor(d.si.Dest)
-		if p.producerFor(f, d.destPhys) == d {
-			p.setProducer(f, d.destPhys, nil)
-		}
-		f.CommitFree(d.oldPhys)
+		p.ren.FileFor(d.si.Dest).CommitFree(d.oldPhys)
 	}
 
 	if d.isControl() {

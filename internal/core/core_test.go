@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -59,16 +60,30 @@ func live(progs ...*workload.Program) []*workload.Trace {
 	return traces
 }
 
+// stallWindow is smtsim's progress budget: a machine that commits nothing
+// for this many cycles has wedged.
+const stallWindow = 100_000
+
 // Run advances until instructions commits have occurred (across all
 // threads) or maxCycles elapse (0 means no cycle bound). It returns the
-// statistics snapshot at stop.
+// statistics snapshot at stop. A machine that goes stallWindow cycles
+// without a commit panics, naming the cycle and the per-thread commits,
+// so a wedged model fails its test at once instead of at go test's
+// timeout.
 func (p *Processor) Run(instructions int64, maxCycles int64) Stats {
 	start := p.stats.Committed
+	committed, since := start, p.cycle
 	for p.stats.Committed-start < instructions {
 		if maxCycles > 0 && p.stats.Cycles >= maxCycles {
 			break
 		}
 		p.Step()
+		if p.stats.Committed != committed {
+			committed, since = p.stats.Committed, p.cycle
+		} else if p.cycle-since >= stallWindow {
+			panic(fmt.Sprintf("core: wedged: nothing committed in the %d cycles before cycle %d (per thread %v)",
+				stallWindow, p.cycle, p.stats.CommittedByThread))
+		}
 	}
 	return p.Stats()
 }

@@ -11,13 +11,11 @@ import (
 type dynState uint8
 
 const (
-	stFetched   dynState = iota // in the decode latch
-	stDecoded                   // in the rename latch
-	stQueued                    // renamed, waiting in an instruction queue
-	stIssued                    // selected for issue, in register read
-	stExecuting                 // occupying a functional unit
-	stDone                      // completed, waiting for in-order commit
-	stSquashed                  // killed; released once events drain
+	stFetched  dynState = iota // in the decode latch
+	stDecoded                  // in the rename latch
+	stQueued                   // renamed, waiting in an instruction queue
+	stIssued                   // issued: register read through completion to commit
+	stSquashed                 // killed; released once events drain
 )
 
 // mispredKind classifies how a fetched control instruction's predicted next

@@ -95,6 +95,7 @@ func (p *Processor) memExec(d *dyn) (hit bool) {
 
 	// Load: hit or miss now known.
 	d.memVerified = true
+	p.noteRisk(d)
 	d.doneCycle = res.Done + p.cfg.commitDelay()
 	if res.L1Miss {
 		th.misscount++
@@ -142,7 +143,7 @@ func (p *Processor) squashDependents(root *dyn) {
 			if x.state != stIssued || x.execStart < p.cycle || x == w {
 				continue
 			}
-			if !consumes(x, f == p.ren.FP, w.destPhys, p) {
+			if !consumes(x, f == p.ren.FP, w.destPhys) {
 				continue
 			}
 			// Revert to queued; the entry still occupies its IQ slot. The
@@ -157,6 +158,7 @@ func (p *Processor) squashDependents(root *dyn) {
 			p.stats.OptimisticSquash++
 			if x.destPhys != rename.None {
 				p.ren.FileFor(x.si.Dest).SetReady(x.destPhys, rename.NotReady)
+				p.noteRisk(x)
 				work = append(work, x)
 			}
 		}
@@ -170,7 +172,7 @@ func (p *Processor) squashDependents(root *dyn) {
 func (p *Processor) auditSquashSearch(w *dyn, fp bool) {
 	for _, th := range p.threads {
 		for _, x := range th.liveROB() {
-			if x.state == stIssued && x.execStart >= p.cycle && x != w && !x.optHeldListed && consumes(x, fp, w.destPhys, p) {
+			if x.state == stIssued && x.execStart >= p.cycle && x != w && !x.optHeldListed && consumes(x, fp, w.destPhys) {
 				p.audit(x, "consumed a squashed result, but is not on optHeld")
 			}
 		}
@@ -178,7 +180,7 @@ func (p *Processor) auditSquashSearch(w *dyn, fp bool) {
 }
 
 // consumes reports whether x reads physical register reg of the given file.
-func consumes(x *dyn, fp bool, reg rename.PhysReg, p *Processor) bool {
+func consumes(x *dyn, fp bool, reg rename.PhysReg) bool {
 	if x.src1Phys == reg && x.si.Src1.Valid() && x.si.Src1.IsFP() == fp {
 		return true
 	}
@@ -215,13 +217,14 @@ func (p *Processor) releaseDependents() (intFreed, fpFreed bool) {
 				d.optHeldListed = false
 				continue
 			}
-			if p.stillAtRisk(d) {
+			if p.srcsAtRisk(d) {
 				keep = append(keep, d)
 				continue
 			}
 			d.optimistic = false
 			d.inIQ = false
 			d.optHeldListed = false
+			p.noteRisk(d)
 			th := p.threads[d.thread]
 			th.icount--
 			if d.isControl() {
@@ -245,45 +248,27 @@ func (p *Processor) releaseDependents() (intFreed, fpFreed bool) {
 	return intFreed, fpFreed
 }
 
-// stillAtRisk reports whether an issued instruction could yet be squashed:
-// some source producer is an unverified load or an optimistic issued
-// instruction.
-func (p *Processor) stillAtRisk(d *dyn) bool {
-	for i := 0; i < 2; i++ {
-		reg := d.si.Src1
-		phys := d.src1Phys
-		if i == 1 {
-			reg, phys = d.si.Src2, d.src2Phys
-		}
-		f := p.srcFile(reg)
-		if f == nil || phys == rename.None {
-			continue
-		}
-		if p.srcAtRisk(f, phys) {
-			return true
-		}
-	}
-	return false
-}
-
-// srcAtRisk reports whether reading this physical register now would be
-// optimistic: its producer is a load whose hit/miss is unknown, or an
-// issued instruction that is itself optimistic (transitive risk). An
-// instruction issued on an at-risk source must keep its IQ slot so an
+// srcsAtRisk reports whether reading d's sources now would be optimistic.
+// An instruction issued on an at-risk source must keep its IQ slot so an
 // optimistic-issue squash can pull it back.
-func (p *Processor) srcAtRisk(f *rename.File, phys rename.PhysReg) bool {
-	return atRisk(p.producerFor(f, phys))
+func (p *Processor) srcsAtRisk(d *dyn) bool {
+	s := d.si
+	return s.Src1.Valid() && p.ren.FileFor(s.Src1).AtRisk(d.src1Phys) ||
+		s.Src2.Valid() && p.ren.FileFor(s.Src2).AtRisk(d.src2Phys)
 }
 
-// atRisk is srcAtRisk given the register's producer (nil for none).
-func atRisk(prod *dyn) bool {
-	if prod == nil {
-		return false
+// noteRisk states on d's destination register whether reading it is
+// optimistic: d has issued and is a load whose hit/miss is unknown or is
+// itself optimistic (transitive risk). It is the rule's one statement and
+// runs wherever an input changes: issue, a load's verification, release
+// and pull-back. Rename clears the flag; commit needs no call, since a load
+// commits verified and an optimistic instruction is released before it
+// completes.
+func (p *Processor) noteRisk(d *dyn) {
+	if d.destPhys != rename.None {
+		p.ren.FileFor(d.si.Dest).SetAtRisk(d.destPhys,
+			d.state == stIssued && (d.optimistic || d.isLoad() && !d.memVerified))
 	}
-	if !prod.memVerified && prod.state >= stIssued && prod.isLoad() {
-		return true
-	}
-	return prod.state == stIssued && prod.optimistic
 }
 
 // resolve handles a control instruction reaching the end of execution.
@@ -395,9 +380,7 @@ func (p *Processor) squashRenamed(d *dyn, th *threadState) {
 		d.inIQ = false
 	}
 	if d.destPhys != rename.None {
-		f := p.ren.FileFor(d.si.Dest)
-		p.setProducer(f, d.destPhys, nil)
-		f.Rollback(th.id, d.si.Dest.Index(), d.destPhys, d.oldPhys)
+		p.ren.FileFor(d.si.Dest).Rollback(th.id, d.si.Dest.Index(), d.destPhys, d.oldPhys)
 	}
 	d.state = stSquashed
 	p.stats.SquashedInstructions++

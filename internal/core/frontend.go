@@ -1,10 +1,5 @@
 package core
 
-import (
-	"repro/internal/isa"
-	"repro/internal/rename"
-)
-
 // decodeStage moves a fetched group into the rename latch. It models a
 // single-group decode stage: the move happens only when the rename latch
 // has fully drained, and only for instructions fetched on an earlier cycle.
@@ -88,7 +83,7 @@ func (p *Processor) renameOne(d *dyn) {
 			panic("core: allocation failed after CanAllocate")
 		}
 		d.destPhys, d.oldPhys = dest, old
-		p.setProducer(f, dest, d)
+		f.SetInstant(dest, d.cls.Latency() == 0)
 	}
 
 	th.rob = append(th.rob, d)
@@ -98,13 +93,4 @@ func (p *Processor) renameOne(d *dyn) {
 	if d.isControl() {
 		th.ctlFlight = append(th.ctlFlight, d)
 	}
-}
-
-// srcFile returns the rename file for a source operand of d (nil when the
-// operand is absent).
-func (p *Processor) srcFile(reg isa.Reg) *rename.File {
-	if !reg.Valid() {
-		return nil
-	}
-	return p.ren.FileFor(reg)
 }

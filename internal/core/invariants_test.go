@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/iq"
+	"repro/internal/isa"
 	"repro/internal/policy"
 	"repro/internal/rename"
 	"repro/internal/workload"
@@ -66,6 +67,7 @@ func checkInvariants(t *testing.T, p *Processor) {
 
 	// Deadlock-freedom: a queued instruction whose source is NotReady must
 	// have a live producer that will eventually set it.
+	prods := producers(p)
 	for _, th := range p.threads {
 		for _, d := range th.liveROB() {
 			if d.state != stQueued {
@@ -76,16 +78,51 @@ func checkInvariants(t *testing.T, p *Processor) {
 				if i == 1 {
 					reg, phys = d.si.Src2, d.src2Phys
 				}
-				f := p.srcFile(reg)
-				if f == nil || phys == rename.None {
+				if !reg.Valid() || phys == rename.None {
 					continue
 				}
-				if f.ReadyAt(phys) == rename.NotReady && p.producerFor(f, phys) == nil {
+				if p.ren.FileFor(reg).ReadyAt(phys) == rename.NotReady && prods.of(reg, phys) == nil {
 					t.Fatalf("thread %d seq %d waits on dead register %d", d.thread, d.seq, phys)
 				}
 			}
 		}
 	}
+}
+
+// producerMap names each physical register's live renamed producer, per
+// file (nil for none).
+type producerMap struct{ int, fp []*dyn }
+
+// producers finds every register's producer by walking each thread's live
+// ROB: a renamed instruction owns its destination until it commits or is
+// squashed, and no two live instructions share one.
+func producers(p *Processor) producerMap {
+	n := p.cfg.Rename.PhysPerFile(p.cfg.Threads)
+	m := producerMap{make([]*dyn, n), make([]*dyn, n)}
+	for _, th := range p.threads {
+		for _, d := range th.liveROB() {
+			if d.destPhys == rename.None {
+				continue
+			}
+			if d.si.Dest.IsFP() {
+				m.fp[d.destPhys] = d
+			} else {
+				m.int[d.destPhys] = d
+			}
+		}
+	}
+	return m
+}
+
+// of returns the producer of source operand reg, renamed to phys.
+func (m producerMap) of(reg isa.Reg, phys rename.PhysReg) *dyn {
+	switch {
+	case !reg.Valid() || phys == rename.None:
+		return nil
+	case reg.IsFP():
+		return m.fp[phys]
+	}
+	return m.int[phys]
 }
 
 // TestInvariantsUnderConfigs runs several machine shapes with periodic

@@ -154,9 +154,8 @@ func (p *Processor) issueReordered(fu *fuState) {
 		c.info.Branch = d.isControl()
 		// The policy orders on the optimism estimate at selection time
 		// (OPT_LAST among the built-ins); it must be snapshotted before any
-		// issue this cycle changes producer states.
-		c.info.Optimistic = p.srcAtRisk(p.srcFile(d.si.Src1), d.src1Phys) ||
-			p.srcAtRisk(p.srcFile(d.si.Src2), d.src2Phys)
+		// issue this cycle changes a source register's risk.
+		c.info.Optimistic = p.srcsAtRisk(d)
 		// ctlFlight is the thread's unresolved control instructions in
 		// program order, so its head is the oldest one.
 		if ctl := p.threads[d.thread].ctlFlight; len(ctl) > 0 {
@@ -324,15 +323,15 @@ func (p *Processor) source(d *dyn, reg isa.Reg, phys rename.PhysReg) (blocked, r
 	if !reg.Valid() || phys == rename.None {
 		return false, false // no operand, or none mapped: always ready
 	}
-	f, wake, prods := p.ren.Int, int32(phys)+1, p.intProducer
+	f, wake := p.ren.Int, int32(phys)+1
 	if reg.IsFP() {
-		f, wake, prods = p.ren.FP, -wake, p.fpProducer
+		f, wake = p.ren.FP, -wake
 	}
 	if f.ReadyAt(phys) > p.cycle {
 		d.wake = wake
 		return true, false
 	}
-	return false, atRisk(prods[phys])
+	return false, f.AtRisk(phys)
 }
 
 // blocker decodes d.wake into the register it names (nil file for none).
@@ -361,8 +360,8 @@ func (p *Processor) asleep(d *dyn) bool {
 // During a walk ready times change only in issueOne, NotReady to issue
 // cycle + latency, so a finite future time stands (corrections happen in
 // processEvents), and an unscheduled register stays blocked unless its
-// producer is a zero-latency class (a compare delivers in its own issue
-// cycle; a load's optimistic schedule is the next cycle).
+// producer is instant, of a zero-latency class (a compare delivers in its
+// own issue cycle; a load's optimistic schedule is the next cycle).
 func (p *Processor) sleepsThroughWalk(d *dyn) bool {
 	f, phys := p.blocker(d)
 	if f == nil {
@@ -372,11 +371,7 @@ func (p *Processor) sleepsThroughWalk(d *dyn) bool {
 	if at <= p.cycle {
 		return false
 	}
-	if at != rename.NotReady {
-		return true
-	}
-	prod := p.producerFor(f, phys)
-	return prod != nil && prod.cls.Latency() > 0
+	return at != rename.NotReady || !f.Instant(phys)
 }
 
 // auditAsleep runs behind the test-only audit hook: d is being skipped as
@@ -420,6 +415,7 @@ func (p *Processor) issueOne(d *dyn, optimistic bool) {
 		d.optHeldListed = true
 		p.optHeld = append(p.optHeld, d)
 	}
+	p.noteRisk(d)
 
 	cls := d.cls
 	lat := int64(cls.Latency())

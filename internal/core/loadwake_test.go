@@ -21,6 +21,7 @@ func TestNoExecutionBeforeLoadData(t *testing.T) {
 	lateReads := 0
 	for range 40_000 {
 		p.Step()
+		prods := producers(p)
 		for _, th := range p.threads {
 			for _, x := range th.liveROB() {
 				if x.state != stIssued || x.execStart != p.cycle {
@@ -30,11 +31,7 @@ func TestNoExecutionBeforeLoadData(t *testing.T) {
 					reg  isa.Reg
 					phys rename.PhysReg
 				}{{x.si.Src1, x.src1Phys}, {x.si.Src2, x.src2Phys}} {
-					f := p.srcFile(src.reg)
-					if f == nil || src.phys == rename.None {
-						continue
-					}
-					prod := p.producerFor(f, src.phys)
+					prod := prods.of(src.reg, src.phys)
 					if prod == nil || !prod.isLoad() || !prod.memVerified {
 						continue
 					}

@@ -82,11 +82,6 @@ type Processor struct {
 	decodeLatch []*dyn // fetched this or an earlier cycle, awaiting decode
 	renameLatch []*dyn // decoded, awaiting rename/queue insert
 
-	// producer maps physical registers to their in-flight producer, for
-	// optimistic-issue tracking. Indexed per file.
-	intProducer []*dyn
-	fpProducer  []*dyn
-
 	events ring
 	pool   pool
 	stats  Stats
@@ -118,6 +113,9 @@ type Processor struct {
 	// reordering candidate's Speculative flag is checked against a walk of
 	// its thread's live ROB, and squashDependents also searches every
 	// in-flight instruction for a consumer that optHeld does not list.
+	// The registers' producer facts (rename.File's AtRisk and Instant) have
+	// no skip to shadow; the tests hold them to each live producer between
+	// steps.
 	audit func(d *dyn, wrong string)
 
 	// CommitHook, when non-nil, observes every committed instruction in
@@ -161,19 +159,17 @@ func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 		capScale = 2
 	}
 	p := &Processor{
-		cfg:         cfg,
-		fetchPol:    fetchPol,
-		issuePol:    issuePol,
-		pred:        pred,
-		mem:         hier,
-		ren:         ren,
-		intQ:        iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
-		fpQ:         iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
-		intProducer: make([]*dyn, cfg.Rename.PhysPerFile(cfg.Threads)),
-		fpProducer:  make([]*dyn, cfg.Rename.PhysPerFile(cfg.Threads)),
-		fbBuf:       make([]policy.ThreadFeedback, cfg.Threads),
-		orderBuf:    make([]int, 0, cfg.Threads),
-		pickBuf:     make([]*threadState, cfg.FetchThreads),
+		cfg:      cfg,
+		fetchPol: fetchPol,
+		issuePol: issuePol,
+		pred:     pred,
+		mem:      hier,
+		ren:      ren,
+		intQ:     iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
+		fpQ:      iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
+		fbBuf:    make([]policy.ThreadFeedback, cfg.Threads),
+		orderBuf: make([]int, 0, cfg.Threads),
+		pickBuf:  make([]*threadState, cfg.FetchThreads),
 	}
 	p.oracle = cfg.Branch.Oracle()
 	p.events.init(cfg.eventHorizon())
@@ -256,29 +252,6 @@ func (p *Processor) Step() {
 	p.fetchStage()
 	p.stats.Cycles++
 	p.stats.QueuePopSamples += int64(p.intQ.Len() + p.fpQ.Len())
-}
-
-// producerFor returns the in-flight producer of a physical register in the
-// given file, or nil.
-func (p *Processor) producerFor(f *rename.File, reg rename.PhysReg) *dyn {
-	if reg == rename.None {
-		return nil
-	}
-	if f == p.ren.Int {
-		return p.intProducer[reg]
-	}
-	return p.fpProducer[reg]
-}
-
-func (p *Processor) setProducer(f *rename.File, reg rename.PhysReg, d *dyn) {
-	if reg == rename.None {
-		return
-	}
-	if f == p.ren.Int {
-		p.intProducer[reg] = d
-	} else {
-		p.fpProducer[reg] = d
-	}
 }
 
 // buildFeedback refreshes the per-thread fetch-policy counters: a copy of

@@ -20,11 +20,13 @@ import (
 // per-component walks it calls — over a state.Codec, so each mutable field
 // is named once, next to the range a restore holds it to. In-flight
 // instructions form a table in the stream, and every cross-reference — ROB
-// entries, latches, queue slots, producer maps, scheduled events — is an
-// index into it. SaveState collects that table in a deterministic order
-// before walking: each thread's live ROB window, then the decode and rename
-// latches, then any squashed-but-event-referenced orphans discovered by
-// scanning the event ring in cycle order.
+// entries, latches, queue slots, scheduled events — is an index into it.
+// SaveState collects that table in a deterministic order before walking:
+// each thread's live ROB window, then the decode and rename latches, then
+// any squashed-but-event-referenced orphans discovered by scanning the
+// event ring in cycle order. What a physical register says of its
+// in-flight producer (at risk, instant) is not in the stream: RestoreState
+// restates it from the live ROBs.
 
 // maxAhead bounds how far past the checkpoint cycle a restored timestamp
 // may lie; the event ring grows to cover whatever is scheduled.
@@ -103,7 +105,24 @@ func (p *Processor) RestoreState(c *state.Codec) error {
 	if p.walk(w); c.Err() == nil {
 		p.admit(w)
 	}
+	if c.Err() == nil {
+		p.noteProducers()
+	}
 	return c.Err()
+}
+
+// noteProducers restates on each live renamed instruction's destination
+// register what rename and noteRisk keep there. Only live ROBs hold
+// producers: a squashed orphan's register was rolled back.
+func (p *Processor) noteProducers() {
+	for _, th := range p.threads {
+		for _, d := range th.liveROB() {
+			if d.destPhys != rename.None {
+				p.ren.FileFor(d.si.Dest).SetInstant(d.destPhys, d.cls.Latency() == 0)
+				p.noteRisk(d)
+			}
+		}
+	}
 }
 
 // walk walks the whole machine.
@@ -153,8 +172,6 @@ func (p *Processor) walk(w *stateWalk) {
 	if w.refs(&held, state.Unbounded, "optimistic-hold list"); !c.Writing() {
 		p.optHeld = held
 	}
-	state.Fixed(c, p.intProducer, "int producer map", w.ref)
-	state.Fixed(c, p.fpProducer, "fp producer map", w.ref)
 	state.Slice(c, &w.events, state.Unbounded, "event calendar", func(_ *state.Codec, ev *pending) { ev.walk(w) })
 }
 

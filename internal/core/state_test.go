@@ -224,7 +224,7 @@ func corrupt(p *Processor, r *xorshift) {
 	nudges := []*int64{&d.seq, &d.pc, &d.correctPC, &d.fetchCycle, &d.earliestIssue, &d.issueCycle, &d.execStart,
 		&d.doneCycle, &d.addr, &d.rec.NextPC, &th.fetchPC, &th.fetchBlockedUntil, &th.nextSeq}
 	lists := []*[]*dyn{&th.rob, &th.stores, &th.ctlFlight, &p.decodeLatch, &p.renameLatch, &p.optHeld}
-	switch k := r.below(len(flags) + len(nudges) + len(lists) + 14); {
+	switch k := r.below(len(flags) + len(nudges) + len(lists) + 13); {
 	case k < len(flags):
 		*flags[k] = !*flags[k]
 	case k < len(flags)+len(nudges):
@@ -252,9 +252,7 @@ func corrupt(p *Processor, r *xorshift) {
 			d.gen += int32(delta)
 		case 8:
 			p.intQ.Push(d)
-		case 9:
-			p.intProducer[r.below(len(p.intProducer))] = d
-		case 10: // drop a live-window entry, or swap two
+		case 9: // drop a live-window entry, or swap two
 			if l := th.liveROB(); len(l) > 1 {
 				i, j := r.below(len(l)), r.below(len(l))
 				l[i], l[j] = l[j], l[i]
@@ -262,7 +260,7 @@ func corrupt(p *Processor, r *xorshift) {
 					th.rob = th.rob[:len(th.rob)-1]
 				}
 			}
-		case 11: // a new event, correctly counted
+		case 10: // a new event, correctly counted
 			d.pendingEvts++
 			*soon = append(*soon, event{kind: evKind(r.below(int(evMissDone))), d: d, thread: d.thread, gen: d.gen})
 		default: // rewrite, copy or move an existing event, keeping counts right

@@ -15,6 +15,13 @@
 // first, unmapping each destination and freeing its physical register —
 // exactly inverse to rename order, which restores the map table without
 // checkpoints.
+//
+// Beside its ready time, each physical register carries two facts about
+// its in-flight producer, stated by the core that owns the instruction:
+// whether reading it now is optimistic (Section 2's optimistic issue: the
+// producer is an unverified load or itself optimistic) and whether the
+// producer has a zero-latency class. The issue stage asks both of a source
+// register instead of finding its producer.
 package rename
 
 import (
@@ -75,8 +82,17 @@ func (c Config) Validate(threads int) error {
 type File struct {
 	mapTable []PhysReg // thread*32 + logical -> physical
 	free     []PhysReg // LIFO free list
-	readyAt  []int64   // per physical register: cycle usable by dependents
+	regs     []physReg
 	total    int
+}
+
+// physReg is one physical register's timing: when dependents may read it,
+// and two facts the core states about its in-flight producer, kept beside
+// readyAt so the issue stage reads a source in one place.
+type physReg struct {
+	readyAt int64 // cycle usable by dependents
+	risk    bool  // reading it now is optimistic: the producer could yet be squashed
+	instant bool  // the producer has a zero-latency class
 }
 
 // newFile builds a file with each thread's logical registers pre-mapped and
@@ -84,16 +100,15 @@ type File struct {
 func newFile(threads, total int) *File {
 	f := &File{
 		mapTable: make([]PhysReg, threads*isa.LogicalRegs),
-		readyAt:  make([]int64, total),
+		regs:     make([]physReg, total),
 		total:    total,
 	}
 	for i := range f.mapTable {
 		f.mapTable[i] = PhysReg(i)
-		f.readyAt[i] = 0
 	}
 	for p := len(f.mapTable); p < total; p++ {
 		f.free = append(f.free, PhysReg(p))
-		f.readyAt[p] = NotReady
+		f.regs[p].readyAt = NotReady
 	}
 	return f
 }
@@ -121,7 +136,7 @@ func (f *File) Allocate(thread int, reg int) (dest, old PhysReg, ok bool) {
 	idx := thread*isa.LogicalRegs + reg
 	old = f.mapTable[idx]
 	f.mapTable[idx] = dest
-	f.readyAt[dest] = NotReady
+	f.regs[dest].readyAt, f.regs[dest].risk = NotReady, false
 	return dest, old, true
 }
 
@@ -129,7 +144,7 @@ func (f *File) Allocate(thread int, reg int) (dest, old PhysReg, ok bool) {
 // instruction (its destination's previous mapping).
 func (f *File) CommitFree(old PhysReg) {
 	if old != None {
-		f.readyAt[old] = NotReady
+		f.regs[old].readyAt, f.regs[old].risk = NotReady, false
 		f.free = append(f.free, old)
 	}
 }
@@ -140,7 +155,7 @@ func (f *File) CommitFree(old PhysReg) {
 func (f *File) Rollback(thread int, reg int, dest, old PhysReg) {
 	idx := thread*isa.LogicalRegs + reg
 	f.mapTable[idx] = old
-	f.readyAt[dest] = NotReady
+	f.regs[dest].readyAt, f.regs[dest].risk = NotReady, false
 	f.free = append(f.free, dest)
 }
 
@@ -150,7 +165,7 @@ func (f *File) ReadyAt(p PhysReg) int64 {
 	if p == None {
 		return 0
 	}
-	return f.readyAt[p]
+	return f.regs[p].readyAt
 }
 
 // SetReady schedules the register's availability: dependents may issue at
@@ -158,9 +173,27 @@ func (f *File) ReadyAt(p PhysReg) int64 {
 // corrected upward when a load turns out to miss.
 func (f *File) SetReady(p PhysReg, cycle int64) {
 	if p != None {
-		f.readyAt[p] = cycle
+		f.regs[p].readyAt = cycle
 	}
 }
+
+// AtRisk reports whether reading the register now is optimistic: its
+// producer's schedule is unverified, so an instruction issued on it keeps
+// its queue slot until the producer verifies. None never is.
+func (f *File) AtRisk(p PhysReg) bool {
+	return p != None && f.regs[p].risk
+}
+
+// SetAtRisk records whether reading the register is optimistic. Allocate,
+// Rollback and CommitFree clear it.
+func (f *File) SetAtRisk(p PhysReg, risk bool) { f.regs[p].risk = risk }
+
+// Instant reports whether the register's producer has a zero-latency class.
+func (f *File) Instant(p PhysReg) bool { return f.regs[p].instant }
+
+// SetInstant records whether the register's producer, named at rename, has
+// a zero-latency class.
+func (f *File) SetInstant(p PhysReg, instant bool) { f.regs[p].instant = instant }
 
 // CheckConsistency validates structural invariants: the free list holds no
 // duplicates and no register is simultaneously free and mapped. It is

@@ -158,6 +158,33 @@ func TestReadyTracking(t *testing.T) {
 	}
 }
 
+// A register's risk belongs to its current producer: each way the register
+// changes hands (rollback, reallocation, the commit that frees it) clears
+// it, and None is never at risk.
+func TestRiskClearsWhenTheRegisterChangesHands(t *testing.T) {
+	f := MustNew(Config{ExcessRegs: 4}, 1).Int
+	d, old, _ := f.Allocate(0, 9)
+	f.SetAtRisk(d, true)
+	f.SetInstant(d, true)
+	if !f.AtRisk(d) || !f.Instant(d) || f.AtRisk(None) {
+		t.Fatal("flags not recorded, or None at risk")
+	}
+	if f.Rollback(0, 9, d, old); f.AtRisk(d) {
+		t.Fatal("Rollback left the freed register at risk")
+	}
+	f.SetAtRisk(d, true) // stale on a free register
+	if again, _, _ := f.Allocate(0, 9); again != d || f.AtRisk(d) {
+		t.Fatal("Allocate handed out a register still at risk")
+	}
+	f.SetAtRisk(d, true)
+	if _, prev, _ := f.Allocate(0, 9); prev != d {
+		t.Fatalf("displaced %d, want %d", prev, d)
+	}
+	if f.CommitFree(d); f.AtRisk(d) {
+		t.Fatal("CommitFree left the freed register at risk")
+	}
+}
+
 func TestSrcPhysAndFileFor(t *testing.T) {
 	r := MustNew(Config{ExcessRegs: 4}, 2)
 	if r.FileFor(isa.IntReg(3)) != r.Int || r.FileFor(isa.FPReg(3)) != r.FP {

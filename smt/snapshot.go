@@ -23,8 +23,10 @@ import (
 // walk ends, and walks the windows, the hierarchy's cycle and each TLB
 // entry's walk completion; version 6 deflates the stream; version 7 counts
 // issued, unresolved branches for SPEC_LAST and holds NO_WRONG_PATH's
-// delay past resolution.
-const ModelVersion = 7
+// delay past resolution; version 8 drops the per-register producer maps
+// (a restore restates each register's producer facts from the live ROBs)
+// and renumbers the squashed instruction state.
+const ModelVersion = 8
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
