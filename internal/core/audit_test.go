@@ -160,6 +160,12 @@ func TestWakeStateSurvivesRestore(t *testing.T) {
 			t.Fatal("a restored queue entry carries wake state: it leaked into the checkpoint")
 		}
 	}
+	// The fetch feedback is kept live, not rebuilt: the restored array
+	// must read as the uninterrupted machine's, IQPosn included.
+	if !reflect.DeepEqual(resumed.feedback, whole.feedback) {
+		t.Fatalf("restored feedback %+v; want %+v", resumed.feedback, whole.feedback)
+	}
+	checkInvariants(t, resumed)
 	// A register's producer facts are restated from the live ROBs, not
 	// read: each live register must read as in the machine that never
 	// stopped, and the checkpoint must hold some at risk and some instant.

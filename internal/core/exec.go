@@ -20,7 +20,7 @@ func (p *Processor) processEvents() {
 		}
 		switch ev.kind {
 		case evMissDone:
-			p.threads[ev.thread].misscount--
+			p.threads[ev.thread].fb.MissCount--
 			continue
 		case evSquash:
 			if ev.d.state != stSquashed && ev.gen == ev.d.gen {
@@ -98,7 +98,7 @@ func (p *Processor) memExec(d *dyn) (hit bool) {
 	p.noteRisk(d)
 	d.doneCycle = res.Done + p.cfg.commitDelay()
 	if res.L1Miss {
-		th.misscount++
+		th.fb.MissCount++
 		p.events.schedule(res.Done, evMissDone, nil, d.thread)
 	}
 	if d.destPhys == rename.None {
@@ -225,11 +225,7 @@ func (p *Processor) releaseDependents() (intFreed, fpFreed bool) {
 			d.inIQ = false
 			d.optHeldListed = false
 			p.noteRisk(d)
-			th := p.threads[d.thread]
-			th.icount--
-			if d.isControl() {
-				th.brcount--
-			}
+			p.threads[d.thread].occupy(d, -1)
 			if d.cls.IsFP() {
 				fpFreed = true
 			} else {
@@ -294,7 +290,7 @@ func (p *Processor) resolve(d *dyn) {
 func (p *Processor) noteLowConfDone(d *dyn) {
 	if d.lowConf {
 		d.lowConf = false
-		p.threads[d.thread].lowConfCount--
+		p.threads[d.thread].fb.LowConf--
 	}
 }
 
@@ -347,10 +343,7 @@ func (p *Processor) squashLatch(latch *[]*dyn, th *threadState, seq int64) {
 		}
 		p.restoreCheckpoints(d, th)
 		p.noteLowConfDone(d)
-		th.icount--
-		if d.isControl() {
-			th.brcount--
-		}
+		th.occupy(d, -1)
 		d.state = stSquashed
 		p.stats.SquashedInstructions++
 		p.maybeRelease(d)
@@ -373,10 +366,7 @@ func (p *Processor) squashRenamed(d *dyn, th *threadState) {
 	p.restoreCheckpoints(d, th)
 	p.noteLowConfDone(d)
 	if d.inIQ {
-		th.icount--
-		if d.isControl() {
-			th.brcount--
-		}
+		th.occupy(d, -1)
 		d.inIQ = false
 	}
 	if d.destPhys != rename.None {

@@ -117,7 +117,7 @@ func (p *Processor) fetchLimit(th *threadState) int {
 	if !p.cfg.VarFetchRate {
 		return limit
 	}
-	k := th.lowConfCount
+	k := th.fb.LowConf
 	if k <= 0 {
 		return limit
 	}
@@ -145,10 +145,7 @@ func (p *Processor) fetchThread(th *threadState, limit int) int {
 	for n < limit && pc < blockEnd {
 		d := p.newDyn(th, pc)
 		p.decodeLatch = append(p.decodeLatch, d)
-		th.icount++
-		if d.isControl() {
-			th.brcount++
-		}
+		th.occupy(d, +1)
 		p.stats.Fetched++
 		if d.wrongPath {
 			p.stats.FetchedWrongPath++
@@ -230,7 +227,7 @@ func (p *Processor) predictNext(th *threadState, d *dyn) (next int64, stop bool)
 		d.hasGhrCP = true
 		if !conf {
 			d.lowConf = true
-			th.lowConfCount++
+			th.fb.LowConf++
 			p.stats.LowConfFetched[th.id]++
 		}
 		if predTaken {

@@ -11,8 +11,11 @@ import (
 )
 
 // checkInvariants validates cross-cutting machine state:
-//   - the per-thread ICOUNT/BRCOUNT feedback counters equal the actual
-//     occupancy of the front-end latches and queues;
+//   - each thread's feedback entry is its slot of Processor.feedback, and
+//     its counters equal what they count: ICount and BrCount the
+//     occupancy of the front-end latches and queues, MissCount the
+//     thread's pending miss-completion events, LowConf its in-flight
+//     instructions still charged as low-confidence;
 //   - both rename free lists are structurally consistent;
 //   - no queued instruction waits on a register that can never become
 //     ready (NotReady with no live producer);
@@ -46,15 +49,40 @@ func checkInvariants(t *testing.T, p *Processor) {
 			}
 		}
 	}
+	misses := make([]int, p.cfg.Threads)
+	for _, b := range p.events.buckets {
+		for _, ev := range b {
+			if ev.kind == evMissDone {
+				misses[ev.thread]++
+			}
+		}
+	}
+	lowConf := make([]int, p.cfg.Threads)
+	for _, l := range [][]*dyn{p.decodeLatch, p.renameLatch} {
+		for _, d := range l {
+			if d.lowConf {
+				lowConf[d.thread]++
+			}
+		}
+	}
 	for i, th := range p.threads {
-		if th.icount != icount[i] {
-			t.Fatalf("thread %d ICOUNT=%d but occupancy=%d", i, th.icount, icount[i])
+		for _, d := range th.liveROB() {
+			if d.lowConf {
+				lowConf[i]++
+			}
 		}
-		if th.brcount != brcount[i] {
-			t.Fatalf("thread %d BRCOUNT=%d but occupancy=%d", i, th.brcount, brcount[i])
-		}
-		if th.misscount < 0 {
-			t.Fatalf("thread %d MISSCOUNT negative", i)
+		fb := th.fb
+		switch {
+		case fb != &p.feedback[i]:
+			t.Fatalf("thread %d keeps its feedback outside Processor.feedback", i)
+		case fb.ICount != icount[i]:
+			t.Fatalf("thread %d ICOUNT=%d but occupancy=%d", i, fb.ICount, icount[i])
+		case fb.BrCount != brcount[i]:
+			t.Fatalf("thread %d BRCOUNT=%d but occupancy=%d", i, fb.BrCount, brcount[i])
+		case fb.MissCount != misses[i]:
+			t.Fatalf("thread %d MISSCOUNT=%d but %d misses pending", i, fb.MissCount, misses[i])
+		case fb.LowConf != lowConf[i]:
+			t.Fatalf("thread %d LowConf=%d but %d low-confidence branches in flight", i, fb.LowConf, lowConf[i])
 		}
 	}
 

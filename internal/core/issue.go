@@ -244,10 +244,7 @@ func (p *Processor) tryIssue(d *dyn, pos int, fromFP bool, fu *fuState) (full bo
 		// verify (Section 2's "held in the IQ an extra cycle after they are
 		// issued"); everything else frees its slot now.
 		d.inIQ = false
-		p.threads[d.thread].icount--
-		if d.isControl() {
-			p.threads[d.thread].brcount--
-		}
+		p.threads[d.thread].occupy(d, -1)
 		if fromFP {
 			p.fpIdxBuf = append(p.fpIdxBuf, pos)
 		} else {

@@ -38,16 +38,14 @@ type threadState struct {
 	stores    []*dyn // renamed stores awaiting execution (disambiguation)
 	ctlFlight []*dyn // renamed, unresolved control instructions
 
-	// Fetch-policy feedback counters (Section 5.2).
-	icount    int // instructions in decode, rename, and the IQs
-	brcount   int // unresolved control instructions in those stages
-	misscount int // outstanding D-cache misses
-
-	// lowConfCount tracks in-flight low-confidence conditional branches
-	// (set at fetch from the predictor's confidence estimate, cleared at
-	// resolve or squash). It drives the variable-fetch-rate throttle and
-	// the LowConf fetch-policy feedback field.
-	lowConfCount int
+	// fb is the thread's entry in Processor.feedback: the fetch-policy
+	// counters of Section 5.2, which the stages keep live. ICount and
+	// BrCount move only through occupy; MissCount counts outstanding
+	// D-cache misses; LowConf counts in-flight low-confidence conditional
+	// branches (set at fetch from the predictor's confidence estimate,
+	// cleared at resolve or squash), which also drive the
+	// variable-fetch-rate throttle.
+	fb *policy.ThreadFeedback
 
 	committed int64
 	wrongSalt uint64 // wrong-path address diversifier
@@ -78,6 +76,10 @@ type Processor struct {
 	fpQ  *iq.Queue[*dyn]
 
 	threads []*threadState
+	// feedback is what the fetch policy compares, one entry per thread,
+	// each kept by its thread's stages through threadState.fb. IQPosn
+	// holds noQueuePosn unless the policy declares it (buildFeedback).
+	feedback []policy.ThreadFeedback
 
 	decodeLatch []*dyn // fetched this or an earlier cycle, awaiting decode
 	renameLatch []*dyn // decoded, awaiting rename/queue insert
@@ -98,7 +100,6 @@ type Processor struct {
 	// Scratch buffers reused across cycles: every per-cycle append site
 	// reuses one of these backing arrays, so the steady-state loop never
 	// allocates.
-	fbBuf     []policy.ThreadFeedback
 	orderBuf  []int
 	pickBuf   []*threadState // this cycle's fetch picks; len FetchThreads
 	candBuf   []candidate
@@ -167,7 +168,7 @@ func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 		ren:      ren,
 		intQ:     iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
 		fpQ:      iq.New[*dyn](cfg.IQSize*capScale, cfg.IQSize),
-		fbBuf:    make([]policy.ThreadFeedback, cfg.Threads),
+		feedback: make([]policy.ThreadFeedback, cfg.Threads),
 		orderBuf: make([]int, 0, cfg.Threads),
 		pickBuf:  make([]*threadState, cfg.FetchThreads),
 	}
@@ -196,7 +197,9 @@ func New(cfg Config, traces []*workload.Trace) (*Processor, error) {
 			rob:       make([]*dyn, 0, robCap),
 			stores:    make([]*dyn, 0, cfg.IQSize),
 			ctlFlight: make([]*dyn, 0, cfg.IQSize),
+			fb:        &p.feedback[t],
 		})
+		p.feedback[t].IQPosn = noQueuePosn
 	}
 	return p, nil
 }
@@ -254,43 +257,41 @@ func (p *Processor) Step() {
 	p.stats.QueuePopSamples += int64(p.intQ.Len() + p.fpQ.Len())
 }
 
-// buildFeedback refreshes the per-thread fetch-policy counters: a copy of
-// each thread's running counts, plus the both-queue position scan only for
-// a policy that declares IQPosn. RR, which compares nothing, skips it all.
+// noQueuePosn is IQPosn for a thread with no queued instruction: farther
+// from the head than any queue position.
+const noQueuePosn = 1 << 20
+
+// buildFeedback returns the per-thread fetch-policy feedback. The stages
+// keep every counter live; only IQPosn, a scan of both queues, is computed
+// here, and only for a policy that declares it: for each thread, the
+// distance from the head of the nearest queue holding one of its
+// instructions.
 func (p *Processor) buildFeedback() []policy.ThreadFeedback {
-	const noQueuePosn = 1 << 20
-	if p.fetchPol.Less == nil {
-		return p.fbBuf
+	if !p.fetchPol.Needs.IQPosn {
+		return p.feedback
 	}
-	for t, th := range p.threads {
-		p.fbBuf[t] = policy.ThreadFeedback{
-			ICount:    th.icount,
-			BrCount:   th.brcount,
-			MissCount: th.misscount,
-			IQPosn:    noQueuePosn,
-			LowConf:   th.lowConfCount,
+	for t := range p.feedback {
+		p.feedback[t].IQPosn = noQueuePosn
+	}
+	for _, q := range []*iq.Queue[*dyn]{p.intQ, p.fpQ} {
+		for i, d := range q.All() {
+			if fb := &p.feedback[d.thread]; i < fb.IQPosn {
+				fb.IQPosn = i
+			}
 		}
 	}
-	if p.fetchPol.Needs.IQPosn {
-		p.scanQueuePositions()
-	}
-	return p.fbBuf
+	return p.feedback
 }
 
-// scanQueuePositions fills IQPosn: for each thread, the distance from the
-// head of the nearest queue holding one of its instructions.
-func (p *Processor) scanQueuePositions() {
-	for i, d := range p.intQ.All() {
-		fb := &p.fbBuf[d.thread]
-		if i < fb.IQPosn {
-			fb.IQPosn = i
-		}
-	}
-	for i, d := range p.fpQ.All() {
-		fb := &p.fbBuf[d.thread]
-		if i < fb.IQPosn {
-			fb.IQPosn = i
-		}
+// occupy charges (n = +1) or discharges (n = −1) d against its thread's
+// ICOUNT and BRCOUNT. It is the occupancy rule's one statement: an
+// instruction counts toward ICOUNT from fetch until it leaves the IQs (at
+// issue, at an optimistic hold's release, or squashed), and a control
+// instruction toward BRCOUNT as well.
+func (th *threadState) occupy(d *dyn, n int) {
+	th.fb.ICount += n
+	if d.isControl() {
+		th.fb.BrCount += n
 	}
 }
 

@@ -138,7 +138,7 @@ func TestRingRestoreSaveRoundTrip(t *testing.T) {
 	p := stateTestMachine(t)
 	p.Run(4_000, 0)
 	for _, off := range []int64{1, p.events.mask} {
-		p.threads[1].misscount++
+		p.threads[1].fb.MissCount++
 		p.events.schedule(p.cycle+off, evMissDone, nil, 1)
 	}
 	saved := writeState(t, p)

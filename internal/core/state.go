@@ -248,7 +248,7 @@ func (th *threadState) walk(w *stateWalk) {
 	c.Bools(&th.wrongPath)
 	state.Ints(c, &th.fetchPC, &th.fetchBlockedUntil, &th.imissUntil, &th.committed)
 	state.Count(c, &th.nextSeq)
-	state.Ints(c, &th.icount, &th.brcount, &th.misscount, &th.lowConfCount)
+	state.Ints(c, &th.fb.ICount, &th.fb.BrCount, &th.fb.MissCount, &th.fb.LowConf)
 	state.Int(c, &th.wrongSalt)
 	rob, stores, ctl := th.liveROB(), th.stores, th.ctlFlight
 	w.refs(&rob, len(w.dyns), "ROB")
