@@ -86,7 +86,6 @@ func (p *Processor) commitOne(th *threadState, d *dyn) {
 	}
 	p.stats.Committed++
 	p.stats.CommittedByThread[th.id]++
-	th.committed++
 	if p.CommitHook != nil {
 		p.CommitHook(th.id, d.pc)
 	}

@@ -47,7 +47,6 @@ type threadState struct {
 	// variable-fetch-rate throttle.
 	fb *policy.ThreadFeedback
 
-	committed int64
 	wrongSalt uint64 // wrong-path address diversifier
 }
 

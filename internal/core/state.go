@@ -246,7 +246,7 @@ func (th *threadState) walk(w *stateWalk) {
 	c := w.Codec
 	th.feed.State(c)
 	c.Bools(&th.wrongPath)
-	state.Ints(c, &th.fetchPC, &th.fetchBlockedUntil, &th.imissUntil, &th.committed)
+	state.Ints(c, &th.fetchPC, &th.fetchBlockedUntil, &th.imissUntil)
 	state.Count(c, &th.nextSeq)
 	state.Ints(c, &th.fb.ICount, &th.fb.BrCount, &th.fb.MissCount, &th.fb.LowConf)
 	state.Int(c, &th.wrongSalt)

@@ -25,8 +25,9 @@ import (
 // issued, unresolved branches for SPEC_LAST and holds NO_WRONG_PATH's
 // delay past resolution; version 8 drops the per-register producer maps
 // (a restore restates each register's producer facts from the live ROBs)
-// and renumbers the squashed instruction state.
-const ModelVersion = 8
+// and renumbers the squashed instruction state; version 9 drops each
+// context's unread committed count (Stats.CommittedByThread is the count).
+const ModelVersion = 9
 
 // identity walks the snapshot's envelope: enough identity to refuse a
 // restore onto the wrong machine — the full-config fingerprint (warmed
