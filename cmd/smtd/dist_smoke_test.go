@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exp"
+	"repro/smt"
 )
 
 // TestDistributedSmoke is CI's distributed smoke job: boot a coordinator
@@ -20,8 +21,21 @@ import (
 // through them, assert the results are byte-identical on cached
 // resubmission and that the worker really executed jobs.
 func TestDistributedSmoke(t *testing.T) {
-	// Coordinator on an ephemeral port, with one local slot: of the two
-	// jobs dispatched together, at least one goes to the worker.
+	// Coordinator on an ephemeral port, with one local slot that starts no
+	// job before the worker holds a lease. The two jobs are dispatched
+	// together, so the worker leases at least one however the host
+	// schedules the slot and the worker's polls; left free, the slot could
+	// run both before the worker's next poll.
+	leased := make(chan struct{})
+	simulate := localExec
+	localExec = func(env exp.WarmEnv) dist.Exec {
+		run := simulate(env)
+		return func(p dist.JobPayload, onSnap func(smt.Snapshot)) smt.Results {
+			<-leased
+			return run(p, onSnap)
+		}
+	}
+	t.Cleanup(func() { localExec = simulate })
 	ready := make(chan string, 1)
 	var cout, cerr bytes.Buffer
 	go run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, &cout, &cerr, ready)
@@ -59,6 +73,24 @@ func TestDistributedSmoke(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Open the local slot once the coordinator has granted a lease (or
+	// after a minute, so that a worker which never leases fails the
+	// assertion below instead of hanging the sweep).
+	go func() {
+		defer close(leased)
+		for end := time.Now().Add(time.Minute); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+			resp, err := http.Get(base + "/v1/workers")
+			if err != nil {
+				continue
+			}
+			var st dist.Status
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err == nil && st.Leases > 0 {
+				return
+			}
+		}
+	}()
 
 	post := func() sweepStatus {
 		t.Helper()

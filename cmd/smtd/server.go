@@ -100,6 +100,10 @@ type jobProgress struct {
 // results) the service retains; running sweeps are never evicted.
 const defaultMaxHistory = 64
 
+// localExec builds the kernel the coordinator's local slots run. A test
+// may wrap it before a server is built, to hold the local slots back.
+var localExec = dist.SimulateJob
+
 // snapshotMemEntries bounds the in-memory snapshot LRU. A serialized warmed
 // machine runs tens of KB deflated, so unlike results the memory tier must
 // cap low; the disk tier (when configured) holds the long tail.
@@ -188,7 +192,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		// The local slots run the same warm kernel the sweep runners use,
 		// so jobs that land in-process still restore checkpoints and
 		// replay traces.
-		Exec: dist.SimulateJob(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
+		Exec: localExec(exp.WarmEnv{Snapshots: s.snapshots, Traces: s.traces}),
 		// Worker joins, deaths and requeues go to the process log.
 		Logf: log.Printf,
 	})
