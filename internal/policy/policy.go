@@ -83,9 +83,9 @@ func (a FetchAlg) MarshalJSON() ([]byte, error) { return json.Marshal(a.String()
 func ParseFetchAlg(s string) (FetchAlg, error) { return parseAlg[FetchAlg](&fetchReg, s) }
 
 // ThreadFeedback carries the per-thread counters that fetch policies
-// consult; IQPosn is filled only on request (FeedbackNeeds). The paper
-// notes this feedback is what distinguishes SMT fetch — the ability to
-// know, each cycle, which threads are using the machine well.
+// consult, kept live by the stages; IQPosn is filled only on request
+// (FeedbackNeeds). The paper notes this feedback is what distinguishes SMT
+// fetch — the ability to know, each cycle, which threads use the machine well.
 type ThreadFeedback struct {
 	ICount    int // instructions in decode, rename, and the IQs
 	BrCount   int // unresolved branches in decode, rename, and the IQs

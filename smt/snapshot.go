@@ -24,9 +24,8 @@ import (
 // entry's walk completion; version 6 deflates the stream; version 7 counts
 // issued, unresolved branches for SPEC_LAST and holds NO_WRONG_PATH's
 // delay past resolution; version 8 drops the per-register producer maps
-// (a restore restates each register's producer facts from the live ROBs)
-// and renumbers the squashed instruction state; version 9 drops each
-// context's unread committed count (Stats.CommittedByThread is the count).
+// (a restore restates their facts from the live ROBs) and renumbers the
+// squashed state; version 9 drops each context's unread committed count.
 const ModelVersion = 9
 
 // identity walks the snapshot's envelope: enough identity to refuse a
