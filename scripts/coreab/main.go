@@ -27,6 +27,13 @@ import (
 	"repro/smt"
 )
 
+// Every recorded ratio and the A/A floor were measured at these settings.
+const (
+	chunk  = 500     // cycles a timed chunk
+	warmup = 100_000 // instructions a thread commits before timing
+	seed   = 1       // workload seed
+)
+
 func machines() map[string]smt.Config {
 	optLast := exp.ICount28(8)
 	optLast.IssuePolicy = smt.IssueOptLast
@@ -54,9 +61,6 @@ type stepper interface {
 func main() {
 	list := flag.String("machines", "icount28x8,brcount28x8,iqposn28x8,rr18x8", "comma-separated machines: "+strings.Join(names(), ", "))
 	chunks := flag.Int("chunks", 400, "timed chunks a machine")
-	chunk := flag.Int("chunk", 500, "cycles a chunk")
-	warmup := flag.Int64("warmup", 100_000, "instructions a thread committed before timing")
-	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()
 	all := machines()
 	for _, name := range strings.Split(*list, ",") {
@@ -65,11 +69,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "coreab: unknown machine %q (have %s)\n", name, strings.Join(names(), ", "))
 			os.Exit(2)
 		}
-		ratios, newNs := compare(cfg, *seed, *warmup, *chunks, *chunk)
+		ratios, newNs := compare(cfg, *chunks)
 		slices.Sort(ratios)
 		q := func(f float64) float64 { return ratios[int(f*float64(len(ratios)-1))] }
 		fmt.Printf("%-20s median new/old ×%.3f  (quartiles ×%.3f … ×%.3f; new %.0f ns/cycle; %d chunks of %d cycles)\n",
-			name, q(0.5), q(0.25), q(0.75), newNs, len(ratios), *chunk)
+			name, q(0.5), q(0.25), q(0.75), newNs, len(ratios), chunk)
 	}
 }
 
@@ -85,7 +89,7 @@ func names() []string {
 // compare warms one machine of each build on shared traces and returns the
 // per-chunk time ratios new/old, alternating which side steps first, and
 // the new side's mean time a cycle.
-func compare(cfg smt.Config, seed uint64, warmup int64, chunks, chunk int) (ratios []float64, newNs float64) {
+func compare(cfg smt.Config, chunks int) (ratios []float64, newNs float64) {
 	spec := smt.WorkloadMix(cfg.Threads, 0, seed)
 	// Enough records that neither side spills onto a live walker while
 	// timed: no context commits more than one instruction a cycle at
